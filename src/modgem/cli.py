@@ -1,31 +1,30 @@
-"""Verification driver: named suites of checks, each emitting a certificate.
+"""Verification driver: one ordered table of checks, each emitting a certificate.
 
-Reports are canonical: certificates are sorted by check name, every value is
-serialized through one deterministic encoder, and nothing time- or
-scheduling-dependent is recorded, so rerunning a suite with the same seed
-reproduces the report byte for byte at any worker count. Failures inside a
-check are captured as failed certificates rather than aborting the run;
-claims that the package cannot certify are emitted explicitly with status
+Each `Check` entry holds a name, claim, expected value and computation; a
+suite is the prefix of its checks' names. Reports are canonical: certificates
+are sorted by check name, every value is serialized through one deterministic
+encoder, and nothing time-dependent is recorded, so rerunning a suite with the
+same seed reproduces the report byte for byte. A check that raises becomes a
+failed certificate under its own name rather than aborting the run; claims
+that the package cannot certify are emitted explicitly with status
 "unverified" instead of being skipped in silence.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from typing import Any, Callable
 
 from . import gems, lines27, nodalcy, rootarr, theta
 from .exactalg import SHADOW_PRIMES
 
 SCHEMA_VERSION = 1
-
-SUITE_NAMES = ("arrangements", "lines27", "segre", "nieto", "quintic",
-               "duality", "theta", "nodal")
 
 
 @dataclass(frozen=True)
@@ -34,18 +33,17 @@ class SuiteConfig:
 
     seed drives all sampling through per-check derived seeds; samples scales
     the sampling checks up from their contractual minimums; tol is the
-    numeric tolerance for the theta residuals. The worker count is not part
-    of the config echo because reports must not depend on it.
+    numeric tolerance for the theta residuals. The echo also lists
+    SHADOW_PRIMES, the fixed primes behind every modular cross-check.
     """
 
     seed: int = 0
     samples: int = 20
     tol: float = 1e-9
-    primes: tuple[int, ...] = SHADOW_PRIMES
 
     def as_dict(self) -> dict:
         return {"seed": self.seed, "samples": self.samples, "tol": self.tol,
-                "primes": list(self.primes)}
+                "primes": list(SHADOW_PRIMES)}
 
 
 @dataclass(frozen=True)
@@ -87,20 +85,45 @@ def _canon(value) -> str:
     return json.dumps(value, sort_keys=True, default=fallback)
 
 
-def _cert(cfg: SuiteConfig, check: str, claim: str, expected, computed,
-          status: str | None = None) -> VerificationCertificate:
-    seed = _derived_seed(cfg.seed, check)
-    digest = hashlib.sha256(json.dumps(
-        {"check": check, "seed": seed, "samples": cfg.samples,
-         "tol": cfg.tol, "primes": list(cfg.primes)},
-        sort_keys=True).encode()).hexdigest()[:16]
-    exp, got = _canon(expected), _canon(computed)
-    if status is None:
-        status = "pass" if exp == got else "fail"
-    return VerificationCertificate(check, claim, status, exp, got, digest, seed)
+@dataclass(frozen=True)
+class Check:
+    """One claim, its expected value, and the computation that certifies it.
+
+    name is "<suite>/<check>". expected is a literal, or a function of the
+    config for the checks whose count follows --samples. compute(cfg, seed)
+    returns the computed value, where seed is derived from the master seed
+    and the name; a claim with no compute is recorded as "unverified".
+    """
+
+    name: str
+    claim: str
+    expected: Any
+    compute: Callable[[SuiteConfig, int], Any] | None
+
+    @property
+    def suite(self) -> str:
+        return self.name.split("/")[0]
+
+    def __call__(self, cfg: SuiteConfig) -> VerificationCertificate:
+        seed = _derived_seed(cfg.seed, self.name)
+        expected = _canon(self.expected(cfg) if callable(self.expected) else self.expected)
+        if self.compute is None:
+            status, computed = "unverified", "unverified"
+        else:
+            try:
+                computed = _canon(self.compute(cfg, seed))
+            except Exception as exc:  # a failing check must not abort the suite
+                computed = f"error: {exc}"
+            status = "pass" if computed == expected else "fail"
+        digest = hashlib.sha256(json.dumps(
+            {"check": self.name, "seed": seed, "samples": cfg.samples,
+             "tol": cfg.tol, "primes": list(SHADOW_PRIMES)},
+            sort_keys=True).encode()).hexdigest()[:16]
+        return VerificationCertificate(self.name, self.claim, status, expected,
+                                       computed, digest, seed)
 
 
-# -- arrangement checks ------------------------------------------------------------------
+# -- the table of checks -------------------------------------------------------------------
 
 ARRANGEMENT_CENSUS = {
     ("A", 4): {2: {1: 10}, 1: {2: 15, 3: 10}, 0: {4: 10, 6: 5}},
@@ -122,255 +145,236 @@ def _census_of(table) -> dict:
     return by
 
 
-def _check_arrangement(cfg: SuiteConfig, family: str, rank: int) -> VerificationCertificate:
-    table = rootarr.cached_incidence(family, rank)
-    return _cert(
-        cfg, f"arrangements/census-{family.lower()}{rank}",
-        f"flat census of the {family}{rank} reflection arrangement, "
-        "counted by dimension and multiplicity",
-        ARRANGEMENT_CENSUS[(family, rank)], _census_of(table))
+def _arrangement_census(family: str, rank: int, cfg: SuiteConfig, seed: int) -> dict:
+    return _census_of(rootarr.cached_incidence(family, rank))
 
 
-# -- 27-lines checks ----------------------------------------------------------------------
+CHECKS: list[Check] = [
+    Check(f"arrangements/census-{family.lower()}{rank}",
+          f"flat census of the {family}{rank} reflection arrangement, "
+          "counted by dimension and multiplicity",
+          census, partial(_arrangement_census, family, rank))
+    for (family, rank), census in ARRANGEMENT_CENSUS.items()]
 
 
-def _check_line_structures(cfg: SuiteConfig) -> VerificationCertificate:
-    st = lines27.enumerate_structures()
-    counts = dict(st.counts())
+def _entry(name: str, claim: str, expected):
+    """Decorator: appends its function to CHECKS as the compute of this claim."""
+    def add(compute):
+        CHECKS.append(Check(name, claim, expected, compute))
+        return compute
+    return add
+
+
+@_entry("lines27/structures", "combinatorial census of the 27-line configuration",
+        {"tritangents": 45, "double_sixes": 36, "trihedral_pairs": 120,
+         "triads": 40, "syzygetic_pairs": 270, "azygetic_triples": 120,
+         "meeting_pairs": 135, "skew_pairs": 216})
+def _(cfg, seed):
+    counts = dict(lines27.enumerate_structures().counts())
     mm = lines27.meets_matrix()
     counts["meeting_pairs"] = sum(row.count(True) for row in mm) // 2
     counts["skew_pairs"] = 27 * 26 // 2 - counts["meeting_pairs"]
-    expected = {"tritangents": 45, "double_sixes": 36, "trihedral_pairs": 120,
-                "triads": 40, "syzygetic_pairs": 270, "azygetic_triples": 120,
-                "meeting_pairs": 135, "skew_pairs": 216}
-    return _cert(cfg, "lines27/structures",
-                 "combinatorial census of the 27-line configuration",
-                 expected, counts)
+    return counts
 
 
-def _check_enneahedra(cfg: SuiteConfig) -> VerificationCertificate:
+@_entry("lines27/enneahedra",
+        "nine-tritangent partitions of the 27 lines and their orbit split",
+        {"partitions": 200, "orbit_sizes": [40, 160]})
+def _(cfg, seed):
     rep = lines27.enneahedra()
-    computed = {"partitions": len(rep.partitions),
-                "orbit_sizes": sorted(rep.orbit_sizes)}
-    return _cert(cfg, "lines27/enneahedra",
-                 "nine-tritangent partitions of the 27 lines and their orbit split",
-                 {"partitions": 200, "orbit_sizes": [40, 160]}, computed)
+    return {"partitions": len(rep.partitions), "orbit_sizes": sorted(rep.orbit_sizes)}
 
 
-def _check_weyl_order(cfg: SuiteConfig) -> VerificationCertificate:
-    return _cert(cfg, "lines27/weyl-order",
-                 "order of the incidence-preserving permutation group",
-                 51840, lines27.weyl_group().order)
+@_entry("lines27/weyl-order", "order of the incidence-preserving permutation group",
+        51840)
+def _(cfg, seed):
+    return lines27.weyl_group().order
 
 
-def _check_incidence_ranks(cfg: SuiteConfig) -> VerificationCertificate:
+@_entry("lines27/incidence-ranks",
+        "exact ranks of the two incidence matrices, prime-checked",
+        {"tritangent_line": {"rows": 45, "cols": 27, "rank": 21,
+                             "kernel": 24, "cokernel": 6},
+         "segre_hyperplane_plane": {"rows": 15, "cols": 15, "rank": 10,
+                                    "kernel": 5, "cokernel": 5}})
+def _(cfg, seed):
     ranks = lines27.incidence_complex_ranks()
-    expected = {"tritangent_line": {"rows": 45, "cols": 27, "rank": 21,
-                                    "kernel": 24, "cokernel": 6},
-                "segre_hyperplane_plane": {"rows": 15, "cols": 15, "rank": 10,
-                                           "kernel": 5, "cokernel": 5}}
-    computed = {"tritangent_line": ranks.tritangent_line,
-                "segre_hyperplane_plane": ranks.segre_hyperplane_plane}
-    return _cert(cfg, "lines27/incidence-ranks",
-                 "exact ranks of the two incidence matrices, prime-checked",
-                 expected, computed)
+    return {"tritangent_line": ranks.tritangent_line,
+            "segre_hyperplane_plane": ranks.segre_hyperplane_plane}
 
 
-def _check_ideal_dimensions(cfg: SuiteConfig) -> VerificationCertificate:
+@_entry("lines27/ideal-dimensions",
+        "dimensions of the form spaces vanishing on the four classical loci",
+        {"dims": {"cubics_on_36_points": 20, "cubics_on_27_points": 30,
+                  "quartics_on_45_lines": 15, "sextics_on_216_lines": 24},
+         "memberships": True})
+def _(cfg, seed):
     rep = lines27.macdonald_membership()
-    expected = {"dims": {"cubics_on_36_points": 20, "cubics_on_27_points": 30,
-                         "quartics_on_45_lines": 15, "sextics_on_216_lines": 24},
-                "memberships": True}
-    computed = {"dims": rep.dims, "memberships": all(rep.memberships.values())}
-    return _cert(cfg, "lines27/ideal-dimensions",
-                 "dimensions of the form spaces vanishing on the four classical loci",
-                 expected, computed)
+    return {"dims": rep.dims, "memberships": all(rep.memberships.values())}
 
 
-# -- hypersurface checks --------------------------------------------------------------------
-
-
-def _check_segre_model(cfg: SuiteConfig) -> VerificationCertificate:
-    seed = _derived_seed(cfg.seed, "segre/model")
+@_entry("segre/model", "ten nodes, fifteen planes, and the quadrics through the nodes",
+        {"nodes": 10, "planes": 15, "node_quadrics_dim": 5, "pair_scalars": ["3"]})
+def _(cfg, seed):
     model = gems.build_segre(seed=seed, offnode_samples=cfg.samples)
-    computed = {"nodes": len(model.nodes), "planes": len(model.planes),
-                "node_quadrics_dim": model.node_quadrics.dim,
-                "pair_scalars": sorted({str(s) for s in
-                                        model.hyperplane_scalars.values()})}
-    return _cert(cfg, "segre/model",
-                 "ten nodes, fifteen planes, and the quadrics through the nodes",
-                 {"nodes": 10, "planes": 15, "node_quadrics_dim": 5,
-                  "pair_scalars": ["3"]}, computed)
+    return {"nodes": len(model.nodes), "planes": len(model.planes),
+            "node_quadrics_dim": model.node_quadrics.dim,
+            "pair_scalars": sorted({str(s) for s in model.hyperplane_scalars.values()})}
 
 
-def _check_segre_param(cfg: SuiteConfig) -> VerificationCertificate:
-    seed = _derived_seed(cfg.seed, "segre/parametrization")
-    n = max(10, cfg.samples)
-    rep = gems.segre_param(seed=seed, samples=n)
-    return _cert(cfg, "segre/parametrization",
-                 "the quadric parametrization lands on the cubic at every sample",
-                 {"samples_on_cubic": n}, {"samples_on_cubic": rep.samples_on_cubic})
+@_entry("segre/parametrization",
+        "the quadric parametrization lands on the cubic at every sample",
+        lambda cfg: {"samples_on_cubic": max(10, cfg.samples)})
+def _(cfg, seed):
+    rep = gems.segre_param(seed=seed, samples=max(10, cfg.samples))
+    return {"samples_on_cubic": rep.samples_on_cubic}
 
 
-def _check_segre_sections(cfg: SuiteConfig) -> VerificationCertificate:
+@_entry("segre/sections", "diagonal and Cayley hyperplane sections behave classically",
+        {"diagonal_identity": True, "cayley_nodes": 4, "squaring_identity": True})
+def _(cfg, seed):
     rep = gems.auxiliary_sections()
-    computed = {"diagonal_identity": rep.diagonal_identity,
-                "cayley_nodes": rep.cayley_nodes,
-                "squaring_identity": rep.squaring_identity}
-    return _cert(cfg, "segre/sections",
-                 "diagonal and Cayley hyperplane sections behave classically",
-                 {"diagonal_identity": True, "cayley_nodes": 4,
-                  "squaring_identity": True}, computed)
+    return {"diagonal_identity": rep.diagonal_identity,
+            "cayley_nodes": rep.cayley_nodes,
+            "squaring_identity": rep.squaring_identity}
 
 
-def _check_nieto_model(cfg: SuiteConfig) -> VerificationCertificate:
+@_entry("nieto/model", "singular lines, points, and the thirty planes of the quintic",
+        {"lines": 20, "nodes": 10, "cross_points": 15, "matching_planes": 15,
+         "coordinate_planes": 15, "coordinate_scalars": ["1"]})
+def _(cfg, seed):
     model = gems.build_nieto()
-    computed = {"lines": len(model.lines), "nodes": len(model.nodes),
-                "cross_points": len(model.cross_points),
-                "matching_planes": len(model.matching_planes),
-                "coordinate_planes": len(model.coordinate_planes),
-                "coordinate_scalars": sorted({str(s) for s in
-                                              model.coordinate_scalars.values()})}
-    return _cert(cfg, "nieto/model",
-                 "singular lines, points, and the thirty planes of the quintic",
-                 {"lines": 20, "nodes": 10, "cross_points": 15,
-                  "matching_planes": 15, "coordinate_planes": 15,
-                  "coordinate_scalars": ["1"]}, computed)
+    return {"lines": len(model.lines), "nodes": len(model.nodes),
+            "cross_points": len(model.cross_points),
+            "matching_planes": len(model.matching_planes),
+            "coordinate_planes": len(model.coordinate_planes),
+            "coordinate_scalars": sorted({str(s) for s in
+                                          model.coordinate_scalars.values()})}
 
 
-def _check_hessian(cfg: SuiteConfig) -> VerificationCertificate:
+@_entry("nieto/hessian",
+        "the Hessian of the cubic chart equals the quintic chart up to 6^5",
+        {"scalar": "7776", "determinant_identity": True, "singular_nodes": 10})
+def _(cfg, seed):
     rep = gems.hessian_equals_nieto()
-    computed = {"scalar": str(rep.scalar),
-                "determinant_identity": rep.determinant_identity,
-                "singular_nodes": rep.singular_nodes}
-    return _cert(cfg, "nieto/hessian",
-                 "the Hessian of the cubic chart equals the quintic chart up to 6^5",
-                 {"scalar": "7776", "determinant_identity": True,
-                  "singular_nodes": 10}, computed)
+    return {"scalar": str(rep.scalar),
+            "determinant_identity": rep.determinant_identity,
+            "singular_nodes": rep.singular_nodes}
 
 
-def _check_quintic_invariance(cfg: SuiteConfig) -> VerificationCertificate:
-    seed = _derived_seed(cfg.seed, "quintic/invariance")
+@_entry("quintic/invariance",
+        "reflection invariance, the double-six model, and both power sums",
+        lambda cfg: {"generators": 6, "words": max(100, cfg.samples),
+                     "double_six_scalar": "-3/8",
+                     "power_scalars": {"2": "6", "5": "-5/54"}})
+def _(cfg, seed):
     rep = gems.build_invariant_quintic(seed=seed, words=max(100, cfg.samples))
-    computed = {"generators": rep.generator_checks, "words": rep.word_checks,
-                "double_six_scalar": str(rep.symmetric_scalar),
-                "power_scalars": {str(k): str(v)
-                                  for k, v in sorted(rep.power_scalars.items())}}
-    expected = {"generators": 6, "words": max(100, cfg.samples),
-                "double_six_scalar": "-3/8",
-                "power_scalars": {"2": "6", "5": "-5/54"}}
-    return _cert(cfg, "quintic/invariance",
-                 "reflection invariance, the double-six model, and both power sums",
-                 expected, computed)
+    return {"generators": rep.generator_checks, "words": rep.word_checks,
+            "double_six_scalar": str(rep.symmetric_scalar),
+            "power_scalars": {str(k): str(v)
+                              for k, v in sorted(rep.power_scalars.items())}}
 
 
-def _check_quintic_locus(cfg: SuiteConfig) -> VerificationCertificate:
-    seed = _derived_seed(cfg.seed, "quintic/singular-locus")
+@_entry("quintic/singular-locus",
+        "the 120 singular lines, 36 triple points, and their quartic ideal",
+        {"lines": 120, "points": 36, "wall_lines": 40, "lines_per_point": 10,
+         "points_per_line": 3, "jacobian_quartics_dim": 6})
+def _(cfg, seed):
     rep = gems.i5_singular_locus(seed=seed, offline_samples=cfg.samples)
-    computed = {"lines": rep.line_count, "points": rep.point_count,
-                "wall_lines": rep.lines_in_simplex_wall,
-                "lines_per_point": rep.lines_per_point,
-                "points_per_line": rep.points_per_line,
-                "jacobian_quartics_dim": rep.jacobian_quartics.dim}
-    expected = {"lines": 120, "points": 36, "wall_lines": 40,
-                "lines_per_point": 10, "points_per_line": 3,
-                "jacobian_quartics_dim": 6}
-    return _cert(cfg, "quintic/singular-locus",
-                 "the 120 singular lines, 36 triple points, and their quartic ideal",
-                 expected, computed)
+    return {"lines": rep.line_count, "points": rep.point_count,
+            "wall_lines": rep.lines_in_simplex_wall,
+            "lines_per_point": rep.lines_per_point,
+            "points_per_line": rep.points_per_line,
+            "jacobian_quartics_dim": rep.jacobian_quartics.dim}
 
 
-def _check_quintic_subspaces(cfg: SuiteConfig) -> VerificationCertificate:
+@_entry("quintic/subspaces",
+        "the 45 solid subspaces and the 27 split hyperplane sections",
+        {"p3_count": 45, "p3_per_hyperplane": 5, "hyperplanes_per_p3": 3,
+         "split_scalars": ["648"], "quotient_scalar": "243",
+         "simplex_scalar": "-648"})
+def _(cfg, seed):
     rep = gems.linear_subspaces_i5()
-    computed = {"p3_count": rep.p3_count,
-                "p3_per_hyperplane": rep.p3_per_hyperplane,
-                "hyperplanes_per_p3": rep.hyperplanes_per_p3,
-                "split_scalars": sorted({str(abs(s)) for s in
-                                         rep.hyperplane_scalars.values()}),
-                "quotient_scalar": str(rep.quotient_scalar),
-                "simplex_scalar": str(rep.simplex_scalar)}
-    expected = {"p3_count": 45, "p3_per_hyperplane": 5, "hyperplanes_per_p3": 3,
-                "split_scalars": ["648"], "quotient_scalar": "243",
-                "simplex_scalar": "-648"}
-    return _cert(cfg, "quintic/subspaces",
-                 "the 45 solid subspaces and the 27 split hyperplane sections",
-                 expected, computed)
+    return {"p3_count": rep.p3_count,
+            "p3_per_hyperplane": rep.p3_per_hyperplane,
+            "hyperplanes_per_p3": rep.hyperplanes_per_p3,
+            "split_scalars": sorted({str(abs(s)) for s in
+                                     rep.hyperplane_scalars.values()}),
+            "quotient_scalar": str(rep.quotient_scalar),
+            "simplex_scalar": str(rep.simplex_scalar)}
 
 
-def _check_quintic_restrictions(cfg: SuiteConfig) -> VerificationCertificate:
+@_entry("quintic/restrictions",
+        "restricting both form families to a singular line's plane",
+        {"root_classes": 24, "weight_classes": 12,
+         "vanishing_labels": ["a1", "b2", "c12"]})
+def _(cfg, seed):
     rep = gems.restriction_arrangements()
-    computed = {"root_classes": len(rep.root_classes),
-                "weight_classes": len(rep.weight_classes),
-                "vanishing_labels": sorted(rep.vanishing_labels)}
-    return _cert(cfg, "quintic/restrictions",
-                 "restricting both form families to a singular line's plane",
-                 {"root_classes": 24, "weight_classes": 12,
-                  "vanishing_labels": ["a1", "b2", "c12"]}, computed)
+    return {"root_classes": len(rep.root_classes),
+            "weight_classes": len(rep.weight_classes),
+            "vanishing_labels": sorted(rep.vanishing_labels)}
 
 
-def _check_rationalization(cfg: SuiteConfig) -> VerificationCertificate:
-    seed = _derived_seed(cfg.seed, "quintic/rationalization")
+@_entry("quintic/rationalization",
+        "the degree-8 inverse lands on the quintic and inverts the quartic map",
+        lambda cfg: {"exact": max(50, cfg.samples),
+                     "modular": {str(p): 10 ** 4 for p in SHADOW_PRIMES},
+                     "bounds_tiny": True, "roundtrips": [25, 25]})
+def _(cfg, seed):
     rep = gems.rationalize_i5(seed=seed, exact_samples=max(50, cfg.samples),
                               modular_samples=10 ** 4, roundtrip_samples=25)
-    computed = {"exact": rep.exact_checked,
-                "modular": {str(p): n for p, n in sorted(rep.modular_checked.items())},
-                "bounds_tiny": all(b < -1000 for b in rep.failure_log10.values()),
-                "roundtrips": [rep.roundtrip_phi_psi, rep.roundtrip_psi_phi]}
-    expected = {"exact": max(50, cfg.samples),
-                "modular": {str(p): 10 ** 4 for p in SHADOW_PRIMES},
-                "bounds_tiny": True, "roundtrips": [25, 25]}
-    return _cert(cfg, "quintic/rationalization",
-                 "the degree-8 inverse lands on the quintic and inverts the quartic map",
-                 expected, computed)
+    return {"exact": rep.exact_checked,
+            "modular": {str(p): n for p, n in sorted(rep.modular_checked.items())},
+            "bounds_tiny": all(b < -1000 for b in rep.failure_log10.values()),
+            "roundtrips": [rep.roundtrip_phi_psi, rep.roundtrip_psi_phi]}
 
 
-def _check_triple_cone(cfg: SuiteConfig) -> VerificationCertificate:
+@_entry("quintic/triple-cone",
+        "tangent-cone splitting at a triple point with its ten directions",
+        {"dual_scalar": "-1", "directions": 10, "direction_quadrics_dim": 5})
+def _(cfg, seed):
     cone = gems.triple_point_cone("h23")
-    computed = {"dual_scalar": str(cone.dual_scalar),
-                "directions": len(cone.directions),
-                "direction_quadrics_dim": cone.direction_quadrics.dim}
-    return _cert(cfg, "quintic/triple-cone",
-                 "tangent-cone splitting at a triple point with its ten directions",
-                 {"dual_scalar": "-1", "directions": 10,
-                  "direction_quadrics_dim": 5}, computed)
+    return {"dual_scalar": str(cone.dual_scalar),
+            "directions": len(cone.directions),
+            "direction_quadrics_dim": cone.direction_quadrics.dim}
 
 
-def _check_base_locus(cfg: SuiteConfig) -> VerificationCertificate:
-    return _cert(cfg, "quintic/base-locus",
-                 "the six degree-8 coordinates of the inverse map share a base "
-                 "surface of degree 32; recorded from the classical count, "
-                 "no exact degree computation is implemented here",
-                 "unverified", "unverified", status="unverified")
+CHECKS.append(Check(
+    "quintic/base-locus",
+    "the six degree-8 coordinates of the inverse map share a base "
+    "surface of degree 32; recorded from the classical count, "
+    "no exact degree computation is implemented here",
+    "unverified", None))
 
 
-def _check_duality(cfg: SuiteConfig) -> VerificationCertificate:
-    seed = _derived_seed(cfg.seed, "duality/pipeline")
+@_entry("duality/pipeline",
+        "gradient images of the cubic fit one quartic; planes contract "
+        "to 15 lines; the round trip is the identity",
+        {"fitted_dim": 1, "image_lines": 15, "line_cubics_dim": 5,
+         "biduality_checked": 20})
+def _(cfg, seed):
     rep = gems.duality_pipeline(seed=seed, samples=max(200, cfg.samples),
                                 biduality_samples=20)
-    computed = {"fitted_dim": rep.fitted_dim, "image_lines": len(rep.image_lines),
-                "line_cubics_dim": rep.line_cubics.dim,
-                "biduality_checked": rep.biduality_checked}
-    return _cert(cfg, "duality/pipeline",
-                 "gradient images of the cubic fit one quartic; planes contract "
-                 "to 15 lines; the round trip is the identity",
-                 {"fitted_dim": 1, "image_lines": 15, "line_cubics_dim": 5,
-                  "biduality_checked": 20}, computed)
+    return {"fitted_dim": rep.fitted_dim, "image_lines": len(rep.image_lines),
+            "line_cubics_dim": rep.line_cubics.dim,
+            "biduality_checked": rep.biduality_checked}
 
 
-def _check_theta(cfg: SuiteConfig) -> VerificationCertificate:
-    seed = _derived_seed(cfg.seed, "theta/identities")
+@_entry("theta/identities",
+        "octic and quartic constant identities hold at every sampled point",
+        lambda cfg: {"samples": max(12, cfg.samples), "maschke_below_tol": True,
+                     "quartic_below_tol": True, "odd_max_small": True,
+                     "theta4_rank": 5})
+def _(cfg, seed):
     rep = theta.identity_checks(samples=max(12, cfg.samples), seed=seed, tol=cfg.tol)
-    computed = {"samples": rep.samples,
-                "maschke_below_tol": rep.maschke_max < cfg.tol,
-                "quartic_below_tol": rep.quartic_max < cfg.tol,
-                "odd_max_small": rep.odd_max < 1e-11,
-                "theta4_rank": rep.theta4_rank}
-    expected = {"samples": max(12, cfg.samples), "maschke_below_tol": True,
-                "quartic_below_tol": True, "odd_max_small": True,
-                "theta4_rank": 5}
-    return _cert(cfg, "theta/identities",
-                 "octic and quartic constant identities hold at every sampled point",
-                 expected, computed)
+    return {"samples": rep.samples,
+            "maschke_below_tol": rep.maschke_max < cfg.tol,
+            "quartic_below_tol": rep.quartic_max < cfg.tol,
+            "odd_max_small": rep.odd_max < 1e-11,
+            "theta4_rank": rep.theta4_rank}
+
+
+NODAL_COLUMNS = ("nodes", "quintic_dim", "defect", "h11", "h21", "euler")
 
 
 def _nodal_computed(rep: nodalcy.NodalSectionReport) -> dict:
@@ -379,67 +383,35 @@ def _nodal_computed(rep: nodalcy.NodalSectionReport) -> dict:
             "euler": rep.euler}
 
 
-def _check_nodal_generic(cfg: SuiteConfig) -> VerificationCertificate:
-    seed = _derived_seed(cfg.seed, "nodal/generic")
-    rep = nodalcy.section_report(nodalcy.generic_section(seed), seed=seed)
-    return _cert(cfg, "nodal/generic",
-                 "a generic hyperplane section has 120 nodes and defect 24",
-                 {"nodes": 120, "quintic_dim": 30, "defect": 24,
-                  "h11": 25, "h21": 5, "euler": 40}, _nodal_computed(rep))
+@_entry("nodal/generic", "a generic hyperplane section has 120 nodes and defect 24",
+        {"nodes": 120, "quintic_dim": 30, "defect": 24, "h11": 25, "h21": 5, "euler": 40})
+def _(cfg, seed):
+    return _nodal_computed(nodalcy.section_report(nodalcy.generic_section(seed), seed=seed))
 
 
-def _check_nodal_tangent(cfg: SuiteConfig) -> VerificationCertificate:
-    seed = _derived_seed(cfg.seed, "nodal/tangent")
-    rep = nodalcy.section_report(nodalcy.tangent_section(seed), seed=seed)
-    return _cert(cfg, "nodal/tangent",
-                 "a tangent hyperplane section has 121 nodes and defect 24",
-                 {"nodes": 121, "quintic_dim": 29, "defect": 24,
-                  "h11": 25, "h21": 4, "euler": 42}, _nodal_computed(rep))
+@_entry("nodal/tangent", "a tangent hyperplane section has 121 nodes and defect 24",
+        {"nodes": 121, "quintic_dim": 29, "defect": 24, "h11": 25, "h21": 4, "euler": 42})
+def _(cfg, seed):
+    return _nodal_computed(nodalcy.section_report(nodalcy.tangent_section(seed), seed=seed))
 
 
 SUITES: dict[str, tuple] = {
-    "arrangements": tuple(
-        (lambda cfg, fam=fam, rank=rank: _check_arrangement(cfg, fam, rank))
-        for fam, rank in (("A", 4), ("B", 4), ("D", 4), ("F", 4), ("E", 6))),
-    "lines27": (_check_line_structures, _check_enneahedra, _check_weyl_order,
-                _check_incidence_ranks, _check_ideal_dimensions),
-    "segre": (_check_segre_model, _check_segre_param, _check_segre_sections),
-    "nieto": (_check_nieto_model, _check_hessian),
-    "quintic": (_check_quintic_invariance, _check_quintic_locus,
-                _check_quintic_subspaces, _check_quintic_restrictions,
-                _check_rationalization, _check_triple_cone, _check_base_locus),
-    "duality": (_check_duality,),
-    "theta": (_check_theta,),
-    "nodal": (_check_nodal_generic, _check_nodal_tangent),
-}
+    suite: tuple(c for c in CHECKS if c.suite == suite)
+    for suite in dict.fromkeys(c.suite for c in CHECKS)}
 
 
 # -- suite runner --------------------------------------------------------------------------
 
 
-def _run_one(check, cfg: SuiteConfig) -> VerificationCertificate:
-    try:
-        return check(cfg)
-    except Exception as exc:  # a failing check must not abort the suite
-        name = getattr(check, "__name__", "unknown").replace("_check_", "check/")
-        return _cert(cfg, name, "check raised instead of reporting",
-                     "completed", f"error: {exc}")
-
-
-def run_suite(suite: str, cfg: SuiteConfig, jobs: int = 1) -> list[VerificationCertificate]:
+def run_suite(suite: str, cfg: SuiteConfig) -> list[VerificationCertificate]:
     """All certificates of one suite (or of every suite, for "all"), sorted."""
     if suite == "all":
-        checks = [c for name in SUITE_NAMES for c in SUITES[name]]
+        checks = [c for group in SUITES.values() for c in group]
     elif suite in SUITES:
-        checks = list(SUITES[suite])
+        checks = SUITES[suite]
     else:
         raise ValueError(f"unknown suite {suite!r}")
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            certs = list(pool.map(lambda c: _run_one(c, cfg), checks))
-    else:
-        certs = [_run_one(c, cfg) for c in checks]
-    return sorted(certs, key=lambda c: c.check)
+    return sorted((check(cfg) for check in checks), key=lambda c: c.check)
 
 
 def report_dict(suite: str, cfg: SuiteConfig,
@@ -460,34 +432,60 @@ def render_json(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
+LINE_ROWS = (("tritangent planes", "tritangents"), ("double sixes", "double_sixes"),
+             ("meeting pairs", "meeting_pairs"), ("skew pairs", "skew_pairs"),
+             ("trihedral pairs", "trihedral_pairs"), ("triads", "triads"),
+             ("syzygetic pairs", "syzygetic_pairs"),
+             ("azygetic triples", "azygetic_triples"))
+
+
+def _decoded(computed: str):
+    """A computed dict parsed back from its canonical JSON; anything else as it came."""
+    try:
+        value = json.loads(computed)
+    except ValueError:
+        return computed
+    return value if isinstance(value, dict) else computed
+
+
 def render_table(suite: str, certs: list[VerificationCertificate]) -> str:
-    """Fixed-width text: census tables where they apply, then the certificates."""
+    """Fixed-width text: census tables of the computed values, then the certificates.
+
+    A check that did not compute its table, such as one that raised, shows
+    its computed string in place of the table row.
+    """
+    got = {c.check: _decoded(c.computed) for c in certs}
     blocks = []
-    ran = {c.check.split("/")[0] for c in certs}
 
-    if "arrangements" in ran:
+    census = [c.name for c in CHECKS if c.suite == "arrangements" and c.name in got]
+    if census:
         lines = ["arrangement flat census (dimension, multiplicity, count)"]
-        for fam, rank in (("A", 4), ("B", 4), ("D", 4), ("F", 4), ("E", 6)):
-            table = ARRANGEMENT_CENSUS[(fam, rank)]
-            cells = [f"t{q}({dim})={table[dim][q]}"
-                     for dim in sorted(table, reverse=True)
-                     for q in sorted(table[dim])]
-            lines.append(f"  {fam}{rank}: " + "  ".join(cells))
+        for name in census:
+            table = got[name]
+            if isinstance(table, dict):
+                table = "  ".join(f"t{q}({dim})={table[dim][q]}"
+                                  for dim in sorted(table, key=int, reverse=True)
+                                  for q in sorted(table[dim], key=int))
+            lines.append(f"  {name.split('-')[1].upper()}: {table}")
         blocks.append("\n".join(lines))
 
-    if "lines27" in ran:
-        counts = (("tritangent planes", 45), ("double sixes", 36),
-                  ("meeting pairs", 135), ("skew pairs", 216),
-                  ("trihedral pairs", 120), ("triads", 40),
-                  ("syzygetic pairs", 270), ("azygetic triples", 120))
+    if "lines27/structures" in got:
+        counts = got["lines27/structures"]
         lines = ["line configuration census"]
-        lines += [f"  {name:<18} {n:>4}" for name, n in counts]
+        if isinstance(counts, dict):
+            lines += [f"  {label:<18} {counts[key]:>4}" for label, key in LINE_ROWS]
+        else:
+            lines.append(f"  {counts}")
         blocks.append("\n".join(lines))
 
-    if "nodal" in ran:
+    nodal = [c.name for c in CHECKS if c.suite == "nodal" and c.name in got]
+    if nodal:
         lines = ["nodal sections (nodes, quintics through them, defect, h11, h21, e)"]
-        lines.append("  generic: 120 30 24 25 5 40")
-        lines.append("  tangent: 121 29 24 25 4 42")
+        for name in nodal:
+            row = got[name]
+            if isinstance(row, dict):
+                row = " ".join(str(row[key]) for key in NODAL_COLUMNS)
+            lines.append(f"  {name.split('/')[1]}: {row}")
         blocks.append("\n".join(lines))
 
     width = max(len(c.check) for c in certs)
@@ -502,7 +500,7 @@ def render_table(suite: str, certs: list[VerificationCertificate]) -> str:
 
 def _cmd_run(args) -> int:
     cfg = SuiteConfig(seed=args.seed, samples=args.samples, tol=args.tol)
-    certs = run_suite(args.suite, cfg, jobs=args.jobs)
+    certs = run_suite(args.suite, cfg)
     report = report_dict(args.suite, cfg, certs)
     try:
         if args.json:
@@ -572,14 +570,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a verification suite")
-    run.add_argument("suite", choices=SUITE_NAMES + ("all",))
+    run.add_argument("suite", choices=(*SUITES, "all"))
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--samples", type=int, default=20)
     run.add_argument("--tol", type=float, default=1e-9)
     run.add_argument("--json", metavar="PATH", help="write the canonical JSON report")
     run.add_argument("--table", metavar="PATH", help="write the text tables")
-    run.add_argument("--jobs", type=int, default=1,
-                     help="worker threads; reports do not depend on it")
     run.set_defaults(func=_cmd_run)
 
     th = sub.add_parser("theta", help="theta constant checks")

@@ -8,7 +8,7 @@ and integer-pivot row reduction whose ranks are cross-checked modulo two fixed
 word-size primes.
 
 Scalars are `fractions.Fraction`, which already guarantees lowest terms and a
-positive denominator; `ExactScalar` is an alias, not a reimplementation.
+positive denominator.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
-
-ExactScalar = Fraction
 
 Scalar = Union[int, Fraction]
 
@@ -313,18 +311,6 @@ class MPoly:
             total += m
         return total
 
-    def eval_mod(self, values: Sequence[int], p: int) -> int:
-        """Evaluate at integer values modulo p (coefficients must reduce)."""
-        total = 0
-        vals = [v % p for v in values]
-        for exp, c in self.terms.items():
-            m = _reduce_fraction_mod(c, p)
-            for i, e in enumerate(exp):
-                if e:
-                    m = m * pow(vals[i], e, p) % p
-            total = (total + m) % p
-        return total
-
     # -- presentation --------------------------------------------------------
 
     def to_str(self, names: Sequence[str] | None = None) -> str:
@@ -350,10 +336,6 @@ class MPoly:
         for body in parts[1:]:
             s += f" - {body[1:]}" if body.startswith("-") else f" + {body}"
         return s
-
-    def canonical_payload(self) -> list[list]:
-        """JSON-ready canonical form: [[exponents, 'num/den'], ...] in grevlex order."""
-        return [[list(exp), f"{c.numerator}/{c.denominator}"] for exp, c in self.sorted_terms()]
 
     def __repr__(self):
         return f"MPoly({self.to_str()})"
@@ -790,14 +772,8 @@ class PrimeShadow:
 
     modulus: int
 
-    def reduce(self, x: Scalar) -> int:
-        return _reduce_fraction_mod(_frac(x), self.modulus)
-
     def rank(self, rows: Sequence[Sequence[Scalar]]) -> int:
         return rank_mod(rows, self.modulus)
-
-    def eval_poly(self, poly: MPoly, values: Sequence[int]) -> int:
-        return poly.eval_mod(values, self.modulus)
 
 
 DEFAULT_SHADOWS = tuple(PrimeShadow(p) for p in SHADOW_PRIMES)

@@ -36,6 +36,7 @@ from .exactalg import (
     ProjPoint,
     SHADOW_PRIMES,
     VanishingSpace,
+    _reduce_fraction_mod,
     checked_rank,
     det_poly,
     elementary_symmetric,
@@ -1194,16 +1195,6 @@ def _proportional_vectors(v: Sequence, w: Sequence) -> bool:
                for i in range(len(v)) for j in range(i + 1, len(v)))
 
 
-def _terms_int_mod(poly: MPoly, p: int) -> list[tuple[int, tuple[int, ...]]]:
-    out = []
-    for exp, c in poly.terms.items():
-        num = c.numerator % p
-        if c.denominator != 1:
-            num = num * pow(c.denominator, -1, p) % p
-        out.append((num, exp))
-    return out
-
-
 def _eval_batch_mod(polys: Sequence[MPoly], values: np.ndarray, p: int) -> list[np.ndarray]:
     """Evaluate polynomials at many points mod p; values has one column per point."""
     nvars = polys[0].nvars
@@ -1217,8 +1208,8 @@ def _eval_batch_mod(polys: Sequence[MPoly], values: np.ndarray, p: int) -> list[
     out = []
     for poly in polys:
         acc = np.zeros(values.shape[1], dtype=np.int64)
-        for coeff, exp in _terms_int_mod(poly, p):
-            term = np.full(values.shape[1], coeff, dtype=np.int64)
+        for exp, c in poly.terms.items():
+            term = np.full(values.shape[1], _reduce_fraction_mod(c, p), dtype=np.int64)
             for i, e in enumerate(exp):
                 if e:
                     term = term * tables[i][e] % p

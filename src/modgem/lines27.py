@@ -768,10 +768,6 @@ class SpecialLoci:
     spanning_triples: int                              # triples of the 120 lines spanning P^5
 
 
-def _on_line(line: ProjLine, pt: ProjPoint) -> bool:
-    return line.contains(pt)
-
-
 @lru_cache(maxsize=1)
 def special_loci() -> SpecialLoci:
     tables = coordinate_tables()
@@ -792,7 +788,7 @@ def special_loci() -> SpecialLoci:
     if len(lines120) != 120:
         raise ExactAlgError(f"expected 120 collinear-root lines, found {len(lines120)}")
     for line in lines120.values():
-        count = sum(1 for p in root_points.values() if _on_line(line, p))
+        count = sum(1 for p in root_points.values() if line.contains(p))
         if count != 3:
             raise ExactAlgError("a root line does not contain exactly 3 root points")
     if any(v != 10 for v in per_point.values()):
@@ -805,8 +801,8 @@ def special_loci() -> SpecialLoci:
         line = ProjLine(weight_points[n1], weight_points[n2])
         if line.key in lines45 or line.key in lines216:
             continue
-        on27 = sum(1 for p in weight_points.values() if _on_line(line, p))
-        on36 = sum(1 for p in root_points.values() if _on_line(line, p))
+        on27 = sum(1 for p in weight_points.values() if line.contains(p))
+        on36 = sum(1 for p in root_points.values() if line.contains(p))
         if on27 == 3 and on36 == 0:
             lines45[line.key] = line
         elif on27 == 2 and on36 == 1:
@@ -846,7 +842,7 @@ def special_loci() -> SpecialLoci:
     a2_points = []
     for line in lines_seq:
         a2_points.append(frozenset(
-            n for n, p in root_points.items() if _on_line(line, p)))
+            n for n, p in root_points.items() if line.contains(p)))
 
     def orthogonal(i: int, j: int) -> bool:
         for n1 in a2_points[i]:

@@ -180,12 +180,10 @@ def test_11_incidence_complex_ranks():
 
 
 def test_12_determinism(tmp_path):
-    paths = [tmp_path / f"report{i}.json" for i in range(3)]
+    paths = [tmp_path / f"report{i}.json" for i in range(2)]
     argv = ["run", "all", "--seed", "42"]
     assert cli.main(argv + ["--json", str(paths[0])]) == 0
     assert cli.main(argv + ["--json", str(paths[1])]) == 0
-    assert cli.main(argv + ["--json", str(paths[2]), "--jobs", "4"]) == 0
     blobs = [p.read_bytes() for p in paths]
-    assert blobs[0] == blobs[1] == blobs[2]
-    _line("determinism", "run all --seed 42 byte-identical across two runs "
-          "and across 1 vs 4 workers")
+    assert blobs[0] == blobs[1]
+    _line("determinism", "run all --seed 42 byte-identical across two runs")

@@ -1,10 +1,11 @@
 """Driver tests: suite registry, certificates, canonical reports, exit codes."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from modgem import cli
+from modgem import cli, gems, lines27, rootarr
 
 
 @pytest.fixture(scope="module")
@@ -12,10 +13,16 @@ def segre_certs():
     return cli.run_suite("segre", cli.SuiteConfig())
 
 
+def _entry(name):
+    return next(c for c in cli.CHECKS if c.name == name)
+
+
 def test_registry_names():
-    assert set(cli.SUITES) == set(cli.SUITE_NAMES)
-    assert "all" not in cli.SUITES
-    assert all(cli.SUITES[name] for name in cli.SUITE_NAMES)
+    assert list(cli.SUITES) == ["arrangements", "lines27", "segre", "nieto", "quintic",
+                                "duality", "theta", "nodal"]
+    assert all(c.suite == suite for suite, group in cli.SUITES.items() for c in group)
+    assert [c for group in cli.SUITES.values() for c in group] == cli.CHECKS
+    assert len({c.name for c in cli.CHECKS}) == len(cli.CHECKS) == 26
 
 
 def test_unknown_suite_raises():
@@ -56,29 +63,59 @@ def test_report_dict_shape(segre_certs):
 
 
 def test_unverified_certificate():
-    cert = cli._check_base_locus(cli.SuiteConfig())
+    cert = _entry("quintic/base-locus")(cli.SuiteConfig())
     assert cert.status == "unverified"
     assert cert.passed
     report = cli.report_dict("quintic", cli.SuiteConfig(), [cert])
     assert report["summary"] == {"pass": 0, "fail": 0, "unverified": 1}
 
 
-def test_failed_check_is_captured():
-    def broken(cfg):
-        raise RuntimeError("boom")
-    cert = cli._run_one(broken, cli.SuiteConfig())
-    assert cert.status == "fail"
-    assert "boom" in cert.computed
+def _boom(*args, **kwargs):
+    raise RuntimeError("boom")
+
+
+def test_raising_check_keeps_name_seed_and_position(tmp_path, monkeypatch):
+    monkeypatch.setattr(gems, "build_nieto", _boom)
+    path = tmp_path / "r.json"
+    assert cli.main(["run", "nieto", "--json", str(path)]) == 1
+    certs = json.loads(path.read_text())["certificates"]
+    assert [c["check"] for c in certs] == ["nieto/hessian", "nieto/model"]
+    model = certs[1]
+    assert model["status"] == "fail"
+    assert model["computed"] == "error: boom"
+    assert model["seed"] == cli._derived_seed(0, "nieto/model")
+    assert model["claim"] == _entry("nieto/model").claim
+
+
+def test_raising_arrangement_checks_keep_their_names(tmp_path, monkeypatch):
+    monkeypatch.setattr(rootarr, "cached_incidence", _boom)
+    certs = cli.run_suite("arrangements", cli.SuiteConfig())
+    assert [c.check for c in certs] == [f"arrangements/census-{t}"
+                                        for t in ("a4", "b4", "d4", "e6", "f4")]
+    assert all(c.status == "fail" and c.computed == "error: boom" for c in certs)
+    path = tmp_path / "t.txt"
+    assert cli.main(["run", "arrangements", "--table", str(path)]) == 1
+    text = path.read_text()
+    for label in ("A4", "B4", "D4", "F4", "E6"):
+        assert f"  {label}: error: boom\n" in text
+    assert "t1(2)=10" not in text  # no expected census printed in place of a result
+
+
+def test_table_shows_computed_value(monkeypatch):
+    monkeypatch.setattr(lines27, "weyl_group", lambda: SimpleNamespace(order=51841))
+    cert = _entry("lines27/weyl-order")(cli.SuiteConfig())
+    assert (cert.status, cert.expected, cert.computed) == ("fail", "51840", "51841")
+    text = cli.render_table("lines27", [cert])
+    assert "[      fail] lines27/weyl-order  51841\n" in text
+    assert "line configuration census" not in text  # structures did not run
 
 
 def test_json_report_byte_identity(tmp_path):
-    paths = [tmp_path / f"r{i}.json" for i in range(3)]
+    paths = [tmp_path / f"r{i}.json" for i in range(2)]
     assert cli.main(["run", "segre", "--seed", "11", "--json", str(paths[0])]) == 0
     assert cli.main(["run", "segre", "--seed", "11", "--json", str(paths[1])]) == 0
-    assert cli.main(["run", "segre", "--seed", "11", "--jobs", "3",
-                     "--json", str(paths[2])]) == 0
     blobs = [p.read_bytes() for p in paths]
-    assert blobs[0] == blobs[1] == blobs[2]
+    assert blobs[0] == blobs[1]
     assert blobs[0].endswith(b"\n")
 
 

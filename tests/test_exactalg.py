@@ -75,14 +75,6 @@ def test_evaluation_is_a_homomorphism(p, q, vals):
     assert (p * q).eval(vals) == p.eval(vals) * q.eval(vals)
 
 
-@given(polys(), st.lists(coeffs, min_size=3, max_size=3))
-@settings(max_examples=40, deadline=None)
-def test_modular_evaluation_matches_exact(p, vals):
-    for shadow in DEFAULT_SHADOWS:
-        exact = p.eval(vals)
-        assert shadow.eval_poly(p, vals) == shadow.reduce(exact)
-
-
 @given(polys(nvars=2, max_deg=2, max_terms=4), polys(nvars=2, max_deg=2, max_terms=4))
 @settings(max_examples=40, deadline=None)
 def test_substitution_is_a_homomorphism(p, q):
