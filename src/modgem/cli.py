@@ -546,10 +546,8 @@ def _cmd_nodalcy_report(args) -> int:
     spec = (nodalcy.generic_section(args.seed) if args.kind == "generic"
             else nodalcy.tangent_section(args.seed))
     rep = nodalcy.section_report(spec, seed=args.seed)
-    payload = {"kind": rep.kind, "nodes": rep.node_count,
-               "quintic_dim": rep.quintic_dim, "defect": rep.defect,
-               "h11": rep.h11, "h21": rep.h21, "b2": rep.b2, "b3": rep.b3,
-               "euler": rep.euler, "seed": args.seed}
+    payload = {**_nodal_computed(rep), "kind": rep.kind, "b2": rep.b2, "b3": rep.b3,
+               "seed": args.seed}
     if args.json:
         try:
             with open(args.json, "w") as fh:

@@ -575,15 +575,25 @@ class _IntEchelon:
     """Incremental integer echelon for independence testing.
 
     Stored rows are primitive, sorted by pivot, and zero at one another's
-    pivots, so a single forward pass decides membership of a new vector.
+    pivots, so a single forward pass decides membership of a new vector and
+    the rows are a canonical key of the span.
     """
 
     def __init__(self) -> None:
         self.rows: list[list[int]] = []
         self.pivots: list[int] = []
 
+    def copy(self) -> "_IntEchelon":
+        # rows are replaced, never mutated, so sharing them is safe
+        new = _IntEchelon()
+        new.rows, new.pivots = list(self.rows), list(self.pivots)
+        return new
+
+    def key(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.rows))
+
     def _reduce(self, vec: Sequence[int]) -> list[int]:
-        v = [int(c) for c in vec]
+        v = list(vec)
         for row, p in zip(self.rows, self.pivots):
             if v[p]:
                 a, b = row[p], v[p]
@@ -591,6 +601,9 @@ class _IntEchelon:
                 ka, kb = a // g, b // g
                 v = [ka * x - kb * y for x, y in zip(v, row)]
         return v
+
+    def contains(self, vec: Sequence[int]) -> bool:
+        return not any(self._reduce(vec))
 
     def add(self, vec: Sequence[int]) -> bool:
         """Insert vec if independent of the span; report whether it was."""
@@ -671,26 +684,28 @@ def rank_exact(rows: Sequence[Sequence[Scalar]]) -> int:
 
 
 def kernel_int(rows: Sequence[Sequence[Scalar]]) -> list[tuple[int, ...]]:
-    """Primitive integer basis of the right kernel."""
+    """Primitive integer basis of the right kernel, one vector per free column.
+
+    The echelon is fully reduced, so with L the lcm of the pivot entries the
+    free column fc gets L and each pivot column pc gets -row[fc] * L/row[pc].
+    Every vector is verified against the cleared rows by exact products.
+    """
     mat = [list(r) for r in rows]
     if not mat:
         return []
     ncols = len(mat[0])
     echelon, pivots = rref_int(mat)
-    free = [c for c in range(ncols) if c not in pivots]
+    lcm = math.lcm(*(row[pc] for row, pc in zip(echelon, pivots)))
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for row, pc in zip(reversed(echelon), reversed(pivots)):
-            s = sum((Fraction(row[c]) * v[c] for c in range(pc + 1, ncols)), Fraction(0))
-            v[pc] = -s / row[pc]
-        vec = _canonical_int_vector(v)
-        basis.append(vec)
-    for vec in basis:
-        for row in mat:
-            if sum(_frac(a) * b for a, b in zip(row, vec)):
-                raise ExactAlgError("kernel verification failed")
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        v = [0] * ncols
+        v[fc] = lcm
+        for row, pc in zip(echelon, pivots):
+            v[pc] = -row[fc] * (lcm // row[pc])
+        basis.append(_canonical_int_vector(v))
+    for vals in _int_products([_clear_row(r) for r in mat], basis):
+        if any(vals):
+            raise ExactAlgError("kernel verification failed")
     return basis
 
 
@@ -762,31 +777,14 @@ def rank_mod(rows: Sequence[Sequence[Scalar]], p: int) -> int:
     return rank
 
 
-@dataclass(frozen=True)
-class PrimeShadow:
-    """Reduction map to GF(p) for probabilistic cross-checks.
-
-    Never ground truth on its own: ranks mod p only bound the rational rank
-    from below, and identity tests mod p carry an explicit failure bound.
-    """
-
-    modulus: int
-
-    def rank(self, rows: Sequence[Sequence[Scalar]]) -> int:
-        return rank_mod(rows, self.modulus)
-
-
-DEFAULT_SHADOWS = tuple(PrimeShadow(p) for p in SHADOW_PRIMES)
-
-
 def checked_rank(rows: Sequence[Sequence[Scalar]],
-                 shadows: Sequence[PrimeShadow] = DEFAULT_SHADOWS) -> int:
+                 primes: Sequence[int] = SHADOW_PRIMES) -> int:
     """Exact rank, with agreement of the modular ranks enforced."""
     r = rank_exact(rows)
-    for shadow in shadows:
-        rp = shadow.rank(rows)
+    for p in primes:
+        rp = rank_mod(rows, p)
         if rp != r:
-            raise ShadowMismatch(f"rank {r} over Q but {rp} mod {shadow.modulus}")
+            raise ShadowMismatch(f"rank {r} over Q but {rp} mod {p}")
     return r
 
 
@@ -797,11 +795,11 @@ def checked_rank(rows: Sequence[Sequence[Scalar]],
 class VanishingSpace:
     """Forms of fixed degree vanishing on given points and lines.
 
-    `dim` is always exact. `method` records which certification route
-    produced it: "kernel" (exact row reduction of the evaluation matrix,
-    modular ranks cross-checked) or "candidates" (a matching sandwich:
-    exhibited independent members give a lower bound, the modular rank of
-    the full evaluation matrix gives the upper bound, and the two meet).
+    `dim` is always exact: independent members bound it from below and the
+    modular rank of the evaluation matrix at every prime bounds it from above.
+    `method` records where the members came from: "kernel" (the integer
+    kernel of the evaluation matrix) or "candidates" (forms supplied by the
+    caller). `modular_ranks` holds the rank of that matrix at each prime.
     """
 
     degree: int
@@ -854,69 +852,40 @@ def evaluation_rows(degree: int, nvars: int,
     return rows
 
 
-def _vanishes_on_constraints(form: MPoly, points, lines) -> bool:
-    for pt in points:
-        if form.eval(pt.coords):
-            return False
-    for line in lines:
-        if any(form.restrict_to_line(line.p.coords, line.q.coords)):
-            return False
-    return True
-
-
 def vanishing_space(degree: int, nvars: int,
                     points: Sequence[ProjPoint] = (),
                     lines: Sequence[ProjLine] = (),
                     candidates: Sequence[MPoly] | None = None,
-                    shadows: Sequence[PrimeShadow] = DEFAULT_SHADOWS) -> VanishingSpace:
+                    primes: Sequence[int] = SHADOW_PRIMES) -> VanishingSpace:
     """Exact basis of degree-d forms vanishing on the given points and lines.
 
-    Without candidates: kernel of the evaluation matrix by exact reduction,
-    with the exact rank re-derived modulo two primes (mismatch raises).
-
-    With candidates (needed when the evaluation matrix is too large for
-    exact elimination, e.g. sextics against 216 lines): each candidate is
-    verified to vanish on every constraint by exact restriction, a maximal
-    independent subset provides dim >= k, and the modular rank of the full
-    matrix provides dim <= k via n_cols - rank_p <= n_cols - rank_Q. The two
-    bounds must meet; the result is exact, not probabilistic.
+    The members are the supplied candidates or, without them, the integer
+    kernel of the evaluation matrix; supplying candidates avoids exact
+    elimination of a large matrix, e.g. sextics against 216 lines. Every
+    member is certified the same way. Annihilating all evaluation rows
+    proves membership, since d+1 sample points per line see the whole line.
+    A maximal independent subset gives dim >= k. At each prime,
+    n_cols - rank_p >= n_cols - rank_Q = dim gives an upper bound, and the
+    bound at every prime must equal k (otherwise ShadowMismatch). The result
+    is exact, not probabilistic.
     """
     mono = monomials(nvars, degree)
     rows = evaluation_rows(degree, nvars, points, lines)
-
-    if candidates is None:
-        kernel = kernel_int(rows)
-        r = len(mono) - len(kernel)
-        for shadow in shadows:
-            rp = shadow.rank(rows)
-            if rp != r:
-                raise ShadowMismatch(
-                    f"evaluation matrix rank {r} over Q but {rp} mod {shadow.modulus}")
-        basis = tuple(MPoly(nvars, {e: Fraction(c) for e, c in zip(mono, vec) if c})
-                      for vec in kernel)
-        for b in basis:
-            if not _vanishes_on_constraints(b, points, lines):
-                raise ExactAlgError("kernel element fails a constraint re-check")
-        return VanishingSpace(degree, nvars, len(basis), basis, "kernel",
-                              {s.modulus: r for s in shadows})
-
-    cleared = []
-    for cand in candidates:
-        if cand.degree() != degree:
-            raise ExactAlgError("candidate of wrong degree")
-        cleared.append(_clear_row(cand.coefficient_vector(mono)))
-    # vanishing at the d+1 sample points per line is vanishing on the line,
-    # so annihilating every evaluation row certifies membership exactly
+    method = "candidates" if candidates is not None else "kernel"
+    if method == "kernel":
+        cleared = kernel_int(rows)
+        candidates = [MPoly(nvars, dict(zip(mono, vec))) for vec in cleared]
+    else:
+        cleared = []
+        for cand in candidates:
+            if cand.degree() != degree:
+                raise ExactAlgError("candidate of wrong degree")
+            cleared.append(_clear_row(cand.coefficient_vector(mono)))
     for vals in _int_products(rows, cleared):
         if any(vals):
             raise ExactAlgError("candidate fails a constraint, not a member")
-    ranks = {}
-    upper = None
-    for shadow in shadows:
-        rp = shadow.rank(rows)
-        ranks[shadow.modulus] = rp
-        bound = len(mono) - rp
-        upper = bound if upper is None else min(upper, bound)
+    ranks = {p: rank_mod(rows, p) for p in primes}
+    upper = len(mono) - max(ranks.values())
     chosen: list[MPoly] = []
     echelon = _IntEchelon()
     for cand, vec in zip(candidates, cleared):
@@ -924,7 +893,9 @@ def vanishing_space(degree: int, nvars: int,
             chosen.append(cand)
             if len(chosen) == upper:
                 break
-    if len(chosen) != upper:
-        raise ShadowMismatch(
-            f"candidate span {len(chosen)} does not meet modular bound {upper}")
-    return VanishingSpace(degree, nvars, upper, tuple(chosen), "candidates", ranks)
+    for p, rp in ranks.items():
+        if len(mono) - rp != len(chosen):
+            raise ShadowMismatch(
+                f"member span {len(chosen)} does not meet modular bound "
+                f"{len(mono) - rp} mod {p}")
+    return VanishingSpace(degree, nvars, len(chosen), tuple(chosen), method, ranks)

@@ -956,10 +956,11 @@ def _a2a2_products() -> list[MPoly]:
 def macdonald_membership() -> MacdonaldReport:
     """Vanishing-space dimensions for the four classical loci plus memberships.
 
-    The sextic system (1512 constraint rows) uses the certified-candidates
-    route: the 120 orthogonal-A2-pair products supply the exact lower bound
-    and the modular rank of the evaluation matrix the upper bound. The other
-    three systems are small enough for the direct exact kernel.
+    All four are certified by vanishing_space, whose lower bound comes from
+    independent members and whose upper bound is the modular rank of the
+    evaluation matrix. For the sextic system (1512 constraint rows) the
+    members are the 120 orthogonal-A2-pair products; the other three systems
+    are small enough to take their members from the integer kernel.
     """
     tables = coordinate_tables()
     loci = special_loci()

@@ -5,10 +5,10 @@ singular lines meets each line in exactly one point, so its section is a
 quintic threefold in P^4 with 120 nodes; a hyperplane tangent at a smooth
 point picks up that point as a 121st node. Everything here is exact: nodes
 come from intersecting lines with the hyperplane, the space of quintics
-through the nodes is certified by the candidate sandwich of vanishing_space
-(the candidates being products of the restricted partials with linear
-forms), and the defect, Betti and Hodge numbers follow by the classical
-node-count bookkeeping for small resolutions.
+through the nodes is certified by vanishing_space with supplied members
+(products of the restricted partials with linear forms) against the
+modular rank bound, and the defect, Betti and Hodge numbers follow by the
+classical node-count bookkeeping for small resolutions.
 
 First Betti numbers are deliberately not reported; published tables for
 them disagree with the standard conventions, and nothing downstream needs

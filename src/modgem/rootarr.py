@@ -9,13 +9,12 @@ and the genuine-singularity filter are exact set computations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Union
+from typing import Sequence, Union
 
-from .exactalg import ExactAlgError, kernel_int
+from .exactalg import ExactAlgError, _canonical_int_vector, _IntEchelon, kernel_int
 
 INF = float("inf")
 
@@ -46,17 +45,6 @@ class RootSystemId:
         return f"{self.family}{self.rank}"
 
 
-def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
-    g = 0
-    for v in vec:
-        g = math.gcd(g, v)
-    vec = [v // g for v in vec]
-    lead = next(v for v in vec if v)
-    if lead < 0:
-        vec = [-v for v in vec]
-    return tuple(vec)
-
-
 def _unit(i: int, n: int, c: int = 1) -> list[int]:
     v = [0] * n
     v[i] = c
@@ -74,53 +62,53 @@ def roots(rsid: RootSystemId) -> list[tuple[int, ...]]:
     forms: list[tuple[int, ...]] = []
     if fam == "A":
         for i in range(n):
-            forms.append(_primitive(_unit(i, n)))
+            forms.append(_canonical_int_vector(_unit(i, n)))
         for i in range(n):
             for j in range(i + 1, n):
                 v = _unit(i, n)
                 v[j] = -1
-                forms.append(_primitive(v))
+                forms.append(_canonical_int_vector(v))
     elif fam in ("B", "C"):
         for i in range(n):
-            forms.append(_primitive(_unit(i, n, 2 if fam == "C" else 1)))
+            forms.append(_canonical_int_vector(_unit(i, n, 2 if fam == "C" else 1)))
         for i in range(n):
             for j in range(i + 1, n):
                 for s in (1, -1):
                     v = _unit(i, n)
                     v[j] = s
-                    forms.append(_primitive(v))
+                    forms.append(_canonical_int_vector(v))
     elif fam == "D":
         for i in range(n):
             for j in range(i + 1, n):
                 for s in (1, -1):
                     v = _unit(i, n)
                     v[j] = s
-                    forms.append(_primitive(v))
+                    forms.append(_canonical_int_vector(v))
     elif fam == "F":
         for i in range(4):
-            forms.append(_primitive(_unit(i, 4)))
+            forms.append(_canonical_int_vector(_unit(i, 4)))
         for i in range(4):
             for j in range(i + 1, 4):
                 for s in (1, -1):
                     v = _unit(i, 4)
                     v[j] = s
-                    forms.append(_primitive(v))
+                    forms.append(_canonical_int_vector(v))
         for s2 in (1, -1):
             for s3 in (1, -1):
                 for s4 in (1, -1):
-                    forms.append(_primitive([1, s2, s3, s4]))
+                    forms.append(_canonical_int_vector([1, s2, s3, s4]))
     elif fam == "E":
         for i in range(5):
             for j in range(i + 1, 5):
                 for s in (1, -1):
                     v = _unit(i, 6)
                     v[j] = s
-                    forms.append(_primitive(v))
+                    forms.append(_canonical_int_vector(v))
         # half-forms carry an even number of minus signs on x1..x5
         for bits in range(32):
             signs = [(-1 if bits >> k & 1 else 1) for k in range(5)]
             if signs.count(-1) % 2 == 0:
-                forms.append(_primitive(signs + [1]))
+                forms.append(_canonical_int_vector(signs + [1]))
     if len(set(forms)) != len(forms):
         raise ExactAlgError("duplicate projective forms in root list")
     return forms
@@ -137,7 +125,7 @@ class Arrangement:
     forms: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        prims = tuple(_primitive(f) for f in self.forms)
+        prims = tuple(_canonical_int_vector(f) for f in self.forms)
         if len(set(prims)) != len(prims):
             raise ExactAlgError("arrangement forms must be projectively distinct")
         object.__setattr__(self, "forms", prims)
@@ -171,51 +159,6 @@ class Flat:
         return kernel_int([list(r) for r in self.constraints])
 
 
-def _reduce_vec(vec: Sequence[int], rows: Sequence[tuple[int, ...]],
-                pivots: Sequence[int]) -> list[int]:
-    v = list(vec)
-    for row, p in zip(rows, pivots):
-        if v[p]:
-            a, b = row[p], v[p]
-            g = math.gcd(a, b)
-            fa, fb = a // g, b // g
-            v = [fa * x - fb * y for x, y in zip(v, row)]
-    return v
-
-
-def _extend_echelon(rows: tuple[tuple[int, ...], ...], pivots: tuple[int, ...],
-                    form: Sequence[int]) -> Optional[tuple[tuple, tuple]]:
-    """Echelon of span(rows + form), or None when form already lies in it."""
-    red = _reduce_vec(form, rows, pivots)
-    if not any(red):
-        return None
-    red = list(_primitive(red))
-    p_new = next(i for i, v in enumerate(red) if v)
-    new_rows = []
-    new_pivots = []
-    inserted = False
-    for row, p in zip(rows, pivots):
-        if not inserted and p_new < p:
-            new_rows.append(red)
-            new_pivots.append(p_new)
-            inserted = True
-        new_rows.append(list(row))
-        new_pivots.append(p)
-    if not inserted:
-        new_rows.append(red)
-        new_pivots.append(p_new)
-    # clear the new pivot column from the other rows for a canonical key
-    idx = new_pivots.index(p_new)
-    base = new_rows[idx]
-    for k, row in enumerate(new_rows):
-        if k != idx and row[p_new]:
-            a, b = base[p_new], row[p_new]
-            g = math.gcd(a, b)
-            fa, fb = a // g, b // g
-            new_rows[k] = list(_primitive([fa * x - fb * y for x, y in zip(row, base)]))
-    return tuple(tuple(r) for r in new_rows), tuple(new_pivots)
-
-
 @dataclass
 class IncidenceTable:
     """Census t_q(j) of an arrangement plus the flats behind each count."""
@@ -246,38 +189,31 @@ def incidence(arr: Arrangement) -> IncidenceTable:
     drift from the geometry.
     """
     n = arr.ambient
-    nforms = len(arr.forms)
     all_flats: list[Flat] = []
 
     # level 1: the hyperplanes themselves
-    level: dict[tuple, tuple] = {}
+    level: list[tuple[_IntEchelon, frozenset[int]]] = []
     for i, f in enumerate(arr.forms):
-        p = next(k for k, v in enumerate(f) if v)
-        level[(f,)] = ((p,), frozenset([i]))
-    for key, (pivots, members) in level.items():
-        all_flats.append(Flat(n, key, members))
+        ech = _IntEchelon()
+        ech.add(f)
+        level.append((ech, frozenset([i])))
+        all_flats.append(Flat(n, ech.key(), frozenset([i])))
 
     for codim in range(1, n):
-        nxt: dict[tuple, tuple] = {}
-        for key, (pivots, members) in level.items():
-            for i in range(nforms):
+        nxt: dict[tuple, _IntEchelon] = {}
+        for ech, members in level:
+            for i, f in enumerate(arr.forms):
                 if i in members:
                     continue
-                ext = _extend_echelon(key, pivots, arr.forms[i])
-                if ext is None:
-                    continue
-                if ext[0] not in nxt:
-                    nxt[ext[0]] = (ext[1], None)
+                ext = ech.copy()
+                if ext.add(f):
+                    nxt.setdefault(ext.key(), ext)
         # exact containment sets for the new level
-        finished: dict[tuple, tuple] = {}
-        for key, (pivots, _) in nxt.items():
-            members = frozenset(
-                i for i, f in enumerate(arr.forms)
-                if not any(_reduce_vec(f, key, pivots))
-            )
-            finished[key] = (pivots, members)
+        level = []
+        for key, ech in nxt.items():
+            members = frozenset(i for i, f in enumerate(arr.forms) if ech.contains(f))
+            level.append((ech, members))
             all_flats.append(Flat(n, key, members))
-        level = finished
         if not level:
             break
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modgem.exactalg import (
-    DEFAULT_SHADOWS,
+    SHADOW_PRIMES,
     ExactAlgError,
     MPoly,
     ProjLine,
@@ -241,27 +241,49 @@ def test_det_bareiss():
 @settings(max_examples=50, deadline=None)
 def test_modular_rank_agrees_with_exact(rows):
     r = rank_exact(rows)
-    for shadow in DEFAULT_SHADOWS:
-        assert rank_mod(rows, shadow.modulus) == r
+    for p in SHADOW_PRIMES:
+        assert rank_mod(rows, p) == r
 
 
 def test_checked_rank_raises_on_forced_mismatch():
     # a matrix that drops rank mod the first shadow prime only
-    p = DEFAULT_SHADOWS[0].modulus
+    p = SHADOW_PRIMES[0]
     with pytest.raises(ShadowMismatch):
-        checked_rank([[1, 0], [0, p]], shadows=DEFAULT_SHADOWS[:1])
-    assert checked_rank([[1, 0], [0, p]], shadows=DEFAULT_SHADOWS[1:]) == 2
+        checked_rank([[1, 0], [0, p]], primes=SHADOW_PRIMES[:1])
+    assert checked_rank([[1, 0], [0, p]], primes=SHADOW_PRIMES[1:]) == 2
+
+
+@given(st.lists(st.lists(coeffs, min_size=5, max_size=5), min_size=1, max_size=6))
+@settings(max_examples=50, deadline=None)
+def test_kernel_int_annihilates_and_has_full_size(rows):
+    basis = kernel_int(rows)
+    r = rank_exact(rows)
+    assert len(basis) == 5 - r
+    for p in SHADOW_PRIMES:
+        assert rank_mod(rows, p) == r
+    for vec in basis:
+        assert all(isinstance(c, int) for c in vec)
+        for row in rows:
+            assert sum(a * b for a, b in zip(row, vec)) == 0
 
 
 # -- vanishing spaces ------------------------------------------------------------
+
+def assert_vanishes(vs, points=(), lines=()):
+    """Independent oracle: exact evaluation and exact line restriction."""
+    for form in vs.basis:
+        for pt in points:
+            assert form.eval(pt.coords) == 0
+        for ln in lines:
+            assert not any(form.restrict_to_line(ln.p.coords, ln.q.coords))
+
 
 def test_conics_through_points():
     pts = [ProjPoint(v) for v in ([1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [1, 2, 3])]
     vs = vanishing_space(2, 3, points=pts)
     assert vs.dim == 1  # five general points determine a conic
-    conic = vs.basis[0]
-    for pt in pts:
-        assert conic.eval(pt.coords) == 0
+    assert vs.method == "kernel"
+    assert_vanishes(vs, points=pts)
 
 
 def test_line_constraints_use_enough_parameters():
@@ -269,6 +291,7 @@ def test_line_constraints_use_enough_parameters():
     ln = ProjLine(ProjPoint([1, 0, 0, 0]), ProjPoint([0, 1, 0, 0]))
     vs = vanishing_space(2, 4, lines=[ln])
     assert vs.dim == 7
+    assert_vanishes(vs, lines=[ln])
     z, w = MPoly.var(2, 4), MPoly.var(3, 4)
     assert vs.contains(z * w)
     assert not vs.contains(MPoly.var(0, 4) ** 2)
@@ -284,6 +307,8 @@ def test_candidate_route_matches_kernel_route():
     certified = vanishing_space(2, 4, lines=[ln], candidates=cands)
     assert certified.dim == direct.dim == 7
     assert certified.method == "candidates"
+    assert_vanishes(direct, lines=[ln])
+    assert_vanishes(certified, lines=[ln])
     span_mono = monomials(4, 2)
     rows = [b.coefficient_vector(span_mono) for b in direct.basis]
     for b in certified.basis:
@@ -294,3 +319,12 @@ def test_candidate_that_does_not_vanish_is_rejected():
     ln = ProjLine(ProjPoint([1, 0, 0, 0]), ProjPoint([0, 1, 0, 0]))
     with pytest.raises(ExactAlgError):
         vanishing_space(2, 4, lines=[ln], candidates=[MPoly.var(0, 4) ** 2])
+
+
+def test_candidates_rejected_when_one_prime_drops_rank():
+    # the evaluation matrix [[1, 0], [1, p]] has rank 2 over Q but 1 mod p,
+    # so that prime bounds the space by 1 while no member exists
+    p = SHADOW_PRIMES[0]
+    pts = [ProjPoint([1, 0]), ProjPoint([1, p])]
+    with pytest.raises(ShadowMismatch):
+        vanishing_space(1, 2, points=pts, candidates=[])

@@ -15,7 +15,6 @@ from modgem.exactalg import (
     ProjPoint,
     elementary_symmetric,
     power_sum,
-    proportional,
 )
 
 

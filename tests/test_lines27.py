@@ -4,12 +4,11 @@ import itertools
 import json
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modgem import lines27 as L
-from modgem.exactalg import MPoly, ProjLine, ProjPoint, proportional, rank_exact
+from modgem.exactalg import MPoly, ProjLine, ProjPoint, rank_exact
 from modgem.rootarr import cached_incidence
 
 

@@ -9,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 from modgem.exactalg import ExactAlgError
 from modgem.rootarr import (
     INF,
+    Arrangement,
     RootSystemId,
     SEVEN_WEIGHT_SYSTEMS,
     arrangement,
     cached_incidence,
     dm_check,
-    incidence,
     roots,
     singular_flats,
 )
@@ -73,6 +73,13 @@ def test_unsupported_ranks_rejected():
         RootSystemId("E", 7)
     with pytest.raises(ExactAlgError):
         RootSystemId("G", 2)
+
+
+def test_zero_or_repeated_form_rejected():
+    with pytest.raises(ExactAlgError):
+        Arrangement(2, ((0, 0, 0), (1, 0, 0)))
+    with pytest.raises(ExactAlgError):
+        Arrangement(2, ((1, 0, 0), (-2, 0, 0)))
 
 
 # -- censuses -------------------------------------------------------------------
