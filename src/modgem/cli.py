@@ -367,11 +367,7 @@ def _(cfg, seed):
                      "theta4_rank": 5})
 def _(cfg, seed):
     rep = theta.identity_checks(samples=max(12, cfg.samples), seed=seed, tol=cfg.tol)
-    return {"samples": rep.samples,
-            "maschke_below_tol": rep.maschke_max < cfg.tol,
-            "quartic_below_tol": rep.quartic_max < cfg.tol,
-            "odd_max_small": rep.odd_max < 1e-11,
-            "theta4_rank": rep.theta4_rank}
+    return {"samples": rep.samples, **rep.flags(), "theta4_rank": rep.theta4_rank}
 
 
 NODAL_COLUMNS = ("nodes", "quintic_dim", "defect", "h11", "h21", "euler")
@@ -539,7 +535,7 @@ def _cmd_theta_verify(args) -> int:
     print(f"samples {rep.samples}  maschke_max {rep.maschke_max:.3e}  "
           f"quartic_max {rep.quartic_max:.3e}  odd_max {rep.odd_max:.3e}  "
           f"theta4_rank {rep.theta4_rank}")
-    return 0
+    return 0 if rep.passed else 1
 
 
 def _cmd_nodalcy_report(args) -> int:

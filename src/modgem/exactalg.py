@@ -8,15 +8,17 @@ and integer-pivot row reduction whose ranks are cross-checked modulo two fixed
 word-size primes.
 
 Scalars are `fractions.Fraction`, which already guarantees lowest terms and a
-positive denominator.
+positive denominator. Sampled checks draw from one seeded, bounded sampler.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -210,6 +212,15 @@ class MPoly:
 
     def coefficient_vector(self, basis: Sequence[tuple[int, ...]]) -> list[Fraction]:
         return [self.terms.get(e, Fraction(0)) for e in basis]
+
+    def linear_coeffs(self) -> list[Fraction]:
+        """Coefficient of each x_i in a linear form; the inverse of `linear`."""
+        out = [Fraction(0)] * self.nvars
+        for exp, c in self.terms.items():
+            if sum(exp) != 1:
+                raise ExactAlgError("linear_coeffs needs a linear form")
+            out[exp.index(1)] = c
+        return out
 
     # -- calculus and substitution ------------------------------------------
 
@@ -899,3 +910,47 @@ def vanishing_space(degree: int, nvars: int,
                 f"member span {len(chosen)} does not meet modular bound "
                 f"{len(mono) - rp} mod {p}")
     return VanishingSpace(degree, nvars, len(chosen), tuple(chosen), method, ranks)
+
+
+# -- seeded sampling -----------------------------------------------------------
+
+#: trials allowed per requested result before a sampled check gives up
+DRAWS_PER_RESULT = 100
+
+_T = TypeVar("_T")
+
+
+def _task_rng(seed: int, task: str) -> random.Random:
+    """Task-owned generator: independent streams from one master seed."""
+    digest = hashlib.sha256(f"{seed}:{task}".encode()).digest()
+    return random.Random(int.from_bytes(digest[:8], "big"))
+
+
+def _sample(rng: random.Random, count: int,
+            trial: Callable[[random.Random], Optional[_T]]) -> list[_T]:
+    """The first `count` results of `trial(rng)` that are not None, in order.
+
+    A trial draws what it needs from rng and returns None to reject the
+    draw. After DRAWS_PER_RESULT * count trials the sampler gives up with
+    ExactAlgError, so a degenerate stream fails the check instead of hanging.
+    """
+    cap = DRAWS_PER_RESULT * count
+    out: list[_T] = []
+    for _ in range(cap):
+        if len(out) == count:
+            break
+        result = trial(rng)
+        if result is not None:
+            out.append(result)
+    if len(out) < count:
+        raise ExactAlgError(f"draw cap of {cap} trials reached with "
+                            f"{len(out)} of {count} results accepted")
+    return out
+
+
+def _draw(rng: random.Random, n: int) -> tuple[int, ...]:
+    """Nonzero vector in [-9, 9]^n; small entries keep exact bit lengths down."""
+    def trial(rng: random.Random) -> tuple[int, ...] | None:
+        v = tuple(rng.randint(-9, 9) for _ in range(n))
+        return v if any(v) else None
+    return _sample(rng, 1, trial)[0]

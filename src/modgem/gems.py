@@ -18,10 +18,8 @@ seed and derive their generator from it, so certificates reproduce.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -36,7 +34,10 @@ from .exactalg import (
     ProjPoint,
     SHADOW_PRIMES,
     VanishingSpace,
+    _draw,
     _reduce_fraction_mod,
+    _sample,
+    _task_rng,
     checked_rank,
     det_poly,
     elementary_symmetric,
@@ -54,20 +55,6 @@ from .rootarr import RootSystemId, roots
 
 
 # -- plumbing ----------------------------------------------------------------------------
-
-
-def _rng(seed: int, task: str) -> random.Random:
-    """Task-owned generator: independent streams from one master seed."""
-    digest = hashlib.sha256(f"{seed}:{task}".encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
-
-
-def _draw(rng: random.Random, n: int) -> tuple[int, ...]:
-    # small integer coordinates keep exact-arithmetic bit lengths down
-    while True:
-        v = tuple(rng.randint(-9, 9) for _ in range(n))
-        if any(v):
-            return v
 
 
 def _unit_form(positions: Sequence[int], nvars: int = 6) -> MPoly:
@@ -330,19 +317,19 @@ def build_segre(seed: int = 0, offnode_samples: int = 20) -> SegreModel:
     if checked_rank(rows) != 5 or not all(quadrics.contains(g) for g in grads):
         raise ExactAlgError("node quadrics must equal the span of the chart partials")
 
-    rng = _rng(seed, "segre-offnode")
     node_set = set(nodes)
-    checked = 0
-    while checked < offnode_samples:
+
+    def offnode(rng) -> ProjPoint | None:
         pt = _beta_chart_point(_draw(rng, 4))
         if pt is None or pt in node_set:
-            continue
+            return None
         if F.eval(pt.coords):
             raise ExactAlgError("parametrized point must land on the cubic")
         if not any(g.eval(pt.coords) for g in grads):
             raise ExactAlgError(f"unexpected singular point {pt}")
-        checked += 1
+        return pt
 
+    checked = len(_sample(_task_rng(seed, "segre-offnode"), offnode_samples, offnode))
     return SegreModel(surface, nodes, planes, tuple(bases), scalars,
                       quadrics, checked, seed)
 
@@ -360,6 +347,14 @@ def _monomials_cache(nvars: int, degree: int):
 
 
 @lru_cache(maxsize=1)
+def _param_quadrics() -> tuple[MPoly, ...]:
+    """The bilinear quadrics xi, eta, zeta and their primed partners xi', eta', zeta'."""
+    z = [MPoly.var(i, 4) for i in range(4)]
+    return (z[0] * (z[3] - z[1]), z[1] * (z[3] - z[2]), z[2] * (z[3] - z[0]),
+            z[1] * (z[3] - z[0]), z[2] * (z[3] - z[1]), z[0] * (z[3] - z[2]))
+
+
+@lru_cache(maxsize=1)
 def beta_components() -> tuple[MPoly, ...]:
     """Quadratic basis of the plane-quartic system that parametrizes the cubic.
 
@@ -367,13 +362,7 @@ def beta_components() -> tuple[MPoly, ...]:
     last three have equal sums and equal products, which forces the sum and
     the sum of cubes of the assembled coordinates to vanish identically.
     """
-    z = [MPoly.var(i, 4) for i in range(4)]
-    xi = z[0] * (z[3] - z[1])
-    eta = z[1] * (z[3] - z[2])
-    zeta = z[2] * (z[3] - z[0])
-    xi2 = z[1] * (z[3] - z[0])
-    eta2 = z[2] * (z[3] - z[1])
-    zeta2 = z[0] * (z[3] - z[2])
+    xi, eta, zeta, xi2, eta2, zeta2 = _param_quadrics()
     half = Fraction(1, 2)
     pos = (xi - eta + zeta, xi + eta - zeta, -xi + eta + zeta)
     neg = (xi2 - eta2 + zeta2, xi2 + eta2 - zeta2, -xi2 + eta2 + zeta2)
@@ -403,13 +392,7 @@ def segre_param(seed: int = 0, samples: int = 10) -> ParamReport:
     vanishing sum of cubes, random parameter points land on the cubic, and
     the degenerate parameter line hits a node.
     """
-    z = [MPoly.var(i, 4) for i in range(4)]
-    xi = z[0] * (z[3] - z[1])
-    eta = z[1] * (z[3] - z[2])
-    zeta = z[2] * (z[3] - z[0])
-    xi2 = z[1] * (z[3] - z[0])
-    eta2 = z[2] * (z[3] - z[1])
-    zeta2 = z[0] * (z[3] - z[2])
+    xi, eta, zeta, xi2, eta2, zeta2 = _param_quadrics()
     if not (xi + eta + zeta - xi2 - eta2 - zeta2).is_zero():
         raise ExactAlgError("sum identity of the parametrizing quadrics fails")
     if not (xi * eta * zeta - xi2 * eta2 * zeta2).is_zero():
@@ -424,25 +407,24 @@ def segre_param(seed: int = 0, samples: int = 10) -> ParamReport:
     if not power_sum(3, list(comps)).is_zero():
         raise ExactAlgError("assembled coordinates must have vanishing cube sum")
 
+    F = segre_chart()
+
+    def on_cubic(rng) -> ProjPoint | None:
+        pt = _beta_chart_point(_draw(rng, 4))
+        if pt is not None and F.eval(pt.coords):
+            raise ExactAlgError("parametrized point off the cubic")
+        return pt
+
+    found = len(_sample(_task_rng(seed, "segre-param"), samples, on_cubic))
+
     # the parameter line z2 = z3 = 0 collapses to a single node
     node_img = _beta_chart_point((1, 1, 0, 0))
     if node_img is None or node_img not in set(_chart_nodes()):
         raise ExactAlgError("degenerate parameter line must map to a node")
 
-    F = segre_chart()
     probe = _beta_chart_point((1, 2, 3, 5))
     if probe is None or F.eval(probe.coords):
         raise ExactAlgError("probe parameter point must land on the cubic")
-
-    rng = _rng(seed, "segre-param")
-    found = 0
-    while found < samples:
-        pt = _beta_chart_point(_draw(rng, 4))
-        if pt is None:
-            continue
-        if F.eval(pt.coords):
-            raise ExactAlgError("parametrized point off the cubic")
-        found += 1
     return ParamReport(found, node_img, probe, seed)
 
 
@@ -722,7 +704,7 @@ def build_invariant_quintic(seed: int = 0, words: int = 100) -> InvariantQuintic
     for name, mat in zip(names, mats):
         if _pullback(f, mat) != f:
             raise ExactAlgError(f"generator {name} does not fix the quintic")
-    rng = _rng(seed, "quintic-words")
+    rng = _task_rng(seed, "quintic-words")
     for _ in range(words):
         word = [rng.randrange(len(mats)) for _ in range(rng.randint(1, 10))]
         mat = mats[word[0]]
@@ -803,22 +785,23 @@ def i5_singular_locus(seed: int = 0, offline_samples: int = 50) -> SingularLocus
     if quartics.dim != 6:
         raise ExactAlgError("quartics on the 120 lines must be the Jacobian span")
 
-    rng = _rng(seed, "quintic-offline")
     psi = psi_octics()
-    checked = 0
-    while checked < offline_samples:
+
+    def offline(rng) -> ProjPoint | None:
         y = _draw(rng, 5)
         vals = [o.eval(y) for o in psi]
         if all(v == 0 for v in vals):
-            continue
+            return None
         if f.eval(vals):
             raise ExactAlgError("octic image must land on the quintic")
         pt = ProjPoint(vals)
         if any(line.contains(pt) for line in loci.lines120):
-            continue
+            return None
         if not any(g.eval(pt.coords) for g in grads):
             raise ExactAlgError(f"unexpected singular point {pt} off the 120 lines")
-        checked += 1
+        return pt
+
+    checked = len(_sample(_task_rng(seed, "quintic-offline"), offline_samples, offline))
 
     return SingularLocusReport(len(loci.lines120), len(loci.root_points), wall,
                                per_point[0], per_line[0], witness, checked,
@@ -867,11 +850,7 @@ def triple_point_cone(label: str) -> TripleCone:
         raise ExactAlgError(f"{label}: multiplicity is below 3")
     s5, s4, s3 = pieces[0], pieces[1], pieces[2]
 
-    wcoeffs = [hf.terms.get(tuple(1 if k == i else 0 for k in range(6)), Fraction(0))
-               for i in range(6)]
-    ell = MPoly.from_terms(
-        5, (((tuple(1 if k == slot[i] else 0 for k in range(5))), wcoeffs[i])
-            for i in range(6) if i != axis and wcoeffs[i]))
+    ell = MPoly.linear([c for i, c in enumerate(hf.linear_coeffs()) if i != axis])
     dual_scalar = Fraction(2) / hval
     dual_form = ell * dual_scalar
     # reassembly in the mixed ring: f(t*p + u) = s5 + s3*(t*dual + t^2)
@@ -929,17 +908,13 @@ def linear_subspaces_i5() -> SubspaceReport:
     tables = lines27.coordinate_tables()
     tri = lines27.tritangents()
 
-    def form_row(g: MPoly) -> list[Fraction]:
-        return [g.terms.get(tuple(1 if t == i else 0 for t in range(6)), Fraction(0))
-                for i in range(6)]
-
     p3_bases: dict[str, list] = {}
     for name, labels in tri.items():
         forms = [tables.weight_forms[lab] for lab in labels]
         total = forms[0] + forms[1] + forms[2]
         if not total.is_zero():
             raise ExactAlgError(f"tritangent {name} forms must sum to zero")
-        basis = kernel_int([form_row(g) for g in forms])
+        basis = kernel_int([g.linear_coeffs() for g in forms])
         if len(basis) != 4:
             raise ExactAlgError(f"tritangent {name} must cut a P3")
         if not f.restrict(basis).is_zero():
@@ -967,7 +942,7 @@ def linear_subspaces_i5() -> SubspaceReport:
     containment: dict[str, int] = {name: 0 for name in tri}
     for lab in lines27.LINE_LABELS:
         w = tables.weight_forms[lab]
-        section = kernel_int([form_row(w)])
+        section = kernel_int([w.linear_coeffs()])
         if len(section) != 5:
             raise ExactAlgError("weight hyperplane must be a P4")
         cut = f.restrict(section)
@@ -1033,8 +1008,7 @@ def restriction_arrangements() -> RestrictionReport:
     tables = lines27.coordinate_tables()
 
     def restricted(g: MPoly) -> tuple[int, ...] | None:
-        coeffs = [g.terms.get(tuple(1 if t == i else 0 for t in range(6)), Fraction(0))
-                  for i in (1, 2, 3, 4)]
+        coeffs = g.linear_coeffs()[1:5]
         if not any(coeffs):
             return None
         return ProjPoint(coeffs).coords
@@ -1235,13 +1209,9 @@ def rationalize_i5(seed: int = 0, exact_samples: int = 50,
     tables = lines27.coordinate_tables()
     tri = lines27.tritangents()
 
-    def form_row(g: MPoly) -> list[Fraction]:
-        return [g.terms.get(tuple(1 if t == i else 0 for t in range(6)), Fraction(0))
-                for i in range(6)]
-
     base_names = []
     for lf, mf, ln, mn in zip(maps.l_forms, maps.m_forms, maps.l_names, maps.m_names):
-        basis = kernel_int([form_row(lf), form_row(mf)])
+        basis = kernel_int([lf.linear_coeffs(), mf.linear_coeffs()])
         if len(basis) != 4:
             raise ExactAlgError("a base locus component must be a P3")
         for quartic in maps.phi:
@@ -1252,16 +1222,17 @@ def rationalize_i5(seed: int = 0, exact_samples: int = 50,
     if len(set(base_names)) != 4:
         raise ExactAlgError("the four base P3's must be distinct tritangents")
 
-    rng = _rng(seed, "rationalize")
-    checked = 0
-    while checked < exact_samples:
+    def on_quintic(rng) -> tuple[int, ...] | None:
         y = _draw(rng, 5)
         vals = [o.eval(y) for o in maps.psi]
         if all(v == 0 for v in vals):
-            continue
+            return None
         if f.eval(vals):
             raise ExactAlgError(f"octic image of {y} misses the quintic")
-        checked += 1
+        return y
+
+    rng = _task_rng(seed, "rationalize")
+    checked = len(_sample(rng, exact_samples, on_quintic))
 
     modular: dict[int, int] = {}
     bounds: dict[int, float] = {}
@@ -1276,34 +1247,35 @@ def rationalize_i5(seed: int = 0, exact_samples: int = 50,
         # composite degree 5 * 8 = 40; independent uniform points multiply the bound
         bounds[p] = modular_samples * (math.log10(40) - math.log10(p))
 
-    phi_checked = 0
-    while phi_checked < roundtrip_samples:
+    def phi_psi(rng) -> tuple[int, ...] | None:
         y = _draw(rng, 5)
         x_vals = [o.eval(y) for o in maps.psi]
         if all(v == 0 for v in x_vals):
-            continue
+            return None
         back = [q.eval(x_vals) for q in maps.phi]
         if not any(back):
-            continue
+            return None
         if not _proportional_vectors(back, [Fraction(c) for c in y]):
             raise ExactAlgError("projection of the octic image must reproduce the point")
-        phi_checked += 1
+        return y
 
-    psi_checked = 0
-    while psi_checked < roundtrip_samples:
+    def psi_phi(rng) -> tuple[int, ...] | None:
         y = _draw(rng, 5)
         x_vals = [o.eval(y) for o in maps.psi]
         if all(v == 0 for v in x_vals):
-            continue
+            return None
         u = [q.eval(x_vals) for q in maps.phi]
         if not any(u):
-            continue
+            return None
         w = [o.eval(u) for o in maps.psi]
         if not any(w):
-            continue
+            return None
         if not _proportional_vectors(w, x_vals):
             raise ExactAlgError("octics of the projection must reproduce the point")
-        psi_checked += 1
+        return y
+
+    phi_checked = len(_sample(rng, roundtrip_samples, phi_psi))
+    psi_checked = len(_sample(rng, roundtrip_samples, psi_phi))
 
     return RationalizationReport(maps, tuple(base_names), checked, modular, bounds,
                                  phi_checked, psi_checked, seed)
@@ -1346,19 +1318,23 @@ def duality_pipeline(seed: int = 0, samples: int = 200,
     """
     F = segre_chart()
     grads = F.partials()
-    rng = _rng(seed, "duality")
+    rng = _task_rng(seed, "duality")
     node_set = set(_chart_nodes())
 
     def sample_images(count: int) -> list[ProjPoint]:
-        images: dict[tuple, ProjPoint] = {}
-        while len(images) < count:
+        seen: set[ProjPoint] = set()
+
+        def new_image(rng) -> ProjPoint | None:
             pt = _beta_chart_point(_draw(rng, 4))
             if pt is None or pt in node_set:
-                continue
+                return None
             img = _gradient_image(grads, pt)
-            if img is not None:
-                images[img.coords] = img
-        return list(images.values())
+            if img is None or img in seen:
+                return None
+            seen.add(img)
+            return img
+
+        return _sample(rng, count, new_image)
 
     fitted = vanishing_space(4, 5, points=sample_images(samples))
     resampled = False
@@ -1377,17 +1353,20 @@ def duality_pipeline(seed: int = 0, samples: int = 200,
     model = build_segre(seed=seed)
     lines: dict[tuple, ProjLine] = {}
     for basis in model.plane_bases:
-        imgs: list[ProjPoint] = []
-        while len(imgs) < 3:
+        seen: set[ProjPoint] = set()
+
+        def plane_image(rng) -> ProjPoint | None:
             combo = _draw(rng, 3)
             vec = [sum(c * b[i] for c, b in zip(combo, basis)) for i in range(6)]
             if not any(vec[:5]):
-                continue
-            pt = ProjPoint(vec[:5])
-            img = _gradient_image(grads, pt)
-            if img is None or img in imgs:
-                continue
-            imgs.append(img)
+                return None
+            img = _gradient_image(grads, ProjPoint(vec[:5]))
+            if img is None or img in seen:
+                return None
+            seen.add(img)
+            return img
+
+        imgs = _sample(rng, 3, plane_image)
         if rank_exact([list(p.coords) for p in imgs]) != 2:
             raise ExactAlgError("plane images must be collinear and span a line")
         line = ProjLine(imgs[0], imgs[1])
@@ -1406,20 +1385,21 @@ def duality_pipeline(seed: int = 0, samples: int = 200,
                      for g in dual_grads]) != 5:
         raise ExactAlgError("dual partials must be independent")
 
-    checked = 0
-    while checked < biduality_samples:
+    def round_trip(rng) -> ProjPoint | None:
         pt = _beta_chart_point(_draw(rng, 4))
         if pt is None or pt in node_set:
-            continue
+            return None
         img = _gradient_image(grads, pt)
         if img is None:
-            continue
+            return None
         back = [g.eval(img.coords) for g in dual_grads]
         if not any(back):
-            continue
+            return None
         if not _proportional_vectors(back, [Fraction(c) for c in pt.coords]):
             raise ExactAlgError("gradient round trip must return the point")
-        checked += 1
+        return pt
+
+    checked = len(_sample(rng, biduality_samples, round_trip))
 
     return DualityReport(igusa, fitted.dim, resampled, image_lines, cubics,
                          checked, seed)

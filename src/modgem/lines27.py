@@ -499,18 +499,14 @@ def coordinate_tables() -> CoordinateTables:
             -x[j - 2] - x[i - 2] + (s5 - x[5] * Fraction(1, 3)) * half
         )
 
-    def coeffs(f: MPoly) -> list[Fraction]:
-        return [f.terms.get(tuple(1 if t == i else 0 for t in range(6)), Fraction(0))
-                for i in range(6)]
-
     def killing_dual(f: MPoly) -> tuple[Fraction, ...]:
-        w = coeffs(f)
+        w = f.linear_coeffs()
         return tuple(w[:5]) + (3 * w[5],)
 
     root_duals: dict[str, tuple[Fraction, ...]] = {}
     for name, f in root_forms.items():
         dual = killing_dual(f)
-        if all(v.denominator == 1 for v in coeffs(f)):
+        if all(v.denominator == 1 for v in f.linear_coeffs()):
             dual = tuple(v / 2 for v in dual)  # classical half-scale statement
         root_duals[name] = dual
     weight_duals = {name: killing_dual(f) for name, f in weight_forms.items()}
@@ -543,9 +539,7 @@ def reflection_matrix(root: str) -> Matrix:
     tables = coordinate_tables()
     if root not in tables.root_forms:
         raise ExactAlgError(f"unknown root form {root}")
-    f = tables.root_forms[root]
-    w = [f.terms.get(tuple(1 if t == i else 0 for t in range(6)), Fraction(0))
-         for i in range(6)]
+    w = tables.root_forms[root].linear_coeffs()
     r = list(w[:5]) + [3 * w[5]]
     norm = sum((w[i] * r[i] for i in range(6)), Fraction(0))
     mat = [
@@ -560,9 +554,7 @@ def reflection_matrix(root: str) -> Matrix:
 
 def apply_to_form(f: MPoly, mat: Matrix) -> MPoly:
     """Pullback of a linear form along the matrix (form of the composite map)."""
-    w = [f.terms.get(tuple(1 if t == i else 0 for t in range(6)), Fraction(0))
-         for i in range(6)]
-    return _form(_mat_vec_row(w, mat))
+    return _form(_mat_vec_row(f.linear_coeffs(), mat))
 
 
 def perm27_from_matrix(mat: Matrix) -> bytes:
@@ -821,12 +813,7 @@ def special_loci() -> SpecialLoci:
     pencil_keys = set()
     for triple in st.azygetic_triples:
         forms = frozenset("h" + n[2:] if n != "N" else "h" for n in triple)
-        rows = []
-        for fname in forms:
-            f = tables.root_forms[fname]
-            rows.append([f.terms.get(tuple(1 if t == i else 0 for t in range(6)),
-                                     Fraction(0)) for i in range(6)])
-        ech, _ = rref_int(rows)
+        ech, _ = rref_int([tables.root_forms[fname].linear_coeffs() for fname in forms])
         if len(ech) != 2:
             raise ExactAlgError("azygetic form triple must span a pencil")
         pencil_keys.add(tuple(tuple(r) for r in ech))
@@ -936,14 +923,14 @@ class MacdonaldReport:
 
 def _a2a2_products() -> list[MPoly]:
     """For each of the 120 lines: product of the six root forms vanishing on it."""
-    tables = coordinate_tables()
-    loci = special_loci()
+    # a linear form vanishes on a line exactly when it vanishes at both spanning points
+    forms = [(f, f.linear_coeffs()) for f in coordinate_tables().root_forms.values()]
     out = []
-    for line in loci.lines120:
+    for line in special_loci().lines120:
         prod = MPoly.constant(6, 1)
         count = 0
-        for f in tables.root_forms.values():
-            if all(c == 0 for c in f.restrict_to_line(line.p.coords, line.q.coords)):
+        for f, w in forms:
+            if not any(sum(a * b for a, b in zip(w, pt.coords)) for pt in (line.p, line.q)):
                 prod = prod * f
                 count += 1
         if count != 6:

@@ -17,16 +17,17 @@ them.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exactalg import (
     ExactAlgError,
     MPoly,
     ProjPoint,
     VanishingSpace,
+    _draw,
+    _sample,
+    _task_rng,
     checked_rank,
     kernel_int,
     monomials,
@@ -42,18 +43,6 @@ from .gems import invariant_quintic_form, psi_octics
 QUINTIC_MONOMIAL_COUNT = len(monomials(5, 5))
 
 KINDS = ("generic", "special", "tangent")
-
-
-def _rng(seed: int, task: str) -> random.Random:
-    digest = hashlib.sha256(f"{seed}:{task}".encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
-
-
-def _draw(rng: random.Random, n: int) -> tuple[int, ...]:
-    while True:
-        vec = tuple(rng.randint(-9, 9) for _ in range(n))
-        if any(vec):
-            return vec
 
 
 # -- section specifications ------------------------------------------------------------
@@ -83,11 +72,6 @@ class SectionSpec:
             raise ExactAlgError("tangency point is required exactly for tangent kind")
 
 
-def _coeff_vector(h: MPoly) -> list[Fraction]:
-    unit = [tuple(1 if j == i else 0 for j in range(6)) for i in range(6)]
-    return h.coefficient_vector(unit)
-
-
 def _hyperplane_clear(h: MPoly) -> tuple[bool, str]:
     loci = lines27.special_loci()
     for name, pt in loci.root_points.items():
@@ -100,14 +84,13 @@ def _hyperplane_clear(h: MPoly) -> tuple[bool, str]:
 
 
 def generic_section(seed: int = 0) -> SectionSpec:
-    """Random small-integer hyperplane, redrawn until exactly valid."""
-    rng = _rng(seed, "generic-hyperplane")
-    while True:
-        coeffs = _draw(rng, 6)
-        h = MPoly.from_terms(6, [(tuple(1 if j == i else 0 for j in range(6)), c)
-                                 for i, c in enumerate(coeffs) if c])
-        if _hyperplane_clear(h)[0]:
-            return SectionSpec(h, "generic")
+    """Random small-integer hyperplane, redrawn (within the draw cap) until exactly valid."""
+    def clear(rng) -> MPoly | None:
+        h = MPoly.linear(_draw(rng, 6))
+        return h if _hyperplane_clear(h)[0] else None
+
+    return SectionSpec(_sample(_task_rng(seed, "generic-hyperplane"), 1, clear)[0],
+                       "generic")
 
 
 def special_section(name: str) -> SectionSpec:
@@ -128,37 +111,30 @@ def tangent_section(seed: int = 0) -> SectionSpec:
     """
     f = invariant_quintic_form()
     octics = psi_octics()
-    rng = _rng(seed, "tangent-hyperplane")
-    while True:
+
+    def tangent(rng) -> SectionSpec | None:
         y = _draw(rng, 5)
         vals = [o.eval(y) for o in octics]
         if all(v == 0 for v in vals):
-            continue
+            return None
         pt = ProjPoint(vals)
         grad = [g.eval(pt.coords) for g in f.partials()]
         if not any(grad):
-            continue
-        h = MPoly.from_terms(6, [(tuple(1 if j == i else 0 for j in range(6)), c)
-                                 for i, c in enumerate(grad) if c])
-        if _hyperplane_clear(h)[0]:
-            return SectionSpec(h, "tangent", pt)
+            return None
+        h = MPoly.linear(grad)
+        return SectionSpec(h, "tangent", pt) if _hyperplane_clear(h)[0] else None
+
+    return _sample(_task_rng(seed, "tangent-hyperplane"), 1, tangent)[0]
 
 
 # -- node extraction --------------------------------------------------------------------
 
 
 def _chart_generators(h: MPoly) -> list[tuple[int, ...]]:
-    gens = kernel_int([_coeff_vector(h)])
+    gens = kernel_int([h.linear_coeffs()])
     if len(gens) != 5:
         raise ExactAlgError("hyperplane chart must have five generators")
     return gens
-
-
-def _restrict(f: MPoly, gens: list[tuple[int, ...]]) -> MPoly:
-    images = [MPoly.from_terms(5, [(tuple(1 if jj == j else 0 for jj in range(5)),
-                                    gens[j][i]) for j in range(5) if gens[j][i]])
-              for i in range(6)]
-    return f.subs(images)
 
 
 def _to_chart(pt: ProjPoint, gens: list[tuple[int, ...]]) -> ProjPoint:
@@ -198,10 +174,7 @@ def section_nodes(spec: SectionSpec) -> tuple[ProjPoint, ...]:
         grad = [g.eval(pt.coords) for g in f.partials()]
         if f.eval(pt.coords) or not any(grad):
             raise ExactAlgError("tangency point must be a smooth point of the quintic")
-        if proportional(MPoly.from_terms(6, [(e, c) for e, c in
-                                             zip([tuple(1 if j == i else 0 for j in range(6))
-                                                  for i in range(6)], grad) if c]),
-                        h) is None:
+        if proportional(MPoly.linear(grad), h) is None:
             raise ExactAlgError("hyperplane must be tangent at the tangency point")
         nodes.append(pt)
 
@@ -209,7 +182,7 @@ def section_nodes(spec: SectionSpec) -> tuple[ProjPoint, ...]:
         raise ExactAlgError("coincident nodes, hyperplane is too special")
 
     gens = _chart_generators(h)
-    q = _restrict(f, gens)
+    q = f.restrict(gens)
     dq = q.partials()
     for node in nodes:
         u = _to_chart(node, gens)
@@ -251,10 +224,10 @@ class NodalSectionReport:
 
 
 def _mixing_matrix(rng: random.Random) -> list[list[int]]:
-    while True:
+    def invertible(rng) -> list[list[int]] | None:
         mat = [[rng.randint(-3, 3) for _ in range(5)] for _ in range(5)]
-        if rank_exact(mat) == 5:
-            return mat
+        return mat if rank_exact(mat) == 5 else None
+    return _sample(rng, 1, invertible)[0]
 
 
 def _quintic_candidates(q: MPoly, restricted_partials: list[MPoly],
@@ -267,9 +240,7 @@ def _quintic_candidates(q: MPoly, restricted_partials: list[MPoly],
     if off is None:
         raise ExactAlgError("tangency point annihilates every restricted partial")
     for form in kernel_int([list(tangency_chart.coords)]):
-        ell = MPoly.from_terms(5, [(tuple(1 if jj == j else 0 for jj in range(5)), c)
-                                   for j, c in enumerate(form) if c])
-        cands.append(ell * off)
+        cands.append(MPoly.linear(form) * off)
     return cands
 
 
@@ -278,9 +249,9 @@ def _chart_dimension(f: MPoly, h: MPoly, nodes, tangency, mix=None) -> tuple[int
     if mix is not None:
         gens = [tuple(sum(mix[j][k] * gens[k][i] for k in range(5)) for i in range(6))
                 for j in range(5)]
-    q = _restrict(f, gens)
+    q = f.restrict(gens)
     chart_nodes = [_to_chart(node, gens) for node in nodes]
-    restricted = [_restrict(g, gens) for g in f.partials()]
+    restricted = [g.restrict(gens) for g in f.partials()]
     tangency_chart = _to_chart(tangency, gens) if tangency is not None else None
     cands = _quintic_candidates(q, restricted, tangency_chart)
     space = vanishing_space(5, 5, points=chart_nodes, candidates=cands)
@@ -301,7 +272,7 @@ def section_report(spec: SectionSpec, seed: int = 0) -> NodalSectionReport:
 
     dim1, space, q, restricted, chart_nodes = _chart_dimension(
         f, spec.hyperplane, nodes, spec.tangency)
-    mix = _mixing_matrix(_rng(seed, "chart-mix"))
+    mix = _mixing_matrix(_task_rng(seed, "chart-mix"))
     dim2 = _chart_dimension(f, spec.hyperplane, nodes, spec.tangency, mix)[0]
     if dim1 != dim2:
         raise ExactAlgError(f"chart choice leaked into the dimension: {dim1} vs {dim2}")

@@ -5,7 +5,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from modgem import cli, gems, lines27, rootarr
+from modgem import cli, gems, lines27, nodalcy, rootarr
+from modgem.exactalg import DRAWS_PER_RESULT
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +111,34 @@ def test_table_shows_computed_value(monkeypatch):
     assert "line configuration census" not in text  # structures did not run
 
 
+def _run_report(tmp_path, suite):
+    path = tmp_path / f"{suite}.json"
+    assert cli.main(["run", suite, "--json", str(path)]) == 1
+    return {c["check"]: c for c in json.loads(path.read_text())["certificates"]}
+
+
+def _cap_error(cert, count):
+    assert cert["status"] == "fail"
+    assert cert["seed"] == cli._derived_seed(0, cert["check"])
+    assert cert["computed"].startswith(
+        f"error: draw cap of {DRAWS_PER_RESULT * count} trials reached")
+
+
+def test_degenerate_segre_draws_hit_the_cap(tmp_path, monkeypatch):
+    monkeypatch.setattr(gems, "_beta_chart_point", lambda z: None)
+    certs = _run_report(tmp_path, "segre")
+    _cap_error(certs["segre/model"], 20)
+    _cap_error(certs["segre/parametrization"], 20)
+    assert certs["segre/sections"]["status"] == "pass"
+
+
+def test_degenerate_hyperplane_draws_hit_the_cap(tmp_path, monkeypatch):
+    monkeypatch.setattr(nodalcy, "_hyperplane_clear", lambda h: (False, ""))
+    certs = _run_report(tmp_path, "nodal")
+    _cap_error(certs["nodal/generic"], 1)
+    _cap_error(certs["nodal/tangent"], 1)
+
+
 def test_json_report_byte_identity(tmp_path):
     paths = [tmp_path / f"r{i}.json" for i in range(2)]
     assert cli.main(["run", "segre", "--seed", "11", "--json", str(paths[0])]) == 0
@@ -142,9 +171,19 @@ def test_run_stdout_summary(capsys):
     assert "suite nieto: 2 pass, 0 fail, 0 unverified" in out
 
 
-def test_exit_one_on_failure(capsys):
-    assert cli.main(["run", "theta", "--tol", "1e-30"]) == 1
+def test_exit_one_on_failure(tmp_path, capsys):
+    path = tmp_path / "r.json"
+    assert cli.main(["run", "theta", "--tol", "1e-30", "--json", str(path)]) == 1
     assert "1 fail" in capsys.readouterr().out
+    cert = json.loads(path.read_text())["certificates"][0]
+    assert cert["check"] == "theta/identities"
+    computed = json.loads(cert["computed"])
+    assert computed["maschke_below_tol"] is False
+    assert computed["quartic_below_tol"] is False
+    assert computed["odd_max_small"] is True
+    assert computed["theta4_rank"] == 5
+    assert cli.main(["theta", "verify", "--tol", "1e-30"]) == 1
+    assert "theta4_rank 5" in capsys.readouterr().out
 
 
 def test_loose_tolerance_recorded(tmp_path):

@@ -1,11 +1,13 @@
 """Exact algebra layer: ring axioms, calculus rules, linear algebra oracles."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from modgem.exactalg import (
+    DRAWS_PER_RESULT,
     SHADOW_PRIMES,
     ExactAlgError,
     MPoly,
@@ -26,6 +28,9 @@ from modgem.exactalg import (
     rref_int,
     solve_exact,
     vanishing_space,
+    _draw,
+    _sample,
+    _task_rng,
 )
 
 
@@ -328,3 +333,77 @@ def test_candidates_rejected_when_one_prime_drops_rank():
     pts = [ProjPoint([1, 0]), ProjPoint([1, p])]
     with pytest.raises(ShadowMismatch):
         vanishing_space(1, 2, points=pts, candidates=[])
+
+
+# -- linear forms --------------------------------------------------------------
+
+
+@given(st.lists(coeffs, min_size=1, max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_linear_coeffs_inverts_linear(cs):
+    assert MPoly.linear(cs).linear_coeffs() == [Fraction(c) for c in cs]
+
+
+def test_linear_coeffs_rejects_nonlinear_forms():
+    x, y = _vars(2)
+    with pytest.raises(ExactAlgError):
+        (x * y).linear_coeffs()
+    with pytest.raises(ExactAlgError):
+        (x + MPoly.constant(2, 1)).linear_coeffs()
+
+
+# -- seeded sampling -----------------------------------------------------------
+
+
+def test_task_rngs_are_independent_and_reproducible():
+    a = _task_rng(5, "alpha").random()
+    assert _task_rng(5, "alpha").random() == a
+    assert _task_rng(5, "beta").random() != a
+    assert _task_rng(6, "alpha").random() != a
+
+
+def _reference_loop(rng, count, trial):
+    out = []
+    while len(out) < count:
+        result = trial(rng)
+        if result is not None:
+            out.append(result)
+    return out
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32), st.integers(min_value=0, max_value=12),
+       st.frozensets(st.integers(min_value=0, max_value=9), max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_sample_matches_the_reference_loop(seed, count, rejected):
+    def trial(rng):
+        v = rng.randint(0, 9)
+        return None if v in rejected else (v, rng.random())
+
+    a, b = random.Random(seed), random.Random(seed)
+    assert _sample(a, count, trial) == _reference_loop(b, count, trial)
+    assert a.getstate() == b.getstate()
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32), st.integers(min_value=1, max_value=8))
+@settings(max_examples=20, deadline=None)
+def test_draw_matches_the_reference_loop(seed, n):
+    def nonzero(rng):
+        v = tuple(rng.randint(-9, 9) for _ in range(n))
+        return v if any(v) else None
+
+    a, b = random.Random(seed), random.Random(seed)
+    assert _draw(a, n) == _reference_loop(b, 1, nonzero)[0]
+    assert a.getstate() == b.getstate()
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_sample_raises_at_the_cap(count):
+    calls = []
+
+    def never(rng):
+        calls.append(rng.random())
+        return None
+
+    with pytest.raises(ExactAlgError, match=f"draw cap of {DRAWS_PER_RESULT * count} "):
+        _sample(random.Random(0), count, never)
+    assert len(calls) == DRAWS_PER_RESULT * count

@@ -77,13 +77,6 @@ def test_exact_division_rejects_non_multiples():
         gems._exact_div(x0 * x0 + x1 * x1, x0)
 
 
-def test_task_rngs_are_independent_and_reproducible():
-    a = gems._rng(5, "alpha").random()
-    assert gems._rng(5, "alpha").random() == a
-    assert gems._rng(5, "beta").random() != a
-    assert gems._rng(6, "alpha").random() != a
-
-
 # -- Segre cubic ---------------------------------------------------------------
 
 

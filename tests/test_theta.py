@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modgem.exactalg import _task_rng
 from modgem.theta import (
     ALL_CHARS,
     MAX_RADIUS,
@@ -15,7 +16,6 @@ from modgem.theta import (
     SiegelPoint,
     ThetaChar,
     ThetaError,
-    _rng,
     classify_chars,
     identity_checks,
     maschke_residual,
@@ -31,7 +31,7 @@ DIAG_II = SiegelPoint.from_entries(1j, 0, 1j)
 
 
 def _sampled(n, seed=0, task="test-points"):
-    rng = _rng(seed, task)
+    rng = _task_rng(seed, task)
     return [sample_point(rng) for _ in range(n)]
 
 
@@ -137,7 +137,7 @@ def test_odd_constants_vanish():
 
 
 def test_diagonal_tau_factors_into_genus1():
-    rng = _rng(3, "diagonal-points")
+    rng = _task_rng(3, "diagonal-points")
     for _ in range(5):
         t0 = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 1.6))
         t1 = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 1.6))
@@ -216,6 +216,14 @@ def test_report_is_deterministic(report):
     again = identity_checks(samples=20, seed=0, tol=1e-9)
     assert isinstance(again, IdentityReport)
     assert again == report
+
+
+def test_report_flags_a_tolerance_it_misses():
+    rep = identity_checks(samples=12, seed=0, tol=1e-30)
+    assert rep.flags() == {"maschke_below_tol": False, "quartic_below_tol": False,
+                           "odd_max_small": True}
+    assert rep.theta4_rank == 5
+    assert not rep.passed
 
 
 def test_report_needs_enough_samples():
