@@ -555,10 +555,21 @@ def _primitive_row(row: list[int]) -> list[int]:
     return row
 
 
-def _clear_row(row: Sequence[Scalar]) -> list[int]:
-    fracs = [_frac(v) for v in row]
-    denom = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-    return [int(f * denom) for f in fracs]
+def _clear_row(row: Sequence[Scalar], p: int = 0) -> list[int]:
+    """The row times the lcm of its denominators, as Python ints.
+
+    Reads `numerator` and `denominator`, which ints and Fractions both have,
+    so no Fraction is built; a float has neither and is rejected. Scaling by
+    the lcm keeps the span over Q, and keeps the rank mod a prime p when the
+    lcm is a unit mod p: with p given, a row whose lcm p divides raises
+    ExactAlgError.
+    """
+    denom = math.lcm(*(v.denominator for v in row))
+    if p and denom % p == 0:
+        raise ExactAlgError(f"row denominator {denom} not invertible mod {p}")
+    if denom == 1:
+        return [v.numerator for v in row]
+    return [v.numerator * (denom // v.denominator) for v in row]
 
 
 def _int_products(rows: Sequence[Sequence[int]],
@@ -756,14 +767,13 @@ def det_bareiss(rows: Sequence[Sequence[int]]) -> int:
 
 
 def rank_mod(rows: Sequence[Sequence[Scalar]], p: int) -> int:
-    """Rank over GF(p), vectorized; entries are exactly reduced first."""
-    reduced = []
-    for r in rows:
-        rr = []
-        for v in r:
-            f = _frac(v)
-            rr.append(_reduce_fraction_mod(f, p))
-        reduced.append(rr)
+    """Rank over GF(p), vectorized.
+
+    Each row is cleared to integers by `_clear_row` (raising when p divides
+    its denominator lcm) and reduced with integer `%`; scaling a row by a
+    unit mod p leaves the rank unchanged, so no entry is inverted mod p.
+    """
+    reduced = [[v % p for v in _clear_row(r, p)] for r in rows]
     if not reduced:
         return 0
     a = np.array(reduced, dtype=np.int64)

@@ -232,6 +232,28 @@ def _matching_rows(matching) -> list[list[int]]:
     return [[1 if k in pair else 0 for k in range(6)] for pair in matching]
 
 
+@lru_cache(maxsize=1)
+def _plane_bases() -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Integer bases of the 15 matching planes, each on the cubic with 4 nodes."""
+    cubes = _six_cubes()
+    bases = []
+    for matching in _matchings():
+        rows = _matching_rows(matching)
+        basis = kernel_int(rows)
+        if len(basis) != 3:
+            raise ExactAlgError("a matching plane must be 3-dimensional")
+        if any(sum(v) != 0 for v in basis):
+            raise ExactAlgError("matching planes must lie inside {sum = 0}")
+        if not cubes.restrict(basis).is_zero():
+            raise ExactAlgError(f"plane {matching} does not lie on the cubic")
+        on_plane = [p for p in _nodes_p5()
+                    if all(sum(r * c for r, c in zip(row, p.coords)) == 0 for row in rows)]
+        if len(on_plane) != 4:
+            raise ExactAlgError(f"plane {matching} holds {len(on_plane)} nodes, wanted 4")
+        bases.append(tuple(tuple(v) for v in basis))
+    return tuple(bases)
+
+
 @dataclass(frozen=True)
 class SegreModel:
     surface: Hypersurface
@@ -260,7 +282,6 @@ def build_segre(seed: int = 0, offnode_samples: int = 20) -> SegreModel:
         "sigma1 and the sum of cubes vanish")
     nodes = _chart_nodes()
     cubes = _six_cubes()
-    nodes6 = _nodes_p5()
 
     grads = F.partials()
     for node in nodes:
@@ -268,21 +289,7 @@ def build_segre(seed: int = 0, offnode_samples: int = 20) -> SegreModel:
             raise ExactAlgError(f"node {node} is not singular on the cubic")
 
     planes = _matchings()
-    bases = []
-    for matching in planes:
-        rows = _matching_rows(matching)
-        basis = kernel_int(rows)
-        if len(basis) != 3:
-            raise ExactAlgError("a matching plane must be 3-dimensional")
-        if any(sum(v) != 0 for v in basis):
-            raise ExactAlgError("matching planes must lie inside {sum = 0}")
-        if not cubes.restrict(basis).is_zero():
-            raise ExactAlgError(f"plane {matching} does not lie on the cubic")
-        on_plane = [p for p in nodes6
-                    if all(sum(r * c for r, c in zip(row, p.coords)) == 0 for row in rows)]
-        if len(on_plane) != 4:
-            raise ExactAlgError(f"plane {matching} holds {len(on_plane)} nodes, wanted 4")
-        bases.append(tuple(tuple(v) for v in basis))
+    bases = _plane_bases()
 
     # a pair hyperplane cuts the cubic in the three planes of the matchings
     # through that pair; on the section the two leftover pair forms of a
@@ -330,7 +337,7 @@ def build_segre(seed: int = 0, offnode_samples: int = 20) -> SegreModel:
         return pt
 
     checked = len(_sample(_task_rng(seed, "segre-offnode"), offnode_samples, offnode))
-    return SegreModel(surface, nodes, planes, tuple(bases), scalars,
+    return SegreModel(surface, nodes, planes, bases, scalars,
                       quadrics, checked, seed)
 
 
@@ -666,11 +673,15 @@ def build_invariant_quintic(seed: int = 0, words: int = 100) -> InvariantQuintic
 
     Certifies: the double-six product difference factors through the root
     form exactly; substituting the weight forms into the symmetric model
-    reproduces the quintic up to a recorded scalar; the quintic is fixed,
-    scalar one, by all six reflection generators and by random words in
-    them; the degree-5 power sum of all 27 weight forms is a nonzero
-    multiple of it; the degree-2 power sum is a multiple of the invariant
-    quadratic form.
+    reproduces the quintic up to a recorded scalar; the degree-5 power sum
+    of all 27 weight forms is a nonzero multiple of it; the degree-2 power
+    sum is a multiple of the invariant quadratic form; the quintic is fixed,
+    scalar one, by all six reflection generators, pulled back by
+    substitution. Each of `words` random words in the generators is checked
+    through the weight forms: its matrix product permutes the 27 forms at
+    scalar +1 (`lines27.perm27_from_matrix`), which fixes the power sum and
+    hence the quintic, and that permutation is the composite of the
+    generators' permutations in the word's order.
     """
     f = invariant_quintic_form()
     surface = Hypersurface(
@@ -700,18 +711,22 @@ def build_invariant_quintic(seed: int = 0, words: int = 100) -> InvariantQuintic
     if not i5_scalar or not i2_scalar:
         raise ExactAlgError("power sums must be nonzero multiples of the invariants")
 
-    names, mats, _ = lines27.weyl_generators()
+    names, mats, perms = lines27.weyl_generators()
     for name, mat in zip(names, mats):
         if _pullback(f, mat) != f:
             raise ExactAlgError(f"generator {name} does not fix the quintic")
+    # the sum of w^5 over the 27 weight forms is i5_scalar * f, i5_scalar != 0,
+    # so a word matrix that permutes the weight forms at scalar +1 fixes f;
+    # its permutation must also be the composite of the generators' ones
     rng = _task_rng(seed, "quintic-words")
     for _ in range(words):
         word = [rng.randrange(len(mats)) for _ in range(rng.randint(1, 10))]
-        mat = mats[word[0]]
+        mat, perm = mats[word[0]], perms[word[0]]
         for k in word[1:]:
             mat = _mat_mul(mat, mats[k])
-        if _pullback(f, mat) != f:
-            raise ExactAlgError("a generator word does not fix the quintic")
+            perm = lines27.compose(perms[k], perm)
+        if lines27.perm27_from_matrix(mat) != perm:
+            raise ExactAlgError("a generator word does not act as its permutation")
 
     return InvariantQuintic(surface, g, g_scalar,
                             {2: i2_scalar, 5: i5_scalar}, len(mats), words, seed)
@@ -1350,9 +1365,8 @@ def duality_pipeline(seed: int = 0, samples: int = 200,
         "images and singular along 15 lines")
     _exact_div(quartic.subs(grads), F)
 
-    model = build_segre(seed=seed)
     lines: dict[tuple, ProjLine] = {}
-    for basis in model.plane_bases:
+    for basis in _plane_bases():
         seen: set[ProjPoint] = set()
 
         def plane_image(rng) -> ProjPoint | None:

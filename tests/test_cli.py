@@ -139,6 +139,24 @@ def test_degenerate_hyperplane_draws_hit_the_cap(tmp_path, monkeypatch):
     _cap_error(certs["nodal/tangent"], 1)
 
 
+def test_wrong_word_product_fails_quintic_invariance(tmp_path, monkeypatch):
+    mat_mul = gems._mat_mul
+
+    def off_by_one(a, b):
+        rows = [list(r) for r in mat_mul(a, b)]
+        rows[0][0] += 1
+        return tuple(map(tuple, rows))
+
+    monkeypatch.setattr(gems, "_mat_mul", off_by_one)
+    path = tmp_path / "all.json"
+    assert cli.main(["run", "all", "--json", str(path)]) == 1
+    certs = json.loads(path.read_text())["certificates"]
+    failed = [c for c in certs if c["status"] == "fail"]
+    assert [c["check"] for c in failed] == ["quintic/invariance"]
+    assert failed[0]["seed"] == cli._derived_seed(0, "quintic/invariance")
+    assert failed[0]["computed"].startswith("error: ")
+
+
 def test_json_report_byte_identity(tmp_path):
     paths = [tmp_path / f"r{i}.json" for i in range(2)]
     assert cli.main(["run", "segre", "--seed", "11", "--json", str(paths[0])]) == 0

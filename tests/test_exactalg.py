@@ -28,6 +28,7 @@ from modgem.exactalg import (
     rref_int,
     solve_exact,
     vanishing_space,
+    _clear_row,
     _draw,
     _sample,
     _task_rng,
@@ -88,6 +89,45 @@ def test_substitution_is_a_homomorphism(p, q):
     images = [u + v, u * v]
     assert (p + q).subs(images) == p.subs(images) + q.subs(images)
     assert (p * q).subs(images) == p.subs(images) * q.subs(images)
+
+
+mixed_coeffs = st.one_of(coeffs, st.fractions(min_value=-9, max_value=9, max_denominator=12))
+
+
+@st.composite
+def mixed_polys(draw, nvars=2, max_deg=2, max_terms=4):
+    """Polynomials given int and Fraction coefficients in the same term dict."""
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=max_terms))):
+        exp = tuple(draw(st.integers(min_value=0, max_value=max_deg)) for _ in range(nvars))
+        terms[exp] = draw(mixed_coeffs)
+    return MPoly(nvars, terms)
+
+
+def assert_no_float(*polys):
+    for poly in polys:
+        assert all(isinstance(c, (int, Fraction)) for c in poly.terms.values())
+
+
+@given(mixed_polys(), mixed_polys(), mixed_polys(), mixed_coeffs)
+@settings(max_examples=60, deadline=None)
+def test_mixed_coefficients_keep_the_ring_exact(p, q, r, c):
+    assert (p + q) + r == p + (q + r)
+    assert p * q == q * p
+    assert (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+    assert (p * c) * q == p * (q * c)
+    images = [p + q, r * c]
+    subs_sum, subs_prod = (p + q).subs(images), (p * q).subs(images)
+    assert subs_sum == p.subs(images) + q.subs(images)
+    assert subs_prod == p.subs(images) * q.subs(images)
+    assert_no_float(p + q, p - q, p * q, p * c, p ** 2, p.diff(0), subs_sum, subs_prod)
+    mono = monomials(2, 2)
+    rows = [f.coefficient_vector(mono) for f in (p, q, r, p * c)]
+    for row in rows:
+        assert all(type(v) is int for v in _clear_row(row))
+    for prime in SHADOW_PRIMES:
+        assert type(rank_mod(rows, prime)) is int
 
 
 # -- degree and term order -----------------------------------------------------
@@ -248,6 +288,51 @@ def test_modular_rank_agrees_with_exact(rows):
     r = rank_exact(rows)
     for p in SHADOW_PRIMES:
         assert rank_mod(rows, p) == r
+
+
+@st.composite
+def big_mixed_matrices(draw):
+    """A small integer matrix hidden by unimodular row operations and scalings.
+
+    Adding M times another row, |M| >= 2^64, leaves the rank over Q and mod
+    every prime unchanged and pushes entries past 2^63 in both signs;
+    dividing a row by d in [2, 999], a unit mod both shadow primes, then
+    mixes Fraction and int entries. Returns (matrix, rank of the small one).
+    """
+    ncols = draw(st.integers(min_value=1, max_value=5))
+    small = draw(st.lists(st.lists(coeffs, min_size=ncols, max_size=ncols),
+                          min_size=1, max_size=5))
+    rows = [list(r) for r in small]
+    big = st.integers(min_value=2 ** 64, max_value=2 ** 80)
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        i = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        j = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        if i != j:
+            m = draw(big) * draw(st.sampled_from([1, -1]))
+            rows[i] = [a + m * b for a, b in zip(rows[i], rows[j])]
+    out = []
+    for row in rows:
+        d = draw(st.integers(min_value=1, max_value=999))
+        out.append([int(v) if v.denominator == 1 else v
+                    for v in (Fraction(a, d) for a in row)])
+    return out, rank_exact(small)
+
+
+@given(big_mixed_matrices())
+@settings(max_examples=60, deadline=None)
+def test_modular_rank_on_big_and_mixed_entries(case):
+    rows, rank = case
+    assert rank_exact(rows) == rank
+    for p in SHADOW_PRIMES:
+        assert rank_mod(rows, p) == rank
+
+
+def test_rank_mod_rejects_a_denominator_divisible_by_p():
+    p, q = SHADOW_PRIMES
+    rows = [[1, Fraction(1, p)], [2, 3]]
+    with pytest.raises(ExactAlgError, match=f"not invertible mod {p}"):
+        rank_mod(rows, p)
+    assert rank_mod(rows, q) == 2
 
 
 def test_checked_rank_raises_on_forced_mismatch():

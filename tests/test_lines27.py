@@ -220,6 +220,20 @@ def test_random_words_stay_in_group(word):
     assert L.check_meets_preserved(perm)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=10))
+def test_word_matrix_permutes_as_composed_generators(word):
+    _, mats, perms = L.weyl_generators()
+    mat, perm = mats[word[0]], perms[word[0]]
+    for k in word[1:]:
+        mat = tuple(
+            tuple(sum(mat[i][m] * mats[k][m][j] for m in range(6)) for j in range(6))
+            for i in range(6)
+        )
+        perm = L.compose(perms[k], perm)
+    assert L.perm27_from_matrix(mat) == perm
+
+
 # -- special loci -------------------------------------------------------------------
 
 
