@@ -557,6 +557,13 @@ def _cmd_nodalcy_report(args) -> int:
     return 0
 
 
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="modgem",
@@ -566,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a verification suite")
     run.add_argument("suite", choices=(*SUITES, "all"))
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--samples", type=int, default=20)
+    run.add_argument("--samples", type=_at_least_one, default=20)
     run.add_argument("--tol", type=float, default=1e-9)
     run.add_argument("--json", metavar="PATH", help="write the canonical JSON report")
     run.add_argument("--table", metavar="PATH", help="write the text tables")

@@ -18,6 +18,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
 
 import numpy as np
@@ -50,8 +51,13 @@ def grevlex_key(exp: tuple[int, ...]):
     return (sum(exp), tuple(-e for e in reversed(exp)))
 
 
-def monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
-    """All exponent vectors of the given total degree, descending grevlex."""
+@lru_cache(maxsize=32)
+def monomials(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    """All exponent vectors of the given total degree, descending grevlex.
+
+    Cached: every caller shares one basis per (nvars, degree), returned as a
+    tuple so that none of them can change it for the others.
+    """
     out: list[tuple[int, ...]] = []
 
     def rec(prefix: list[int], remaining: int, slots: int):
@@ -63,7 +69,7 @@ def monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
 
     rec([], degree, nvars)
     out.sort(key=grevlex_key, reverse=True)
-    return out
+    return tuple(out)
 
 
 class MPoly:
@@ -363,13 +369,6 @@ def _convolve(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return out
 
 
-def _reduce_fraction_mod(c: Fraction, p: int) -> int:
-    den = c.denominator % p
-    if den == 0:
-        raise ExactAlgError(f"denominator of {c} not invertible mod {p}")
-    return c.numerator % p * pow(den, p - 2, p) % p
-
-
 # -- symmetric functions and determinants -------------------------------------
 
 
@@ -477,9 +476,6 @@ class ProjPoint:
     def n(self) -> int:
         return len(self.coords)
 
-    def evaluate(self, form: MPoly) -> Fraction:
-        return form.eval(self.coords)
-
     def __repr__(self):
         return f"ProjPoint{self.coords}"
 
@@ -487,21 +483,24 @@ class ProjPoint:
 class ProjLine:
     """Line in projective space, stored as two independent spanning points.
 
-    Equality and hashing use the reduced row echelon form of the 2 x (n+1)
-    span matrix, so any two spanning pairs of the same line compare equal.
+    The line also holds the `_IntEchelon` of its spanning points. Its rows
+    are the canonical echelon of the span, so `key` (and with it equality
+    and hashing) is the same for any two spanning pairs of the same line,
+    and `contains` is one reduction against them.
     """
 
-    __slots__ = ("p", "q", "_key")
+    __slots__ = ("p", "q", "_ech", "_key")
 
     def __init__(self, p: ProjPoint, q: ProjPoint):
         if p.n != q.n:
             raise ExactAlgError("spanning points in different spaces")
-        ech, pivots = rref_int([list(p.coords), list(q.coords)])
-        if len(ech) != 2:
+        ech = _IntEchelon([p.coords])
+        if not ech.add(q.coords):
             raise ExactAlgError("spanning points are proportional")
         self.p = p
         self.q = q
-        self._key = tuple(tuple(r) for r in ech)
+        self._ech = ech
+        self._key = ech.key()
 
     @property
     def key(self) -> tuple[tuple[int, ...], ...]:
@@ -514,14 +513,7 @@ class ProjLine:
         return hash(self._key)
 
     def contains(self, pt: ProjPoint) -> bool:
-        r = list(pt.coords)
-        for row in self._key:
-            lead = next(i for i, v in enumerate(row) if v)
-            if r[lead]:
-                f, g = r[lead], row[lead]
-                d = math.gcd(f, g)
-                r = [a * (g // d) - b * (f // d) for a, b in zip(r, row)]
-        return not any(r)
+        return self._ech.contains(pt.coords)
 
     def parameter_points(self, count: int) -> list[tuple[int, ...]]:
         """count distinct points: p, p+q, p+2q, ..., and q last.
@@ -594,16 +586,21 @@ def _int_products(rows: Sequence[Sequence[int]],
 
 
 class _IntEchelon:
-    """Incremental integer echelon for independence testing.
+    """Incremental fully reduced integer echelon: the one exact elimination.
 
-    Stored rows are primitive, sorted by pivot, and zero at one another's
-    pivots, so a single forward pass decides membership of a new vector and
-    the rows are a canonical key of the span.
+    Stored rows are primitive with a positive leading entry, sorted by
+    pivot, and zero at one another's pivots. That form of a row space is
+    unique, so the rows are a canonical key of the span whatever order the
+    vectors came in, and a single forward pass decides membership of a new
+    vector. `rref_int` is its batch form; `ProjLine`, `vanishing_space` and
+    `rootarr.incidence` use it directly.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, vecs: Iterable[Sequence[int]] = ()) -> None:
         self.rows: list[list[int]] = []
         self.pivots: list[int] = []
+        for vec in vecs:
+            self.add(vec)
 
     def copy(self) -> "_IntEchelon":
         # rows are replaced, never mutated, so sharing them is safe
@@ -648,57 +645,15 @@ class _IntEchelon:
 
 
 def rref_int(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free reduced row echelon form over the integers.
+    """Fully reduced row echelon form over the integers: `_IntEchelon` in batch.
 
     Returns (echelon rows as primitive integer vectors, pivot column list).
-    Rows may contain Fractions; each is cleared to integers first. Updates
-    use the gcd-balanced combination row_j*(p/g) - row_i*(e/g), with every
-    row re-reduced to primitive form, which keeps growth tame on the
-    structured matrices this package produces.
+    Rows may contain Fractions; each is cleared to integers by `_clear_row`
+    and added in order. The form is unique (see `_IntEchelon`), so it does
+    not depend on the order of the rows.
     """
-    work = [_primitive_row(_clear_row(r)) for r in rows]
-    work = [r for r in work if any(r)]
-    if not work:
-        return [], []
-    ncols = len(work[0])
-    echelon: list[list[int]] = []
-    pivots: list[int] = []
-    for col in range(ncols):
-        best = None
-        for idx, row in enumerate(work):
-            if row[col]:
-                if best is None or abs(row[col]) < abs(work[best][col]):
-                    best = idx
-        if best is None:
-            continue
-        pivot_row = work.pop(best)
-        pv = pivot_row[col]
-        nxt = []
-        for row in work:
-            e = row[col]
-            if e:
-                d = math.gcd(pv, e)
-                row = [a * (pv // d) - b * (e // d) for a, b in zip(row, pivot_row)]
-                row = _primitive_row(row)
-            if any(row):
-                nxt.append(row)
-        work = nxt
-        echelon.append(pivot_row)
-        pivots.append(col)
-        if not work:
-            break
-    # back-eliminate for the reduced form
-    for i in range(len(echelon) - 1, -1, -1):
-        col = pivots[i]
-        pv = echelon[i][col]
-        for j in range(i):
-            e = echelon[j][col]
-            if e:
-                d = math.gcd(pv, e)
-                echelon[j] = _primitive_row(
-                    [a * (pv // d) - b * (e // d) for a, b in zip(echelon[j], echelon[i])]
-                )
-    return echelon, pivots
+    ech = _IntEchelon(_clear_row(row) for row in rows)
+    return ech.rows, ech.pivots
 
 
 def rank_exact(rows: Sequence[Sequence[Scalar]]) -> int:

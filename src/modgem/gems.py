@@ -34,8 +34,9 @@ from .exactalg import (
     ProjPoint,
     SHADOW_PRIMES,
     VanishingSpace,
+    _IntEchelon,
+    _clear_row,
     _draw,
-    _reduce_fraction_mod,
     _sample,
     _task_rng,
     checked_rank,
@@ -46,7 +47,6 @@ from .exactalg import (
     monomials,
     power_sum,
     proportional,
-    rank_exact,
     solve_exact,
     vanishing_space,
 )
@@ -320,7 +320,7 @@ def build_segre(seed: int = 0, offnode_samples: int = 20) -> SegreModel:
     quadrics = vanishing_space(2, 5, points=nodes)
     if quadrics.dim != 5:
         raise ExactAlgError(f"node quadrics have dimension {quadrics.dim}, wanted 5")
-    rows = [g.coefficient_vector(_monomials_cache(5, 2)) for g in grads]
+    rows = [g.coefficient_vector(monomials(5, 2)) for g in grads]
     if checked_rank(rows) != 5 or not all(quadrics.contains(g) for g in grads):
         raise ExactAlgError("node quadrics must equal the span of the chart partials")
 
@@ -343,11 +343,6 @@ def build_segre(seed: int = 0, offnode_samples: int = 20) -> SegreModel:
 
 def _pair_row(pair) -> list[int]:
     return [1 if k in pair else 0 for k in range(6)]
-
-
-@lru_cache(maxsize=8)
-def _monomials_cache(nvars: int, degree: int):
-    return monomials(nvars, degree)
 
 
 # -- parametrizing the cubic -------------------------------------------------------------
@@ -514,41 +509,43 @@ def build_nieto() -> NietoModel:
     if set(per_point) != {4} or set(per_line) != {3}:
         raise ExactAlgError("difference-point incidences must be 4 per point, 3 per line")
 
-    def chart_span_contains(basis, pt) -> bool:
-        return rank_exact([list(b) for b in basis] + [list(pt.coords)]) == len(basis)
+    def holds_line(ech: _IntEchelon, line: ProjLine) -> bool:
+        return ech.contains(line.p.coords) and ech.contains(line.q.coords)
 
     matching_planes = []
     for matching in _matchings():
         basis = _flat_chart_basis(_matching_rows(matching))
         if len(basis) != 3 or not N.restrict(basis).is_zero():
             raise ExactAlgError(f"matching plane {matching} must lie on the quintic")
-        n_nodes = sum(1 for p in nodes if chart_span_contains(basis, p))
-        n_cross = sum(1 for q in cross if chart_span_contains(basis, q))
+        ech = _IntEchelon(basis)
+        n_nodes = sum(1 for p in nodes if ech.contains(p.coords))
+        n_cross = sum(1 for q in cross if ech.contains(q.coords))
         if (n_nodes, n_cross) != (4, 3):
             raise ExactAlgError(f"matching plane {matching} meets ({n_nodes},{n_cross})")
         matching_planes.append(tuple(tuple(v) for v in basis))
 
     coordinate_planes = []
+    coordinate_spans = []
     for i, j in itertools.combinations(range(6), 2):
         rows = [[1 if k == i else 0 for k in range(6)],
                 [1 if k == j else 0 for k in range(6)]]
         basis = _flat_chart_basis(rows)
         if len(basis) != 3 or not N.restrict(basis).is_zero():
             raise ExactAlgError(f"coordinate plane {(i, j)} must lie on the quintic")
-        n_nodes = sum(1 for p in nodes if chart_span_contains(basis, p))
-        n_cross = sum(1 for q in cross if chart_span_contains(basis, q))
-        inside = [lab for lab, line in zip(labels, lines)
-                  if chart_span_contains(basis, line.p) and chart_span_contains(basis, line.q)]
+        ech = _IntEchelon(basis)
+        n_nodes = sum(1 for p in nodes if ech.contains(p.coords))
+        n_cross = sum(1 for q in cross if ech.contains(q.coords))
+        inside = [lab for lab, line in zip(labels, lines) if holds_line(ech, line)]
         if n_nodes != 0 or n_cross != 6 or len(inside) != 4:
             raise ExactAlgError(f"coordinate plane {(i, j)} census failed")
         if any(not {i, j} <= set(lab) for lab in inside):
             raise ExactAlgError("lines inside a coordinate plane must extend its pair")
         coordinate_planes.append(tuple(tuple(v) for v in basis))
+        coordinate_spans.append(ech)
 
     # every singular line lies in exactly three of the coordinate planes
     for lab, line in zip(labels, lines):
-        count = sum(1 for basis in coordinate_planes
-                    if chart_span_contains(basis, line.p) and chart_span_contains(basis, line.q))
+        count = sum(1 for ech in coordinate_spans if holds_line(ech, line))
         if count != 3:
             raise ExactAlgError(f"line {lab} lies in {count} coordinate planes, wanted 3")
 
@@ -889,7 +886,7 @@ def triple_point_cone(label: str) -> TripleCone:
     quads = vanishing_space(2, 5, points=dirs)
     if quads.dim != 5 or not all(quads.contains(g) for g in s3_grads):
         raise ExactAlgError(f"{label}: cone-node quadrics must match the Jacobian span")
-    if checked_rank([g.coefficient_vector(_monomials_cache(5, 2)) for g in s3_grads]) != 5:
+    if checked_rank([g.coefficient_vector(monomials(5, 2)) for g in s3_grads]) != 5:
         raise ExactAlgError(f"{label}: cone partials must be independent")
 
     return TripleCone(label, p, axis, s5, s4, s3, dual_form, dual_scalar,
@@ -1177,16 +1174,17 @@ class RationalizationReport:
     seed: int
 
 
-def _proportional_vectors(v: Sequence, w: Sequence) -> bool:
-    if len(v) != len(w) or not any(v) or not any(w):
-        return False
-    return all(v[i] * w[j] == v[j] * w[i]
-               for i in range(len(v)) for j in range(i + 1, len(v)))
-
-
 def _eval_batch_mod(polys: Sequence[MPoly], values: np.ndarray, p: int) -> list[np.ndarray]:
-    """Evaluate polynomials at many points mod p; values has one column per point."""
+    """Evaluate polynomials at many points mod p; values has one column per point.
+
+    All coefficients of the call are cleared by one common denominator lcm
+    (`_clear_row`, which raises when p divides it). Every output is then
+    scaled by the same unit mod p, so a projective image stays projective
+    and a zero stays zero.
+    """
     nvars = polys[0].nvars
+    coeffs = [c for poly in polys for c in poly.terms.values()]
+    residues = iter([c % p for c in _clear_row(coeffs, p)])
     maxexp = max((e for poly in polys for exp in poly.terms for e in exp), default=0)
     tables = []
     for i in range(nvars):
@@ -1197,8 +1195,8 @@ def _eval_batch_mod(polys: Sequence[MPoly], values: np.ndarray, p: int) -> list[
     out = []
     for poly in polys:
         acc = np.zeros(values.shape[1], dtype=np.int64)
-        for exp, c in poly.terms.items():
-            term = np.full(values.shape[1], _reduce_fraction_mod(c, p), dtype=np.int64)
+        for exp in poly.terms:
+            term = np.full(values.shape[1], next(residues), dtype=np.int64)
             for i, e in enumerate(exp):
                 if e:
                     term = term * tables[i][e] % p
@@ -1270,7 +1268,7 @@ def rationalize_i5(seed: int = 0, exact_samples: int = 50,
         back = [q.eval(x_vals) for q in maps.phi]
         if not any(back):
             return None
-        if not _proportional_vectors(back, [Fraction(c) for c in y]):
+        if ProjPoint(back) != ProjPoint(y):
             raise ExactAlgError("projection of the octic image must reproduce the point")
         return y
 
@@ -1285,7 +1283,7 @@ def rationalize_i5(seed: int = 0, exact_samples: int = 50,
         w = [o.eval(u) for o in maps.psi]
         if not any(w):
             return None
-        if not _proportional_vectors(w, x_vals):
+        if ProjPoint(w) != ProjPoint(x_vals):
             raise ExactAlgError("octics of the projection must reproduce the point")
         return y
 
@@ -1301,9 +1299,14 @@ def rationalize_i5(seed: int = 0, exact_samples: int = 50,
 
 @dataclass(frozen=True)
 class DualityReport:
+    """The fitted dual quartic and the certified duality geometry.
+
+    `fitted_dim` is always 1: a fit of any other dimension raises, and the
+    images are sampled once, with no second attempt.
+    """
+
     igusa: Hypersurface
     fitted_dim: int
-    resampled: bool
     image_lines: tuple[ProjLine, ...]
     line_cubics: VanishingSpace
     biduality_checked: int
@@ -1336,28 +1339,21 @@ def duality_pipeline(seed: int = 0, samples: int = 200,
     rng = _task_rng(seed, "duality")
     node_set = set(_chart_nodes())
 
-    def sample_images(count: int) -> list[ProjPoint]:
-        seen: set[ProjPoint] = set()
+    seen_images: set[ProjPoint] = set()
 
-        def new_image(rng) -> ProjPoint | None:
-            pt = _beta_chart_point(_draw(rng, 4))
-            if pt is None or pt in node_set:
-                return None
-            img = _gradient_image(grads, pt)
-            if img is None or img in seen:
-                return None
-            seen.add(img)
-            return img
+    def new_image(rng) -> ProjPoint | None:
+        pt = _beta_chart_point(_draw(rng, 4))
+        if pt is None or pt in node_set:
+            return None
+        img = _gradient_image(grads, pt)
+        if img is None or img in seen_images:
+            return None
+        seen_images.add(img)
+        return img
 
-        return _sample(rng, count, new_image)
-
-    fitted = vanishing_space(4, 5, points=sample_images(samples))
-    resampled = False
+    fitted = vanishing_space(4, 5, points=_sample(rng, samples, new_image))
     if fitted.dim != 1:
-        resampled = True
-        fitted = vanishing_space(4, 5, points=sample_images(samples))
-        if fitted.dim != 1:
-            raise ExactAlgError("fitted quartic space must be one-dimensional")
+        raise ExactAlgError(f"fitted quartic space has dimension {fitted.dim}, wanted 1")
     quartic = fitted.basis[0]
     igusa = Hypersurface(
         "igusa-quartic", "gradient-image coordinates of the cubic chart", quartic, 4,
@@ -1381,11 +1377,9 @@ def duality_pipeline(seed: int = 0, samples: int = 200,
             return img
 
         imgs = _sample(rng, 3, plane_image)
-        if rank_exact([list(p.coords) for p in imgs]) != 2:
-            raise ExactAlgError("plane images must be collinear and span a line")
         line = ProjLine(imgs[0], imgs[1])
         if not line.contains(imgs[2]):
-            raise ExactAlgError("third plane image must lie on the image line")
+            raise ExactAlgError("plane images must be collinear and span a line")
         lines[line.key] = line
     if len(lines) != 15:
         raise ExactAlgError(f"expected 15 contracted lines, found {len(lines)}")
@@ -1395,7 +1389,7 @@ def duality_pipeline(seed: int = 0, samples: int = 200,
     dual_grads = quartic.partials()
     if cubics.dim != 5 or not all(cubics.contains(g) for g in dual_grads):
         raise ExactAlgError("cubics through the 15 lines must match the dual Jacobian")
-    if checked_rank([g.coefficient_vector(_monomials_cache(5, 3))
+    if checked_rank([g.coefficient_vector(monomials(5, 3))
                      for g in dual_grads]) != 5:
         raise ExactAlgError("dual partials must be independent")
 
@@ -1409,13 +1403,13 @@ def duality_pipeline(seed: int = 0, samples: int = 200,
         back = [g.eval(img.coords) for g in dual_grads]
         if not any(back):
             return None
-        if not _proportional_vectors(back, [Fraction(c) for c in pt.coords]):
+        if ProjPoint(back) != pt:
             raise ExactAlgError("gradient round trip must return the point")
         return pt
 
     checked = len(_sample(rng, biduality_samples, round_trip))
 
-    return DualityReport(igusa, fitted.dim, resampled, image_lines, cubics,
+    return DualityReport(igusa, fitted.dim, image_lines, cubics,
                          checked, seed)
 
 

@@ -27,7 +27,6 @@ from .exactalg import (
     checked_rank,
     det_bareiss,
     proportional,
-    rank_exact,
     rref_int,
     vanishing_space,
 )
@@ -413,10 +412,6 @@ def enneahedra() -> EnneahedraReport:
 # -- coordinates ---------------------------------------------------------------------
 
 
-def _half(vals: Sequence[int]) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v, 2) for v in vals)
-
-
 def _form(coeffs: Sequence[Fraction | int]) -> MPoly:
     return MPoly.linear([Fraction(c) for c in coeffs])
 
@@ -445,13 +440,6 @@ class CoordinateTables:
     def pairing_scalar(self, form: MPoly, dual: Sequence[Fraction]) -> Optional[Fraction]:
         paired = _form([Fraction(d) for d in dual[:5]] + [Fraction(dual[5]) / 3])
         return proportional(paired, form)
-
-
-def _root_subsets() -> list[frozenset[int]]:
-    subs = [frozenset(SIX)]
-    subs += [frozenset(p) for p in itertools.combinations(SIX, 2)]
-    subs += [frozenset(t) for t in itertools.combinations(SIX, 3)]
-    return subs
 
 
 @lru_cache(maxsize=1)
@@ -769,20 +757,19 @@ def special_loci() -> SpecialLoci:
     root_list = sorted(root_points)
     lines120: dict[tuple, ProjLine] = {}
     per_point: dict[str, int] = {n: 0 for n in root_list}
-    for n1, n2, n3 in itertools.combinations(root_list, 3):
-        p1, p2, p3 = root_points[n1], root_points[n2], root_points[n3]
-        if rank_exact([list(p1.coords), list(p2.coords), list(p3.coords)]) == 2:
-            line = ProjLine(p1, p2)
-            if line.key not in lines120:
-                lines120[line.key] = line
-                for n in (n1, n2, n3):
-                    per_point[n] += 1
+    for n1, n2 in itertools.combinations(root_list, 2):
+        line = ProjLine(root_points[n1], root_points[n2])
+        if line.key in lines120:
+            continue
+        on = [n for n in root_list if line.contains(root_points[n])]
+        if len(on) > 3:
+            raise ExactAlgError("a root line does not contain exactly 3 root points")
+        if len(on) == 3:
+            lines120[line.key] = line
+            for n in on:
+                per_point[n] += 1
     if len(lines120) != 120:
         raise ExactAlgError(f"expected 120 collinear-root lines, found {len(lines120)}")
-    for line in lines120.values():
-        count = sum(1 for p in root_points.values() if line.contains(p))
-        if count != 3:
-            raise ExactAlgError("a root line does not contain exactly 3 root points")
     if any(v != 10 for v in per_point.values()):
         raise ExactAlgError("each root point must lie on 10 of the 120 lines")
 

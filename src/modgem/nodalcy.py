@@ -42,7 +42,7 @@ from .gems import invariant_quintic_form, psi_octics
 #: quintic monomials in the five internal coordinates of a hyperplane
 QUINTIC_MONOMIAL_COUNT = len(monomials(5, 5))
 
-KINDS = ("generic", "special", "tangent")
+KINDS = ("generic", "tangent")
 
 
 # -- section specifications ------------------------------------------------------------
@@ -53,9 +53,9 @@ class SectionSpec:
     """A hyperplane slice of the invariant quintic, tagged by its kind.
 
     generic: avoids the 36 triple points and all 120 singular lines.
-    special: one of the 36 reflection hyperplanes; its section is singular
-    along 20 lines, so node extraction is refused.
     tangent: the tangent hyperplane at a smooth point, carried along.
+    Any other hyperplane, a reflection hyperplane for one (it passes through
+    15 of the triple points), is refused by `section_nodes`.
     """
 
     hyperplane: MPoly
@@ -91,14 +91,6 @@ def generic_section(seed: int = 0) -> SectionSpec:
 
     return SectionSpec(_sample(_task_rng(seed, "generic-hyperplane"), 1, clear)[0],
                        "generic")
-
-
-def special_section(name: str) -> SectionSpec:
-    """The reflection-hyperplane section named by its root label."""
-    loci = lines27.special_loci()
-    if name not in loci.hyperplanes:
-        raise ExactAlgError(f"unknown reflection hyperplane {name!r}")
-    return SectionSpec(loci.hyperplanes[name], "special")
 
 
 def tangent_section(seed: int = 0) -> SectionSpec:
@@ -151,11 +143,9 @@ def section_nodes(spec: SectionSpec) -> tuple[ProjPoint, ...]:
     Each of the 120 singular lines contributes its intersection with the
     hyperplane; a tangent section appends the tangency point. Every
     returned point is certified to lie on the section and to kill the
-    gradient of the restricted quintic.
+    gradient of the restricted quintic. A hyperplane through a triple point
+    or containing a singular line is refused.
     """
-    if spec.kind == "special":
-        raise ExactAlgError(
-            "special sections are singular along 20 lines, nodes are not isolated")
     ok, why = _hyperplane_clear(spec.hyperplane)
     if not ok:
         raise ExactAlgError(why)

@@ -9,7 +9,7 @@ and the genuine-singularity filter are exact set computations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Union
@@ -161,20 +161,13 @@ class Flat:
 
 @dataclass
 class IncidenceTable:
-    """Census t_q(j) of an arrangement plus the flats behind each count."""
+    """Every flat of an arrangement with the set of forms containing it.
+
+    The t_q(j) census is the count of flats by (q, dim).
+    """
 
     arrangement: Arrangement
     flats: tuple[Flat, ...]
-    counts: dict[tuple[int, int], int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.counts:
-            for f in self.flats:
-                key = (f.q, f.dim)
-                self.counts[key] = self.counts.get(key, 0) + 1
-
-    def t(self, q: int, j: int = 0) -> int:
-        return self.counts.get((q, j), 0)
 
     def flats_of_dim(self, j: int) -> list[Flat]:
         return [f for f in self.flats if f.dim == j]
@@ -194,8 +187,7 @@ def incidence(arr: Arrangement) -> IncidenceTable:
     # level 1: the hyperplanes themselves
     level: list[tuple[_IntEchelon, frozenset[int]]] = []
     for i, f in enumerate(arr.forms):
-        ech = _IntEchelon()
-        ech.add(f)
+        ech = _IntEchelon([f])
         level.append((ech, frozenset([i])))
         all_flats.append(Flat(n, ech.key(), frozenset([i])))
 

@@ -218,6 +218,15 @@ def test_exit_two_on_unknown_suite(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_exit_two_on_samples_below_one(samples, capsys):
+    # a sampled check that sampled nothing must not pass
+    with pytest.raises(SystemExit) as err:
+        cli.main(["run", "segre", "--samples", samples])
+    assert err.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+
+
 def test_exit_two_on_unwritable_path(capsys):
     assert cli.main(["run", "theta", "--json", "/nonexistent/dir/x.json"]) == 2
     assert "cannot write" in capsys.readouterr().err

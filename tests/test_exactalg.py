@@ -1,5 +1,6 @@
 """Exact algebra layer: ring axioms, calculus rules, linear algebra oracles."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -140,7 +141,7 @@ def test_zero_degree_is_none():
 def test_grevlex_monomial_order():
     # deg-2 monomials in 3 vars, x0 > x1 > x2
     mono = monomials(3, 2)
-    assert mono == [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)]
+    assert mono == ((2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2))
     assert len(monomials(5, 3)) == 35
     assert len(monomials(6, 5)) == 252
 
@@ -259,6 +260,84 @@ def test_rref_and_rank():
     assert rank_exact([[1, 2], [2, 4], [3, 6]]) == 1
     assert rank_exact([[1, 0], [0, 1]]) == 2
     assert rank_exact([]) == 0
+
+
+def _reference_rref(rows):
+    """Gauss-Jordan over Fraction; each row then scaled to be primitive with a
+    positive leading entry (the leading entry is 1 before scaling)."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [v / m[r][c] for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    out = []
+    for row in m[:len(pivots)]:
+        den = math.lcm(*(v.denominator for v in row))
+        ints = [int(v * den) for v in row]
+        g = math.gcd(*ints)
+        out.append([v // g for v in ints])
+    return out, pivots
+
+
+@st.composite
+def mixed_matrices(draw):
+    """Rows that are integer combinations of a few basis rows, so rank
+    deficiency and zero rows are common, each divided by 1-7 and written
+    with int entries where the denominator is 1 and Fraction entries
+    elsewhere."""
+    ncols = draw(st.integers(min_value=1, max_value=5))
+    basis = draw(st.lists(st.lists(coeffs, min_size=ncols, max_size=ncols),
+                          min_size=1, max_size=3))
+    mults = st.integers(min_value=-3, max_value=3)
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        combo = [draw(mults) for _ in basis]
+        d = draw(st.integers(min_value=1, max_value=7))
+        row = [Fraction(sum(k * b[j] for k, b in zip(combo, basis)), d)
+               for j in range(ncols)]
+        rows.append([int(v) if v.denominator == 1 else v for v in row])
+    return rows
+
+
+@given(mixed_matrices())
+@settings(max_examples=80, deadline=None)
+def test_rref_int_matches_fraction_gauss_jordan(rows):
+    ech, piv = rref_int(rows)
+    assert (ech, piv) == _reference_rref(rows)
+    assert rref_int(rows[::-1]) == (ech, piv)
+    assert all(type(v) is int for row in ech for v in row)
+
+
+tiny = st.integers(min_value=-2, max_value=2)
+
+
+@given(st.integers(min_value=2, max_value=5).flatmap(
+    lambda n: st.tuples(*(st.lists(tiny, min_size=n, max_size=n) for _ in range(3)))),
+    st.booleans(), tiny, tiny)
+@settings(max_examples=80, deadline=None)
+def test_line_membership_matches_rank(vecs, on_line, a, b):
+    p, q, r = vecs
+    if on_line:
+        r = [a * x + b * y for x, y in zip(p, q)]
+    if not any(p) or not any(q) or not any(r):
+        return
+    if rank_exact([p, q]) < 2:
+        with pytest.raises(ExactAlgError, match="proportional"):
+            ProjLine(ProjPoint(p), ProjPoint(q))
+        return
+    line = ProjLine(ProjPoint(p), ProjPoint(q))
+    assert line.contains(ProjPoint(r)) == (rank_exact([p, q, r]) == 2)
+    assert line.contains(ProjPoint(r)) == (len(_reference_rref([p, q, r])[0]) == 2)
+    assert line == ProjLine(ProjPoint(q), ProjPoint([x + y for x, y in zip(p, q)]))
 
 
 def test_kernel_is_exactly_verified():

@@ -14,7 +14,6 @@ from modgem.nodalcy import (
     generic_section,
     section_nodes,
     section_report,
-    special_section,
     tangent_section,
 )
 
@@ -57,14 +56,6 @@ def test_generic_section_is_deterministic():
     assert generic_section(3).hyperplane == generic_section(3).hyperplane
 
 
-def test_special_section_names():
-    loci = lines27.special_loci()
-    name = sorted(loci.hyperplanes)[0]
-    assert special_section(name).kind == "special"
-    with pytest.raises(ExactAlgError):
-        special_section("not-a-root")
-
-
 # -- node extraction ----------------------------------------------------------
 
 
@@ -100,9 +91,10 @@ def test_tangency_point_is_smooth_on_quintic(tangent):
 
 
 def test_special_section_refuses_node_extraction():
-    name = sorted(lines27.special_loci().hyperplanes)[0]
-    with pytest.raises(ExactAlgError):
-        section_nodes(special_section(name))
+    loci = lines27.special_loci()
+    name = sorted(loci.hyperplanes)[0]
+    with pytest.raises(ExactAlgError, match="triple point"):
+        section_nodes(SectionSpec(loci.hyperplanes[name], "generic"))
 
 
 def test_invalid_generic_hyperplane_is_caught():
