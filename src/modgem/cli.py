@@ -362,11 +362,12 @@ def _(cfg, seed):
 
 @_entry("theta/identities",
         "octic and quartic constant identities hold at every sampled point",
-        lambda cfg: {"samples": max(12, cfg.samples), "maschke_below_tol": True,
-                     "quartic_below_tol": True, "odd_max_small": True,
-                     "theta4_rank": 5})
+        lambda cfg: {"samples": max(theta.MIN_SAMPLES, cfg.samples),
+                     "maschke_below_tol": True, "quartic_below_tol": True,
+                     "odd_max_small": True, "theta4_rank": 5})
 def _(cfg, seed):
-    rep = theta.identity_checks(samples=max(12, cfg.samples), seed=seed, tol=cfg.tol)
+    rep = theta.identity_checks(samples=max(theta.MIN_SAMPLES, cfg.samples), seed=seed,
+                                tol=cfg.tol)
     return {"samples": rep.samples, **rep.flags(), "theta4_rank": rep.theta4_rank}
 
 
@@ -557,11 +558,14 @@ def _cmd_nodalcy_report(args) -> int:
     return 0
 
 
-def _at_least_one(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _at_least(minimum: int) -> Callable[[str], int]:
+    """Argument type: an integer no smaller than minimum."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -573,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a verification suite")
     run.add_argument("suite", choices=(*SUITES, "all"))
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--samples", type=_at_least_one, default=20)
+    run.add_argument("--samples", type=_at_least(1), default=20)
     run.add_argument("--tol", type=float, default=1e-9)
     run.add_argument("--json", metavar="PATH", help="write the canonical JSON report")
     run.add_argument("--table", metavar="PATH", help="write the text tables")
@@ -582,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     th = sub.add_parser("theta", help="theta constant checks")
     thsub = th.add_subparsers(dest="theta_command", required=True)
     verify = thsub.add_parser("verify", help="run the identity checks")
-    verify.add_argument("--samples", type=int, default=20)
+    verify.add_argument("--samples", type=_at_least(theta.MIN_SAMPLES), default=20)
     verify.add_argument("--tol", type=float, default=1e-9)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--csv", metavar="PATH", help="write per-sample residuals")

@@ -39,12 +39,10 @@ from .exactalg import (
     _draw,
     _sample,
     _task_rng,
-    checked_rank,
     det_poly,
     elementary_symmetric,
     hessian_det,
     kernel_int,
-    monomials,
     power_sum,
     proportional,
     solve_exact,
@@ -284,45 +282,23 @@ def build_segre(seed: int = 0, offnode_samples: int = 20) -> SegreModel:
     cubes = _six_cubes()
 
     grads = F.partials()
-    for node in nodes:
-        if any(g.eval(node.coords) for g in grads):
-            raise ExactAlgError(f"node {node} is not singular on the cubic")
-
     planes = _matchings()
     bases = _plane_bases()
 
     # a pair hyperplane cuts the cubic in the three planes of the matchings
-    # through that pair; on the section the two leftover pair forms of a
-    # matching agree up to sign, so one linear form cuts each plane
+    # through that pair
     scalars: dict[tuple[int, int], Fraction] = {}
-    for pair in itertools.combinations(range(6), 2):
-        section = kernel_int([_pair_row(pair), [1] * 6])
-        if len(section) != 4:
-            raise ExactAlgError("pair hyperplane section must be a P3")
-        cut = cubes.restrict(section)
-        factors = []
-        for matching in planes:
-            if tuple(sorted(pair)) not in matching:
-                continue
-            others = [p for p in matching if p != tuple(sorted(pair))]
-            f1 = _unit_form(others[0]).restrict(section)
-            f2 = _unit_form(others[1]).restrict(section)
-            if not (f1 + f2).is_zero():
-                raise ExactAlgError("leftover pair forms must be opposite on the section")
-            factors.append(f1)
-        if len(factors) != 3:
-            raise ExactAlgError("each pair lies in exactly 3 matchings")
-        scalar = proportional(cut, _product(factors))
+    for pair, (section, planes_form) in _pair_sections().items():
+        scalar = proportional(cubes.restrict(section), planes_form)
         if scalar is None:
             raise ExactAlgError(f"section at {pair} does not split into 3 planes")
-        scalars[tuple(sorted(pair))] = scalar
+        scalars[pair] = scalar
 
-    quadrics = vanishing_space(2, 5, points=nodes)
+    # the partials vanish at the nodes, so the nodes are singular, and span
+    # every quadric through them
+    quadrics = vanishing_space(2, 5, points=nodes, candidates=grads)
     if quadrics.dim != 5:
         raise ExactAlgError(f"node quadrics have dimension {quadrics.dim}, wanted 5")
-    rows = [g.coefficient_vector(monomials(5, 2)) for g in grads]
-    if checked_rank(rows) != 5 or not all(quadrics.contains(g) for g in grads):
-        raise ExactAlgError("node quadrics must equal the span of the chart partials")
 
     node_set = set(nodes)
 
@@ -341,8 +317,33 @@ def build_segre(seed: int = 0, offnode_samples: int = 20) -> SegreModel:
                       quadrics, checked, seed)
 
 
-def _pair_row(pair) -> list[int]:
-    return [1 if k in pair else 0 for k in range(6)]
+@lru_cache(maxsize=1)
+def _pair_sections() -> dict[tuple[int, int], tuple[list[tuple[int, ...]], MPoly]]:
+    """Per pair of coordinates: a P3 basis of its hyperplane inside {sum = 0}
+    and the product of the three linear forms that cut out, on that section,
+    the matching planes through the pair.
+
+    On the section the two leftover pair forms of a matching agree up to
+    sign, so one linear form cuts each plane.
+    """
+    out = {}
+    for pair in itertools.combinations(range(6), 2):
+        section = kernel_int(_matching_rows([pair]) + [[1] * 6])
+        if len(section) != 4:
+            raise ExactAlgError("pair hyperplane section must be a P3")
+        factors = []
+        for matching in _matchings():
+            if pair not in matching:
+                continue
+            others = [p for p in matching if p != pair]
+            f1 = _unit_form(others[0]).restrict(section)
+            if not (f1 + _unit_form(others[1]).restrict(section)).is_zero():
+                raise ExactAlgError("leftover pair forms must be opposite on the section")
+            factors.append(f1)
+        if len(factors) != 3:
+            raise ExactAlgError("each pair lies in exactly 3 matchings")
+        out[pair] = (section, _product(factors))
+    return out
 
 
 # -- parametrizing the cubic -------------------------------------------------------------
@@ -550,22 +551,11 @@ def build_nieto() -> NietoModel:
             raise ExactAlgError(f"line {lab} lies in {count} coordinate planes, wanted 3")
 
     residuals: dict[tuple[int, int], MPoly] = {}
-    for pair in itertools.combinations(range(6), 2):
-        section = kernel_int([_pair_row(pair), [1] * 6])
-        cut = e5.restrict(section)
-        factors = []
-        for matching in _matchings():
-            if tuple(sorted(pair)) not in matching:
-                continue
-            others = [p for p in matching if p != tuple(sorted(pair))]
-            f1 = _unit_form(others[0]).restrict(section)
-            if not (f1 + _unit_form(others[1]).restrict(section)).is_zero():
-                raise ExactAlgError("leftover pair forms must be opposite on the section")
-            factors.append(f1)
-        quad = _exact_div(cut, _product(factors))
+    for pair, (section, planes_form) in _pair_sections().items():
+        quad = _exact_div(e5.restrict(section), planes_form)
         if quad.degree() != 2:
             raise ExactAlgError("pair section must leave a quadric after the three planes")
-        residuals[tuple(sorted(pair))] = quad
+        residuals[pair] = quad
 
     coord_scalars: dict[int, Fraction] = {}
     for i in range(6):
@@ -879,15 +869,10 @@ def triple_point_cone(label: str) -> TripleCone:
         dirs.append(ProjPoint([d6[i] for i in range(6) if i != axis]))
     if len(set(dirs)) != 10:
         raise ExactAlgError(f"{label}: line directions must be 10 distinct points")
-    s3_grads = s3.partials()
-    for d in dirs:
-        if any(g.eval(d.coords) for g in s3_grads):
-            raise ExactAlgError(f"{label}: a line direction is not a cone node")
-    quads = vanishing_space(2, 5, points=dirs)
-    if quads.dim != 5 or not all(quads.contains(g) for g in s3_grads):
+    # the cone partials vanish at the directions and span every quadric through them
+    quads = vanishing_space(2, 5, points=dirs, candidates=s3.partials())
+    if quads.dim != 5:
         raise ExactAlgError(f"{label}: cone-node quadrics must match the Jacobian span")
-    if checked_rank([g.coefficient_vector(monomials(5, 2)) for g in s3_grads]) != 5:
-        raise ExactAlgError(f"{label}: cone partials must be independent")
 
     return TripleCone(label, p, axis, s5, s4, s3, dual_form, dual_scalar,
                       tuple(dirs), quads)
@@ -1385,13 +1370,10 @@ def duality_pipeline(seed: int = 0, samples: int = 200,
         raise ExactAlgError(f"expected 15 contracted lines, found {len(lines)}")
     image_lines = tuple(lines.values())
 
-    cubics = vanishing_space(3, 5, lines=image_lines)
     dual_grads = quartic.partials()
-    if cubics.dim != 5 or not all(cubics.contains(g) for g in dual_grads):
+    cubics = vanishing_space(3, 5, lines=image_lines, candidates=dual_grads)
+    if cubics.dim != 5:
         raise ExactAlgError("cubics through the 15 lines must match the dual Jacobian")
-    if checked_rank([g.coefficient_vector(monomials(5, 3))
-                     for g in dual_grads]) != 5:
-        raise ExactAlgError("dual partials must be independent")
 
     def round_trip(rng) -> ProjPoint | None:
         pt = _beta_chart_point(_draw(rng, 4))

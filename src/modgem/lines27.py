@@ -16,8 +16,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from functools import lru_cache, partial
+from typing import Callable, Hashable, Iterable, Optional, Sequence, TypeVar
 
 from .exactalg import (
     ExactAlgError,
@@ -302,6 +302,33 @@ def enumerate_structures() -> Structures:
 
 # -- enneahedra ---------------------------------------------------------------------
 
+_H = TypeVar("_H", bound=Hashable)
+
+
+def orbit_partition(items: Iterable[_H],
+                    moves: Sequence[Callable[[_H], _H]]) -> list[frozenset[_H]]:
+    """Orbits of the items under the group the moves generate, in order of first item.
+
+    Breadth-first closure under the moves alone: each move is a permutation
+    of finite order, so its inverse is one of its powers. Orbits are
+    disjoint, so one set of seen items serves every closure.
+    """
+    orbits: list[frozenset[_H]] = []
+    seen: set[_H] = set()
+    for start in items:
+        if start in seen:
+            continue
+        seen.add(start)
+        queue = [start]
+        for cur in queue:
+            for move in moves:
+                img = move(cur)
+                if img not in seen:
+                    seen.add(img)
+                    queue.append(img)
+        orbits.append(frozenset(queue))
+    return orbits
+
 
 def _exact_cover(items: Sequence[str], sets: dict[str, frozenset[str]]) -> list[frozenset[str]]:
     """All exact covers of items by the given sets (Algorithm X)."""
@@ -364,21 +391,7 @@ def enneahedra() -> EnneahedraReport:
             mapped.append(by_lines[image])
         return frozenset(mapped)
 
-    remaining = set(covers)
-    orbits = []
-    while remaining:
-        seed = remaining.pop()
-        orbit = {seed}
-        frontier = [seed]
-        while frontier:
-            cur = frontier.pop()
-            for perm in group:
-                img = act(perm, cur)
-                if img not in orbit:
-                    orbit.add(img)
-                    frontier.append(img)
-        remaining -= orbit
-        orbits.append(frozenset(orbit))
+    orbits = orbit_partition(covers, [partial(act, perm) for perm in group])
 
     st = enumerate_structures()
     triad_count: dict[frozenset[str], int] = {c: 0 for c in covers}
@@ -643,55 +656,13 @@ class WeylGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def orbit_of_label(self, label: str) -> frozenset[str]:
-        idx = LINE_INDEX[label]
-        seen = {idx}
-        frontier = [idx]
-        while frontier:
-            cur = frontier.pop()
-            for g in self.generators:
-                nxt = g[cur]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return frozenset(LINE_LABELS[i] for i in seen)
-
-    def orbits_of_sets(self, sets: Iterable[frozenset[str]]) -> list[frozenset[frozenset[str]]]:
-        remaining = set(sets)
-        orbits = []
-        while remaining:
-            seed = remaining.pop()
-            orbit = {seed}
-            frontier = [seed]
-            while frontier:
-                cur = frontier.pop()
-                for g in self.generators:
-                    img = frozenset(LINE_LABELS[g[LINE_INDEX[l]]] for l in cur)
-                    if img not in orbit:
-                        orbit.add(img)
-                        frontier.append(img)
-            remaining -= orbit
-            orbits.append(frozenset(orbit))
-        return orbits
-
 
 @lru_cache(maxsize=1)
 def weyl_group() -> WeylGroup:
     """Full closure of the six generators; cross-checked by a stabilizer chain."""
     gens = weyl_generator_perms()
-    tables = [g + _PAD for g in gens]
-    elements = {IDENTITY27}
-    frontier = [IDENTITY27]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for t in tables:
-                q = p.translate(t)
-                if q not in elements:
-                    elements.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    group = WeylGroup(gens, frozenset(elements))
+    moves = [partial(compose, g) for g in gens]
+    group = WeylGroup(gens, orbit_partition([IDENTITY27], moves)[0])
     chain = stabilizer_chain_order(gens)
     if chain != group.order:
         raise ExactAlgError(f"closure order {group.order} != chain order {chain}")
@@ -881,23 +852,6 @@ def special_loci() -> SpecialLoci:
     )
 
 
-def hyperplane_counts_through_points() -> tuple[int, int]:
-    """(# of the 36 forms through each weight point, through each root point)."""
-    tables = coordinate_tables()
-    loci = special_loci()
-    through_weight = {
-        sum(1 for f in tables.root_forms.values() if f.eval(p.coords) == 0)
-        for p in loci.weight_points.values()
-    }
-    through_root = {
-        sum(1 for f in tables.root_forms.values() if f.eval(p.coords) == 0)
-        for p in loci.root_points.values()
-    }
-    if len(through_weight) != 1 or len(through_root) != 1:
-        raise ExactAlgError("hyperplane counts are not uniform over the orbits")
-    return through_weight.pop(), through_root.pop()
-
-
 # -- Macdonald-style memberships ------------------------------------------------------
 
 
@@ -1025,20 +979,3 @@ def incidence_complex_ranks() -> IncidenceRanks:
     }
     return IncidenceRanks(t_report, s_report)
 
-
-# -- JSON export -----------------------------------------------------------------------
-
-
-def structures_json() -> dict:
-    st = enumerate_structures()
-    tables = coordinate_tables()
-    return {
-        "lines": list(LINE_LABELS),
-        "tritangents": {k: sorted(v) for k, v in sorted(st.tritangents.items())},
-        "double_sixes": {k: sorted(v) for k, v in sorted(st.double_sixes.items())},
-        "trihedral_pairs": {k: sorted(v) for k, v in sorted(st.trihedral_pairs.items())},
-        "triads": sorted(sorted(t) for t in st.triads),
-        "root_forms": {k: tables.root_forms[k].to_str(
-            ["x1", "x2", "x3", "x4", "x5", "x6"]) for k in sorted(tables.root_forms)},
-        "counts": st.counts(),
-    }

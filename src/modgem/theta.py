@@ -37,6 +37,8 @@ TAIL_TARGET = 1e-12
 MAX_RADIUS = 12
 #: odd constants vanish identically; numerically they must stay below this
 ODD_TOL = 1e-11
+#: fewest sampled points for which the theta^4 rank check means anything
+MIN_SAMPLES = 12
 
 
 # -- characteristics -----------------------------------------------------------------
@@ -265,11 +267,11 @@ def identity_checks(samples: int = 20, seed: int = 0, tol: float = 1e-9) -> Iden
     every sampled point, every odd constant stays below ODD_TOL, and the
     stacked fourth-power vectors of the ten even constants have numerical
     rank five (singular value ratio cutoff 1e-8); the report's flags say
-    which of these held. Sampling needs at least 12 points for a meaningful
-    rank; only that and an invalid Siegel point raise ThetaError.
+    which of these held. Sampling needs at least MIN_SAMPLES points for a
+    meaningful rank; only that and an invalid Siegel point raise ThetaError.
     """
-    if samples < 12:
-        raise ThetaError("rank check needs at least 12 sampled points")
+    if samples < MIN_SAMPLES:
+        raise ThetaError(f"rank check needs at least {MIN_SAMPLES} sampled points")
     even, odd = classify_chars()
     rng = _task_rng(seed, "theta-identities")
     rows = []

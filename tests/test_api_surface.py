@@ -1,0 +1,78 @@
+"""Every name that `modgem` defines is used, and only a fixed set serves tests alone.
+
+An AST scan of `src/modgem` and `tests`: a definition counts as referenced
+when its name appears as a name, an attribute or an imported name anywhere
+outside the lines of its own definition. The scan goes by name, so two
+definitions that share a name share their references.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = sorted((ROOT / "src" / "modgem").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+
+# oracles the tests compare against, and paper claims checked only by tests
+TEST_ONLY = {
+    "action_table_rule", "root_action_from_matrix", "theta_const_genus1",
+    "pairing_scalar", "dm_check", "singular_flats", "span_basis", "flats_of_dim",
+}
+
+
+def _definitions():
+    """(name, path, first line, last line) of each module-level function and
+    class and each non-dunder method in the package.
+
+    A function named `_` is registered by its decorator and has no name to
+    reference, so it is left out."""
+    for path in SRC:
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name == "_":
+                continue
+            yield node.name, path, node.lineno, node.end_lineno
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                        yield item.name, path, item.lineno, item.end_lineno
+
+
+def _references():
+    """name -> list of (path, line) where the name is used."""
+    refs: dict[str, list[tuple[Path, int]]] = {}
+    for path in SRC + TESTS:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            for name in names:
+                refs.setdefault(name, []).append((path, node.lineno))
+    return refs
+
+
+def _outside_uses():
+    """Definition name -> the files that use it outside its own definition."""
+    refs = _references()
+    uses: dict[str, set[Path]] = {}
+    for name, path, first, last in _definitions():
+        found = uses.setdefault(name, set())
+        for ref_path, line in refs.get(name, ()):
+            if ref_path != path or not first <= line <= last:
+                found.add(ref_path)
+    return uses
+
+
+def test_every_definition_is_referenced():
+    unused = sorted(name for name, files in _outside_uses().items() if not files)
+    assert unused == []
+
+
+def test_test_only_names_are_the_kept_oracles():
+    test_only = {name for name, files in _outside_uses().items()
+                 if files and all(f in TESTS for f in files)}
+    assert test_only == TEST_ONLY

@@ -227,6 +227,14 @@ def test_exit_two_on_samples_below_one(samples, capsys):
     assert "must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("samples", ["0", "11"])
+def test_exit_two_on_theta_verify_samples_below_twelve(samples, capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["theta", "verify", "--samples", samples])
+    assert err.value.code == 2
+    assert "must be at least 12" in capsys.readouterr().err
+
+
 def test_exit_two_on_unwritable_path(capsys):
     assert cli.main(["run", "theta", "--json", "/nonexistent/dir/x.json"]) == 2
     assert "cannot write" in capsys.readouterr().err

@@ -13,8 +13,10 @@ from modgem.exactalg import (
     ExactAlgError,
     MPoly,
     ProjPoint,
+    ShadowMismatch,
     elementary_symmetric,
     power_sum,
+    vanishing_space,
 )
 
 
@@ -84,8 +86,15 @@ def test_segre_census(segre):
     assert len(segre.nodes) == 10
     assert len(segre.planes) == 15
     assert segre.node_quadrics.dim == 5
-    assert segre.node_quadrics.method == "kernel"
+    assert segre.node_quadrics.method == "candidates"
     assert len(segre.node_quadrics.modular_ranks) == 2
+
+
+def test_node_quadrics_reject_a_short_candidate_list():
+    # four partials vanish at the nodes but span less than the quadrics there
+    with pytest.raises(ShadowMismatch, match="member span 4 does not meet modular bound 5"):
+        vanishing_space(2, 5, points=gems._chart_nodes(),
+                        candidates=gems.segre_chart().partials()[:4])
 
 
 def test_segre_contains_reference_plane_and_node(segre):

@@ -1,7 +1,6 @@
 """Combinatorics of the 27 lines, the Weyl group, and the P^5 geometry."""
 
 import itertools
-import json
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -142,7 +141,7 @@ def test_tritangent_form_sums_vanish():
     for i, j in itertools.permutations(range(1, 7), 2):
         c = f"c{min(i,j)}{max(i,j)}"
         total = t.weight_forms[f"a{i}"] + t.weight_forms[f"b{j}"] + t.weight_forms[c]
-        assert total.is_zero
+        assert total.is_zero()
 
 
 # -- reflections and the Weyl group -------------------------------------------------
@@ -193,19 +192,45 @@ def test_action_table_involution():
             assert L.action_table_rule(refl, once) == target
 
 
+def _label_moves():
+    return [lambda label, g=g: L.LINE_LABELS[g[L.LINE_INDEX[label]]]
+            for g in L.weyl_group().generators]
+
+
+def _set_moves():
+    return [lambda labels, move=move: frozenset(map(move, labels)) for move in _label_moves()]
+
+
 def test_weyl_group_order_and_transitivity():
-    g = L.weyl_group()
-    assert g.order == 51840
-    assert len(g.orbit_of_label("a1")) == 27
+    assert L.weyl_group().order == 51840
+    assert [len(o) for o in L.orbit_partition(["a1"], _label_moves())] == [27]
 
 
 def test_weyl_orbits_on_structures():
-    g = L.weyl_group()
     st_ = L.enumerate_structures()
-    tri_orbits = g.orbits_of_sets(st_.tritangents.values())
+    tri_orbits = L.orbit_partition(st_.tritangents.values(), _set_moves())
     assert sorted(len(o) for o in tri_orbits) == [45]
-    ds_orbits = g.orbits_of_sets(L.ds_lines(n) for n in st_.double_sixes)
+    ds_orbits = L.orbit_partition((L.ds_lines(n) for n in st_.double_sixes), _set_moves())
     assert sorted(len(o) for o in ds_orbits) == [36]
+
+
+def _cycles(perm):
+    cycles = set()
+    for start in range(len(perm)):
+        cycle, i = {start}, perm[start]
+        while i != start:
+            cycle.add(i)
+            i = perm[i]
+        cycles.add(frozenset(cycle))
+    return cycles
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=40).flatmap(lambda n: st.permutations(list(range(n)))))
+def test_orbit_partition_of_one_permutation_is_its_cycles(perm):
+    orbits = L.orbit_partition(range(len(perm)), [perm.__getitem__])
+    assert len(orbits) == len(set(orbits))
+    assert set(orbits) == _cycles(perm)
 
 
 @settings(max_examples=60, deadline=None)
@@ -272,10 +297,6 @@ def test_line_of_a_tritangent_triple():
     assert any(line.key == l.key for l in loci.lines45)
 
 
-def test_hyperplane_counts():
-    assert L.hyperplane_counts_through_points() == (20, 15)
-
-
 def test_census_points_match_dual_points():
     table = cached_incidence("E", 6)
     loci = L.special_loci()
@@ -320,11 +341,3 @@ def test_incidence_complex_ranks():
         "rows": 45, "cols": 27, "rank": 21, "kernel": 24, "cokernel": 6}
     assert r.segre_hyperplane_plane == {
         "rows": 15, "cols": 15, "rank": 10, "kernel": 5, "cokernel": 5}
-
-
-def test_structures_json_serializable():
-    blob = json.dumps(L.structures_json(), sort_keys=True)
-    parsed = json.loads(blob)
-    assert parsed["counts"]["tritangents"] == 45
-    assert parsed["tritangents"]["(12)"] == ["a1", "b2", "c12"]
-    assert len(parsed["root_forms"]) == 36
