@@ -7,14 +7,19 @@ term order, primitive integer representatives for projective points and lines,
 and integer-pivot row reduction whose ranks are cross-checked modulo two fixed
 word-size primes.
 
-Scalars are `fractions.Fraction`, which already guarantees lowest terms and a
-positive denominator. Sampled checks draw from one seeded, bounded sampler.
+Scalars are integer-first: a rational with denominator 1 is a plain `int`,
+any other is a `fractions.Fraction` (lowest terms, positive denominator), so
+integral data never pays for Fraction arithmetic, and every division of one
+coefficient by another goes through `Fraction`. A `float` is never a scalar.
+Sampled checks draw from one seeded, bounded sampler.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import numbers
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,6 +45,21 @@ class ShadowMismatch(ExactAlgError):
 
 def _frac(x: Scalar) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _scalar(c) -> Scalar:
+    """Normal form of a rational coefficient: an int if integral, else a Fraction.
+
+    Any other `numbers.Rational` (a bool, a NumPy integer) is converted; a
+    float, which would be taken at its binary value, raises ExactAlgError.
+    """
+    if type(c) is int:
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, numbers.Rational):
+        return _scalar(Fraction(c))
+    raise ExactAlgError(f"coefficient {c!r} is not an exact rational")
 
 
 def grevlex_key(exp: tuple[int, ...]):
@@ -73,7 +93,10 @@ def monomials(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
 
 
 class MPoly:
-    """Sparse multivariate polynomial with Fraction coefficients.
+    """Sparse multivariate polynomial over Q with integer-first coefficients.
+
+    Each stored coefficient is nonzero and in `_scalar` normal form: an int
+    when integral, otherwise a Fraction.
 
     Immutable by convention: operations return new instances and never touch
     `terms` of an existing one. The zero polynomial has degree() None, a
@@ -83,12 +106,13 @@ class MPoly:
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: dict[tuple[int, ...], Fraction] | None = None):
+    def __init__(self, nvars: int, terms: dict[tuple[int, ...], Scalar] | None = None):
         self.nvars = nvars
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], Scalar] = {}
         if terms:
-            for exp, coeff in terms.items():
-                c = _frac(coeff)
+            for exp, c in terms.items():
+                if type(c) is not int:
+                    c = _scalar(c)
                 if c:
                     if len(exp) != nvars:
                         raise ExactAlgError(f"exponent length {len(exp)} != nvars {nvars}")
@@ -103,13 +127,13 @@ class MPoly:
 
     @classmethod
     def constant(cls, nvars: int, c: Scalar) -> "MPoly":
-        return cls(nvars, {(0,) * nvars: _frac(c)})
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def var(cls, i: int, nvars: int) -> "MPoly":
         exp = [0] * nvars
         exp[i] = 1
-        return cls(nvars, {tuple(exp): Fraction(1)})
+        return cls(nvars, {tuple(exp): 1})
 
     @classmethod
     def linear(cls, coeffs: Sequence[Scalar]) -> "MPoly":
@@ -120,15 +144,15 @@ class MPoly:
             if c:
                 exp = [0] * n
                 exp[i] = 1
-                terms[tuple(exp)] = _frac(c)
+                terms[tuple(exp)] = c
         return cls(n, terms)
 
     @classmethod
     def from_terms(cls, nvars: int, pairs: Iterable[tuple[Sequence[int], Scalar]]) -> "MPoly":
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict[tuple[int, ...], Scalar] = {}
         for exp, c in pairs:
             key = tuple(exp)
-            terms[key] = terms.get(key, Fraction(0)) + _frac(c)
+            terms[key] = terms.get(key, 0) + _scalar(c)
         return cls(nvars, terms)
 
     # -- ring operations ---------------------------------------------------
@@ -141,11 +165,7 @@ class MPoly:
         self._check(other)
         terms = dict(self.terms)
         for exp, c in other.terms.items():
-            s = terms.get(exp, Fraction(0)) + c
-            if s:
-                terms[exp] = s
-            else:
-                terms.pop(exp, None)
+            terms[exp] = terms.get(exp, 0) + c
         return MPoly(self.nvars, terms)
 
     def __sub__(self, other: "MPoly") -> "MPoly":
@@ -156,20 +176,15 @@ class MPoly:
 
     def __mul__(self, other: Union["MPoly", Scalar]) -> "MPoly":
         if isinstance(other, (int, Fraction)):
-            c = _frac(other)
-            if not c:
+            if not other:
                 return MPoly.zero(self.nvars)
-            return MPoly(self.nvars, {e: v * c for e, v in self.terms.items()})
+            return MPoly(self.nvars, {e: v * other for e, v in self.terms.items()})
         self._check(other)
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict[tuple[int, ...], Scalar] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(exp, Fraction(0)) + c1 * c2
-                if s:
-                    terms[exp] = s
-                else:
-                    terms.pop(exp, None)
+                exp = tuple(map(operator.add, e1, e2))
+                terms[exp] = terms.get(exp, 0) + c1 * c2
         return MPoly(self.nvars, terms)
 
     __rmul__ = __mul__
@@ -207,31 +222,33 @@ class MPoly:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
         return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
 
-    def leading(self) -> tuple[tuple[int, ...], Fraction]:
+    def leading(self) -> tuple[tuple[int, ...], Scalar]:
         if not self.terms:
             raise ExactAlgError("zero polynomial has no leading term")
         exp = max(self.terms, key=grevlex_key)
         return exp, self.terms[exp]
 
-    def coefficient_vector(self, basis: Sequence[tuple[int, ...]]) -> list[Fraction]:
-        return [self.terms.get(e, Fraction(0)) for e in basis]
+    def coefficient_vector(self, basis: Sequence[tuple[int, ...]]) -> list[Scalar]:
+        return [self.terms.get(e, 0) for e in basis]
 
     def linear_coeffs(self) -> list[Fraction]:
-        """Coefficient of each x_i in a linear form; the inverse of `linear`."""
+        """Coefficient of each x_i in a linear form, as Fractions; the inverse
+        of `linear`. Callers divide these and report them, so they stay
+        Fractions even when integral."""
         out = [Fraction(0)] * self.nvars
         for exp, c in self.terms.items():
             if sum(exp) != 1:
                 raise ExactAlgError("linear_coeffs needs a linear form")
-            out[exp.index(1)] = c
+            out[exp.index(1)] = _frac(c)
         return out
 
     # -- calculus and substitution ------------------------------------------
 
     def diff(self, i: int) -> "MPoly":
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict[tuple[int, ...], Scalar] = {}
         for exp, c in self.terms.items():
             if exp[i]:
                 new = list(exp)
@@ -243,7 +260,11 @@ class MPoly:
         return [self.diff(i) for i in range(self.nvars)]
 
     def subs(self, images: Sequence["MPoly"]) -> "MPoly":
-        """Replace variable i by images[i]; a ring homomorphism."""
+        """Replace variable i by images[i]; a ring homomorphism.
+
+        Each monomial's product of image powers is formed first and its
+        coefficient multiplied in last, straight into one accumulator.
+        """
         if len(images) != self.nvars:
             raise ExactAlgError("substitution needs one image per variable")
         target = images[0].nvars if images else self.nvars
@@ -253,21 +274,26 @@ class MPoly:
         pow_cache: dict[tuple[int, int], MPoly] = {}
 
         def power(i: int, k: int) -> MPoly:
-            if k == 0:
-                return MPoly.constant(target, 1)
+            if k == 1:
+                return images[i]
             key = (i, k)
             if key not in pow_cache:
                 pow_cache[key] = power(i, k - 1) * images[i]
             return pow_cache[key]
 
-        acc = MPoly.zero(target)
+        one = (0,) * target
+        acc: dict[tuple[int, ...], Scalar] = {}
         for exp, c in self.terms.items():
-            piece = MPoly.constant(target, c)
+            piece: MPoly | None = None
             for i, e in enumerate(exp):
                 if e:
-                    piece = piece * power(i, e)
-            acc = acc + piece
-        return acc
+                    piece = power(i, e) if piece is None else piece * power(i, e)
+            if piece is None:
+                acc[one] = acc.get(one, 0) + c
+                continue
+            for e2, c2 in piece.terms.items():
+                acc[e2] = acc.get(e2, 0) + c * c2
+        return MPoly(target, acc)
 
     def restrict(self, basis: Sequence[Sequence[Scalar]]) -> "MPoly":
         """Restrict to the span of `basis`: substitute x = sum(u_j * basis[j]).
@@ -278,54 +304,55 @@ class MPoly:
         if any(len(b) != self.nvars for b in basis):
             raise ExactAlgError("basis vectors must match nvars")
         images = [
-            MPoly(k, {tuple(1 if j == jj else 0 for jj in range(k)): _frac(basis[j][i])
+            MPoly(k, {tuple(1 if j == jj else 0 for jj in range(k)): basis[j][i]
                       for j in range(k) if basis[j][i]})
             for i in range(self.nvars)
         ]
         return self.subs(images)
 
-    def restrict_to_line(self, p: Sequence[Scalar], q: Sequence[Scalar]) -> list[Fraction]:
+    def restrict_to_line(self, p: Sequence[Scalar], q: Sequence[Scalar]) -> list[Scalar]:
         """Coefficients of the binary form self(s*p + t*q), ordered s^d .. t^d.
 
-        Only defined for homogeneous polynomials.
+        Only defined for homogeneous polynomials. The expansion of each
+        (s*p_i + t*q_i)^e is made once per call and shared by the terms.
         """
         if not self.is_homogeneous():
             raise ExactAlgError("line restriction needs a homogeneous polynomial")
         d = self.degree()
         if d is None:
-            return [Fraction(0)]
-        out = [Fraction(0)] * (d + 1)
+            return [0]
+        out: list[Scalar] = [0] * (d + 1)
+        expansions: dict[tuple[int, int], list[Scalar]] = {}
         for exp, c in self.terms.items():
-            conv = [Fraction(1)]
+            conv: list[Scalar] = [1]
             for i, e in enumerate(exp):
                 if not e:
                     continue
-                pi, qi = _frac(p[i]), _frac(q[i])
-                fac = [math.comb(e, k) * pi ** (e - k) * qi ** k for k in range(e + 1)]
+                fac = expansions.get((i, e))
+                if fac is None:
+                    fac = [math.comb(e, k) * p[i] ** (e - k) * q[i] ** k for k in range(e + 1)]
+                    expansions[(i, e)] = fac
                 conv = _convolve(conv, fac)
             for j, v in enumerate(conv):
-                out[j] += c * v
+                if v:
+                    out[j] += c * v
         return out
 
-    def eval(self, values: Sequence[Scalar]) -> Fraction:
+    def eval(self, values: Sequence[Scalar]) -> Scalar:
+        """Value at a point: an int when the point and the coefficients are
+        integral, otherwise an int or a Fraction."""
         if len(values) != self.nvars:
             raise ExactAlgError("value count mismatch")
-        vals = [_frac(v) for v in values]
-        total = Fraction(0)
-        pow_cache: dict[tuple[int, int], Fraction] = {}
-
-        def pw(i, e):
-            key = (i, e)
-            if key not in pow_cache:
-                pow_cache[key] = vals[i] ** e
-            return pow_cache[key]
-
+        pows: list[list[Scalar]] = [[1, v] for v in values]
+        total: Scalar = 0
         for exp, c in self.terms.items():
-            m = c
             for i, e in enumerate(exp):
                 if e:
-                    m *= pw(i, e)
-            total += m
+                    row = pows[i]
+                    while len(row) <= e:
+                        row.append(row[-1] * row[1])
+                    c *= row[e]
+            total += c
         return total
 
     # -- presentation --------------------------------------------------------
@@ -358,8 +385,8 @@ class MPoly:
         return f"MPoly({self.to_str()})"
 
 
-def _convolve(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+def _convolve(a: list[Scalar], b: list[Scalar]) -> list[Scalar]:
+    out: list[Scalar] = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if not x:
             continue
@@ -402,7 +429,7 @@ def proportional(p: MPoly, q: MPoly) -> Optional[Fraction]:
     pc = p.terms.get(exp)
     if pc is None:
         return None
-    c = pc / qc
+    c = Fraction(pc) / qc
     return c if p == q * c else None
 
 
@@ -727,6 +754,9 @@ def rank_mod(rows: Sequence[Sequence[Scalar]], p: int) -> int:
     Each row is cleared to integers by `_clear_row` (raising when p divides
     its denominator lcm) and reduced with integer `%`; scaling a row by a
     unit mod p leaves the rank unchanged, so no entry is inverted mod p.
+    Rows from `rank` down are zero left of `col`, so the pivot row is scaled
+    and the rows below it are updated only from `col` on, and only the rows
+    with a nonzero entry in `col` are touched.
     """
     reduced = [[v % p for v in _clear_row(r, p)] for r in rows]
     if not reduced:
@@ -737,18 +767,18 @@ def rank_mod(rows: Sequence[Sequence[Scalar]], p: int) -> int:
     for col in range(n):
         if rank == m:
             break
-        pivs = np.nonzero(a[rank:, col])[0]
-        if pivs.size == 0:
+        nonzero = rank + np.nonzero(a[rank:, col])[0]
+        if nonzero.size == 0:
             continue
-        piv = rank + int(pivs[0])
+        piv = int(nonzero[0])
         if piv != rank:
-            a[[rank, piv]] = a[[piv, rank]]
+            a[[rank, piv], col:] = a[[piv, rank], col:]
         inv = pow(int(a[rank, col]), p - 2, p)
-        a[rank] = a[rank] * inv % p
-        below = a[rank + 1:, col]
-        mask = below != 0
-        if mask.any():
-            a[rank + 1:][mask] = (a[rank + 1:][mask] - below[mask, None] * a[rank]) % p
+        a[rank, col:] = a[rank, col:] * inv % p
+        # after the swap, the old row `rank` (zero in col) sits at `piv`
+        below = nonzero[1:]
+        if below.size:
+            a[below, col:] = (a[below, col:] - a[below, col, None] * a[rank, col:]) % p
         rank += 1
     return rank
 

@@ -78,7 +78,7 @@ def _exact_div(num: MPoly, den: MPoly) -> MPoly:
         step = tuple(a - b for a, b in zip(r_exp, d_exp))
         if any(e < 0 for e in step):
             raise ExactAlgError("not an exact polynomial quotient")
-        t = MPoly.from_terms(num.nvars, [(step, r_c / d_c)])
+        t = MPoly.from_terms(num.nvars, [(step, Fraction(r_c) / d_c)])
         quo = quo + t
         rem = rem - t * den
     return quo
@@ -687,10 +687,12 @@ def build_invariant_quintic(seed: int = 0, words: int = 100) -> InvariantQuintic
     if _product(aforms) - _product(bforms) != rhs:
         raise ExactAlgError("double-six factorization identity fails")
 
+    # g is a quintic, so g(a) = g(6a) / 6^5, and the forms 6a are integral
     g = double_six_quotient()
-    g_scalar = proportional(g.subs(aforms), f)
+    g_scalar = proportional(g.subs([a * 6 for a in aforms]), f)
     if g_scalar is None or g_scalar == 0:
         raise ExactAlgError("symmetric model must be proportional to the quintic")
+    g_scalar /= 6 ** 5
 
     all27 = [tables.weight_forms[lab] for lab in lines27.LINE_LABELS]
     i5_scalar = proportional(power_sum(5, all27), f)

@@ -425,10 +425,6 @@ def enneahedra() -> EnneahedraReport:
 # -- coordinates ---------------------------------------------------------------------
 
 
-def _form(coeffs: Sequence[Fraction | int]) -> MPoly:
-    return MPoly.linear([Fraction(c) for c in coeffs])
-
-
 def root_label(subset: frozenset[int]) -> str:
     if subset == frozenset(SIX):
         return "h"
@@ -446,12 +442,8 @@ class CoordinateTables:
     simple_roots: tuple[str, ...]
     killing: MPoly
 
-    def bilinear(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-        s = sum((Fraction(a) * Fraction(b) for a, b in zip(u[:5], v[:5])), Fraction(0))
-        return s + Fraction(u[5]) * Fraction(v[5]) / 3
-
     def pairing_scalar(self, form: MPoly, dual: Sequence[Fraction]) -> Optional[Fraction]:
-        paired = _form([Fraction(d) for d in dual[:5]] + [Fraction(dual[5]) / 3])
+        paired = MPoly.linear(list(dual[:5]) + [Fraction(dual[5]) / 3])
         return proportional(paired, form)
 
 
@@ -555,7 +547,7 @@ def reflection_matrix(root: str) -> Matrix:
 
 def apply_to_form(f: MPoly, mat: Matrix) -> MPoly:
     """Pullback of a linear form along the matrix (form of the composite map)."""
-    return _form(_mat_vec_row(f.linear_coeffs(), mat))
+    return MPoly.linear(_mat_vec_row(f.linear_coeffs(), mat))
 
 
 def perm27_from_matrix(mat: Matrix) -> bytes:
@@ -789,12 +781,13 @@ def special_loci() -> SpecialLoci:
         a2_points.append(frozenset(
             n for n, p in root_points.items() if line.contains(p)))
 
+    # the I2 pairing is sum(u_i v_i, i <= 5) + u_6 v_6 / 3; on the integer
+    # coordinates of the points, three times it is an integer
     def orthogonal(i: int, j: int) -> bool:
         for n1 in a2_points[i]:
             for n2 in a2_points[j]:
                 u, v = root_points[n1].coords, root_points[n2].coords
-                if tables.bilinear([Fraction(c) for c in u],
-                                   [Fraction(c) for c in v]) != 0:
+                if 3 * sum(a * b for a, b in zip(u[:5], v[:5])) + u[5] * v[5]:
                     return False
         return True
 

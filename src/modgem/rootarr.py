@@ -177,8 +177,11 @@ def incidence(arr: Arrangement) -> IncidenceTable:
     """Full flat lattice by level-wise closure against the hyperplanes.
 
     Level c holds the codimension-c flats, keyed by the canonical echelon of
-    their constraint space. Each new flat's containing-form set is recomputed
-    from scratch by exact membership, never inherited, so the census cannot
+    their constraint space. Each parent flat is extended by every form not
+    yet in its `covered` set: its own forms, and the forms of the flats it
+    has already made, since extending by any of those would make one of
+    them again. A new flat's containing-form set is computed once, from
+    scratch by exact membership, never inherited, so the census cannot
     drift from the geometry.
     """
     n = arr.ambient
@@ -192,20 +195,22 @@ def incidence(arr: Arrangement) -> IncidenceTable:
         all_flats.append(Flat(n, ech.key(), frozenset([i])))
 
     for codim in range(1, n):
-        nxt: dict[tuple, _IntEchelon] = {}
+        nxt: dict[tuple, tuple[_IntEchelon, frozenset[int]]] = {}
         for ech, members in level:
+            covered = set(members)
             for i, f in enumerate(arr.forms):
-                if i in members:
+                if i in covered:
                     continue
                 ext = ech.copy()
-                if ext.add(f):
-                    nxt.setdefault(ext.key(), ext)
-        # exact containment sets for the new level
-        level = []
-        for key, ech in nxt.items():
-            members = frozenset(i for i, f in enumerate(arr.forms) if ech.contains(f))
-            level.append((ech, members))
-            all_flats.append(Flat(n, key, members))
+                if not ext.add(f):
+                    continue
+                key = ext.key()
+                if key not in nxt:
+                    forms = frozenset(j for j, g in enumerate(arr.forms) if ext.contains(g))
+                    nxt[key] = (ext, forms)
+                    all_flats.append(Flat(n, key, forms))
+                covered |= nxt[key][1]
+        level = list(nxt.values())
         if not level:
             break
 

@@ -5,6 +5,7 @@ pytest assertion instead. Heavy reports are shared through module fixtures
 so the gate stays in the minutes range.
 """
 
+import hashlib
 import time
 from fractions import Fraction
 
@@ -14,6 +15,10 @@ from modgem import cli, gems, lines27, nodalcy, rootarr, theta
 from modgem.exactalg import SHADOW_PRIMES, monomials
 
 CENSUS = cli.ARRANGEMENT_CENSUS
+
+# sha256 of the canonical `run all --seed 42` report, the regression oracle;
+# a change that alters the report on purpose names the new digest here
+SEED42_REPORT_SHA256 = "03f58f138c3f989b0e7dc67a741d64ce7af70a03698c08325e100462fc08ef76"
 
 
 def _line(name: str, detail: str) -> None:
@@ -186,4 +191,6 @@ def test_12_determinism(tmp_path):
     assert cli.main(argv + ["--json", str(paths[1])]) == 0
     blobs = [p.read_bytes() for p in paths]
     assert blobs[0] == blobs[1]
-    _line("determinism", "run all --seed 42 byte-identical across two runs")
+    assert hashlib.sha256(blobs[0]).hexdigest() == SEED42_REPORT_SHA256
+    _line("determinism", "run all --seed 42 byte-identical across two runs "
+          "and to the pinned digest")

@@ -106,13 +106,49 @@ def mixed_polys(draw, nvars=2, max_deg=2, max_terms=4):
 
 
 def assert_no_float(*polys):
+    """Every coefficient is in normal form: an int, or a Fraction that is not one."""
     for poly in polys:
-        assert all(isinstance(c, (int, Fraction)) for c in poly.terms.values())
+        for c in poly.terms.values():
+            assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
 
 
-@given(mixed_polys(), mixed_polys(), mixed_polys(), mixed_coeffs)
+def fraction_eval(poly, point):
+    """All-Fraction oracle for MPoly.eval."""
+    total = Fraction(0)
+    for exp, c in poly.terms.items():
+        m = Fraction(c)
+        for v, e in zip(point, exp):
+            m *= Fraction(v) ** e
+        total += m
+    return total
+
+
+def top_part(poly):
+    """The homogeneous part of highest degree."""
+    d = poly.degree()
+    return MPoly(poly.nvars, {e: c for e, c in poly.terms.items() if sum(e) == d})
+
+
+def assert_line_restriction(poly, p, q):
+    """The binary form of restrict_to_line agrees with the Fraction oracle at
+    d+1 distinct points (s:t) of the line, which determines a degree-d form."""
+    out = poly.restrict_to_line(p, q)
+    d = len(out) - 1
+    for s, t in [(1, k) for k in range(d)] + [(0, 1)]:
+        form = sum((v * Fraction(s) ** (d - j) * Fraction(t) ** j
+                    for j, v in enumerate(out)), Fraction(0))
+        assert form == fraction_eval(poly, [s * a + t * b for a, b in zip(p, q)])
+
+
+point_ints = st.lists(coeffs, min_size=2, max_size=2)
+point_fracs = st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=12),
+                       min_size=2, max_size=2)
+
+
+@given(mixed_polys(), mixed_polys(), mixed_polys(), mixed_coeffs,
+       point_ints, point_ints, point_fracs, point_fracs)
 @settings(max_examples=60, deadline=None)
-def test_mixed_coefficients_keep_the_ring_exact(p, q, r, c):
+def test_mixed_coefficients_keep_the_ring_exact(p, q, r, c, x, y, u, v):
     assert (p + q) + r == p + (q + r)
     assert p * q == q * p
     assert (p * q) * r == p * (q * r)
@@ -129,6 +165,36 @@ def test_mixed_coefficients_keep_the_ring_exact(p, q, r, c):
         assert all(type(v) is int for v in _clear_row(row))
     for prime in SHADOW_PRIMES:
         assert type(rank_mod(rows, prime)) is int
+    for poly in (p, q, p * q, subs_prod):
+        for point in (x, u):
+            assert poly.eval(point) == fraction_eval(poly, point)
+        top = top_part(poly)
+        assert_line_restriction(top, x, y)
+        assert_line_restriction(top, u, v)
+        assert_line_restriction(top, x, v)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: MPoly(1, {(1,): 0.1}),
+    lambda: MPoly(2, {(1, 0): 1, (0, 1): 0.0}),
+    lambda: MPoly.constant(2, 0.5),
+    lambda: MPoly.linear([1, 2.0]),
+    lambda: MPoly.from_terms(1, [((1,), 0.25)]),
+], ids=["init", "init-zero", "constant", "linear", "from-terms"])
+def test_float_coefficient_is_rejected(make):
+    # a float would be taken at its binary value, 0.1 as 3602879701896397/2^55
+    with pytest.raises(ExactAlgError, match="not an exact rational"):
+        make()
+
+
+def test_integral_coefficients_are_stored_as_int():
+    p = MPoly(2, {(1, 0): Fraction(4, 2), (0, 1): Fraction(1, 3), (0, 0): True})
+    assert [type(c) for c in p.terms.values()] == [int, Fraction, int]
+    assert type((p * 3).terms[(0, 1)]) is int
+    assert type(proportional(p * 3, p)) is Fraction
+    q = MPoly(2, {(2, 0): 3, (1, 1): -1, (0, 2): Fraction(4, 2)})
+    assert type(q.eval([2, -5])) is int
+    assert all(type(v) is int for v in q.restrict_to_line([1, 2], [-3, 1]))
 
 
 # -- degree and term order -----------------------------------------------------
@@ -404,6 +470,29 @@ def test_modular_rank_on_big_and_mixed_entries(case):
     assert rank_exact(rows) == rank
     for p in SHADOW_PRIMES:
         assert rank_mod(rows, p) == rank
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Mostly-zero matrices with entries in -2..2, some columns all zero, and
+    rows shuffled so that a pivot often lies below its row and needs a swap."""
+    m = draw(st.integers(min_value=1, max_value=8))
+    n = draw(st.integers(min_value=1, max_value=8))
+    zero_cols = draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
+    entry = st.sampled_from([0, 0, 0, 0, 0, -2, -1, 1, 2])
+    rows = [[0 if j in zero_cols else draw(entry) for j in range(n)] for _ in range(m)]
+    # a staircase of leading zeros, then shuffled: pivots sit below their rows
+    for i, row in enumerate(rows):
+        row[:min(i, n - 1)] = [0] * min(i, n - 1)
+    return draw(st.permutations(rows))
+
+
+@given(sparse_matrices())
+@settings(max_examples=150, deadline=None)
+def test_rank_mod_on_sparse_matrices_with_swaps(rows):
+    r = rank_exact(rows)
+    for p in SHADOW_PRIMES:
+        assert rank_mod(rows, p) == r
 
 
 def test_rank_mod_rejects_a_denominator_divisible_by_p():

@@ -1,12 +1,13 @@
 """Root arrangements: form counts, flat censuses, genuine singularities, weights."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modgem.exactalg import ExactAlgError
+from modgem.exactalg import ExactAlgError, rank_exact, rref_int
 from modgem.rootarr import (
     INF,
     Arrangement,
@@ -143,6 +144,25 @@ def test_flat_form_sets_are_exact():
             if all(sum(a * b for a, b in zip(f, vec)) == 0 for vec in span)
         }
         assert vanishing == set(flat.forms)
+
+
+@pytest.mark.parametrize("fam", ["A", "B", "D", "F"])
+def test_incidence_matches_subset_enumeration(fam):
+    # oracle: every subset of at most `ambient` forms cuts a nonempty flat;
+    # key it by the rref_int echelon of the subset, and take as its forms
+    # those whose adjoining leaves the rank unchanged
+    arr = arrangement(RootSystemId(fam, 4))
+    expected = set()
+    for size in range(1, arr.ambient + 1):
+        for subset in itertools.combinations(arr.forms, size):
+            rows, _ = rref_int(subset)
+            key = tuple(map(tuple, rows))
+            forms = frozenset(i for i, f in enumerate(arr.forms)
+                              if rank_exact(rows + [list(f)]) == len(rows))
+            expected.add((key, forms))
+    flats = cached_incidence(fam, 4).flats
+    assert len(flats) == len(expected)
+    assert {(f.constraints, f.forms) for f in flats} == expected
 
 
 def test_incidence_double_count():
