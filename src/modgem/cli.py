@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -558,14 +559,15 @@ def _cmd_nodalcy_report(args) -> int:
     return 0
 
 
-def _at_least(minimum: int) -> Callable[[str], int]:
-    """Argument type: an integer no smaller than minimum."""
-    def integer(text: str) -> int:
-        value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+def _at_least(minimum: float, kind: Callable[[str], Any] = int) -> Callable[[str], Any]:
+    """Argument type: a finite number of the given kind, no smaller than minimum."""
+    def number(text: str):
+        value = kind(text)
+        if not minimum <= value < math.inf:  # a nan fails both comparisons
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum} and finite, got {value}")
         return value
-    return integer
+    return number
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -578,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("suite", choices=(*SUITES, "all"))
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--samples", type=_at_least(1), default=20)
-    run.add_argument("--tol", type=float, default=1e-9)
+    run.add_argument("--tol", type=_at_least(0, float), default=1e-9)
     run.add_argument("--json", metavar="PATH", help="write the canonical JSON report")
     run.add_argument("--table", metavar="PATH", help="write the text tables")
     run.set_defaults(func=_cmd_run)
@@ -587,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     thsub = th.add_subparsers(dest="theta_command", required=True)
     verify = thsub.add_parser("verify", help="run the identity checks")
     verify.add_argument("--samples", type=_at_least(theta.MIN_SAMPLES), default=20)
-    verify.add_argument("--tol", type=float, default=1e-9)
+    verify.add_argument("--tol", type=_at_least(0, float), default=1e-9)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--csv", metavar="PATH", help="write per-sample residuals")
     verify.set_defaults(func=_cmd_theta_verify)

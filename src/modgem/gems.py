@@ -110,24 +110,13 @@ def _pullback(f: MPoly, mat) -> MPoly:
     return f.subs(images)
 
 
+def _require_form(form: MPoly, degree: int) -> None:
+    """Raise unless form is a nonzero homogeneous form of the given degree."""
+    if form.is_zero() or not form.is_homogeneous() or form.degree() != degree:
+        raise ExactAlgError(f"defining form must be homogeneous of degree {degree}")
+
+
 # -- domain types ------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Hypersurface:
-    """A projective hypersurface in a fixed chart, plus the claim it certifies."""
-
-    name: str
-    chart: str
-    form: MPoly
-    degree: int
-    claim: str
-
-    def __post_init__(self):
-        if self.form.is_zero() or not self.form.is_homogeneous() \
-                or self.form.degree() != self.degree:
-            raise ExactAlgError(
-                f"{self.name}: defining form must be homogeneous of degree {self.degree}")
 
 
 @dataclass(frozen=True)
@@ -135,25 +124,19 @@ class TripleCone:
     """Degree pieces of the invariant quintic at one of its 36 triple points.
 
     In the chart x = t*p + u (u running over a coordinate complement, t the
-    coordinate along p) the quintic collapses to s5 + s3*(t*dual_form + t**2):
-    the three highest t-powers vanish because the point has multiplicity 3,
-    and the t-linear piece factors through the tangent cone cubic s3.
+    coordinate along p) the quintic collapses to s5 + s3*(t*dual_scalar*ell + t**2)
+    with ell the dual root form: the three highest t-powers vanish because the point
+    has multiplicity 3, and the t-linear piece factors through the tangent cone cubic s3.
     """
 
     label: str
     point: ProjPoint
     chart_axis: int
     s5: MPoly
-    s4: MPoly
     s3: MPoly
-    dual_form: MPoly
     dual_scalar: Fraction
     directions: tuple[ProjPoint, ...]
     direction_quadrics: VanishingSpace
-
-    def __post_init__(self):
-        if self.s4 != self.s3 * self.dual_form:
-            raise ExactAlgError("tangent data violates s4 = s3 * dual form")
 
 
 @dataclass(frozen=True)
@@ -254,14 +237,10 @@ def _plane_bases() -> tuple[tuple[tuple[int, ...], ...], ...]:
 
 @dataclass(frozen=True)
 class SegreModel:
-    surface: Hypersurface
     nodes: tuple[ProjPoint, ...]
     planes: tuple[tuple[tuple[int, int], ...], ...]
-    plane_bases: tuple[tuple[tuple[int, ...], ...], ...]
     hyperplane_scalars: dict[tuple[int, int], Fraction]
     node_quadrics: VanishingSpace
-    offnode_samples: int
-    seed: int
 
 
 def build_segre(seed: int = 0, offnode_samples: int = 20) -> SegreModel:
@@ -274,16 +253,13 @@ def build_segre(seed: int = 0, offnode_samples: int = 20) -> SegreModel:
     through the 10 nodes form the 5-dimensional span of the chart partials.
     """
     F = segre_chart()
-    surface = Hypersurface(
-        "segre-cubic", "x5 eliminated by x5 = -(x0+...+x4)", F, 3,
-        "ten-nodal cubic threefold: both elementary symmetric functions "
-        "sigma1 and the sum of cubes vanish")
+    _require_form(F, 3)
     nodes = _chart_nodes()
     cubes = _six_cubes()
 
     grads = F.partials()
     planes = _matchings()
-    bases = _plane_bases()
+    _plane_bases()  # raises unless each plane lies on the cubic with 4 nodes
 
     # a pair hyperplane cuts the cubic in the three planes of the matchings
     # through that pair
@@ -312,9 +288,8 @@ def build_segre(seed: int = 0, offnode_samples: int = 20) -> SegreModel:
             raise ExactAlgError(f"unexpected singular point {pt}")
         return pt
 
-    checked = len(_sample(_task_rng(seed, "segre-offnode"), offnode_samples, offnode))
-    return SegreModel(surface, nodes, planes, bases, scalars,
-                      quadrics, checked, seed)
+    _sample(_task_rng(seed, "segre-offnode"), offnode_samples, offnode)
+    return SegreModel(nodes, planes, scalars, quadrics)
 
 
 @lru_cache(maxsize=1)
@@ -384,7 +359,6 @@ class ParamReport:
     samples_on_cubic: int
     degenerate_line_node: ProjPoint
     probe_point: ProjPoint
-    seed: int
 
 
 def segre_param(seed: int = 0, samples: int = 10) -> ParamReport:
@@ -402,10 +376,7 @@ def segre_param(seed: int = 0, samples: int = 10) -> ParamReport:
         raise ExactAlgError("product identity of the parametrizing quadrics fails")
 
     comps = beta_components()
-    total = comps[0]
-    for c in comps[1:]:
-        total = total + c
-    if not total.is_zero():
+    if not elementary_symmetric(1, comps).is_zero():
         raise ExactAlgError("assembled coordinates must sum to zero")
     if not power_sum(3, list(comps)).is_zero():
         raise ExactAlgError("assembled coordinates must have vanishing cube sum")
@@ -428,7 +399,7 @@ def segre_param(seed: int = 0, samples: int = 10) -> ParamReport:
     probe = _beta_chart_point((1, 2, 3, 5))
     if probe is None or F.eval(probe.coords):
         raise ExactAlgError("probe parameter point must land on the cubic")
-    return ParamReport(found, node_img, probe, seed)
+    return ParamReport(found, node_img, probe)
 
 
 # -- the Nieto quintic -------------------------------------------------------------------
@@ -449,7 +420,6 @@ def _e5_six() -> MPoly:
 
 @dataclass(frozen=True)
 class NietoModel:
-    surface: Hypersurface
     lines: tuple[ProjLine, ...]
     line_labels: tuple[tuple[int, int, int], ...]
     nodes: tuple[ProjPoint, ...]
@@ -472,9 +442,7 @@ def build_nieto() -> NietoModel:
     into five planes.
     """
     N = nieto_chart()
-    surface = Hypersurface(
-        "nieto-quintic", "x5 eliminated by x5 = -(x0+...+x4)", N, 5,
-        "first and fifth elementary symmetric functions of six coordinates vanish")
+    _require_form(N, 5)
     grads = N.partials()
     e5 = _e5_six()
 
@@ -567,7 +535,7 @@ def build_nieto() -> NietoModel:
             raise ExactAlgError(f"coordinate section {i} must split into five planes")
         coord_scalars[i] = scalar
 
-    return NietoModel(surface, tuple(lines), labels, nodes, tuple(cross),
+    return NietoModel(tuple(lines), labels, nodes, tuple(cross),
                       tuple(matching_planes), tuple(coordinate_planes),
                       residuals, coord_scalars)
 
@@ -646,13 +614,10 @@ def double_six_quotient() -> MPoly:
 
 @dataclass(frozen=True)
 class InvariantQuintic:
-    surface: Hypersurface
-    symmetric_model: MPoly
     symmetric_scalar: Fraction
     power_scalars: dict[int, Fraction]
     generator_checks: int
     word_checks: int
-    seed: int
 
 
 def build_invariant_quintic(seed: int = 0, words: int = 100) -> InvariantQuintic:
@@ -671,10 +636,7 @@ def build_invariant_quintic(seed: int = 0, words: int = 100) -> InvariantQuintic
     generators' permutations in the word's order.
     """
     f = invariant_quintic_form()
-    surface = Hypersurface(
-        "invariant-quintic", "all six homogeneous coordinates, no elimination", f, 5,
-        "unique quintic fixed by the Weyl group of E6 acting on the "
-        "six-dimensional reflection representation")
+    _require_form(f, 5)
     tables = lines27.coordinate_tables()
     aforms = [tables.weight_forms[f"a{i}"] for i in (1, 2, 3, 4, 5, 6)]
     bforms = [tables.weight_forms[f"b{i}"] for i in (1, 2, 3, 4, 5, 6)]
@@ -694,11 +656,14 @@ def build_invariant_quintic(seed: int = 0, words: int = 100) -> InvariantQuintic
         raise ExactAlgError("symmetric model must be proportional to the quintic")
     g_scalar /= 6 ** 5
 
-    all27 = [tables.weight_forms[lab] for lab in lines27.LINE_LABELS]
+    # likewise over the integral forms 6w: a power sum of degree k scales by 6^k
+    all27 = [tables.weight_forms[lab] * 6 for lab in lines27.LINE_LABELS]
     i5_scalar = proportional(power_sum(5, all27), f)
     i2_scalar = proportional(power_sum(2, all27), tables.killing)
     if not i5_scalar or not i2_scalar:
         raise ExactAlgError("power sums must be nonzero multiples of the invariants")
+    i5_scalar /= 6 ** 5
+    i2_scalar /= 6 ** 2
 
     names, mats, perms = lines27.weyl_generators()
     for name, mat in zip(names, mats):
@@ -717,8 +682,7 @@ def build_invariant_quintic(seed: int = 0, words: int = 100) -> InvariantQuintic
         if lines27.perm27_from_matrix(mat) != perm:
             raise ExactAlgError("a generator word does not act as its permutation")
 
-    return InvariantQuintic(surface, g, g_scalar,
-                            {2: i2_scalar, 5: i5_scalar}, len(mats), words, seed)
+    return InvariantQuintic(g_scalar, {2: i2_scalar, 5: i5_scalar}, len(mats), words)
 
 
 # -- singular locus of the invariant quintic ----------------------------------------------
@@ -734,7 +698,6 @@ class SingularLocusReport:
     third_order_witness: dict[str, tuple[int, int, int]]
     offline_checked: int
     jacobian_quartics: VanishingSpace
-    seed: int
 
 
 def i5_singular_locus(seed: int = 0, offline_samples: int = 50) -> SingularLocusReport:
@@ -808,8 +771,7 @@ def i5_singular_locus(seed: int = 0, offline_samples: int = 50) -> SingularLocus
     checked = len(_sample(_task_rng(seed, "quintic-offline"), offline_samples, offline))
 
     return SingularLocusReport(len(loci.lines120), len(loci.root_points), wall,
-                               per_point[0], per_line[0], witness, checked,
-                               quartics, seed)
+                               per_point[0], per_line[0], witness, checked, quartics)
 
 
 def triple_point_cone(label: str) -> TripleCone:
@@ -852,13 +814,12 @@ def triple_point_cone(label: str) -> TripleCone:
     pieces = [MPoly.from_terms(5, buckets[j]) for j in range(6)]
     if any(not pieces[j].is_zero() for j in (3, 4, 5)):
         raise ExactAlgError(f"{label}: multiplicity is below 3")
-    s5, s4, s3 = pieces[0], pieces[1], pieces[2]
+    s5, s3 = pieces[0], pieces[2]
 
     ell = MPoly.linear([c for i, c in enumerate(hf.linear_coeffs()) if i != axis])
     dual_scalar = Fraction(2) / hval
-    dual_form = ell * dual_scalar
     # reassembly in the mixed ring: f(t*p + u) = s5 + s3*(t*dual + t^2)
-    if expanded != _lift5to6(s5) + _lift5to6(s3) * (t * _lift5to6(dual_form) + t * t):
+    if expanded != _lift5to6(s5) + _lift5to6(s3) * (t * _lift5to6(ell * dual_scalar) + t * t):
         raise ExactAlgError(f"{label}: expansion does not reassemble")
 
     through = [line for line in loci.lines120 if line.contains(p)]
@@ -876,8 +837,7 @@ def triple_point_cone(label: str) -> TripleCone:
     if quads.dim != 5:
         raise ExactAlgError(f"{label}: cone-node quadrics must match the Jacobian span")
 
-    return TripleCone(label, p, axis, s5, s4, s3, dual_form, dual_scalar,
-                      tuple(dirs), quads)
+    return TripleCone(label, p, axis, s5, s3, dual_scalar, tuple(dirs), quads)
 
 
 # -- linear subspaces of the invariant quintic --------------------------------------------
@@ -1151,14 +1111,12 @@ def psi_octics() -> tuple[MPoly, ...]:
 
 @dataclass(frozen=True)
 class RationalizationReport:
-    maps: RationalizationMaps
     base_p3_names: tuple[str, ...]
     exact_checked: int
     modular_checked: dict[int, int]
     failure_log10: dict[int, float]
     roundtrip_phi_psi: int
     roundtrip_psi_phi: int
-    seed: int
 
 
 def _eval_batch_mod(polys: Sequence[MPoly], values: np.ndarray, p: int) -> list[np.ndarray]:
@@ -1277,8 +1235,8 @@ def rationalize_i5(seed: int = 0, exact_samples: int = 50,
     phi_checked = len(_sample(rng, roundtrip_samples, phi_psi))
     psi_checked = len(_sample(rng, roundtrip_samples, psi_phi))
 
-    return RationalizationReport(maps, tuple(base_names), checked, modular, bounds,
-                                 phi_checked, psi_checked, seed)
+    return RationalizationReport(tuple(base_names), checked, modular, bounds,
+                                 phi_checked, psi_checked)
 
 
 # -- duality between the cubic and the quartic ---------------------------------------------
@@ -1292,12 +1250,11 @@ class DualityReport:
     images are sampled once, with no second attempt.
     """
 
-    igusa: Hypersurface
+    quartic: MPoly
     fitted_dim: int
     image_lines: tuple[ProjLine, ...]
     line_cubics: VanishingSpace
     biduality_checked: int
-    seed: int
 
 
 def _gradient_image(grads: Sequence[MPoly], pt: ProjPoint) -> ProjPoint | None:
@@ -1342,10 +1299,7 @@ def duality_pipeline(seed: int = 0, samples: int = 200,
     if fitted.dim != 1:
         raise ExactAlgError(f"fitted quartic space has dimension {fitted.dim}, wanted 1")
     quartic = fitted.basis[0]
-    igusa = Hypersurface(
-        "igusa-quartic", "gradient-image coordinates of the cubic chart", quartic, 4,
-        "dual hypersurface of the ten-nodal cubic, fitted through gradient "
-        "images and singular along 15 lines")
+    _require_form(quartic, 4)
     _exact_div(quartic.subs(grads), F)
 
     lines: dict[tuple, ProjLine] = {}
@@ -1393,8 +1347,7 @@ def duality_pipeline(seed: int = 0, samples: int = 200,
 
     checked = len(_sample(rng, biduality_samples, round_trip))
 
-    return DualityReport(igusa, fitted.dim, image_lines, cubics,
-                         checked, seed)
+    return DualityReport(quartic, fitted.dim, image_lines, cubics, checked)
 
 
 # -- auxiliary sections --------------------------------------------------------------------
@@ -1426,10 +1379,7 @@ def auxiliary_sections() -> SectionsReport:
     ys = [MPoly.from_terms(4, ((tuple(1 if t == k else 0 for t in range(4)), b[i])
                                for k, b in enumerate(basis) if b[i]))
           for i in range(5)]
-    total = ys[0]
-    for y in ys[1:]:
-        total = total + y
-    if not total.is_zero() or F.restrict(basis) != power_sum(3, ys):
+    if not elementary_symmetric(1, ys).is_zero() or F.restrict(basis) != power_sum(3, ys):
         raise ExactAlgError("diagonal section must be the five-cube equation")
 
     cubes = _six_cubes()

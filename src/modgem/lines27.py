@@ -24,8 +24,10 @@ from .exactalg import (
     MPoly,
     ProjLine,
     ProjPoint,
+    _clear_row,
     checked_rank,
     det_bareiss,
+    elementary_symmetric,
     proportional,
     rref_int,
     vanishing_space,
@@ -366,7 +368,6 @@ def _exact_cover(items: Sequence[str], sets: dict[str, frozenset[str]]) -> list[
 class EnneahedraReport:
     partitions: tuple[frozenset[str], ...]
     orbit_sizes: tuple[int, ...]
-    orbits: tuple[frozenset[frozenset[str]], ...]
     triad_statistic: dict[int, int]
 
 
@@ -381,7 +382,7 @@ def enneahedra() -> EnneahedraReport:
     """
     tri = tritangents()
     covers = _exact_cover(LINE_LABELS, tri)
-    group = weyl_generator_perms()
+    group = weyl_generators()[2]
     by_lines = {v: k for k, v in tri.items()}
 
     def act(perm: bytes, partition: frozenset[str]) -> frozenset[str]:
@@ -417,7 +418,6 @@ def enneahedra() -> EnneahedraReport:
     return EnneahedraReport(
         tuple(sorted(covers, key=sorted)),
         tuple(sorted(len(o) for o in orbits)),
-        tuple(orbits),
         stat,
     )
 
@@ -459,14 +459,7 @@ def coordinate_tables() -> CoordinateTables:
     """
     x = [MPoly.var(i, 6) for i in range(6)]
     half = Fraction(1, 2)
-
-    def sigma_top() -> MPoly:
-        acc = MPoly.zero(6)
-        for i in range(5):
-            acc = acc + x[i]
-        return acc
-
-    s5 = sigma_top()  # x1+..+x5
+    s5 = elementary_symmetric(1, x[:5])  # x1+..+x5
 
     root_forms: dict[str, MPoly] = {}
     root_forms["h"] = (s5 + x[5]) * half
@@ -626,10 +619,6 @@ def weyl_generators() -> tuple[tuple[str, ...], tuple[Matrix, ...], tuple[bytes,
     return names, mats, tuple(perms)
 
 
-def weyl_generator_perms() -> tuple[bytes, ...]:
-    return weyl_generators()[2]
-
-
 IDENTITY27 = bytes(range(27))
 _PAD = bytes(range(27, 256))
 
@@ -652,7 +641,7 @@ class WeylGroup:
 @lru_cache(maxsize=1)
 def weyl_group() -> WeylGroup:
     """Full closure of the six generators; cross-checked by a stabilizer chain."""
-    gens = weyl_generator_perms()
+    gens = weyl_generators()[2]
     moves = [partial(compose, g) for g in gens]
     group = WeylGroup(gens, orbit_partition([IDENTITY27], moves)[0])
     chain = stabilizer_chain_order(gens)
@@ -857,15 +846,16 @@ class MacdonaldReport:
 
 def _a2a2_products() -> list[MPoly]:
     """For each of the 120 lines: product of the six root forms vanishing on it."""
-    # a linear form vanishes on a line exactly when it vanishes at both spanning points
-    forms = [(f, f.linear_coeffs()) for f in coordinate_tables().root_forms.values()]
+    # a linear form vanishes on a line exactly when it vanishes at both spanning
+    # points; the forms are cleared to integers, which scales each product only
+    forms = [_clear_row(f.linear_coeffs()) for f in coordinate_tables().root_forms.values()]
     out = []
     for line in special_loci().lines120:
         prod = MPoly.constant(6, 1)
         count = 0
-        for f, w in forms:
+        for w in forms:
             if not any(sum(a * b for a, b in zip(w, pt.coords)) for pt in (line.p, line.q)):
-                prod = prod * f
+                prod = prod * MPoly.linear(w)
                 count += 1
         if count != 6:
             raise ExactAlgError("each of the 120 lines lies on exactly 6 hyperplanes")

@@ -208,8 +208,6 @@ class NodalSectionReport:
     b2: int
     b3: int
     euler: int
-    membership_checks: int
-    charts_agree: bool
     vanishing: VanishingSpace
 
 
@@ -284,4 +282,4 @@ def section_report(spec: SectionSpec, seed: int = 0) -> NodalSectionReport:
     b3 = 2 + 2 * h21
     euler = 2 * h11 - 2 * h21
     return NodalSectionReport(spec.kind, s, dim1, defect, jac_rank, h11, h21,
-                              b2, b3, euler, len(restricted), True, space)
+                              b2, b3, euler, space)

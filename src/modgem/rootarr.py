@@ -251,9 +251,8 @@ NValue = Union[Fraction, float]  # Fraction, or INF when 1 - mu_i - mu_j = 0
 
 @dataclass(frozen=True)
 class DMParameters:
-    """Weight sextuple with its derived branching numbers and verdict."""
+    """Branching numbers derived from a weight sextuple, and the verdict."""
 
-    mu: tuple[Fraction, ...]
     n_pairs: dict[tuple[int, int], NValue]
     n_triples: dict[tuple[int, int, int], NValue]
     accepted: bool
@@ -297,7 +296,7 @@ def dm_check(mu: Sequence[Union[int, Fraction]]) -> DMParameters:
             pairs = [(rest[0], rest[1]), (rest[1], rest[2]), (rest[0], rest[2])]
             s = sum((_recip(n_pairs[tuple(sorted(p))]) for p in pairs), Fraction(0))
             n_triples[(0, i, j)] = INF if s == 0 else 2 / s
-    return DMParameters(w, n_pairs, n_triples, not failures, tuple(failures))
+    return DMParameters(n_pairs, n_triples, not failures, tuple(failures))
 
 
 # the complete list of weight systems passing the check, up to reordering

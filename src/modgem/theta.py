@@ -247,7 +247,6 @@ class IdentityReport:
     theta4_rank: int
     singular_values: tuple[float, ...]
     tol: float
-    seed: int
 
     def flags(self) -> dict[str, bool]:
         """Whether each residual maximum stayed below its tolerance."""
@@ -288,4 +287,4 @@ def identity_checks(samples: int = 20, seed: int = 0, tol: float = 1e-9) -> Iden
                           max(r.maschke for r in rows),
                           max(r.quartic for r in rows),
                           max(r.odd_max for r in rows),
-                          rank, tuple(float(x) for x in sv), tol, seed)
+                          rank, tuple(float(x) for x in sv), tol)

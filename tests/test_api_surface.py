@@ -76,3 +76,28 @@ def test_test_only_names_are_the_kept_oracles():
     test_only = {name for name, files in _outside_uses().items()
                  if files and all(f in TESTS for f in files)}
     assert test_only == TEST_ONLY
+
+
+def _fields():
+    """(class name, field name) of each annotated field of a class in the package."""
+    for path in SRC:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        yield node.name, item.target.id
+
+
+def test_every_field_is_read():
+    """A record field that nothing reads certifies nothing.
+
+    A field counts as read when its name is loaded as an attribute anywhere
+    in `src/modgem` or `tests`. The scan goes by name, so a dead field that
+    shares its name with a live one, such as a `seed` that only echoes an
+    argument back, is not caught.
+    """
+    reads = {node.attr for path in SRC + TESTS
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = sorted(f"{cls}.{name}" for cls, name in _fields() if name not in reads)
+    assert unread == []

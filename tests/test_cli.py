@@ -211,6 +211,17 @@ def test_loose_tolerance_recorded(tmp_path):
     assert report["config"]["tol"] == 1e-6
 
 
+@pytest.mark.parametrize("argv", [["run", "theta", "--tol", "inf"],
+                                  ["run", "theta", "--tol", "nan"],
+                                  ["theta", "verify", "--tol", "inf"]])
+def test_exit_two_on_tolerance_not_finite(argv, capsys):
+    # every residual is below an infinite tolerance, so it would check nothing
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+    assert "must be at least 0 and finite" in capsys.readouterr().err
+
+
 def test_exit_two_on_unknown_suite(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["run", "nosuch"])

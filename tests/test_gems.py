@@ -327,7 +327,7 @@ def test_duality_fit(duality):
 
 
 def test_fitted_quartic_fingerprint(duality):
-    Q = duality.igusa.form
+    Q = duality.quartic
     assert Q.degree() == 4 and len(Q.terms) == 70
     assert Q.terms[(4, 0, 0, 0, 0)] == 5
     assert Q.terms[(3, 1, 0, 0, 0)] == -4
@@ -337,17 +337,17 @@ def test_fitted_quartic_fingerprint(duality):
 
 
 def test_fitted_quartic_symmetry_and_seed_independence(duality):
-    Q = duality.igusa.form
+    Q = duality.quartic
     x = [MPoly.var(i, 5) for i in range(5)]
     swap = [x[1], x[0], x[2], x[3], x[4]]
     cycle = [x[1], x[2], x[3], x[4], x[0]]
     assert Q.subs(swap) == Q and Q.subs(cycle) == Q
-    assert gems.duality_pipeline(seed=3).igusa.form == Q
+    assert gems.duality_pipeline(seed=3).quartic == Q
 
 
 def test_fitted_quartic_composite_is_divisible_by_the_cubic(duality):
     F = gems.segre_chart()
-    quo = gems._exact_div(duality.igusa.form.subs(F.partials()), F)
+    quo = gems._exact_div(duality.quartic.subs(F.partials()), F)
     assert quo.degree() == 5
 
 
@@ -366,12 +366,12 @@ def test_auxiliary_sections():
 
 def test_hypersurface_rejects_wrong_degree():
     with pytest.raises(ExactAlgError):
-        gems.Hypersurface("bad", "chart", gems.segre_chart(), 4, "wrong degree")
+        gems._require_form(gems.segre_chart(), 4)
 
 
 def test_hypersurface_rejects_zero_form():
     with pytest.raises(ExactAlgError):
-        gems.Hypersurface("bad", "chart", MPoly.zero(5), 3, "zero form")
+        gems._require_form(MPoly.zero(5), 3)
 
 
 def test_rationalization_maps_reject_tampered_quartics():

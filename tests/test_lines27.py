@@ -164,7 +164,7 @@ def test_reflection_involution_and_invariance():
 
 
 def test_generator_perms_preserve_meets():
-    for perm in L.weyl_generator_perms():
+    for perm in L.weyl_generators()[2]:
         assert L.check_meets_preserved(perm)
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modgem import lines27
+from modgem import lines27, nodalcy
 from modgem.exactalg import ExactAlgError, MPoly, ProjPoint
 from modgem.gems import invariant_quintic_form
 from modgem.nodalcy import (
@@ -134,8 +134,19 @@ def test_generic_report(generic):
     assert rep.jacobian_rank == 25
     assert (rep.h11, rep.h21) == (25, 5)
     assert (rep.b2, rep.b3, rep.euler) == (25, 12, 40)
-    assert rep.charts_agree
-    assert rep.membership_checks == 6
+
+
+def test_report_raises_when_the_charts_disagree(generic, monkeypatch):
+    # the second, randomly mixed chart is the call that passes a mixing matrix
+    real = nodalcy._chart_dimension
+
+    def skewed(f, h, nodes, tangency, mix=None):
+        dim, *rest = real(f, h, nodes, tangency, mix)
+        return (dim + 1 if mix is not None else dim, *rest)
+
+    monkeypatch.setattr(nodalcy, "_chart_dimension", skewed)
+    with pytest.raises(ExactAlgError, match="chart choice"):
+        section_report(generic[0])
 
 
 def test_generic_vanishing_space_contract(generic):
