@@ -591,25 +591,20 @@ def _clear_row(row: Sequence[Scalar], p: int = 0) -> list[int]:
     return [v.numerator * (denom // v.denominator) for v in row]
 
 
-def _int_products(rows: Sequence[Sequence[int]],
+def _int_products(rows: np.ndarray | Sequence[Sequence[int]],
                   vecs: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Exact rows @ vecs^T for integer data.
+    """Exact rows @ vecs^T for integer rows (lists, or an int64 or object array).
 
     Uses int64 matrix multiplication when the worst-case entry provably
-    fits, otherwise falls back to Python integers.
+    fits, otherwise object arithmetic on Python integers.
     """
-    if not rows or not vecs:
+    if not len(rows) or not vecs:
         return [[] for _ in vecs]
-    n = len(rows[0])
-    max_r = max(abs(v) for row in rows for v in row)
-    max_c = max((abs(v) for vec in vecs for v in vec), default=0)
-    if max_r * max_c * n < 2 ** 62:
-        a = np.array(rows, dtype=np.int64)
-        b = np.array(vecs, dtype=np.int64).T
-        prod = a @ b
-        return [prod[:, k].tolist() for k in range(len(vecs))]
-    return [[sum(r * c for r, c in zip(row, vec)) for row in rows]
-            for vec in vecs]
+    a = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
+    b = np.array(vecs, dtype=object).T
+    if int(np.abs(a).max()) * int(np.abs(b).max()) * a.shape[1] < 2 ** 62:
+        return (a.astype(np.int64) @ b.astype(np.int64)).T.tolist()
+    return (a.astype(object) @ b).T.tolist()
 
 
 class _IntEchelon:
@@ -748,21 +743,25 @@ def det_bareiss(rows: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def rank_mod(rows: Sequence[Sequence[Scalar]], p: int) -> int:
-    """Rank over GF(p), vectorized.
+def _pivot_rows(rows: np.ndarray | Sequence[Sequence[Scalar]], p: int) -> list[int]:
+    """Indices of the rows that carry the pivots of an elimination over GF(p).
 
-    Each row is cleared to integers by `_clear_row` (raising when p divides
-    its denominator lcm) and reduced with integer `%`; scaling a row by a
-    unit mod p leaves the rank unchanged, so no entry is inverted mod p.
-    Rows from `rank` down are zero left of `col`, so the pivot row is scaled
-    and the rows below it are updated only from `col` on, and only the rows
-    with a nonzero entry in `col` are touched.
+    `rows` is an int64 or object array, or rows of scalars, each cleared to
+    integers by `_clear_row` (raising when p divides its denominator lcm).
+    Entries are reduced with integer `%`; scaling a row by a unit mod p
+    leaves the rank unchanged, so no entry is inverted mod p. Rows from
+    `rank` down are zero left of `col`, so the pivot row is scaled and the
+    rows below it are updated only from `col` on, and only the rows with a
+    nonzero entry in `col` are touched. The returned rows are independent
+    mod p and span the row space mod p; their number is the rank.
     """
-    reduced = [[v % p for v in _clear_row(r, p)] for r in rows]
-    if not reduced:
-        return 0
-    a = np.array(reduced, dtype=np.int64)
+    if isinstance(rows, np.ndarray):
+        a = (rows % p).astype(np.int64)
+    else:
+        a = np.array([[v % p for v in _clear_row(r, p)] for r in rows],
+                     dtype=np.int64).reshape(len(rows), -1)
     m, n = a.shape
+    order = list(range(m))
     rank = 0
     for col in range(n):
         if rank == m:
@@ -773,6 +772,7 @@ def rank_mod(rows: Sequence[Sequence[Scalar]], p: int) -> int:
         piv = int(nonzero[0])
         if piv != rank:
             a[[rank, piv], col:] = a[[piv, rank], col:]
+            order[rank], order[piv] = order[piv], order[rank]
         inv = pow(int(a[rank, col]), p - 2, p)
         a[rank, col:] = a[rank, col:] * inv % p
         # after the swap, the old row `rank` (zero in col) sits at `piv`
@@ -780,7 +780,15 @@ def rank_mod(rows: Sequence[Sequence[Scalar]], p: int) -> int:
         if below.size:
             a[below, col:] = (a[below, col:] - a[below, col, None] * a[rank, col:]) % p
         rank += 1
-    return rank
+    return order[:rank]
+
+
+def rank_mod(rows: np.ndarray | Sequence[Sequence[Scalar]], p: int) -> int:
+    """Rank over GF(p) of an integer array or of rows of scalars (see `_pivot_rows`).
+
+    A minor that vanishes over Q vanishes mod p, so rank_p <= rank_Q.
+    """
+    return len(_pivot_rows(rows, p))
 
 
 def checked_rank(rows: Sequence[Sequence[Scalar]],
@@ -824,38 +832,31 @@ class VanishingSpace:
 
 def evaluation_rows(degree: int, nvars: int,
                     points: Sequence[ProjPoint] = (),
-                    lines: Sequence[ProjLine] = ()) -> list[list[int]]:
+                    lines: Sequence[ProjLine] = ()) -> np.ndarray:
     """Evaluation matrix of all degree-d monomials against the constraints.
 
     A point contributes one row; a line contributes d+1 rows at the fixed
     parameters (1:0), (1:1), ..., (1:d-1), (0:1). A degree-d binary form
     vanishing at d+1 distinct points of a line is identically zero, so the
-    rows capture line containment exactly, no genericity needed.
+    rows capture line containment exactly, no genericity needed. Each column
+    is gathered from per-point power tables. No entry exceeds
+    max|coord|^d, so the array is int64 when that is below 2^62 and holds
+    Python ints (dtype object) otherwise. With n monomials and k independent
+    forms in its kernel, rank_p <= rank_Q <= n - k at every prime p.
     """
-    mono = monomials(nvars, degree)
-    rows = []
-
-    def point_row(coords: Sequence[int]) -> list[int]:
-        maxdeg = degree
-        pows = [[1] * (maxdeg + 1) for _ in range(nvars)]
-        for i, c in enumerate(coords):
-            for e in range(1, maxdeg + 1):
-                pows[i][e] = pows[i][e - 1] * c
-        out = []
-        for exp in mono:
-            v = 1
-            for i, e in enumerate(exp):
-                if e:
-                    v *= pows[i][e]
-            out.append(v)
-        return out
-
-    for pt in points:
-        rows.append(point_row(pt.coords))
-    for line in lines:
-        for coords in line.parameter_points(degree + 1):
-            rows.append(point_row(coords))
-    return rows
+    coords = [pt.coords for pt in points]
+    coords += [c for line in lines for c in line.parameter_points(degree + 1)]
+    top = max((abs(c) for row in coords for c in row), default=0)
+    dtype = np.int64 if top ** degree < 2 ** 62 else object
+    base = np.array(coords, dtype=dtype).reshape(len(coords), nvars)
+    pows = np.ones((*base.shape, degree + 1), dtype=dtype)
+    for e in range(1, degree + 1):
+        pows[:, :, e] = pows[:, :, e - 1] * base
+    exps = np.array(monomials(nvars, degree))
+    out = pows[:, 0, exps[:, 0]]
+    for i in range(1, nvars):
+        out = out * pows[:, i, exps[:, i]]
+    return out
 
 
 def vanishing_space(degree: int, nvars: int,
@@ -870,16 +871,25 @@ def vanishing_space(degree: int, nvars: int,
     elimination of a large matrix, e.g. sextics against 216 lines. Every
     member is certified the same way. Annihilating all evaluation rows
     proves membership, since d+1 sample points per line see the whole line.
-    A maximal independent subset gives dim >= k. At each prime,
-    n_cols - rank_p >= n_cols - rank_Q = dim gives an upper bound, and the
-    bound at every prime must equal k (otherwise ShadowMismatch). The result
-    is exact, not probabilistic.
+    A maximal independent subset of k members gives dim >= k, so for n
+    monomials and every prime p, rank_p <= rank_Q <= n - k. The first prime
+    eliminates the whole matrix and records its pivot rows, which span the
+    row space over Q whenever rank_p0 = rank_Q; the kernel route takes the
+    kernel of those rows only, and checking every member against every row
+    makes it the kernel of the whole matrix. A later prime eliminates only
+    the pivot rows: rank n - k there squeezes the whole matrix's rank_p to
+    n - k, and a shortfall sends it to the whole matrix. Each recorded rank
+    is the whole matrix's, and n - rank_p must equal k at every prime
+    (otherwise ShadowMismatch). The result is exact, not probabilistic.
     """
     mono = monomials(nvars, degree)
-    rows = evaluation_rows(degree, nvars, points, lines)
+    mat = evaluation_rows(degree, nvars, points, lines)
+    first, *later = primes
+    pivots = _pivot_rows(mat, first)
     method = "candidates" if candidates is not None else "kernel"
     if method == "kernel":
-        cleared = kernel_int(rows)
+        # without pivot rows every form vanishes; a zero row keeps the width
+        cleared = kernel_int(mat[pivots].tolist() or [[0] * len(mono)])
         candidates = [MPoly(nvars, dict(zip(mono, vec))) for vec in cleared]
     else:
         cleared = []
@@ -887,18 +897,22 @@ def vanishing_space(degree: int, nvars: int,
             if cand.degree() != degree:
                 raise ExactAlgError("candidate of wrong degree")
             cleared.append(_clear_row(cand.coefficient_vector(mono)))
-    for vals in _int_products(rows, cleared):
+    for vals in _int_products(mat, cleared):
         if any(vals):
+            if method == "kernel":
+                raise ShadowMismatch(f"rank mod {first} is below the rank over Q")
             raise ExactAlgError("candidate fails a constraint, not a member")
-    ranks = {p: rank_mod(rows, p) for p in primes}
-    upper = len(mono) - max(ranks.values())
     chosen: list[MPoly] = []
     echelon = _IntEchelon()
     for cand, vec in zip(candidates, cleared):
         if echelon.add(vec):
             chosen.append(cand)
-            if len(chosen) == upper:
+            if len(chosen) == len(mono) - len(pivots):
                 break
+    ranks = {first: len(pivots)}
+    for p in later:
+        rp = len(_pivot_rows(mat[pivots], p))
+        ranks[p] = rp if rp == len(mono) - len(chosen) else rank_mod(mat, p)
     for p, rp in ranks.items():
         if len(mono) - rp != len(chosen):
             raise ShadowMismatch(

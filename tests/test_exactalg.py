@@ -4,8 +4,9 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from modgem.exactalg import (
     DRAWS_PER_RESULT,
@@ -19,6 +20,7 @@ from modgem.exactalg import (
     det_bareiss,
     det_poly,
     elementary_symmetric,
+    evaluation_rows,
     hessian_det,
     kernel_int,
     monomials,
@@ -31,6 +33,8 @@ from modgem.exactalg import (
     vanishing_space,
     _clear_row,
     _draw,
+    _int_products,
+    _pivot_rows,
     _sample,
     _task_rng,
 )
@@ -586,6 +590,108 @@ def test_candidates_rejected_when_one_prime_drops_rank():
     pts = [ProjPoint([1, 0]), ProjPoint([1, p])]
     with pytest.raises(ShadowMismatch):
         vanishing_space(1, 2, points=pts, candidates=[])
+
+
+def test_kernel_route_rejects_a_first_prime_that_drops_rank():
+    # the kernel of the first prime's pivot row [1, 0] misses the row [1, p]
+    p = SHADOW_PRIMES[0]
+    pts = [ProjPoint([1, 0]), ProjPoint([1, p])]
+    with pytest.raises(ShadowMismatch):
+        vanishing_space(1, 2, points=pts)
+
+
+def test_vanishing_space_without_constraints_is_every_form():
+    x = _vars(3)
+    conics = [a * b for i, a in enumerate(x) for b in x[i:]]
+    for vs in (vanishing_space(2, 3), vanishing_space(2, 3, candidates=conics)):
+        assert vs.dim == 6
+        assert vs.modular_ranks == {p: 0 for p in SHADOW_PRIMES}
+
+
+def test_later_prime_falls_back_to_the_whole_matrix():
+    # rows 0 and 1 are the pivot rows mod p1 but agree mod p2, where row 2
+    # restores the rank: the recorded rank must be the whole matrix's
+    p1, p2 = SHADOW_PRIMES
+    pts = [ProjPoint([1, 1]), ProjPoint([1, 1 + p2]), ProjPoint([0, 1])]
+    assert _pivot_rows(evaluation_rows(1, 2, pts), p1) == [0, 1]
+    assert rank_mod([[1, 1], [1, 1 + p2]], p2) == 1
+    vs = vanishing_space(1, 2, points=pts)
+    assert vs.dim == 0
+    assert vs.modular_ranks == {p1: 2, p2: 2}
+
+
+@st.composite
+def low_rank_points(draw):
+    """The rows of a random low-rank integer matrix, as projective points.
+
+    A product of small factors of inner size r, with rows repeated, rows
+    scaled by M (which the primitive form of a ProjPoint divides out) and
+    rows with M times another row added, 2^64 <= |M| <= 2^80: that keeps
+    the rank over Q and mod both primes, and pushes entries past int64.
+    Returns (number of columns, points).
+    """
+    n = draw(st.integers(min_value=2, max_value=5))
+    r = draw(st.integers(min_value=1, max_value=n))
+    m = draw(st.integers(min_value=1, max_value=8))
+    left = [[draw(coeffs) for _ in range(r)] for _ in range(m)]
+    right = [[draw(coeffs) for _ in range(n)] for _ in range(r)]
+    rows = [[sum(a * b for a, b in zip(lrow, col)) for col in zip(*right)] for lrow in left]
+    big = st.integers(min_value=2 ** 64, max_value=2 ** 80)
+    index = st.integers(min_value=0, max_value=m - 1)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        rows.append(list(rows[draw(index)]))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        scale = draw(big)
+        rows.append([scale * v for v in rows[draw(index)]])
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        i, j = draw(index), draw(index)
+        scale = draw(big) * draw(st.sampled_from([1, -1]))
+        if i != j:
+            rows[i] = [a + scale * b for a, b in zip(rows[i], rows[j])]
+    # shuffled, so that a repeated row often comes before an independent one
+    points = [ProjPoint(row) for row in draw(st.permutations(rows)) if any(row)]
+    assume(points)
+    return n, points
+
+
+@given(low_rank_points())
+@settings(max_examples=80, deadline=None)
+def test_pivot_rows_give_the_whole_matrix_rank_and_kernel(case):
+    # in degree 1 the evaluation matrix is the points' coordinate matrix
+    n, points = case
+    full = [list(pt.coords) for pt in points]
+    vs = vanishing_space(1, n, points=points)
+    assert vs.modular_ranks == {p: rank_mod(full, p) for p in SHADOW_PRIMES}
+    mono = monomials(n, 1)
+    assert [b.coefficient_vector(mono) for b in vs.basis] == [list(v) for v in kernel_int(full)]
+
+
+@pytest.mark.parametrize("top, dtype", [(2 ** 31 - 1, np.int64), (2 ** 31, object)])
+def test_evaluation_rows_switch_to_python_ints_past_int64(top, dtype):
+    # the entry bound top^2 is just below 2^62, then equal to it
+    pts = [ProjPoint([top, 1, 3]), ProjPoint([-top, top, 2]), ProjPoint([0, 0, 1])]
+    ln = ProjLine(ProjPoint([1, -2, 0]), ProjPoint([3, 0, 1]))
+    mat = evaluation_rows(2, 3, pts, [ln])
+    assert mat.dtype == dtype
+    coords = [pt.coords for pt in pts] + ln.parameter_points(3)
+    assert mat.tolist() == [[math.prod(c ** e for c, e in zip(row, exp))
+                             for exp in monomials(3, 2)] for row in coords]
+
+
+def test_int_products_on_each_dtype_match_python_sums():
+    rows = [[2 ** 31 - 1, -(2 ** 31 - 1), 3], [5, 0, -7]]
+    wide = [[2 ** 70, 1, -3], [-(2 ** 65), 2, 0]]
+    small_vecs = [[1, 2, 3], [-4, 0, 9]]
+    big_vecs = [[2 ** 40, 1, -(2 ** 45)]]  # pushes the products past int64
+    for mat, vecs in [(rows, small_vecs), (rows, big_vecs), (wide, small_vecs)]:
+        want = [[sum(a * b for a, b in zip(row, vec)) for row in mat] for vec in vecs]
+        arrays = [mat, np.array(mat, dtype=object)]
+        if mat is rows:
+            arrays.append(np.array(mat, dtype=np.int64))
+        for arr in arrays:
+            got = _int_products(arr, vecs)
+            assert got == want
+            assert all(type(v) is int for vals in got for v in vals)
 
 
 # -- linear forms --------------------------------------------------------------
