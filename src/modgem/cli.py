@@ -23,7 +23,7 @@ from functools import partial
 from typing import Any, Callable
 
 from . import gems, lines27, nodalcy, rootarr, theta
-from .exactalg import SHADOW_PRIMES
+from .exactalg import SHADOW_PRIMES, ExactAlgError
 
 SCHEMA_VERSION = 1
 
@@ -541,9 +541,13 @@ def _cmd_theta_verify(args) -> int:
 
 
 def _cmd_nodalcy_report(args) -> int:
-    spec = (nodalcy.generic_section(args.seed) if args.kind == "generic"
-            else nodalcy.tangent_section(args.seed))
-    rep = nodalcy.section_report(spec, seed=args.seed)
+    try:
+        spec = (nodalcy.generic_section(args.seed) if args.kind == "generic"
+                else nodalcy.tangent_section(args.seed))
+        rep = nodalcy.section_report(spec, seed=args.seed)
+    except ExactAlgError as exc:
+        print(f"nodal report failed: {exc}", file=sys.stderr)
+        return 1
     payload = {**_nodal_computed(rep), "kind": rep.kind, "b2": rep.b2, "b3": rep.b3,
                "seed": args.seed}
     if args.json:

@@ -98,14 +98,12 @@ def _flat_chart_basis(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     return [v[:5] for v in kernel_int(full)]
 
 
-def _mat_mul(a, b):
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(6)), Fraction(0)) for j in range(6))
-        for i in range(6)
-    )
+def _mat_mul(a: lines27.IntMatrix, b: lines27.IntMatrix) -> lines27.IntMatrix:
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
 
 
-def _pullback(f: MPoly, mat) -> MPoly:
+def _pullback(f: MPoly, mat: lines27.IntMatrix) -> MPoly:
     images = [lines27.apply_to_form(MPoly.var(i, 6), mat) for i in range(6)]
     return f.subs(images)
 
@@ -634,24 +632,30 @@ def build_invariant_quintic(seed: int = 0, words: int = 100) -> InvariantQuintic
     scalar +1 (`lines27.perm27_from_matrix`), which fixes the power sum and
     hence the quintic, and that permutation is the composite of the
     generators' permutations in the word's order.
+
+    All of it runs in int, on the forms 6·w and 6h and on the generators
+    stored as 4·M: a generator's pullback must give 4^5·f, and a word of
+    length L is 4^L times its product, which `perm27_from_matrix` divides
+    exactly before it reads the permutation.
     """
     f = invariant_quintic_form()
     _require_form(f, 5)
     tables = lines27.coordinate_tables()
-    aforms = [tables.weight_forms[f"a{i}"] for i in (1, 2, 3, 4, 5, 6)]
-    bforms = [tables.weight_forms[f"b{i}"] for i in (1, 2, 3, 4, 5, 6)]
-    h = tables.root_forms["h"]
+    aforms = [tables.weight_forms[f"a{i}"] * 6 for i in (1, 2, 3, 4, 5, 6)]
+    bforms = [tables.weight_forms[f"b{i}"] * 6 for i in (1, 2, 3, 4, 5, 6)]
+    h = tables.root_forms["h"] * 6
 
-    # product difference of the double six, divisible by h with the stated quotient
+    # product difference of the double six, divisible by h with the stated
+    # quotient; both sides are sextics, so over 6a, 6b and 6h each scales by 6^6
     sig = [elementary_symmetric(k, aforms) for k in range(6)]
     rhs = -(h * sig[5] + h ** 2 * sig[4] + h ** 3 * sig[3]
             + h ** 4 * sig[2] + h ** 5 * sig[1] + h ** 6)
     if _product(aforms) - _product(bforms) != rhs:
         raise ExactAlgError("double-six factorization identity fails")
 
-    # g is a quintic, so g(a) = g(6a) / 6^5, and the forms 6a are integral
+    # g is a quintic, so g(a) = g(6a) / 6^5
     g = double_six_quotient()
-    g_scalar = proportional(g.subs([a * 6 for a in aforms]), f)
+    g_scalar = proportional(g.subs(aforms), f)
     if g_scalar is None or g_scalar == 0:
         raise ExactAlgError("symmetric model must be proportional to the quintic")
     g_scalar /= 6 ** 5
@@ -665,9 +669,11 @@ def build_invariant_quintic(seed: int = 0, words: int = 100) -> InvariantQuintic
     i5_scalar /= 6 ** 5
     i2_scalar /= 6 ** 2
 
+    # a generator is stored as 4M, and f is a quintic: f(4Mx) = 4^5 f(Mx)
     names, mats, perms = lines27.weyl_generators()
+    fixed = f * lines27.WEYL_SCALE ** 5
     for name, mat in zip(names, mats):
-        if _pullback(f, mat) != f:
+        if _pullback(f, mat) != fixed:
             raise ExactAlgError(f"generator {name} does not fix the quintic")
     # the sum of w^5 over the 27 weight forms is i5_scalar * f, i5_scalar != 0,
     # so a word matrix that permutes the weight forms at scalar +1 fixes f;
@@ -679,7 +685,7 @@ def build_invariant_quintic(seed: int = 0, words: int = 100) -> InvariantQuintic
         for k in word[1:]:
             mat = _mat_mul(mat, mats[k])
             perm = lines27.compose(perms[k], perm)
-        if lines27.perm27_from_matrix(mat) != perm:
+        if lines27.perm27_from_matrix(mat, lines27.WEYL_SCALE ** len(word)) != perm:
             raise ExactAlgError("a generator word does not act as its permutation")
 
     return InvariantQuintic(g_scalar, {2: i2_scalar, 5: i5_scalar}, len(mats), words)

@@ -5,10 +5,11 @@ Labels follow Schläfli: a_1..a_6, b_1..b_6, c_ij. Everything combinatorial
 enumerated from the meets relation and then reconciled against the classical
 named lists, so a transcription slip on either side cannot survive.
 
-The Weyl group enters twice: as 6x6 rational reflection matrices built from
-the root forms and their Killing-dual vectors, and as the permutation group
-of the 27 labels those matrices induce on the weight forms. The permutations
-are never hand-coded; they are read off the matrix action.
+The Weyl group enters twice: as 6x6 reflection matrices built from the root
+forms and their Killing-dual vectors, stored as the integer matrices 4·M, and
+as the permutation group of the 27 labels those matrices induce on the
+weight forms. The permutations are never hand-coded; they are read off the
+matrix action in exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .exactalg import (
     ProjLine,
     ProjPoint,
     _clear_row,
+    _scalar,
     checked_rank,
     det_bareiss,
     elementary_symmetric,
@@ -506,53 +508,68 @@ def coordinate_tables() -> CoordinateTables:
 # -- reflections and the Weyl group ----------------------------------------------------
 
 
-Matrix = tuple[tuple[Fraction, ...], ...]
+IntMatrix = tuple[tuple[int, ...], ...]
+
+# the generators are stored as WEYL_SCALE times their rational matrices
+WEYL_SCALE = 4
 
 
-def _mat_vec_row(row: Sequence[Fraction], mat: Matrix) -> tuple[Fraction, ...]:
-    return tuple(
-        sum((row[p] * mat[p][q] for p in range(6)), Fraction(0))
-        for q in range(6)
-    )
+def _mat_vec_row(row: Sequence[int], mat: IntMatrix) -> tuple[int, ...]:
+    return tuple(sum(row[p] * mat[p][q] for p in range(6)) for q in range(6))
 
 
-def reflection_matrix(root: str) -> Matrix:
-    """6x6 matrix of the reflection fixing the root's hyperplane.
+def reflection_matrix(root: str) -> IntMatrix:
+    """4·M in int, M the 6x6 matrix of the reflection fixing the root's hyperplane.
 
     s(x) = x - 2 B(x,R)/B(R,R) * R with B the I2 bilinear form and R any
-    dual vector of the root; the formula is scale-invariant in R.
+    dual vector of the root; the formula is scale-invariant in R, so the
+    root form is cleared to integers first. The entries of M lie in (1/4)Z
+    (for the simple roots only h12 has entries outside Z, ±1/4 and ±3/4); an
+    entry of 4·M outside Z raises ExactAlgError.
     """
     tables = coordinate_tables()
     if root not in tables.root_forms:
         raise ExactAlgError(f"unknown root form {root}")
-    w = tables.root_forms[root].linear_coeffs()
-    r = list(w[:5]) + [3 * w[5]]
-    norm = sum((w[i] * r[i] for i in range(6)), Fraction(0))
-    mat = [
-        [
-            (Fraction(1) if p == q else Fraction(0)) - 2 * r[p] * w[q] / norm
-            for q in range(6)
-        ]
-        for p in range(6)
-    ]
-    return tuple(tuple(row) for row in mat)
+    w = _clear_row(tables.root_forms[root].linear_coeffs())
+    r = w[:5] + [3 * w[5]]
+    norm = sum(wi * ri for wi, ri in zip(w, r))
+    scaled = [[WEYL_SCALE * ((norm if p == q else 0) - 2 * r[p] * w[q]) for q in range(6)]
+              for p in range(6)]
+    if any(v % norm for row in scaled for v in row):
+        raise ExactAlgError(f"reflection {root} is not integral at scale {WEYL_SCALE}")
+    return tuple(tuple(v // norm for v in row) for row in scaled)
 
 
-def apply_to_form(f: MPoly, mat: Matrix) -> MPoly:
+def apply_to_form(f: MPoly, mat: IntMatrix) -> MPoly:
     """Pullback of a linear form along the matrix (form of the composite map)."""
-    return MPoly.linear(_mat_vec_row(f.linear_coeffs(), mat))
+    return MPoly.linear(_mat_vec_row([_scalar(c) for c in f.linear_coeffs()], mat))
 
 
-def perm27_from_matrix(mat: Matrix) -> bytes:
-    """Permutation of the 27 labels induced on the weight forms; exact match."""
+@lru_cache(maxsize=1)
+def _weight_rows() -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], int]]:
+    """The integral forms 6·w as rows in label order, and each row's index."""
     tables = coordinate_tables()
+    rows = tuple(tuple(_clear_row((tables.weight_forms[lab] * 6).linear_coeffs()))
+                 for lab in LINE_LABELS)
+    return rows, {row: k for k, row in enumerate(rows)}
+
+
+def perm27_from_matrix(mat: IntMatrix, scale: int) -> bytes:
+    """Permutation of the 27 labels induced on the weight forms by mat / scale.
+
+    mat is an integer matrix, scale times a rational one (WEYL_SCALE**L for
+    a word of L generators). Each integral form 6·w is mapped through mat;
+    every image coefficient must be exactly divisible by scale, and the
+    quotient must be one of the 27 forms 6·w, so the scalar is exactly +1.
+    A failure raises ExactAlgError.
+    """
+    rows, index = _weight_rows()
     images = []
-    by_poly = {}
-    for k, lab in enumerate(LINE_LABELS):
-        by_poly[tables.weight_forms[lab]] = k
-    for lab in LINE_LABELS:
-        img = apply_to_form(tables.weight_forms[lab], mat)
-        k = by_poly.get(img)
+    for row, lab in zip(rows, LINE_LABELS):
+        img = _mat_vec_row(row, mat)
+        if any(v % scale for v in img):
+            raise ExactAlgError(f"image of weight form {lab} is not divisible by {scale}")
+        k = index.get(tuple(v // scale for v in img))
         if k is None:
             raise ExactAlgError(f"image of weight form {lab} not found at scalar +1")
         images.append(k)
@@ -561,8 +578,8 @@ def perm27_from_matrix(mat: Matrix) -> bytes:
     return bytes(images)
 
 
-def root_action_from_matrix(mat: Matrix) -> dict[str, tuple[str, int]]:
-    """Signed permutation induced on the 36 root forms."""
+def root_action_from_matrix(mat: IntMatrix, scale: int) -> dict[str, tuple[str, int]]:
+    """Signed permutation induced on the 36 root forms by mat / scale."""
     tables = coordinate_tables()
     out = {}
     for name, f in tables.root_forms.items():
@@ -570,9 +587,9 @@ def root_action_from_matrix(mat: Matrix) -> dict[str, tuple[str, int]]:
         for name2, g in tables.root_forms.items():
             c = proportional(img, g)
             if c is not None:
-                if c not in (1, -1):
-                    raise ExactAlgError(f"root image off by scalar {c}")
-                out[name] = (name2, int(c))
+                if c not in (scale, -scale):
+                    raise ExactAlgError(f"root image off by scalar {c / scale}")
+                out[name] = (name2, int(c) // scale)
                 break
         else:
             raise ExactAlgError(f"image of root form {name} is not a root form")
@@ -605,14 +622,15 @@ def check_meets_preserved(perm: bytes) -> bool:
 
 
 @lru_cache(maxsize=1)
-def weyl_generators() -> tuple[tuple[str, ...], tuple[Matrix, ...], tuple[bytes, ...]]:
-    """Simple reflections: names, matrices, and derived 27-label permutations."""
+def weyl_generators() -> tuple[tuple[str, ...], tuple[IntMatrix, ...], tuple[bytes, ...]]:
+    """Simple reflections: names, matrices at WEYL_SCALE, and derived 27-label
+    permutations."""
     tables = coordinate_tables()
     names = tables.simple_roots
     mats = tuple(reflection_matrix(n) for n in names)
     perms = []
     for name, mat in zip(names, mats):
-        perm = perm27_from_matrix(mat)
+        perm = perm27_from_matrix(mat, WEYL_SCALE)
         if not check_meets_preserved(perm):
             raise ExactAlgError(f"generator {name} does not preserve meets")
         perms.append(perm)

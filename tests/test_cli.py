@@ -270,3 +270,13 @@ def test_nodalcy_report_subcommand(tmp_path, capsys):
     assert payload["defect"] == 24
     assert payload["euler"] == 40
     assert "b1" not in payload
+
+
+@pytest.mark.parametrize("kind", ["generic", "tangent"])
+def test_nodalcy_report_fails_cleanly_at_the_draw_cap(kind, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(nodalcy, "_hyperplane_clear", lambda h: (False, ""))
+    path = tmp_path / "nodal.json"
+    assert cli.main(["nodalcy", "report", "--kind", kind, "--json", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"nodal report failed: draw cap of {DRAWS_PER_RESULT} trials reached")
+    assert not path.exists()

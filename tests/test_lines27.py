@@ -3,11 +3,12 @@
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modgem import lines27 as L
-from modgem.exactalg import MPoly, ProjLine, ProjPoint, rank_exact
+from modgem.exactalg import ExactAlgError, MPoly, ProjLine, ProjPoint, rank_exact
 from modgem.rootarr import cached_incidence
 
 
@@ -148,6 +149,7 @@ def test_tritangent_form_sums_vanish():
 
 
 def test_reflection_involution_and_invariance():
+    # the generators are stored as 4M: (4M)^2 = 16 I and I2(4Mx) = 16 I2(x)
     t = L.coordinate_tables()
     names, mats, perms = L.weyl_generators()
     for mat in mats:
@@ -155,12 +157,25 @@ def test_reflection_involution_and_invariance():
             tuple(sum(mat[i][k] * mat[k][j] for k in range(6)) for j in range(6))
             for i in range(6)
         )
-        assert all(square[i][j] == (1 if i == j else 0)
+        assert all(square[i][j] == (16 if i == j else 0)
                    for i in range(6) for j in range(6))
-        # the invariant quadric is preserved: I2(Sx) == I2(x)
         images = [L.apply_to_form(MPoly.var(i, 6), mat) for i in range(6)]
         pulled = t.killing.subs(images)
-        assert pulled == t.killing
+        assert pulled == t.killing * 16
+
+
+def test_generator_matrices_are_integral_at_scale_four():
+    # 4M is integral for every root; among the generators only h12's 4M has
+    # an entry that 4 does not divide, which is why the scale is 4
+    assert L.WEYL_SCALE == 4
+    for root in L.coordinate_tables().root_forms:
+        assert all(type(v) is int for row in L.reflection_matrix(root) for v in row)
+    names, mats, _ = L.weyl_generators()
+    off_scale = [name for name, mat in zip(names, mats)
+                 if any(v % 4 for row in mat for v in row)]
+    assert off_scale == ["h12"]
+    h12 = dict(zip(names, mats))["h12"]
+    assert {abs(v) for row in h12 for v in row} == {1, 3}
 
 
 def test_generator_perms_preserve_meets():
@@ -171,7 +186,7 @@ def test_generator_perms_preserve_meets():
 def test_action_table_rule_against_matrices():
     names, mats, _ = L.weyl_generators()
     for name, mat in zip(names, mats):
-        derived = L.root_action_from_matrix(mat)
+        derived = L.root_action_from_matrix(mat, L.WEYL_SCALE)
         for target, (image, sign) in derived.items():
             assert L.action_table_rule(name, target) == image
             assert sign in (1, -1)
@@ -245,18 +260,38 @@ def test_random_words_stay_in_group(word):
     assert L.check_meets_preserved(perm)
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=10))
-def test_word_matrix_permutes_as_composed_generators(word):
-    _, mats, perms = L.weyl_generators()
-    mat, perm = mats[word[0]], perms[word[0]]
+def _word_product(word):
+    """The product of the word's stored generators, 4^len(word) times its matrix."""
+    mats = L.weyl_generators()[1]
+    mat = mats[word[0]]
     for k in word[1:]:
         mat = tuple(
             tuple(sum(mat[i][m] * mats[k][m][j] for m in range(6)) for j in range(6))
             for i in range(6)
         )
+    return mat
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=10))
+def test_word_matrix_permutes_as_composed_generators(word):
+    perms = L.weyl_generators()[2]
+    perm = perms[word[0]]
+    for k in word[1:]:
         perm = L.compose(perms[k], perm)
-    assert L.perm27_from_matrix(mat) == perm
+    assert L.perm27_from_matrix(_word_product(word), L.WEYL_SCALE ** len(word)) == perm
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=10),
+       st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=5),
+       st.integers(min_value=-64, max_value=64).filter(bool))
+def test_changed_word_entry_is_not_read_as_a_permutation(word, i, j, delta):
+    # either an image is not divisible by the scale, or its quotient is not a weight form
+    rows = [list(r) for r in _word_product(word)]
+    rows[i][j] += delta
+    with pytest.raises(ExactAlgError):
+        L.perm27_from_matrix(tuple(map(tuple, rows)), L.WEYL_SCALE ** len(word))
 
 
 # -- special loci -------------------------------------------------------------------
