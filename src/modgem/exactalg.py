@@ -43,10 +43,6 @@ class ShadowMismatch(ExactAlgError):
     """Exact rank and modular rank disagree: an arithmetic bug, never roundoff."""
 
 
-def _frac(x: Scalar) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def _scalar(c) -> Scalar:
     """Normal form of a rational coefficient: an int if integral, else a Fraction.
 
@@ -242,7 +238,7 @@ class MPoly:
         for exp, c in self.terms.items():
             if sum(exp) != 1:
                 raise ExactAlgError("linear_coeffs needs a linear form")
-            out[exp.index(1)] = _frac(c)
+            out[exp.index(1)] = Fraction(c)
         return out
 
     # -- calculus and substitution ------------------------------------------
@@ -477,17 +473,12 @@ def hessian_det(p: MPoly) -> MPoly:
 
 
 def _canonical_int_vector(coords: Sequence[Scalar]) -> tuple[int, ...]:
-    fracs = [_frac(c) for c in coords]
-    if all(f == 0 for f in fracs):
+    """Primitive integer vector, first nonzero entry positive, of a nonzero
+    rational vector's projective class; a float raises, as in `_clear_row`."""
+    ints = _clear_row(coords)
+    if not any(ints):
         raise ExactAlgError("zero vector has no projective class")
-    denom = math.lcm(*(f.denominator for f in fracs))
-    ints = [int(f * denom) for f in fracs]
-    g = math.gcd(*ints)
-    ints = [v // g for v in ints]
-    lead = next(v for v in ints if v)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+    return tuple(_primitive_row(ints))
 
 
 @dataclass(frozen=True)
@@ -578,12 +569,15 @@ def _clear_row(row: Sequence[Scalar], p: int = 0) -> list[int]:
     """The row times the lcm of its denominators, as Python ints.
 
     Reads `numerator` and `denominator`, which ints and Fractions both have,
-    so no Fraction is built; a float has neither and is rejected. Scaling by
-    the lcm keeps the span over Q, and keeps the rank mod a prime p when the
-    lcm is a unit mod p: with p given, a row whose lcm p divides raises
-    ExactAlgError.
+    so no Fraction is built; a float has neither and raises ExactAlgError.
+    Scaling by the lcm keeps the span over Q, and keeps the rank mod a prime
+    p when the lcm is a unit mod p: with p given, a row whose lcm p divides
+    raises ExactAlgError.
     """
-    denom = math.lcm(*(v.denominator for v in row))
+    try:
+        denom = math.lcm(*(v.denominator for v in row))
+    except AttributeError:
+        raise ExactAlgError(f"row {list(row)!r} is not all exact rationals") from None
     if p and denom % p == 0:
         raise ExactAlgError(f"row denominator {denom} not invertible mod {p}")
     if denom == 1:
@@ -614,8 +608,10 @@ class _IntEchelon:
     pivot, and zero at one another's pivots. That form of a row space is
     unique, so the rows are a canonical key of the span whatever order the
     vectors came in, and a single forward pass decides membership of a new
-    vector. `rref_int` is its batch form; `ProjLine`, `vanishing_space` and
-    `rootarr.incidence` use it directly.
+    vector. `rref_int` is its batch form, behind `rank_exact` and
+    `kernel_int`; `ProjLine`, `VanishingSpace.contains`, `vanishing_space`
+    and `rootarr.incidence` use it directly. With `_pivot_rows` over GF(p),
+    it is the only elimination in the package.
     """
 
     def __init__(self, vecs: Iterable[Sequence[int]] = ()) -> None:
@@ -708,39 +704,19 @@ def kernel_int(rows: Sequence[Sequence[Scalar]]) -> list[tuple[int, ...]]:
     return basis
 
 
-def solve_exact(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> Optional[list[Fraction]]:
-    """One solution of rows*x = rhs, or None if inconsistent."""
-    mat = [list(r) + [v] for r, v in zip(rows, rhs)]
-    aug, pivots = rref_int(mat)
-    ncols = len(rows[0])
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for row, pc in zip(reversed(aug), reversed(pivots)):
-        s = sum((Fraction(row[c]) * x[c] for c in range(pc + 1, ncols)), Fraction(0))
-        x[pc] = (Fraction(row[ncols]) - s) / row[pc]
-    return x
+def _chart_coordinates(basis: Sequence[Sequence[int]], pt: ProjPoint) -> ProjPoint:
+    """The point u of the chart with sum(u_j * basis[j]) proportional to pt.
 
-
-def det_bareiss(rows: Sequence[Sequence[int]]) -> int:
-    """Fraction-free determinant of an integer matrix (Bareiss)."""
-    a = [[int(v) for v in r] for r in rows]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    (u, c) spans the kernel of the bordered matrix [basis^T | -pt] exactly
+    when the basis vectors are independent and pt lies in their span, and
+    then c != 0; `kernel_int` verifies the kernel vector by exact products.
+    Anything else raises ExactAlgError.
+    """
+    bordered = [[b[i] for b in basis] + [-c] for i, c in enumerate(pt.coords)]
+    kernel = kernel_int(bordered)
+    if len(kernel) != 1 or not kernel[0][-1]:
+        raise ExactAlgError(f"{pt} is not in the span of {len(basis)} independent vectors")
+    return ProjPoint(kernel[0][:-1])
 
 
 def _pivot_rows(rows: np.ndarray | Sequence[Sequence[Scalar]], p: int) -> list[int]:
@@ -824,10 +800,11 @@ class VanishingSpace:
     modular_ranks: dict[int, int]
 
     def contains(self, form: MPoly) -> bool:
+        """Whether form is in the span of the basis: one reduction of its
+        cleared coefficient vector against the echelon of the basis."""
         mono = monomials(self.nvars, self.degree)
-        rows = [b.coefficient_vector(mono) for b in self.basis]
-        target = form.coefficient_vector(mono)
-        return solve_exact(list(zip(*rows)), target) is not None if rows else form.is_zero()
+        echelon = _IntEchelon(_clear_row(b.coefficient_vector(mono)) for b in self.basis)
+        return echelon.contains(_clear_row(form.coefficient_vector(mono)))
 
 
 def evaluation_rows(degree: int, nvars: int,

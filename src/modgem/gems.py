@@ -35,6 +35,7 @@ from .exactalg import (
     SHADOW_PRIMES,
     VanishingSpace,
     _IntEchelon,
+    _chart_coordinates,
     _clear_row,
     _draw,
     _sample,
@@ -45,7 +46,6 @@ from .exactalg import (
     kernel_int,
     power_sum,
     proportional,
-    solve_exact,
     vanishing_space,
 )
 from . import lines27
@@ -197,14 +197,9 @@ def _chart_nodes() -> tuple[ProjPoint, ...]:
 
 @lru_cache(maxsize=1)
 def _matchings() -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The 15 ways to split {0..5} into three unordered pairs."""
-    out = []
-    for j in range(1, 6):
-        rest = [k for k in range(1, 6) if k != j]
-        a, b, c, d = rest
-        for second, third in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))):
-            out.append(((0, j), second, third))
-    return tuple(sorted(out))
+    """The 15 ways to split {0..5} into three unordered pairs, in sorted order:
+    the pair partitions of {1..6} shifted down by one."""
+    return tuple(tuple((i - 1, j - 1) for i, j in part) for part in lines27.pair_partitions())
 
 
 def _matching_rows(matching) -> list[list[int]]:
@@ -709,22 +704,18 @@ class SingularLocusReport:
 def i5_singular_locus(seed: int = 0, offline_samples: int = 50) -> SingularLocusReport:
     """Singular locus of the invariant quintic: 120 lines and 36 triple points.
 
-    Certifies: all six partials restrict to zero on each of the 120 lines;
-    at each of the 36 dual points the value and all first and second
-    partials vanish while some third partial does not (multiplicity exactly
-    3); the incidences are 10 lines through each point and 3 points on each
-    line; 40 of the lines lie in the wall {x6 = 0}; sampled points of the
-    quintic away from the lines are smooth; the quartics vanishing on all
-    120 lines are exactly the span of the six partials.
+    Certifies: at each of the 36 dual points the value and all first and
+    second partials vanish while some third partial does not (multiplicity
+    exactly 3); the incidences are 10 lines through each point and 3 points
+    on each line; 40 of the lines lie in the wall {x6 = 0}; sampled points
+    of the quintic away from the lines are smooth; the quartics vanishing on
+    all 120 lines are exactly the span of the six partials. That last
+    certificate also proves the lines singular: `vanishing_space` takes the
+    partials as members only if each vanishes on every line.
     """
     f = invariant_quintic_form()
     loci = lines27.special_loci()
     grads = f.partials()
-
-    for line in loci.lines120:
-        for g in grads:
-            if any(g.restrict_to_line(line.p.coords, line.q.coords)):
-                raise ExactAlgError("a partial fails to vanish along a singular line")
 
     second = {(i, j): grads[i].diff(j) for i in range(6) for j in range(i, 6)}
     third = {(i, j, k): p.diff(k)
@@ -1305,7 +1296,6 @@ def duality_pipeline(seed: int = 0, samples: int = 200,
     if fitted.dim != 1:
         raise ExactAlgError(f"fitted quartic space has dimension {fitted.dim}, wanted 1")
     quartic = fitted.basis[0]
-    _require_form(quartic, 4)
     _exact_div(quartic.subs(grads), F)
 
     lines: dict[tuple, ProjLine] = {}
@@ -1376,9 +1366,6 @@ def auxiliary_sections() -> SectionsReport:
     degree-2 cover inside the squared coordinates.
     """
     F = segre_chart()
-    chart = [MPoly.var(i, 5) for i in range(5)]
-    if F + elementary_symmetric(1, chart) ** 3 != power_sum(3, chart):
-        raise ExactAlgError("chart cubic must differ from five cubes by the sum cubed")
     basis = kernel_int([[1] * 5])
     if len(basis) != 4:
         raise ExactAlgError("diagonal section must be a P3")
@@ -1398,10 +1385,7 @@ def auxiliary_sections() -> SectionsReport:
     for node in _nodes_p5():
         if node.coords[0] != node.coords[1]:
             continue
-        coords = solve_exact([[b[i] for b in section] for i in range(6)],
-                             list(node.coords))
-        if coords is None:
-            raise ExactAlgError("equal-coordinate node must lie on the section")
+        coords = _chart_coordinates(section, node).coords
         if any(g.eval(coords) for g in cgrads):
             raise ExactAlgError("node must be singular on the Cayley section")
         on_section += 1

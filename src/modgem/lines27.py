@@ -28,9 +28,9 @@ from .exactalg import (
     _clear_row,
     _scalar,
     checked_rank,
-    det_bareiss,
     elementary_symmetric,
     proportional,
+    rank_exact,
     rref_int,
     vanishing_space,
 )
@@ -95,7 +95,7 @@ def tritangents() -> dict[str, frozenset[str]]:
     out: dict[str, frozenset[str]] = {}
     for i, j in itertools.permutations(SIX, 2):
         out[f"({i}{j})"] = frozenset({f"a{i}", f"b{j}", _csort(i, j)})
-    for part in _pair_partitions():
+    for part in pair_partitions():
         name = "(" + ".".join(f"{i}{j}" for i, j in part) + ")"
         out[name] = frozenset(_csort(i, j) for i, j in part)
     if len(out) != 45:
@@ -103,7 +103,7 @@ def tritangents() -> dict[str, frozenset[str]]:
     return out
 
 
-def _pair_partitions() -> list[tuple[tuple[int, int], ...]]:
+def pair_partitions() -> list[tuple[tuple[int, int], ...]]:
     """The 15 partitions of {1..6} into three pairs, canonically ordered."""
     parts = []
 
@@ -760,8 +760,6 @@ def special_loci() -> SpecialLoci:
             raise ExactAlgError(f"weight pair line with profile ({on27},{on36})")
     if len(lines45) != 45 or len(lines216) != 216:
         raise ExactAlgError("45/216 line census failed")
-    if 3 * len(lines45) + len(lines216) != 351:
-        raise ExactAlgError("pair bookkeeping failed")
 
     # each azygetic triple of double sixes names three root forms spanning a
     # pencil (the forms satisfy one linear relation), so they share a P^3
@@ -816,11 +814,8 @@ def special_loci() -> SpecialLoci:
         triangles.add(frozenset({i, j, k}))
     spanning = 0
     for tr in triangles:
-        rows = []
-        for i in tr:
-            rows.append(list(lines_seq[i].key[0]))
-            rows.append(list(lines_seq[i].key[1]))
-        if det_bareiss([[int(v) for v in row] for row in rows]) == 0:
+        rows = [row for i in tr for row in lines_seq[i].key]
+        if rank_exact(rows) != 6:
             raise ExactAlgError("an orthogonal A2 triple fails to span P^5")
         spanning += 1
 
@@ -964,7 +959,7 @@ def incidence_complex_ranks() -> IncidenceRanks:
     }
 
     pairs = list(itertools.combinations(SIX, 2))
-    partitions = _pair_partitions()
+    partitions = pair_partitions()
     seg_rows = []
     for p in pairs:
         seg_rows.append([1 if tuple(sorted(p)) in

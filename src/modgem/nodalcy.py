@@ -4,11 +4,14 @@ A hyperplane that avoids the 36 triple points and contains none of the 120
 singular lines meets each line in exactly one point, so its section is a
 quintic threefold in P^4 with 120 nodes; a hyperplane tangent at a smooth
 point picks up that point as a 121st node. Everything here is exact: nodes
-come from intersecting lines with the hyperplane, the space of quintics
-through the nodes is certified by vanishing_space with supplied members
-(products of the restricted partials with linear forms) against the
-modular rank bound, and the defect, Betti and Hodge numbers follow by the
-classical node-count bookkeeping for small resolutions.
+come from intersecting lines with the hyperplane and are certified once, in
+the ambient P^5 (the gradient of the quintic vanishes at a line node, and
+the hyperplane is tangent at the tangency node); the space of quintics
+through the nodes is certified in a chart of the hyperplane by
+vanishing_space with supplied members (products of the restricted partials
+with linear forms) against the modular rank bound, and the defect, Betti
+and Hodge numbers follow by the classical node-count bookkeeping for small
+resolutions.
 
 First Betti numbers are deliberately not reported; published tables for
 them disagree with the standard conventions, and nothing downstream needs
@@ -25,6 +28,7 @@ from .exactalg import (
     MPoly,
     ProjPoint,
     VanishingSpace,
+    _chart_coordinates,
     _draw,
     _sample,
     _task_rng,
@@ -33,7 +37,6 @@ from .exactalg import (
     monomials,
     proportional,
     rank_exact,
-    solve_exact,
     vanishing_space,
 )
 from . import lines27
@@ -129,21 +132,17 @@ def _chart_generators(h: MPoly) -> list[tuple[int, ...]]:
     return gens
 
 
-def _to_chart(pt: ProjPoint, gens: list[tuple[int, ...]]) -> ProjPoint:
-    rows = [[gens[j][i] for j in range(5)] for i in range(6)]
-    sol = solve_exact(rows, list(pt.coords))
-    if sol is None:
-        raise ExactAlgError(f"{pt} does not lie on the hyperplane")
-    return ProjPoint(sol)
-
-
 def section_nodes(spec: SectionSpec) -> tuple[ProjPoint, ...]:
     """The nodes of the hyperplane section, exactly, as ambient points.
 
     Each of the 120 singular lines contributes its intersection with the
     hyperplane; a tangent section appends the tangency point. Every
-    returned point is certified to lie on the section and to kill the
-    gradient of the restricted quintic. A hyperplane through a triple point
+    returned point is certified once: it lies on the hyperplane, and either
+    kills the ambient gradient of the quintic (a line node) or is a smooth
+    point of the quintic where the hyperplane is tangent (the tangency
+    node). Either way the point is singular on the section, since the chart
+    partials are combinations of the ambient ones and the quintic itself
+    vanishes there by Euler's formula. A hyperplane through a triple point
     or containing a singular line is refused.
     """
     ok, why = _hyperplane_clear(spec.hyperplane)
@@ -159,25 +158,23 @@ def section_nodes(spec: SectionSpec) -> tuple[ProjPoint, ...]:
                                 for pc, qc in zip(line.p.coords, line.q.coords)]))
 
     f = invariant_quintic_form()
+    grads = f.partials()
+    for node in nodes:
+        if any(g.eval(node.coords) for g in grads):
+            raise ExactAlgError(f"{node} is not a singular point of the section")
     if spec.kind == "tangent":
         pt = spec.tangency
-        grad = [g.eval(pt.coords) for g in f.partials()]
+        grad = [g.eval(pt.coords) for g in grads]
         if f.eval(pt.coords) or not any(grad):
             raise ExactAlgError("tangency point must be a smooth point of the quintic")
         if proportional(MPoly.linear(grad), h) is None:
             raise ExactAlgError("hyperplane must be tangent at the tangency point")
         nodes.append(pt)
 
+    if any(h.eval(node.coords) for node in nodes):
+        raise ExactAlgError("a node does not lie on the hyperplane")
     if len(set(nodes)) != len(nodes):
         raise ExactAlgError("coincident nodes, hyperplane is too special")
-
-    gens = _chart_generators(h)
-    q = f.restrict(gens)
-    dq = q.partials()
-    for node in nodes:
-        u = _to_chart(node, gens)
-        if q.eval(u.coords) or any(g.eval(u.coords) for g in dq):
-            raise ExactAlgError(f"{node} is not a singular point of the section")
     return tuple(nodes)
 
 
@@ -232,43 +229,36 @@ def _quintic_candidates(q: MPoly, restricted_partials: list[MPoly],
     return cands
 
 
-def _chart_dimension(f: MPoly, h: MPoly, nodes, tangency, mix=None) -> tuple[int, VanishingSpace, MPoly, list[MPoly], list[ProjPoint]]:
+def _chart_dimension(f: MPoly, h: MPoly, nodes, tangency, mix=None) -> tuple[int, VanishingSpace, MPoly]:
     gens = _chart_generators(h)
     if mix is not None:
         gens = [tuple(sum(mix[j][k] * gens[k][i] for k in range(5)) for i in range(6))
                 for j in range(5)]
     q = f.restrict(gens)
-    chart_nodes = [_to_chart(node, gens) for node in nodes]
+    chart_nodes = [_chart_coordinates(gens, node) for node in nodes]
     restricted = [g.restrict(gens) for g in f.partials()]
-    tangency_chart = _to_chart(tangency, gens) if tangency is not None else None
+    tangency_chart = _chart_coordinates(gens, tangency) if tangency is not None else None
     cands = _quintic_candidates(q, restricted, tangency_chart)
     space = vanishing_space(5, 5, points=chart_nodes, candidates=cands)
-    return space.dim, space, q, restricted, chart_nodes
+    return space.dim, space, q
 
 
 def section_report(spec: SectionSpec, seed: int = 0) -> NodalSectionReport:
     """Extract nodes, measure quintics through them, derive the topology.
 
-    The through-nodes dimension is recomputed in a second, randomly mixed
-    chart and must agree. The six restricted partials are checked to vanish
-    at every line-derived node; the tangency node is exempt, since the
-    ambient gradient does not vanish at a smooth point.
+    The nodes come certified from `section_nodes`. The through-nodes
+    dimension is recomputed in a second, randomly mixed chart and must
+    agree.
     """
     nodes = section_nodes(spec)
     f = invariant_quintic_form()
     s = len(nodes)
 
-    dim1, space, q, restricted, chart_nodes = _chart_dimension(
-        f, spec.hyperplane, nodes, spec.tangency)
+    dim1, space, q = _chart_dimension(f, spec.hyperplane, nodes, spec.tangency)
     mix = _mixing_matrix(_task_rng(seed, "chart-mix"))
     dim2 = _chart_dimension(f, spec.hyperplane, nodes, spec.tangency, mix)[0]
     if dim1 != dim2:
         raise ExactAlgError(f"chart choice leaked into the dimension: {dim1} vs {dim2}")
-
-    line_nodes = chart_nodes[:120]
-    for r in restricted:
-        if any(r.eval(u.coords) for u in line_nodes):
-            raise ExactAlgError("a restricted partial misses a line-derived node")
 
     mono = monomials(5, 5)
     uvars = [MPoly.var(j, 5) for j in range(5)]

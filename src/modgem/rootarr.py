@@ -51,6 +51,18 @@ def _unit(i: int, n: int, c: int = 1) -> list[int]:
     return v
 
 
+def _pair_forms(n: int, span: int, signs: Sequence[int] = (1, -1)) -> list[list[int]]:
+    """The forms x_i + s*x_j for i < j < span and s in signs, in n coordinates."""
+    out = []
+    for i in range(span):
+        for j in range(i + 1, span):
+            for s in signs:
+                v = _unit(i, n)
+                v[j] = s
+                out.append(v)
+    return out
+
+
 def roots(rsid: RootSystemId) -> list[tuple[int, ...]]:
     """Positive-root forms up to sign, as primitive integer vectors.
 
@@ -59,56 +71,17 @@ def roots(rsid: RootSystemId) -> list[tuple[int, ...]]:
     half-integer forms of F4 and E6 are doubled; projectively nothing changes.
     """
     fam, n = rsid.family, rsid.rank
-    forms: list[tuple[int, ...]] = []
-    if fam == "A":
-        for i in range(n):
-            forms.append(_canonical_int_vector(_unit(i, n)))
-        for i in range(n):
-            for j in range(i + 1, n):
-                v = _unit(i, n)
-                v[j] = -1
-                forms.append(_canonical_int_vector(v))
-    elif fam in ("B", "C"):
-        for i in range(n):
-            forms.append(_canonical_int_vector(_unit(i, n, 2 if fam == "C" else 1)))
-        for i in range(n):
-            for j in range(i + 1, n):
-                for s in (1, -1):
-                    v = _unit(i, n)
-                    v[j] = s
-                    forms.append(_canonical_int_vector(v))
-    elif fam == "D":
-        for i in range(n):
-            for j in range(i + 1, n):
-                for s in (1, -1):
-                    v = _unit(i, n)
-                    v[j] = s
-                    forms.append(_canonical_int_vector(v))
-    elif fam == "F":
-        for i in range(4):
-            forms.append(_canonical_int_vector(_unit(i, 4)))
-        for i in range(4):
-            for j in range(i + 1, 4):
-                for s in (1, -1):
-                    v = _unit(i, 4)
-                    v[j] = s
-                    forms.append(_canonical_int_vector(v))
-        for s2 in (1, -1):
-            for s3 in (1, -1):
-                for s4 in (1, -1):
-                    forms.append(_canonical_int_vector([1, s2, s3, s4]))
-    elif fam == "E":
-        for i in range(5):
-            for j in range(i + 1, 5):
-                for s in (1, -1):
-                    v = _unit(i, 6)
-                    v[j] = s
-                    forms.append(_canonical_int_vector(v))
+    if fam == "E":
         # half-forms carry an even number of minus signs on x1..x5
-        for bits in range(32):
-            signs = [(-1 if bits >> k & 1 else 1) for k in range(5)]
-            if signs.count(-1) % 2 == 0:
-                forms.append(_canonical_int_vector(signs + [1]))
+        halves = [[-1 if bits >> k & 1 else 1 for k in range(5)] + [1]
+                  for bits in range(32) if bin(bits).count("1") % 2 == 0]
+        vecs = _pair_forms(6, 5) + halves
+    else:
+        units = [] if fam == "D" else [_unit(i, n, 2 if fam == "C" else 1) for i in range(n)]
+        vecs = units + _pair_forms(n, n, (-1,) if fam == "A" else (1, -1))
+        if fam == "F":
+            vecs += [[1, s2, s3, s4] for s2 in (1, -1) for s3 in (1, -1) for s4 in (1, -1)]
+    forms = [_canonical_int_vector(v) for v in vecs]
     if len(set(forms)) != len(forms):
         raise ExactAlgError("duplicate projective forms in root list")
     return forms

@@ -17,7 +17,6 @@ from modgem.exactalg import (
     ProjPoint,
     ShadowMismatch,
     checked_rank,
-    det_bareiss,
     det_poly,
     elementary_symmetric,
     evaluation_rows,
@@ -29,8 +28,8 @@ from modgem.exactalg import (
     rank_exact,
     rank_mod,
     rref_int,
-    solve_exact,
     vanishing_space,
+    _chart_coordinates,
     _clear_row,
     _draw,
     _int_products,
@@ -274,7 +273,8 @@ def test_hessian_of_quadric_is_constant():
 def test_det_poly_matches_bareiss_on_constants():
     mat = [[3, 1, 4], [1, 5, 9], [2, 6, 5]]
     pm = [[MPoly.constant(1, v) for v in row] for row in mat]
-    assert det_poly(pm) == MPoly.constant(1, det_bareiss(mat))
+    # 3*(25 - 54) - 1*(5 - 18) + 4*(6 - 10)
+    assert det_poly(pm) == MPoly.constant(1, -90)
 
 
 # -- restriction --------------------------------------------------------------
@@ -305,6 +305,40 @@ def test_point_canonicalization():
     assert ProjPoint([0, 0, -5]).coords == (0, 0, 1)
     with pytest.raises(ExactAlgError):
         ProjPoint([0, 0, 0])
+
+
+def _reference_point(coords):
+    """Projective normal form by Fraction arithmetic: clear the denominators,
+    divide by the gcd, make the first nonzero entry positive."""
+    fracs = [Fraction(c) for c in coords]
+    denom = math.lcm(*(f.denominator for f in fracs))
+    ints = [int(f * denom) for f in fracs]
+    g = math.gcd(*ints)
+    ints = [v // g for v in ints]
+    if next(v for v in ints if v) < 0:
+        ints = [-v for v in ints]
+    return tuple(ints)
+
+
+@given(st.lists(st.one_of(st.integers(min_value=-60, max_value=60),
+                          st.fractions(min_value=-60, max_value=60, max_denominator=40)),
+                min_size=1, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_point_normal_form_matches_the_fraction_reference(coords):
+    if not any(coords):
+        with pytest.raises(ExactAlgError, match="zero vector"):
+            ProjPoint(coords)
+        return
+    pt = ProjPoint(coords)
+    assert pt.coords == _reference_point(coords)
+    assert all(type(c) is int for c in pt.coords)
+
+
+@pytest.mark.parametrize("coords", [[0.1, 1], [1, 2.0], [Fraction(1, 3), 0.5]])
+def test_float_coordinate_is_rejected(coords):
+    # Fraction(0.1) would take 0.1 at its binary value, 3602879701896397/2^55
+    with pytest.raises(ExactAlgError, match="not all exact rationals"):
+        ProjPoint(coords)
 
 
 def test_line_key_independent_of_spanning_pair():
@@ -418,17 +452,19 @@ def test_kernel_is_exactly_verified():
         assert v[0] + 2 * v[1] + 3 * v[2] + 4 * v[3] == 0
 
 
-def test_solve_exact():
-    assert solve_exact([[1, 1], [1, -1]], [3, 1]) == [Fraction(2), Fraction(1)]
-    assert solve_exact([[1, 1], [2, 2]], [1, 3]) is None
-
-
-def test_det_bareiss():
-    assert det_bareiss([[1, 2], [3, 4]]) == -2
-    assert det_bareiss([[0, 1], [1, 0]]) == -1
-    assert det_bareiss([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 0
-    hilbertish = [[60 // (i + j + 1) for j in range(3)] for i in range(3)]
-    assert det_bareiss(hilbertish) != 0
+@given(st.lists(st.lists(coeffs, min_size=5, max_size=5), min_size=6, max_size=6),
+       st.lists(coeffs, min_size=5, max_size=5))
+@settings(max_examples=50, deadline=None)
+def test_chart_coordinates_recover_the_chart_point(rows, u):
+    # rows is a 6x5 matrix G whose columns are the basis of the chart
+    assume(rank_exact(rows) == 5 and any(u))
+    basis = [list(col) for col in zip(*rows)]
+    point = ProjPoint([sum(g * x for g, x in zip(row, u)) for row in rows])
+    assert _chart_coordinates(basis, point) == ProjPoint(u)
+    # the normal of the span is orthogonal to it, and nonzero, so not in it
+    (normal,) = kernel_int(basis)
+    with pytest.raises(ExactAlgError, match="not in the span"):
+        _chart_coordinates(basis, ProjPoint(normal))
 
 
 @given(st.lists(st.lists(coeffs, min_size=4, max_size=4), min_size=2, max_size=6))
@@ -571,10 +607,8 @@ def test_candidate_route_matches_kernel_route():
     assert certified.method == "candidates"
     assert_vanishes(direct, lines=[ln])
     assert_vanishes(certified, lines=[ln])
-    span_mono = monomials(4, 2)
-    rows = [b.coefficient_vector(span_mono) for b in direct.basis]
     for b in certified.basis:
-        assert solve_exact(list(zip(*rows)), b.coefficient_vector(span_mono)) is not None
+        assert direct.contains(b)
 
 
 def test_candidate_that_does_not_vanish_is_rejected():

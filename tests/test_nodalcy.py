@@ -106,6 +106,15 @@ def test_invalid_generic_hyperplane_is_caught():
         section_nodes(SectionSpec(h, "generic"))
 
 
+def test_node_off_the_singular_locus_is_caught(monkeypatch):
+    # f + x0^5 leaves the hyperplane valid, but its gradient does not vanish
+    # at the nodes with x0 != 0
+    broken = invariant_quintic_form() + MPoly.var(0, 6) ** 5
+    monkeypatch.setattr(nodalcy, "invariant_quintic_form", lambda: broken)
+    with pytest.raises(ExactAlgError, match="not a singular point"):
+        section_nodes(generic_section(0))
+
+
 @given(st.integers(min_value=0, max_value=10 ** 6))
 @settings(max_examples=5, deadline=None)
 def test_generic_sections_always_yield_120_nodes(seed):
