@@ -609,9 +609,9 @@ class _IntEchelon:
     unique, so the rows are a canonical key of the span whatever order the
     vectors came in, and a single forward pass decides membership of a new
     vector. `rref_int` is its batch form, behind `rank_exact` and
-    `kernel_int`; `ProjLine`, `VanishingSpace.contains`, `vanishing_space`
-    and `rootarr.incidence` use it directly. With `_pivot_rows` over GF(p),
-    it is the only elimination in the package.
+    `kernel_int`; `ProjLine`, `VanishingSpace.contains`, `rootarr.incidence`
+    and the plane and P3 censuses of `gems` use it directly. With
+    `_pivot_rows` over GF(p), it is the only elimination in the package.
     """
 
     def __init__(self, vecs: Iterable[Sequence[int]] = ()) -> None:
@@ -731,11 +731,12 @@ def _pivot_rows(rows: np.ndarray | Sequence[Sequence[Scalar]], p: int) -> list[i
     nonzero entry in `col` are touched. The returned rows are independent
     mod p and span the row space mod p; their number is the rank.
     """
+    if not len(rows):
+        return []
     if isinstance(rows, np.ndarray):
         a = (rows % p).astype(np.int64)
     else:
-        a = np.array([[v % p for v in _clear_row(r, p)] for r in rows],
-                     dtype=np.int64).reshape(len(rows), -1)
+        a = np.array([[v % p for v in _clear_row(r, p)] for r in rows], dtype=np.int64)
     m, n = a.shape
     order = list(range(m))
     rank = 0
@@ -762,7 +763,8 @@ def _pivot_rows(rows: np.ndarray | Sequence[Sequence[Scalar]], p: int) -> list[i
 def rank_mod(rows: np.ndarray | Sequence[Sequence[Scalar]], p: int) -> int:
     """Rank over GF(p) of an integer array or of rows of scalars (see `_pivot_rows`).
 
-    A minor that vanishes over Q vanishes mod p, so rank_p <= rank_Q.
+    A minor that vanishes over Q vanishes mod p, so rank_p <= rank_Q, and
+    full rank mod p is full rank over Q.
     """
     return len(_pivot_rows(rows, p))
 
@@ -801,7 +803,10 @@ class VanishingSpace:
 
     def contains(self, form: MPoly) -> bool:
         """Whether form is in the span of the basis: one reduction of its
-        cleared coefficient vector against the echelon of the basis."""
+        cleared coefficient vector against the echelon of the basis. A
+        nonzero form with a term of another degree is not a member."""
+        if any(sum(e) != self.degree for e in form.terms):
+            return False
         mono = monomials(self.nvars, self.degree)
         echelon = _IntEchelon(_clear_row(b.coefficient_vector(mono)) for b in self.basis)
         return echelon.contains(_clear_row(form.coefficient_vector(mono)))
@@ -845,19 +850,22 @@ def vanishing_space(degree: int, nvars: int,
 
     The members are the supplied candidates or, without them, the integer
     kernel of the evaluation matrix; supplying candidates avoids exact
-    elimination of a large matrix, e.g. sextics against 216 lines. Every
-    member is certified the same way. Annihilating all evaluation rows
-    proves membership, since d+1 sample points per line see the whole line.
-    A maximal independent subset of k members gives dim >= k, so for n
-    monomials and every prime p, rank_p <= rank_Q <= n - k. The first prime
-    eliminates the whole matrix and records its pivot rows, which span the
-    row space over Q whenever rank_p0 = rank_Q; the kernel route takes the
-    kernel of those rows only, and checking every member against every row
-    makes it the kernel of the whole matrix. A later prime eliminates only
-    the pivot rows: rank n - k there squeezes the whole matrix's rank_p to
-    n - k, and a shortfall sends it to the whole matrix. Each recorded rank
-    is the whole matrix's, and n - rank_p must equal k at every prime
-    (otherwise ShadowMismatch). The result is exact, not probabilistic.
+    elimination of a large matrix, e.g. sextics against 216 lines.
+    Annihilating all evaluation rows proves membership, since d+1 sample
+    points per line see the whole line. The first prime p0 eliminates the
+    whole matrix; its pivot rows span the row space over Q when
+    rank_p0 = rank_Q, and the kernel route takes the kernel of those rows,
+    made the whole matrix's by checking each member against every row.
+    Members are independent over Q: a kernel vector is nonzero only at its
+    own free column among the free columns, and candidates are thinned to
+    the pivot rows of their coefficients mod p0, independent mod p0 and so
+    over Q. With k members and n monomials, k <= dim <= n - rank_p at every
+    prime p, and n - rank_p must equal k (else ShadowMismatch), so dim = k.
+    A later prime eliminates only the pivot rows: rank n - k there squeezes
+    the whole matrix's rank_p to n - k, and a shortfall sends it to the
+    whole matrix. When p0 divides a minor that matters (candidates
+    independent over Q but not mod p0), the call raises rather than certify
+    a wrong dimension.
     """
     mono = monomials(nvars, degree)
     mat = evaluation_rows(degree, nvars, points, lines)
@@ -867,25 +875,17 @@ def vanishing_space(degree: int, nvars: int,
     if method == "kernel":
         # without pivot rows every form vanishes; a zero row keeps the width
         cleared = kernel_int(mat[pivots].tolist() or [[0] * len(mono)])
-        candidates = [MPoly(nvars, dict(zip(mono, vec))) for vec in cleared]
+        chosen = [MPoly(nvars, dict(zip(mono, vec))) for vec in cleared]
     else:
-        cleared = []
-        for cand in candidates:
-            if cand.degree() != degree:
-                raise ExactAlgError("candidate of wrong degree")
-            cleared.append(_clear_row(cand.coefficient_vector(mono)))
+        if any(c.degree() != degree or not c.is_homogeneous() for c in candidates):
+            raise ExactAlgError("candidate of wrong degree")
+        cleared = [_clear_row(c.coefficient_vector(mono)) for c in candidates]
+        chosen = [candidates[i] for i in sorted(_pivot_rows(cleared, first))]
     for vals in _int_products(mat, cleared):
         if any(vals):
             if method == "kernel":
                 raise ShadowMismatch(f"rank mod {first} is below the rank over Q")
             raise ExactAlgError("candidate fails a constraint, not a member")
-    chosen: list[MPoly] = []
-    echelon = _IntEchelon()
-    for cand, vec in zip(candidates, cleared):
-        if echelon.add(vec):
-            chosen.append(cand)
-            if len(chosen) == len(mono) - len(pivots):
-                break
     ranks = {first: len(pivots)}
     for p in later:
         rp = len(_pivot_rows(mat[pivots], p))

@@ -21,6 +21,7 @@ from functools import lru_cache, partial
 from typing import Callable, Hashable, Iterable, Optional, Sequence, TypeVar
 
 from .exactalg import (
+    SHADOW_PRIMES,
     ExactAlgError,
     MPoly,
     ProjLine,
@@ -30,7 +31,7 @@ from .exactalg import (
     checked_rank,
     elementary_symmetric,
     proportional,
-    rank_exact,
+    rank_mod,
     rref_int,
     vanishing_space,
 )
@@ -712,6 +713,7 @@ class SpecialLoci:
     root_points: dict[str, ProjPoint]                  # 36
     weight_points: dict[str, ProjPoint]                # 27
     lines120: tuple[ProjLine, ...]
+    points120: tuple[frozenset[str], ...]              # root points on each of lines120
     lines216: tuple[ProjLine, ...]
     lines45: tuple[ProjLine, ...]
     spaces120: tuple[frozenset[str], ...]              # form triples cutting each P^3
@@ -726,6 +728,7 @@ def special_loci() -> SpecialLoci:
 
     root_list = sorted(root_points)
     lines120: dict[tuple, ProjLine] = {}
+    points120: dict[tuple, frozenset[str]] = {}
     per_point: dict[str, int] = {n: 0 for n in root_list}
     for n1, n2 in itertools.combinations(root_list, 2):
         line = ProjLine(root_points[n1], root_points[n2])
@@ -736,6 +739,7 @@ def special_loci() -> SpecialLoci:
             raise ExactAlgError("a root line does not contain exactly 3 root points")
         if len(on) == 3:
             lines120[line.key] = line
+            points120[line.key] = frozenset(on)
             for n in on:
                 per_point[n] += 1
     if len(lines120) != 120:
@@ -781,10 +785,7 @@ def special_loci() -> SpecialLoci:
     # A2s, so the orthogonality graph splits into triangles, and the
     # resulting line triples all span P^5
     lines_seq = list(lines120.values())
-    a2_points = []
-    for line in lines_seq:
-        a2_points.append(frozenset(
-            n for n, p in root_points.items() if line.contains(p)))
+    a2_points = list(points120.values())
 
     # the I2 pairing is sum(u_i v_i, i <= 5) + u_6 v_6 / 3; on the integer
     # coordinates of the points, three times it is an integer
@@ -815,7 +816,7 @@ def special_loci() -> SpecialLoci:
     spanning = 0
     for tr in triangles:
         rows = [row for i in tr for row in lines_seq[i].key]
-        if rank_exact(rows) != 6:
+        if rank_mod(rows, SHADOW_PRIMES[0]) != 6:
             raise ExactAlgError("an orthogonal A2 triple fails to span P^5")
         spanning += 1
 
@@ -840,6 +841,7 @@ def special_loci() -> SpecialLoci:
         root_points,
         weight_points,
         tuple(lines120.values()),
+        tuple(points120.values()),
         tuple(lines216.values()),
         tuple(lines45.values()),
         tuple(spaces120),

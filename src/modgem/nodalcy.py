@@ -24,6 +24,7 @@ import random
 from dataclasses import dataclass
 
 from .exactalg import (
+    SHADOW_PRIMES,
     ExactAlgError,
     MPoly,
     ProjPoint,
@@ -36,7 +37,7 @@ from .exactalg import (
     kernel_int,
     monomials,
     proportional,
-    rank_exact,
+    rank_mod,
     vanishing_space,
 )
 from . import lines27
@@ -211,7 +212,7 @@ class NodalSectionReport:
 def _mixing_matrix(rng: random.Random) -> list[list[int]]:
     def invertible(rng) -> list[list[int]] | None:
         mat = [[rng.randint(-3, 3) for _ in range(5)] for _ in range(5)]
-        return mat if rank_exact(mat) == 5 else None
+        return mat if rank_mod(mat, SHADOW_PRIMES[0]) == 5 else None
     return _sample(rng, 1, invertible)[0]
 
 

@@ -551,6 +551,12 @@ def test_checked_rank_raises_on_forced_mismatch():
     assert checked_rank([[1, 0], [0, p]], primes=SHADOW_PRIMES[1:]) == 2
 
 
+def test_ranks_of_no_rows_are_zero():
+    assert _pivot_rows([], SHADOW_PRIMES[0]) == []
+    assert rank_mod([], SHADOW_PRIMES[0]) == rank_exact([]) == 0
+    assert checked_rank([]) == 0
+
+
 @given(st.lists(st.lists(coeffs, min_size=5, max_size=5), min_size=1, max_size=6))
 @settings(max_examples=50, deadline=None)
 def test_kernel_int_annihilates_and_has_full_size(rows):
@@ -595,6 +601,24 @@ def test_line_constraints_use_enough_parameters():
     assert not vs.contains(MPoly.var(0, 4) ** 2)
 
 
+def test_forms_of_another_degree_are_not_members():
+    # the quadrics through a line in P^3; the zero form is in every space
+    ln = ProjLine(ProjPoint([1, 0, 0, 0]), ProjPoint([0, 1, 0, 0]))
+    vs = vanishing_space(2, 4, lines=[ln])
+    x0, z, w = MPoly.var(0, 4), MPoly.var(2, 4), MPoly.var(3, 4)
+    assert vs.contains(z * w) and vs.contains(MPoly.zero(4))
+    assert not vs.contains(x0)
+    assert not vs.contains(x0 ** 3)
+    assert not vs.contains(z * w + z)
+
+
+def test_candidate_with_a_term_of_another_degree_is_rejected():
+    # x1 + 1 has degree 1, but its constant term is no linear form
+    x0, x1 = _vars(2)
+    with pytest.raises(ExactAlgError, match="wrong degree"):
+        vanishing_space(1, 2, candidates=[x0, x1 + MPoly.constant(2, 1)])
+
+
 def test_candidate_route_matches_kernel_route():
     ln = ProjLine(ProjPoint([1, 0, 0, 0]), ProjPoint([0, 1, 0, 0]))
     direct = vanishing_space(2, 4, lines=[ln])
@@ -624,6 +648,15 @@ def test_candidates_rejected_when_one_prime_drops_rank():
     pts = [ProjPoint([1, 0]), ProjPoint([1, p])]
     with pytest.raises(ShadowMismatch):
         vanishing_space(1, 2, points=pts, candidates=[])
+
+
+def test_candidates_dependent_mod_the_first_prime_are_refused():
+    # x0 and x0 + p*x1 span every linear form over Q but one line mod p, so
+    # the members found mod p fall short of the space and the call refuses
+    p = SHADOW_PRIMES[0]
+    x0, x1 = _vars(2)
+    with pytest.raises(ShadowMismatch):
+        vanishing_space(1, 2, candidates=[x0, x0 + x1 * p])
 
 
 def test_kernel_route_rejects_a_first_prime_that_drops_rank():
@@ -698,6 +731,37 @@ def test_pivot_rows_give_the_whole_matrix_rank_and_kernel(case):
     assert vs.modular_ranks == {p: rank_mod(full, p) for p in SHADOW_PRIMES}
     mono = monomials(n, 1)
     assert [b.coefficient_vector(mono) for b in vs.basis] == [list(v) for v in kernel_int(full)]
+
+
+@given(low_rank_points(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_candidate_route_on_random_spanning_sets_matches_kernel_route(case, data):
+    # candidates: integer combinations of the kernel vectors, with repeats
+    # and copies scaled by 2^64 or more, so that dependent candidates sit
+    # among independent ones and entries pass int64
+    n, points = case
+    mono = monomials(n, 1)
+    kernel = vanishing_space(1, n, points=points)
+    vecs = [b.coefficient_vector(mono) for b in kernel.basis]
+    weights = st.lists(coeffs, min_size=len(vecs), max_size=len(vecs))
+    rows = [[sum(c * v[j] for c, v in zip(cs, vecs)) for j in range(n)]
+            for cs in data.draw(st.lists(weights, min_size=len(vecs), max_size=len(vecs) + 3))]
+    rows = [row for row in rows if any(row)]
+    assume(rank_exact(rows) == len(vecs))
+    if rows:
+        index = st.integers(min_value=0, max_value=len(rows) - 1)
+        extra = st.integers(min_value=0, max_value=2)
+        for _ in range(data.draw(extra)):
+            rows.insert(data.draw(index), list(rows[data.draw(index)]))
+        for _ in range(data.draw(extra)):
+            scale = data.draw(st.integers(min_value=2 ** 64, max_value=2 ** 80))
+            rows.insert(data.draw(index), [scale * v for v in rows[data.draw(index)]])
+    certified = vanishing_space(1, n, points=points, candidates=[MPoly.linear(r) for r in rows])
+    assert certified.method == "candidates"
+    assert certified.dim == kernel.dim
+    assert certified.modular_ranks == kernel.modular_ranks
+    assert all(kernel.contains(b) for b in certified.basis)
+    assert all(certified.contains(b) for b in kernel.basis)
 
 
 @pytest.mark.parametrize("top, dtype", [(2 ** 31 - 1, np.int64), (2 ** 31, object)])

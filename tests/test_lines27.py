@@ -309,6 +309,14 @@ def test_special_loci_counts():
     assert loci.spanning_triples == 40
 
 
+def test_points120_are_the_root_points_on_each_line():
+    loci = L.special_loci()
+    assert len(loci.points120) == 120
+    for line, on in zip(loci.lines120, loci.points120):
+        assert on == {n for n, p in loci.root_points.items() if line.contains(p)}
+        assert len(on) == 3
+
+
 def test_collinear_a2_example():
     # the dual points of an A2 triple of root forms lie on one line
     loci = L.special_loci()
