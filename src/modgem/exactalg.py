@@ -585,20 +585,24 @@ def _clear_row(row: Sequence[Scalar], p: int = 0) -> list[int]:
     return [v.numerator * (denom // v.denominator) for v in row]
 
 
-def _int_products(rows: np.ndarray | Sequence[Sequence[int]],
-                  vecs: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Exact rows @ vecs^T for integer rows (lists, or an int64 or object array).
-
-    Uses int64 matrix multiplication when the worst-case entry provably
-    fits, otherwise object arithmetic on Python integers.
-    """
-    if not len(rows) or not vecs:
-        return [[] for _ in vecs]
+def _int_matmul(rows: np.ndarray | Sequence[Sequence[int]],
+                vecs: Sequence[Sequence[int]]) -> np.ndarray:
+    """Exact rows @ vecs^T of integer rows (lists, or an int64 or object
+    array) and vecs: in int64 when the worst-case entry provably fits,
+    otherwise in object arithmetic on Python integers."""
+    if not len(rows) or not len(vecs):
+        return np.zeros((len(rows), len(vecs)), dtype=np.int64)
     a = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
     b = np.array(vecs, dtype=object).T
     if int(np.abs(a).max()) * int(np.abs(b).max()) * a.shape[1] < 2 ** 62:
-        return (a.astype(np.int64) @ b.astype(np.int64)).T.tolist()
-    return (a.astype(object) @ b).T.tolist()
+        return a.astype(np.int64) @ b.astype(np.int64)
+    return a.astype(object) @ b
+
+
+def _int_products(rows: np.ndarray | Sequence[Sequence[int]],
+                  vecs: Sequence[Sequence[int]]) -> list[list[int]]:
+    """`_int_matmul` as Python ints, one list of values per vec."""
+    return _int_matmul(rows, vecs).T.tolist()
 
 
 class _IntEchelon:
@@ -610,8 +614,10 @@ class _IntEchelon:
     vectors came in, and a single forward pass decides membership of a new
     vector. `rref_int` is its batch form, behind `rank_exact` and
     `kernel_int`; `ProjLine`, `VanishingSpace.contains`, `rootarr.incidence`
-    and the plane and P3 censuses of `gems` use it directly. With
-    `_pivot_rows` over GF(p), it is the only elimination in the package.
+    and the plane and P3 censuses of `gems` use it directly. A kernel basis
+    is read off its rows by `_free_column_basis`, for `kernel_int` and for
+    the point bases of `rootarr.incidence`, with no further elimination.
+    With `_pivot_rows` over GF(p), it is the only elimination in the package.
     """
 
     def __init__(self, vecs: Iterable[Sequence[int]] = ()) -> None:
@@ -678,18 +684,11 @@ def rank_exact(rows: Sequence[Sequence[Scalar]]) -> int:
     return len(rref_int(rows)[0])
 
 
-def kernel_int(rows: Sequence[Sequence[Scalar]]) -> list[tuple[int, ...]]:
-    """Primitive integer basis of the right kernel, one vector per free column.
-
-    The echelon is fully reduced, so with L the lcm of the pivot entries the
-    free column fc gets L and each pivot column pc gets -row[fc] * L/row[pc].
-    Every vector is verified against the cleared rows by exact products.
-    """
-    mat = [list(r) for r in rows]
-    if not mat:
-        return []
-    ncols = len(mat[0])
-    echelon, pivots = rref_int(mat)
+def _free_column_basis(echelon: Sequence[Sequence[int]], pivots: Sequence[int],
+                       ncols: int) -> list[list[int]]:
+    """Kernel basis of a fully reduced integer echelon, one vector per free
+    column, with no further elimination: with L the lcm of the pivot entries,
+    the free column fc gets L and each pivot column pc gets -row[fc] * L/row[pc]."""
     lcm = math.lcm(*(row[pc] for row, pc in zip(echelon, pivots)))
     basis = []
     for fc in sorted(set(range(ncols)) - set(pivots)):
@@ -697,7 +696,19 @@ def kernel_int(rows: Sequence[Sequence[Scalar]]) -> list[tuple[int, ...]]:
         v[fc] = lcm
         for row, pc in zip(echelon, pivots):
             v[pc] = -row[fc] * (lcm // row[pc])
-        basis.append(_canonical_int_vector(v))
+        basis.append(v)
+    return basis
+
+
+def kernel_int(rows: Sequence[Sequence[Scalar]]) -> list[tuple[int, ...]]:
+    """Primitive integer basis of the right kernel: `_free_column_basis` of
+    the `rref_int` echelon, each vector made primitive with a positive leading
+    entry and verified against the cleared rows by exact products."""
+    mat = [list(r) for r in rows]
+    if not mat:
+        return []
+    echelon, pivots = rref_int(mat)
+    basis = [_canonical_int_vector(v) for v in _free_column_basis(echelon, pivots, len(mat[0]))]
     for vals in _int_products([_clear_row(r) for r in mat], basis):
         if any(vals):
             raise ExactAlgError("kernel verification failed")

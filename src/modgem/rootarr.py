@@ -2,9 +2,11 @@
 
 A root system is flattened to its projective arrangement: the positive root
 forms up to sign, as primitive integer vectors. The flat lattice is closed
-level by level (intersecting known flats with the hyperplanes), each flat
-carrying the full index set of forms that contain it, so the t_q(j) census
-and the genuine-singularity filter are exact set computations.
+level by level, each flat carrying the full index set of forms that contain
+it, so the t_q(j) census and the genuine-singularity filter are exact set
+computations. One exact product of the forms with a flat's point basis gives
+all its children: the forms vanishing on a child are the flat's own plus one
+class of proportional rows (see `incidence`).
 """
 
 from __future__ import annotations
@@ -14,7 +16,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Union
 
-from .exactalg import ExactAlgError, _canonical_int_vector, _IntEchelon, kernel_int
+import numpy as np
+
+from .exactalg import (ExactAlgError, _canonical_int_vector, _free_column_basis, _int_matmul,
+                       _IntEchelon, kernel_int)
 
 INF = float("inf")
 
@@ -149,44 +154,45 @@ class IncidenceTable:
 def incidence(arr: Arrangement) -> IncidenceTable:
     """Full flat lattice by level-wise closure against the hyperplanes.
 
-    Level c holds the codimension-c flats, keyed by the canonical echelon of
-    their constraint space. Each parent flat is extended by every form not
-    yet in its `covered` set: its own forms, and the forms of the flats it
-    has already made, since extending by any of those would make one of
-    them again. A new flat's containing-form set is computed once, from
-    scratch by exact membership, never inherited, so the census cannot
-    drift from the geometry.
+    Level c holds the codimension-c flats. A flat L of the lattice is the
+    intersection of the hyperplanes that contain it (Orlik and Terao,
+    Arrangements of Hyperplanes, ch. 2), so its form set keys it. The point
+    basis K of L is read off its fully reduced echelon, and one product
+    V = F K^T evaluates every form on L: the zero rows are L's members, and
+    the child L ∩ H_i lies on H_j exactly when V[j] is a multiple of V[i],
+    since both restrict to linear forms on L. So the nonzero rows, grouped
+    by their primitive row with a positive leading entry, are L's children,
+    each with form set L's members plus its group, visited in order of the
+    group's smallest index. A new child's constraints are L's echelon
+    extended by one form of its group.
     """
     n = arr.ambient
-    all_flats: list[Flat] = []
-
-    # level 1: the hyperplanes themselves
-    level: list[tuple[_IntEchelon, frozenset[int]]] = []
-    for i, f in enumerate(arr.forms):
-        ech = _IntEchelon([f])
-        level.append((ech, frozenset([i])))
-        all_flats.append(Flat(n, ech.key(), frozenset([i])))
-
-    for codim in range(1, n):
-        nxt: dict[tuple, tuple[_IntEchelon, frozenset[int]]] = {}
-        for ech, members in level:
-            covered = set(members)
-            for i, f in enumerate(arr.forms):
-                if i in covered:
-                    continue
-                ext = ech.copy()
-                if not ext.add(f):
-                    continue
-                key = ext.key()
-                if key not in nxt:
-                    forms = frozenset(j for j, g in enumerate(arr.forms) if ext.contains(g))
-                    nxt[key] = (ext, forms)
-                    all_flats.append(Flat(n, key, forms))
-                covered |= nxt[key][1]
-        level = list(nxt.values())
-        if not level:
-            break
-
+    forms = np.array(arr.forms, dtype=object)
+    if int(np.abs(forms).max(initial=0)) < 2 ** 62:
+        forms = forms.astype(np.int64)
+    level = {frozenset([i]): _IntEchelon([f]) for i, f in enumerate(arr.forms)}
+    all_flats = [Flat(n, ech.key(), members) for members, ech in level.items()]
+    for _ in range(1, n):
+        nxt: dict[frozenset[int], _IntEchelon] = {}
+        for members, ech in level.items():
+            vals = _int_matmul(forms, _free_column_basis(ech.rows, ech.pivots, n + 1))
+            off = (vals != 0).any(axis=1)
+            if set(np.flatnonzero(~off).tolist()) != members:
+                raise ExactAlgError("forms vanishing on a flat are not its members")
+            rest = np.flatnonzero(off)
+            prim = vals[rest] // np.gcd.reduce(vals[rest], axis=1)[:, None]
+            lead = prim[np.arange(len(rest)), (prim != 0).argmax(axis=1)]
+            prim = prim * np.where(lead < 0, -1, 1)[:, None]
+            groups: dict[tuple[int, ...], list[int]] = {}
+            for i, row in zip(rest.tolist(), map(tuple, prim.tolist())):
+                groups.setdefault(row, []).append(i)
+            for group in groups.values():
+                child = members.union(group)
+                if child not in nxt:
+                    nxt[child] = ech.copy()
+                    nxt[child].add(arr.forms[group[0]])
+        level = nxt
+        all_flats += [Flat(n, ech.key(), members) for members, ech in level.items()]
     return IncidenceTable(arr, tuple(all_flats))
 
 

@@ -7,7 +7,14 @@ definitions that share a name share their references.
 """
 
 import ast
+import importlib
+import inspect
+import json
+import re
 from pathlib import Path
+
+from modgem.cli import CHECKS
+from modgem.exactalg import MPoly
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "modgem").glob("*.py"))
@@ -101,3 +108,50 @@ def test_every_field_is_read():
              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     unread = sorted(f"{cls}.{name}" for cls, name in _fields() if name not in reads)
     assert unread == []
+
+
+# the layer trace's names: each traced module, and the span names of the
+# `MPoly` methods it wraps
+TRACED_LAYERS = ("cli", "exactalg", "rootarr", "lines27", "gems", "theta", "nodalcy")
+MPOLY_SPANS = {"mul": "__mul__", "subs": "subs", "eval": "eval",
+               "restrict_to_line": "restrict_to_line"}
+
+
+def _public_functions(mod) -> set[str]:
+    """Public functions defined in `mod` itself, plain or lru-cached."""
+    return {name for name, obj in vars(mod).items()
+            if not name.startswith("_")
+            and inspect.isfunction(getattr(obj, "__wrapped__", obj))
+            and obj.__module__ == mod.__name__}
+
+
+def test_benchmark_layer_metrics_name_existing_code():
+    """Every `<layer>.<name>_s` or `_calls` metric of BENCHMARK.json names code.
+
+    The benchmark's trace wraps public functions by name and drops a metric
+    whose span it cannot find, so renaming or removing a traced function
+    silently empties that metric. `check.<suite>.<name>` is a check of
+    `cli.CHECKS`, `cache` counts a module's lru-cached builders, the four
+    `MPoly` spans are methods, and every other name is a public function.
+    """
+    per_layer = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    checks = {c.name for c in CHECKS}
+    missing = []
+    for metric in (m["name"] for m in per_layer):
+        layer, _, rest = metric.partition(".")
+        match = re.fullmatch(r"(.+)_(s|calls)", rest)
+        if layer not in TRACED_LAYERS or not match or match[1] == "self":
+            continue
+        name = match[1]
+        mod = importlib.import_module(f"modgem.{layer}")
+        if layer == "cli" and name.startswith("check."):
+            found = name[len("check."):].replace(".", "/", 1) in checks
+        elif name == "cache":
+            found = any(hasattr(getattr(mod, f), "cache_info") for f in _public_functions(mod))
+        elif layer == "exactalg" and name in MPOLY_SPANS:
+            found = MPOLY_SPANS[name] in vars(MPoly)
+        else:
+            found = name in _public_functions(mod)
+        if not found:
+            missing.append(metric)
+    assert missing == []

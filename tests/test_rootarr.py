@@ -1,13 +1,15 @@
 """Root arrangements: form counts, flat censuses, genuine singularities, weights."""
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from modgem.exactalg import ExactAlgError, rank_exact, rref_int
+from modgem.exactalg import ExactAlgError, _canonical_int_vector, rank_exact, rref_int
 from modgem.rootarr import (
     INF,
     Arrangement,
@@ -16,6 +18,7 @@ from modgem.rootarr import (
     arrangement,
     cached_incidence,
     dm_check,
+    incidence,
     roots,
     singular_flats,
 )
@@ -163,6 +166,51 @@ def test_incidence_matches_subset_enumeration(fam):
     flats = cached_incidence(fam, 4).flats
     assert len(flats) == len(expected)
     assert {(f.constraints, f.forms) for f in flats} == expected
+
+
+@st.composite
+def small_arrangements(draw):
+    """3-9 distinct primitive forms in 3-4 coordinates; entries scaled by 2^40
+    or 2^70 push the products F K^T past int64 onto object arrays."""
+    width = draw(st.integers(3, 4))
+    entry = st.builds(operator.mul, st.integers(-3, 3), st.sampled_from([1, 1, 1, 2 ** 40, 2 ** 70]))
+    vecs = draw(st.lists(st.lists(entry, min_size=width, max_size=width).filter(any),
+                         min_size=3, max_size=9))
+    forms = tuple(dict.fromkeys(_canonical_int_vector(v) for v in vecs))
+    assume(len(forms) >= 3)
+    return Arrangement(width - 1, forms)
+
+
+@given(small_arrangements())
+@settings(max_examples=40, deadline=None)
+def test_incidence_of_random_arrangements_matches_subset_enumeration(arr):
+    # oracle as in test_incidence_matches_subset_enumeration: each subset of
+    # at most `ambient` forms keyed by its rref_int echelon, with the forms
+    # whose adjoining leaves the rank unchanged
+    expected = set()
+    for size in range(1, arr.ambient + 1):
+        for subset in itertools.combinations(arr.forms, size):
+            rows, _ = rref_int(subset)
+            forms = frozenset(i for i, f in enumerate(arr.forms)
+                              if rank_exact(rows + [list(f)]) == len(rows))
+            expected.add((tuple(map(tuple, rows)), forms))
+    flats = incidence(arr).flats
+    assert len(flats) == len(expected)
+    assert {(f.constraints, f.forms) for f in flats} == expected
+
+
+def test_e6_form_sets_are_exact_and_distinct():
+    # the subset oracle stops at rank 4: on E6 every form set is recomputed
+    # from the flat's span, and the 4,596 form sets are pairwise distinct,
+    # which keying the lattice by form set relies on
+    tab = cached_incidence("E", 6)
+    forms = np.array(tab.arrangement.forms)
+    for flat in tab.flats:
+        span = flat.span_basis()
+        assert len(span) == flat.dim + 1
+        vanishing = np.flatnonzero(~(forms @ np.array(span).T).any(axis=1))
+        assert set(vanishing.tolist()) == flat.forms
+    assert len({f.forms for f in tab.flats}) == len(tab.flats) == 4596
 
 
 def test_incidence_double_count():
