@@ -23,7 +23,7 @@ from functools import partial
 from typing import Any, Callable
 
 from . import gems, lines27, nodalcy, rootarr, theta
-from .exactalg import SHADOW_PRIMES, ExactAlgError
+from .exactalg import SHADOW_PRIMES, ExactAlgError, _seed_digest
 
 SCHEMA_VERSION = 1
 
@@ -70,8 +70,7 @@ class VerificationCertificate:
 
 
 def _derived_seed(master: int, check: str) -> int:
-    digest = hashlib.sha256(f"{master}:{check}".encode()).digest()
-    return int.from_bytes(digest[:4], "big")
+    return int.from_bytes(_seed_digest(master, check)[:4], "big")
 
 
 def _canon(value) -> str:

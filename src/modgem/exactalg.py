@@ -855,8 +855,7 @@ def evaluation_rows(degree: int, nvars: int,
 def vanishing_space(degree: int, nvars: int,
                     points: Sequence[ProjPoint] = (),
                     lines: Sequence[ProjLine] = (),
-                    candidates: Sequence[MPoly] | None = None,
-                    primes: Sequence[int] = SHADOW_PRIMES) -> VanishingSpace:
+                    candidates: Sequence[MPoly] | None = None) -> VanishingSpace:
     """Exact basis of degree-d forms vanishing on the given points and lines.
 
     The members are the supplied candidates or, without them, the integer
@@ -880,7 +879,7 @@ def vanishing_space(degree: int, nvars: int,
     """
     mono = monomials(nvars, degree)
     mat = evaluation_rows(degree, nvars, points, lines)
-    first, *later = primes
+    first, *later = SHADOW_PRIMES
     pivots = _pivot_rows(mat, first)
     method = "candidates" if candidates is not None else "kernel"
     if method == "kernel":
@@ -917,10 +916,14 @@ DRAWS_PER_RESULT = 100
 _T = TypeVar("_T")
 
 
+def _seed_digest(seed: int, name: str) -> bytes:
+    """sha256 of "seed:name", from which every derived seed and stream is read."""
+    return hashlib.sha256(f"{seed}:{name}".encode()).digest()
+
+
 def _task_rng(seed: int, task: str) -> random.Random:
     """Task-owned generator: independent streams from one master seed."""
-    digest = hashlib.sha256(f"{seed}:{task}".encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
+    return random.Random(int.from_bytes(_seed_digest(seed, task)[:8], "big"))
 
 
 def _sample(rng: random.Random, count: int,

@@ -88,13 +88,11 @@ def _lift5to6(p: MPoly) -> MPoly:
     return MPoly.from_terms(6, ((exp + (0,), c) for exp, c in p.terms.items()))
 
 
-def _flat_chart_basis(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Chart basis of a flat inside {sum = 0}: solve, then drop the last coordinate.
-
-    Dropping the last coordinate is injective on the hyperplane {sum = 0},
-    so the truncated vectors still span a flat of the same dimension.
-    """
-    full = [list(r) for r in rows] + [[1] * 6]
+def _flat_chart_basis(zeros: Sequence[int]) -> list[tuple[int, ...]]:
+    """Chart basis of {x_i = 0 for i in zeros} inside {sum = 0}: solve, then
+    drop the last coordinate, which is injective on {sum = 0}, so the
+    truncated vectors span a flat of the same dimension."""
+    full = [[1 if k == i else 0 for k in range(6)] for i in zeros] + [[1] * 6]
     return [v[:5] for v in kernel_int(full)]
 
 
@@ -156,12 +154,6 @@ class RationalizationMaps:
     def __post_init__(self):
         if len(self.l_forms) != 4 or len(self.m_forms) != 4:
             raise ExactAlgError("four P3's define the projection")
-        expected = [_product(self.m_forms)]
-        for i in range(4):
-            keep = [self.m_forms[j] for j in range(4) if j != i]
-            expected.append(self.l_forms[i] * _product(keep))
-        if len(self.phi) != 5 or any(a != b for a, b in zip(self.phi, expected)):
-            raise ExactAlgError("projection quartics must be the stated products")
         if len(self.psi) != 6 or any(o.degree() != 8 for o in self.psi):
             raise ExactAlgError("inverse components must be octics")
 
@@ -442,8 +434,7 @@ def build_nieto() -> NietoModel:
     labels = tuple(sorted(itertools.combinations(range(6), 3)))
     lines = []
     for triple in labels:
-        rows = [[1 if k == i else 0 for k in range(6)] for i in triple]
-        basis = _flat_chart_basis(rows)
+        basis = _flat_chart_basis(triple)
         if len(basis) != 2:
             raise ExactAlgError("coordinate-triple flats must be lines")
         line = ProjLine(ProjPoint(basis[0]), ProjPoint(basis[1]))
@@ -466,18 +457,17 @@ def build_nieto() -> NietoModel:
         cross.append(ProjPoint(v[:5]))
     if len(set(cross)) != 15:
         raise ExactAlgError("expected 15 distinct difference points")
-    per_point = [sum(1 for line in lines if line.contains(q)) for q in cross]
-    per_line = [sum(1 for q in cross if line.contains(q)) for line in lines]
+    on_line = [[line.contains(q) for q in cross] for line in lines]
+    per_line = [sum(row) for row in on_line]
+    per_point = [sum(col) for col in zip(*on_line)]
     if set(per_point) != {4} or set(per_line) != {3}:
         raise ExactAlgError("difference-point incidences must be 4 per point, 3 per line")
 
-    def holds_line(ech: _IntEchelon, line: ProjLine) -> bool:
-        return ech.contains(line.p.coords) and ech.contains(line.q.coords)
-
+    # the matching planes of the cubic, in the chart: drop the last coordinate
     matching_planes = []
-    for matching in _matchings():
-        basis = _flat_chart_basis(_matching_rows(matching))
-        if len(basis) != 3 or not N.restrict(basis).is_zero():
+    for matching, plane in zip(_matchings(), _plane_bases()):
+        basis = [v[:5] for v in plane]
+        if not N.restrict(basis).is_zero():
             raise ExactAlgError(f"matching plane {matching} must lie on the quintic")
         ech = _IntEchelon(basis)
         n_nodes = sum(1 for p in nodes if ech.contains(p.coords))
@@ -487,27 +477,27 @@ def build_nieto() -> NietoModel:
         matching_planes.append(tuple(tuple(v) for v in basis))
 
     coordinate_planes = []
-    coordinate_spans = []
+    in_plane = []  # per coordinate plane, whether it holds each singular line
     for i, j in itertools.combinations(range(6), 2):
-        rows = [[1 if k == i else 0 for k in range(6)],
-                [1 if k == j else 0 for k in range(6)]]
-        basis = _flat_chart_basis(rows)
+        basis = _flat_chart_basis((i, j))
         if len(basis) != 3 or not N.restrict(basis).is_zero():
             raise ExactAlgError(f"coordinate plane {(i, j)} must lie on the quintic")
         ech = _IntEchelon(basis)
         n_nodes = sum(1 for p in nodes if ech.contains(p.coords))
         n_cross = sum(1 for q in cross if ech.contains(q.coords))
-        inside = [lab for lab, line in zip(labels, lines) if holds_line(ech, line)]
+        held = [ech.contains(line.p.coords) and ech.contains(line.q.coords)
+                for line in lines]
+        inside = [lab for lab, h in zip(labels, held) if h]
         if n_nodes != 0 or n_cross != 6 or len(inside) != 4:
             raise ExactAlgError(f"coordinate plane {(i, j)} census failed")
         if any(not {i, j} <= set(lab) for lab in inside):
             raise ExactAlgError("lines inside a coordinate plane must extend its pair")
         coordinate_planes.append(tuple(tuple(v) for v in basis))
-        coordinate_spans.append(ech)
+        in_plane.append(held)
 
     # every singular line lies in exactly three of the coordinate planes
-    for lab, line in zip(labels, lines):
-        count = sum(1 for ech in coordinate_spans if holds_line(ech, line))
+    for lab, column in zip(labels, zip(*in_plane)):
+        count = sum(column)
         if count != 3:
             raise ExactAlgError(f"line {lab} lies in {count} coordinate planes, wanted 3")
 

@@ -182,9 +182,8 @@ class Structures:
     syzygetic_pairs: frozenset[frozenset[str]]
     azygetic_pairs: frozenset[frozenset[str]]
     azygetic_triples: frozenset[frozenset[str]]
-    trihedral_pairs: dict[str, frozenset[str]]
-    azygetic_by_name: dict[str, frozenset[str]]
-    triads: frozenset[frozenset[str]]
+    trihedral_pairs: dict[frozenset[str], frozenset[str]]  # azygetic triple -> its 9 lines
+    triads: frozenset[frozenset[frozenset[str]]]
 
     def counts(self) -> dict[str, int]:
         return {
@@ -195,22 +194,6 @@ class Structures:
             "syzygetic_pairs": len(self.syzygetic_pairs),
             "azygetic_triples": len(self.azygetic_triples),
         }
-
-
-def _trihedral_name(triple: frozenset[str]) -> str:
-    """Canonical name of the azygetic triple / its trihedral pair."""
-    names = sorted(triple)
-    if "N" in triple:
-        triples = sorted(n[2:] for n in names if n != "N")
-        return "{%s}" % min(triples)
-    subs = [n[2:] for n in names]
-    if all(len(s) == 2 for s in subs):
-        merged = sorted(set(int(c) for s in subs for c in s))
-        return "{%d%d.%d%d}" % (merged[0], merged[1], merged[1], merged[2])
-    pair = next(s for s in subs if len(s) == 2)
-    other = sorted(set(int(c) for s in subs if len(s) == 3 for c in s)
-                   - set(int(c) for c in pair))
-    return "{%s.%d%d}" % (pair, other[0], other[1])
 
 
 @lru_cache(maxsize=1)
@@ -272,11 +255,9 @@ def enumerate_structures() -> Structures:
                 triples.add(frozenset({d1, d2, d3}))
 
     all_lines = frozenset(LINE_LABELS)
-    trihedral: dict[str, frozenset[str]] = {}
-    by_name: dict[str, frozenset[str]] = {}
+    trihedral: dict[frozenset[str], frozenset[str]] = {}
     for triple in triples:
-        covered = frozenset().union(*(named[d] for d in triple))
-        residual = all_lines - covered
+        residual = all_lines.difference(*(named[d] for d in triple))
         if len(residual) != 9:
             raise ExactAlgError("azygetic triple does not leave nine residual lines")
         inside = [t for t, lines in tri.items() if lines <= residual]
@@ -285,24 +266,21 @@ def enumerate_structures() -> Structures:
         for line in residual:
             if sum(1 for t in inside if line in tri[t]) != 2:
                 raise ExactAlgError("trihedral pair lines must lie on two tritangents each")
-        name = _trihedral_name(triple)
-        trihedral[name] = residual
-        by_name[name] = triple
-    if len(trihedral) != len(triples):
-        raise ExactAlgError("trihedral pair naming collision")
+        trihedral[triple] = residual
+    by_residual = {lines: triple for triple, lines in trihedral.items()}
+    if len(by_residual) != len(trihedral):
+        raise ExactAlgError("trihedral pairs must have distinct residual lines")
 
-    tp_names = sorted(trihedral)
+    # a triad is three trihedral pairs partitioning the 27 lines: each
+    # disjoint pair of pairs names the third by its leftover nine lines
     triads = set()
-    for n1 in tp_names:
-        for n2 in tp_names:
-            if n2 <= n1 or trihedral[n1] & trihedral[n2]:
-                continue
-            rest = all_lines - trihedral[n1] - trihedral[n2]
-            for n3 in tp_names:
-                if n3 > n2 and trihedral[n3] == rest:
-                    triads.add(frozenset({n1, n2, n3}))
+    for t1, t2 in itertools.combinations(trihedral, 2):
+        if trihedral[t1].isdisjoint(trihedral[t2]):
+            t3 = by_residual.get(all_lines - trihedral[t1] - trihedral[t2])
+            if t3 is not None:
+                triads.add(frozenset({t1, t2, t3}))
     return Structures(tri, named, frozenset(syz), frozenset(azy), frozenset(triples),
-                      trihedral, by_name, frozenset(triads))
+                      trihedral, frozenset(triads))
 
 
 # -- enneahedra ---------------------------------------------------------------------
@@ -768,7 +746,7 @@ def special_loci() -> SpecialLoci:
     # each azygetic triple of double sixes names three root forms spanning a
     # pencil (the forms satisfy one linear relation), so they share a P^3
     st = enumerate_structures()
-    spaces120 = []
+    forms_of: dict[frozenset[str], frozenset[str]] = {}
     pencil_keys = set()
     for triple in st.azygetic_triples:
         forms = frozenset("h" + n[2:] if n != "N" else "h" for n in triple)
@@ -776,8 +754,8 @@ def special_loci() -> SpecialLoci:
         if len(ech) != 2:
             raise ExactAlgError("azygetic form triple must span a pencil")
         pencil_keys.add(tuple(tuple(r) for r in ech))
-        spaces120.append(forms)
-    if len(set(spaces120)) != 120 or len(pencil_keys) != 120:
+        forms_of[triple] = forms
+    if len(set(forms_of.values())) != 120 or len(pencil_keys) != 120:
         raise ExactAlgError("expected 120 distinct P^3s")
 
     # orthogonality census: the three root points on each of the 120 lines
@@ -821,14 +799,7 @@ def special_loci() -> SpecialLoci:
         spanning += 1
 
     # the 40 triangles are the triads: one line per trihedral pair
-    triad_formsets = set()
-    for triad in st.triads:
-        fs = frozenset(
-            frozenset("h" + d[2:] if d != "N" else "h"
-                      for d in st.azygetic_by_name[tp])
-            for tp in triad
-        )
-        triad_formsets.add(fs)
+    triad_formsets = {frozenset(forms_of[tp] for tp in triad) for triad in st.triads}
     triangle_formsets = {
         frozenset(frozenset(a2_points[i]) for i in tr) for tr in triangles
     }
@@ -844,7 +815,7 @@ def special_loci() -> SpecialLoci:
         tuple(points120.values()),
         tuple(lines216.values()),
         tuple(lines45.values()),
-        tuple(spaces120),
+        tuple(forms_of.values()),
         spanning,
     )
 

@@ -9,9 +9,10 @@ the ambient P^5 (the gradient of the quintic vanishes at a line node, and
 the hyperplane is tangent at the tangency node); the space of quintics
 through the nodes is certified in a chart of the hyperplane by
 vanishing_space with supplied members (products of the restricted partials
-with linear forms) against the modular rank bound, and the defect, Betti
-and Hodge numbers follow by the classical node-count bookkeeping for small
-resolutions.
+with linear forms) against the modular rank bound, and again in the chart
+of a random invertible mix of the first chart's generators. The defect,
+Betti and Hodge numbers follow by the classical node-count bookkeeping for
+small resolutions.
 
 First Betti numbers are deliberately not reported; published tables for
 them disagree with the standard conventions, and nothing downstream needs
@@ -105,7 +106,7 @@ def tangent_section(seed: int = 0) -> SectionSpec:
     point is smooth and the tangent hyperplane passes the same validity
     predicates as a generic one.
     """
-    f = invariant_quintic_form()
+    grads = invariant_quintic_form().partials()
     octics = psi_octics()
 
     def tangent(rng) -> SectionSpec | None:
@@ -114,7 +115,7 @@ def tangent_section(seed: int = 0) -> SectionSpec:
         if all(v == 0 for v in vals):
             return None
         pt = ProjPoint(vals)
-        grad = [g.eval(pt.coords) for g in f.partials()]
+        grad = [g.eval(pt.coords) for g in grads]
         if not any(grad):
             return None
         h = MPoly.linear(grad)
@@ -230,14 +231,12 @@ def _quintic_candidates(q: MPoly, restricted_partials: list[MPoly],
     return cands
 
 
-def _chart_dimension(f: MPoly, h: MPoly, nodes, tangency, mix=None) -> tuple[int, VanishingSpace, MPoly]:
-    gens = _chart_generators(h)
-    if mix is not None:
-        gens = [tuple(sum(mix[j][k] * gens[k][i] for k in range(5)) for i in range(6))
-                for j in range(5)]
+def _chart_dimension(f: MPoly, grads: list[MPoly], gens, nodes,
+                     tangency) -> tuple[int, VanishingSpace, MPoly]:
+    """Through-nodes dimension, space and restricted f in the chart of gens."""
     q = f.restrict(gens)
     chart_nodes = [_chart_coordinates(gens, node) for node in nodes]
-    restricted = [g.restrict(gens) for g in f.partials()]
+    restricted = [g.restrict(gens) for g in grads]
     tangency_chart = _chart_coordinates(gens, tangency) if tangency is not None else None
     cands = _quintic_candidates(q, restricted, tangency_chart)
     space = vanishing_space(5, 5, points=chart_nodes, candidates=cands)
@@ -248,16 +247,20 @@ def section_report(spec: SectionSpec, seed: int = 0) -> NodalSectionReport:
     """Extract nodes, measure quintics through them, derive the topology.
 
     The nodes come certified from `section_nodes`. The through-nodes
-    dimension is recomputed in a second, randomly mixed chart and must
-    agree.
+    dimension is recomputed in a second chart, the first chart's generators
+    mixed by a random invertible matrix, and must agree.
     """
     nodes = section_nodes(spec)
     f = invariant_quintic_form()
+    grads = f.partials()
     s = len(nodes)
 
-    dim1, space, q = _chart_dimension(f, spec.hyperplane, nodes, spec.tangency)
+    gens = _chart_generators(spec.hyperplane)
+    dim1, space, q = _chart_dimension(f, grads, gens, nodes, spec.tangency)
     mix = _mixing_matrix(_task_rng(seed, "chart-mix"))
-    dim2 = _chart_dimension(f, spec.hyperplane, nodes, spec.tangency, mix)[0]
+    mixed = [tuple(sum(mix[j][k] * gens[k][i] for k in range(5)) for i in range(6))
+             for j in range(5)]
+    dim2 = _chart_dimension(f, grads, mixed, nodes, spec.tangency)[0]
     if dim1 != dim2:
         raise ExactAlgError(f"chart choice leaked into the dimension: {dim1} vs {dim2}")
 

@@ -19,7 +19,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .exactalg import (ExactAlgError, _canonical_int_vector, _free_column_basis, _int_matmul,
-                       _IntEchelon, kernel_int)
+                       _IntEchelon)
 
 INF = float("inf")
 
@@ -133,8 +133,14 @@ class Flat:
         return len(self.forms)
 
     def span_basis(self) -> list[tuple[int, ...]]:
-        """Primitive integer basis of the flat's linear span."""
-        return kernel_int([list(r) for r in self.constraints])
+        """Primitive integer basis of the flat's linear span, read off the
+        constraints' fully reduced echelon and checked by exact products."""
+        pivots = [next(j for j, c in enumerate(r) if c) for r in self.constraints]
+        basis = [_canonical_int_vector(v) for v in
+                 _free_column_basis(self.constraints, pivots, self.ambient + 1)]
+        if _int_matmul(self.constraints, basis).any():
+            raise ExactAlgError("span basis verification failed")
+        return basis
 
 
 @dataclass

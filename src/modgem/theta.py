@@ -12,7 +12,8 @@ product of two genus-1 sums; the squared sum of eighth powers equals four
 times the sum of sixteenth powers; the classical quartic relation holds in
 the five projective coordinates built from fourth powers; and the stacked
 fourth-power vectors have numerical rank five, witnessing the five linear
-relations among the ten even constants.
+relations among the ten even constants. Every check reads the sixteen
+constants at a point from one `theta_constants` table.
 """
 
 from __future__ import annotations
@@ -167,6 +168,11 @@ def theta_const(char: ThetaChar, point: SiegelPoint, radius: int | None = None) 
     return ThetaValue(value, radius, _tail_bound(radius, lam))
 
 
+def theta_constants(point: SiegelPoint) -> dict[ThetaChar, complex]:
+    """The sixteen constants at tau, one lattice sum each, keyed by characteristic."""
+    return {c: theta_const(c, point).value for c in ALL_CHARS}
+
+
 def theta_const_genus1(a: Fraction, b: Fraction, t: complex, radius: int = 40) -> complex:
     """One-variable constant, used as an oracle at diagonal tau."""
     total = 0.0 + 0.0j
@@ -187,13 +193,14 @@ _Y_CHARS = (ThetaChar((0, 1, 1, 0)), ThetaChar((0, 1, 0, 0)), ThetaChar((0, 0, 0
             ThetaChar((0, 0, 0, 1)), ThetaChar((0, 0, 1, 1)))
 
 
-def quartic_coordinates(point: SiegelPoint) -> tuple[complex, ...]:
-    """The five projective coordinates built from fourth powers of constants.
+def quartic_coordinates(table: dict[ThetaChar, complex]) -> tuple[complex, ...]:
+    """The five projective coordinates built from fourth powers of the
+    constants in a `theta_constants` table.
 
     y3 and y4 are the differences that absorb two of the five linear
     relations; the remaining single quartic relation is checked separately.
     """
-    t = [theta_const(c, point).value ** 4 for c in _Y_CHARS]
+    t = [table[c] ** 4 for c in _Y_CHARS]
     return (t[0], t[1], t[2], t[3] - t[2], t[4] - t[2])
 
 
@@ -203,17 +210,17 @@ def quartic_relation(y: tuple[complex, ...]) -> complex:
         - 4 * y0 * y1 * y2 * (y0 + y1 + y2 + y3 + y4)
 
 
-def maschke_residual(point: SiegelPoint) -> float:
+def maschke_residual(table: dict[ThetaChar, complex]) -> float:
     even, _ = classify_chars()
-    vals = [theta_const(c, point).value for c in even]
+    vals = [table[c] for c in even]
     p8 = sum(v ** 8 for v in vals)
     p16 = sum(v ** 16 for v in vals)
     scale = max(1.0, sum(abs(v) ** 16 for v in vals))
     return abs(p8 ** 2 - 4 * p16) / scale
 
 
-def r1_residual(point: SiegelPoint) -> float:
-    y = quartic_coordinates(point)
+def r1_residual(table: dict[ThetaChar, complex]) -> float:
+    y = quartic_coordinates(table)
     scale = max(1.0, sum(abs(c) for c in y) ** 4)
     return abs(quartic_relation(y)) / scale
 
@@ -277,10 +284,11 @@ def identity_checks(samples: int = 20, seed: int = 0, tol: float = 1e-9) -> Iden
     stacked = np.zeros((samples, 10), dtype=complex)
     for s in range(samples):
         point = sample_point(rng)
-        odd_max = max(abs(theta_const(c, point).value) for c in odd)
-        stacked[s] = [theta_const(c, point).value ** 4 for c in even]
-        rows.append(SampleResidual(point, maschke_residual(point),
-                                   r1_residual(point), odd_max))
+        table = theta_constants(point)
+        odd_max = max(abs(table[c]) for c in odd)
+        stacked[s] = [table[c] ** 4 for c in even]
+        rows.append(SampleResidual(point, maschke_residual(table),
+                                   r1_residual(table), odd_max))
     sv = np.linalg.svd(stacked, compute_uv=False)
     rank = int(np.sum(sv > sv[0] * 1e-8))
     return IdentityReport(samples, tuple(rows),

@@ -1,5 +1,6 @@
 """The four hypersurfaces: singular loci, subspaces, invariants, duality."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -375,9 +376,10 @@ def test_hypersurface_rejects_zero_form():
         gems._require_form(MPoly.zero(5), 3)
 
 
-def test_rationalization_maps_reject_tampered_quartics():
+def test_rationalization_maps_reject_tampered_quartics(monkeypatch):
     maps = gems.phi_quartics()
-    bad = maps.phi[:4] + (maps.phi[4] * 2,)
-    with pytest.raises(ExactAlgError):
-        gems.RationalizationMaps(maps.l_names, maps.m_names, maps.l_forms,
-                                 maps.m_forms, bad, maps.psi)
+    bad = dataclasses.replace(maps, phi=maps.phi[:4] + (maps.phi[4] * 2,))
+    monkeypatch.setattr(gems, "phi_quartics", lambda: bad)
+    with pytest.raises(ExactAlgError, match="must reproduce the point"):
+        gems.rationalize_i5(seed=0, exact_samples=5, modular_samples=100,
+                            roundtrip_samples=5)

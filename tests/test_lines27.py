@@ -89,6 +89,15 @@ def test_triads_partition_lines():
         assert union == frozenset(L.LINE_LABELS)
 
 
+def test_trihedral_pairs_are_keyed_by_their_triples_and_every_triad_is_found():
+    st_ = L.enumerate_structures()
+    pairs = st_.trihedral_pairs
+    assert set(pairs) == set(st_.azygetic_triples)
+    brute = {frozenset(combo) for combo in itertools.combinations(pairs, 3)
+             if len(frozenset().union(*(pairs[t] for t in combo))) == 27}
+    assert brute == set(st_.triads)
+
+
 def test_enneahedra_census():
     rep = L.enneahedra()
     assert len(rep.partitions) == 200

@@ -146,16 +146,32 @@ def test_generic_report(generic):
 
 
 def test_report_raises_when_the_charts_disagree(generic, monkeypatch):
-    # the second, randomly mixed chart is the call that passes a mixing matrix
+    # the second call measures the randomly mixed chart
     real = nodalcy._chart_dimension
+    calls = []
 
-    def skewed(f, h, nodes, tangency, mix=None):
-        dim, *rest = real(f, h, nodes, tangency, mix)
-        return (dim + 1 if mix is not None else dim, *rest)
+    def skewed(*args):
+        calls.append(args)
+        dim, *rest = real(*args)
+        return (dim + 1 if len(calls) == 2 else dim, *rest)
 
     monkeypatch.setattr(nodalcy, "_chart_dimension", skewed)
     with pytest.raises(ExactAlgError, match="chart choice"):
         section_report(generic[0])
+    assert len(calls) == 2
+
+
+def test_report_builds_the_chart_generators_once(generic, monkeypatch):
+    real = nodalcy._chart_generators
+    calls = []
+
+    def counted(h):
+        calls.append(h)
+        return real(h)
+
+    monkeypatch.setattr(nodalcy, "_chart_generators", counted)
+    assert section_report(generic[0]) == generic[1]
+    assert calls == [generic[0].hyperplane]
 
 
 def test_generic_vanishing_space_contract(generic):

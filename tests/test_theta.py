@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modgem import theta
 from modgem.exactalg import _task_rng
 from modgem.theta import (
     ALL_CHARS,
@@ -25,6 +26,7 @@ from modgem.theta import (
     sample_point,
     theta_const,
     theta_const_genus1,
+    theta_constants,
 )
 
 DIAG_II = SiegelPoint.from_entries(1j, 0, 1j)
@@ -165,16 +167,16 @@ def test_genus1_jacobi_identity():
 
 def test_maschke_identity_at_samples():
     for pt in _sampled(10, task="maschke"):
-        assert maschke_residual(pt) < 1e-12
+        assert maschke_residual(theta_constants(pt)) < 1e-12
 
 
 def test_quartic_relation_at_samples():
     for pt in _sampled(10, task="quartic"):
-        assert r1_residual(pt) < 1e-12
+        assert r1_residual(theta_constants(pt)) < 1e-12
 
 
 def test_quartic_coordinates_nondegenerate():
-    y = quartic_coordinates(DIAG_II)
+    y = quartic_coordinates(theta_constants(DIAG_II))
     assert len(y) == 5
     assert all(abs(c) > 1e-6 for c in y[:3])
     # the two difference coordinates collapse at the diagonal split locus
@@ -224,6 +226,25 @@ def test_report_flags_a_tolerance_it_misses():
                            "odd_max_small": True}
     assert rep.theta4_rank == 5
     assert not rep.passed
+
+
+def test_report_sums_each_constant_once_per_point(monkeypatch):
+    calls = []
+
+    def counted(char, point, radius=None):
+        calls.append(char)
+        return theta_const(char, point, radius)
+
+    monkeypatch.setattr(theta, "theta_const", counted)
+    identity_checks(samples=12, seed=0)
+    assert len(calls) == 16 * 12
+    assert set(calls) == set(ALL_CHARS)
+
+
+def test_constant_table_matches_the_lattice_sums():
+    table = theta_constants(DIAG_II)
+    assert set(table) == set(ALL_CHARS)
+    assert all(table[c] == theta_const(c, DIAG_II).value for c in ALL_CHARS)
 
 
 def test_report_needs_enough_samples():
