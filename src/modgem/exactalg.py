@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -612,12 +612,9 @@ class _IntEchelon:
     pivot, and zero at one another's pivots. That form of a row space is
     unique, so the rows are a canonical key of the span whatever order the
     vectors came in, and a single forward pass decides membership of a new
-    vector. `rref_int` is its batch form, behind `rank_exact` and
-    `kernel_int`; `ProjLine`, `VanishingSpace.contains`, `rootarr.incidence`
-    and the plane and P3 censuses of `gems` use it directly. A kernel basis
-    is read off its rows by `_free_column_basis`, for `kernel_int` and for
-    the point bases of `rootarr.incidence`, with no further elimination.
-    With `_pivot_rows` over GF(p), it is the only elimination in the package.
+    vector. It serves what needs an exact object or a name: `ProjLine`,
+    `VanishingSpace.contains`, `rootarr.incidence` (via `_free_column_basis`),
+    the `gems` censuses, and `rref_int` for `rank_exact` and the pencil keys.
     """
 
     def __init__(self, vecs: Iterable[Sequence[int]] = ()) -> None:
@@ -700,58 +697,142 @@ def _free_column_basis(echelon: Sequence[Sequence[int]], pivots: Sequence[int],
     return basis
 
 
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases 2, 3, 5 and 7, deterministic below 3,215,031,751:
+    with n - 1 = d * 2^s, d odd, each base a has a^d = 1 or a^(d 2^j) = -1."""
+    if n < 11:
+        return n in (2, 3, 5, 7)
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    return all(pow(a, d, n) == 1 or any(pow(a, d << j, n) == n - 1 for j in range(s))
+               for a in (2, 3, 5, 7))
+
+
+def _kernel_primes() -> Iterator[int]:
+    """SHADOW_PRIMES, then every prime below them, descending (< 2^31)."""
+    yield from SHADOW_PRIMES
+    yield from filter(_is_prime, range(min(SHADOW_PRIMES) - 1, 1, -1))
+
+
+def _rational(x: int, m: int) -> Optional[Fraction]:
+    """The a/b = x mod m with |a|, b <= sqrt(m/2), unique if any (Wang et al., 1982)."""
+    bound = math.isqrt(m // 2)
+    r0, r1, s0, s1 = m, x % m, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    return Fraction(r1, s1) if abs(s1) <= bound and math.gcd(r1, s1) == 1 else None
+
+
 def kernel_int(rows: Sequence[Sequence[Scalar]]) -> list[tuple[int, ...]]:
-    """Primitive integer basis of the right kernel: `_free_column_basis` of
-    the `rref_int` echelon, each vector made primitive with a positive leading
-    entry and verified against the cleared rows by exact products."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return []
-    echelon, pivots = rref_int(mat)
-    basis = [_canonical_int_vector(v) for v in _free_column_basis(echelon, pivots, len(mat[0]))]
-    for vals in _int_products([_clear_row(r) for r in mat], basis):
-        if any(vals):
-            raise ExactAlgError("kernel verification failed")
-    return basis
+    """Primitive integer basis of the right kernel, one vector per free column
+    over Q: elimination mod p, CRT, rational reconstruction, exact check.
 
-
-def _chart_coordinates(basis: Sequence[Sequence[int]], pt: ProjPoint) -> ProjPoint:
-    """The point u of the chart with sum(u_j * basis[j]) proportional to pt.
-
-    (u, c) spans the kernel of the bordered matrix [basis^T | -pt] exactly
-    when the basis vectors are independent and pt lies in their span, and
-    then c != 0; `kernel_int` verifies the kernel vector by exact products.
-    Anything else raises ExactAlgError.
+    Each prime of `_kernel_primes` gives one vector per free column mod p
+    (`_kernel_mod`). A prime whose (rank, pivots) is lower, or later at the
+    same rank, than the best seen is unlucky and skipped; a better one
+    restarts the CRT. The first reconstructed `_canonical_int_vector` basis
+    that `_int_products` checks against the rows is returned, and it is the
+    canonical one: the n - r_p checked vectors are independent kernel
+    vectors, so r_Q <= r_p <= r_Q; by the echelon shape mod p each ends at
+    its free column, and no kernel vector ends at a pivot column over Q, so
+    the pivots agree and each vector is the one `_free_column_basis` reads
+    off `rref_int`. With H the Hadamard bound of the cleared rows, entries
+    are ratios of minors of size at most H and each unlucky prime divides
+    one nonzero minor, so discarded primes multiply to at most H and a run
+    past 2*H^2 is all lucky and reconstructs; passing either bound raises.
     """
-    bordered = [[b[i] for b in basis] + [-c] for i, c in enumerate(pt.coords)]
+    cleared = [_clear_row(r) for r in rows]
+    if not cleared:
+        return []
+    n = len(cleared[0])
+    mat = np.array(cleared, dtype=object).reshape(len(cleared), n)
+    hadamard = math.prod(math.isqrt(sum(v * v for v in row)) + 1 for row in cleared)
+    primes = _kernel_primes()
+    best, residues, modulus, discarded = None, None, 1, 1
+    while modulus <= 2 * hadamard ** 2 and discarded <= hadamard:
+        p = next(primes)
+        _, pivots, block = _echelon_mod(mat, p)
+        key = (-len(pivots), pivots)
+        if best is not None and key > best:
+            discarded *= p
+            continue
+        vecs = _kernel_mod(block, pivots, n, p).astype(object)
+        if key != best:
+            best, residues, modulus, discarded = key, vecs, p, discarded * modulus
+        else:
+            residues = residues + modulus * ((vecs - residues) * pow(modulus, -1, p) % p)
+            modulus *= p
+        basis = _reconstructed_basis(residues, pivots, modulus)
+        if basis is not None and not any(map(any, _int_products(mat, basis))):
+            return basis
+    raise ExactAlgError("kernel did not verify within the Hadamard bound")
+
+
+def _kernel_mod(block: np.ndarray, pivots: list[int], n: int, p: int) -> np.ndarray:
+    """The kernel mod p of an `_echelon_mod` block, back-substituted: one
+    vector per free column, 1 there and 0 at the other free columns."""
+    a = block.copy()
+    for i, c in reversed(list(enumerate(pivots))):
+        a[:i, c:] = (a[:i, c:] - a[:i, c, None] * a[i, c:]) % p
+    free = sorted(set(range(n)) - set(pivots))
+    vecs = np.zeros((len(free), n), dtype=np.int64)
+    vecs[np.arange(len(free)), free] = 1
+    vecs[:, pivots] = (-a[:, free].T) % p
+    return vecs
+
+
+def _reconstructed_basis(residues: np.ndarray, pivots: list[int],
+                         modulus: int) -> Optional[list[tuple[int, ...]]]:
+    """The canonical vectors of the residues by `_rational` at the pivots, or None."""
+    vecs = residues.tolist()
+    for vec in vecs:
+        for pc in pivots:
+            vec[pc] = _rational(vec[pc], modulus)
+            if vec[pc] is None:
+                return None
+    return [_canonical_int_vector(vec) for vec in vecs]
+
+
+def _chart_coordinates(basis: Sequence[Sequence[int]],
+                       points: Sequence[ProjPoint]) -> list[ProjPoint]:
+    """For each point, the point u with sum(u_j * basis[j]) proportional to
+    it. The kernel of [basis^T | -p_1 ... -p_N] has exactly N vectors, the
+    one of p_l nonzero at its own point column and zero at the others,
+    exactly when the basis is independent and spans every point; the one of
+    p_l is then (u_l, c e_l). Anything else raises ExactAlgError."""
+    k = len(basis)
+    bordered = [[b[i] for b in basis] + [-pt.coords[i] for pt in points]
+                for i in range(len(basis[0]))]
     kernel = kernel_int(bordered)
-    if len(kernel) != 1 or not kernel[0][-1]:
-        raise ExactAlgError(f"{pt} is not in the span of {len(basis)} independent vectors")
-    return ProjPoint(kernel[0][:-1])
+    if len(kernel) != len(points) or any(
+            bool(c) != (j == l) for l, vec in enumerate(kernel) for j, c in enumerate(vec[k:])):
+        raise ExactAlgError(f"a point is not in the span of {k} independent vectors")
+    return [ProjPoint(vec[:k]) for vec in kernel]
 
 
-def _pivot_rows(rows: np.ndarray | Sequence[Sequence[Scalar]], p: int) -> list[int]:
-    """Indices of the rows that carry the pivots of an elimination over GF(p).
+def _echelon_mod(rows: np.ndarray | Sequence[Sequence[Scalar]],
+                 p: int) -> tuple[list[int], list[int], np.ndarray]:
+    """Forward elimination over GF(p): (pivot rows, pivot columns, block).
 
     `rows` is an int64 or object array, or rows of scalars, each cleared to
     integers by `_clear_row` (raising when p divides its denominator lcm).
-    Entries are reduced with integer `%`; scaling a row by a unit mod p
-    leaves the rank unchanged, so no entry is inverted mod p. Rows from
-    `rank` down are zero left of `col`, so the pivot row is scaled and the
-    rows below it are updated only from `col` on, and only the rows with a
-    nonzero entry in `col` are touched. The returned rows are independent
-    mod p and span the row space mod p; their number is the rank.
+    Rows from `rank` down are zero left of `col`, so the pivot row is
+    scaled to 1 at `col` and only the rows below with a nonzero entry in
+    `col` are updated, from `col` on. The pivot rows span the row space
+    mod p; the block is the echelon they become, zero below each pivot.
     """
     if not len(rows):
-        return []
+        return [], [], np.zeros((0, 0), dtype=np.int64)
     if isinstance(rows, np.ndarray):
         a = (rows % p).astype(np.int64)
     else:
         a = np.array([[v % p for v in _clear_row(r, p)] for r in rows], dtype=np.int64)
     m, n = a.shape
     order = list(range(m))
-    rank = 0
+    cols: list[int] = []
     for col in range(n):
+        rank = len(cols)
         if rank == m:
             break
         nonzero = rank + np.nonzero(a[rank:, col])[0]
@@ -767,8 +848,14 @@ def _pivot_rows(rows: np.ndarray | Sequence[Sequence[Scalar]], p: int) -> list[i
         below = nonzero[1:]
         if below.size:
             a[below, col:] = (a[below, col:] - a[below, col, None] * a[rank, col:]) % p
-        rank += 1
-    return order[:rank]
+        cols.append(col)
+    return order[:len(cols)], cols, a[:len(cols)]
+
+
+def _pivot_rows(rows: np.ndarray | Sequence[Sequence[Scalar]], p: int) -> list[int]:
+    """Indices of the rows that carry the pivots of an elimination over GF(p)
+    (see `_echelon_mod`): independent mod p, spanning the row space mod p."""
+    return _echelon_mod(rows, p)[0]
 
 
 def rank_mod(rows: np.ndarray | Sequence[Sequence[Scalar]], p: int) -> int:
@@ -859,8 +946,8 @@ def vanishing_space(degree: int, nvars: int,
     """Exact basis of degree-d forms vanishing on the given points and lines.
 
     The members are the supplied candidates or, without them, the integer
-    kernel of the evaluation matrix; supplying candidates avoids exact
-    elimination of a large matrix, e.g. sextics against 216 lines.
+    kernel of the evaluation matrix; supplying candidates avoids the
+    kernel of a large matrix, e.g. sextics against 216 lines.
     Annihilating all evaluation rows proves membership, since d+1 sample
     points per line see the whole line. The first prime p0 eliminates the
     whole matrix; its pivot rows span the row space over Q when

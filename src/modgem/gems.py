@@ -1360,16 +1360,12 @@ def auxiliary_sections() -> SectionsReport:
         raise ExactAlgError("Cayley section must be a P3")
     cayley = cubes.restrict(section)
     cgrads = cayley.partials()
-    on_section = 0
-    for node in _nodes_p5():
-        if node.coords[0] != node.coords[1]:
-            continue
-        coords = _chart_coordinates(section, node).coords
-        if any(g.eval(coords) for g in cgrads):
+    nodes = [node for node in _nodes_p5() if node.coords[0] == node.coords[1]]
+    for pt in _chart_coordinates(section, nodes):
+        if any(g.eval(pt.coords) for g in cgrads):
             raise ExactAlgError("node must be singular on the Cayley section")
-        on_section += 1
-    if on_section != 4:
-        raise ExactAlgError(f"Cayley section holds {on_section} nodes, wanted 4")
+    if len(nodes) != 4:
+        raise ExactAlgError(f"Cayley section holds {len(nodes)} nodes, wanted 4")
 
     x6 = [MPoly.var(i, 6) for i in range(6)]
     squares = [v * v for v in x6]
@@ -1380,4 +1376,4 @@ def auxiliary_sections() -> SectionsReport:
         raise ExactAlgError("squared quintic equation must be the symmetric function "
                             "of the squares")
 
-    return SectionsReport(True, on_section, True)
+    return SectionsReport(True, len(nodes), True)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .exactalg import (
     SHADOW_PRIMES,
@@ -106,7 +107,7 @@ def tangent_section(seed: int = 0) -> SectionSpec:
     point is smooth and the tangent hyperplane passes the same validity
     predicates as a generic one.
     """
-    grads = invariant_quintic_form().partials()
+    grads = _partials(invariant_quintic_form())
     octics = psi_octics()
 
     def tangent(rng) -> SectionSpec | None:
@@ -125,6 +126,12 @@ def tangent_section(seed: int = 0) -> SectionSpec:
 
 
 # -- node extraction --------------------------------------------------------------------
+
+
+@lru_cache(maxsize=1)
+def _partials(f: MPoly) -> tuple[MPoly, ...]:
+    """The partials of f, built once per form."""
+    return tuple(f.partials())
 
 
 def _chart_generators(h: MPoly) -> list[tuple[int, ...]]:
@@ -160,7 +167,7 @@ def section_nodes(spec: SectionSpec) -> tuple[ProjPoint, ...]:
                                 for pc, qc in zip(line.p.coords, line.q.coords)]))
 
     f = invariant_quintic_form()
-    grads = f.partials()
+    grads = _partials(f)
     for node in nodes:
         if any(g.eval(node.coords) for g in grads):
             raise ExactAlgError(f"{node} is not a singular point of the section")
@@ -217,12 +224,18 @@ def _mixing_matrix(rng: random.Random) -> list[list[int]]:
     return _sample(rng, 1, invertible)[0]
 
 
-def _quintic_candidates(q: MPoly, restricted_partials: list[MPoly],
-                        tangency_chart: ProjPoint | None) -> list[MPoly]:
+def _times_coordinates(forms) -> list[MPoly]:
+    """Each form times each chart coordinate u_j; for the partials of a
+    chart quintic q, the 25 Jacobian quintics u_j * dq/du_i."""
     uvars = [MPoly.var(j, 5) for j in range(5)]
+    return [u * g for g in forms for u in uvars]
+
+
+def _quintic_candidates(jacobian: list[MPoly] | None, restricted_partials: list[MPoly],
+                        tangency_chart: ProjPoint | None) -> list[MPoly]:
     if tangency_chart is None:
-        return [u * r for r in restricted_partials for u in uvars]
-    cands = [u * dq for dq in q.partials() for u in uvars]
+        return _times_coordinates(restricted_partials)
+    cands = list(jacobian)
     off = next((r for r in restricted_partials if r.eval(tangency_chart.coords)), None)
     if off is None:
         raise ExactAlgError("tangency point annihilates every restricted partial")
@@ -231,16 +244,18 @@ def _quintic_candidates(q: MPoly, restricted_partials: list[MPoly],
     return cands
 
 
-def _chart_dimension(f: MPoly, grads: list[MPoly], gens, nodes,
-                     tangency) -> tuple[int, VanishingSpace, MPoly]:
-    """Through-nodes dimension, space and restricted f in the chart of gens."""
+def _chart_dimension(f: MPoly, grads, gens, nodes, tangent: bool
+                     ) -> tuple[int, VanishingSpace, MPoly, list[MPoly] | None]:
+    """Through-nodes dimension and space, restricted f and, if tangent, its
+    Jacobian quintics in the chart of gens; the nodes' chart coordinates
+    come from one kernel, the tangency point last (see `section_nodes`)."""
     q = f.restrict(gens)
-    chart_nodes = [_chart_coordinates(gens, node) for node in nodes]
+    chart_nodes = _chart_coordinates(gens, nodes)
     restricted = [g.restrict(gens) for g in grads]
-    tangency_chart = _chart_coordinates(gens, tangency) if tangency is not None else None
-    cands = _quintic_candidates(q, restricted, tangency_chart)
+    jacobian = _times_coordinates(q.partials()) if tangent else None
+    cands = _quintic_candidates(jacobian, restricted, chart_nodes[-1] if tangent else None)
     space = vanishing_space(5, 5, points=chart_nodes, candidates=cands)
-    return space.dim, space, q
+    return space.dim, space, q, jacobian
 
 
 def section_report(spec: SectionSpec, seed: int = 0) -> NodalSectionReport:
@@ -252,21 +267,21 @@ def section_report(spec: SectionSpec, seed: int = 0) -> NodalSectionReport:
     """
     nodes = section_nodes(spec)
     f = invariant_quintic_form()
-    grads = f.partials()
+    grads = _partials(f)
     s = len(nodes)
 
     gens = _chart_generators(spec.hyperplane)
-    dim1, space, q = _chart_dimension(f, grads, gens, nodes, spec.tangency)
+    dim1, space, q, jacobian = _chart_dimension(f, grads, gens, nodes, spec.kind == "tangent")
     mix = _mixing_matrix(_task_rng(seed, "chart-mix"))
     mixed = [tuple(sum(mix[j][k] * gens[k][i] for k in range(5)) for i in range(6))
              for j in range(5)]
-    dim2 = _chart_dimension(f, grads, mixed, nodes, spec.tangency)[0]
+    dim2 = _chart_dimension(f, grads, mixed, nodes, spec.kind == "tangent")[0]
     if dim1 != dim2:
         raise ExactAlgError(f"chart choice leaked into the dimension: {dim1} vs {dim2}")
 
     mono = monomials(5, 5)
-    uvars = [MPoly.var(j, 5) for j in range(5)]
-    jac_rows = [(u * dq).coefficient_vector(mono) for dq in q.partials() for u in uvars]
+    jac_rows = [g.coefficient_vector(mono)
+                for g in jacobian or _times_coordinates(q.partials())]
     jac_rank = checked_rank(jac_rows)
 
     defect = defect_from_dimension(dim1, s)

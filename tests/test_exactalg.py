@@ -1,5 +1,6 @@
 """Exact algebra layer: ring axioms, calculus rules, linear algebra oracles."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from modgem import exactalg
 from modgem.exactalg import (
     DRAWS_PER_RESULT,
     SHADOW_PRIMES,
@@ -29,10 +31,14 @@ from modgem.exactalg import (
     rank_mod,
     rref_int,
     vanishing_space,
+    _canonical_int_vector,
     _chart_coordinates,
     _clear_row,
     _draw,
+    _free_column_basis,
     _int_products,
+    _is_prime,
+    _kernel_primes,
     _pivot_rows,
     _sample,
     _task_rng,
@@ -453,18 +459,29 @@ def test_kernel_is_exactly_verified():
 
 
 @given(st.lists(st.lists(coeffs, min_size=5, max_size=5), min_size=6, max_size=6),
-       st.lists(coeffs, min_size=5, max_size=5))
+       st.lists(st.lists(coeffs, min_size=5, max_size=5), min_size=1, max_size=4),
+       st.data())
 @settings(max_examples=50, deadline=None)
-def test_chart_coordinates_recover_the_chart_point(rows, u):
+def test_chart_coordinates_recover_the_chart_point(rows, us, data):
     # rows is a 6x5 matrix G whose columns are the basis of the chart
-    assume(rank_exact(rows) == 5 and any(u))
+    assume(rank_exact(rows) == 5 and all(any(u) for u in us))
     basis = [list(col) for col in zip(*rows)]
-    point = ProjPoint([sum(g * x for g, x in zip(row, u)) for row in rows])
-    assert _chart_coordinates(basis, point) == ProjPoint(u)
+    points = [ProjPoint([sum(g * x for g, x in zip(row, u)) for row in rows]) for u in us]
+    charts = _chart_coordinates(basis, points)
+    assert charts == [ProjPoint(u) for u in us]
+    assert charts == [_chart_coordinates(basis, [pt])[0] for pt in points]
     # the normal of the span is orthogonal to it, and nonzero, so not in it
     (normal,) = kernel_int(basis)
+    off = data.draw(st.integers(min_value=0, max_value=len(points)))
     with pytest.raises(ExactAlgError, match="not in the span"):
-        _chart_coordinates(basis, ProjPoint(normal))
+        _chart_coordinates(basis, points[:off] + [ProjPoint(normal)] + points[off:])
+    # a dependent basis: one vector repeated, or one replaced by a sum of two
+    i, j = data.draw(st.permutations(range(5)))[:2]
+    dependent = list(basis)
+    dependent[i] = data.draw(st.sampled_from(
+        [basis[j], [a + b for a, b in zip(basis[i - 1], basis[j])]]))
+    with pytest.raises(ExactAlgError, match="not in the span"):
+        _chart_coordinates(dependent, points)
 
 
 @given(st.lists(st.lists(coeffs, min_size=4, max_size=4), min_size=2, max_size=6))
@@ -569,6 +586,85 @@ def test_kernel_int_annihilates_and_has_full_size(rows):
         assert all(isinstance(c, int) for c in vec)
         for row in rows:
             assert sum(a * b for a, b in zip(row, vec)) == 0
+
+
+def _reference_kernel(rows):
+    """The kernel basis of the exact echelon route: read off `rref_int`."""
+    echelon, pivots = rref_int(rows)
+    return [_canonical_int_vector(v)
+            for v in _free_column_basis(echelon, pivots, len(rows[0]))]
+
+
+def test_a_later_unlucky_prime_is_skipped(monkeypatch):
+    # mod SHADOW_PRIMES[1] the pivot of [p, 1] moves to column 1: that prime
+    # is skipped, and the CRT run of the first prime goes on with the third
+    p = SHADOW_PRIMES[1]
+    seen = []
+    real = exactalg._echelon_mod
+
+    def recorded(mat, q):
+        seen.append(q)
+        return real(mat, q)
+
+    monkeypatch.setattr(exactalg, "_echelon_mod", recorded)
+    assert kernel_int([[p, 1]]) == [(1, -p)]
+    # the entry -1/p needs a modulus past 2 p^2: three lucky primes
+    assert seen == list(itertools.islice(_kernel_primes(), 4))
+
+
+def test_kernel_survives_an_unlucky_first_prime():
+    p = SHADOW_PRIMES[0]
+    # mod p the pivot moves from column 0 to column 1
+    assert kernel_int([[p, 1]]) == [(1, -p)]
+    # mod p the rank drops: the first prime's kernel vector fails the check
+    assert kernel_int([[1, 0], [0, p]]) == []
+    # a 2x2 minor divisible by p moves the second pivot from column 1 to 2
+    rows = [[1, 2, 3, 4], [1, 2 + p, 5, 7]]
+    assert kernel_int(rows) == _reference_kernel(rows)
+
+
+@st.composite
+def wide_kernel_matrices(draw):
+    """Full-rank small matrices with entries past 2^40, and integer
+    combinations of their rows appended, so that the kernel entries are
+    minors past 2^62 and need more than two primes."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    r = draw(st.integers(min_value=1, max_value=n - 1))
+    big = st.integers(min_value=-(2 ** 45), max_value=2 ** 45)
+    rows = [[draw(big) for _ in range(n)] for _ in range(r)]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        weights = [draw(coeffs) for _ in range(r)]
+        rows.append([sum(w * row[j] for w, row in zip(weights, rows)) for j in range(n)])
+    return draw(st.permutations(rows))
+
+
+@given(wide_kernel_matrices())
+@settings(max_examples=40, deadline=None)
+def test_kernel_int_matches_the_echelon_route_past_two_primes(rows):
+    basis = kernel_int(rows)
+    assume(max(abs(c) for vec in basis for c in vec) > 2 ** 62)
+    assert basis == _reference_kernel(rows)
+
+
+def _trial_division_prime(n):
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_prime_test_matches_trial_division():
+    assert [n for n in range(3000) if _is_prime(n)] == \
+        [n for n in range(3000) if _trial_division_prime(n)]
+    # strong pseudoprimes to the bases 2, 3 and to 2, 3, 5
+    assert not _is_prime(1373653) and not _is_prime(25326001)
+
+
+def test_kernel_primes_are_the_shadow_primes_then_every_prime_below():
+    primes = list(itertools.islice(_kernel_primes(), 24))
+    assert primes == list(itertools.islice(_kernel_primes(), 24))
+    assert tuple(primes[:len(SHADOW_PRIMES)]) == SHADOW_PRIMES
+    assert all(a > b for a, b in zip(primes, primes[1:]))
+    assert all(_trial_division_prime(q) for q in primes)
+    assert not any(_trial_division_prime(k) for a, b in zip(primes, primes[1:])
+                   for k in range(b + 1, a))
 
 
 # -- vanishing spaces ------------------------------------------------------------

@@ -174,6 +174,25 @@ def test_report_builds_the_chart_generators_once(generic, monkeypatch):
     assert calls == [generic[0].hyperplane]
 
 
+def test_report_differentiates_each_quintic_once(generic, tangent, monkeypatch):
+    # section_nodes and both charts share the ambient partials; a tangent
+    # chart's Jacobian quintics serve its candidates, and the first chart's
+    # also serve jac_rows
+    real = MPoly.partials
+    calls = []
+
+    def counted(self):
+        calls.append(self.nvars)
+        return real(self)
+
+    monkeypatch.setattr(MPoly, "partials", counted)
+    for (spec, rep), want in ((generic, [6, 5]), (tangent, [6, 5, 5])):
+        nodalcy._partials.cache_clear()
+        calls.clear()
+        assert section_report(spec) == rep
+        assert calls == want
+
+
 def test_generic_vanishing_space_contract(generic):
     _, rep = generic
     vs = rep.vanishing
