@@ -228,6 +228,8 @@ class MPoly:
         return exp, self.terms[exp]
 
     def coefficient_vector(self, basis: Sequence[tuple[int, ...]]) -> list[Scalar]:
+        if basis and len(basis[0]) != self.nvars:
+            raise ExactAlgError(f"monomials in {len(basis[0])} variables, form in {self.nvars}")
         return [self.terms.get(e, 0) for e in basis]
 
     def linear_coeffs(self) -> list[Fraction]:
@@ -612,9 +614,9 @@ class _IntEchelon:
     pivot, and zero at one another's pivots. That form of a row space is
     unique, so the rows are a canonical key of the span whatever order the
     vectors came in, and a single forward pass decides membership of a new
-    vector. It serves what needs an exact object or a name: `ProjLine`,
-    `VanishingSpace.contains`, `rootarr.incidence` (via `_free_column_basis`),
-    the `gems` censuses, and `rref_int` for `rank_exact` and the pencil keys.
+    vector; one of another length raises. It names spans and tests
+    membership, and certifies no rank: `ProjLine`, `VanishingSpace.contains`,
+    `rootarr.incidence`, the `gems` censuses and `rref_int`'s pencil keys.
     """
 
     def __init__(self, vecs: Iterable[Sequence[int]] = ()) -> None:
@@ -634,6 +636,8 @@ class _IntEchelon:
 
     def _reduce(self, vec: Sequence[int]) -> list[int]:
         v = list(vec)
+        if self.rows and len(v) != len(self.rows[0]):
+            raise ExactAlgError(f"vector of length {len(v)} against rows of {len(self.rows[0])}")
         for row, p in zip(self.rows, self.pivots):
             if v[p]:
                 a, b = row[p], v[p]
@@ -675,10 +679,6 @@ def rref_int(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], list[in
     """
     ech = _IntEchelon(_clear_row(row) for row in rows)
     return ech.rows, ech.pivots
-
-
-def rank_exact(rows: Sequence[Sequence[Scalar]]) -> int:
-    return len(rref_int(rows)[0])
 
 
 def _free_column_basis(echelon: Sequence[Sequence[int]], pivots: Sequence[int],
@@ -867,11 +867,20 @@ def rank_mod(rows: np.ndarray | Sequence[Sequence[Scalar]], p: int) -> int:
     return len(_pivot_rows(rows, p))
 
 
-def checked_rank(rows: Sequence[Sequence[Scalar]],
-                 primes: Sequence[int] = SHADOW_PRIMES) -> int:
-    """Exact rank, with agreement of the modular ranks enforced."""
-    r = rank_exact(rows)
-    for p in primes:
+def checked_rank(rows: Sequence[Sequence[Scalar]]) -> int:
+    """Exact rank r: with M the cleared rows, or their transpose when there
+    are fewer rows than columns (the smaller kernel), and n its width,
+    `kernel_int` returns n - r_p independent, exactly checked kernel vectors
+    of M, so r_Q <= r_p <= r_Q = n - len(kernel). Every shadow prime must
+    read r (else ShadowMismatch); rows of different lengths raise."""
+    cleared = [_clear_row(row) for row in rows]
+    if not cleared:
+        return 0
+    if any(len(row) != len(cleared[0]) for row in cleared):
+        raise ExactAlgError("rows of different lengths")
+    mat = cleared if len(cleared) >= len(cleared[0]) else [list(c) for c in zip(*cleared)]
+    r = len(mat[0]) - len(kernel_int(mat))
+    for p in SHADOW_PRIMES:
         rp = rank_mod(rows, p)
         if rp != r:
             raise ShadowMismatch(f"rank {r} over Q but {rp} mod {p}")
@@ -901,13 +910,14 @@ class VanishingSpace:
 
     def contains(self, form: MPoly) -> bool:
         """Whether form is in the span of the basis: one reduction of its
-        cleared coefficient vector against the echelon of the basis. A
-        nonzero form with a term of another degree is not a member."""
+        cleared coefficient vector against the echelon of the basis. A form
+        in other variables raises; one with a term of another degree is not."""
+        mono = monomials(self.nvars, self.degree)
+        vec = _clear_row(form.coefficient_vector(mono))
         if any(sum(e) != self.degree for e in form.terms):
             return False
-        mono = monomials(self.nvars, self.degree)
         echelon = _IntEchelon(_clear_row(b.coefficient_vector(mono)) for b in self.basis)
-        return echelon.contains(_clear_row(form.coefficient_vector(mono)))
+        return echelon.contains(vec)
 
 
 def evaluation_rows(degree: int, nvars: int,

@@ -27,7 +27,6 @@ from modgem.exactalg import (
     monomials,
     power_sum,
     proportional,
-    rank_exact,
     rank_mod,
     rref_int,
     vanishing_space,
@@ -362,14 +361,22 @@ def test_degenerate_line_rejected():
         ProjLine(ProjPoint([1, 2, 3]), ProjPoint([2, 4, 6]))
 
 
+def test_point_of_another_space_is_rejected():
+    # the reduction used to zip the point down to the line's length
+    line = ProjLine(ProjPoint([1, 0, 0]), ProjPoint([0, 1, 0]))
+    for coords in ([1, 1, 0, 5], [1, 1]):
+        with pytest.raises(ExactAlgError, match="length"):
+            line.contains(ProjPoint(coords))
+
+
 # -- integer linear algebra ------------------------------------------------------
 
 def test_rref_and_rank():
     ech, piv = rref_int([[2, 4, 6], [1, 2, 4]])
     assert piv == [0, 2]
-    assert rank_exact([[1, 2], [2, 4], [3, 6]]) == 1
-    assert rank_exact([[1, 0], [0, 1]]) == 2
-    assert rank_exact([]) == 0
+    assert _reference_rank([[1, 2], [2, 4], [3, 6]]) == 1
+    assert _reference_rank([[1, 0], [0, 1]]) == 2
+    assert _reference_rank([]) == 0
 
 
 def _reference_rref(rows):
@@ -396,6 +403,10 @@ def _reference_rref(rows):
         g = math.gcd(*ints)
         out.append([v // g for v in ints])
     return out, pivots
+
+
+def _reference_rank(rows):
+    return len(_reference_rref(rows)[0])
 
 
 @st.composite
@@ -440,13 +451,12 @@ def test_line_membership_matches_rank(vecs, on_line, a, b):
         r = [a * x + b * y for x, y in zip(p, q)]
     if not any(p) or not any(q) or not any(r):
         return
-    if rank_exact([p, q]) < 2:
+    if _reference_rank([p, q]) < 2:
         with pytest.raises(ExactAlgError, match="proportional"):
             ProjLine(ProjPoint(p), ProjPoint(q))
         return
     line = ProjLine(ProjPoint(p), ProjPoint(q))
-    assert line.contains(ProjPoint(r)) == (rank_exact([p, q, r]) == 2)
-    assert line.contains(ProjPoint(r)) == (len(_reference_rref([p, q, r])[0]) == 2)
+    assert line.contains(ProjPoint(r)) == (_reference_rank([p, q, r]) == 2)
     assert line == ProjLine(ProjPoint(q), ProjPoint([x + y for x, y in zip(p, q)]))
 
 
@@ -464,7 +474,7 @@ def test_kernel_is_exactly_verified():
 @settings(max_examples=50, deadline=None)
 def test_chart_coordinates_recover_the_chart_point(rows, us, data):
     # rows is a 6x5 matrix G whose columns are the basis of the chart
-    assume(rank_exact(rows) == 5 and all(any(u) for u in us))
+    assume(_reference_rank(rows) == 5 and all(any(u) for u in us))
     basis = [list(col) for col in zip(*rows)]
     points = [ProjPoint([sum(g * x for g, x in zip(row, u)) for row in rows]) for u in us]
     charts = _chart_coordinates(basis, points)
@@ -487,7 +497,7 @@ def test_chart_coordinates_recover_the_chart_point(rows, us, data):
 @given(st.lists(st.lists(coeffs, min_size=4, max_size=4), min_size=2, max_size=6))
 @settings(max_examples=50, deadline=None)
 def test_modular_rank_agrees_with_exact(rows):
-    r = rank_exact(rows)
+    r = _reference_rank(rows)
     for p in SHADOW_PRIMES:
         assert rank_mod(rows, p) == r
 
@@ -517,14 +527,14 @@ def big_mixed_matrices(draw):
         d = draw(st.integers(min_value=1, max_value=999))
         out.append([int(v) if v.denominator == 1 else v
                     for v in (Fraction(a, d) for a in row)])
-    return out, rank_exact(small)
+    return out, _reference_rank(small)
 
 
 @given(big_mixed_matrices())
 @settings(max_examples=60, deadline=None)
 def test_modular_rank_on_big_and_mixed_entries(case):
     rows, rank = case
-    assert rank_exact(rows) == rank
+    assert _reference_rank(rows) == rank
     for p in SHADOW_PRIMES:
         assert rank_mod(rows, p) == rank
 
@@ -547,7 +557,7 @@ def sparse_matrices(draw):
 @given(sparse_matrices())
 @settings(max_examples=150, deadline=None)
 def test_rank_mod_on_sparse_matrices_with_swaps(rows):
-    r = rank_exact(rows)
+    r = _reference_rank(rows)
     for p in SHADOW_PRIMES:
         assert rank_mod(rows, p) == r
 
@@ -560,17 +570,59 @@ def test_rank_mod_rejects_a_denominator_divisible_by_p():
     assert rank_mod(rows, q) == 2
 
 
+@st.composite
+def wide_matrices(draw):
+    """Fewer rows than columns: a product of small factors of inner size r,
+    so dependent rows are common, with some columns zeroed."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    m = draw(st.integers(min_value=1, max_value=n - 1))
+    r = draw(st.integers(min_value=1, max_value=m))
+    left = [[draw(coeffs) for _ in range(r)] for _ in range(m)]
+    right = [[draw(coeffs) for _ in range(n)] for _ in range(r)]
+    zero_cols = draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
+    return [[0 if j in zero_cols else sum(a * b for a, b in zip(lrow, col))
+             for j, col in enumerate(zip(*right))] for lrow in left]
+
+
+@given(st.one_of(mixed_matrices(), big_mixed_matrices().map(lambda case: case[0]),
+                 sparse_matrices(), wide_matrices()))
+@settings(max_examples=150, deadline=None)
+def test_checked_rank_matches_the_reference(rows):
+    assert checked_rank(rows) == _reference_rank(rows)
+
+
+def test_checked_rank_takes_the_kernel_of_the_narrow_side(monkeypatch):
+    shapes = []
+    real = exactalg.kernel_int
+
+    def recorded(rows):
+        shapes.append((len(rows), len(rows[0])))
+        return real(rows)
+
+    monkeypatch.setattr(exactalg, "kernel_int", recorded)
+    wide = [[1, 2, 3, 4, 5], [2, 4, 6, 8, 10]]
+    assert checked_rank(wide) == 1
+    assert checked_rank([list(col) for col in zip(*wide)]) == 1
+    assert shapes == [(5, 2), (5, 2)]
+
+
+def test_checked_rank_rejects_ragged_rows():
+    # transposing [[1, 2, 3], [4, 5]] would drop the 3
+    for rows in ([[1, 2, 3], [4, 5]], [[4, 5], [1, 2, 3]]):
+        with pytest.raises(ExactAlgError, match="different lengths"):
+            checked_rank(rows)
+
+
 def test_checked_rank_raises_on_forced_mismatch():
-    # a matrix that drops rank mod the first shadow prime only
+    # rank 2 over Q, but 1 mod the first shadow prime
     p = SHADOW_PRIMES[0]
-    with pytest.raises(ShadowMismatch):
-        checked_rank([[1, 0], [0, p]], primes=SHADOW_PRIMES[:1])
-    assert checked_rank([[1, 0], [0, p]], primes=SHADOW_PRIMES[1:]) == 2
+    with pytest.raises(ShadowMismatch, match=f"mod {p}"):
+        checked_rank([[1, 0], [0, p]])
 
 
 def test_ranks_of_no_rows_are_zero():
     assert _pivot_rows([], SHADOW_PRIMES[0]) == []
-    assert rank_mod([], SHADOW_PRIMES[0]) == rank_exact([]) == 0
+    assert rank_mod([], SHADOW_PRIMES[0]) == _reference_rank([]) == 0
     assert checked_rank([]) == 0
 
 
@@ -578,7 +630,7 @@ def test_ranks_of_no_rows_are_zero():
 @settings(max_examples=50, deadline=None)
 def test_kernel_int_annihilates_and_has_full_size(rows):
     basis = kernel_int(rows)
-    r = rank_exact(rows)
+    r = _reference_rank(rows)
     assert len(basis) == 5 - r
     for p in SHADOW_PRIMES:
         assert rank_mod(rows, p) == r
@@ -706,6 +758,20 @@ def test_forms_of_another_degree_are_not_members():
     assert not vs.contains(x0)
     assert not vs.contains(x0 ** 3)
     assert not vs.contains(z * w + z)
+
+
+def test_forms_of_another_ring_are_rejected():
+    # the quadrics through the coordinate points of P^2: x0x1, x0x2, x1x2
+    pts = [ProjPoint(v) for v in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]
+    vs = vanishing_space(2, 3, points=pts)
+    x = _vars(3)
+    assert vs.dim == 3 and vs.contains(x[0] * x[1]) and not vs.contains(x[0] ** 2)
+    y, z = _vars(2), _vars(4)
+    for form in (y[0] ** 2, z[0] * z[3], z[0] ** 3):
+        with pytest.raises(ExactAlgError, match="variables"):
+            vs.contains(form)
+        with pytest.raises(ExactAlgError):
+            vanishing_space(2, 3, points=pts, candidates=[x[0] * x[1], form])
 
 
 def test_candidate_with_a_term_of_another_degree_is_rejected():
@@ -843,7 +909,7 @@ def test_candidate_route_on_random_spanning_sets_matches_kernel_route(case, data
     rows = [[sum(c * v[j] for c, v in zip(cs, vecs)) for j in range(n)]
             for cs in data.draw(st.lists(weights, min_size=len(vecs), max_size=len(vecs) + 3))]
     rows = [row for row in rows if any(row)]
-    assume(rank_exact(rows) == len(vecs))
+    assume(_reference_rank(rows) == len(vecs))
     if rows:
         index = st.integers(min_value=0, max_value=len(rows) - 1)
         extra = st.integers(min_value=0, max_value=2)

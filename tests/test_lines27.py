@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modgem import lines27 as L
-from modgem.exactalg import ExactAlgError, MPoly, ProjLine, ProjPoint, rank_exact
+from modgem.exactalg import ExactAlgError, MPoly, ProjLine, ProjPoint, checked_rank
 from modgem.rootarr import cached_incidence
 
 
@@ -330,7 +330,7 @@ def test_collinear_a2_example():
     # the dual points of an A2 triple of root forms lie on one line
     loci = L.special_loci()
     h12, h23, h13 = (loci.root_points[n] for n in ("h12", "h23", "h13"))
-    assert rank_exact([list(h12.coords), list(h23.coords), list(h13.coords)]) == 2
+    assert checked_rank([list(h12.coords), list(h23.coords), list(h13.coords)]) == 2
     line = ProjLine(h12, h23)
     assert line.contains(h13)
 
