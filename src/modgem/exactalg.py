@@ -19,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import math
 import numbers
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -88,8 +87,40 @@ def monomials(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+#: bits per field of a packed exponent key: one byte, so `int.to_bytes` unpacks
+EXP_BITS = 8
+_EXP_LIMIT = 1 << EXP_BITS
+
+
+def _pack(exp: Sequence[int], nvars: int) -> int:
+    """The packed key of an exponent vector (see `MPoly`), checked."""
+    if len(exp) != nvars or min(exp, default=0) < 0 or sum(exp) >= _EXP_LIMIT:
+        raise ExactAlgError(f"exponents {tuple(exp)} are not {nvars} values >= 0 "
+                            f"of degree < {_EXP_LIMIT}")
+    return int.from_bytes(bytes((sum(exp), *exp)), "big")
+
+
+def _normal_terms(terms: dict[int, Scalar]) -> dict[int, Scalar]:
+    """The nonzero terms, each coefficient in `_scalar` normal form."""
+    return {k: c for k, v in terms.items() if (c := v if type(v) is int else _scalar(v))}
+
+
+@lru_cache(maxsize=32)
+def _packed_monomials(nvars: int, degree: int) -> tuple[int, ...]:
+    """The packed keys of `monomials(nvars, degree)`, in its order."""
+    return tuple(_pack(exp, nvars) for exp in monomials(nvars, degree))
+
+
 class MPoly:
     """Sparse multivariate polynomial over Q with integer-first coefficients.
+
+    `terms` maps packed keys to coefficients: x^e in n variables has the key
+    deg << (EXP_BITS*n) | e0 << (EXP_BITS*(n-1)) | ... | e_{n-1}, deg = sum(e),
+    so the largest key has the top degree. Constructors take exponent tuples
+    and raise on a negative exponent or a degree >= 2**EXP_BITS; `iter_terms`
+    gives tuples back. A product's key is the sum of the keys: no field
+    exceeds the degree field, so `__mul__`'s one check of the top fields,
+    deg(self) + deg(other) < 2**EXP_BITS, rules out a carry between fields.
 
     Each stored coefficient is nonzero and in `_scalar` normal form: an int
     when integral, otherwise a Fraction.
@@ -104,16 +135,14 @@ class MPoly:
 
     def __init__(self, nvars: int, terms: dict[tuple[int, ...], Scalar] | None = None):
         self.nvars = nvars
-        clean: dict[tuple[int, ...], Scalar] = {}
-        if terms:
-            for exp, c in terms.items():
-                if type(c) is not int:
-                    c = _scalar(c)
-                if c:
-                    if len(exp) != nvars:
-                        raise ExactAlgError(f"exponent length {len(exp)} != nvars {nvars}")
-                    clean[tuple(exp)] = c
-        self.terms = clean
+        self.terms = _normal_terms({_pack(e, nvars): c for e, c in (terms or {}).items()})
+
+    @classmethod
+    def _from_packed(cls, nvars: int, terms: dict[int, Scalar]) -> "MPoly":
+        """Build from packed keys, which are trusted and not checked again."""
+        poly = cls.__new__(cls)
+        poly.nvars, poly.terms = nvars, _normal_terms(terms)
+        return poly
 
     # -- constructors ------------------------------------------------------
 
@@ -160,28 +189,29 @@ class MPoly:
     def __add__(self, other: "MPoly") -> "MPoly":
         self._check(other)
         terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            terms[exp] = terms.get(exp, 0) + c
-        return MPoly(self.nvars, terms)
+        for k, c in other.terms.items():
+            terms[k] = terms.get(k, 0) + c
+        return MPoly._from_packed(self.nvars, terms)
 
     def __sub__(self, other: "MPoly") -> "MPoly":
         return self + (-other)
 
     def __neg__(self) -> "MPoly":
-        return MPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MPoly._from_packed(self.nvars, {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other: Union["MPoly", Scalar]) -> "MPoly":
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return MPoly.zero(self.nvars)
-            return MPoly(self.nvars, {e: v * other for e, v in self.terms.items()})
+            return MPoly._from_packed(self.nvars, {k: v * other for k, v in self.terms.items()})
         self._check(other)
-        terms: dict[tuple[int, ...], Scalar] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(map(operator.add, e1, e2))
-                terms[exp] = terms.get(exp, 0) + c1 * c2
-        return MPoly(self.nvars, terms)
+        if (self.degree() or 0) + (other.degree() or 0) >= _EXP_LIMIT:
+            raise ExactAlgError(f"product degree reaches the limit {_EXP_LIMIT}")
+        terms: dict[int, Scalar] = {}
+        get = terms.get
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                k = k1 + k2
+                terms[k] = get(k, 0) + c1 * c2
+        return MPoly._from_packed(self.nvars, terms)
 
     __rmul__ = __mul__
 
@@ -212,32 +242,35 @@ class MPoly:
         """Total degree, or None for the zero polynomial."""
         if not self.terms:
             return None
-        return max(sum(e) for e in self.terms)
+        return max(self.terms) >> (EXP_BITS * self.nvars)
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
+        shift = EXP_BITS * self.nvars
+        return not self.terms or max(self.terms) >> shift == min(self.terms) >> shift
+
+    def iter_terms(self) -> Iterator[tuple[tuple[int, ...], Scalar]]:
+        """(exponent tuple, coefficient) of each term, in storage order."""
+        return ((tuple(k.to_bytes(self.nvars + 1, "big")[1:]), c) for k, c in self.terms.items())
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
-        return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
+        return sorted(self.iter_terms(), key=lambda t: grevlex_key(t[0]), reverse=True)
 
     def leading(self) -> tuple[tuple[int, ...], Scalar]:
         if not self.terms:
             raise ExactAlgError("zero polynomial has no leading term")
-        exp = max(self.terms, key=grevlex_key)
-        return exp, self.terms[exp]
+        return max(self.iter_terms(), key=lambda t: grevlex_key(t[0]))
 
-    def coefficient_vector(self, basis: Sequence[tuple[int, ...]]) -> list[Scalar]:
-        if basis and len(basis[0]) != self.nvars:
-            raise ExactAlgError(f"monomials in {len(basis[0])} variables, form in {self.nvars}")
-        return [self.terms.get(e, 0) for e in basis]
+    def coefficient_vector(self, degree: int) -> list[Scalar]:
+        """Coefficients on `monomials(nvars, degree)`; other degrees are left out."""
+        get = self.terms.get
+        return [get(k, 0) for k in _packed_monomials(self.nvars, degree)]
 
     def linear_coeffs(self) -> list[Fraction]:
         """Coefficient of each x_i in a linear form, as Fractions; the inverse
         of `linear`. Callers divide these and report them, so they stay
         Fractions even when integral."""
         out = [Fraction(0)] * self.nvars
-        for exp, c in self.terms.items():
+        for exp, c in self.iter_terms():
             if sum(exp) != 1:
                 raise ExactAlgError("linear_coeffs needs a linear form")
             out[exp.index(1)] = Fraction(c)
@@ -246,13 +279,12 @@ class MPoly:
     # -- calculus and substitution ------------------------------------------
 
     def diff(self, i: int) -> "MPoly":
-        terms: dict[tuple[int, ...], Scalar] = {}
-        for exp, c in self.terms.items():
-            if exp[i]:
-                new = list(exp)
-                new[i] -= 1
-                terms[tuple(new)] = c * exp[i]
-        return MPoly(self.nvars, terms)
+        """Partial in x_i: each term loses 1 in its x_i and degree fields and
+        is multiplied by its e_i, so the terms with e_i = 0 drop."""
+        shift = EXP_BITS * (self.nvars - 1 - i)
+        step = (1 << shift) + (1 << (EXP_BITS * self.nvars))
+        return MPoly._from_packed(self.nvars, {k - step: c * (k >> shift & (_EXP_LIMIT - 1))
+                                               for k, c in self.terms.items()})
 
     def partials(self) -> list["MPoly"]:
         return [self.diff(i) for i in range(self.nvars)]
@@ -279,34 +311,27 @@ class MPoly:
                 pow_cache[key] = power(i, k - 1) * images[i]
             return pow_cache[key]
 
-        one = (0,) * target
-        acc: dict[tuple[int, ...], Scalar] = {}
-        for exp, c in self.terms.items():
+        acc: dict[int, Scalar] = {}
+        for exp, c in self.iter_terms():
             piece: MPoly | None = None
             for i, e in enumerate(exp):
                 if e:
                     piece = power(i, e) if piece is None else piece * power(i, e)
             if piece is None:
-                acc[one] = acc.get(one, 0) + c
+                acc[0] = acc.get(0, 0) + c
                 continue
-            for e2, c2 in piece.terms.items():
-                acc[e2] = acc.get(e2, 0) + c * c2
-        return MPoly(target, acc)
+            for k2, c2 in piece.terms.items():
+                acc[k2] = acc.get(k2, 0) + c * c2
+        return MPoly._from_packed(target, acc)
 
     def restrict(self, basis: Sequence[Sequence[Scalar]]) -> "MPoly":
         """Restrict to the span of `basis`: substitute x = sum(u_j * basis[j]).
 
         Returns a polynomial in len(basis) fresh variables u_j.
         """
-        k = len(basis)
         if any(len(b) != self.nvars for b in basis):
             raise ExactAlgError("basis vectors must match nvars")
-        images = [
-            MPoly(k, {tuple(1 if j == jj else 0 for jj in range(k)): basis[j][i]
-                      for j in range(k) if basis[j][i]})
-            for i in range(self.nvars)
-        ]
-        return self.subs(images)
+        return self.subs([MPoly.linear([b[i] for b in basis]) for i in range(self.nvars)])
 
     def restrict_to_line(self, p: Sequence[Scalar], q: Sequence[Scalar]) -> list[Scalar]:
         """Coefficients of the binary form self(s*p + t*q), ordered s^d .. t^d.
@@ -321,7 +346,7 @@ class MPoly:
             return [0]
         out: list[Scalar] = [0] * (d + 1)
         expansions: dict[tuple[int, int], list[Scalar]] = {}
-        for exp, c in self.terms.items():
+        for exp, c in self.iter_terms():
             conv: list[Scalar] = [1]
             for i, e in enumerate(exp):
                 if not e:
@@ -338,20 +363,26 @@ class MPoly:
 
     def eval(self, values: Sequence[Scalar]) -> Scalar:
         """Value at a point: an int when the point and the coefficients are
-        integral, otherwise an int or a Fraction."""
-        if len(values) != self.nvars:
+        integral, otherwise an int or a Fraction. Fraction coefficients go
+        over one denominator first, so the terms add as integers."""
+        n, terms, den = self.nvars, self.terms, 1
+        if len(values) != n:
             raise ExactAlgError("value count mismatch")
+        if Fraction in map(type, terms.values()):
+            den = math.lcm(*(c.denominator for c in terms.values()))
+            terms = {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
         pows: list[list[Scalar]] = [[1, v] for v in values]
+        low = (1 << (EXP_BITS * n)) - 1
         total: Scalar = 0
-        for exp, c in self.terms.items():
-            for i, e in enumerate(exp):
+        for k, c in terms.items():
+            for i, e in enumerate((k & low).to_bytes(n, "big")):
                 if e:
                     row = pows[i]
                     while len(row) <= e:
                         row.append(row[-1] * row[1])
                     c *= row[e]
             total += c
-        return total
+        return total if den == 1 else Fraction(total, den)
 
     # -- presentation --------------------------------------------------------
 
@@ -423,8 +454,8 @@ def proportional(p: MPoly, q: MPoly) -> Optional[Fraction]:
         return Fraction(1)
     if p.is_zero() or q.is_zero():
         return None
-    exp, qc = q.leading()
-    pc = p.terms.get(exp)
+    key, qc = next(iter(q.terms.items()))
+    pc = p.terms.get(key)
     if pc is None:
         return None
     c = Fraction(pc) / qc
@@ -587,6 +618,14 @@ def _clear_row(row: Sequence[Scalar], p: int = 0) -> list[int]:
     return [v.numerator * (denom // v.denominator) for v in row]
 
 
+def _cleared_rows(rows: Sequence[Sequence[Scalar]], p: int = 0) -> list[list[int]]:
+    """Each row through `_clear_row`; rows of different lengths raise."""
+    cleared = [_clear_row(row, p) for row in rows]
+    if any(len(row) != len(cleared[0]) for row in cleared):
+        raise ExactAlgError("rows of different lengths")
+    return cleared
+
+
 def _int_matmul(rows: np.ndarray | Sequence[Sequence[int]],
                 vecs: Sequence[Sequence[int]]) -> np.ndarray:
     """Exact rows @ vecs^T of integer rows (lists, or an int64 or object
@@ -715,13 +754,16 @@ def _kernel_primes() -> Iterator[int]:
 
 
 def _rational(x: int, m: int) -> Optional[Fraction]:
-    """The a/b = x mod m with |a|, b <= sqrt(m/2), unique if any (Wang et al., 1982)."""
+    """The a/b = x mod m with |a|, b <= sqrt(m/2), unique if any (Wang et al., 1982).
+    Euclid's remainders halve every two steps: past 2 * bit_length(m) it raises."""
     bound = math.isqrt(m // 2)
     r0, r1, s0, s1 = m, x % m, 0, 1
-    while r1 > bound:
+    for _ in range(2 * m.bit_length() + 2):
+        if r1 <= bound:
+            return Fraction(r1, s1) if abs(s1) <= bound and math.gcd(r1, s1) == 1 else None
         q = r0 // r1
         r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
-    return Fraction(r1, s1) if abs(s1) <= bound and math.gcd(r1, s1) == 1 else None
+    raise ExactAlgError(f"rational reconstruction mod {m} did not end")
 
 
 def kernel_int(rows: Sequence[Sequence[Scalar]]) -> list[tuple[int, ...]]:
@@ -742,7 +784,7 @@ def kernel_int(rows: Sequence[Sequence[Scalar]]) -> list[tuple[int, ...]]:
     one nonzero minor, so discarded primes multiply to at most H and a run
     past 2*H^2 is all lucky and reconstructs; passing either bound raises.
     """
-    cleared = [_clear_row(r) for r in rows]
+    cleared = _cleared_rows(rows)
     if not cleared:
         return []
     n = len(cleared[0])
@@ -815,8 +857,8 @@ def _echelon_mod(rows: np.ndarray | Sequence[Sequence[Scalar]],
                  p: int) -> tuple[list[int], list[int], np.ndarray]:
     """Forward elimination over GF(p): (pivot rows, pivot columns, block).
 
-    `rows` is an int64 or object array, or rows of scalars, each cleared to
-    integers by `_clear_row` (raising when p divides its denominator lcm).
+    `rows` is an int64 or object array, or rows of scalars of one length,
+    each cleared by `_clear_row` (raising when p divides its denominator lcm).
     Rows from `rank` down are zero left of `col`, so the pivot row is
     scaled to 1 at `col` and only the rows below with a nonzero entry in
     `col` are updated, from `col` on. The pivot rows span the row space
@@ -827,7 +869,7 @@ def _echelon_mod(rows: np.ndarray | Sequence[Sequence[Scalar]],
     if isinstance(rows, np.ndarray):
         a = (rows % p).astype(np.int64)
     else:
-        a = np.array([[v % p for v in _clear_row(r, p)] for r in rows], dtype=np.int64)
+        a = np.array([[v % p for v in r] for r in _cleared_rows(rows, p)], dtype=np.int64)
     m, n = a.shape
     order = list(range(m))
     cols: list[int] = []
@@ -873,11 +915,9 @@ def checked_rank(rows: Sequence[Sequence[Scalar]]) -> int:
     `kernel_int` returns n - r_p independent, exactly checked kernel vectors
     of M, so r_Q <= r_p <= r_Q = n - len(kernel). Every shadow prime must
     read r (else ShadowMismatch); rows of different lengths raise."""
-    cleared = [_clear_row(row) for row in rows]
+    cleared = _cleared_rows(rows)
     if not cleared:
         return 0
-    if any(len(row) != len(cleared[0]) for row in cleared):
-        raise ExactAlgError("rows of different lengths")
     mat = cleared if len(cleared) >= len(cleared[0]) else [list(c) for c in zip(*cleared)]
     r = len(mat[0]) - len(kernel_int(mat))
     for p in SHADOW_PRIMES:
@@ -912,12 +952,12 @@ class VanishingSpace:
         """Whether form is in the span of the basis: one reduction of its
         cleared coefficient vector against the echelon of the basis. A form
         in other variables raises; one with a term of another degree is not."""
-        mono = monomials(self.nvars, self.degree)
-        vec = _clear_row(form.coefficient_vector(mono))
-        if any(sum(e) != self.degree for e in form.terms):
+        if form.nvars != self.nvars:
+            raise ExactAlgError(f"form in {form.nvars} variables, space in {self.nvars}")
+        if not form.is_homogeneous() or form.degree() not in (None, self.degree):
             return False
-        echelon = _IntEchelon(_clear_row(b.coefficient_vector(mono)) for b in self.basis)
-        return echelon.contains(vec)
+        echelon = _IntEchelon(_clear_row(b.coefficient_vector(self.degree)) for b in self.basis)
+        return echelon.contains(_clear_row(form.coefficient_vector(self.degree)))
 
 
 def evaluation_rows(degree: int, nvars: int,
@@ -974,7 +1014,7 @@ def vanishing_space(degree: int, nvars: int,
     independent over Q but not mod p0), the call raises rather than certify
     a wrong dimension.
     """
-    mono = monomials(nvars, degree)
+    mono = _packed_monomials(nvars, degree)
     mat = evaluation_rows(degree, nvars, points, lines)
     first, *later = SHADOW_PRIMES
     pivots = _pivot_rows(mat, first)
@@ -982,11 +1022,12 @@ def vanishing_space(degree: int, nvars: int,
     if method == "kernel":
         # without pivot rows every form vanishes; a zero row keeps the width
         cleared = kernel_int(mat[pivots].tolist() or [[0] * len(mono)])
-        chosen = [MPoly(nvars, dict(zip(mono, vec))) for vec in cleared]
+        chosen = [MPoly._from_packed(nvars, dict(zip(mono, vec))) for vec in cleared]
     else:
-        if any(c.degree() != degree or not c.is_homogeneous() for c in candidates):
-            raise ExactAlgError("candidate of wrong degree")
-        cleared = [_clear_row(c.coefficient_vector(mono)) for c in candidates]
+        if any(c.nvars != nvars or c.degree() != degree or not c.is_homogeneous()
+               for c in candidates):
+            raise ExactAlgError("candidate of wrong degree or ring")
+        cleared = [_clear_row(c.coefficient_vector(degree)) for c in candidates]
         chosen = [candidates[i] for i in sorted(_pivot_rows(cleared, first))]
     for vals in _int_products(mat, cleared):
         if any(vals):

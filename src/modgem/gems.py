@@ -85,7 +85,7 @@ def _exact_div(num: MPoly, den: MPoly) -> MPoly:
 
 
 def _lift5to6(p: MPoly) -> MPoly:
-    return MPoly.from_terms(6, ((exp + (0,), c) for exp, c in p.terms.items()))
+    return MPoly.from_terms(6, ((exp + (0,), c) for exp, c in p.iter_terms()))
 
 
 def _flat_chart_basis(zeros: Sequence[int]) -> list[tuple[int, ...]]:
@@ -794,7 +794,7 @@ def triple_point_cone(label: str) -> TripleCone:
     expanded = invariant_quintic_form().subs(images)
 
     buckets: dict[int, list] = {j: [] for j in range(6)}
-    for exp, c in expanded.terms.items():
+    for exp, c in expanded.iter_terms():
         buckets[exp[5]].append((exp[:5], c))
     pieces = [MPoly.from_terms(5, buckets[j]) for j in range(6)]
     if any(not pieces[j].is_zero() for j in (3, 4, 5)):
@@ -1106,7 +1106,7 @@ def _eval_batch_mod(polys: Sequence[MPoly], values: np.ndarray, p: int) -> list[
     nvars = polys[0].nvars
     coeffs = [c for poly in polys for c in poly.terms.values()]
     residues = iter([c % p for c in _clear_row(coeffs, p)])
-    maxexp = max((e for poly in polys for exp in poly.terms for e in exp), default=0)
+    maxexp = max((e for poly in polys for exp, _ in poly.iter_terms() for e in exp), default=0)
     tables = []
     for i in range(nvars):
         col = [np.ones(values.shape[1], dtype=np.int64), values[i] % p]
@@ -1116,7 +1116,7 @@ def _eval_batch_mod(polys: Sequence[MPoly], values: np.ndarray, p: int) -> list[
     out = []
     for poly in polys:
         acc = np.zeros(values.shape[1], dtype=np.int64)
-        for exp in poly.terms:
+        for exp, _ in poly.iter_terms():
             term = np.full(values.shape[1], next(residues), dtype=np.int64)
             for i, e in enumerate(exp):
                 if e:

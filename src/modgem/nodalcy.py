@@ -279,8 +279,7 @@ def section_report(spec: SectionSpec, seed: int = 0) -> NodalSectionReport:
     if dim1 != dim2:
         raise ExactAlgError(f"chart choice leaked into the dimension: {dim1} vs {dim2}")
 
-    mono = monomials(5, 5)
-    jac_rows = [g.coefficient_vector(mono)
+    jac_rows = [g.coefficient_vector(5)
                 for g in jacobian or _times_coordinates(q.partials())]
     jac_rank = checked_rank(jac_rows)
 

@@ -39,6 +39,7 @@ from modgem.exactalg import (
     _is_prime,
     _kernel_primes,
     _pivot_rows,
+    _rational,
     _sample,
     _task_rng,
 )
@@ -116,14 +117,14 @@ def mixed_polys(draw, nvars=2, max_deg=2, max_terms=4):
 def assert_no_float(*polys):
     """Every coefficient is in normal form: an int, or a Fraction that is not one."""
     for poly in polys:
-        for c in poly.terms.values():
+        for _, c in poly.iter_terms():
             assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
 
 
 def fraction_eval(poly, point):
     """All-Fraction oracle for MPoly.eval."""
     total = Fraction(0)
-    for exp, c in poly.terms.items():
+    for exp, c in poly.iter_terms():
         m = Fraction(c)
         for v, e in zip(point, exp):
             m *= Fraction(v) ** e
@@ -134,7 +135,7 @@ def fraction_eval(poly, point):
 def top_part(poly):
     """The homogeneous part of highest degree."""
     d = poly.degree()
-    return MPoly(poly.nvars, {e: c for e, c in poly.terms.items() if sum(e) == d})
+    return MPoly(poly.nvars, {e: c for e, c in poly.iter_terms() if sum(e) == d})
 
 
 def assert_line_restriction(poly, p, q):
@@ -167,8 +168,7 @@ def test_mixed_coefficients_keep_the_ring_exact(p, q, r, c, x, y, u, v):
     assert subs_sum == p.subs(images) + q.subs(images)
     assert subs_prod == p.subs(images) * q.subs(images)
     assert_no_float(p + q, p - q, p * q, p * c, p ** 2, p.diff(0), subs_sum, subs_prod)
-    mono = monomials(2, 2)
-    rows = [f.coefficient_vector(mono) for f in (p, q, r, p * c)]
+    rows = [f.coefficient_vector(2) for f in (p, q, r, p * c)]
     for row in rows:
         assert all(type(v) is int for v in _clear_row(row))
     for prime in SHADOW_PRIMES:
@@ -197,12 +197,152 @@ def test_float_coefficient_is_rejected(make):
 
 def test_integral_coefficients_are_stored_as_int():
     p = MPoly(2, {(1, 0): Fraction(4, 2), (0, 1): Fraction(1, 3), (0, 0): True})
-    assert [type(c) for c in p.terms.values()] == [int, Fraction, int]
-    assert type((p * 3).terms[(0, 1)]) is int
+    assert [type(c) for _, c in p.iter_terms()] == [int, Fraction, int]
+    assert type(dict((p * 3).iter_terms())[(0, 1)]) is int
     assert type(proportional(p * 3, p)) is Fraction
     q = MPoly(2, {(2, 0): 3, (1, 1): -1, (0, 2): Fraction(4, 2)})
     assert type(q.eval([2, -5])) is int
     assert all(type(v) is int for v in q.restrict_to_line([1, 2], [-3, 1]))
+
+
+# -- packed exponent keys against a tuple-keyed reference ----------------------
+
+LIMIT = 2 ** exactalg.EXP_BITS
+
+
+def _nonzero(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return _nonzero(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return _nonzero(out)
+
+
+def ref_diff(a, i):
+    return _nonzero({e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in a.items() if e[i]})
+
+
+def ref_eval(a, point):
+    return sum((Fraction(c) * math.prod(Fraction(v) ** e for v, e in zip(point, exp))
+                for exp, c in a.items()), Fraction(0))
+
+
+def ref_subs(a, images, nvars):
+    """images[i] is a tuple-keyed dict in nvars variables."""
+    out = {}
+    for exp, c in a.items():
+        piece = {(0,) * nvars: c}
+        for image, e in zip(images, exp):
+            for _ in range(e):
+                piece = ref_mul(piece, image)
+        out = ref_add(out, piece)
+    return out
+
+
+def ref_line(a, p, q, d):
+    """The binary form of a degree-d form at s*p + t*q, ordered s^d .. t^d:
+    each term's coefficient list multiplied by (s*p_i + t*q_i) e_i times."""
+    out = [0] * (d + 1)
+    for exp, c in a.items():
+        form = [c]
+        for x, y, e in zip(p, q, exp):
+            for _ in range(e):
+                form = [u * x + w * y for u, w in zip(form + [0], [0] + form)]
+        out = [u + w for u, w in zip(out, form)]
+    return out
+
+
+@st.composite
+def tuple_terms(draw, nvars, degree, max_terms=3, homogeneous=False):
+    """A tuple-keyed term dict in nvars variables of degree at most `degree`,
+    which it often reaches, with the degree split at random cut points."""
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=max_terms))):
+        deg = degree if homogeneous else draw(st.one_of(
+            st.just(degree), st.integers(min_value=0, max_value=degree)))
+        cuts = sorted(draw(st.lists(st.integers(min_value=0, max_value=deg),
+                                    min_size=nvars - 1, max_size=nvars - 1)))
+        terms[tuple(b - a for a, b in zip([0, *cuts], [*cuts, deg]))] = draw(mixed_coeffs)
+    return terms
+
+
+near_limit = st.one_of(st.integers(min_value=0, max_value=LIMIT - 1),
+                       st.integers(min_value=LIMIT - 4, max_value=LIMIT - 1))
+
+
+@given(st.integers(min_value=1, max_value=6), near_limit, st.data())
+@settings(max_examples=60, deadline=None)
+def test_packed_ring_operations_match_the_tuple_reference(n, d, data):
+    a = data.draw(tuple_terms(n, d))
+    b = data.draw(tuple_terms(n, LIMIT - 1 - d))
+    p, q = MPoly(n, a), MPoly(n, b)
+    assert dict(p.iter_terms()) == _nonzero(a)
+    assert dict((p + q).iter_terms()) == ref_add(a, b)
+    assert dict((p * q).iter_terms()) == ref_mul(a, b)
+    for i in range(n):
+        assert dict(p.diff(i).iter_terms()) == ref_diff(a, i)
+    point = data.draw(st.lists(mixed_coeffs, min_size=n, max_size=n))
+    assert p.eval(point) == ref_eval(a, point)
+    assert (p * q).degree() == max((sum(e) for e in ref_mul(a, b)), default=None)
+
+
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6),
+       near_limit, st.data())
+@settings(max_examples=40, deadline=None)
+def test_packed_subs_matches_the_tuple_reference(n, m, d, data):
+    # images of high degree are monomials, so the reference stays small
+    a = data.draw(tuple_terms(n, d))
+    top = (LIMIT - 1) // max(d, 1)
+    img_degree = data.draw(st.integers(min_value=0, max_value=top))
+    wide = d * img_degree <= 12
+    images = [data.draw(tuple_terms(m, img_degree, max_terms=3 if wide else 1))
+              for _ in range(n)]
+    packed = MPoly(n, a).subs([MPoly(m, im) for im in images])
+    assert dict(packed.iter_terms()) == ref_subs(a, [_nonzero(im) for im in images], m)
+
+
+@given(st.integers(min_value=1, max_value=6),
+       st.one_of(st.integers(min_value=0, max_value=8),
+                 st.integers(min_value=LIMIT - 3, max_value=LIMIT - 1)), st.data())
+@settings(max_examples=30, deadline=None)
+def test_packed_restrict_to_line_matches_the_tuple_reference(n, d, data):
+    a = _nonzero(data.draw(tuple_terms(n, d, homogeneous=True)))
+    p, q = (data.draw(st.lists(coeffs, min_size=n, max_size=n)) for _ in range(2))
+    assert MPoly(n, a).restrict_to_line(p, q) == (ref_line(a, p, q, d) if a else [0])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: MPoly(2, {(-1, 0): 1, (0, 0): 2}),
+    lambda: MPoly.from_terms(2, [((1, -1), 3)]),
+    lambda: MPoly(1, {(LIMIT,): 1}),
+    lambda: MPoly(2, {(LIMIT // 2, LIMIT // 2): 1}),
+    lambda: MPoly(1, {(LIMIT - 2,): 1}) * MPoly(1, {(2,): 1}),
+    lambda: MPoly.var(0, 3) ** LIMIT,
+], ids=["negative", "negative-from-terms", "exponent-at-limit", "degree-at-limit",
+        "product-at-limit", "power-at-limit"])
+def test_exponents_outside_the_packed_fields_raise(make):
+    with pytest.raises(ExactAlgError):
+        make()
+
+
+def test_degree_one_below_the_limit_is_kept():
+    x = MPoly.var(0, 2)
+    p = x ** (LIMIT - 2) * MPoly.var(1, 2)
+    assert p.degree() == LIMIT - 1 and p.is_homogeneous()
+    assert dict(p.iter_terms()) == {(LIMIT - 2, 1): 1}
+    assert dict(p.diff(0).iter_terms()) == {(LIMIT - 3, 1): LIMIT - 2}
 
 
 # -- degree and term order -----------------------------------------------------
@@ -613,6 +753,16 @@ def test_checked_rank_rejects_ragged_rows():
             checked_rank(rows)
 
 
+@pytest.mark.parametrize("rows", [[[1, 2, 3], [4, 5]], [[4, 5], [1, 2, 3]]],
+                         ids=["long-first", "short-first"])
+def test_kernel_and_modular_rank_reject_ragged_rows(rows):
+    with pytest.raises(ExactAlgError, match="different lengths"):
+        kernel_int(rows)
+    for p in SHADOW_PRIMES:
+        with pytest.raises(ExactAlgError, match="different lengths"):
+            rank_mod(rows, p)
+
+
 def test_checked_rank_raises_on_forced_mismatch():
     # rank 2 over Q, but 1 mod the first shadow prime
     p = SHADOW_PRIMES[0]
@@ -705,8 +855,20 @@ def _trial_division_prime(n):
 def test_prime_test_matches_trial_division():
     assert [n for n in range(3000) if _is_prime(n)] == \
         [n for n in range(3000) if _trial_division_prime(n)]
-    # strong pseudoprimes to the bases 2, 3 and to 2, 3, 5
+    # strong pseudoprimes to the bases 2, 3 and to 2, 3, 5; 19*199*271 is
+    # one to 3, 5 and 7 but not to 2
     assert not _is_prime(1373653) and not _is_prime(25326001)
+    assert not _is_prime(1024651)
+
+
+@given(st.sampled_from(SHADOW_PRIMES), st.data())
+@settings(max_examples=100, deadline=None)
+def test_rational_reconstruction_inverts_reduction(m, data):
+    bound = math.isqrt(m // 2)
+    a = data.draw(st.integers(min_value=-bound, max_value=bound))
+    b = data.draw(st.integers(min_value=1, max_value=bound))
+    assume(math.gcd(a, b) == 1)
+    assert _rational(a * pow(b, -1, m) % m, m) == Fraction(a, b)
 
 
 def test_kernel_primes_are_the_shadow_primes_then_every_prime_below():
@@ -891,8 +1053,7 @@ def test_pivot_rows_give_the_whole_matrix_rank_and_kernel(case):
     full = [list(pt.coords) for pt in points]
     vs = vanishing_space(1, n, points=points)
     assert vs.modular_ranks == {p: rank_mod(full, p) for p in SHADOW_PRIMES}
-    mono = monomials(n, 1)
-    assert [b.coefficient_vector(mono) for b in vs.basis] == [list(v) for v in kernel_int(full)]
+    assert [b.coefficient_vector(1) for b in vs.basis] == [list(v) for v in kernel_int(full)]
 
 
 @given(low_rank_points(), st.data())
@@ -902,9 +1063,8 @@ def test_candidate_route_on_random_spanning_sets_matches_kernel_route(case, data
     # and copies scaled by 2^64 or more, so that dependent candidates sit
     # among independent ones and entries pass int64
     n, points = case
-    mono = monomials(n, 1)
     kernel = vanishing_space(1, n, points=points)
-    vecs = [b.coefficient_vector(mono) for b in kernel.basis]
+    vecs = [b.coefficient_vector(1) for b in kernel.basis]
     weights = st.lists(coeffs, min_size=len(vecs), max_size=len(vecs))
     rows = [[sum(c * v[j] for c, v in zip(cs, vecs)) for j in range(n)]
             for cs in data.draw(st.lists(weights, min_size=len(vecs), max_size=len(vecs) + 3))]

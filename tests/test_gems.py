@@ -181,10 +181,11 @@ def test_hessian_of_cubic_is_the_nieto_quintic():
 def test_invariant_quintic_shape():
     f = gems.invariant_quintic_form()
     assert f.degree() == 5 and f.is_homogeneous()
-    assert len(f.terms) == 22
+    terms = dict(f.iter_terms())
+    assert len(terms) == 22
     # even in each of the first five variables except for the monomial term
     mono = tuple([1] * 5 + [0])
-    for exp in f.terms:
+    for exp in terms:
         if exp != mono:
             assert all(e % 2 == 0 for e in exp[:5])
 
@@ -330,12 +331,13 @@ def test_duality_fit(duality):
 
 def test_fitted_quartic_fingerprint(duality):
     Q = duality.quartic
-    assert Q.degree() == 4 and len(Q.terms) == 70
-    assert Q.terms[(4, 0, 0, 0, 0)] == 5
-    assert Q.terms[(3, 1, 0, 0, 0)] == -4
-    assert Q.terms[(2, 2, 0, 0, 0)] == -2
-    assert Q.terms[(2, 1, 1, 0, 0)] == 4
-    assert Q.terms[(1, 1, 1, 1, 0)] == -8
+    terms = dict(Q.iter_terms())
+    assert Q.degree() == 4 and len(terms) == 70
+    assert terms[(4, 0, 0, 0, 0)] == 5
+    assert terms[(3, 1, 0, 0, 0)] == -4
+    assert terms[(2, 2, 0, 0, 0)] == -2
+    assert terms[(2, 1, 1, 0, 0)] == 4
+    assert terms[(1, 1, 1, 1, 0)] == -8
 
 
 def test_fitted_quartic_symmetry_and_seed_independence(duality):
