@@ -16,6 +16,7 @@ Sampled checks draw from one seeded, bounded sampler.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import math
 import numbers
@@ -626,16 +627,33 @@ def _cleared_rows(rows: Sequence[Sequence[Scalar]], p: int = 0) -> list[list[int
     return cleared
 
 
+def _int_array(rows: np.ndarray | Sequence[Sequence[int]]) -> np.ndarray:
+    """The rows as a 2-D integer array: an integer array as it is, anything
+    else as an object array. Ragged rows, and an entry that is not an
+    integer (a float, a Fraction), raise ExactAlgError. One check per array:
+    its dtype, or for an object array the set of its entries' types."""
+    a = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
+    if a.ndim != 2:
+        raise ExactAlgError("rows of different lengths")
+    if a.dtype.kind not in "iu" and not (
+            a.dtype == object
+            and all(issubclass(t, (int, np.integer)) for t in set(map(type, a.flat)))):
+        raise ExactAlgError("entries are not all integers")
+    return a
+
+
 def _int_matmul(rows: np.ndarray | Sequence[Sequence[int]],
                 vecs: Sequence[Sequence[int]]) -> np.ndarray:
-    """Exact rows @ vecs^T of integer rows (lists, or an int64 or object
-    array) and vecs: in int64 when the worst-case entry provably fits,
-    otherwise in object arithmetic on Python integers."""
+    """Exact rows @ vecs^T of integer rows (lists, or an integer or object
+    array) and vecs, both checked by `_int_array`: in int64 when the
+    worst-case entry provably fits, otherwise in object arithmetic on
+    Python integers."""
     if not len(rows) or not len(vecs):
         return np.zeros((len(rows), len(vecs)), dtype=np.int64)
-    a = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
-    b = np.array(vecs, dtype=object).T
-    if int(np.abs(a).max()) * int(np.abs(b).max()) * a.shape[1] < 2 ** 62:
+    a, b = _int_array(rows), _int_array(vecs).T
+    if a.shape[1] != b.shape[0]:
+        raise ExactAlgError(f"rows of width {a.shape[1]} against vectors of {b.shape[0]}")
+    if int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0)) * a.shape[1] < 2 ** 62:
         return a.astype(np.int64) @ b.astype(np.int64)
     return a.astype(object) @ b
 
@@ -712,11 +730,11 @@ def rref_int(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], list[in
     """Fully reduced row echelon form over the integers: `_IntEchelon` in batch.
 
     Returns (echelon rows as primitive integer vectors, pivot column list).
-    Rows may contain Fractions; each is cleared to integers by `_clear_row`
-    and added in order. The form is unique (see `_IntEchelon`), so it does
-    not depend on the order of the rows.
+    Rows may contain Fractions; they are cleared to integers by
+    `_cleared_rows` (ragged rows raise) and added in order. The form is
+    unique (see `_IntEchelon`), so it does not depend on the order of the rows.
     """
-    ech = _IntEchelon(_clear_row(row) for row in rows)
+    ech = _IntEchelon(_cleared_rows(rows))
     return ech.rows, ech.pivots
 
 
@@ -805,7 +823,7 @@ def kernel_int(rows: Sequence[Sequence[Scalar]]) -> list[tuple[int, ...]]:
         else:
             residues = residues + modulus * ((vecs - residues) * pow(modulus, -1, p) % p)
             modulus *= p
-        basis = _reconstructed_basis(residues, pivots, modulus)
+        basis = _reconstructed_basis(residues, pivots, n, modulus)
         if basis is not None and not any(map(any, _int_products(mat, basis))):
             return basis
     raise ExactAlgError("kernel did not verify within the Hadamard bound")
@@ -813,27 +831,33 @@ def kernel_int(rows: Sequence[Sequence[Scalar]]) -> list[tuple[int, ...]]:
 
 def _kernel_mod(block: np.ndarray, pivots: list[int], n: int, p: int) -> np.ndarray:
     """The kernel mod p of an `_echelon_mod` block, back-substituted: one
-    vector per free column, 1 there and 0 at the other free columns."""
+    vector per free column, 1 there and 0 at the other free columns, given
+    by its entries at the pivot columns (one row per free column)."""
     a = block.copy()
     for i, c in reversed(list(enumerate(pivots))):
         a[:i, c:] = (a[:i, c:] - a[:i, c, None] * a[i, c:]) % p
     free = sorted(set(range(n)) - set(pivots))
-    vecs = np.zeros((len(free), n), dtype=np.int64)
-    vecs[np.arange(len(free)), free] = 1
-    vecs[:, pivots] = (-a[:, free].T) % p
-    return vecs
+    return (-a[:, free].T) % p
 
 
-def _reconstructed_basis(residues: np.ndarray, pivots: list[int],
+def _reconstructed_basis(residues: np.ndarray, pivots: list[int], n: int,
                          modulus: int) -> Optional[list[tuple[int, ...]]]:
-    """The canonical vectors of the residues by `_rational` at the pivots, or None."""
-    vecs = residues.tolist()
-    for vec in vecs:
-        for pc in pivots:
-            vec[pc] = _rational(vec[pc], modulus)
-            if vec[pc] is None:
-                return None
-    return [_canonical_int_vector(vec) for vec in vecs]
+    """The canonical vectors of `_kernel_mod` residues, or None: `_rational`
+    of each pivot entry, 1 at the vector's free column and 0 elsewhere, so
+    only the pivot entries and that 1 are cleared and made primitive."""
+    free = sorted(set(range(n)) - set(pivots))
+    basis = []
+    for fc, res in zip(free, residues.tolist()):
+        vals = [_rational(v, modulus) for v in res]
+        if any(v is None for v in vals):
+            return None
+        at = bisect.bisect(pivots, fc)
+        vec = [0] * n
+        cols = pivots[:at] + [fc] + pivots[at:]
+        for c, v in zip(cols, _canonical_int_vector(vals[:at] + [1] + vals[at:])):
+            vec[c] = v
+        basis.append(tuple(vec))
+    return basis
 
 
 def _chart_coordinates(basis: Sequence[Sequence[int]],
@@ -857,8 +881,9 @@ def _echelon_mod(rows: np.ndarray | Sequence[Sequence[Scalar]],
                  p: int) -> tuple[list[int], list[int], np.ndarray]:
     """Forward elimination over GF(p): (pivot rows, pivot columns, block).
 
-    `rows` is an int64 or object array, or rows of scalars of one length,
-    each cleared by `_clear_row` (raising when p divides its denominator lcm).
+    `rows` is an integer or object array of integers (see `_int_array`), or
+    rows of scalars of one length, each cleared by `_clear_row` (raising
+    when p divides its denominator lcm).
     Rows from `rank` down are zero left of `col`, so the pivot row is
     scaled to 1 at `col` and only the rows below with a nonzero entry in
     `col` are updated, from `col` on. The pivot rows span the row space
@@ -867,7 +892,7 @@ def _echelon_mod(rows: np.ndarray | Sequence[Sequence[Scalar]],
     if not len(rows):
         return [], [], np.zeros((0, 0), dtype=np.int64)
     if isinstance(rows, np.ndarray):
-        a = (rows % p).astype(np.int64)
+        a = (_int_array(rows) % p).astype(np.int64)
     else:
         a = np.array([[v % p for v in r] for r in _cleared_rows(rows, p)], dtype=np.int64)
     m, n = a.shape
@@ -999,41 +1024,60 @@ def vanishing_space(degree: int, nvars: int,
     kernel of the evaluation matrix; supplying candidates avoids the
     kernel of a large matrix, e.g. sextics against 216 lines.
     Annihilating all evaluation rows proves membership, since d+1 sample
-    points per line see the whole line. The first prime p0 eliminates the
-    whole matrix; its pivot rows span the row space over Q when
-    rank_p0 = rank_Q, and the kernel route takes the kernel of those rows,
-    made the whole matrix's by checking each member against every row.
-    Members are independent over Q: a kernel vector is nonzero only at its
-    own free column among the free columns, and candidates are thinned to
-    the pivot rows of their coefficients mod p0, independent mod p0 and so
-    over Q. With k members and n monomials, k <= dim <= n - rank_p at every
-    prime p, and n - rank_p must equal k (else ShadowMismatch), so dim = k.
-    A later prime eliminates only the pivot rows: rank n - k there squeezes
-    the whole matrix's rank_p to n - k, and a shortfall sends it to the
-    whole matrix. When p0 divides a minor that matters (candidates
+    points per line see the whole line, and every member is checked
+    exactly against every row. Members are independent over Q: a kernel
+    vector is nonzero only at its own free column among the free columns,
+    and candidates are thinned to the pivot rows of their coefficients mod
+    the first prime p0, independent mod p0 and so over Q. With k members
+    and n monomials, k <= dim <= n - rank_p at every prime p, and n - rank_p
+    must equal k (else ShadowMismatch), so dim = k.
+
+    Without candidates k is unknown: p0 eliminates the whole matrix, whose
+    pivot rows span the row space over Q when rank_p0 = rank_Q, and the
+    members are the kernel of those rows. With candidates k is known before
+    any elimination, and p0 eliminates the matrix in blocks, in one fixed
+    order: block j holds the j-th parameter row of every line, j from d
+    down to 0, and the points come last as one block. Each step eliminates
+    the pivot rows kept so far plus the next block and keeps the new pivot
+    rows, and the loop stops when their number reaches n - k. The stop is
+    sound: the k exact members give rank_p0 <= rank_Q <= n - k, and a
+    subset of the rows has rank at most the whole matrix's, so a subset of
+    rank n - k mod p0 proves rank_p0 = n - k. Blocks that run out below
+    n - k raise ShadowMismatch.
+
+    A later prime eliminates only p0's pivot rows: rank n - k there
+    squeezes the whole matrix's rank_p to n - k, and a shortfall sends it to
+    the whole matrix. When p0 divides a minor that matters (candidates
     independent over Q but not mod p0), the call raises rather than certify
     a wrong dimension.
     """
     mono = _packed_monomials(nvars, degree)
     mat = evaluation_rows(degree, nvars, points, lines)
     first, *later = SHADOW_PRIMES
-    pivots = _pivot_rows(mat, first)
-    method = "candidates" if candidates is not None else "kernel"
-    if method == "kernel":
+    if candidates is None:
+        method = "kernel"
+        pivots = _pivot_rows(mat, first)
         # without pivot rows every form vanishes; a zero row keeps the width
-        cleared = kernel_int(mat[pivots].tolist() or [[0] * len(mono)])
-        chosen = [MPoly._from_packed(nvars, dict(zip(mono, vec))) for vec in cleared]
+        vecs = kernel_int(mat[pivots].tolist() or [[0] * len(mono)])
+        if any(map(any, _int_products(mat, vecs))):
+            raise ShadowMismatch(f"rank mod {first} is below the rank over Q")
+        chosen = [MPoly._from_packed(nvars, dict(zip(mono, vec))) for vec in vecs]
     else:
+        method = "candidates"
         if any(c.nvars != nvars or c.degree() != degree or not c.is_homogeneous()
                for c in candidates):
             raise ExactAlgError("candidate of wrong degree or ring")
         cleared = [_clear_row(c.coefficient_vector(degree)) for c in candidates]
-        chosen = [candidates[i] for i in sorted(_pivot_rows(cleared, first))]
-    for vals in _int_products(mat, cleared):
-        if any(vals):
-            if method == "kernel":
-                raise ShadowMismatch(f"rank mod {first} is below the rank over Q")
+        if any(map(any, _int_products(mat, cleared))):
             raise ExactAlgError("candidate fails a constraint, not a member")
+        chosen = [candidates[i] for i in sorted(_pivot_rows(cleared, first))]
+        pivots = []
+        blocks = [range(len(points) + j, len(mat), degree + 1) for j in range(degree, -1, -1)]
+        for block in filter(None, blocks + [range(len(points))]):
+            if len(pivots) == len(mono) - len(chosen):
+                break
+            rows = pivots + list(block)
+            pivots = [rows[i] for i in _pivot_rows(mat[rows], first)]
     ranks = {first: len(pivots)}
     for p in later:
         rp = len(_pivot_rows(mat[pivots], p))

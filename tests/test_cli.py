@@ -1,6 +1,10 @@
 """Driver tests: suite registry, certificates, canonical reports, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -24,6 +28,16 @@ def test_registry_names():
     assert all(c.suite == suite for suite, group in cli.SUITES.items() for c in group)
     assert [c for group in cli.SUITES.values() for c in group] == cli.CHECKS
     assert len({c.name for c in cli.CHECKS}) == len(cli.CHECKS) == 26
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    # a checkout without the installed console script: modgem found on PYTHONPATH
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-m", "modgem", "run", "segre"], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert "suite segre: 3 pass, 0 fail, 0 unverified" in done.stdout
 
 
 def test_unknown_suite_raises():

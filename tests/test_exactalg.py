@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from modgem.exactalg import (
     _clear_row,
     _draw,
     _free_column_basis,
+    _int_matmul,
     _int_products,
     _is_prime,
     _kernel_primes,
@@ -763,6 +765,74 @@ def test_kernel_and_modular_rank_reject_ragged_rows(rows):
             rank_mod(rows, p)
 
 
+def _entry_points():
+    """Each public exact-core entry point on a matrix, and `_int_matmul`
+    with the matrix on either side against a well-formed partner."""
+    return [kernel_int, checked_rank, rref_int,
+            *(lambda rows, p=p: rank_mod(rows, p) for p in SHADOW_PRIMES),
+            lambda rows: _int_matmul(rows, [[1] * len(max(rows, key=len))]),
+            lambda rows: _int_matmul([[1] * len(max(rows, key=len))], rows)]
+
+
+@st.composite
+def ragged_rows(draw):
+    rows = draw(st.lists(st.lists(coeffs, max_size=4), min_size=2, max_size=5))
+    assume(len({len(row) for row in rows}) > 1)
+    return rows
+
+
+@st.composite
+def rows_with_a_float(draw):
+    ncols = draw(st.integers(min_value=1, max_value=4))
+    rows = draw(st.lists(st.lists(coeffs, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=4))
+    i = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+    j = draw(st.integers(min_value=0, max_value=ncols - 1))
+    # integral or not, a float is refused: an int64 cast would truncate 2.5
+    rows[i][j] = draw(st.floats(min_value=-9, max_value=9))
+    return rows
+
+
+@given(ragged_rows())
+@settings(max_examples=40, deadline=None)
+def test_entry_points_reject_ragged_rows(rows):
+    for entry in _entry_points():
+        with pytest.raises(ExactAlgError, match="different lengths|width"):
+            entry(rows)
+
+
+@given(rows_with_a_float())
+@settings(max_examples=40, deadline=None)
+def test_entry_points_reject_a_float(rows):
+    for entry in _entry_points():
+        with pytest.raises(ExactAlgError):
+            entry(rows)
+    floats = np.array(rows, dtype=float)
+    with pytest.raises(ExactAlgError, match="not all integers"):
+        _int_matmul(floats, [[1] * len(rows[0])])
+    for p in SHADOW_PRIMES:
+        with pytest.raises(ExactAlgError, match="not all integers"):
+            rank_mod(floats, p)
+
+
+def test_int_matmul_rejects_a_non_integer_entry():
+    # an int64 cast would truncate 2.5 to 2 and answer [[3], [7]]
+    with pytest.raises(ExactAlgError, match="not all integers"):
+        _int_matmul([[1, 2.5], [3, 4]], [[1, 1]])
+    with pytest.raises(ExactAlgError, match="not all integers"):
+        _int_matmul([[1, 2], [3, 4]], [[1, Fraction(1, 2)]])
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_rows_of_width_zero_have_rank_zero_and_no_kernel(m):
+    rows = [[] for _ in range(m)]
+    assert kernel_int(rows) == []
+    assert checked_rank(rows) == 0
+    assert rref_int(rows) == ([], [])
+    assert all(rank_mod(rows, p) == 0 for p in SHADOW_PRIMES)
+    assert _int_matmul(rows, [[], []]).tolist() == [[0, 0]] * m
+
+
 def test_checked_rank_raises_on_forced_mismatch():
     # rank 2 over Q, but 1 mod the first shadow prime
     p = SHADOW_PRIMES[0]
@@ -1084,6 +1154,135 @@ def test_candidate_route_on_random_spanning_sets_matches_kernel_route(case, data
     assert certified.modular_ranks == kernel.modular_ranks
     assert all(kernel.contains(b) for b in certified.basis)
     assert all(certified.contains(b) for b in kernel.basis)
+
+
+def _whole_matrix_reference(degree, nvars, points, lines, candidates):
+    """The candidate route with the first prime on the whole matrix:
+    (dim, modular ranks, members), or None when a prime's bound n - rank_p
+    misses the number of members."""
+    mat = evaluation_rows(degree, nvars, points, lines)
+    cleared = [_clear_row(c.coefficient_vector(degree)) for c in candidates]
+    members = [candidates[i] for i in sorted(_pivot_rows(cleared, SHADOW_PRIMES[0]))]
+    ranks = {p: rank_mod(mat, p) for p in SHADOW_PRIMES}
+    n = len(monomials(nvars, degree))
+    if any(n - r != len(members) for r in ranks.values()):
+        return None
+    return len(members), ranks, members
+
+
+def _blocks_to_reach(degree, npoints, mat, target):
+    """How many blocks, in the documented order, the first prime eliminates
+    before its rank reaches target: parameter row j of every line (row
+    npoints + l*(d+1) + j), j from d down to 0, then the points; None when
+    even all of them fall short."""
+    nlines = (len(mat) - npoints) // (degree + 1)
+    blocks = [[npoints + l * (degree + 1) + j for l in range(nlines)]
+              for j in range(degree, -1, -1)] + [list(range(npoints))]
+    rows, steps = [], 0
+    for block in filter(None, blocks):
+        if rank_mod(mat[rows], SHADOW_PRIMES[0]) == target:
+            return steps
+        rows += block
+        steps += 1
+    return steps if rank_mod(mat[rows], SHADOW_PRIMES[0]) == target else None
+
+
+def _first_prime_steps(spy):
+    """Row counts of the first prime's eliminations of the evaluation matrix
+    (an array; the candidates' thinning passes lists) among a spy's calls."""
+    return [len(rows) for (rows, p), _ in spy.call_args_list
+            if isinstance(rows, np.ndarray) and p == SHADOW_PRIMES[0]]
+
+
+@st.composite
+def plane_line_systems(draw, kind):
+    """Lines in a plane of P^3 and degree-d forms, for where the blocks stop.
+
+    At least C(d+2, 2) lines force every degree-d form vanishing on them to
+    vanish on the plane, so the target rank is C(d+2, 2) unless a point
+    leaves the plane. "early": the lines' second points are general, and the
+    first block alone reaches the target; "late": the lines share their
+    second point, so the first block has rank 1 and a later line block
+    reaches it; "last": as early, plus a point off the plane, which only the
+    points block sees. Returns (degree, points, lines).
+    """
+    degree = draw(st.integers(min_value=1, max_value=3))
+    plane = draw(st.lists(st.lists(coeffs, min_size=4, max_size=4), min_size=3, max_size=3))
+    assume(_reference_rank(plane) == 3)
+    vec = st.lists(coeffs, min_size=3, max_size=3)
+
+    def in_plane(c):
+        return ProjPoint([sum(a * b for a, b in zip(c, col)) for col in zip(*plane)])
+
+    shared = draw(vec)
+    lines = []
+    for _ in range(math.comb(degree + 2, 2) + draw(st.integers(min_value=0, max_value=2))):
+        p, q = draw(vec), shared if kind == "late" else draw(vec)
+        assume(_reference_rank([p, q]) == 2)
+        lines.append(ProjLine(in_plane(p), in_plane(q)))
+    points = [in_plane(c) for c in draw(st.lists(vec.filter(any), max_size=2))]
+    if kind == "last":
+        off = draw(st.lists(coeffs, min_size=4, max_size=4))
+        assume(_reference_rank(plane + [off]) == 4)
+        points.append(ProjPoint(off))
+    return degree, points, lines
+
+
+@pytest.mark.parametrize("kind", ["early", "late", "last"])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_blockwise_first_prime_matches_the_whole_matrix_reference(kind, data):
+    # candidates: the kernel route's members, shuffled, with nonzero
+    # integer combinations of them mixed in as dependent candidates
+    degree, points, lines = data.draw(plane_line_systems(kind))
+    members = list(vanishing_space(degree, 4, points=points, lines=lines).basis)
+    weights = st.lists(coeffs, min_size=len(members), max_size=len(members))
+    combos = [sum((c * b for c, b in zip(cs, members)), MPoly.zero(4))
+              for cs in data.draw(st.lists(weights, max_size=3))]
+    cands = data.draw(st.permutations(members + [f for f in combos if not f.is_zero()]))
+    mat = evaluation_rows(degree, 4, points, lines)
+    want = _whole_matrix_reference(degree, 4, points, lines, cands)
+    if want is None:
+        with pytest.raises(ShadowMismatch):
+            vanishing_space(degree, 4, points=points, lines=lines, candidates=cands)
+        return
+    target = len(monomials(4, degree)) - len(want[2])
+    stop = _blocks_to_reach(degree, len(points), mat, target)
+    expected = {"early": {1}, "late": set(range(2, degree + 2)), "last": {degree + 2}}
+    assume(stop in expected[kind])
+    with mock.patch.object(exactalg, "_pivot_rows", wraps=exactalg._pivot_rows) as spy:
+        got = vanishing_space(degree, 4, points=points, lines=lines, candidates=cands)
+    assert (got.dim, got.modular_ranks, list(got.basis)) == want
+    steps = _first_prime_steps(spy)
+    assert len(steps) == stop
+    assert kind == "last" or max(steps) < len(mat)
+
+
+def test_first_prime_stops_before_the_whole_matrix():
+    # six lines in the plane x3 = 0 whose second points lie on no conic, and
+    # the quadrics x3*x0, ..., x3^2 through the plane: n - k = 10 - 4 = 6, so
+    # the first block, the six second points, is all the first prime eliminates
+    seconds = ([1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 1, 1, 0], [1, 2, 3, 0],
+               [2, -1, 1, 0])
+    lines = [ProjLine(ProjPoint([3, -2, 5, 0]), ProjPoint(q)) for q in seconds]
+    x = _vars(4)
+    with mock.patch.object(exactalg, "_pivot_rows", wraps=exactalg._pivot_rows) as spy:
+        vs = vanishing_space(2, 4, lines=lines, candidates=[x[3] * v for v in x])
+    assert vs.dim == 4 and vs.modular_ranks == {p: 6 for p in SHADOW_PRIMES}
+    assert len(evaluation_rows(2, 4, lines=lines)) == 18
+    assert _first_prime_steps(spy) == [6]
+
+
+def test_blocks_short_of_n_minus_k_raise():
+    # every row is (1, 0, 0) mod p: rank 1 mod p against n - k = 3 - 1 = 2,
+    # with x2 an exact member; all three blocks run before the call raises
+    p = SHADOW_PRIMES[0]
+    ln = ProjLine(ProjPoint([1, 0, 0]), ProjPoint([1, p, 0]))
+    pts = [ProjPoint([1, 2 * p, 0])]
+    with mock.patch.object(exactalg, "_pivot_rows", wraps=exactalg._pivot_rows) as spy:
+        with pytest.raises(ShadowMismatch, match=f"mod {p}"):
+            vanishing_space(1, 3, points=pts, lines=[ln], candidates=[MPoly.var(2, 3)])
+    assert _first_prime_steps(spy) == [1, 2, 2]
 
 
 @pytest.mark.parametrize("top, dtype", [(2 ** 31 - 1, np.int64), (2 ** 31, object)])
