@@ -257,9 +257,13 @@ class MPoly:
         return sorted(self.iter_terms(), key=lambda t: grevlex_key(t[0]), reverse=True)
 
     def leading(self) -> tuple[tuple[int, ...], Scalar]:
+        """(exponent tuple, coefficient) of the term with the largest packed
+        key: graded, then lex in x0, x1, ..., a monomial order (not the
+        grevlex of `sorted_terms`)."""
         if not self.terms:
             raise ExactAlgError("zero polynomial has no leading term")
-        return max(self.iter_terms(), key=lambda t: grevlex_key(t[0]))
+        key = max(self.terms)
+        return tuple(key.to_bytes(self.nvars + 1, "big")[1:]), self.terms[key]
 
     def coefficient_vector(self, degree: int) -> list[Scalar]:
         """Coefficients on `monomials(nvars, degree)`; other degrees are left out."""
@@ -658,12 +662,6 @@ def _int_matmul(rows: np.ndarray | Sequence[Sequence[int]],
     return a.astype(object) @ b
 
 
-def _int_products(rows: np.ndarray | Sequence[Sequence[int]],
-                  vecs: Sequence[Sequence[int]]) -> list[list[int]]:
-    """`_int_matmul` as Python ints, one list of values per vec."""
-    return _int_matmul(rows, vecs).T.tolist()
-
-
 class _IntEchelon:
     """Incremental fully reduced integer echelon: the one exact elimination.
 
@@ -792,7 +790,7 @@ def kernel_int(rows: Sequence[Sequence[Scalar]]) -> list[tuple[int, ...]]:
     (`_kernel_mod`). A prime whose (rank, pivots) is lower, or later at the
     same rank, than the best seen is unlucky and skipped; a better one
     restarts the CRT. The first reconstructed `_canonical_int_vector` basis
-    that `_int_products` checks against the rows is returned, and it is the
+    that `_int_matmul` checks against the rows is returned, and it is the
     canonical one: the n - r_p checked vectors are independent kernel
     vectors, so r_Q <= r_p <= r_Q; by the echelon shape mod p each ends at
     its free column, and no kernel vector ends at a pivot column over Q, so
@@ -824,7 +822,7 @@ def kernel_int(rows: Sequence[Sequence[Scalar]]) -> list[tuple[int, ...]]:
             residues = residues + modulus * ((vecs - residues) * pow(modulus, -1, p) % p)
             modulus *= p
         basis = _reconstructed_basis(residues, pivots, n, modulus)
-        if basis is not None and not any(map(any, _int_products(mat, basis))):
+        if basis is not None and not _int_matmul(mat, basis).any():
             return basis
     raise ExactAlgError("kernel did not verify within the Hadamard bound")
 
@@ -1059,7 +1057,7 @@ def vanishing_space(degree: int, nvars: int,
         pivots = _pivot_rows(mat, first)
         # without pivot rows every form vanishes; a zero row keeps the width
         vecs = kernel_int(mat[pivots].tolist() or [[0] * len(mono)])
-        if any(map(any, _int_products(mat, vecs))):
+        if _int_matmul(mat, vecs).any():
             raise ShadowMismatch(f"rank mod {first} is below the rank over Q")
         chosen = [MPoly._from_packed(nvars, dict(zip(mono, vec))) for vec in vecs]
     else:
@@ -1068,7 +1066,7 @@ def vanishing_space(degree: int, nvars: int,
                for c in candidates):
             raise ExactAlgError("candidate of wrong degree or ring")
         cleared = [_clear_row(c.coefficient_vector(degree)) for c in candidates]
-        if any(map(any, _int_products(mat, cleared))):
+        if _int_matmul(mat, cleared).any():
             raise ExactAlgError("candidate fails a constraint, not a member")
         chosen = [candidates[i] for i in sorted(_pivot_rows(cleared, first))]
         pivots = []

@@ -27,6 +27,7 @@ from .exactalg import (
     ProjLine,
     ProjPoint,
     _clear_row,
+    _int_matmul,
     _scalar,
     checked_rank,
     elementary_symmetric,
@@ -685,63 +686,69 @@ def stabilizer_chain_order(gens: Sequence[bytes]) -> int:
 
 @dataclass(frozen=True)
 class SpecialLoci:
-    """Table of distinguished subspaces cut out by the arrangement."""
+    """The 63 dual points in P^5 and the special lines through them.
 
-    hyperplanes: dict[str, MPoly]                      # 36
-    root_points: dict[str, ProjPoint]                  # 36
-    weight_points: dict[str, ProjPoint]                # 27
-    lines120: tuple[ProjLine, ...]
+    Each line keeps the first pair of `special_loci`'s pair order that
+    spans it as its `p`, `q`.
+    """
+
+    root_points: dict[str, ProjPoint]                  # 36, duals of the root forms
+    weight_points: dict[str, ProjPoint]                # 27, duals of the weight forms
+    lines120: tuple[ProjLine, ...]                     # 3 root points each
     points120: tuple[frozenset[str], ...]              # root points on each of lines120
-    lines216: tuple[ProjLine, ...]
-    lines45: tuple[ProjLine, ...]
-    spaces120: tuple[frozenset[str], ...]              # form triples cutting each P^3
-    spanning_triples: int                              # triples of the 120 lines spanning P^5
+    lines216: tuple[ProjLine, ...]                     # 1 root and 2 weight points each
+    lines45: tuple[ProjLine, ...]                      # 3 weight points each
+    spanning_triples: int                              # orthogonal triples of lines120 spanning P^5
+
+
+#: lines through two of the 63 points, by (root points, weight points) on them
+LINE_CENSUS = {(1, 1): 540, (2, 0): 270, (1, 2): 216, (3, 0): 120, (0, 3): 45}
 
 
 @lru_cache(maxsize=1)
 def special_loci() -> SpecialLoci:
+    """The root and weight points, and every line through two of them.
+
+    Lines: a point c lies on the line of (a, b) exactly when (a, c) spans
+    the same line, so grouping the 1,953 pairs of the 63 points by
+    `ProjLine.key` collects every point on every line without a membership
+    test. The 1,191 lines must have the census `LINE_CENSUS`, and each root
+    point must lie on 10 of the 120 (3,0) lines. The pairs run in
+    `itertools.combinations` order over the weight points and then the root
+    points, each sorted by name, and each line keeps its first pair, so
+    lines120 is spanned by root points and lines45 and lines216 by weight
+    points, each in order of its first pair (the order of lines216 is the
+    row order of `macdonald_membership`'s sextic system).
+
+    Orthogonality: the three root points of each of the 120 lines form an
+    A2. 3·I2 is an integer Gram matrix G on the points' integer coordinates,
+    and two A2s are orthogonal when all nine of their point pairs have
+    G = 0, that is on·(G = 0)·onᵀ = 9 with `on` the 120x36 incidence
+    matrix. Each A2 must be orthogonal to exactly two others, orthogonal to
+    each other; the 40 triangles must each span P^5 and be the 40 triads.
+    """
     tables = coordinate_tables()
     root_points = {n: ProjPoint(v) for n, v in tables.root_duals.items()}
     weight_points = {n: ProjPoint(v) for n, v in tables.weight_duals.items()}
-
     root_list = sorted(root_points)
-    lines120: dict[tuple, ProjLine] = {}
-    points120: dict[tuple, frozenset[str]] = {}
-    per_point: dict[str, int] = {n: 0 for n in root_list}
-    for n1, n2 in itertools.combinations(root_list, 2):
-        line = ProjLine(root_points[n1], root_points[n2])
-        if line.key in lines120:
-            continue
-        on = [n for n in root_list if line.contains(root_points[n])]
-        if len(on) > 3:
-            raise ExactAlgError("a root line does not contain exactly 3 root points")
-        if len(on) == 3:
-            lines120[line.key] = line
-            points120[line.key] = frozenset(on)
-            for n in on:
-                per_point[n] += 1
-    if len(lines120) != 120:
-        raise ExactAlgError(f"expected 120 collinear-root lines, found {len(lines120)}")
-    if any(v != 10 for v in per_point.values()):
-        raise ExactAlgError("each root point must lie on 10 of the 120 lines")
+    named = [(n, weight_points[n]) for n in sorted(weight_points)]
+    named += [(n, root_points[n]) for n in root_list]
 
-    weight_list = sorted(weight_points)
-    lines45: dict[tuple, ProjLine] = {}
-    lines216: dict[tuple, ProjLine] = {}
-    for n1, n2 in itertools.combinations(weight_list, 2):
-        line = ProjLine(weight_points[n1], weight_points[n2])
-        if line.key in lines45 or line.key in lines216:
-            continue
-        on27 = sum(1 for p in weight_points.values() if line.contains(p))
-        on36 = sum(1 for p in root_points.values() if line.contains(p))
-        if on27 == 3 and on36 == 0:
-            lines45[line.key] = line
-        elif on27 == 2 and on36 == 1:
-            lines216[line.key] = line
-        else:
-            raise ExactAlgError(f"weight pair line with profile ({on27},{on36})")
-    if len(lines45) != 45 or len(lines216) != 216:
-        raise ExactAlgError("45/216 line census failed")
+    through: dict[tuple, tuple[ProjLine, set[str]]] = {}
+    for (n1, p1), (n2, p2) in itertools.combinations(named, 2):
+        line = ProjLine(p1, p2)
+        through.setdefault(line.key, (line, set()))[1].update((n1, n2))
+    by_census: dict[tuple[int, int], list[tuple[ProjLine, set[str]]]] = {}
+    for line, on in through.values():
+        roots = sum(n in root_points for n in on)
+        by_census.setdefault((roots, len(on) - roots), []).append((line, on))
+    census = {kind: len(found) for kind, found in by_census.items()}
+    if census != LINE_CENSUS:
+        raise ExactAlgError(f"line census {census}, expected {LINE_CENSUS}")
+    lines120, on120 = zip(*by_census[3, 0])
+    points120 = tuple(map(frozenset, on120))
+    if any(sum(n in on for on in points120) != 10 for n in root_list):
+        raise ExactAlgError("each root point must lie on 10 of the 120 lines")
 
     # each azygetic triple of double sixes names three root forms spanning a
     # pencil (the forms satisfy one linear relation), so they share a P^3
@@ -758,65 +765,36 @@ def special_loci() -> SpecialLoci:
     if len(set(forms_of.values())) != 120 or len(pencil_keys) != 120:
         raise ExactAlgError("expected 120 distinct P^3s")
 
-    # orthogonality census: the three root points on each of the 120 lines
-    # form an A2; each A2 is orthogonal to exactly one complementary pair of
-    # A2s, so the orthogonality graph splits into triangles, and the
-    # resulting line triples all span P^5
-    lines_seq = list(lines120.values())
-    a2_points = list(points120.values())
-
-    # the I2 pairing is sum(u_i v_i, i <= 5) + u_6 v_6 / 3; on the integer
-    # coordinates of the points, three times it is an integer
-    def orthogonal(i: int, j: int) -> bool:
-        for n1 in a2_points[i]:
-            for n2 in a2_points[j]:
-                u, v = root_points[n1].coords, root_points[n2].coords
-                if 3 * sum(a * b for a, b in zip(u[:5], v[:5])) + u[5] * v[5]:
-                    return False
-        return True
-
-    degree = [0] * len(lines_seq)
-    partners: dict[int, list[int]] = {i: [] for i in range(len(lines_seq))}
-    for i, j in itertools.combinations(range(len(lines_seq)), 2):
-        if orthogonal(i, j):
-            partners[i].append(j)
-            partners[j].append(i)
-            degree[i] += 1
-            degree[j] += 1
-    if set(degree) != {2}:
+    # 3·I2 = 3(u1v1 + .. + u5v5) + u6v6 is an integer on integer coordinates
+    coords = [root_points[n].coords for n in root_list]
+    gram = _int_matmul([[3 * a for a in c[:5]] + [c[5]] for c in coords], coords)
+    on = [[int(n in pts) for n in root_list] for pts in points120]
+    # (gram == 0) is symmetric, so this is on·(gram == 0)·onᵀ
+    orthogonal = _int_matmul(_int_matmul(on, (gram == 0).astype(int)), on) == 9
+    partners = [row.nonzero()[0].tolist() for row in orthogonal]
+    if any(len(pair) != 2 for pair in partners):
         raise ExactAlgError("each A2 must be orthogonal to exactly two others")
-    triangles = set()
-    for i in range(len(lines_seq)):
-        j, k = partners[i]
-        if not orthogonal(j, k):
-            raise ExactAlgError("orthogonality partners must be mutually orthogonal")
-        triangles.add(frozenset({i, j, k}))
-    spanning = 0
+    if not all(orthogonal[j, k] for j, k in partners):
+        raise ExactAlgError("orthogonality partners must be mutually orthogonal")
+    triangles = {frozenset((i, *pair)) for i, pair in enumerate(partners)}
     for tr in triangles:
-        rows = [row for i in tr for row in lines_seq[i].key]
-        if rank_mod(rows, SHADOW_PRIMES[0]) != 6:
+        if rank_mod([row for i in tr for row in lines120[i].key], SHADOW_PRIMES[0]) != 6:
             raise ExactAlgError("an orthogonal A2 triple fails to span P^5")
-        spanning += 1
 
-    # the 40 triangles are the triads: one line per trihedral pair
+    # the 40 triangles are the triads: one line per trihedral pair; the root
+    # points carry the names of their forms
     triad_formsets = {frozenset(forms_of[tp] for tp in triad) for triad in st.triads}
-    triangle_formsets = {
-        frozenset(frozenset(a2_points[i]) for i in tr) for tr in triangles
-    }
-    # a2_points hold dual-point names, which coincide with form names here
-    if triangle_formsets != triad_formsets:
+    if {frozenset(points120[i] for i in tr) for tr in triangles} != triad_formsets:
         raise ExactAlgError("orthogonal triangles do not match the 40 triads")
 
     return SpecialLoci(
-        dict(tables.root_forms),
         root_points,
         weight_points,
-        tuple(lines120.values()),
-        tuple(points120.values()),
-        tuple(lines216.values()),
-        tuple(lines45.values()),
-        tuple(forms_of.values()),
-        spanning,
+        lines120,
+        points120,
+        tuple(line for line, _ in by_census[1, 2]),
+        tuple(line for line, _ in by_census[0, 3]),
+        len(triangles),
     )
 
 

@@ -37,7 +37,6 @@ from modgem.exactalg import (
     _draw,
     _free_column_basis,
     _int_matmul,
-    _int_products,
     _is_prime,
     _kernel_primes,
     _pivot_rows,
@@ -368,6 +367,16 @@ def test_leading_term_and_str():
     exp, c = p.leading()
     assert exp == (1, 1, 0) and c == 2
     assert p.to_str() == "2*x0*x1 + 3*x1^2 - x2^2"
+
+
+def test_leading_term_is_graded_lex_not_grevlex():
+    # grevlex puts x1^2 first (it is what `sorted_terms` and `to_str` use);
+    # the leading term is the largest packed key, where x0*x2 wins on x0
+    x, y, z = _vars(3)
+    p = x * z + y ** 2
+    assert p.leading() == ((1, 0, 1), 1)
+    assert p.sorted_terms()[0] == ((0, 2, 0), 1)
+    assert p.to_str() == "x1^2 + x0*x2"
 
 
 # -- symmetric functions ---------------------------------------------------------
@@ -1308,7 +1317,7 @@ def test_int_products_on_each_dtype_match_python_sums():
         if mat is rows:
             arrays.append(np.array(mat, dtype=np.int64))
         for arr in arrays:
-            got = _int_products(arr, vecs)
+            got = _int_matmul(arr, vecs).T.tolist()
             assert got == want
             assert all(type(v) is int for vals in got for v in vals)
 

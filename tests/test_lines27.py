@@ -1,8 +1,15 @@
 """Combinatorics of the 27 lines, the Weyl group, and the P^5 geometry."""
 
+import dataclasses
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -308,14 +315,136 @@ def test_changed_word_entry_is_not_read_as_a_permutation(word, i, j, delta):
 
 def test_special_loci_counts():
     loci = L.special_loci()
-    assert len(loci.hyperplanes) == 36
+    assert len(L.coordinate_tables().root_forms) == 36
     assert len(loci.root_points) == 36
     assert len(loci.weight_points) == 27
     assert len(loci.lines120) == 120
     assert len(loci.lines216) == 216
     assert len(loci.lines45) == 45
-    assert len(loci.spaces120) == 120
     assert loci.spanning_triples == 40
+    # the dual points of each azygetic triple's root forms are the three root
+    # points on one of the 120 lines
+    triples = {_root_forms(triple) for triple in L.enumerate_structures().azygetic_triples}
+    assert len(triples) == 120
+    assert triples == set(loci.points120)
+
+
+def _root_forms(triple):
+    """The three root forms an azygetic triple of double sixes names."""
+    return frozenset("h" + n[2:] if n != "N" else "h" for n in triple)
+
+
+def _pair_scan_lines():
+    """Reference: the 120, 45 and 216 lines by a scan of point pairs, each new
+    line kept when `ProjLine.contains` finds 3 root points on it (root pairs),
+    or 3 weight points, or 2 weight points and 1 root point (weight pairs)."""
+    loci = L.special_loci()
+    roots, weights = loci.root_points, loci.weight_points
+    lines120, lines45, lines216 = {}, {}, {}
+    for n1, n2 in itertools.combinations(sorted(roots), 2):
+        line = ProjLine(roots[n1], roots[n2])
+        if line.key not in lines120:
+            on = frozenset(n for n, p in roots.items() if line.contains(p))
+            if len(on) == 3:
+                lines120[line.key] = (line, on)
+    for n1, n2 in itertools.combinations(sorted(weights), 2):
+        line = ProjLine(weights[n1], weights[n2])
+        if line.key in lines45 or line.key in lines216:
+            continue
+        profile = (sum(map(line.contains, weights.values())),
+                   sum(map(line.contains, roots.values())))
+        {(3, 0): lines45, (2, 1): lines216}[profile][line.key] = line
+    return lines120.values(), lines45.values(), lines216.values()
+
+
+def test_special_lines_match_the_pair_scan_in_order_and_spanning_pairs():
+    loci = L.special_loci()
+    lines120, lines45, lines216 = _pair_scan_lines()
+
+    def pairs(lines):
+        return [(line.p, line.q) for line in lines]
+
+    assert pairs(loci.lines120) == pairs(line for line, _ in lines120)
+    assert list(loci.points120) == [on for _, on in lines120]
+    assert pairs(loci.lines45) == pairs(lines45)
+    assert pairs(loci.lines216) == pairs(lines216)
+
+
+def test_orthogonal_a2s_match_the_i2_pairing():
+    # I2 pairs duals as u1v1 + .. + u5v5 + u6v6/3; each A2 of three root
+    # points is orthogonal to exactly two others, orthogonal to each other,
+    # and the 40 triangles are the triads, one line per trihedral pair
+    loci = L.special_loci()
+    pts = {n: p.coords for n, p in loci.root_points.items()}
+    zero = {(a, b) for a, u in pts.items() for b, v in pts.items()
+            if sum(x * y for x, y in zip(u[:5], v[:5])) + Fraction(u[5] * v[5], 3) == 0}
+    a2s = loci.points120
+    partners = [[j for j, other in enumerate(a2s)
+                 if all((a, b) in zero for a in mine for b in other)] for mine in a2s]
+    assert all(len(pair) == 2 for pair in partners)
+    assert all(k in partners[j] for j, k in partners)
+    triangles = {frozenset(a2s[k] for k in (i, *pair)) for i, pair in enumerate(partners)}
+    assert len(triangles) == loci.spanning_triples == 40
+    triads = L.enumerate_structures().triads
+    assert triangles == {frozenset(map(_root_forms, triad)) for triad in triads}
+
+
+@pytest.mark.parametrize("field, name", [("weight_duals", "a1"), ("root_duals", "h")])
+def test_special_loci_raises_on_a_wrong_line_census(monkeypatch, field, name):
+    # one point moved to a general position: the lines through it no longer
+    # have the census of LINE_CENSUS
+    tables = L.coordinate_tables()
+    moved = {**getattr(tables, field), name: tuple(map(Fraction, (1, 2, 3, 5, 7, 11)))}
+    monkeypatch.setattr(L, "coordinate_tables",
+                        lambda: dataclasses.replace(tables, **{field: moved}))
+    with pytest.raises(ExactAlgError, match="line census"):
+        L.special_loci.__wrapped__()
+
+
+def test_special_loci_raises_when_an_a2_loses_a_partner(monkeypatch):
+    # a nonzero Gram entry where I2 vanishes breaks one orthogonal pair
+    gram = L._int_matmul
+
+    def broken(rows, vecs):
+        out = gram(rows, vecs).copy()
+        i, j = map(int, np.argwhere(out == 0)[0])
+        out[i, j] = out[j, i] = 1
+        return out
+
+    monkeypatch.setattr(L, "_int_matmul", broken)
+    with pytest.raises(ExactAlgError, match="orthogonal to exactly two"):
+        L.special_loci.__wrapped__()
+
+
+def test_special_loci_is_the_same_under_any_hash_seed():
+    # string hashes decide the iteration order of sets of names; every field
+    # of the table must come out the same under any PYTHONHASHSEED
+    script = textwrap.dedent("""
+        import dataclasses
+        from modgem.lines27 import special_loci
+
+        def canon(v):
+            if isinstance(v, frozenset):
+                return sorted(v)
+            if isinstance(v, tuple):
+                return [canon(x) for x in v]
+            if isinstance(v, dict):
+                return [(k, canon(x)) for k, x in v.items()]
+            return v
+
+        loci = special_loci()
+        for field in dataclasses.fields(loci):
+            print(field.name, repr(canon(getattr(loci, field.name))))
+    """)
+    src = Path(__file__).resolve().parent.parent / "src"
+    outs = []
+    for seed in ("1", "2"):
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed})
+        assert done.returncode == 0, done.stderr
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+    assert len(outs[0].splitlines()) == len(dataclasses.fields(L.SpecialLoci))
 
 
 def test_points120_are_the_root_points_on_each_line():

@@ -91,10 +91,10 @@ def test_tangency_point_is_smooth_on_quintic(tangent):
 
 
 def test_special_section_refuses_node_extraction():
-    loci = lines27.special_loci()
-    name = sorted(loci.hyperplanes)[0]
+    forms = lines27.coordinate_tables().root_forms
+    name = sorted(forms)[0]
     with pytest.raises(ExactAlgError, match="triple point"):
-        section_nodes(SectionSpec(loci.hyperplanes[name], "generic"))
+        section_nodes(SectionSpec(forms[name], "generic"))
 
 
 def test_invalid_generic_hyperplane_is_caught():
