@@ -539,13 +539,13 @@ class ProjPoint:
 class ProjLine:
     """Line in projective space, stored as two independent spanning points.
 
-    The line also holds the `_IntEchelon` of its spanning points. Its rows
-    are the canonical echelon of the span, so `key` (and with it equality
+    `key` is the fully reduced integer echelon of the spanning points (see
+    `_IntEchelon`): that form is unique, so the key (and with it equality
     and hashing) is the same for any two spanning pairs of the same line,
-    and `contains` is one reduction against them.
+    and `contains` is one reduction against its rows.
     """
 
-    __slots__ = ("p", "q", "_ech", "_key")
+    __slots__ = ("p", "q", "_key")
 
     def __init__(self, p: ProjPoint, q: ProjPoint):
         if p.n != q.n:
@@ -555,7 +555,6 @@ class ProjLine:
             raise ExactAlgError("spanning points are proportional")
         self.p = p
         self.q = q
-        self._ech = ech
         self._key = ech.key()
 
     @property
@@ -569,7 +568,10 @@ class ProjLine:
         return hash(self._key)
 
     def contains(self, pt: ProjPoint) -> bool:
-        return self._ech.contains(pt.coords)
+        """Whether pt reduces to zero against the key rows; each row's pivot
+        is its first nonzero column."""
+        pivots = [next(j for j, c in enumerate(row) if c) for row in self._key]
+        return not any(_reduce(self._key, pivots, pt.coords))
 
     def parameter_points(self, count: int) -> list[tuple[int, ...]]:
         """count distinct points: p, p+q, p+2q, ..., and q last.
@@ -649,17 +651,44 @@ def _int_array(rows: np.ndarray | Sequence[Sequence[int]]) -> np.ndarray:
 def _int_matmul(rows: np.ndarray | Sequence[Sequence[int]],
                 vecs: Sequence[Sequence[int]]) -> np.ndarray:
     """Exact rows @ vecs^T of integer rows (lists, or an integer or object
-    array) and vecs, both checked by `_int_array`: in int64 when the
-    worst-case entry provably fits, otherwise in object arithmetic on
-    Python integers."""
+    array) and vecs, both checked by `_int_array`, in the first of three
+    tiers that the bound B = max|rows| * max|vecs| * width admits. No product
+    and no partial sum exceeds B, in any summation order, so below 2^53 every
+    one is an integer that float64 holds exactly, with or without a fused
+    multiply-add: the BLAS float64 product is exact and so is its cast back
+    to int64. Below 2^62 the product is taken in int64; otherwise in object
+    arithmetic on Python integers."""
     if not len(rows) or not len(vecs):
         return np.zeros((len(rows), len(vecs)), dtype=np.int64)
     a, b = _int_array(rows), _int_array(vecs).T
     if a.shape[1] != b.shape[0]:
         raise ExactAlgError(f"rows of width {a.shape[1]} against vectors of {b.shape[0]}")
-    if int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0)) * a.shape[1] < 2 ** 62:
+    bound = int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0)) * a.shape[1]
+    if bound < 2 ** 53:
+        # by blocks of rows, so that no float64 copy of a large `rows` is made
+        out, bf = np.empty((len(a), b.shape[1]), dtype=np.int64), b.astype(np.float64)
+        for i in range(0, len(a), 128):
+            out[i:i + 128] = a[i:i + 128].astype(np.float64) @ bf
+        return out
+    if bound < 2 ** 62:
         return a.astype(np.int64) @ b.astype(np.int64)
     return a.astype(object) @ b
+
+
+def _reduce(rows: Sequence[Sequence[int]], pivots: Sequence[int],
+            vec: Sequence[int]) -> list[int]:
+    """vec reduced against echelon rows with the given pivot columns, by
+    integer combinations; a vector of another length raises."""
+    v = list(vec)
+    if rows and len(v) != len(rows[0]):
+        raise ExactAlgError(f"vector of length {len(v)} against rows of {len(rows[0])}")
+    for row, p in zip(rows, pivots):
+        if v[p]:
+            a, b = row[p], v[p]
+            g = math.gcd(a, b)
+            ka, kb = a // g, b // g
+            v = [ka * x - kb * y for x, y in zip(v, row)]
+    return v
 
 
 class _IntEchelon:
@@ -689,24 +718,12 @@ class _IntEchelon:
     def key(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(tuple, self.rows))
 
-    def _reduce(self, vec: Sequence[int]) -> list[int]:
-        v = list(vec)
-        if self.rows and len(v) != len(self.rows[0]):
-            raise ExactAlgError(f"vector of length {len(v)} against rows of {len(self.rows[0])}")
-        for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                a, b = row[p], v[p]
-                g = math.gcd(a, b)
-                ka, kb = a // g, b // g
-                v = [ka * x - kb * y for x, y in zip(v, row)]
-        return v
-
     def contains(self, vec: Sequence[int]) -> bool:
-        return not any(self._reduce(vec))
+        return not any(_reduce(self.rows, self.pivots, vec))
 
     def add(self, vec: Sequence[int]) -> bool:
         """Insert vec if independent of the span; report whether it was."""
-        v = self._reduce(vec)
+        v = _reduce(self.rows, self.pivots, vec)
         pivot = next((j for j, c in enumerate(v) if c), None)
         if pivot is None:
             return False
@@ -752,9 +769,11 @@ def _free_column_basis(echelon: Sequence[Sequence[int]], pivots: Sequence[int],
     return basis
 
 
+@lru_cache(maxsize=128)
 def _is_prime(n: int) -> bool:
     """Miller-Rabin to the bases 2, 3, 5 and 7, deterministic below 3,215,031,751:
-    with n - 1 = d * 2^s, d odd, each base a has a^d = 1 or a^(d 2^j) = -1."""
+    with n - 1 = d * 2^s, d odd, each base a has a^d = 1 or a^(d 2^j) = -1.
+    Cached: every `_echelon_mod` call tests its modulus."""
     if n < 11:
         return n in (2, 3, 5, 7)
     s = ((n - 1) & (1 - n)).bit_length() - 1
@@ -769,14 +788,17 @@ def _kernel_primes() -> Iterator[int]:
     yield from filter(_is_prime, range(min(SHADOW_PRIMES) - 1, 1, -1))
 
 
-def _rational(x: int, m: int) -> Optional[Fraction]:
-    """The a/b = x mod m with |a|, b <= sqrt(m/2), unique if any (Wang et al., 1982).
-    Euclid's remainders halve every two steps: past 2 * bit_length(m) it raises."""
+def _rational(x: int, m: int) -> Optional[tuple[int, int]]:
+    """The a/b = x mod m with |a|, b <= sqrt(m/2), unique if any (Wang et al., 1982),
+    as the reduced pair (a, b), b > 0, or None. Euclid's remainders halve
+    every two steps: past 2 * bit_length(m) it raises."""
     bound = math.isqrt(m // 2)
     r0, r1, s0, s1 = m, x % m, 0, 1
     for _ in range(2 * m.bit_length() + 2):
         if r1 <= bound:
-            return Fraction(r1, s1) if abs(s1) <= bound and math.gcd(r1, s1) == 1 else None
+            if abs(s1) > bound or math.gcd(r1, s1) != 1:
+                return None
+            return (r1, s1) if s1 > 0 else (-r1, -s1)
         q = r0 // r1
         r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
     raise ExactAlgError(f"rational reconstruction mod {m} did not end")
@@ -842,17 +864,20 @@ def _reconstructed_basis(residues: np.ndarray, pivots: list[int], n: int,
                          modulus: int) -> Optional[list[tuple[int, ...]]]:
     """The canonical vectors of `_kernel_mod` residues, or None: `_rational`
     of each pivot entry, 1 at the vector's free column and 0 elsewhere, so
-    only the pivot entries and that 1 are cleared and made primitive."""
+    only the pivot entries and that 1 are cleared, by the lcm of their
+    denominators, and made primitive."""
     free = sorted(set(range(n)) - set(pivots))
     basis = []
     for fc, res in zip(free, residues.tolist()):
-        vals = [_rational(v, modulus) for v in res]
-        if any(v is None for v in vals):
+        pairs = [_rational(v, modulus) for v in res]
+        if None in pairs:
             return None
         at = bisect.bisect(pivots, fc)
+        lcm = math.lcm(*(b for _, b in pairs))
+        ints = [a * (lcm // b) for a, b in pairs]
         vec = [0] * n
         cols = pivots[:at] + [fc] + pivots[at:]
-        for c, v in zip(cols, _canonical_int_vector(vals[:at] + [1] + vals[at:])):
+        for c, v in zip(cols, _primitive_row(ints[:at] + [lcm] + ints[at:])):
             vec[c] = v
         basis.append(tuple(vec))
     return basis
@@ -875,18 +900,39 @@ def _chart_coordinates(basis: Sequence[Sequence[int]],
     return [ProjPoint(vec[:k]) for vec in kernel]
 
 
+#: columns per panel of `_echelon_mod`. A multiplier limb is below 2^16 and
+#: an entry reduced mod p below 2^31, so a limb product summed over W panel
+#: columns is below W * 2^47; W = 32 is the largest power of two that keeps
+#: it below 2^53, inside `_int_matmul`'s float64 tier (a wider panel would
+#: stay exact, in its slower int64 tier).
+_PANEL = 32
+
+
 def _echelon_mod(rows: np.ndarray | Sequence[Sequence[Scalar]],
                  p: int) -> tuple[list[int], list[int], np.ndarray]:
     """Forward elimination over GF(p): (pivot rows, pivot columns, block).
 
-    `rows` is an integer or object array of integers (see `_int_array`), or
-    rows of scalars of one length, each cleared by `_clear_row` (raising
-    when p divides its denominator lcm).
-    Rows from `rank` down are zero left of `col`, so the pivot row is
-    scaled to 1 at `col` and only the rows below with a nonzero entry in
-    `col` are updated, from `col` on. The pivot rows span the row space
-    mod p; the block is the echelon they become, zero below each pivot.
+    p must be a prime below 2^31 (else ExactAlgError), so a product of two
+    reduced entries fits int64. `rows` is an integer or object array of
+    integers (see `_int_array`), or rows of scalars of one length, each
+    cleared by `_clear_row` (raising when p divides its denominator lcm).
+
+    The columns go in panels of `_PANEL`. Inside a panel each column takes
+    the per-column rule: rows from `rank` down are zero left of `col`, the
+    first of them nonzero in `col` is swapped up to `rank` (the whole row
+    from the panel on, `order` alike) and scaled to 1 at `col`, and only the
+    rows below with a nonzero entry in `col` are updated, in the panel's
+    columns, each keeping its multiplier in `col`. The panel's pivot rows
+    then replay those steps on their trailing columns U, and every row
+    below takes T -= L U mod p, with L its multipliers split into 16-bit
+    limbs, L = Lh 2^16 + Ll, so that Lh U and Ll U are exact float64
+    products (`_int_matmul`). The multipliers are zeroed afterwards. Every
+    entry is the one the per-column rule over the whole width gives, so the
+    pivot rows, columns and block are too. The pivot rows span the row
+    space mod p; the block is the echelon they become, zero below each pivot.
     """
+    if not (p < 2 ** 31 and _is_prime(p)):
+        raise ExactAlgError(f"modulus {p} is not a prime below 2^31")
     if not len(rows):
         return [], [], np.zeros((0, 0), dtype=np.int64)
     if isinstance(rows, np.ndarray):
@@ -896,24 +942,42 @@ def _echelon_mod(rows: np.ndarray | Sequence[Sequence[Scalar]],
     m, n = a.shape
     order = list(range(m))
     cols: list[int] = []
-    for col in range(n):
-        rank = len(cols)
-        if rank == m:
+    for start in range(0, n, _PANEL):
+        top = len(cols)
+        if top == m:
             break
-        nonzero = rank + np.nonzero(a[rank:, col])[0]
-        if nonzero.size == 0:
-            continue
-        piv = int(nonzero[0])
-        if piv != rank:
-            a[[rank, piv], col:] = a[[piv, rank], col:]
-            order[rank], order[piv] = order[piv], order[rank]
-        inv = pow(int(a[rank, col]), p - 2, p)
-        a[rank, col:] = a[rank, col:] * inv % p
-        # after the swap, the old row `rank` (zero in col) sits at `piv`
-        below = nonzero[1:]
-        if below.size:
-            a[below, col:] = (a[below, col:] - a[below, col, None] * a[rank, col:]) % p
-        cols.append(col)
+        end = min(start + _PANEL, n)
+        invs = []
+        for col in range(start, end):
+            rank = len(cols)
+            if rank == m:
+                break
+            nonzero = rank + np.nonzero(a[rank:, col])[0]
+            if nonzero.size == 0:
+                continue
+            piv = int(nonzero[0])
+            if piv != rank:
+                a[[rank, piv], start:] = a[[piv, rank], start:]
+                order[rank], order[piv] = order[piv], order[rank]
+            invs.append(pow(int(a[rank, col]), p - 2, p))
+            a[rank, col:end] = a[rank, col:end] * invs[-1] % p
+            # after the swap, the old row `rank` (zero in col) sits at `piv`
+            below = nonzero[1:]
+            if below.size:
+                a[below, col + 1:end] = (a[below, col + 1:end]
+                                         - a[below, col, None] * a[rank, col + 1:end]) % p
+            cols.append(col)
+        panel, mid = cols[top:], len(cols)
+        if panel and end < n:
+            for i, (col, inv) in enumerate(zip(panel, invs), top):
+                a[i, end:] = a[i, end:] * inv % p
+                a[i + 1:mid, end:] = (a[i + 1:mid, end:] - a[i + 1:mid, col, None] * a[i, end:]) % p
+            if mid < m:
+                low, u = a[mid:, panel], a[top:mid, end:]
+                hi = _int_matmul(low >> 16, u.T) % p
+                a[mid:, end:] = (a[mid:, end:] - (hi << 16) - _int_matmul(low & 0xFFFF, u.T)) % p
+        a[mid:, start:end] = 0
+        a[top:mid, start:end][np.arange(start, end) < np.array(panel)[:, None]] = 0
     return order[:len(cols)], cols, a[:len(cols)]
 
 

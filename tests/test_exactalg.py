@@ -721,6 +721,101 @@ def test_rank_mod_rejects_a_denominator_divisible_by_p():
     assert rank_mod(rows, q) == 2
 
 
+def _reference_echelon_mod(rows, p):
+    """The per-column elimination over GF(p) that `_echelon_mod`'s panels
+    must reproduce entry for entry: (pivot rows, pivot columns, block)."""
+    if not len(rows):
+        return [], [], np.zeros((0, 0), dtype=np.int64)
+    if isinstance(rows, np.ndarray):
+        a = (rows % p).astype(np.int64)
+    else:
+        a = np.array([[v % p for v in _clear_row(r, p)] for r in rows], dtype=np.int64)
+    m, n = a.shape
+    order = list(range(m))
+    cols = []
+    for col in range(n):
+        rank = len(cols)
+        if rank == m:
+            break
+        nonzero = rank + np.nonzero(a[rank:, col])[0]
+        if nonzero.size == 0:
+            continue
+        piv = int(nonzero[0])
+        if piv != rank:
+            a[[rank, piv], col:] = a[[piv, rank], col:]
+            order[rank], order[piv] = order[piv], order[rank]
+        inv = pow(int(a[rank, col]), p - 2, p)
+        a[rank, col:] = a[rank, col:] * inv % p
+        below = nonzero[1:]
+        if below.size:
+            a[below, col:] = (a[below, col:] - a[below, col, None] * a[rank, col:]) % p
+        cols.append(col)
+    return order[:len(cols)], cols, a[:len(cols)]
+
+
+@st.composite
+def echelon_inputs(draw):
+    """Matrices up to 100 columns wide, below, at and across the panel width:
+    a product of random factors of inner size r (rank-deficient when r is
+    small), some columns zeroed, rows in a staircase of leading zeros and
+    then shuffled so that pivots need swaps. Entries are small, uniform mod
+    a shadow prime or within 9 of one, and the matrix comes as an int64
+    array, an object array with multiples of 2^64 added (past int64), or a
+    list whose rows are divided by 1-999, a unit mod both primes."""
+    n = draw(st.one_of(st.integers(min_value=1, max_value=31), st.sampled_from([32, 64]),
+                       st.integers(min_value=33, max_value=100)))
+    m = draw(st.integers(min_value=1, max_value=80))
+    r = draw(st.integers(min_value=1, max_value=min(m, n)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32)))
+    kind = draw(st.sampled_from(["small", "uniform", "near-p"]))
+    p = draw(st.sampled_from(SHADOW_PRIMES))
+    if kind == "small":
+        left = rng.integers(-3, 4, size=(m, r))
+        right = rng.integers(-3, 4, size=(r, n))
+        mat = left @ right
+    else:
+        left = rng.integers(0, 2, size=(m, r))
+        right = rng.integers(0, p, size=(r, n)) if kind == "uniform" else \
+            p - rng.integers(1, 10, size=(r, n))
+        mat = left @ right
+    mat[:, rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = 0
+    if draw(st.booleans()):
+        for i in range(m):
+            mat[i, :min(i, n - 1)] = 0
+    mat = mat[rng.permutation(m)]
+    form = draw(st.sampled_from(["int64", "object", "fractions"]))
+    if form == "object":
+        big = rng.integers(-2 ** 20, 2 ** 20, size=(m, n)).astype(object) * 2 ** 64
+        return mat.astype(object) + big
+    if form == "fractions":
+        return [[Fraction(int(v), d) for v in row]
+                for row, d in zip(mat.tolist(), rng.integers(1, 1000, size=m).tolist())]
+    return mat
+
+
+@given(echelon_inputs())
+@settings(max_examples=120, deadline=None)
+def test_panel_elimination_matches_the_per_column_reference(rows):
+    for p in SHADOW_PRIMES:
+        order, cols, block = exactalg._echelon_mod(rows, p)
+        want_order, want_cols, want_block = _reference_echelon_mod(rows, p)
+        assert (order, cols) == (want_order, want_cols)
+        assert block.dtype == np.int64 and np.array_equal(block, want_block)
+
+
+def test_modulus_must_be_a_prime_below_2_31():
+    # p^2 > 2^63: the products of reduced entries used to wrap in int64, and
+    # this matrix, of rank 1 mod 2^61 - 1 (det = 2p), came out as rank 2
+    p = 2 ** 61 - 1
+    rows = [[p - 1, 2], [p - 2, 4]]
+    for modulus in (p, 2 ** 31 + 11, 2 ** 31 - 3, 4, 1):  # prime past 2^31, composites
+        with pytest.raises(ExactAlgError, match="not a prime below 2"):
+            rank_mod(rows, modulus)
+        with pytest.raises(ExactAlgError, match="not a prime below 2"):
+            rank_mod(np.array(rows, dtype=object), modulus)
+    assert rank_mod(rows, 2 ** 31 - 1) == 2
+
+
 @st.composite
 def wide_matrices(draw):
     """Fewer rows than columns: a product of small factors of inner size r,
@@ -947,7 +1042,7 @@ def test_rational_reconstruction_inverts_reduction(m, data):
     a = data.draw(st.integers(min_value=-bound, max_value=bound))
     b = data.draw(st.integers(min_value=1, max_value=bound))
     assume(math.gcd(a, b) == 1)
-    assert _rational(a * pow(b, -1, m) % m, m) == Fraction(a, b)
+    assert _rational(a * pow(b, -1, m) % m, m) == (a, b)
 
 
 def test_kernel_primes_are_the_shadow_primes_then_every_prime_below():
@@ -1320,6 +1415,54 @@ def test_int_products_on_each_dtype_match_python_sums():
             got = _int_matmul(arr, vecs).T.tolist()
             assert got == want
             assert all(type(v) is int for vals in got for v in vals)
+
+
+def _python_products(rows, vecs):
+    return [[sum(a * b for a, b in zip(row, vec)) for vec in vecs] for row in rows]
+
+
+@pytest.mark.parametrize("rows, vecs", [
+    # bound (2^27 - 1)(2^26 - 1) < 2^53, and the product is odd
+    ([[2 ** 27 - 1]], [[2 ** 26 - 1]]),
+    # bound 3 (2^26 - 1) 44739242 < 2^53, and the sum (2^26 - 1)(3 44739242 - 1) is odd
+    ([[2 ** 26 - 1] * 3], [[44739242, 44739242, 44739241]]),
+], ids=["one-term", "three-terms"])
+def test_products_below_2_53_are_exact(rows, vecs):
+    want = _python_products(rows, vecs)
+    assert want[0][0] % 2 == 1 and 2 ** 52 < want[0][0] < 2 ** 53
+    got = _int_matmul(rows, vecs)
+    assert got.dtype == np.int64 and got.tolist() == want
+    assert all(type(v) is int for row in got.tolist() for v in row)
+
+
+@given(st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=52),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_products_at_the_float_bound_match_python_sums(width, bits, data):
+    top_a = 2 ** bits
+    top_b = (2 ** 53 - 1) // (width * top_a)
+    assume(top_b >= 1)
+    ints = lambda top: st.one_of(st.sampled_from([top, -top, top - 1]),
+                                 st.integers(min_value=-top, max_value=top))
+    rows = data.draw(st.lists(st.lists(ints(top_a), min_size=width, max_size=width),
+                              min_size=1, max_size=4))
+    vecs = data.draw(st.lists(st.lists(ints(top_b), min_size=width, max_size=width),
+                              min_size=1, max_size=4))
+    got = _int_matmul(np.array(rows, dtype=np.int64), vecs)
+    assert got.dtype == np.int64 and got.tolist() == _python_products(rows, vecs)
+
+
+def test_products_past_2_53_take_int64_and_stay_exact():
+    # 2^53 + 2^27 + 2^26 + 1 is odd and past 2^53: float64 would round it
+    rows, vecs = [[2 ** 27 + 1]], [[2 ** 26 + 1]]
+    want = _python_products(rows, vecs)
+    assert float(want[0][0]) != want[0][0]
+    got = _int_matmul(rows, vecs)
+    assert got.dtype == np.int64 and got.tolist() == want
+    # bound 2 (2^30 + 1)^2 < 2^62; the odd sum 2^60 + 2^31 + 1 needs 61 bits
+    rows, vecs = [[2 ** 30 + 1, 2 ** 30 + 1]], [[2 ** 30 - 1, 2]]
+    got = _int_matmul(np.array(rows, dtype=np.int64), vecs)
+    assert got.dtype == np.int64 and got.tolist() == [[2 ** 60 + 2 ** 31 + 1]]
 
 
 # -- linear forms --------------------------------------------------------------
