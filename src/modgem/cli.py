@@ -18,7 +18,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from typing import Any, Callable
 
@@ -74,15 +73,9 @@ def _derived_seed(master: int, check: str) -> int:
 
 
 def _canon(value) -> str:
-    def fallback(x):
-        if isinstance(x, Fraction):
-            return str(x)
-        if isinstance(x, (set, frozenset)):
-            return sorted(str(e) for e in x)
-        return str(x)
     if isinstance(value, str):
         return value
-    return json.dumps(value, sort_keys=True, default=fallback)
+    return json.dumps(value, sort_keys=True)
 
 
 @dataclass(frozen=True)

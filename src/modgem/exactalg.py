@@ -700,7 +700,7 @@ class _IntEchelon:
     vectors came in, and a single forward pass decides membership of a new
     vector; one of another length raises. It names spans and tests
     membership, and certifies no rank: `ProjLine`, `VanishingSpace.contains`,
-    `rootarr.incidence`, the `gems` censuses and `rref_int`'s pencil keys.
+    the `gems` keys and `rref_int`'s pencil keys.
     """
 
     def __init__(self, vecs: Iterable[Sequence[int]] = ()) -> None:
@@ -708,12 +708,6 @@ class _IntEchelon:
         self.pivots: list[int] = []
         for vec in vecs:
             self.add(vec)
-
-    def copy(self) -> "_IntEchelon":
-        # rows are replaced, never mutated, so sharing them is safe
-        new = _IntEchelon()
-        new.rows, new.pivots = list(self.rows), list(self.pivots)
-        return new
 
     def key(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(tuple, self.rows))
@@ -751,22 +745,6 @@ def rref_int(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], list[in
     """
     ech = _IntEchelon(_cleared_rows(rows))
     return ech.rows, ech.pivots
-
-
-def _free_column_basis(echelon: Sequence[Sequence[int]], pivots: Sequence[int],
-                       ncols: int) -> list[list[int]]:
-    """Kernel basis of a fully reduced integer echelon, one vector per free
-    column, with no further elimination: with L the lcm of the pivot entries,
-    the free column fc gets L and each pivot column pc gets -row[fc] * L/row[pc]."""
-    lcm = math.lcm(*(row[pc] for row, pc in zip(echelon, pivots)))
-    basis = []
-    for fc in sorted(set(range(ncols)) - set(pivots)):
-        v = [0] * ncols
-        v[fc] = lcm
-        for row, pc in zip(echelon, pivots):
-            v[pc] = -row[fc] * (lcm // row[pc])
-        basis.append(v)
-    return basis
 
 
 @lru_cache(maxsize=128)
@@ -816,11 +794,14 @@ def kernel_int(rows: Sequence[Sequence[Scalar]]) -> list[tuple[int, ...]]:
     canonical one: the n - r_p checked vectors are independent kernel
     vectors, so r_Q <= r_p <= r_Q; by the echelon shape mod p each ends at
     its free column, and no kernel vector ends at a pivot column over Q, so
-    the pivots agree and each vector is the one `_free_column_basis` reads
-    off `rref_int`. With H the Hadamard bound of the cleared rows, entries
-    are ratios of minors of size at most H and each unlucky prime divides
-    one nonzero minor, so discarded primes multiply to at most H and a run
-    past 2*H^2 is all lucky and reconstructs; passing either bound raises.
+    the pivots agree. So for each free column fc the vector is unique: the
+    `_canonical_int_vector` of the kernel vector that is 1 at fc and 0 at
+    the other free columns, whose entry at each pivot column pc is
+    -row[fc] / row[pc] in the `rref_int` echelon. With H the Hadamard bound
+    of the cleared rows, entries are ratios of minors of size at most H and
+    each unlucky prime divides one nonzero minor, so discarded primes
+    multiply to at most H and a run past 2*H^2 is all lucky and
+    reconstructs; passing either bound raises.
     """
     cleared = _cleared_rows(rows)
     if not cleared:
@@ -1072,7 +1053,7 @@ def evaluation_rows(degree: int, nvars: int,
     exps = np.array(monomials(nvars, degree))
     out = pows[:, 0, exps[:, 0]]
     for i in range(1, nvars):
-        out = out * pows[:, i, exps[:, i]]
+        out *= pows[:, i, exps[:, i]]
     return out
 
 

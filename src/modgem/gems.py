@@ -125,7 +125,6 @@ class TripleCone:
     has multiplicity 3, and the t-linear piece factors through the tangent cone cubic s3.
     """
 
-    label: str
     point: ProjPoint
     chart_axis: int
     s5: MPoly
@@ -822,7 +821,7 @@ def triple_point_cone(label: str) -> TripleCone:
     if quads.dim != 5:
         raise ExactAlgError(f"{label}: cone-node quadrics must match the Jacobian span")
 
-    return TripleCone(label, p, axis, s5, s3, dual_scalar, tuple(dirs), quads)
+    return TripleCone(p, axis, s5, s3, dual_scalar, tuple(dirs), quads)
 
 
 # -- linear subspaces of the invariant quintic --------------------------------------------

@@ -4,9 +4,10 @@ A root system is flattened to its projective arrangement: the positive root
 forms up to sign, as primitive integer vectors. The flat lattice is closed
 level by level, each flat carrying the full index set of forms that contain
 it, so the t_q(j) census and the genuine-singularity filter are exact set
-computations. One exact product of the forms with a flat's point basis gives
-all its children: the forms vanishing on a child are the flat's own plus one
-class of proportional rows (see `incidence`).
+computations. The forms' values on a flat's point basis give all its
+children: the forms vanishing on a child are the flat's own plus one class
+of proportional rows, and the child's basis is the flat's cut by one of
+them (see `incidence`).
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .exactalg import (ExactAlgError, _canonical_int_vector, _free_column_basis, _int_matmul,
-                       _IntEchelon)
+from .exactalg import ExactAlgError, _canonical_int_vector, _int_matmul
 
 INF = float("inf")
 
@@ -118,29 +118,19 @@ def arrangement(rsid: RootSystemId) -> Arrangement:
 
 @dataclass(frozen=True)
 class Flat:
-    """Projective flat, stored by the echelonized space of forms cutting it."""
+    """Projective flat: a point basis of its linear span, and the index set of
+    the forms that contain it."""
 
-    ambient: int
-    constraints: tuple[tuple[int, ...], ...]
+    basis: tuple[tuple[int, ...], ...]
     forms: frozenset[int]
 
     @property
     def dim(self) -> int:
-        return self.ambient - len(self.constraints)
+        return len(self.basis) - 1
 
     @property
     def q(self) -> int:
         return len(self.forms)
-
-    def span_basis(self) -> list[tuple[int, ...]]:
-        """Primitive integer basis of the flat's linear span, read off the
-        constraints' fully reduced echelon and checked by exact products."""
-        pivots = [next(j for j, c in enumerate(r) if c) for r in self.constraints]
-        basis = [_canonical_int_vector(v) for v in
-                 _free_column_basis(self.constraints, pivots, self.ambient + 1)]
-        if _int_matmul(self.constraints, basis).any():
-            raise ExactAlgError("span basis verification failed")
-        return basis
 
 
 @dataclass
@@ -157,34 +147,55 @@ class IncidenceTable:
         return [f for f in self.flats if f.dim == j]
 
 
+def _cut(basis: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Point basis of the flat that one form cuts out of basis's span, from
+    the form's values on the rows k_m: with j the first row not killed, the
+    rows w_j k_m - w_m k_j for m != j, each primitive. Row m has w_j != 0 at
+    k_m and 0 at every other k_m', so they are independent: one row fewer.
+    Entries are int64 or Python ints as `_int_matmul` admits."""
+    j = int(np.flatnonzero(values)[0])
+    others = [m for m in range(len(basis)) if m != j]
+    comb = np.zeros((len(others), len(basis)), dtype=values.dtype)
+    comb[np.arange(len(others)), others] = values[j]
+    comb[:, j] = -values[others]
+    rows = _int_matmul(comb, basis.T)
+    return rows // np.gcd.reduce(rows, axis=1)[:, None]
+
+
 def incidence(arr: Arrangement) -> IncidenceTable:
     """Full flat lattice by level-wise closure against the hyperplanes.
 
     Level c holds the codimension-c flats. A flat L of the lattice is the
     intersection of the hyperplanes that contain it (Orlik and Terao,
-    Arrangements of Hyperplanes, ch. 2), so its form set keys it. The point
-    basis K of L is read off its fully reduced echelon, and one product
-    V = F K^T evaluates every form on L: the zero rows are L's members, and
-    the child L ∩ H_i lies on H_j exactly when V[j] is a multiple of V[i],
-    since both restrict to linear forms on L. So the nonzero rows, grouped
-    by their primitive row with a positive leading entry, are L's children,
-    each with form set L's members plus its group, visited in order of the
-    group's smallest index. A new child's constraints are L's echelon
-    extended by one form of its group.
+    Arrangements of Hyperplanes, ch. 2), so its form set keys it. One exact
+    product per level, of the forms F with the point bases of all its flats
+    stacked, gives V = F K^T for each flat L with basis K: the zero rows
+    must be exactly L's members, on every level. The child L ∩ H_i lies on
+    H_j exactly when V[j] is a multiple of V[i], since both restrict to
+    linear forms on L. So the nonzero rows, grouped by their primitive row
+    with a positive leading entry, are L's children, each with form set L's
+    members plus its group, visited in order of the group's smallest index.
+    A new child's basis is K cut by the row V[i] of its group's first form
+    (`_cut`); a hyperplane's is the identity cut by its form, and a point
+    has no children.
     """
-    n = arr.ambient
     forms = np.array(arr.forms, dtype=object)
     if int(np.abs(forms).max(initial=0)) < 2 ** 62:
         forms = forms.astype(np.int64)
-    level = {frozenset([i]): _IntEchelon([f]) for i, f in enumerate(arr.forms)}
-    all_flats = [Flat(n, ech.key(), members) for members, ech in level.items()]
-    for _ in range(1, n):
-        nxt: dict[frozenset[int], _IntEchelon] = {}
-        for members, ech in level.items():
-            vals = _int_matmul(forms, _free_column_basis(ech.rows, ech.pivots, n + 1))
+    eye = np.eye(arr.ambient + 1, dtype=np.int64)
+    level = {frozenset([i]): _cut(eye, f) for i, f in enumerate(forms)}
+    all_flats = []
+    while level:
+        nxt: dict[frozenset[int], np.ndarray] = {}
+        stacked = _int_matmul(forms, np.concatenate(list(level.values())))
+        ends = np.cumsum([len(basis) for basis in level.values()])
+        for (members, basis), vals in zip(level.items(), np.split(stacked, ends[:-1], axis=1)):
             off = (vals != 0).any(axis=1)
             if set(np.flatnonzero(~off).tolist()) != members:
                 raise ExactAlgError("forms vanishing on a flat are not its members")
+            all_flats.append(Flat(tuple(map(tuple, basis.tolist())), members))
+            if len(basis) == 1:
+                continue
             rest = np.flatnonzero(off)
             prim = vals[rest] // np.gcd.reduce(vals[rest], axis=1)[:, None]
             lead = prim[np.arange(len(rest)), (prim != 0).argmax(axis=1)]
@@ -195,10 +206,8 @@ def incidence(arr: Arrangement) -> IncidenceTable:
             for group in groups.values():
                 child = members.union(group)
                 if child not in nxt:
-                    nxt[child] = ech.copy()
-                    nxt[child].add(arr.forms[group[0]])
+                    nxt[child] = _cut(basis, vals[group[0]])
         level = nxt
-        all_flats += [Flat(n, ech.key(), members) for members, ech in level.items()]
     return IncidenceTable(arr, tuple(all_flats))
 
 

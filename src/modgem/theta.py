@@ -73,10 +73,6 @@ class ThetaChar:
         i, j, k, l = self.bits
         return -1 if (i * k + j * l) % 2 else 1
 
-    @property
-    def label(self) -> str:
-        return "".join(str(b) for b in self.bits)
-
 
 ALL_CHARS = tuple(ThetaChar(bits) for bits in itertools.product((0, 1), repeat=4))
 

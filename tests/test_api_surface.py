@@ -1,9 +1,11 @@
 """Every name that `modgem` defines is used, and only a fixed set serves tests alone.
 
 An AST scan of `src/modgem` and `tests`: a definition counts as referenced
-when its name appears as a name, an attribute or an imported name anywhere
-outside the lines of its own definition. The scan goes by name, so two
-definitions that share a name share their references.
+when its name appears anywhere outside the lines of its own definition, as a
+name, an attribute or an imported name for a function or class, and as an
+attribute alone for a method or property, so that a local variable of the
+same name does not count. The scan goes by name, so two definitions of the
+same kind that share a name share their references.
 """
 
 import ast
@@ -23,13 +25,13 @@ TESTS = sorted((ROOT / "tests").glob("*.py"))
 # oracles the tests compare against, and paper claims checked only by tests
 TEST_ONLY = {
     "action_table_rule", "root_action_from_matrix", "theta_const_genus1",
-    "pairing_scalar", "dm_check", "singular_flats", "span_basis", "flats_of_dim",
+    "pairing_scalar", "dm_check", "singular_flats", "flats_of_dim",
 }
 
 
 def _definitions():
-    """(name, path, first line, last line) of each module-level function and
-    class and each non-dunder method in the package.
+    """(name, path, first line, last line, is a method) of each module-level
+    function and class and each non-dunder method or property in the package.
 
     A function named `_` is registered by its decorator and has no name to
     reference, so it is left out."""
@@ -37,16 +39,16 @@ def _definitions():
         for node in ast.parse(path.read_text()).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name == "_":
                 continue
-            yield node.name, path, node.lineno, node.end_lineno
+            yield node.name, path, node.lineno, node.end_lineno, False
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
-                        yield item.name, path, item.lineno, item.end_lineno
+                        yield item.name, path, item.lineno, item.end_lineno, True
 
 
 def _references():
-    """name -> list of (path, line) where the name is used."""
-    refs: dict[str, list[tuple[Path, int]]] = {}
+    """name -> list of (path, line, is an attribute) where the name is used."""
+    refs: dict[str, list[tuple[Path, int, bool]]] = {}
     for path in SRC + TESTS:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
@@ -58,7 +60,8 @@ def _references():
             else:
                 continue
             for name in names:
-                refs.setdefault(name, []).append((path, node.lineno))
+                refs.setdefault(name, []).append(
+                    (path, node.lineno, isinstance(node, ast.Attribute)))
     return refs
 
 
@@ -66,10 +69,10 @@ def _outside_uses():
     """Definition name -> the files that use it outside its own definition."""
     refs = _references()
     uses: dict[str, set[Path]] = {}
-    for name, path, first, last in _definitions():
+    for name, path, first, last, method in _definitions():
         found = uses.setdefault(name, set())
-        for ref_path, line in refs.get(name, ()):
-            if ref_path != path or not first <= line <= last:
+        for ref_path, line, attribute in refs.get(name, ()):
+            if (attribute or not method) and (ref_path != path or not first <= line <= last):
                 found.add(ref_path)
     return uses
 

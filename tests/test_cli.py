@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -83,6 +84,14 @@ def test_unverified_certificate():
     assert cert.passed
     report = cli.report_dict("quintic", cli.SuiteConfig(), [cert])
     assert report["summary"] == {"pass": 0, "fail": 0, "unverified": 1}
+
+
+def test_a_value_json_cannot_encode_fails_its_check():
+    # the report holds JSON-native values only: a Fraction is an error, not a string
+    check = cli.Check("nieto/model", "a claim", "1/2", lambda cfg, seed: Fraction(1, 2))
+    cert = check(cli.SuiteConfig())
+    assert cert.status == "fail"
+    assert cert.computed.startswith("error:")
 
 
 def _boom(*args, **kwargs):

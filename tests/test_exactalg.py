@@ -35,7 +35,6 @@ from modgem.exactalg import (
     _chart_coordinates,
     _clear_row,
     _draw,
-    _free_column_basis,
     _int_matmul,
     _is_prime,
     _kernel_primes,
@@ -962,6 +961,21 @@ def test_kernel_int_annihilates_and_has_full_size(rows):
         assert all(isinstance(c, int) for c in vec)
         for row in rows:
             assert sum(a * b for a, b in zip(row, vec)) == 0
+
+
+def _free_column_basis(echelon, pivots, ncols):
+    """Kernel basis of a fully reduced integer echelon, one vector per free
+    column, with no further elimination: with L the lcm of the pivot entries,
+    the free column fc gets L and each pivot column pc gets -row[fc] * L/row[pc]."""
+    lcm = math.lcm(*(row[pc] for row, pc in zip(echelon, pivots)))
+    basis = []
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        v = [0] * ncols
+        v[fc] = lcm
+        for row, pc in zip(echelon, pivots):
+            v[pc] = -row[fc] * (lcm // row[pc])
+        basis.append(v)
+    return basis
 
 
 def _reference_kernel(rows):

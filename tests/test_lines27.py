@@ -481,9 +481,9 @@ def test_line_of_a_tritangent_triple():
 def test_census_points_match_dual_points():
     table = cached_incidence("E", 6)
     loci = L.special_loci()
-    pts20 = {ProjPoint(f.span_basis()[0])
+    pts20 = {ProjPoint(f.basis[0])
              for f in table.flats_of_dim(0) if f.q == 20}
-    pts15 = {ProjPoint(f.span_basis()[0])
+    pts15 = {ProjPoint(f.basis[0])
              for f in table.flats_of_dim(0) if f.q == 15}
     assert pts20 == set(loci.weight_points.values())
     assert pts15 == set(loci.root_points.values())
@@ -495,7 +495,7 @@ def test_census_lines_match_120():
     keys6 = set()
     for f in table.flats_of_dim(1):
         if f.q == 6:
-            b = f.span_basis()
+            b = f.basis
             keys6.add(ProjLine(ProjPoint(b[0]), ProjPoint(b[1])).key)
     assert keys6 == {l.key for l in loci.lines120}
 

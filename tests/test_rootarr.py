@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from modgem import rootarr
 from modgem.exactalg import ExactAlgError, _canonical_int_vector, rref_int
 from modgem.rootarr import (
     INF,
@@ -136,36 +137,49 @@ def test_e6_census_complete():
     }
 
 
-def test_flat_form_sets_are_exact():
-    # every flat's q re-checks as the exact number of forms vanishing on it
-    tab = cached_incidence("B", 4)
-    forms = tab.arrangement.forms
-    for flat in tab.flats:
-        span = flat.span_basis()
-        vanishing = {
-            i for i, f in enumerate(forms)
-            if all(sum(a * b for a, b in zip(f, vec)) == 0 for vec in span)
-        }
-        assert vanishing == set(flat.forms)
+def _vanishing(forms, basis):
+    """Indices of the forms that kill every row of basis, in Python ints."""
+    return {i for i, f in enumerate(forms)
+            if all(sum(a * b for a, b in zip(f, vec)) == 0 for vec in basis)}
 
 
-@pytest.mark.parametrize("fam", ["A", "B", "D", "F"])
-def test_incidence_matches_subset_enumeration(fam):
-    # oracle: every subset of at most `ambient` forms cuts a nonempty flat;
-    # key it by the rref_int echelon of the subset, and take as its forms
-    # those whose adjoining leaves the rank unchanged
-    arr = arrangement(RootSystemId(fam, 4))
+def _check_bases(arr, flats):
+    # each basis has dim + 1 independent rows, killed by exactly the flat's forms
+    for flat in flats:
+        assert len(rref_int(flat.basis)[0]) == len(flat.basis) == flat.dim + 1
+        assert _vanishing(arr.forms, flat.basis) == set(flat.forms)
+
+
+def _subset_flats(arr):
+    """Oracle: every subset of at most `ambient` forms cuts a nonempty flat of
+    dimension ambient minus the rank of its rref_int echelon, and its forms
+    are those whose adjoining leaves the rank unchanged."""
     expected = set()
     for size in range(1, arr.ambient + 1):
         for subset in itertools.combinations(arr.forms, size):
             rows, _ = rref_int(subset)
-            key = tuple(map(tuple, rows))
             forms = frozenset(i for i, f in enumerate(arr.forms)
                               if len(rref_int(rows + [list(f)])[0]) == len(rows))
-            expected.add((key, forms))
+            expected.add((arr.ambient - len(rows), forms))
+    return expected
+
+
+def test_flat_form_sets_are_exact():
+    # every flat's q re-checks as the exact number of forms vanishing on it
+    tab = cached_incidence("B", 4)
+    for flat in tab.flats:
+        assert _vanishing(tab.arrangement.forms, flat.basis) == set(flat.forms)
+
+
+@pytest.mark.parametrize("fam", ["A", "B", "D", "F"])
+def test_incidence_matches_subset_enumeration(fam):
+    # a closed form set fixes the flat, so (dim, forms) pairs compare the lattices
+    arr = arrangement(RootSystemId(fam, 4))
+    expected = _subset_flats(arr)
     flats = cached_incidence(fam, 4).flats
     assert len(flats) == len(expected)
-    assert {(f.constraints, f.forms) for f in flats} == expected
+    assert {(f.dim, f.forms) for f in flats} == expected
+    _check_bases(arr, flats)
 
 
 @st.composite
@@ -184,33 +198,41 @@ def small_arrangements(draw):
 @given(small_arrangements())
 @settings(max_examples=40, deadline=None)
 def test_incidence_of_random_arrangements_matches_subset_enumeration(arr):
-    # oracle as in test_incidence_matches_subset_enumeration: each subset of
-    # at most `ambient` forms keyed by its rref_int echelon, with the forms
-    # whose adjoining leaves the rank unchanged
-    expected = set()
-    for size in range(1, arr.ambient + 1):
-        for subset in itertools.combinations(arr.forms, size):
-            rows, _ = rref_int(subset)
-            forms = frozenset(i for i, f in enumerate(arr.forms)
-                              if len(rref_int(rows + [list(f)])[0]) == len(rows))
-            expected.add((tuple(map(tuple, rows)), forms))
+    # oracle as in test_incidence_matches_subset_enumeration
+    expected = _subset_flats(arr)
     flats = incidence(arr).flats
     assert len(flats) == len(expected)
-    assert {(f.constraints, f.forms) for f in flats} == expected
+    assert {(f.dim, f.forms) for f in flats} == expected
+    _check_bases(arr, flats)
 
 
 def test_e6_form_sets_are_exact_and_distinct():
     # the subset oracle stops at rank 4: on E6 every form set is recomputed
-    # from the flat's span, and the 4,596 form sets are pairwise distinct,
+    # from the flat's basis, and the 4,596 form sets are pairwise distinct,
     # which keying the lattice by form set relies on
     tab = cached_incidence("E", 6)
     forms = np.array(tab.arrangement.forms)
     for flat in tab.flats:
-        span = flat.span_basis()
-        assert len(span) == flat.dim + 1
-        vanishing = np.flatnonzero(~(forms @ np.array(span).T).any(axis=1))
+        assert len(rref_int(flat.basis)[0]) == len(flat.basis) == flat.dim + 1
+        vanishing = np.flatnonzero(~(forms @ np.array(flat.basis).T).any(axis=1))
         assert set(vanishing.tolist()) == flat.forms
     assert len({f.forms for f in tab.flats}) == len(tab.flats) == 4596
+
+
+def test_a_wrong_point_basis_is_caught(monkeypatch):
+    # each point is cut out of a line; moving it to the line's first row that
+    # the cutting form does not kill changes the forms vanishing on it
+    real = rootarr._cut
+
+    def corrupted(basis, values):
+        rows = real(basis, values)
+        if len(rows) == 1:
+            rows = basis[[int(np.flatnonzero(values)[0])]]
+        return rows
+
+    monkeypatch.setattr(rootarr, "_cut", corrupted)
+    with pytest.raises(ExactAlgError, match="forms vanishing on a flat are not its members"):
+        incidence(arrangement(RootSystemId("A", 4)))
 
 
 def test_incidence_double_count():

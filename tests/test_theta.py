@@ -55,11 +55,10 @@ def test_char_parity_examples():
     assert ThetaChar((0, 1, 0, 1)).parity == -1
 
 
-def test_char_halves_and_label():
+def test_char_halves():
     c = ThetaChar((1, 0, 1, 1))
     assert c.upper == (Fraction(1, 2), Fraction(0))
     assert c.lower == (Fraction(1, 2), Fraction(1, 2))
-    assert c.label == "1011"
 
 
 def test_char_rejects_bad_bits():
