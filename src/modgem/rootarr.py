@@ -1,17 +1,14 @@
 """Reflection arrangements: root forms, flat censuses, ball-quotient weights.
 
 A root system is flattened to its projective arrangement: the positive root
-forms up to sign, as primitive integer vectors. The flat lattice is closed
-level by level, each flat carrying the full index set of forms that contain
-it, so the t_q(j) census and the genuine-singularity filter are exact set
-computations. The forms' values on a flat's point basis give all its
-children: the forms vanishing on a child are the flat's own plus one class
-of proportional rows, and the child's basis is the flat's cut by one of
-them (see `incidence`).
+forms up to sign, as primitive integer vectors. Each flat of its lattice
+carries the full index set of forms containing it, so the t_q(j) census and
+the genuine-singularity filter are exact set computations (`incidence`).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -22,6 +19,7 @@ import numpy as np
 from .exactalg import ExactAlgError, _canonical_int_vector, _int_matmul
 
 INF = float("inf")
+_BLOCK = 256  # flats per exact product in `incidence`
 
 
 # -- root systems ---------------------------------------------------------------
@@ -147,68 +145,70 @@ class IncidenceTable:
         return [f for f in self.flats if f.dim == j]
 
 
-def _cut(basis: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Point basis of the flat that one form cuts out of basis's span, from
-    the form's values on the rows k_m: with j the first row not killed, the
-    rows w_j k_m - w_m k_j for m != j, each primitive. Row m has w_j != 0 at
-    k_m and 0 at every other k_m', so they are independent: one row fewer.
-    Entries are int64 or Python ints as `_int_matmul` admits."""
-    j = int(np.flatnonzero(values)[0])
-    others = [m for m in range(len(basis)) if m != j]
-    comb = np.zeros((len(others), len(basis)), dtype=values.dtype)
-    comb[np.arange(len(others)), others] = values[j]
-    comb[:, j] = -values[others]
-    rows = _int_matmul(comb, basis.T)
-    return rows // np.gcd.reduce(rows, axis=1)[:, None]
+def _cut(bases: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Point bases (c, r-1, n+1) of the flats one form each cuts out of bases
+    (c, r, n+1), from its values w (c, r) on the rows k_m: with j the first
+    row not killed, the rows w_j k_m - w_m k_j (m != j), primitive and
+    independent (only row m has k_m). No entry exceeds 2 max|w| max|k|, so
+    the arithmetic is int64 below 2^62 and on Python ints above."""
+    bound = 2 * int(np.abs(values).max(initial=0)) * int(np.abs(bases).max(initial=0))
+    k, w = (a.astype(np.int64 if bound < 2 ** 62 else object) for a in (bases, values))
+    at, j = np.arange(len(w)), (w != 0).argmax(axis=1)
+    rows = w[at, j][:, None, None] * k - w[:, :, None] * k[at, j][:, None, :]
+    rows = rows[np.arange(w.shape[1]) != j[:, None]].reshape(len(w), w.shape[1] - 1, k.shape[2])
+    return rows // np.gcd.reduce(rows, axis=2)[:, :, None]
 
 
 def incidence(arr: Arrangement) -> IncidenceTable:
     """Full flat lattice by level-wise closure against the hyperplanes.
 
-    Level c holds the codimension-c flats. A flat L of the lattice is the
-    intersection of the hyperplanes that contain it (Orlik and Terao,
-    Arrangements of Hyperplanes, ch. 2), so its form set keys it. One exact
-    product per level, of the forms F with the point bases of all its flats
-    stacked, gives V = F K^T for each flat L with basis K: the zero rows
-    must be exactly L's members, on every level. The child L ∩ H_i lies on
-    H_j exactly when V[j] is a multiple of V[i], since both restrict to
-    linear forms on L. So the nonzero rows, grouped by their primitive row
-    with a positive leading entry, are L's children, each with form set L's
-    members plus its group, visited in order of the group's smallest index.
-    A new child's basis is K cut by the row V[i] of its group's first form
-    (`_cut`); a hyperplane's is the identity cut by its form, and a point
-    has no children.
+    Level c is one array of the bases K (n + 1 - c rows) of its flats, from
+    the whole space (K the identity, not listed) down. A flat L is the meet
+    of the hyperplanes containing it (Orlik and Terao, Arrangements of
+    Hyperplanes, ch. 2), so its form set, a bitmask in a Python int, keys
+    it. Per exact product of the forms F with `_BLOCK` flats, the zero rows
+    of each V = F K^T must be exactly L's mask. L ∩ H_i lies on H_j iff V[j]
+    is a multiple of V[i], so the block's (flat, primitive sign-fixed
+    nonzero row) pairs, grouped through one dict, are the children: L's
+    mask OR the group's bits, by flat and then by the group's least form i.
+    One `_cut` per level cuts each new child's basis out of K by V[i].
     """
-    forms = np.array(arr.forms, dtype=object)
-    if int(np.abs(forms).max(initial=0)) < 2 ** 62:
-        forms = forms.astype(np.int64)
-    eye = np.eye(arr.ambient + 1, dtype=np.int64)
-    level = {frozenset([i]): _cut(eye, f) for i, f in enumerate(forms)}
-    all_flats = []
-    while level:
-        nxt: dict[frozenset[int], np.ndarray] = {}
-        stacked = _int_matmul(forms, np.concatenate(list(level.values())))
-        ends = np.cumsum([len(basis) for basis in level.values()])
-        for (members, basis), vals in zip(level.items(), np.split(stacked, ends[:-1], axis=1)):
-            off = (vals != 0).any(axis=1)
-            if set(np.flatnonzero(~off).tolist()) != members:
+    forms = np.array(arr.forms, dtype=object).reshape(-1, arr.ambient + 1)
+    nforms, width = forms.shape
+    bits = np.array([1 << i for i in range(nforms)], dtype=object)
+    masks, bases, all_flats = np.zeros(1, dtype=object), np.eye(width, dtype=np.int64)[None], []
+    while len(masks):
+        rank, nxt, parents, cuts = bases.shape[1], {}, [], []
+        for s in range(0, len(masks), _BLOCK):
+            block, own = bases[s:s + _BLOCK], masks[s:s + _BLOCK]
+            vals = _int_matmul(forms, block.reshape(-1, width)).reshape(nforms, len(block), rank)
+            off = (vals != 0).any(axis=2).T
+            zero = np.packbits(~off, axis=1, bitorder="little")
+            if [int.from_bytes(z.tobytes(), "little") for z in zero] != own.tolist():
                 raise ExactAlgError("forms vanishing on a flat are not its members")
-            all_flats.append(Flat(tuple(map(tuple, basis.tolist())), members))
-            if len(basis) == 1:
+            members = iter(np.nonzero(~off)[1].tolist())
+            all_flats.extend(Flat(tuple(map(tuple, k)), frozenset(itertools.islice(members, q)))
+                             for k, q in zip(block.tolist(), (nforms - off.sum(axis=1)).tolist()))
+            if rank == 1:
                 continue
-            rest = np.flatnonzero(off)
-            prim = vals[rest] // np.gcd.reduce(vals[rest], axis=1)[:, None]
-            lead = prim[np.arange(len(rest)), (prim != 0).argmax(axis=1)]
-            prim = prim * np.where(lead < 0, -1, 1)[:, None]
-            groups: dict[tuple[int, ...], list[int]] = {}
-            for i, row in zip(rest.tolist(), map(tuple, prim.tolist())):
-                groups.setdefault(row, []).append(i)
-            for group in groups.values():
-                child = members.union(group)
-                if child not in nxt:
-                    nxt[child] = _cut(basis, vals[group[0]])
-        level = nxt
-    return IncidenceTable(arr, tuple(all_flats))
+            flat, form = np.nonzero(off)
+            w = vals[form, flat]
+            lead = w[np.arange(len(w)), (w != 0).argmax(axis=1)]
+            prim = w // (np.gcd.reduce(w, axis=1) * np.where(lead < 0, -1, 1))[:, None]
+            keys = zip(flat.tolist(), *prim.T.tolist())
+            # a group is named by its first pair
+            ids = np.fromiter(map({}.setdefault, keys, itertools.count()), np.intp, len(w))
+            first = np.flatnonzero(ids == np.arange(len(w)))
+            child = own[flat[first]]
+            np.bitwise_or.at(child, np.searchsorted(first, ids), bits[form])
+            picks = [p for p, m in zip(first.tolist(), child.tolist())
+                     if m not in nxt and nxt.setdefault(m, True)]  # first pair of a new mask
+            parents.append(s + flat[picks])
+            cuts.append(w[picks])
+        masks = np.array(list(nxt), dtype=object)
+        if len(masks):
+            bases = _cut(bases[np.concatenate(parents)], np.concatenate(cuts))
+    return IncidenceTable(arr, tuple(all_flats[1:]))
 
 
 def singular_flats(arr_or_table: Union[Arrangement, IncidenceTable]) -> list[Flat]:

@@ -1,5 +1,6 @@
 """Root arrangements: form counts, flat censuses, genuine singularities, weights."""
 
+import hashlib
 import itertools
 import operator
 import random
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from modgem import rootarr
 from modgem.exactalg import ExactAlgError, _canonical_int_vector, rref_int
@@ -164,16 +165,11 @@ def _subset_flats(arr):
     return expected
 
 
-def test_flat_form_sets_are_exact():
-    # every flat's q re-checks as the exact number of forms vanishing on it
-    tab = cached_incidence("B", 4)
-    for flat in tab.flats:
-        assert _vanishing(tab.arrangement.forms, flat.basis) == set(flat.forms)
-
-
 @pytest.mark.parametrize("fam", ["A", "B", "D", "F"])
 def test_incidence_matches_subset_enumeration(fam):
-    # a closed form set fixes the flat, so (dim, forms) pairs compare the lattices
+    # a closed form set fixes the flat, so (dim, forms) pairs compare the lattices;
+    # _check_bases re-checks every flat's q as the exact number of forms
+    # vanishing on its basis
     arr = arrangement(RootSystemId(fam, 4))
     expected = _subset_flats(arr)
     flats = cached_incidence(fam, 4).flats
@@ -185,9 +181,12 @@ def test_incidence_matches_subset_enumeration(fam):
 @st.composite
 def small_arrangements(draw):
     """3-9 distinct primitive forms in 3-4 coordinates; entries scaled by 2^40
-    or 2^70 push the products F K^T past int64 onto object arrays."""
+    or 2^70 push the products F K^T past int64 onto object arrays. Where the
+    only scale is 2^28, on two entries in five, F K^T stays in int64 while
+    the cut's products w_j k_m pass 2^63."""
     width = draw(st.integers(3, 4))
-    entry = st.builds(operator.mul, st.integers(-3, 3), st.sampled_from([1, 1, 1, 2 ** 40, 2 ** 70]))
+    big = draw(st.sampled_from([(2 ** 28, 2 ** 28), (2 ** 40, 2 ** 70)]))
+    entry = st.builds(operator.mul, st.integers(-3, 3), st.sampled_from((1, 1, 1) + big))
     vecs = draw(st.lists(st.lists(entry, min_size=width, max_size=width).filter(any),
                          min_size=3, max_size=9))
     forms = tuple(dict.fromkeys(_canonical_int_vector(v) for v in vecs))
@@ -196,10 +195,27 @@ def small_arrangements(draw):
 
 
 @given(small_arrangements())
+@example(Arrangement(2, ((0, 0, 1), (2 ** 29, -1, 1), (0, 1, -2 ** 27))))  # a cut past 2^63
 @settings(max_examples=40, deadline=None)
 def test_incidence_of_random_arrangements_matches_subset_enumeration(arr):
     # oracle as in test_incidence_matches_subset_enumeration
     expected = _subset_flats(arr)
+    flats = incidence(arr).flats
+    assert len(flats) == len(expected)
+    assert {(f.dim, f.forms) for f in flats} == expected
+    _check_bases(arr, flats)
+
+
+def test_form_sets_past_63_forms():
+    # 72 lines of P^2: each point is the meet of a pair of lines, and its
+    # forms are the lines through it, so form sets need more than 63 bits
+    arr = Arrangement(2, tuple((a, b, 1) for a in range(-4, 5) for b in range(-4, 4)))
+    forms = np.array(arr.forms)
+    pairs = np.array(list(itertools.combinations(range(len(forms)), 2)))
+    points = np.cross(forms[pairs[:, 0]], forms[pairs[:, 1]])
+    on = points @ forms.T == 0
+    expected = {(1, frozenset([i])) for i in range(len(forms))}
+    expected |= {(0, frozenset(np.flatnonzero(row).tolist())) for row in on}
     flats = incidence(arr).flats
     assert len(flats) == len(expected)
     assert {(f.dim, f.forms) for f in flats} == expected
@@ -224,15 +240,30 @@ def test_a_wrong_point_basis_is_caught(monkeypatch):
     # the cutting form does not kill changes the forms vanishing on it
     real = rootarr._cut
 
-    def corrupted(basis, values):
-        rows = real(basis, values)
-        if len(rows) == 1:
-            rows = basis[[int(np.flatnonzero(values)[0])]]
+    def corrupted(bases, values):
+        rows = real(bases, values)
+        if rows.shape[1] == 1:
+            rows = bases[np.arange(len(values)), (values != 0).argmax(axis=1)][:, None, :]
         return rows
 
     monkeypatch.setattr(rootarr, "_cut", corrupted)
     with pytest.raises(ExactAlgError, match="forms vanishing on a flat are not its members"):
         incidence(arrangement(RootSystemId("A", 4)))
+
+
+def test_census_is_pinned_flat_by_flat():
+    # flat count and sha256 of the sorted (dim, sorted form indices) pairs
+    pins = {
+        ("A", 4): (50, "dda9fef37b68a8144186c8e2f441635458b6447ebbdbc17f52db559e249b333c"),
+        ("B", 4): (114, "89e86aaec096052c540938e1f8b63d98d38bc6b4911f4e5f4b9dfe113ed3867f"),
+        ("D", 4): (70, "c0c1a3942f5c43ace34e6a4052132e2ad386bc13021bd38346d5a25db47ccf4b"),
+        ("F", 4): (266, "b6da61dc0237f931e27a9f195fe153a66d5c515e0737866d964568ed50bbaf2d"),
+        ("E", 6): (4596, "c5f98f01292e78023e09c93148d8406bfc1eed6def6e2a1a32207bef79cfa008"),
+    }
+    for (fam, rank), pin in pins.items():
+        flats = cached_incidence(fam, rank).flats
+        pairs = sorted((f.dim, tuple(sorted(f.forms))) for f in flats)
+        assert (len(flats), hashlib.sha256(repr(pairs).encode()).hexdigest()) == pin
 
 
 def test_incidence_double_count():
