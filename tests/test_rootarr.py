@@ -165,11 +165,16 @@ def _subset_flats(arr):
     return expected
 
 
+def test_flat_form_sets_are_exact():
+    # every flat's q re-checks as the exact number of forms vanishing on it
+    tab = cached_incidence("B", 4)
+    for flat in tab.flats:
+        assert _vanishing(tab.arrangement.forms, flat.basis) == set(flat.forms)
+
+
 @pytest.mark.parametrize("fam", ["A", "B", "D", "F"])
 def test_incidence_matches_subset_enumeration(fam):
-    # a closed form set fixes the flat, so (dim, forms) pairs compare the lattices;
-    # _check_bases re-checks every flat's q as the exact number of forms
-    # vanishing on its basis
+    # a closed form set fixes the flat, so (dim, forms) pairs compare the lattices
     arr = arrangement(RootSystemId(fam, 4))
     expected = _subset_flats(arr)
     flats = cached_incidence(fam, 4).flats
