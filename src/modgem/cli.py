@@ -131,10 +131,13 @@ ARRANGEMENT_CENSUS = {
 
 
 def _census_of(table) -> dict:
+    """Flat counts by dimension and multiplicity, from the table's levels:
+    a flat's q is the bit count of its form mask, and no `Flat` is built."""
     by: dict[int, dict[int, int]] = {}
-    for f in table.flats:
-        by.setdefault(f.dim, {}).setdefault(f.q, 0)
-        by[f.dim][f.q] += 1
+    for bases, masks in table.levels:
+        counts = by.setdefault(bases.shape[1] - 1, {})
+        for q in (mask.bit_count() for mask in masks.tolist()):
+            counts[q] = counts.get(q, 0) + 1
     return by
 
 

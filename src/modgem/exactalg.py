@@ -648,6 +648,12 @@ def _int_array(rows: np.ndarray | Sequence[Sequence[int]]) -> np.ndarray:
     return a
 
 
+def _max_abs(a: np.ndarray) -> int:
+    """max |a| as a Python int, from the array's max and min: no entry is
+    negated in the array's own dtype, where -(-2^63) wraps in int64."""
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
+
+
 def _int_matmul(rows: np.ndarray | Sequence[Sequence[int]],
                 vecs: Sequence[Sequence[int]]) -> np.ndarray:
     """Exact rows @ vecs^T of integer rows (lists, or an integer or object
@@ -663,7 +669,7 @@ def _int_matmul(rows: np.ndarray | Sequence[Sequence[int]],
     a, b = _int_array(rows), _int_array(vecs).T
     if a.shape[1] != b.shape[0]:
         raise ExactAlgError(f"rows of width {a.shape[1]} against vectors of {b.shape[0]}")
-    bound = int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0)) * a.shape[1]
+    bound = _max_abs(a) * _max_abs(b) * a.shape[1]
     if bound < 2 ** 53:
         # by blocks of rows, so that no float64 copy of a large `rows` is made
         out, bf = np.empty((len(a), b.shape[1]), dtype=np.int64), b.astype(np.float64)
@@ -881,11 +887,12 @@ def _chart_coordinates(basis: Sequence[Sequence[int]],
     return [ProjPoint(vec[:k]) for vec in kernel]
 
 
-#: columns per panel of `_echelon_mod`. A multiplier limb is below 2^16 and
-#: an entry reduced mod p below 2^31, so a limb product summed over W panel
-#: columns is below W * 2^47; W = 32 is the largest power of two that keeps
-#: it below 2^53, inside `_int_matmul`'s float64 tier (a wider panel would
-#: stay exact, in its slower int64 tier).
+#: columns per panel of `_echelon_mod`. A multiplier limb is at most
+#: 2^16 - 1 and an entry reduced mod p at most 2^31 - 2, so the one product
+#: [Lh | Ll] [U 2^16 mod p ; U], summed over 2W limb columns, is below
+#: (2^16 - 1)(2^31 - 2) 2W; W = 32 is the largest power of two that keeps it
+#: below 2^53, inside `_int_matmul`'s float64 tier (a wider panel would stay
+#: exact, in its slower int64 tier).
 _PANEL = 32
 
 
@@ -906,18 +913,20 @@ def _echelon_mod(rows: np.ndarray | Sequence[Sequence[Scalar]],
     columns, each keeping its multiplier in `col`. The panel's pivot rows
     then replay those steps on their trailing columns U, and every row
     below takes T -= L U mod p, with L its multipliers split into 16-bit
-    limbs, L = Lh 2^16 + Ll, so that Lh U and Ll U are exact float64
-    products (`_int_matmul`). The multipliers are zeroed afterwards. Every
-    entry is the one the per-column rule over the whole width gives, so the
-    pivot rows, columns and block are too. The pivot rows span the row
-    space mod p; the block is the echelon they become, zero below each pivot.
+    limbs, L = Lh 2^16 + Ll: L U = [Lh | Ll] [U 2^16 mod p ; U] mod p is one
+    exact float64 product (`_int_matmul`, see `_PANEL`) into one buffer,
+    reduced mod p in place, and T takes it in place. The multipliers are
+    zeroed afterwards. Every entry is the one the per-column rule over the
+    whole width gives, so the pivot rows, columns and block are too. The
+    pivot rows span the row space mod p; the block is the echelon they
+    become, zero below each pivot.
     """
     if not (p < 2 ** 31 and _is_prime(p)):
         raise ExactAlgError(f"modulus {p} is not a prime below 2^31")
     if not len(rows):
         return [], [], np.zeros((0, 0), dtype=np.int64)
     if isinstance(rows, np.ndarray):
-        a = (_int_array(rows) % p).astype(np.int64)
+        a = (_int_array(rows) % p).astype(np.int64, copy=False)
     else:
         a = np.array([[v % p for v in r] for r in _cleared_rows(rows, p)], dtype=np.int64)
     m, n = a.shape
@@ -954,9 +963,13 @@ def _echelon_mod(rows: np.ndarray | Sequence[Sequence[Scalar]],
                 a[i, end:] = a[i, end:] * inv % p
                 a[i + 1:mid, end:] = (a[i + 1:mid, end:] - a[i + 1:mid, col, None] * a[i, end:]) % p
             if mid < m:
-                low, u = a[mid:, panel], a[top:mid, end:]
-                hi = _int_matmul(low >> 16, u.T) % p
-                a[mid:, end:] = (a[mid:, end:] - (hi << 16) - _int_matmul(low & 0xFFFF, u.T)) % p
+                low, u, t = a[mid:, panel], a[top:mid, end:], a[mid:, end:]
+                prod = _int_matmul(np.hstack([low >> 16, low & 0xFFFF]),
+                                   np.vstack([(u << 16) % p, u]).T)
+                prod %= p
+                t -= prod
+                t %= p
+                del prod  # freed before the next panel's product is taken
         a[mid:, start:end] = 0
         a[top:mid, start:end][np.arange(start, end) < np.array(panel)[:, None]] = 0
     return order[:len(cols)], cols, a[:len(cols)]
@@ -1036,14 +1049,22 @@ def evaluation_rows(degree: int, nvars: int,
     A point contributes one row; a line contributes d+1 rows at the fixed
     parameters (1:0), (1:1), ..., (1:d-1), (0:1). A degree-d binary form
     vanishing at d+1 distinct points of a line is identically zero, so the
-    rows capture line containment exactly, no genericity needed. Each column
-    is gathered from per-point power tables. No entry exceeds
-    max|coord|^d, so the array is int64 when that is below 2^62 and holds
-    Python ints (dtype object) otherwise. With n monomials and k independent
-    forms in its kernel, rank_p <= rank_Q <= n - k at every prime p.
+    rows capture line containment exactly, no genericity needed. The points
+    come first, then each line's rows; `_evaluated` gives the rows. With n
+    monomials and k independent forms in its kernel, rank_p <= rank_Q <=
+    n - k at every prime p.
     """
     coords = [pt.coords for pt in points]
     coords += [c for line in lines for c in line.parameter_points(degree + 1)]
+    return _evaluated(degree, nvars, coords)
+
+
+def _evaluated(degree: int, nvars: int, coords: Sequence[Sequence[int]]) -> np.ndarray:
+    """The rows of all degree-d monomials at the given coordinate rows, the
+    one row evaluator of `evaluation_rows` and of `vanishing_space`'s blocks.
+    Each column is gathered from per-point power tables. No entry exceeds
+    max|coord|^d, so the array is int64 when that is below 2^62 and holds
+    Python ints (dtype object) otherwise."""
     top = max((abs(c) for row in coords for c in row), default=0)
     dtype = np.int64 if top ** degree < 2 ** 62 else object
     base = np.array(coords, dtype=dtype).reshape(len(coords), nvars)
@@ -1075,33 +1096,34 @@ def vanishing_space(degree: int, nvars: int,
     and n monomials, k <= dim <= n - rank_p at every prime p, and n - rank_p
     must equal k (else ShadowMismatch), so dim = k.
 
-    Without candidates k is unknown: p0 eliminates the whole matrix, whose
-    pivot rows span the row space over Q when rank_p0 = rank_Q, and the
-    members are the kernel of those rows. With candidates k is known before
-    any elimination, and p0 eliminates the matrix in blocks, in one fixed
-    order: block j holds the j-th parameter row of every line, j from d
-    down to 0, and the points come last as one block. Each step eliminates
-    the pivot rows kept so far plus the next block and keeps the new pivot
-    rows, and the loop stops when their number reaches n - k. The stop is
-    sound: the k exact members give rank_p0 <= rank_Q <= n - k, and a
+    Without candidates k is unknown: p0 eliminates the whole matrix
+    (`evaluation_rows`), whose pivot rows span the row space over Q when
+    rank_p0 = rank_Q, and the members are the kernel of those rows. With
+    candidates k is known before any elimination, and the rows are built
+    one block at a time (`_evaluated`), in one fixed order: block j holds
+    the j-th parameter row of every line, j from d down to 0, and the points
+    come last as one block. Every candidate is checked exactly against each
+    block, and until their number reaches n - k, p0 eliminates the pivot
+    rows kept so far plus the block and keeps the new pivot rows. The stop
+    is sound: the k exact members give rank_p0 <= rank_Q <= n - k, and a
     subset of the rows has rank at most the whole matrix's, so a subset of
     rank n - k mod p0 proves rank_p0 = n - k. Blocks that run out below
     n - k raise ShadowMismatch.
 
     A later prime eliminates only p0's pivot rows: rank n - k there
-    squeezes the whole matrix's rank_p to n - k, and a shortfall sends it to
-    the whole matrix. When p0 divides a minor that matters (candidates
-    independent over Q but not mod p0), the call raises rather than certify
-    a wrong dimension.
+    squeezes the whole matrix's rank_p to n - k, and only a shortfall builds
+    the whole matrix for it. When p0 divides a minor that matters
+    (candidates independent over Q but not mod p0), the call raises rather
+    than certify a wrong dimension.
     """
     mono = _packed_monomials(nvars, degree)
-    mat = evaluation_rows(degree, nvars, points, lines)
     first, *later = SHADOW_PRIMES
     if candidates is None:
         method = "kernel"
-        pivots = _pivot_rows(mat, first)
+        mat = evaluation_rows(degree, nvars, points, lines)
+        kept = mat[_pivot_rows(mat, first)]
         # without pivot rows every form vanishes; a zero row keeps the width
-        vecs = kernel_int(mat[pivots].tolist() or [[0] * len(mono)])
+        vecs = kernel_int(kept.tolist() or [[0] * len(mono)])
         if _int_matmul(mat, vecs).any():
             raise ShadowMismatch(f"rank mod {first} is below the rank over Q")
         chosen = [MPoly._from_packed(nvars, dict(zip(mono, vec))) for vec in vecs]
@@ -1111,20 +1133,25 @@ def vanishing_space(degree: int, nvars: int,
                for c in candidates):
             raise ExactAlgError("candidate of wrong degree or ring")
         cleared = [_clear_row(c.coefficient_vector(degree)) for c in candidates]
-        if _int_matmul(mat, cleared).any():
-            raise ExactAlgError("candidate fails a constraint, not a member")
         chosen = [candidates[i] for i in sorted(_pivot_rows(cleared, first))]
-        pivots = []
-        blocks = [range(len(points) + j, len(mat), degree + 1) for j in range(degree, -1, -1)]
-        for block in filter(None, blocks + [range(len(points))]):
-            if len(pivots) == len(mono) - len(chosen):
-                break
-            rows = pivots + list(block)
-            pivots = [rows[i] for i in _pivot_rows(mat[rows], first)]
-    ranks = {first: len(pivots)}
+        # one array for every block's member check, int64 where it fits
+        top = max((abs(v) for row in cleared for v in row), default=0)
+        coeffs = np.array(cleared, dtype=np.int64 if top < 2 ** 63 else object)
+        params = [line.parameter_points(degree + 1) for line in lines]
+        blocks = [[pts[j] for pts in params] for j in range(degree, -1, -1)]
+        kept = np.zeros((0, len(mono)), dtype=np.int64)
+        for block in filter(None, blocks + [[pt.coords for pt in points]]):
+            rows = _evaluated(degree, nvars, block)
+            if _int_matmul(rows, coeffs).any():
+                raise ExactAlgError("candidate fails a constraint, not a member")
+            if len(kept) < len(mono) - len(chosen):
+                rows = np.concatenate([kept, rows])
+                kept = rows[_pivot_rows(rows, first)]
+    ranks = {first: len(kept)}
     for p in later:
-        rp = len(_pivot_rows(mat[pivots], p))
-        ranks[p] = rp if rp == len(mono) - len(chosen) else rank_mod(mat, p)
+        rp = len(_pivot_rows(kept, p))
+        ranks[p] = rp if rp == len(mono) - len(chosen) else rank_mod(
+            evaluation_rows(degree, nvars, points, lines), p)
     for p, rp in ranks.items():
         if len(mono) - rp != len(chosen):
             raise ShadowMismatch(

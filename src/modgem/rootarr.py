@@ -11,12 +11,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence, Union
 
 import numpy as np
 
-from .exactalg import ExactAlgError, _canonical_int_vector, _int_matmul
+from .exactalg import ExactAlgError, _canonical_int_vector, _int_matmul, _max_abs
 
 INF = float("inf")
 _BLOCK = 256  # flats per exact product in `incidence`
@@ -131,15 +131,27 @@ class Flat:
         return len(self.forms)
 
 
-@dataclass
+@dataclass(eq=False)  # levels hold arrays, which compare entry by entry
 class IncidenceTable:
     """Every flat of an arrangement with the set of forms containing it.
 
-    The t_q(j) census is the count of flats by (q, dim).
+    `levels` holds one (bases, masks) pair per level, from the hyperplanes
+    down to the points: the (L, r, n+1) point bases of the level's L flats
+    of dimension r - 1, and their form masks as Python ints, bit i set when
+    form i contains the flat. The t_q(j) census is the count of flats by
+    (q, dim), read from the masks' bit counts; `flats` builds the `Flat`s on
+    first use, level by level in the same order.
     """
 
     arrangement: Arrangement
-    flats: tuple[Flat, ...]
+    levels: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    @cached_property
+    def flats(self) -> tuple[Flat, ...]:
+        forms = range(len(self.arrangement.forms))
+        return tuple(Flat(tuple(map(tuple, k)), frozenset(i for i in forms if m >> i & 1))
+                     for bases, masks in self.levels
+                     for k, m in zip(bases.tolist(), masks.tolist()))
 
     def flats_of_dim(self, j: int) -> list[Flat]:
         return [f for f in self.flats if f.dim == j]
@@ -151,7 +163,7 @@ def _cut(bases: np.ndarray, values: np.ndarray) -> np.ndarray:
     row not killed, the rows w_j k_m - w_m k_j (m != j), primitive and
     independent (only row m has k_m). No entry exceeds 2 max|w| max|k|, so
     the arithmetic is int64 below 2^62 and on Python ints above."""
-    bound = 2 * int(np.abs(values).max(initial=0)) * int(np.abs(bases).max(initial=0))
+    bound = 2 * _max_abs(values) * _max_abs(bases)
     k, w = (a.astype(np.int64 if bound < 2 ** 62 else object) for a in (bases, values))
     at, j = np.arange(len(w)), (w != 0).argmax(axis=1)
     rows = w[at, j][:, None, None] * k - w[:, :, None] * k[at, j][:, None, :]
@@ -176,7 +188,7 @@ def incidence(arr: Arrangement) -> IncidenceTable:
     forms = np.array(arr.forms, dtype=object).reshape(-1, arr.ambient + 1)
     nforms, width = forms.shape
     bits = np.array([1 << i for i in range(nforms)], dtype=object)
-    masks, bases, all_flats = np.zeros(1, dtype=object), np.eye(width, dtype=np.int64)[None], []
+    masks, bases, levels = np.zeros(1, dtype=object), np.eye(width, dtype=np.int64)[None], []
     while len(masks):
         rank, nxt, parents, cuts = bases.shape[1], {}, [], []
         for s in range(0, len(masks), _BLOCK):
@@ -186,9 +198,6 @@ def incidence(arr: Arrangement) -> IncidenceTable:
             zero = np.packbits(~off, axis=1, bitorder="little")
             if [int.from_bytes(z.tobytes(), "little") for z in zero] != own.tolist():
                 raise ExactAlgError("forms vanishing on a flat are not its members")
-            members = iter(np.nonzero(~off)[1].tolist())
-            all_flats.extend(Flat(tuple(map(tuple, k)), frozenset(itertools.islice(members, q)))
-                             for k, q in zip(block.tolist(), (nforms - off.sum(axis=1)).tolist()))
             if rank == 1:
                 continue
             flat, form = np.nonzero(off)
@@ -205,10 +214,11 @@ def incidence(arr: Arrangement) -> IncidenceTable:
                      if m not in nxt and nxt.setdefault(m, True)]  # first pair of a new mask
             parents.append(s + flat[picks])
             cuts.append(w[picks])
+        levels.append((bases, masks))
         masks = np.array(list(nxt), dtype=object)
         if len(masks):
             bases = _cut(bases[np.concatenate(parents)], np.concatenate(cuts))
-    return IncidenceTable(arr, tuple(all_flats[1:]))
+    return IncidenceTable(arr, tuple(levels[1:]))
 
 
 def singular_flats(arr_or_table: Union[Arrangement, IncidenceTable]) -> list[Flat]:

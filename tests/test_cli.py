@@ -125,6 +125,18 @@ def test_raising_arrangement_checks_keep_their_names(tmp_path, monkeypatch):
     assert "t1(2)=10" not in text  # no expected census printed in place of a result
 
 
+def test_e6_census_builds_no_flat(monkeypatch):
+    # the census counts each level's (dim, mask bit count); `Flat`s are made
+    # only when a caller reads `flats`
+    made = []
+    real = rootarr.Flat
+    monkeypatch.setattr(rootarr, "Flat", lambda *args: made.append(args) or real(*args))
+    rootarr.cached_incidence.cache_clear()
+    cert = _entry("arrangements/census-e6")(cli.SuiteConfig())
+    assert (cert.status, len(made)) == ("pass", 0)
+    assert len(rootarr.cached_incidence("E", 6).flats) == len(made) == 4596
+
+
 def test_table_shows_computed_value(monkeypatch):
     monkeypatch.setattr(lines27, "weyl_group", lambda: SimpleNamespace(order=51841))
     cert = _entry("lines27/weyl-order")(cli.SuiteConfig())

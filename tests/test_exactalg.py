@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -802,6 +803,20 @@ def test_panel_elimination_matches_the_per_column_reference(rows):
         assert block.dtype == np.int64 and np.array_equal(block, want_block)
 
 
+def test_one_elimination_holds_less_than_three_matrices():
+    # the rows below each panel take one limb product into one buffer, reduced
+    # in place, and the reduced copy of the input is the only other full one
+    rng = np.random.default_rng(0)
+    mat = rng.integers(-2 ** 40, 2 ** 40, size=(458, 462))
+    tracemalloc.start()
+    try:
+        exactalg._echelon_mod(mat, SHADOW_PRIMES[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * mat.nbytes
+
+
 def test_modulus_must_be_a_prime_below_2_31():
     # p^2 > 2^63: the products of reduced entries used to wrap in int64, and
     # this matrix, of rank 1 mod 2^61 - 1 (det = 2p), came out as rank 2
@@ -1403,6 +1418,49 @@ def test_blocks_short_of_n_minus_k_raise():
     assert _first_prime_steps(spy) == [1, 2, 2]
 
 
+@pytest.mark.parametrize("degree, spans, bad, steps", [
+    # x0 vanishes at the second points of both lines, whose block alone
+    # reaches n - k = 2, but not at the first point of the first line
+    (1, [([1, 0, 0], [0, 1, 0]), ([1, 1, 1], [0, 0, 1])], lambda x: x[0], [2]),
+    # x0 x1 vanishes on both lines, whose three blocks reach n - k = 5, but
+    # not at the point, which only the points block sees
+    (2, [([0, 1, 0], [0, 1, 1]), ([1, 0, 1], [1, 0, 0])], lambda x: x[0] * x[1],
+     [2, 4, 6]),
+], ids=["parameter-row-0", "points"])
+def test_candidates_are_checked_on_blocks_past_the_first_prime_stop(degree, spans, bad,
+                                                                      steps):
+    lines = [ProjLine(ProjPoint(p), ProjPoint(q)) for p, q in spans]
+    pts = [ProjPoint([1, 2, 3])]
+    with mock.patch.object(exactalg, "_pivot_rows", wraps=exactalg._pivot_rows) as spy:
+        with pytest.raises(ExactAlgError, match="candidate fails a constraint, not a member"):
+            vanishing_space(degree, 3, points=pts, lines=lines, candidates=[bad(_vars(3))])
+    assert _first_prime_steps(spy) == steps
+
+
+def test_edge_cases_of_the_blocks_match_the_whole_matrix_reference():
+    # no constraints at all, and blocks that run out below n - k: the result
+    # is the whole-matrix reference's, or ShadowMismatch where it has none
+    x = _vars(3)
+    conics = [a * b for i, a in enumerate(x) for b in x[i:]]
+    ln = ProjLine(ProjPoint([1, 2, 0]), ProjPoint([0, 1, 0]))  # the line x2 = 0
+    pts = [ProjPoint([1, 0, 0]), ProjPoint([3, 1, 0])]  # on the line
+    through = [x[2] * v for v in x]  # the conics through the line
+    cases = [((), (), conics), ((), (), conics[:5]), ((), (), []),
+             ((), [ln], through), (pts, [ln], through), ((), [ln], through[:1]),
+             (pts, [ln], through[:2]), (pts, (), through[:1])]
+    outcomes = []
+    for points, lines, cands in cases:
+        want = _whole_matrix_reference(2, 3, points, lines, cands)
+        outcomes.append(want is not None)
+        if want is None:
+            with pytest.raises(ShadowMismatch):
+                vanishing_space(2, 3, points=points, lines=lines, candidates=cands)
+            continue
+        got = vanishing_space(2, 3, points=points, lines=lines, candidates=cands)
+        assert (got.dim, got.modular_ranks, list(got.basis)) == want
+    assert outcomes == [True, False, False, True, True, False, False, False]
+
+
 @pytest.mark.parametrize("top, dtype", [(2 ** 31 - 1, np.int64), (2 ** 31, object)])
 def test_evaluation_rows_switch_to_python_ints_past_int64(top, dtype):
     # the entry bound top^2 is just below 2^62, then equal to it
@@ -1464,6 +1522,16 @@ def test_products_at_the_float_bound_match_python_sums(width, bits, data):
                               min_size=1, max_size=4))
     got = _int_matmul(np.array(rows, dtype=np.int64), vecs)
     assert got.dtype == np.int64 and got.tolist() == _python_products(rows, vecs)
+
+
+def test_an_entry_of_minus_2_63_reads_its_true_bound():
+    # np.abs(-2^63) wraps to -2^63 in int64; a bound read through it was
+    # negative and sent these products to the float64 tier, which wrapped
+    rows, vecs = [[-2 ** 63, 3], [5, 7]], [[3, 1], [1, 1]]
+    got = _int_matmul(np.array(rows), vecs)
+    assert got.tolist() == _python_products(rows, vecs)
+    assert got[0, 0] == -27670116110564327421
+    assert _int_matmul(vecs, np.array(rows)).tolist() == _python_products(vecs, rows)
 
 
 def test_products_past_2_53_take_int64_and_stay_exact():

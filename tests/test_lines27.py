@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modgem import lines27 as L
+from modgem import exactalg, lines27 as L
 from modgem.exactalg import ExactAlgError, MPoly, ProjLine, ProjPoint, checked_rank
 from modgem.rootarr import cached_incidence
 
@@ -514,6 +514,22 @@ def test_macdonald_dimensions_and_memberships():
     assert all(rep.memberships.values())
     for ranks in rep.modular_ranks.values():
         assert len(ranks) == 2  # two independent prime shadows agreed
+
+
+def test_sextic_system_is_evaluated_one_block_at_a_time(monkeypatch):
+    # every row of the 1512-row system is evaluated and checked, one block of
+    # 216 rows (one parameter of every line) at a time, never all at once
+    sizes = []
+    real = exactalg._evaluated
+
+    def spy(degree, nvars, coords):
+        sizes.append(len(coords))
+        return real(degree, nvars, coords)
+
+    monkeypatch.setattr(exactalg, "_evaluated", spy)
+    vs = exactalg.vanishing_space(6, 6, lines=L.special_loci().lines216,
+                                  candidates=L._a2a2_products())
+    assert (vs.dim, sizes) == (24, [216] * 7)
 
 
 def test_incidence_complex_ranks():

@@ -256,6 +256,13 @@ def test_a_wrong_point_basis_is_caught(monkeypatch):
         incidence(arrangement(RootSystemId("A", 4)))
 
 
+def test_cut_bound_reads_minus_2_63():
+    # np.abs(-2^63) wraps in int64; a bound read through it kept this cut in
+    # int64, where its row w_0 k_1 - w_1 k_0 = (-1, -3 2^63) wrapped
+    bases, values = np.array([[[1, 0], [0, 3]]]), np.array([[-2 ** 63, 1]])
+    assert rootarr._cut(bases, values).tolist() == [[[-1, -3 * 2 ** 63]]]
+
+
 def test_census_is_pinned_flat_by_flat():
     # flat count and sha256 of the sorted (dim, sorted form indices) pairs
     pins = {
