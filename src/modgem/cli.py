@@ -132,7 +132,7 @@ ARRANGEMENT_CENSUS = {
 
 def _census_of(table) -> dict:
     """Flat counts by dimension and multiplicity, from the table's levels:
-    a flat's q is the bit count of its form mask, and no `Flat` is built."""
+    a flat's q is the bit count of its form mask."""
     by: dict[int, dict[int, int]] = {}
     for bases, masks in table.levels:
         counts = by.setdefault(bases.shape[1] - 1, {})

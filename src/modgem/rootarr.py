@@ -1,24 +1,22 @@
-"""Reflection arrangements: root forms, flat censuses, ball-quotient weights.
+"""Reflection arrangements: root forms and flat censuses.
 
 A root system is flattened to its projective arrangement: the positive root
 forms up to sign, as primitive integer vectors. Each flat of its lattice
-carries the full index set of forms containing it, so the t_q(j) census and
-the genuine-singularity filter are exact set computations (`incidence`).
+carries the full index set of forms containing it, so the t_q(j) census is
+an exact set computation (`incidence`).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property, lru_cache
-from typing import Sequence, Union
+from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
 from .exactalg import ExactAlgError, _canonical_int_vector, _int_matmul, _max_abs
 
-INF = float("inf")
 _BLOCK = 256  # flats per exact product in `incidence`
 
 
@@ -114,23 +112,6 @@ def arrangement(rsid: RootSystemId) -> Arrangement:
     return Arrangement(ambient=len(forms[0]) - 1, forms=tuple(forms))
 
 
-@dataclass(frozen=True)
-class Flat:
-    """Projective flat: a point basis of its linear span, and the index set of
-    the forms that contain it."""
-
-    basis: tuple[tuple[int, ...], ...]
-    forms: frozenset[int]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis) - 1
-
-    @property
-    def q(self) -> int:
-        return len(self.forms)
-
-
 @dataclass(eq=False)  # levels hold arrays, which compare entry by entry
 class IncidenceTable:
     """Every flat of an arrangement with the set of forms containing it.
@@ -139,22 +120,11 @@ class IncidenceTable:
     down to the points: the (L, r, n+1) point bases of the level's L flats
     of dimension r - 1, and their form masks as Python ints, bit i set when
     form i contains the flat. The t_q(j) census is the count of flats by
-    (q, dim), read from the masks' bit counts; `flats` builds the `Flat`s on
-    first use, level by level in the same order.
+    (q, dim), read from the masks' bit counts; no per-flat object is built.
     """
 
     arrangement: Arrangement
     levels: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-    @cached_property
-    def flats(self) -> tuple[Flat, ...]:
-        forms = range(len(self.arrangement.forms))
-        return tuple(Flat(tuple(map(tuple, k)), frozenset(i for i in forms if m >> i & 1))
-                     for bases, masks in self.levels
-                     for k, m in zip(bases.tolist(), masks.tolist()))
-
-    def flats_of_dim(self, j: int) -> list[Flat]:
-        return [f for f in self.flats if f.dim == j]
 
 
 def _cut(bases: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -219,103 +189,6 @@ def incidence(arr: Arrangement) -> IncidenceTable:
         if len(masks):
             bases = _cut(bases[np.concatenate(parents)], np.concatenate(cuts))
     return IncidenceTable(arr, tuple(levels[1:]))
-
-
-def singular_flats(arr_or_table: Union[Arrangement, IncidenceTable]) -> list[Flat]:
-    """Genuine singular flats: q > codim, minus those explained one level up.
-
-    A singular flat is discarded exactly when its form set is the form set of
-    a singular flat of one higher dimension plus a single extra hyperplane:
-    such a flat is the transversal trace of the bigger singularity, not a
-    singularity of its own.
-    """
-    table = arr_or_table if isinstance(arr_or_table, IncidenceTable) else incidence(arr_or_table)
-    n = table.arrangement.ambient
-    singular = [f for f in table.flats if f.q > n - f.dim]
-    by_dim: dict[int, list[Flat]] = {}
-    for f in singular:
-        by_dim.setdefault(f.dim, []).append(f)
-    genuine = []
-    for f in singular:
-        above = by_dim.get(f.dim + 1, ())
-        explained = any(
-            g.q + 1 == f.q and g.forms < f.forms
-            for g in above
-        )
-        if not explained:
-            genuine.append(f)
-    return genuine
-
-
-# -- ball-quotient weight check ---------------------------------------------------
-
-
-NValue = Union[Fraction, float]  # Fraction, or INF when 1 - mu_i - mu_j = 0
-
-
-@dataclass(frozen=True)
-class DMParameters:
-    """Branching numbers derived from a weight sextuple, and the verdict."""
-
-    n_pairs: dict[tuple[int, int], NValue]
-    n_triples: dict[tuple[int, int, int], NValue]
-    accepted: bool
-    failures: tuple[str, ...]
-
-
-def _recip(v: NValue) -> Fraction:
-    return Fraction(0) if v == INF else Fraction(1) / v
-
-
-def dm_check(mu: Sequence[Union[int, Fraction]]) -> DMParameters:
-    """Accept six weights iff they sum to 2 and every pair branching is integral.
-
-    n_ij = (1 - mu_i - mu_j)^(-1) must be an integer or INF for all pairs.
-    The triple numbers n_0ij = 2*(1/n_kl + 1/n_lm + 1/n_km)^(-1), taken over
-    the complementary triple {k,l,m}, are derived data and reported as-is;
-    they are not part of the acceptance condition.
-    """
-    if len(mu) != 6:
-        raise ExactAlgError("exactly six weights required")
-    w = tuple(Fraction(m) for m in mu)
-    failures: list[str] = []
-    total = sum(w)
-    if total != 2:
-        failures.append(f"weights sum to {total}, need 2")
-    n_pairs: dict[tuple[int, int], NValue] = {}
-    for i in range(6):
-        for j in range(i + 1, 6):
-            gap = 1 - w[i] - w[j]
-            if gap == 0:
-                n_pairs[(i, j)] = INF
-            else:
-                n = 1 / gap
-                n_pairs[(i, j)] = n
-                if n.denominator != 1:
-                    failures.append(f"pair ({i},{j}) gives {n}, not an integer")
-    n_triples: dict[tuple[int, int, int], NValue] = {}
-    for i in range(1, 6):
-        for j in range(i + 1, 6):
-            rest = [k for k in range(1, 6) if k not in (i, j)]
-            pairs = [(rest[0], rest[1]), (rest[1], rest[2]), (rest[0], rest[2])]
-            s = sum((_recip(n_pairs[tuple(sorted(p))]) for p in pairs), Fraction(0))
-            n_triples[(0, i, j)] = INF if s == 0 else 2 / s
-    return DMParameters(n_pairs, n_triples, not failures, tuple(failures))
-
-
-# the complete list of weight systems passing the check, up to reordering
-SEVEN_WEIGHT_SYSTEMS: tuple[tuple[Fraction, ...], ...] = tuple(
-    tuple(Fraction(a, b) for a, b in row)
-    for row in (
-        (((1, 3),) * 6),
-        ((1, 2), (1, 2), (1, 4), (1, 4), (1, 4), (1, 4)),
-        ((3, 4), (1, 4), (1, 4), (1, 4), (1, 4), (1, 4)),
-        ((1, 2), (1, 3), (1, 3), (1, 3), (1, 3), (1, 6)),
-        ((3, 8), (3, 8), (3, 8), (3, 8), (3, 8), (1, 8)),
-        ((5, 12), (5, 12), (5, 12), (1, 4), (1, 4), (1, 4)),
-        ((7, 12), (5, 12), (1, 4), (1, 4), (1, 4), (1, 4)),
-    )
-)
 
 
 @lru_cache(maxsize=None)

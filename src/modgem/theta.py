@@ -7,18 +7,17 @@ the 2*pi*i normalization; without it the series diverges, and the Maschke
 and Igusa identities verified here pin the convention empirically.
 
 Checks performed: six of the sixteen characteristics are odd and their
-constants vanish numerically; at diagonal tau every constant splits into a
-product of two genus-1 sums; the squared sum of eighth powers equals four
+constants vanish numerically; the squared sum of eighth powers equals four
 times the sum of sixteenth powers; the classical quartic relation holds in
 the five projective coordinates built from fourth powers; and the stacked
 fourth-power vectors have numerical rank five, witnessing the five linear
 relations among the ten even constants. Every check reads the sixteen
-constants at a point from one `theta_constants` table.
+constants at a point from one `theta_constants` table. The tests also split
+each constant at diagonal tau into a product of two genus-1 sums.
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 import random
@@ -167,16 +166,6 @@ def theta_const(char: ThetaChar, point: SiegelPoint, radius: int | None = None) 
 def theta_constants(point: SiegelPoint) -> dict[ThetaChar, complex]:
     """The sixteen constants at tau, one lattice sum each, keyed by characteristic."""
     return {c: theta_const(c, point).value for c in ALL_CHARS}
-
-
-def theta_const_genus1(a: Fraction, b: Fraction, t: complex, radius: int = 40) -> complex:
-    """One-variable constant, used as an oracle at diagonal tau."""
-    total = 0.0 + 0.0j
-    af, bf = float(a), float(b)
-    for n in range(-radius, radius + 1):
-        v = n + af
-        total += cmath.exp(2j * cmath.pi * (0.5 * v * v * t + v * bf))
-    return total
 
 
 # -- identity verification -------------------------------------------------------------

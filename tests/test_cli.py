@@ -13,6 +13,8 @@ import pytest
 from modgem import cli, gems, lines27, nodalcy, rootarr
 from modgem.exactalg import DRAWS_PER_RESULT
 
+import flat_records
+
 
 @pytest.fixture(scope="module")
 def segre_certs():
@@ -126,15 +128,17 @@ def test_raising_arrangement_checks_keep_their_names(tmp_path, monkeypatch):
 
 
 def test_e6_census_builds_no_flat(monkeypatch):
-    # the census counts each level's (dim, mask bit count); `Flat`s are made
-    # only when a caller reads `flats`
+    # the census counts each level's (dim, mask bit count); `Flat` records
+    # are made only when a test unpacks the levels
     made = []
-    real = rootarr.Flat
-    monkeypatch.setattr(rootarr, "Flat", lambda *args: made.append(args) or real(*args))
+    real = flat_records.Flat
+    monkeypatch.setattr(flat_records, "Flat", lambda *args: made.append(args) or real(*args))
     rootarr.cached_incidence.cache_clear()
     cert = _entry("arrangements/census-e6")(cli.SuiteConfig())
     assert (cert.status, len(made)) == ("pass", 0)
-    assert len(rootarr.cached_incidence("E", 6).flats) == len(made) == 4596
+    assert not hasattr(rootarr, "Flat")
+    flats = flat_records.table_flats(rootarr.cached_incidence("E", 6))
+    assert len(flats) == len(made) == 4596
 
 
 def test_table_shows_computed_value(monkeypatch):

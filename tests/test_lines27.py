@@ -6,17 +6,29 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
+from typing import Optional, Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modgem import exactalg, lines27 as L
-from modgem.exactalg import ExactAlgError, MPoly, ProjLine, ProjPoint, checked_rank
-from modgem.rootarr import cached_incidence
+from modgem.exactalg import (
+    ExactAlgError,
+    MPoly,
+    ProjLine,
+    ProjPoint,
+    checked_rank,
+    proportional,
+)
+from modgem.rootarr import IncidenceTable, cached_incidence
+
+from flat_records import Flat, table_flats
 
 
 # -- meets relation ------------------------------------------------------------
@@ -140,16 +152,22 @@ def test_weight_sum_identities():
         assert t.weight_forms[f"b{i}"] == t.weight_forms[f"a{i}"] - third
 
 
+def pairing_scalar(form: MPoly, dual: Sequence[Fraction]) -> Optional[Fraction]:
+    """The scalar c with I2(dual, -) = c·form, or None when not proportional."""
+    paired = MPoly.linear(list(dual[:5]) + [Fraction(dual[5]) / 3])
+    return proportional(paired, form)
+
+
 def test_pairing_scalars():
     t = L.coordinate_tables()
     halves = 0
     for name, form in t.root_forms.items():
-        s = t.pairing_scalar(form, t.root_duals[name])
+        s = pairing_scalar(form, t.root_duals[name])
         assert s in (Fraction(1), Fraction(1, 2))
         halves += s == Fraction(1, 2)
     assert halves == 20  # the integer-coefficient pair and 1jk families
     for name, form in t.weight_forms.items():
-        assert t.pairing_scalar(form, t.weight_duals[name]) == 1
+        assert pairing_scalar(form, t.weight_duals[name]) == 1
 
 
 def test_tritangent_form_sums_vanish():
@@ -199,28 +217,68 @@ def test_generator_perms_preserve_meets():
         assert L.check_meets_preserved(perm)
 
 
+def root_action_from_matrix(mat: L.IntMatrix, scale: int) -> dict[str, tuple[str, int]]:
+    """Signed permutation induced on the 36 root forms by mat / scale."""
+    tables = L.coordinate_tables()
+    out = {}
+    for name, f in tables.root_forms.items():
+        img = L.apply_to_form(f, mat)
+        for name2, g in tables.root_forms.items():
+            c = proportional(img, g)
+            if c is not None:
+                if c not in (scale, -scale):
+                    raise ExactAlgError(f"root image off by scalar {c / scale}")
+                out[name] = (name2, int(c) // scale)
+                break
+        else:
+            raise ExactAlgError(f"image of root form {name} is not a root form")
+    return out
+
+
+def root_label(subset: frozenset[int]) -> str:
+    if subset == frozenset(L.SIX):
+        return "h"
+    return "h" + "".join(str(i) for i in sorted(subset))
+
+
+def action_table_rule(reflection: str, target: str) -> str:
+    """The classical description of how s_J acts on the root form h_K.
+
+    Encoding h as the full index set, a reflection sends K to the symmetric
+    difference K^J whenever that lands on a legal label size (2, 3, or 6)
+    and fixes the form otherwise; this reproduces the published table of
+    sixteen cases verbatim.
+    """
+    j_set = frozenset(L.SIX) if reflection == "h" else frozenset(int(c) for c in reflection[1:])
+    k_set = frozenset(L.SIX) if target == "h" else frozenset(int(c) for c in target[1:])
+    diff = j_set ^ k_set
+    if len(diff) in (2, 3, 6):
+        return root_label(diff)
+    return target
+
+
 def test_action_table_rule_against_matrices():
     names, mats, _ = L.weyl_generators()
     for name, mat in zip(names, mats):
-        derived = L.root_action_from_matrix(mat, L.WEYL_SCALE)
+        derived = root_action_from_matrix(mat, L.WEYL_SCALE)
         for target, (image, sign) in derived.items():
-            assert L.action_table_rule(name, target) == image
+            assert action_table_rule(name, target) == image
             assert sign in (1, -1)
 
 
 def test_action_table_examples():
-    assert L.action_table_rule("h123", "h") == "h456"
-    assert L.action_table_rule("h12", "h23") == "h13"
-    assert L.action_table_rule("h", "h123") == "h456"
-    assert L.action_table_rule("h12", "h12") == "h12"  # sign flip, same form
-    assert L.action_table_rule("h45", "h123") == "h123"
+    assert action_table_rule("h123", "h") == "h456"
+    assert action_table_rule("h12", "h23") == "h13"
+    assert action_table_rule("h", "h123") == "h456"
+    assert action_table_rule("h12", "h12") == "h12"  # sign flip, same form
+    assert action_table_rule("h45", "h123") == "h123"
 
 
 def test_action_table_involution():
     for refl in L.coordinate_tables().root_forms:
         for target in L.coordinate_tables().root_forms:
-            once = L.action_table_rule(refl, target)
-            assert L.action_table_rule(refl, once) == target
+            once = action_table_rule(refl, target)
+            assert action_table_rule(refl, once) == target
 
 
 def _label_moves():
@@ -235,6 +293,66 @@ def _set_moves():
 def test_weyl_group_order_and_transitivity():
     assert L.weyl_group().order == 51840
     assert [len(o) for o in L.orbit_partition(["a1"], _label_moves())] == [27]
+
+
+def _closure(gens):
+    """Every element of the group the permutations generate, by breadth-first closure."""
+    return L.orbit_partition([L.IDENTITY27], [partial(L.compose, g) for g in gens])[0]
+
+
+@pytest.fixture(scope="session")
+def weyl_closure():
+    return _closure(L.weyl_group().generators)
+
+
+def test_closure_oracle_matches_chain_order(weyl_closure):
+    assert len(weyl_closure) == 51840 == L.weyl_group().order
+
+
+def test_weyl_group_lists_no_element():
+    # listing the 51,840 elements takes a traced peak of about 7.9 MB; the
+    # stabilizer chain needs a few kB
+    L.weyl_generators()
+    L.weyl_group.cache_clear()
+    tracemalloc.start()
+    try:
+        order = L.weyl_group().order
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert order == 51840
+    assert peak < 2 ** 20
+
+
+def _moving(points, images):
+    """The permutation of 0..26 sending points[i] to images[i], fixing the rest."""
+    perm = bytearray(L.IDENTITY27)
+    for p, q in zip(points, images):
+        perm[p] = q
+    return bytes(perm)
+
+
+@st.composite
+def _small_generator_sets(draw):
+    """Up to four permutations of one set of at most 7 of the 27 points,
+    identities and repeats allowed."""
+    points = draw(st.lists(st.integers(min_value=0, max_value=26), max_size=7, unique=True))
+    perms = st.permutations(points).map(partial(_moving, points))
+    gens = draw(st.lists(perms, max_size=4))
+    return gens + draw(st.lists(st.sampled_from(gens), max_size=2)) if gens else gens
+
+
+_SWAP = _moving((0, 1), (1, 0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_generator_sets())
+@example([])
+@example([L.IDENTITY27])
+@example([_SWAP, _SWAP])
+@example([_SWAP, L.IDENTITY27, _moving((0, 1, 2), (1, 2, 0)), _SWAP])
+def test_chain_order_is_the_closure_size(gens):
+    assert L.stabilizer_chain_order(gens) == len(_closure(gens))
 
 
 def test_weyl_orbits_on_structures():
@@ -266,13 +384,12 @@ def test_orbit_partition_of_one_permutation_is_its_cycles(perm):
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=8))
-def test_random_words_stay_in_group(word):
-    g = L.weyl_group()
-    gens = g.generators
+def test_random_words_stay_in_group(weyl_closure, word):
+    gens = L.weyl_group().generators
     perm = L.IDENTITY27
     for k in word:
         perm = L.compose(gens[k], perm)
-    assert perm in g.elements
+    assert perm in weyl_closure
     assert L.check_meets_preserved(perm)
 
 
@@ -478,13 +595,17 @@ def test_line_of_a_tritangent_triple():
     assert any(line.key == l.key for l in loci.lines45)
 
 
+def flats_of_dim(table: IncidenceTable, j: int) -> list[Flat]:
+    return [f for f in table_flats(table) if f.dim == j]
+
+
 def test_census_points_match_dual_points():
     table = cached_incidence("E", 6)
     loci = L.special_loci()
     pts20 = {ProjPoint(f.basis[0])
-             for f in table.flats_of_dim(0) if f.q == 20}
+             for f in flats_of_dim(table, 0) if f.q == 20}
     pts15 = {ProjPoint(f.basis[0])
-             for f in table.flats_of_dim(0) if f.q == 15}
+             for f in flats_of_dim(table, 0) if f.q == 15}
     assert pts20 == set(loci.weight_points.values())
     assert pts15 == set(loci.root_points.values())
 
@@ -493,7 +614,7 @@ def test_census_lines_match_120():
     table = cached_incidence("E", 6)
     loci = L.special_loci()
     keys6 = set()
-    for f in table.flats_of_dim(1):
+    for f in flats_of_dim(table, 1):
         if f.q == 6:
             b = f.basis
             keys6.add(ProjLine(ProjPoint(b[0]), ProjPoint(b[1])).key)

@@ -4,7 +4,9 @@ import hashlib
 import itertools
 import operator
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence, Union
 
 import numpy as np
 import pytest
@@ -13,25 +15,49 @@ from hypothesis import assume, example, given, settings, strategies as st
 from modgem import rootarr
 from modgem.exactalg import ExactAlgError, _canonical_int_vector, rref_int
 from modgem.rootarr import (
-    INF,
     Arrangement,
+    IncidenceTable,
     RootSystemId,
-    SEVEN_WEIGHT_SYSTEMS,
     arrangement,
     cached_incidence,
-    dm_check,
     incidence,
     roots,
-    singular_flats,
 )
+
+from flat_records import Flat, table_flats
 
 
 def census(table):
     by = {}
-    for f in table.flats:
+    for f in table_flats(table):
         by.setdefault(f.dim, {}).setdefault(f.q, 0)
         by[f.dim][f.q] += 1
     return by
+
+
+def singular_flats(table: IncidenceTable) -> list[Flat]:
+    """Genuine singular flats: q > codim, minus those explained one level up.
+
+    A singular flat is discarded exactly when its form set is the form set of
+    a singular flat of one higher dimension plus a single extra hyperplane:
+    such a flat is the transversal trace of the bigger singularity, not a
+    singularity of its own.
+    """
+    n = table.arrangement.ambient
+    singular = [f for f in table_flats(table) if f.q > n - f.dim]
+    by_dim: dict[int, list[Flat]] = {}
+    for f in singular:
+        by_dim.setdefault(f.dim, []).append(f)
+    genuine = []
+    for f in singular:
+        above = by_dim.get(f.dim + 1, ())
+        explained = any(
+            g.q + 1 == f.q and g.forms < f.forms
+            for g in above
+        )
+        if not explained:
+            genuine.append(f)
+    return genuine
 
 
 def genuine_by_dim(table):
@@ -168,7 +194,7 @@ def _subset_flats(arr):
 def test_flat_form_sets_are_exact():
     # every flat's q re-checks as the exact number of forms vanishing on it
     tab = cached_incidence("B", 4)
-    for flat in tab.flats:
+    for flat in table_flats(tab):
         assert _vanishing(tab.arrangement.forms, flat.basis) == set(flat.forms)
 
 
@@ -177,7 +203,7 @@ def test_incidence_matches_subset_enumeration(fam):
     # a closed form set fixes the flat, so (dim, forms) pairs compare the lattices
     arr = arrangement(RootSystemId(fam, 4))
     expected = _subset_flats(arr)
-    flats = cached_incidence(fam, 4).flats
+    flats = table_flats(cached_incidence(fam, 4))
     assert len(flats) == len(expected)
     assert {(f.dim, f.forms) for f in flats} == expected
     _check_bases(arr, flats)
@@ -205,7 +231,7 @@ def small_arrangements(draw):
 def test_incidence_of_random_arrangements_matches_subset_enumeration(arr):
     # oracle as in test_incidence_matches_subset_enumeration
     expected = _subset_flats(arr)
-    flats = incidence(arr).flats
+    flats = table_flats(incidence(arr))
     assert len(flats) == len(expected)
     assert {(f.dim, f.forms) for f in flats} == expected
     _check_bases(arr, flats)
@@ -221,7 +247,7 @@ def test_form_sets_past_63_forms():
     on = points @ forms.T == 0
     expected = {(1, frozenset([i])) for i in range(len(forms))}
     expected |= {(0, frozenset(np.flatnonzero(row).tolist())) for row in on}
-    flats = incidence(arr).flats
+    flats = table_flats(incidence(arr))
     assert len(flats) == len(expected)
     assert {(f.dim, f.forms) for f in flats} == expected
     _check_bases(arr, flats)
@@ -233,11 +259,11 @@ def test_e6_form_sets_are_exact_and_distinct():
     # which keying the lattice by form set relies on
     tab = cached_incidence("E", 6)
     forms = np.array(tab.arrangement.forms)
-    for flat in tab.flats:
+    for flat in table_flats(tab):
         assert len(rref_int(flat.basis)[0]) == len(flat.basis) == flat.dim + 1
         vanishing = np.flatnonzero(~(forms @ np.array(flat.basis).T).any(axis=1))
         assert set(vanishing.tolist()) == flat.forms
-    assert len({f.forms for f in tab.flats}) == len(tab.flats) == 4596
+    assert len({f.forms for f in table_flats(tab)}) == len(table_flats(tab)) == 4596
 
 
 def test_a_wrong_point_basis_is_caught(monkeypatch):
@@ -273,7 +299,7 @@ def test_census_is_pinned_flat_by_flat():
         ("E", 6): (4596, "c5f98f01292e78023e09c93148d8406bfc1eed6def6e2a1a32207bef79cfa008"),
     }
     for (fam, rank), pin in pins.items():
-        flats = cached_incidence(fam, rank).flats
+        flats = table_flats(cached_incidence(fam, rank))
         pairs = sorted((f.dim, tuple(sorted(f.forms))) for f in flats)
         assert (len(flats), hashlib.sha256(repr(pairs).encode()).hexdigest()) == pin
 
@@ -283,13 +309,14 @@ def test_incidence_double_count():
     for fam, rank in (("A", 4), ("D", 4), ("F", 4), ("E", 6)):
         tab = cached_incidence(fam, rank)
         nforms = len(tab.arrangement.forms)
-        dims = {f.dim for f in tab.flats}
+        flats = table_flats(tab)
+        dims = {f.dim for f in flats}
         for j in dims:
             per_form = sum(
-                sum(1 for f in tab.flats if f.dim == j and i in f.forms)
+                sum(1 for f in flats if f.dim == j and i in f.forms)
                 for i in range(nforms)
             )
-            weighted = sum(f.q for f in tab.flats if f.dim == j)
+            weighted = sum(f.q for f in flats if f.dim == j)
             assert per_form == weighted
 
 
@@ -313,6 +340,75 @@ def test_f4_singular_locus():
 
 
 # -- weight systems ------------------------------------------------------------------
+
+
+INF = float("inf")
+NValue = Union[Fraction, float]  # Fraction, or INF when 1 - mu_i - mu_j = 0
+
+
+@dataclass(frozen=True)
+class DMParameters:
+    """Branching numbers derived from a weight sextuple, and the verdict."""
+
+    n_pairs: dict[tuple[int, int], NValue]
+    n_triples: dict[tuple[int, int, int], NValue]
+    accepted: bool
+    failures: tuple[str, ...]
+
+
+def _recip(v: NValue) -> Fraction:
+    return Fraction(0) if v == INF else Fraction(1) / v
+
+
+def dm_check(mu: Sequence[Union[int, Fraction]]) -> DMParameters:
+    """Accept six weights iff they sum to 2 and every pair branching is integral.
+
+    n_ij = (1 - mu_i - mu_j)^(-1) must be an integer or INF for all pairs.
+    The triple numbers n_0ij = 2*(1/n_kl + 1/n_lm + 1/n_km)^(-1), taken over
+    the complementary triple {k,l,m}, are derived data and reported as-is;
+    they are not part of the acceptance condition.
+    """
+    if len(mu) != 6:
+        raise ExactAlgError("exactly six weights required")
+    w = tuple(Fraction(m) for m in mu)
+    failures: list[str] = []
+    total = sum(w)
+    if total != 2:
+        failures.append(f"weights sum to {total}, need 2")
+    n_pairs: dict[tuple[int, int], NValue] = {}
+    for i in range(6):
+        for j in range(i + 1, 6):
+            gap = 1 - w[i] - w[j]
+            if gap == 0:
+                n_pairs[(i, j)] = INF
+            else:
+                n = 1 / gap
+                n_pairs[(i, j)] = n
+                if n.denominator != 1:
+                    failures.append(f"pair ({i},{j}) gives {n}, not an integer")
+    n_triples: dict[tuple[int, int, int], NValue] = {}
+    for i in range(1, 6):
+        for j in range(i + 1, 6):
+            rest = [k for k in range(1, 6) if k not in (i, j)]
+            pairs = [(rest[0], rest[1]), (rest[1], rest[2]), (rest[0], rest[2])]
+            s = sum((_recip(n_pairs[tuple(sorted(p))]) for p in pairs), Fraction(0))
+            n_triples[(0, i, j)] = INF if s == 0 else 2 / s
+    return DMParameters(n_pairs, n_triples, not failures, tuple(failures))
+
+
+# the complete list of weight systems passing the check, up to reordering
+SEVEN_WEIGHT_SYSTEMS: tuple[tuple[Fraction, ...], ...] = tuple(
+    tuple(Fraction(a, b) for a, b in row)
+    for row in (
+        (((1, 3),) * 6),
+        ((1, 2), (1, 2), (1, 4), (1, 4), (1, 4), (1, 4)),
+        ((3, 4), (1, 4), (1, 4), (1, 4), (1, 4), (1, 4)),
+        ((1, 2), (1, 3), (1, 3), (1, 3), (1, 3), (1, 6)),
+        ((3, 8), (3, 8), (3, 8), (3, 8), (3, 8), (1, 8)),
+        ((5, 12), (5, 12), (5, 12), (1, 4), (1, 4), (1, 4)),
+        ((7, 12), (5, 12), (1, 4), (1, 4), (1, 4), (1, 4)),
+    )
+)
 
 
 def test_all_seven_weight_systems_accepted():
