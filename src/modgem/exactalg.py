@@ -914,8 +914,10 @@ def _echelon_mod(rows: np.ndarray | Sequence[Sequence[Scalar]],
     then replay those steps on their trailing columns U, and every row
     below takes T -= L U mod p, with L its multipliers split into 16-bit
     limbs, L = Lh 2^16 + Ll: L U = [Lh | Ll] [U 2^16 mod p ; U] mod p is one
-    exact float64 product (`_int_matmul`, see `_PANEL`) into one buffer,
-    reduced mod p in place, and T takes it in place. The multipliers are
+    exact float64 product (`_int_matmul`, see `_PANEL`) into one buffer. T
+    takes the product unreduced, below 2^53, in place, and is then reduced
+    once: T mod p = T - p floor(T / p), with the floor division written
+    into the product's buffer, so no other buffer is made. The multipliers are
     zeroed afterwards. Every entry is the one the per-column rule over the
     whole width gives, so the pivot rows, columns and block are too. The
     pivot rows span the row space mod p; the block is the echelon they
@@ -966,9 +968,12 @@ def _echelon_mod(rows: np.ndarray | Sequence[Sequence[Scalar]],
                 low, u, t = a[mid:, panel], a[top:mid, end:], a[mid:, end:]
                 prod = _int_matmul(np.hstack([low >> 16, low & 0xFFFF]),
                                    np.vstack([(u << 16) % p, u]).T)
-                prod %= p
+                # T - L U lies in (-2^53, p): one floor division, into the
+                # product's buffer, reduces it mod p
                 t -= prod
-                t %= p
+                np.floor_divide(t, p, out=prod)
+                prod *= p
+                t -= prod
                 del prod  # freed before the next panel's product is taken
         a[mid:, start:end] = 0
         a[top:mid, start:end][np.arange(start, end) < np.array(panel)[:, None]] = 0
@@ -1097,18 +1102,23 @@ def vanishing_space(degree: int, nvars: int,
     must equal k (else ShadowMismatch), so dim = k.
 
     Without candidates k is unknown: p0 eliminates the whole matrix
-    (`evaluation_rows`), whose pivot rows span the row space over Q when
-    rank_p0 = rank_Q, and the members are the kernel of those rows. With
-    candidates k is known before any elimination, and the rows are built
-    one block at a time (`_evaluated`), in one fixed order: block j holds
-    the j-th parameter row of every line, j from d down to 0, and the points
-    come last as one block. Every candidate is checked exactly against each
-    block, and until their number reaches n - k, p0 eliminates the pivot
-    rows kept so far plus the block and keeps the new pivot rows. The stop
-    is sound: the k exact members give rank_p0 <= rank_Q <= n - k, and a
-    subset of the rows has rank at most the whole matrix's, so a subset of
-    rank n - k mod p0 proves rank_p0 = n - k. Blocks that run out below
-    n - k raise ShadowMismatch.
+    (`evaluation_rows`, every row as it comes), whose pivot rows span the
+    row space over Q when rank_p0 = rank_Q, and the members are the kernel
+    of those rows. With candidates k is known before any elimination, and
+    the rows are built one block at a time (`_evaluated`), in one fixed
+    order: block j holds the j-th parameter row of every line, j from d
+    down to 0, and the points come last as one block. A coordinate row
+    that has already appeared, in its block or an earlier one, is dropped:
+    its evaluation row is one already there, so it adds no rank and no
+    check. The candidates are thinned on the array of their coefficients,
+    and every candidate is checked exactly against each block with it.
+    Until the pivot rows kept reach n - k, the blocks are held until the
+    kept plus the held rows number n - k (or the blocks run out), and p0
+    then eliminates them in one call and keeps the new pivot rows. The
+    stop is sound: the k exact members give rank_p0 <= rank_Q <= n - k,
+    and a subset of the rows has rank at most the whole matrix's, so a
+    subset of rank n - k mod p0 proves rank_p0 = n - k. Blocks that run
+    out below n - k raise ShadowMismatch.
 
     A later prime eliminates only p0's pivot rows: rank n - k there
     squeezes the whole matrix's rank_p to n - k, and only a shortfall builds
@@ -1133,19 +1143,30 @@ def vanishing_space(degree: int, nvars: int,
                for c in candidates):
             raise ExactAlgError("candidate of wrong degree or ring")
         cleared = [_clear_row(c.coefficient_vector(degree)) for c in candidates]
-        chosen = [candidates[i] for i in sorted(_pivot_rows(cleared, first))]
-        # one array for every block's member check, int64 where it fits
+        # one array for the thinning and every block's member check, int64 where it fits
         top = max((abs(v) for row in cleared for v in row), default=0)
         coeffs = np.array(cleared, dtype=np.int64 if top < 2 ** 63 else object)
+        chosen = [candidates[i] for i in sorted(_pivot_rows(coeffs, first))]
+        target = len(mono) - len(chosen)
         params = [line.parameter_points(degree + 1) for line in lines]
         blocks = [[pts[j] for pts in params] for j in range(degree, -1, -1)]
+        blocks.append([pt.coords for pt in points])
+        seen: set[tuple[int, ...]] = set()
         kept = np.zeros((0, len(mono)), dtype=np.int64)
-        for block in filter(None, blocks + [[pt.coords for pt in points]]):
-            rows = _evaluated(degree, nvars, block)
-            if _int_matmul(rows, coeffs).any():
-                raise ExactAlgError("candidate fails a constraint, not a member")
-            if len(kept) < len(mono) - len(chosen):
-                rows = np.concatenate([kept, rows])
+        held: list[np.ndarray] = []
+        for i, block in enumerate(blocks):
+            new = [c for c in dict.fromkeys(block) if c not in seen]
+            seen.update(new)
+            if new:
+                rows = _evaluated(degree, nvars, new)
+                if _int_matmul(rows, coeffs).any():
+                    raise ExactAlgError("candidate fails a constraint, not a member")
+                if len(kept) < target:
+                    held.append(rows)
+            if held and (len(kept) + sum(map(len, held)) >= target or i == len(blocks) - 1):
+                # the held blocks are freed before the elimination copies its input
+                rows = np.concatenate([kept, *held])
+                held.clear()
                 kept = rows[_pivot_rows(rows, first)]
     ranks = {first: len(kept)}
     for p in later:

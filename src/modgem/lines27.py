@@ -22,6 +22,8 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
+import numpy as np
+
 from .exactalg import (
     SHADOW_PRIMES,
     ExactAlgError,
@@ -222,9 +224,10 @@ def enumerate_structures() -> Structures:
         raise ExactAlgError(f"expected 72 sixes, found {len(six_list)}")
     paired = set()
     for s in six_list:
+        on = [LINE_INDEX[x] for x in s]
         partner_lines = [
-            l for l in LINE_LABELS
-            if l not in s and sum(1 for x in s if meets(l, x)) == 5
+            l for l, row in zip(LINE_LABELS, mm)
+            if l not in s and sum(row[k] for k in on) == 5
         ]
         if len(partner_lines) != 6:
             raise ExactAlgError("a six lacks a unique partner")
@@ -354,6 +357,15 @@ class EnneahedraReport:
     triad_statistic: dict[int, int]
 
 
+def _tritangent_permutation(perm: bytes) -> dict[str, str]:
+    """The permutation of the 45 tritangents, by name, that a permutation of
+    the 27 lines induces; an image that is no tritangent raises KeyError."""
+    tri = tritangents()
+    by_lines = {v: k for k, v in tri.items()}
+    return {name: by_lines[frozenset(LINE_LABELS[perm[LINE_INDEX[l]]] for l in lines)]
+            for name, lines in tri.items()}
+
+
 @lru_cache(maxsize=1)
 def enneahedra() -> EnneahedraReport:
     """The 200 partitions of the 27 lines into nine tritangents.
@@ -365,17 +377,12 @@ def enneahedra() -> EnneahedraReport:
     """
     tri = tritangents()
     covers = _exact_cover(LINE_LABELS, tri)
-    group = weyl_generators()[2]
-    by_lines = {v: k for k, v in tri.items()}
+    tables = [_tritangent_permutation(perm) for perm in weyl_generators()[2]]
 
-    def act(perm: bytes, partition: frozenset[str]) -> frozenset[str]:
-        mapped = []
-        for name in partition:
-            image = frozenset(LINE_LABELS[perm[LINE_INDEX[l]]] for l in tri[name])
-            mapped.append(by_lines[image])
-        return frozenset(mapped)
+    def act(table: dict[str, str], partition: frozenset[str]) -> frozenset[str]:
+        return frozenset(map(table.__getitem__, partition))
 
-    orbits = orbit_partition(covers, [partial(act, perm) for perm in group])
+    orbits = orbit_partition(covers, [partial(act, table) for table in tables])
 
     st = enumerate_structures()
     triad_count: dict[frozenset[str], int] = {c: 0 for c in covers}
@@ -647,8 +654,8 @@ def stabilizer_chain_order(gens: Sequence[bytes]) -> int:
 class SpecialLoci:
     """The 63 dual points in P^5 and the special lines through them.
 
-    Each line keeps the first pair of `special_loci`'s pair order that
-    spans it as its `p`, `q`.
+    Each line is the `ProjLine` of the first pair of `special_loci`'s pair
+    order that spans it; only these 381 lines are built as `ProjLine`s.
     """
 
     root_points: dict[str, ProjPoint]                  # 36, duals of the root forms
@@ -669,15 +676,21 @@ def special_loci() -> SpecialLoci:
     """The root and weight points, and every line through two of them.
 
     Lines: a point c lies on the line of (a, b) exactly when (a, c) spans
-    the same line, so grouping the 1,953 pairs of the 63 points by
-    `ProjLine.key` collects every point on every line without a membership
-    test. The 1,191 lines must have the census `LINE_CENSUS`, and each root
-    point must lie on 10 of the 120 (3,0) lines. The pairs run in
+    the same line, so grouping the 1,953 pairs of the 63 points by line
+    collects every point on every line without a membership test. The key
+    of a pair's line is its Plücker vector (the 2x2 minors a_i b_j - a_j b_i,
+    i < j), made primitive with its first nonzero entry positive: two pairs
+    span the same line exactly when their Plücker vectors are proportional
+    (Hodge & Pedoe, Methods of Algebraic Geometry I, ch. VII). All 1,953 are
+    taken in one int64 array pass, exact while 2 max|coord|^2 < 2^63, which
+    is checked. The 1,191 lines must have the census `LINE_CENSUS`, and each
+    root point must lie on 10 of the 120 (3,0) lines. The pairs run in
     `itertools.combinations` order over the weight points and then the root
-    points, each sorted by name, and each line keeps its first pair, so
-    lines120 is spanned by root points and lines45 and lines216 by weight
-    points, each in order of its first pair (the order of lines216 is the
-    row order of `macdonald_membership`'s sextic system).
+    points, each sorted by name, and each line is the `ProjLine` of its first
+    pair, built only for the 120 + 216 + 45 lines kept, so lines120 is
+    spanned by root points and lines45 and lines216 by weight points, each
+    in order of its first pair (the order of lines216 is the row order of
+    `macdonald_membership`'s sextic system).
 
     Orthogonality: the three root points of each of the 120 lines form an
     A2. 3·I2 is an integer Gram matrix G on the points' integer coordinates,
@@ -693,19 +706,36 @@ def special_loci() -> SpecialLoci:
     named = [(n, weight_points[n]) for n in sorted(weight_points)]
     named += [(n, root_points[n]) for n in root_list]
 
-    through: dict[tuple, tuple[ProjLine, set[str]]] = {}
-    for (n1, p1), (n2, p2) in itertools.combinations(named, 2):
-        line = ProjLine(p1, p2)
-        through.setdefault(line.key, (line, set()))[1].update((n1, n2))
-    by_census: dict[tuple[int, int], list[tuple[ProjLine, set[str]]]] = {}
-    for line, on in through.values():
+    top = max(abs(c) for _, pt in named for c in pt.coords)
+    if 2 * top ** 2 >= 2 ** 63:
+        raise ExactAlgError(f"coordinate {top} past the int64 Plücker bound")
+    pts = np.array([pt.coords for _, pt in named], dtype=np.int64)
+    first, second = np.triu_indices(len(named), 1)  # itertools.combinations order
+    i, j = np.triu_indices(pts.shape[1], 1)
+    a, b = pts[first], pts[second]
+    plucker = a[:, i] * b[:, j] - a[:, j] * b[:, i]
+    gcd = np.gcd.reduce(plucker, axis=1)
+    if not gcd.all():
+        raise ExactAlgError("two of the points are proportional")
+    plucker //= gcd[:, None]
+    lead = plucker[np.arange(len(plucker)), (plucker != 0).argmax(axis=1)]
+    plucker *= np.sign(lead)[:, None]
+    through: dict[tuple[int, ...], tuple[tuple[int, int], set[str]]] = {}
+    for key, u, v in zip(map(tuple, plucker.tolist()), first.tolist(), second.tolist()):
+        through.setdefault(key, ((u, v), set()))[1].update((named[u][0], named[v][0]))
+    by_census: dict[tuple[int, int], list[tuple[tuple[int, int], set[str]]]] = {}
+    for pair, on in through.values():
         roots = sum(n in root_points for n in on)
-        by_census.setdefault((roots, len(on) - roots), []).append((line, on))
+        by_census.setdefault((roots, len(on) - roots), []).append((pair, on))
     census = {kind: len(found) for kind, found in by_census.items()}
     if census != LINE_CENSUS:
         raise ExactAlgError(f"line census {census}, expected {LINE_CENSUS}")
-    lines120, on120 = zip(*by_census[3, 0])
-    points120 = tuple(map(frozenset, on120))
+
+    def lines_of(kind: tuple[int, int]) -> tuple[ProjLine, ...]:
+        return tuple(ProjLine(named[u][1], named[v][1]) for (u, v), _ in by_census[kind])
+
+    lines120 = lines_of((3, 0))
+    points120 = tuple(frozenset(on) for _, on in by_census[3, 0])
     if any(sum(n in on for on in points120) != 10 for n in root_list):
         raise ExactAlgError("each root point must lie on 10 of the 120 lines")
 
@@ -751,8 +781,8 @@ def special_loci() -> SpecialLoci:
         weight_points,
         lines120,
         points120,
-        tuple(line for line, _ in by_census[1, 2]),
-        tuple(line for line, _ in by_census[0, 3]),
+        lines_of((1, 2)),
+        lines_of((0, 3)),
         len(triangles),
     )
 
@@ -792,11 +822,12 @@ def macdonald_membership() -> MacdonaldReport:
 
     All four are certified by vanishing_space, whose lower bound comes from
     independent members and whose upper bound is the modular rank of the
-    evaluation matrix. For the sextic system (1512 constraint rows) the
-    members are the 120 orthogonal-A2-pair products, 24 of them independent,
-    so the first prime eliminates the rows block by block and stops at rank
-    462 - 24 = 438 after three of its seven blocks, the lines' last three
-    parameter points (648 of the rows). The other three systems are small
+    evaluation matrix. For the sextic system (1,512 constraint rows, 1,070
+    of them distinct) the members are the 120 orthogonal-A2-pair products,
+    24 of them independent, so the rows are built block by block, and the
+    first prime eliminates the first three blocks, the lines' last three
+    parameter points (26 + 216 + 216 = 458 distinct rows), in one call and
+    stops there at rank 462 - 24 = 438. The other three systems are small
     enough to take their members from the integer kernel.
     """
     tables = coordinate_tables()

@@ -1304,27 +1304,42 @@ def _whole_matrix_reference(degree, nvars, points, lines, candidates):
 
 
 def _blocks_to_reach(degree, npoints, mat, target):
-    """How many blocks, in the documented order, the first prime eliminates
-    before its rank reaches target: parameter row j of every line (row
-    npoints + l*(d+1) + j), j from d down to 0, then the points; None when
-    even all of them fall short."""
+    """The first prime's schedule, read off the whole matrix: the blocks in
+    the documented order, parameter row j of every line (row npoints +
+    l*(d+1) + j), j from d down to 0, then the points, each without the rows
+    that appeared before it, held until the rank so far plus the held rows
+    reach target or the blocks run out, then eliminated together. Returns
+    (how many blocks run before the rank reaches target, or None when even
+    all of them fall short; the row count of each elimination, the rank so
+    far plus the held rows)."""
     nlines = (len(mat) - npoints) // (degree + 1)
     blocks = [[npoints + l * (degree + 1) + j for l in range(nlines)]
               for j in range(degree, -1, -1)] + [list(range(npoints))]
-    rows, steps = [], 0
-    for block in filter(None, blocks):
-        if rank_mod(mat[rows], SHADOW_PRIMES[0]) == target:
-            return steps
-        rows += block
-        steps += 1
-    return steps if rank_mod(mat[rows], SHADOW_PRIMES[0]) == target else None
+    seen, rows, held, rank, steps = set(), [], 0, 0, []
+    for taken, block in enumerate(blocks, 1):
+        if rank == target:
+            return taken - 1, steps
+        for r in block:
+            row = tuple(mat[r].tolist())
+            if row not in seen:
+                seen.add(row)
+                rows.append(r)
+                held += 1
+        if held and (rank + held >= target or taken == len(blocks)):
+            steps.append(rank + held)
+            rank, held = rank_mod(mat[rows], SHADOW_PRIMES[0]), 0
+    return (len(blocks) if rank == target else None), steps
 
 
-def _first_prime_steps(spy):
-    """Row counts of the first prime's eliminations of the evaluation matrix
-    (an array; the candidates' thinning passes lists) among a spy's calls."""
-    return [len(rows) for (rows, p), _ in spy.call_args_list
-            if isinstance(rows, np.ndarray) and p == SHADOW_PRIMES[0]]
+def _first_prime_steps(spy, candidates):
+    """Row counts of the first prime's eliminations of the evaluation rows
+    among a spy's calls. The first prime's first call thins the candidates,
+    on the array of their cleared coefficients; it is checked to be that
+    call and left out."""
+    thinning, *steps = [rows for (rows, p), _ in spy.call_args_list if p == SHADOW_PRIMES[0]]
+    assert thinning.tolist() == [_clear_row(c.coefficient_vector(c.degree()))
+                                 for c in candidates]
+    return [len(rows) for rows in steps]
 
 
 @st.composite
@@ -1380,15 +1395,14 @@ def test_blockwise_first_prime_matches_the_whole_matrix_reference(kind, data):
             vanishing_space(degree, 4, points=points, lines=lines, candidates=cands)
         return
     target = len(monomials(4, degree)) - len(want[2])
-    stop = _blocks_to_reach(degree, len(points), mat, target)
+    stop, schedule = _blocks_to_reach(degree, len(points), mat, target)
     expected = {"early": {1}, "late": set(range(2, degree + 2)), "last": {degree + 2}}
     assume(stop in expected[kind])
     with mock.patch.object(exactalg, "_pivot_rows", wraps=exactalg._pivot_rows) as spy:
         got = vanishing_space(degree, 4, points=points, lines=lines, candidates=cands)
     assert (got.dim, got.modular_ranks, list(got.basis)) == want
-    steps = _first_prime_steps(spy)
-    assert len(steps) == stop
-    assert kind == "last" or max(steps) < len(mat)
+    assert _first_prime_steps(spy, cands) == schedule
+    assert kind == "last" or max(schedule) < len(mat)
 
 
 def test_first_prime_stops_before_the_whole_matrix():
@@ -1399,47 +1413,90 @@ def test_first_prime_stops_before_the_whole_matrix():
                [2, -1, 1, 0])
     lines = [ProjLine(ProjPoint([3, -2, 5, 0]), ProjPoint(q)) for q in seconds]
     x = _vars(4)
+    cands = [x[3] * v for v in x]
     with mock.patch.object(exactalg, "_pivot_rows", wraps=exactalg._pivot_rows) as spy:
-        vs = vanishing_space(2, 4, lines=lines, candidates=[x[3] * v for v in x])
+        vs = vanishing_space(2, 4, lines=lines, candidates=cands)
     assert vs.dim == 4 and vs.modular_ranks == {p: 6 for p in SHADOW_PRIMES}
     assert len(evaluation_rows(2, 4, lines=lines)) == 18
-    assert _first_prime_steps(spy) == [6]
+    assert _first_prime_steps(spy, cands) == [6]
 
 
 def test_blocks_short_of_n_minus_k_raise():
     # every row is (1, 0, 0) mod p: rank 1 mod p against n - k = 3 - 1 = 2,
-    # with x2 an exact member; all three blocks run before the call raises
+    # with x2 an exact member; the two line blocks are held until they
+    # number 2 rows, the points block joins the one kept row, and the call
+    # raises after all three
     p = SHADOW_PRIMES[0]
     ln = ProjLine(ProjPoint([1, 0, 0]), ProjPoint([1, p, 0]))
     pts = [ProjPoint([1, 2 * p, 0])]
+    cands = [MPoly.var(2, 3)]
     with mock.patch.object(exactalg, "_pivot_rows", wraps=exactalg._pivot_rows) as spy:
         with pytest.raises(ShadowMismatch, match=f"mod {p}"):
-            vanishing_space(1, 3, points=pts, lines=[ln], candidates=[MPoly.var(2, 3)])
-    assert _first_prime_steps(spy) == [1, 2, 2]
+            vanishing_space(1, 3, points=pts, lines=[ln], candidates=cands)
+    assert _first_prime_steps(spy, cands) == [2, 2]
 
 
 @pytest.mark.parametrize("degree, spans, bad, steps", [
     # x0 vanishes at the second points of both lines, whose block alone
     # reaches n - k = 2, but not at the first point of the first line
     (1, [([1, 0, 0], [0, 1, 0]), ([1, 1, 1], [0, 0, 1])], lambda x: x[0], [2]),
-    # x0 x1 vanishes on both lines, whose three blocks reach n - k = 5, but
-    # not at the point, which only the points block sees
-    (2, [([0, 1, 0], [0, 1, 1]), ([1, 0, 1], [1, 0, 0])], lambda x: x[0] * x[1],
-     [2, 4, 6]),
+    # x0 x1 vanishes on both lines, whose three blocks are held until their
+    # 6 rows pass n - k = 5 and reach it in one elimination, but not at the
+    # point, which only the points block sees
+    (2, [([0, 1, 0], [0, 1, 1]), ([1, 0, 1], [1, 0, 0])], lambda x: x[0] * x[1], [6]),
 ], ids=["parameter-row-0", "points"])
 def test_candidates_are_checked_on_blocks_past_the_first_prime_stop(degree, spans, bad,
                                                                       steps):
     lines = [ProjLine(ProjPoint(p), ProjPoint(q)) for p, q in spans]
     pts = [ProjPoint([1, 2, 3])]
+    cands = [bad(_vars(3))]
     with mock.patch.object(exactalg, "_pivot_rows", wraps=exactalg._pivot_rows) as spy:
         with pytest.raises(ExactAlgError, match="candidate fails a constraint, not a member"):
-            vanishing_space(degree, 3, points=pts, lines=lines, candidates=[bad(_vars(3))])
-    assert _first_prime_steps(spy) == steps
+            vanishing_space(degree, 3, points=pts, lines=lines, candidates=cands)
+    assert _first_prime_steps(spy, cands) == steps
+
+
+def test_repeated_rows_are_evaluated_once_and_match_the_whole_matrix_reference():
+    # three lines of the plane x3 = 0 through the shared point (0, 0, 1, 0),
+    # their last parameter point, and the points (1, 0, 0, 0), the first
+    # point of the first line, and (1, 2, 3, 0) given twice: each distinct
+    # coordinate row is evaluated once, in the first block it appears in.
+    # Quadrics x3 * v: n - k = 10 - 4 = 6, reached by one elimination of
+    # the first three blocks' 1 + 3 + 3 rows. Cubics x3 * q: n - k = 20 - 10
+    # = 10; the four line blocks' 10 rows leave out x0 x1 (x0 - x1), the
+    # three lines, so rank 9, and the one new point brings the rank to 10
+    x = _vars(4)
+    shared = ProjPoint([0, 0, 1, 0])
+    lines = [ProjLine(ProjPoint(p), shared) for p in ([1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0])]
+    pts = [ProjPoint([1, 0, 0, 0]), ProjPoint([1, 2, 3, 0]), ProjPoint([1, 2, 3, 0])]
+    quadrics = [x[3] * v for v in x]
+    cubics = [x[3] * a * b for i, a in enumerate(x) for b in x[i:]]
+    real = exactalg._evaluated
+    for degree, cands, sizes, steps in [(2, quadrics, [1, 3, 3, 1], [7]),
+                                        (3, cubics, [1, 3, 3, 3, 1], [10, 10])]:
+        evaluated = []
+
+        def spy(degree, nvars, coords):
+            evaluated.append(list(coords))
+            return real(degree, nvars, coords)
+
+        want = _whole_matrix_reference(degree, 4, pts, lines, cands)
+        with mock.patch.object(exactalg, "_evaluated", spy), \
+                mock.patch.object(exactalg, "_pivot_rows", wraps=exactalg._pivot_rows) as piv:
+            got = vanishing_space(degree, 4, points=pts, lines=lines, candidates=cands)
+        assert want is not None
+        assert (got.dim, got.modular_ranks, list(got.basis)) == want
+        assert [len(block) for block in evaluated] == sizes
+        rows = [c for block in evaluated for c in block]
+        assert len(set(rows)) == len(rows) < len(evaluation_rows(degree, 4, pts, lines))
+        assert _first_prime_steps(piv, cands) == steps
 
 
 def test_edge_cases_of_the_blocks_match_the_whole_matrix_reference():
     # no constraints at all, and blocks that run out below n - k: the result
-    # is the whole-matrix reference's, or ShadowMismatch where it has none
+    # is the whole-matrix reference's, or ShadowMismatch where it has none,
+    # naming the first prime whose whole-matrix bound misses the members
+    # (the rows held when the blocks run out are eliminated too)
     x = _vars(3)
     conics = [a * b for i, a in enumerate(x) for b in x[i:]]
     ln = ProjLine(ProjPoint([1, 2, 0]), ProjPoint([0, 1, 0]))  # the line x2 = 0
@@ -1453,7 +1510,13 @@ def test_edge_cases_of_the_blocks_match_the_whole_matrix_reference():
         want = _whole_matrix_reference(2, 3, points, lines, cands)
         outcomes.append(want is not None)
         if want is None:
-            with pytest.raises(ShadowMismatch):
+            mat = evaluation_rows(2, 3, points, lines)
+            cleared = [_clear_row(c.coefficient_vector(2)) for c in cands]
+            k = len(_pivot_rows(cleared, SHADOW_PRIMES[0]))
+            bound, p = next((6 - rank_mod(mat, p), p) for p in SHADOW_PRIMES
+                            if 6 - rank_mod(mat, p) != k)
+            with pytest.raises(ShadowMismatch, match=f"span {k} does not meet modular "
+                                                     f"bound {bound} mod {p}$"):
                 vanishing_space(2, 3, points=points, lines=lines, candidates=cands)
             continue
         got = vanishing_space(2, 3, points=points, lines=lines, candidates=cands)

@@ -117,6 +117,24 @@ def test_trihedral_pairs_are_keyed_by_their_triples_and_every_triad_is_found():
     assert brute == set(st_.triads)
 
 
+def test_tritangent_tables_act_as_the_line_action():
+    # reference: each tritangent of a partition mapped line by line through
+    # the 27-label permutation, then named by its three lines
+    tri = L.tritangents()
+    by_lines = {v: k for k, v in tri.items()}
+    partitions = L.enneahedra().partitions
+    gens = L.weyl_generators()[2]
+    assert len(gens) == 6
+    for perm in gens:
+        table = L._tritangent_permutation(perm)
+        assert sorted(table.values()) == sorted(tri)
+        for part in partitions:
+            lines_wise = frozenset(
+                by_lines[frozenset(L.LINE_LABELS[perm[L.LINE_INDEX[l]]] for l in tri[name])]
+                for name in part)
+            assert frozenset(table[name] for name in part) == lines_wise
+
+
 def test_enneahedra_census():
     rep = L.enneahedra()
     assert len(rep.partitions) == 200
@@ -487,6 +505,62 @@ def test_special_lines_match_the_pair_scan_in_order_and_spanning_pairs():
     assert pairs(loci.lines216) == pairs(lines216)
 
 
+def _grouped_by_line_key(loci):
+    """Reference: the 1,953 pairs of the 63 points, weight points then root
+    points, each sorted by name, grouped by `ProjLine(p, q).key`, each line
+    kept as the `ProjLine` of its first pair; the (3,0), (1,2) and (0,3)
+    lines with the root points on each (3,0) line."""
+    named = [(n, loci.weight_points[n]) for n in sorted(loci.weight_points)]
+    named += [(n, loci.root_points[n]) for n in sorted(loci.root_points)]
+    through = {}
+    for (n1, p1), (n2, p2) in itertools.combinations(named, 2):
+        line = ProjLine(p1, p2)
+        through.setdefault(line.key, (line, set()))[1].update((n1, n2))
+    by_census = {}
+    for line, on in through.values():
+        roots = sum(n in loci.root_points for n in on)
+        by_census.setdefault((roots, len(on) - roots), []).append((line, frozenset(on)))
+    return by_census[3, 0], by_census[1, 2], by_census[0, 3]
+
+
+def test_plucker_grouping_matches_the_line_key_grouping():
+    loci = L.special_loci()
+    want120, want216, want45 = _grouped_by_line_key(loci)
+
+    def spans(lines):
+        return [(line.p, line.q, line.key) for line in lines]
+
+    assert spans(loci.lines120) == spans(line for line, _ in want120)
+    assert list(loci.points120) == [on for _, on in want120]
+    assert spans(loci.lines216) == spans(line for line, _ in want216)
+    assert spans(loci.lines45) == spans(line for line, _ in want45)
+
+
+def test_special_loci_builds_only_the_lines_it_keeps(monkeypatch):
+    built = []
+
+    def counted(p, q):
+        built.append((p, q))
+        return ProjLine(p, q)
+
+    monkeypatch.setattr(L, "ProjLine", counted)
+    L.special_loci.__wrapped__()
+    assert len(built) == 120 + 216 + 45 == 381
+
+
+@pytest.mark.parametrize("top, match", [(2 ** 31 - 1, "line census"), (2 ** 31, "Plücker")])
+def test_special_loci_checks_the_plucker_bound(monkeypatch, top, match):
+    # the minors a_i b_j - a_j b_i are exact in int64 while 2 top^2 < 2^63,
+    # that is top < 2^31: one coordinate below the bound moves a point off
+    # the census, one at the bound raises before any minor is taken
+    tables = L.coordinate_tables()
+    moved = {**tables.weight_duals, "a1": tuple(map(Fraction, (top, 1, 0, 0, 0, 0)))}
+    monkeypatch.setattr(L, "coordinate_tables",
+                        lambda: dataclasses.replace(tables, weight_duals=moved))
+    with pytest.raises(ExactAlgError, match=match):
+        L.special_loci.__wrapped__()
+
+
 def test_orthogonal_a2s_match_the_i2_pairing():
     # I2 pairs duals as u1v1 + .. + u5v5 + u6v6/3; each A2 of three root
     # points is orthogonal to exactly two others, orthogonal to each other,
@@ -638,19 +712,32 @@ def test_macdonald_dimensions_and_memberships():
 
 
 def test_sextic_system_is_evaluated_one_block_at_a_time(monkeypatch):
-    # every row of the 1512-row system is evaluated and checked, one block of
-    # 216 rows (one parameter of every line) at a time, never all at once
-    sizes = []
-    real = exactalg._evaluated
+    # each of the 1,070 distinct rows of the 1,512-row system is evaluated
+    # and checked once, one block (one parameter of every line, without the
+    # rows seen before) at a time, never all at once; the first prime
+    # eliminates the first three blocks' 458 rows in one call and reaches
+    # 462 - 24 = 438 there
+    sizes, eliminated = [], []
+    evaluated, pivot_rows = exactalg._evaluated, exactalg._pivot_rows
 
     def spy(degree, nvars, coords):
         sizes.append(len(coords))
-        return real(degree, nvars, coords)
+        return evaluated(degree, nvars, coords)
+
+    def pivot_spy(rows, p):
+        if p == exactalg.SHADOW_PRIMES[0]:
+            eliminated.append(len(rows))
+        return pivot_rows(rows, p)
 
     monkeypatch.setattr(exactalg, "_evaluated", spy)
-    vs = exactalg.vanishing_space(6, 6, lines=L.special_loci().lines216,
-                                  candidates=L._a2a2_products())
-    assert (vs.dim, sizes) == (24, [216] * 7)
+    monkeypatch.setattr(exactalg, "_pivot_rows", pivot_spy)
+    cands = L._a2a2_products()
+    vs = exactalg.vanishing_space(6, 6, lines=L.special_loci().lines216, candidates=cands)
+    assert (vs.dim, sizes) == (24, [26, 216, 216, 216, 213, 182, 1])
+    assert sum(sizes) == 1070
+    # the first call thins the 120 candidates
+    assert eliminated == [len(cands), 458]
+    assert vs.modular_ranks == {p: 438 for p in exactalg.SHADOW_PRIMES}
 
 
 def test_incidence_complex_ranks():
