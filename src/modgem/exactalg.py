@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import itertools
 import math
 import numbers
 import random
@@ -766,10 +767,29 @@ def _is_prime(n: int) -> bool:
                for a in (2, 3, 5, 7))
 
 
+#: the primes `_kernel_primes` has found, in its order: each number below
+#: them is tested once per process, where `_is_prime`'s cache would evict
+_PRIMES: list[int] = list(SHADOW_PRIMES)
+
+
 def _kernel_primes() -> Iterator[int]:
-    """SHADOW_PRIMES, then every prime below them, descending (< 2^31)."""
-    yield from SHADOW_PRIMES
-    yield from filter(_is_prime, range(min(SHADOW_PRIMES) - 1, 1, -1))
+    """SHADOW_PRIMES, then every prime below them, descending (< 2^31), read
+    from `_PRIMES`."""
+    for i in itertools.count():
+        if i == len(_PRIMES):
+            _PRIMES.append(next(filter(_is_prime, range(_PRIMES[-1] - 1, 1, -1))))
+        yield _PRIMES[i]
+
+
+def _primes_past(bound: int) -> list[int]:
+    """The shortest run of `_kernel_primes`, at least one, whose product
+    exceeds bound: an integer of absolute value at most bound that all of
+    them divide is zero."""
+    primes = []
+    for p in _kernel_primes():
+        primes.append(p)
+        if math.prod(primes) > bound:
+            return primes
 
 
 def _rational(x: int, m: int) -> Optional[tuple[int, int]]:
@@ -914,7 +934,7 @@ def _echelon_mod(rows: np.ndarray | Sequence[Sequence[Scalar]],
     then replay those steps on their trailing columns U, and every row
     below takes T -= L U mod p, with L its multipliers split into 16-bit
     limbs, L = Lh 2^16 + Ll: L U = [Lh | Ll] [U 2^16 mod p ; U] mod p is one
-    exact float64 product (`_int_matmul`, see `_PANEL`) into one buffer. T
+    exact float64 product (`_limb_product`) into one buffer. T
     takes the product unreduced, below 2^53, in place, and is then reduced
     once: T mod p = T - p floor(T / p), with the floor division written
     into the product's buffer, so no other buffer is made. The multipliers are
@@ -965,9 +985,8 @@ def _echelon_mod(rows: np.ndarray | Sequence[Sequence[Scalar]],
                 a[i, end:] = a[i, end:] * inv % p
                 a[i + 1:mid, end:] = (a[i + 1:mid, end:] - a[i + 1:mid, col, None] * a[i, end:]) % p
             if mid < m:
-                low, u, t = a[mid:, panel], a[top:mid, end:], a[mid:, end:]
-                prod = _int_matmul(np.hstack([low >> 16, low & 0xFFFF]),
-                                   np.vstack([(u << 16) % p, u]).T)
+                t = a[mid:, end:]
+                prod = _limb_product(a[mid:, panel], a[top:mid, end:], p)
                 # T - L U lies in (-2^53, p): one floor division, into the
                 # product's buffer, reduces it mod p
                 t -= prod
@@ -978,6 +997,32 @@ def _echelon_mod(rows: np.ndarray | Sequence[Sequence[Scalar]],
         a[mid:, start:end] = 0
         a[top:mid, start:end][np.arange(start, end) < np.array(panel)[:, None]] = 0
     return order[:len(cols)], cols, a[:len(cols)]
+
+
+def _limb_product(low: np.ndarray, u: np.ndarray, p: int) -> np.ndarray:
+    """low @ u, congruent mod p, for int64 residues mod p and at most
+    `_PANEL` columns in low: with low = Lh 2^16 + Ll in 16-bit limbs, the one
+    float64 product [Lh | Ll] [u 2^16 mod p ; u] (`_int_matmul`), exact and
+    unreduced, below 2^53 (see `_PANEL`)."""
+    return _int_matmul(np.hstack([low >> 16, low & 0xFFFF]), np.vstack([(u << 16) % p, u]).T)
+
+
+def _residue_products(rows: np.ndarray, vecs: np.ndarray, p: int) -> np.ndarray:
+    """rows @ vecs^T mod p, in [0, p), for int64 residue rows mod p and an
+    integer or object array of exact integer vecs. While (p - 1) max|vecs| n
+    < 2^53, n the width, the product is `_int_matmul`'s exact float64 one,
+    reduced once. Otherwise vecs are reduced mod p and the product goes in
+    16-bit limbs (`_limb_product`), `_PANEL` columns of the width at a time,
+    each piece reduced into the sum."""
+    n = rows.shape[1]
+    if (p - 1) * _max_abs(vecs) * n < 2 ** 53:
+        return _int_matmul(rows, vecs) % p
+    v = (vecs % p).astype(np.int64).T
+    out = np.zeros((len(rows), v.shape[1]), dtype=np.int64)
+    for j in range(0, n, _PANEL):
+        out += _limb_product(rows[:, j:j + _PANEL], v[j:j + _PANEL], p)
+        out %= p
+    return out
 
 
 def _pivot_rows(rows: np.ndarray | Sequence[Sequence[Scalar]], p: int) -> list[int]:
@@ -1055,32 +1100,100 @@ def evaluation_rows(degree: int, nvars: int,
     parameters (1:0), (1:1), ..., (1:d-1), (0:1). A degree-d binary form
     vanishing at d+1 distinct points of a line is identically zero, so the
     rows capture line containment exactly, no genericity needed. The points
-    come first, then each line's rows; `_evaluated` gives the rows. With n
-    monomials and k independent forms in its kernel, rank_p <= rank_Q <=
-    n - k at every prime p.
+    come first, then each line's rows (`_constraint_coords`); `_evaluated`
+    gives the rows. With n monomials and k independent forms in its kernel,
+    rank_p <= rank_Q <= n - k at every prime p.
     """
+    return _evaluated(monomials(nvars, degree), _constraint_coords(degree, points, lines))
+
+
+def _constraint_coords(degree: int, points: Sequence[ProjPoint],
+                       lines: Sequence[ProjLine]) -> list[tuple[int, ...]]:
+    """The coordinate rows of `evaluation_rows`, in its order."""
     coords = [pt.coords for pt in points]
-    coords += [c for line in lines for c in line.parameter_points(degree + 1)]
-    return _evaluated(degree, nvars, coords)
+    return coords + [c for line in lines for c in line.parameter_points(degree + 1)]
 
 
-def _evaluated(degree: int, nvars: int, coords: Sequence[Sequence[int]]) -> np.ndarray:
-    """The rows of all degree-d monomials at the given coordinate rows, the
-    one row evaluator of `evaluation_rows` and of `vanishing_space`'s blocks.
-    Each column is gathered from per-point power tables. No entry exceeds
-    max|coord|^d, so the array is int64 when that is below 2^62 and holds
-    Python ints (dtype object) otherwise."""
-    top = max((abs(c) for row in coords for c in row), default=0)
-    dtype = np.int64 if top ** degree < 2 ** 62 else object
-    base = np.array(coords, dtype=dtype).reshape(len(coords), nvars)
-    pows = np.ones((*base.shape, degree + 1), dtype=dtype)
-    for e in range(1, degree + 1):
-        pows[:, :, e] = pows[:, :, e - 1] * base
-    exps = np.array(monomials(nvars, degree))
-    out = pows[:, 0, exps[:, 0]]
-    for i in range(1, nvars):
-        out *= pows[:, i, exps[:, i]]
+def _evaluated(exps: Sequence[Sequence[int]], coords: np.ndarray | Sequence[Sequence[int]],
+               p: int = 0) -> np.ndarray:
+    """The monomials x^e, one column per exponent row e of `exps`, at the
+    coordinate rows: the one evaluator, of `evaluation_rows`, of
+    `vanishing_space`'s blocks and of `gems._eval_batch_mod`. Each column is
+    gathered from per-row power tables, and no exact entry exceeds
+    max|coord|^d, d the top degree of `exps`.
+
+    Without p the rows are exact: int64 when that bound is below 2^62, Python
+    ints (dtype object) otherwise. With a prime p they are int64 residues in
+    [0, p): below that bound computed exactly in int64 and reduced once,
+    otherwise from the coordinates reduced mod p, reduced after every
+    product, each of two residues below 2^31 and so inside int64.
+    """
+    e = np.array(exps, dtype=np.int64).reshape(len(exps), -1)
+    a = (coords if isinstance(coords, np.ndarray) else np.array(coords, dtype=object)
+         ).reshape(len(coords), e.shape[1])
+    exact = _max_abs(a) ** int(e.sum(axis=1).max(initial=0)) < 2 ** 62
+    step = 0 if exact else p  # past the int64 bound, a prime reduces every product
+    if exact or step:
+        a = (a % step if step else a).astype(np.int64)
+    pows = np.ones((*a.shape, int(e.max(initial=0)) + 1), dtype=a.dtype)
+    for k in range(1, pows.shape[2]):
+        np.multiply(pows[:, :, k - 1], a, out=pows[:, :, k])
+        if step:
+            pows[:, :, k] %= step
+    out = pows[:, 0, e[:, 0]]
+    for i in range(1, e.shape[1]):
+        out *= pows[:, i, e[:, i]]
+        if step:
+            out %= step
+    if p and exact:
+        out %= p
     return out
+
+
+def _member_residues(exps: Sequence[Sequence[int]], coords: Sequence[Sequence[int]],
+                     coeffs: np.ndarray) -> np.ndarray:
+    """The rows of `exps` at coords mod `SHADOW_PRIMES[0]`, the first of
+    `_primes_past(B)`, B = max|coord|^d max|coeff| n, after each row of
+    coeffs is checked to vanish on the rows mod each of those primes (else
+    ExactAlgError); each later prime's rows are freed once checked."""
+    top = max(abs(c) for row in coords for c in row)
+    bound = top ** sum(exps[0]) * _max_abs(coeffs) * len(exps)
+    first = None
+    for q in _primes_past(bound):
+        rows = _evaluated(exps, coords, q)
+        if _residue_products(rows, coeffs, q).any():
+            raise ExactAlgError("candidate fails a constraint, not a member")
+        first = rows if first is None else first
+    return first
+
+
+def _checked_pivots(exps: Sequence[Sequence[int]], blocks: Sequence[Sequence[tuple[int, ...]]],
+                    coeffs: np.ndarray, target: int) -> list[tuple[int, ...]]:
+    """The coordinate rows of p0's pivot rows in `vanishing_space`'s
+    candidate route: the blocks' rows not seen before are checked, and
+    their residues held and eliminated, until `target` are kept. Every
+    residue array is freed on return."""
+    first = SHADOW_PRIMES[0]
+    seen: set[tuple[int, ...]] = set()
+    kept: list[tuple[int, ...]] = []
+    residues = np.zeros((0, len(exps)), dtype=np.int64)
+    held: list[tuple[list[tuple[int, ...]], np.ndarray]] = []
+    for i, block in enumerate(blocks):
+        new = [c for c in dict.fromkeys(block) if c not in seen]
+        seen.update(new)
+        if new:
+            rows = _member_residues(exps, new, coeffs)
+            if len(kept) < target:
+                held.append((new, rows))
+        if held and (len(kept) + sum(len(c) for c, _ in held) >= target
+                     or i == len(blocks) - 1):
+            # the held blocks are freed before the elimination copies its input
+            rows = np.concatenate([residues, *(r for _, r in held)])
+            kept += [c for cs, _ in held for c in cs]
+            held.clear()
+            pivots = _pivot_rows(rows, first)
+            residues, kept = rows[pivots], [kept[j] for j in pivots]
+    return kept
 
 
 def vanishing_space(degree: int, nvars: int,
@@ -1101,41 +1214,50 @@ def vanishing_space(degree: int, nvars: int,
     and n monomials, k <= dim <= n - rank_p at every prime p, and n - rank_p
     must equal k (else ShadowMismatch), so dim = k.
 
-    Without candidates k is unknown: p0 eliminates the whole matrix
+    Without candidates k is unknown: p0 eliminates the whole exact matrix
     (`evaluation_rows`, every row as it comes), whose pivot rows span the
     row space over Q when rank_p0 = rank_Q, and the members are the kernel
-    of those rows. With candidates k is known before any elimination, and
-    the rows are built one block at a time (`_evaluated`), in one fixed
-    order: block j holds the j-th parameter row of every line, j from d
-    down to 0, and the points come last as one block. A coordinate row
-    that has already appeared, in its block or an earlier one, is dropped:
-    its evaluation row is one already there, so it adds no rank and no
-    check. The candidates are thinned on the array of their coefficients,
-    and every candidate is checked exactly against each block with it.
-    Until the pivot rows kept reach n - k, the blocks are held until the
-    kept plus the held rows number n - k (or the blocks run out), and p0
-    then eliminates them in one call and keeps the new pivot rows. The
-    stop is sound: the k exact members give rank_p0 <= rank_Q <= n - k,
-    and a subset of the rows has rank at most the whole matrix's, so a
-    subset of rank n - k mod p0 proves rank_p0 = n - k. Blocks that run
-    out below n - k raise ShadowMismatch.
+    of those rows, checked by one exact product with the whole matrix.
+    With candidates k is known before any elimination, and no exact row is
+    built: the rows are evaluated one block at a time, in one fixed order:
+    block j holds the j-th parameter row of every line, j from d down to 0,
+    and the points come last as one block. A coordinate row that has
+    already appeared, in its block or an earlier one, is dropped: its
+    evaluation row is one already there, so it adds no rank and no check.
+    The candidates are thinned on the residues mod p0 of their cleared
+    coefficients, and every candidate is checked against each block on residues
+    (`_member_residues`): a residual row @ coeff is an integer of absolute
+    value at most B = max|coord|^d max|coeff| n over the block, and it is
+    zero mod primes whose product exceeds B, so by the Chinese remainder
+    theorem it is zero. Until the pivot rows kept reach n - k, the blocks'
+    residues mod p0 are held until the kept plus the held rows number
+    n - k (or the blocks run out), and p0 then eliminates them in one call
+    and keeps the new pivot rows, by their coordinate rows. The stop is
+    sound: the k exact members give rank_p0 <= rank_Q <= n - k, and a
+    subset of the rows has rank at most the whole matrix's, so a subset of
+    rank n - k mod p0 proves rank_p0 = n - k. Blocks that run out below
+    n - k raise ShadowMismatch.
 
-    A later prime eliminates only p0's pivot rows: rank n - k there
-    squeezes the whole matrix's rank_p to n - k, and only a shortfall builds
-    the whole matrix for it. When p0 divides a minor that matters
-    (candidates independent over Q but not mod p0), the call raises rather
-    than certify a wrong dimension.
+    A later prime evaluates and eliminates only p0's pivot rows, on
+    residues: rank n - k there squeezes the whole matrix's rank_p to n - k,
+    and only a shortfall evaluates every row for it. When p0 divides a
+    minor that matters (candidates independent over Q but not mod p0), the
+    call raises rather than certify a wrong dimension.
     """
+    exps = monomials(nvars, degree)
     mono = _packed_monomials(nvars, degree)
     first, *later = SHADOW_PRIMES
     if candidates is None:
         method = "kernel"
         mat = evaluation_rows(degree, nvars, points, lines)
-        kept = mat[_pivot_rows(mat, first)]
+        coords = _constraint_coords(degree, points, lines)
+        pivots = _pivot_rows(mat, first)
+        kept = [coords[i] for i in pivots]
         # without pivot rows every form vanishes; a zero row keeps the width
-        vecs = kernel_int(kept.tolist() or [[0] * len(mono)])
+        vecs = kernel_int(mat[pivots].tolist() or [[0] * len(mono)])
         if _int_matmul(mat, vecs).any():
             raise ShadowMismatch(f"rank mod {first} is below the rank over Q")
+        del mat
         chosen = [MPoly._from_packed(nvars, dict(zip(mono, vec))) for vec in vecs]
     else:
         method = "candidates"
@@ -1143,36 +1265,21 @@ def vanishing_space(degree: int, nvars: int,
                for c in candidates):
             raise ExactAlgError("candidate of wrong degree or ring")
         cleared = [_clear_row(c.coefficient_vector(degree)) for c in candidates]
-        # one array for the thinning and every block's member check, int64 where it fits
+        # one array for every block's member check, int64 where it fits; the
+        # thinning takes its residues mod p0
         top = max((abs(v) for row in cleared for v in row), default=0)
         coeffs = np.array(cleared, dtype=np.int64 if top < 2 ** 63 else object)
-        chosen = [candidates[i] for i in sorted(_pivot_rows(coeffs, first))]
-        target = len(mono) - len(chosen)
+        thinned = _pivot_rows((coeffs % first).astype(np.int64), first)
+        chosen = [candidates[i] for i in sorted(thinned)]
         params = [line.parameter_points(degree + 1) for line in lines]
         blocks = [[pts[j] for pts in params] for j in range(degree, -1, -1)]
         blocks.append([pt.coords for pt in points])
-        seen: set[tuple[int, ...]] = set()
-        kept = np.zeros((0, len(mono)), dtype=np.int64)
-        held: list[np.ndarray] = []
-        for i, block in enumerate(blocks):
-            new = [c for c in dict.fromkeys(block) if c not in seen]
-            seen.update(new)
-            if new:
-                rows = _evaluated(degree, nvars, new)
-                if _int_matmul(rows, coeffs).any():
-                    raise ExactAlgError("candidate fails a constraint, not a member")
-                if len(kept) < target:
-                    held.append(rows)
-            if held and (len(kept) + sum(map(len, held)) >= target or i == len(blocks) - 1):
-                # the held blocks are freed before the elimination copies its input
-                rows = np.concatenate([kept, *held])
-                held.clear()
-                kept = rows[_pivot_rows(rows, first)]
+        kept = _checked_pivots(exps, blocks, coeffs, len(mono) - len(chosen))
     ranks = {first: len(kept)}
     for p in later:
-        rp = len(_pivot_rows(kept, p))
+        rp = len(_pivot_rows(_evaluated(exps, kept, p), p))
         ranks[p] = rp if rp == len(mono) - len(chosen) else rank_mod(
-            evaluation_rows(degree, nvars, points, lines), p)
+            _evaluated(exps, _constraint_coords(degree, points, lines), p), p)
     for p, rp in ranks.items():
         if len(mono) - rp != len(chosen):
             raise ShadowMismatch(
@@ -1219,6 +1326,25 @@ def _sample(rng: random.Random, count: int,
         raise ExactAlgError(f"draw cap of {cap} trials reached with "
                             f"{len(out)} of {count} results accepted")
     return out
+
+
+def _draws_below(rng: random.Random, n: int, count: int) -> np.ndarray:
+    """count values of `rng.randrange(n)`, in order, as int64, leaving rng
+    in the state those calls leave: for 0 < n < 2^32 (else ExactAlgError)
+    each try of `randrange` takes one 32-bit word, keeps its top
+    n.bit_length() bits and rejects a value >= n, and getrandbits(32 m)
+    takes the next m words, the first least significant. Each round asks
+    for as many words as draws are missing, so the last word taken is the
+    last accepted draw's."""
+    if not 0 < n < 2 ** 32:
+        raise ExactAlgError(f"draws below {n} need 0 < n < 2^32")
+    out, missing = [np.zeros(0, dtype=np.int64)], count
+    while missing:
+        words = np.frombuffer(rng.getrandbits(32 * missing).to_bytes(4 * missing, "little"),
+                              dtype="<u4") >> (32 - n.bit_length())
+        out.append(words[words < n].astype(np.int64))
+        missing -= len(out[-1])
+    return np.concatenate(out)
 
 
 def _draw(rng: random.Random, n: int) -> tuple[int, ...]:

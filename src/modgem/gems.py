@@ -38,6 +38,9 @@ from .exactalg import (
     _chart_coordinates,
     _clear_row,
     _draw,
+    _draws_below,
+    _evaluated,
+    _residue_products,
     _sample,
     _task_rng,
     det_poly,
@@ -1094,34 +1097,31 @@ class RationalizationReport:
     roundtrip_psi_phi: int
 
 
-def _eval_batch_mod(polys: Sequence[MPoly], values: np.ndarray, p: int) -> list[np.ndarray]:
-    """Evaluate polynomials at many points mod p; values has one column per point.
+#: points per `_evaluated` call of `_eval_batch_mod`
+_BATCH = 2048
+
+
+def _eval_batch_mod(polys: Sequence[MPoly], points: np.ndarray, p: int) -> np.ndarray:
+    """The polynomials at many points mod p: one row of int64 residues per
+    point (a row of `points`), one column per polynomial.
 
     All coefficients of the call are cleared by one common denominator lcm
     (`_clear_row`, which raises when p divides it). Every output is then
     scaled by the same unit mod p, so a projective image stays projective
-    and a zero stays zero.
+    and a zero stays zero. The union of the polynomials' monomials is
+    evaluated mod p by `_evaluated`, `_BATCH` points at a time, and each
+    batch takes one product with the cleared coefficient rows mod p
+    (`_residue_products`).
     """
     nvars = polys[0].nvars
-    coeffs = [c for poly in polys for c in poly.terms.values()]
-    residues = iter([c % p for c in _clear_row(coeffs, p)])
-    maxexp = max((e for poly in polys for exp, _ in poly.iter_terms() for e in exp), default=0)
-    tables = []
-    for i in range(nvars):
-        col = [np.ones(values.shape[1], dtype=np.int64), values[i] % p]
-        for _ in range(maxexp - 1):
-            col.append(col[-1] * col[1] % p)
-        tables.append(col)
-    out = []
-    for poly in polys:
-        acc = np.zeros(values.shape[1], dtype=np.int64)
-        for exp, _ in poly.iter_terms():
-            term = np.full(values.shape[1], next(residues), dtype=np.int64)
-            for i, e in enumerate(exp):
-                if e:
-                    term = term * tables[i][e] % p
-            acc = (acc + term) % p
-        out.append(acc)
+    keys = sorted({k for poly in polys for k in poly.terms})
+    cleared = _clear_row([poly.terms.get(k, 0) for poly in polys for k in keys], p)
+    coeffs = np.array(cleared, dtype=object).reshape(len(polys), len(keys))
+    exps = [tuple(k.to_bytes(nvars + 1, "big")[1:]) for k in keys]
+    out = np.empty((len(points), len(polys)), dtype=np.int64)
+    for i in range(0, len(points), _BATCH):
+        out[i:i + _BATCH] = _residue_products(_evaluated(exps, points[i:i + _BATCH], p),
+                                              coeffs, p)
     return out
 
 
@@ -1170,11 +1170,9 @@ def rationalize_i5(seed: int = 0, exact_samples: int = 50,
     modular: dict[int, int] = {}
     bounds: dict[int, float] = {}
     for p in SHADOW_PRIMES:
-        pts = np.array([[rng.randrange(p) for _ in range(modular_samples)]
-                        for _ in range(5)], dtype=np.int64)
-        images = _eval_batch_mod(list(maps.psi), pts, p)
-        residues = _eval_batch_mod([f], np.array(images), p)[0]
-        if np.any(residues):
+        # the draws fill one coordinate of every point, then the next
+        pts = _draws_below(rng, p, 5 * modular_samples).reshape(5, modular_samples).T
+        if _eval_batch_mod([f], _eval_batch_mod(maps.psi, pts, p), p).any():
             raise ExactAlgError(f"octic image misses the quintic mod {p}")
         modular[p] = modular_samples
         # composite degree 5 * 8 = 40; independent uniform points multiply the bound
@@ -1200,7 +1198,9 @@ def rationalize_i5(seed: int = 0, exact_samples: int = 50,
         u = [q.eval(x_vals) for q in maps.phi]
         if not any(u):
             return None
-        w = [o.eval(u) for o in maps.psi]
+        # psi is homogeneous of degree 8: at u's primitive integer point,
+        # c u, it takes the value c^8 psi(u), the same projective point
+        w = [o.eval(ProjPoint(u).coords) for o in maps.psi]
         if not any(w):
             return None
         if ProjPoint(w) != ProjPoint(x_vals):

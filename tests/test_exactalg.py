@@ -36,10 +36,14 @@ from modgem.exactalg import (
     _chart_coordinates,
     _clear_row,
     _draw,
+    _draws_below,
+    _evaluated,
     _int_matmul,
     _is_prime,
     _kernel_primes,
     _pivot_rows,
+    _primes_past,
+    _residue_products,
     _rational,
     _sample,
     _task_rng,
@@ -1084,6 +1088,16 @@ def test_kernel_primes_are_the_shadow_primes_then_every_prime_below():
                    for k in range(b + 1, a))
 
 
+def test_primes_past_is_the_shortest_run_whose_product_exceeds_the_bound():
+    p0, p1 = SHADOW_PRIMES
+    assert _primes_past(0) == _primes_past(p0 - 1) == [p0]
+    assert _primes_past(p0) == _primes_past(p0 * p1 - 1) == [p0, p1]
+    for bound in (p0 * p1, 2 ** 459, 3 ** 700):
+        primes = _primes_past(bound)
+        assert primes == list(itertools.islice(_kernel_primes(), len(primes)))
+        assert math.prod(primes[:-1]) <= bound < math.prod(primes)
+
+
 # -- vanishing spaces ------------------------------------------------------------
 
 def assert_vanishes(vs, points=(), lines=()):
@@ -1334,10 +1348,12 @@ def _blocks_to_reach(degree, npoints, mat, target):
 def _first_prime_steps(spy, candidates):
     """Row counts of the first prime's eliminations of the evaluation rows
     among a spy's calls. The first prime's first call thins the candidates,
-    on the array of their cleared coefficients; it is checked to be that
-    call and left out."""
-    thinning, *steps = [rows for (rows, p), _ in spy.call_args_list if p == SHADOW_PRIMES[0]]
-    assert thinning.tolist() == [_clear_row(c.coefficient_vector(c.degree()))
+    on the residues mod that prime of their cleared coefficients; it is
+    checked to be that call and left out."""
+    p0 = SHADOW_PRIMES[0]
+    thinning, *steps = [rows for (rows, p), _ in spy.call_args_list if p == p0]
+    assert thinning.dtype == np.int64
+    assert thinning.tolist() == [[v % p0 for v in _clear_row(c.coefficient_vector(c.degree()))]
                                  for c in candidates]
     return [len(rows) for rows in steps]
 
@@ -1474,11 +1490,13 @@ def test_repeated_rows_are_evaluated_once_and_match_the_whole_matrix_reference()
     real = exactalg._evaluated
     for degree, cands, sizes, steps in [(2, quadrics, [1, 3, 3, 1], [7]),
                                         (3, cubics, [1, 3, 3, 3, 1], [10, 10])]:
-        evaluated = []
+        evaluated, primes = [], []
 
-        def spy(degree, nvars, coords):
-            evaluated.append(list(coords))
-            return real(degree, nvars, coords)
+        def spy(exps, coords, p=0):
+            primes.append(p)
+            if p == SHADOW_PRIMES[0]:
+                evaluated.append(list(coords))
+            return real(exps, coords, p)
 
         want = _whole_matrix_reference(degree, 4, pts, lines, cands)
         with mock.patch.object(exactalg, "_evaluated", spy), \
@@ -1487,9 +1505,72 @@ def test_repeated_rows_are_evaluated_once_and_match_the_whole_matrix_reference()
         assert want is not None
         assert (got.dim, got.modular_ranks, list(got.basis)) == want
         assert [len(block) for block in evaluated] == sizes
+        assert 0 not in primes  # no exact row is built
         rows = [c for block in evaluated for c in block]
         assert len(set(rows)) == len(rows) < len(evaluation_rows(degree, 4, pts, lines))
         assert _first_prime_steps(piv, cands) == steps
+
+
+def test_a_residual_that_only_the_last_prime_sees_raises(monkeypatch):
+    # (p0 - 1) x0 + 13 x1 at (13, 1): the residual 13 p0 is bounded by
+    # B = max|coord|^d max|coeff| n = 13 (p0 - 1) 2, between p0 13 and
+    # p0 13 11, so the check takes p0, 13 and 11; the residual is zero mod
+    # p0 and mod 13, and only 11 sees that it is not a member. A bound
+    # without any one of its three factors stops below p0 13 11.
+    p0 = SHADOW_PRIMES[0]
+    monkeypatch.setattr(exactalg, "_PRIMES", [p0, 13, 11, 7, 5, 3, 2])
+    x0, x1 = _vars(2)
+    checked = []
+    real = exactalg._residue_products
+
+    def spy(rows, vecs, p):
+        checked.append(p)
+        return real(rows, vecs, p)
+
+    monkeypatch.setattr(exactalg, "_residue_products", spy)
+    with pytest.raises(ExactAlgError, match="candidate fails a constraint, not a member"):
+        vanishing_space(1, 2, points=[ProjPoint([13, 1])], candidates=[x0 * (p0 - 1) + x1 * 13])
+    assert checked == [p0, 13, 11]
+
+
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4),
+       st.sampled_from([3, 65521, *SHADOW_PRIMES]), st.data())
+@settings(max_examples=80, deadline=None)
+def test_residue_rows_are_the_exact_rows_mod_p(nvars, degree, p, data):
+    # coordinates near the int64 switch max|coord|^d < 2^62, on both sides
+    # of it, past 2^63, where an int64 product would wrap, and far past it
+    edge = int(2 ** (62 / degree))
+    top = data.draw(st.sampled_from([9, edge - 1, edge, edge + 1, int(2 ** (63.5 / degree)),
+                                     2 ** 90]))
+    ints = st.one_of(st.sampled_from([top, -top]), st.integers(min_value=-top, max_value=top))
+    coords = data.draw(st.lists(st.lists(ints, min_size=nvars, max_size=nvars),
+                                min_size=1, max_size=6))
+    exps = data.draw(st.lists(st.sampled_from(monomials(nvars, degree)), min_size=1, max_size=12))
+    exact = _evaluated(exps, coords)
+    assert exact.tolist() == [[math.prod(c ** e for c, e in zip(row, exp)) for exp in exps]
+                              for row in coords]
+    got = _evaluated(exps, coords, p)
+    assert got.dtype == np.int64
+    assert got.tolist() == [[v % p for v in row] for row in exact.tolist()]
+    assert _evaluated(exps, np.array(coords, dtype=object), p).tolist() == got.tolist()
+
+
+@given(st.integers(min_value=1, max_value=80), st.sampled_from([3, 65521, *SHADOW_PRIMES]),
+       st.sampled_from([9, 2 ** 20, 2 ** 62, 2 ** 80]), st.data())
+@settings(max_examples=80, deadline=None)
+def test_residue_products_are_the_object_products_mod_p(width, p, top, data):
+    # the float64 tier while (p - 1) max|vecs| width < 2^53, 16-bit limbs
+    # over 32 columns at a time past it; widths past one panel included
+    rows = data.draw(st.lists(st.lists(st.integers(min_value=0, max_value=p - 1),
+                                       min_size=width, max_size=width), min_size=1, max_size=4))
+    ints = st.one_of(st.sampled_from([top, -top]), st.integers(min_value=-top, max_value=top))
+    vecs = data.draw(st.lists(st.lists(ints, min_size=width, max_size=width),
+                              min_size=1, max_size=4))
+    want = [[v % p for v in row] for row in _python_products(rows, vecs)]
+    arrays = [np.array(vecs, dtype=object)] + ([np.array(vecs)] if top < 2 ** 63 else [])
+    for arr in arrays:
+        got = _residue_products(np.array(rows, dtype=np.int64), arr, p)
+        assert got.dtype == np.int64 and got.tolist() == want
 
 
 def test_edge_cases_of_the_blocks_match_the_whole_matrix_reference():
@@ -1669,6 +1750,24 @@ def test_draw_matches_the_reference_loop(seed, n):
     a, b = random.Random(seed), random.Random(seed)
     assert _draw(a, n) == _reference_loop(b, 1, nonzero)[0]
     assert a.getstate() == b.getstate()
+
+
+@pytest.mark.parametrize("n", [SHADOW_PRIMES[0], 2 ** 30 + 1, 1, 2 ** 32 - 1])
+@pytest.mark.parametrize("count", [0, 1, 7, 5000])
+def test_draws_below_match_randrange_and_its_final_state(n, count):
+    # 2^30 + 1 keeps 31 bits of each word and rejects about half of them
+    a, b = random.Random(count), random.Random(count)
+    got = _draws_below(a, n, count)
+    assert got.dtype == np.int64
+    assert got.tolist() == [b.randrange(n) for _ in range(count)]
+    assert a.getstate() == b.getstate()
+
+
+@pytest.mark.parametrize("n", [0, -5, 2 ** 32, 2 ** 32 + 1])
+def test_draws_below_refuse_a_bound_past_one_word(n):
+    # randrange(2^32) already takes 33 bits, two words per try
+    with pytest.raises(ExactAlgError, match="0 < n < 2"):
+        _draws_below(random.Random(0), n, 3)
 
 
 @pytest.mark.parametrize("count", [1, 3])

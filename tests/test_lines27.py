@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -711,18 +712,63 @@ def test_macdonald_dimensions_and_memberships():
         assert len(ranks) == 2  # two independent prime shadows agreed
 
 
+def _forms_on_lines():
+    """For each of the 120 lines, the cleared root forms that vanish at both
+    spanning points, in the order of the root forms."""
+    forms = [exactalg._clear_row(f.linear_coeffs())
+             for f in L.coordinate_tables().root_forms.values()]
+    return [[w for w in forms
+             if not any(sum(a * b for a, b in zip(w, pt.coords)) for pt in (line.p, line.q))]
+            for line in L.special_loci().lines120]
+
+
+def test_a2a2_products_are_the_products_of_the_forms_vanishing_on_each_line():
+    want = []
+    for on in _forms_on_lines():
+        assert len(on) == 6
+        prod = MPoly.constant(6, 1)
+        for w in on:
+            prod = prod * MPoly.linear(w)
+        want.append(prod)
+    assert L._a2a2_products() == want
+
+
+@pytest.mark.parametrize("k", [348, 349])
+def test_a2a2_products_check_the_int64_bound(monkeypatch, k):
+    # a line's bound is the product of its six forms' sums |w_i|, at most
+    # 5184 = 6^4 2^2; with every cleared root form scaled by k the largest
+    # is 5184 k^6, below 2^63 at k = 348, where the products are k^6 times
+    # the unscaled ones, and at or past it at k = 349
+    assert max(math.prod(sum(map(abs, w)) for w in on) for on in _forms_on_lines()) == 5184
+    assert 5184 * 348 ** 6 < 2 ** 63 <= 5184 * 349 ** 6
+    tables = L.coordinate_tables()
+    want = L._a2a2_products()
+    scaled = {n: MPoly.linear([k * c for c in exactalg._clear_row(f.linear_coeffs())])
+              for n, f in tables.root_forms.items()}
+    monkeypatch.setattr(L, "coordinate_tables",
+                        lambda: dataclasses.replace(tables, root_forms=scaled))
+    if k == 348:
+        assert L._a2a2_products() == [p * k ** 6 for p in want]
+    else:
+        with pytest.raises(ExactAlgError, match="leaves int64"):
+            L._a2a2_products()
+
+
 def test_sextic_system_is_evaluated_one_block_at_a_time(monkeypatch):
     # each of the 1,070 distinct rows of the 1,512-row system is evaluated
     # and checked once, one block (one parameter of every line, without the
     # rows seen before) at a time, never all at once; the first prime
     # eliminates the first three blocks' 458 rows in one call and reaches
-    # 462 - 24 = 438 there
-    sizes, eliminated = [], []
+    # 462 - 24 = 438 there; every row is evaluated on residues mod primes,
+    # never as an exact row
+    sizes, eliminated, primes = [], [], []
     evaluated, pivot_rows = exactalg._evaluated, exactalg._pivot_rows
 
-    def spy(degree, nvars, coords):
-        sizes.append(len(coords))
-        return evaluated(degree, nvars, coords)
+    def spy(exps, coords, p=0):
+        primes.append(p)
+        if p == exactalg.SHADOW_PRIMES[0]:
+            sizes.append(len(coords))
+        return evaluated(exps, coords, p)
 
     def pivot_spy(rows, p):
         if p == exactalg.SHADOW_PRIMES[0]:
@@ -735,6 +781,7 @@ def test_sextic_system_is_evaluated_one_block_at_a_time(monkeypatch):
     vs = exactalg.vanishing_space(6, 6, lines=L.special_loci().lines216, candidates=cands)
     assert (vs.dim, sizes) == (24, [26, 216, 216, 216, 213, 182, 1])
     assert sum(sizes) == 1070
+    assert 0 not in primes
     # the first call thins the 120 candidates
     assert eliminated == [len(cands), 458]
     assert vs.modular_ranks == {p: 438 for p in exactalg.SHADOW_PRIMES}

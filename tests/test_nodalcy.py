@@ -1,10 +1,11 @@
 """Nodal hyperplane sections: node extraction, defect, Hodge bookkeeping."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modgem import lines27, nodalcy
+from modgem import exactalg, lines27, nodalcy
 from modgem.exactalg import ExactAlgError, MPoly, ProjPoint
 from modgem.gems import invariant_quintic_form
 from modgem.nodalcy import (
@@ -201,6 +202,46 @@ def test_generic_vanishing_space_contract(generic):
     assert vs.method == "candidates"
     assert len(vs.modular_ranks) == 2
     assert set(vs.modular_ranks.values()) == {96}
+
+
+def test_tangent_vanishing_space_builds_no_object_array(tangent, monkeypatch):
+    # the chart nodes' coordinates put the exact evaluation rows past 2^400;
+    # the members are checked on residues mod enough primes, and neither
+    # the products nor the eliminations see a Python-int array
+    dtypes, primes = [], set()
+    inside = []
+    real_vs, real_mm, real_em = (nodalcy.vanishing_space, exactalg._int_matmul,
+                                 exactalg._echelon_mod)
+    real_rp = exactalg._residue_products
+
+    def spied_vs(*args, **kwargs):
+        inside.append(True)
+        try:
+            return real_vs(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def spied_mm(rows, vecs):
+        if inside:
+            dtypes.extend(np.asarray(a).dtype for a in (rows, vecs))
+        return real_mm(rows, vecs)
+
+    def spied_em(rows, p):
+        if inside:
+            dtypes.append(np.asarray(rows).dtype)
+        return real_em(rows, p)
+
+    def spied_rp(rows, vecs, p):
+        primes.add(p)
+        return real_rp(rows, vecs, p)
+
+    monkeypatch.setattr(nodalcy, "vanishing_space", spied_vs)
+    monkeypatch.setattr(exactalg, "_int_matmul", spied_mm)
+    monkeypatch.setattr(exactalg, "_echelon_mod", spied_em)
+    monkeypatch.setattr(exactalg, "_residue_products", spied_rp)
+    assert section_report(tangent[0]) == tangent[1]
+    assert dtypes and object not in dtypes
+    assert len(primes) > len(exactalg.SHADOW_PRIMES)
 
 
 def test_tangent_report(tangent):
