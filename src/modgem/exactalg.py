@@ -1066,10 +1066,11 @@ class VanishingSpace:
     """Forms of fixed degree vanishing on given points and lines.
 
     `dim` is always exact: independent members bound it from below and the
-    modular rank of the evaluation matrix at every prime bounds it from above.
+    modular rank of the evaluation rows at every prime bounds it from above.
     `method` records where the members came from: "kernel" (the integer
-    kernel of the evaluation matrix) or "candidates" (forms supplied by the
-    caller). `modular_ranks` holds the rank of that matrix at each prime.
+    kernel of the first prime's pivot rows, checked against every row) or
+    "candidates" (forms supplied by the caller). `modular_ranks` holds the
+    rank of the evaluation rows at each prime.
     """
 
     degree: int
@@ -1091,36 +1092,13 @@ class VanishingSpace:
         return echelon.contains(_clear_row(form.coefficient_vector(self.degree)))
 
 
-def evaluation_rows(degree: int, nvars: int,
-                    points: Sequence[ProjPoint] = (),
-                    lines: Sequence[ProjLine] = ()) -> np.ndarray:
-    """Evaluation matrix of all degree-d monomials against the constraints.
-
-    A point contributes one row; a line contributes d+1 rows at the fixed
-    parameters (1:0), (1:1), ..., (1:d-1), (0:1). A degree-d binary form
-    vanishing at d+1 distinct points of a line is identically zero, so the
-    rows capture line containment exactly, no genericity needed. The points
-    come first, then each line's rows (`_constraint_coords`); `_evaluated`
-    gives the rows. With n monomials and k independent forms in its kernel,
-    rank_p <= rank_Q <= n - k at every prime p.
-    """
-    return _evaluated(monomials(nvars, degree), _constraint_coords(degree, points, lines))
-
-
-def _constraint_coords(degree: int, points: Sequence[ProjPoint],
-                       lines: Sequence[ProjLine]) -> list[tuple[int, ...]]:
-    """The coordinate rows of `evaluation_rows`, in its order."""
-    coords = [pt.coords for pt in points]
-    return coords + [c for line in lines for c in line.parameter_points(degree + 1)]
-
-
 def _evaluated(exps: Sequence[Sequence[int]], coords: np.ndarray | Sequence[Sequence[int]],
                p: int = 0) -> np.ndarray:
     """The monomials x^e, one column per exponent row e of `exps`, at the
-    coordinate rows: the one evaluator, of `evaluation_rows`, of
-    `vanishing_space`'s blocks and of `gems._eval_batch_mod`. Each column is
-    gathered from per-row power tables, and no exact entry exceeds
-    max|coord|^d, d the top degree of `exps`.
+    coordinate rows: the one evaluator, of `vanishing_space`'s rows and of
+    `gems._eval_batch_mod`. Each column is gathered from per-row power
+    tables, and no exact entry exceeds max|coord|^d, d the top degree of
+    `exps`.
 
     Without p the rows are exact: int64 when that bound is below 2^62, Python
     ints (dtype object) otherwise. With a prime p they are int64 residues in
@@ -1151,40 +1129,44 @@ def _evaluated(exps: Sequence[Sequence[int]], coords: np.ndarray | Sequence[Sequ
 
 
 def _member_residues(exps: Sequence[Sequence[int]], coords: Sequence[Sequence[int]],
-                     coeffs: np.ndarray) -> np.ndarray:
-    """The rows of `exps` at coords mod `SHADOW_PRIMES[0]`, the first of
-    `_primes_past(B)`, B = max|coord|^d max|coeff| n, after each row of
-    coeffs is checked to vanish on the rows mod each of those primes (else
-    ExactAlgError); each later prime's rows are freed once checked."""
-    top = max(abs(c) for row in coords for c in row)
+                     coeffs: np.ndarray, first: np.ndarray | None = None) -> np.ndarray:
+    """The rows of `exps` at coords mod p0 = `SHADOW_PRIMES[0]` (`first`, when
+    already evaluated), the first of `_primes_past(B)`, B = max|coord|^d
+    max|coeff| n, after each row of coeffs is checked to vanish on the rows
+    mod each of those primes (else ExactAlgError); each later prime's rows
+    are freed once checked."""
+    top = max((abs(c) for row in coords for c in row), default=0)
     bound = top ** sum(exps[0]) * _max_abs(coeffs) * len(exps)
-    first = None
     for q in _primes_past(bound):
-        rows = _evaluated(exps, coords, q)
+        rows = first if q == SHADOW_PRIMES[0] and first is not None else _evaluated(exps, coords, q)
         if _residue_products(rows, coeffs, q).any():
             raise ExactAlgError("candidate fails a constraint, not a member")
         first = rows if first is None else first
     return first
 
 
+def _member_array(cleared: Sequence[Sequence[int]]) -> np.ndarray:
+    """The members' cleared coefficient rows as one array for every member
+    check: int64 where every entry fits, Python ints otherwise."""
+    top = max((abs(v) for row in cleared for v in row), default=0)
+    return np.array(cleared, dtype=np.int64 if top < 2 ** 63 else object)
+
+
 def _checked_pivots(exps: Sequence[Sequence[int]], blocks: Sequence[Sequence[tuple[int, ...]]],
                     coeffs: np.ndarray, target: int) -> list[tuple[int, ...]]:
     """The coordinate rows of p0's pivot rows in `vanishing_space`'s
-    candidate route: the blocks' rows not seen before are checked, and
-    their residues held and eliminated, until `target` are kept. Every
-    residue array is freed on return."""
+    candidate route: each block's rows are checked, and their residues held
+    and eliminated, until `target` are kept. Every residue array is freed
+    on return."""
     first = SHADOW_PRIMES[0]
-    seen: set[tuple[int, ...]] = set()
     kept: list[tuple[int, ...]] = []
     residues = np.zeros((0, len(exps)), dtype=np.int64)
-    held: list[tuple[list[tuple[int, ...]], np.ndarray]] = []
+    held: list[tuple[Sequence[tuple[int, ...]], np.ndarray]] = []
     for i, block in enumerate(blocks):
-        new = [c for c in dict.fromkeys(block) if c not in seen]
-        seen.update(new)
-        if new:
-            rows = _member_residues(exps, new, coeffs)
+        if block:
+            rows = _member_residues(exps, block, coeffs)
             if len(kept) < target:
-                held.append((new, rows))
+                held.append((block, rows))
         if held and (len(kept) + sum(len(c) for c, _ in held) >= target
                      or i == len(blocks) - 1):
             # the held blocks are freed before the elimination copies its input
@@ -1202,84 +1184,79 @@ def vanishing_space(degree: int, nvars: int,
                     candidates: Sequence[MPoly] | None = None) -> VanishingSpace:
     """Exact basis of degree-d forms vanishing on the given points and lines.
 
-    The members are the supplied candidates or, without them, the integer
-    kernel of the evaluation matrix; supplying candidates avoids the
-    kernel of a large matrix, e.g. sextics against 216 lines.
-    Annihilating all evaluation rows proves membership, since d+1 sample
-    points per line see the whole line, and every member is checked
-    exactly against every row. Members are independent over Q: a kernel
-    vector is nonzero only at its own free column among the free columns,
-    and candidates are thinned to the pivot rows of their coefficients mod
-    the first prime p0, independent mod p0 and so over Q. With k members
-    and n monomials, k <= dim <= n - rank_p at every prime p, and n - rank_p
-    must equal k (else ShadowMismatch), so dim = k.
+    The rows: a point gives its coordinates and a line its d+1 parameter
+    points (`ProjLine.parameter_points`); a degree-d binary form vanishing
+    at d+1 points of a line vanishes on it, so a form that annihilates every
+    evaluation row vanishes on the points and lines. The rows go in blocks
+    in one fixed order: block j holds the j-th parameter row of every line,
+    j from d down to 0, and the points come last as one block. A coordinate
+    row that has already appeared, in its block or an earlier one, is
+    dropped: its evaluation row is one already there, so it adds no rank
+    and no check. Rows are evaluated on residues; only the kernel route
+    builds exact rows, for the pivot rows that the first prime p0 keeps.
 
-    Without candidates k is unknown: p0 eliminates the whole exact matrix
-    (`evaluation_rows`, every row as it comes), whose pivot rows span the
-    row space over Q when rank_p0 = rank_Q, and the members are the kernel
-    of those rows, checked by one exact product with the whole matrix.
-    With candidates k is known before any elimination, and no exact row is
-    built: the rows are evaluated one block at a time, in one fixed order:
-    block j holds the j-th parameter row of every line, j from d down to 0,
-    and the points come last as one block. A coordinate row that has
-    already appeared, in its block or an earlier one, is dropped: its
-    evaluation row is one already there, so it adds no rank and no check.
-    The candidates are thinned on the residues mod p0 of their cleared
-    coefficients, and every candidate is checked against each block on residues
-    (`_member_residues`): a residual row @ coeff is an integer of absolute
-    value at most B = max|coord|^d max|coeff| n over the block, and it is
-    zero mod primes whose product exceeds B, so by the Chinese remainder
-    theorem it is zero. Until the pivot rows kept reach n - k, the blocks'
-    residues mod p0 are held until the kept plus the held rows number
-    n - k (or the blocks run out), and p0 then eliminates them in one call
-    and keeps the new pivot rows, by their coordinate rows. The stop is
-    sound: the k exact members give rank_p0 <= rank_Q <= n - k, and a
-    subset of the rows has rank at most the whole matrix's, so a subset of
-    rank n - k mod p0 proves rank_p0 = n - k. Blocks that run out below
-    n - k raise ShadowMismatch.
+    The members are the supplied candidates, thinned to the pivot rows of
+    their cleared coefficients mod p0, so independent mod p0 and over Q.
+    Without candidates they are found first: p0 eliminates the residues of
+    every row in one call, and the members are the `kernel_int` of the
+    exact rows of its pivot rows, independent over Q. Each member is checked
+    against every row on residues (`_member_residues`): a residual row @
+    coeff is an integer of absolute value at most B = max|coord|^d
+    max|coeff| n, and it is zero mod primes whose product exceeds B, so by
+    the Chinese remainder theorem it is zero. A candidate that fails raises
+    ExactAlgError; a kernel member that fails means p0 dropped the rank, and
+    raises ShadowMismatch.
 
-    A later prime evaluates and eliminates only p0's pivot rows, on
-    residues: rank n - k there squeezes the whole matrix's rank_p to n - k,
-    and only a shortfall evaluates every row for it. When p0 divides a
-    minor that matters (candidates independent over Q but not mod p0), the
-    call raises rather than certify a wrong dimension.
+    With k exact independent members and n monomials, k <= dim and
+    rank_p <= rank_Q <= n - k at every prime p, and a subset of the rows of
+    rank n - k mod p0 proves rank_p0 = n - k. The candidate route stops
+    there: until the pivot rows kept reach n - k, the blocks' residues mod
+    p0 are held until the kept plus the held rows number n - k (or the
+    blocks run out), and p0 then eliminates them in one call and keeps the
+    new pivot rows, by their coordinate rows. A later prime evaluates and
+    eliminates only p0's pivot rows: rank n - k there squeezes rank_p to
+    n - k, and only a shortfall evaluates every row for it. Every n - rank_p
+    must equal k (else ShadowMismatch), so dim = k; when p0 divides a minor
+    that matters (candidates independent over Q but not mod p0), the call
+    raises rather than certify a wrong dimension.
     """
     exps = monomials(nvars, degree)
     mono = _packed_monomials(nvars, degree)
     first, *later = SHADOW_PRIMES
+    params = [line.parameter_points(degree + 1) for line in lines]
+    blocks: list[list[tuple[int, ...]]] = []
+    seen: set[tuple[int, ...]] = set()
+    for block in [[pts[j] for pts in params] for j in range(degree, -1, -1)] + [
+            [pt.coords for pt in points]]:
+        blocks.append([c for c in dict.fromkeys(block) if c not in seen])
+        seen.update(blocks[-1])
+    rows = [c for block in blocks for c in block]
     if candidates is None:
         method = "kernel"
-        mat = evaluation_rows(degree, nvars, points, lines)
-        coords = _constraint_coords(degree, points, lines)
-        pivots = _pivot_rows(mat, first)
-        kept = [coords[i] for i in pivots]
+        residues = _evaluated(exps, rows, first)
+        kept = [rows[i] for i in _pivot_rows(residues, first)]
         # without pivot rows every form vanishes; a zero row keeps the width
-        vecs = kernel_int(mat[pivots].tolist() or [[0] * len(mono)])
-        if _int_matmul(mat, vecs).any():
-            raise ShadowMismatch(f"rank mod {first} is below the rank over Q")
-        del mat
+        vecs = kernel_int(_evaluated(exps, kept).tolist() or [[0] * len(mono)])
+        try:
+            _member_residues(exps, rows, _member_array(vecs), residues)
+        except ExactAlgError:
+            raise ShadowMismatch(f"rank mod {first} is below the rank over Q") from None
+        del residues
         chosen = [MPoly._from_packed(nvars, dict(zip(mono, vec))) for vec in vecs]
     else:
         method = "candidates"
         if any(c.nvars != nvars or c.degree() != degree or not c.is_homogeneous()
                for c in candidates):
             raise ExactAlgError("candidate of wrong degree or ring")
-        cleared = [_clear_row(c.coefficient_vector(degree)) for c in candidates]
-        # one array for every block's member check, int64 where it fits; the
-        # thinning takes its residues mod p0
-        top = max((abs(v) for row in cleared for v in row), default=0)
-        coeffs = np.array(cleared, dtype=np.int64 if top < 2 ** 63 else object)
+        # the thinning takes the residues mod p0 of the member checks' array
+        coeffs = _member_array([_clear_row(c.coefficient_vector(degree)) for c in candidates])
         thinned = _pivot_rows((coeffs % first).astype(np.int64), first)
         chosen = [candidates[i] for i in sorted(thinned)]
-        params = [line.parameter_points(degree + 1) for line in lines]
-        blocks = [[pts[j] for pts in params] for j in range(degree, -1, -1)]
-        blocks.append([pt.coords for pt in points])
         kept = _checked_pivots(exps, blocks, coeffs, len(mono) - len(chosen))
     ranks = {first: len(kept)}
     for p in later:
         rp = len(_pivot_rows(_evaluated(exps, kept, p), p))
-        ranks[p] = rp if rp == len(mono) - len(chosen) else rank_mod(
-            _evaluated(exps, _constraint_coords(degree, points, lines), p), p)
+        ranks[p] = rp if rp == len(mono) - len(chosen) else rank_mod(_evaluated(exps, rows, p), p)
     for p, rp in ranks.items():
         if len(mono) - rp != len(chosen):
             raise ShadowMismatch(

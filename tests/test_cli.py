@@ -1,5 +1,6 @@
 """Driver tests: suite registry, certificates, canonical reports, exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 from modgem import cli, gems, lines27, nodalcy, rootarr
-from modgem.exactalg import DRAWS_PER_RESULT
+from modgem.exactalg import DRAWS_PER_RESULT, MPoly, ProjPoint
 
 import flat_records
 
@@ -194,6 +195,66 @@ def test_wrong_word_product_fails_quintic_invariance(tmp_path, monkeypatch):
     assert [c["check"] for c in failed] == ["quintic/invariance"]
     assert failed[0]["seed"] == cli._derived_seed(0, "quintic/invariance")
     assert failed[0]["computed"].startswith("error: ")
+
+
+def _moved_root_point(loci):
+    # the root point h, (1, 1, 1, 1, 1, 3), moved to (2, 1, 1, 1, 1, 3)
+    return dataclasses.replace(loci, root_points={
+        **loci.root_points, "h": ProjPoint([2, 1, 1, 1, 1, 3])})
+
+
+def _replaced_line45(loci):
+    # the first of the 45 lines through three weight points replaced by the
+    # first of the 216 lines through one root point and two weight points
+    return dataclasses.replace(loci, lines45=loci.lines216[:1] + loci.lines45[1:])
+
+
+def _special_loci_fault(change):
+    def patch(monkeypatch):
+        real = lines27.special_loci
+        monkeypatch.setattr(lines27, "special_loci", lambda: change(real()))
+    return patch
+
+
+def _segre_chart_fault(monkeypatch):
+    # x0^3 added: one coefficient of the cubic chart goes up by one
+    real = gems.segre_chart
+    monkeypatch.setattr(gems, "segre_chart", lambda: real() + MPoly.var(0, 5) ** 3)
+
+
+# fault -> (the patch that applies it, the suites that read the faulted input,
+# the cached builders that keep results derived from it, the checks of those
+# suites that must then read "fail"). `macdonald_membership` is the one
+# cached builder downstream of `special_loci`, and none is downstream of
+# `segre_chart`.
+INPUT_FAULTS = {
+    "root-point-moved": (_special_loci_fault(_moved_root_point),
+                         ("lines27", "quintic", "nodal"), (lines27.macdonald_membership,),
+                         {"lines27/ideal-dimensions", "quintic/singular-locus"}),
+    "line45-replaced": (_special_loci_fault(_replaced_line45),
+                        ("lines27",), (lines27.macdonald_membership,),
+                        {"lines27/ideal-dimensions"}),
+    "segre-chart-coefficient": (_segre_chart_fault, ("segre", "nieto", "duality"), (),
+                                {"segre/model", "segre/parametrization", "segre/sections",
+                                 "nieto/hessian", "duality/pipeline"}),
+}
+
+
+@pytest.mark.parametrize("fault", list(INPUT_FAULTS))
+def test_an_input_fault_fails_exactly_its_checks(fault, monkeypatch):
+    # the caches are cleared before the fault, so that it is seen, and after
+    # it, so that no later test reads a result built from it
+    patch, suites, caches, failing = INPUT_FAULTS[fault]
+    for cache in caches:
+        cache.cache_clear()
+    patch(monkeypatch)
+    try:
+        certs = [c for suite in suites for c in cli.run_suite(suite, cli.SuiteConfig())]
+    finally:
+        monkeypatch.undo()
+        for cache in caches:
+            cache.cache_clear()
+    assert {c.check for c in certs if c.status == "fail"} == failing
 
 
 def test_json_report_byte_identity(tmp_path):

@@ -23,7 +23,6 @@ from modgem.exactalg import (
     checked_rank,
     det_poly,
     elementary_symmetric,
-    evaluation_rows,
     hessian_det,
     kernel_int,
     monomials,
@@ -1303,6 +1302,17 @@ def test_candidate_route_on_random_spanning_sets_matches_kernel_route(case, data
     assert all(certified.contains(b) for b in kernel.basis)
 
 
+def evaluation_rows(degree, nvars, points=(), lines=()):
+    """The whole exact evaluation matrix, in Python ints: the degree-d
+    monomials at each point, then at each line's d+1 parameter points (1:0),
+    (1:1), ..., (1:d-1), (0:1), every row as it comes, repeats included."""
+    coords = [pt.coords for pt in points]
+    coords += [c for line in lines for c in line.parameter_points(degree + 1)]
+    exps = monomials(nvars, degree)
+    return np.array([[math.prod(c ** e for c, e in zip(row, exp)) for exp in exps]
+                     for row in coords], dtype=object).reshape(len(coords), len(exps))
+
+
 def _whole_matrix_reference(degree, nvars, points, lines, candidates):
     """The candidate route with the first prime on the whole matrix:
     (dim, modular ranks, members), or None when a prime's bound n - rank_p
@@ -1476,39 +1486,57 @@ def test_repeated_rows_are_evaluated_once_and_match_the_whole_matrix_reference()
     # three lines of the plane x3 = 0 through the shared point (0, 0, 1, 0),
     # their last parameter point, and the points (1, 0, 0, 0), the first
     # point of the first line, and (1, 2, 3, 0) given twice: each distinct
-    # coordinate row is evaluated once, in the first block it appears in.
-    # Quadrics x3 * v: n - k = 10 - 4 = 6, reached by one elimination of
-    # the first three blocks' 1 + 3 + 3 rows. Cubics x3 * q: n - k = 20 - 10
-    # = 10; the four line blocks' 10 rows leave out x0 x1 (x0 - x1), the
-    # three lines, so rank 9, and the one new point brings the rank to 10
+    # coordinate row is evaluated once mod the first prime, in the first
+    # block it appears in. Quadrics x3 * v: n - k = 10 - 4 = 6, reached by
+    # one elimination of the first three blocks' 1 + 3 + 3 rows. Cubics
+    # x3 * q: n - k = 20 - 10 = 10; the four line blocks' 10 rows leave out
+    # x0 x1 (x0 - x1), the three lines, so rank 9, and the one new point
+    # brings the rank to 10. Without candidates the first prime evaluates
+    # and eliminates the 8 and 11 distinct rows in one call, and the only
+    # exact rows are those of its pivot rows.
     x = _vars(4)
     shared = ProjPoint([0, 0, 1, 0])
     lines = [ProjLine(ProjPoint(p), shared) for p in ([1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0])]
     pts = [ProjPoint([1, 0, 0, 0]), ProjPoint([1, 2, 3, 0]), ProjPoint([1, 2, 3, 0])]
     quadrics = [x[3] * v for v in x]
     cubics = [x[3] * a * b for i, a in enumerate(x) for b in x[i:]]
+    p0 = SHADOW_PRIMES[0]
     real = exactalg._evaluated
     for degree, cands, sizes, steps in [(2, quadrics, [1, 3, 3, 1], [7]),
-                                        (3, cubics, [1, 3, 3, 3, 1], [10, 10])]:
-        evaluated, primes = [], []
+                                        (3, cubics, [1, 3, 3, 3, 1], [10, 10]),
+                                        (2, None, [8], [8]), (3, None, [11], [11])]:
+        evaluated, exact = [], []
 
         def spy(exps, coords, p=0):
-            primes.append(p)
-            if p == SHADOW_PRIMES[0]:
+            if p == p0:
                 evaluated.append(list(coords))
+            if not p:
+                exact.append(len(coords))
             return real(exps, coords, p)
 
-        want = _whole_matrix_reference(degree, 4, pts, lines, cands)
+        mat = evaluation_rows(degree, 4, pts, lines)
+        kernel = [MPoly.from_terms(4, zip(monomials(4, degree), vec))
+                  for vec in kernel_int(mat.tolist())]
+        want = _whole_matrix_reference(degree, 4, pts, lines, cands or kernel)
         with mock.patch.object(exactalg, "_evaluated", spy), \
                 mock.patch.object(exactalg, "_pivot_rows", wraps=exactalg._pivot_rows) as piv:
             got = vanishing_space(degree, 4, points=pts, lines=lines, candidates=cands)
         assert want is not None
         assert (got.dim, got.modular_ranks, list(got.basis)) == want
+        assert got.method == ("kernel" if cands is None else "candidates")
         assert [len(block) for block in evaluated] == sizes
-        assert 0 not in primes  # no exact row is built
         rows = [c for block in evaluated for c in block]
-        assert len(set(rows)) == len(rows) < len(evaluation_rows(degree, 4, pts, lines))
-        assert _first_prime_steps(piv, cands) == steps
+        assert len(set(rows)) == len(rows) < len(mat)
+        assert set(rows) == ({pt.coords for pt in pts}
+                             | {c for ln in lines for c in ln.parameter_points(degree + 1)})
+        # no route builds an exact evaluation matrix: only the kernel route
+        # builds exact rows, and only for the first prime's pivot rows
+        assert bool(exact) == (cands is None)
+        assert all(size <= got.modular_ranks[p0] for size in exact)
+        if cands is None:
+            assert [len(r) for (r, p), _ in piv.call_args_list if p == p0] == steps
+        else:
+            assert _first_prime_steps(piv, cands) == steps
 
 
 def test_a_residual_that_only_the_last_prime_sees_raises(monkeypatch):
@@ -1606,13 +1634,13 @@ def test_edge_cases_of_the_blocks_match_the_whole_matrix_reference():
 
 
 @pytest.mark.parametrize("top, dtype", [(2 ** 31 - 1, np.int64), (2 ** 31, object)])
-def test_evaluation_rows_switch_to_python_ints_past_int64(top, dtype):
+def test_evaluated_switches_to_python_ints_past_int64(top, dtype):
     # the entry bound top^2 is just below 2^62, then equal to it
     pts = [ProjPoint([top, 1, 3]), ProjPoint([-top, top, 2]), ProjPoint([0, 0, 1])]
     ln = ProjLine(ProjPoint([1, -2, 0]), ProjPoint([3, 0, 1]))
-    mat = evaluation_rows(2, 3, pts, [ln])
-    assert mat.dtype == dtype
     coords = [pt.coords for pt in pts] + ln.parameter_points(3)
+    mat = _evaluated(monomials(3, 2), coords)
+    assert mat.dtype == dtype
     assert mat.tolist() == [[math.prod(c ** e for c, e in zip(row, exp))
                              for exp in monomials(3, 2)] for row in coords]
 

@@ -191,13 +191,6 @@ def _subset_flats(arr):
     return expected
 
 
-def test_flat_form_sets_are_exact():
-    # every flat's q re-checks as the exact number of forms vanishing on it
-    tab = cached_incidence("B", 4)
-    for flat in table_flats(tab):
-        assert _vanishing(tab.arrangement.forms, flat.basis) == set(flat.forms)
-
-
 @pytest.mark.parametrize("fam", ["A", "B", "D", "F"])
 def test_incidence_matches_subset_enumeration(fam):
     # a closed form set fixes the flat, so (dim, forms) pairs compare the lattices
