@@ -340,32 +340,16 @@ class MPoly:
         return self.subs([MPoly.linear([b[i] for b in basis]) for i in range(self.nvars)])
 
     def restrict_to_line(self, p: Sequence[Scalar], q: Sequence[Scalar]) -> list[Scalar]:
-        """Coefficients of the binary form self(s*p + t*q), ordered s^d .. t^d.
+        """Coefficients of the binary form self(s*p + t*q), ordered s^d .. t^d:
+        `restrict` to the span of p and q, read on `monomials(2, d)`.
 
-        Only defined for homogeneous polynomials. The expansion of each
-        (s*p_i + t*q_i)^e is made once per call and shared by the terms.
+        Only defined for homogeneous polynomials; the zero form gives [0].
         """
         if not self.is_homogeneous():
             raise ExactAlgError("line restriction needs a homogeneous polynomial")
+        binary = self.restrict([p, q])
         d = self.degree()
-        if d is None:
-            return [0]
-        out: list[Scalar] = [0] * (d + 1)
-        expansions: dict[tuple[int, int], list[Scalar]] = {}
-        for exp, c in self.iter_terms():
-            conv: list[Scalar] = [1]
-            for i, e in enumerate(exp):
-                if not e:
-                    continue
-                fac = expansions.get((i, e))
-                if fac is None:
-                    fac = [math.comb(e, k) * p[i] ** (e - k) * q[i] ** k for k in range(e + 1)]
-                    expansions[(i, e)] = fac
-                conv = _convolve(conv, fac)
-            for j, v in enumerate(conv):
-                if v:
-                    out[j] += c * v
-        return out
+        return [0] if d is None else binary.coefficient_vector(d)
 
     def eval(self, values: Sequence[Scalar]) -> Scalar:
         """Value at a point: an int when the point and the coefficients are
@@ -420,17 +404,6 @@ class MPoly:
         return f"MPoly({self.to_str()})"
 
 
-def _convolve(a: list[Scalar], b: list[Scalar]) -> list[Scalar]:
-    out: list[Scalar] = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] += x * y
-    return out
-
-
 # -- symmetric functions and determinants -------------------------------------
 
 
@@ -452,6 +425,32 @@ def power_sum(k: int, items: Sequence[MPoly]) -> MPoly:
     for item in items:
         acc = acc + item ** k
     return acc
+
+
+def _linear_products(factors: np.ndarray) -> list[MPoly]:
+    """The product of each row's linear forms, for an int64 array of m rows
+    of k forms in n variables, shape (m, k, n).
+
+    The m coefficient rows, on the monomials of degree t, are multiplied by
+    one form at a time: x^e x_i has the packed key of x^e plus that of x_i,
+    so each variable maps the degree-t monomials to distinct ones of degree
+    t + 1. No coefficient of a product of forms w exceeds the product of
+    their sums |w_i|, which must stay below 2^63 (else ExactAlgError), so
+    every row is exact in int64.
+    """
+    m, k, n = factors.shape
+    if max(math.prod(row) for row in np.abs(factors).sum(axis=2).tolist()) >= 2 ** 63:
+        raise ExactAlgError(f"a product of {k} linear forms leaves int64")
+    rows = np.ones((m, 1), dtype=np.int64)
+    for t, factor in enumerate(factors.transpose(1, 0, 2)):
+        position = {key: j for j, key in enumerate(_packed_monomials(n, t + 1))}
+        grown = np.zeros((m, len(position)), dtype=np.int64)
+        for i in range(n):
+            shift = (1 << (EXP_BITS * n)) + (1 << (EXP_BITS * (n - 1 - i)))
+            times_xi = [position[key + shift] for key in _packed_monomials(n, t)]
+            grown[:, times_xi] += rows * factor[:, i, None]
+        rows = grown
+    return [MPoly._from_packed(n, dict(zip(_packed_monomials(n, k), row))) for row in rows.tolist()]
 
 
 def proportional(p: MPoly, q: MPoly) -> Optional[Fraction]:
@@ -543,10 +542,10 @@ class ProjLine:
     `key` is the fully reduced integer echelon of the spanning points (see
     `_IntEchelon`): that form is unique, so the key (and with it equality
     and hashing) is the same for any two spanning pairs of the same line,
-    and `contains` is one reduction against its rows.
+    and `contains` is the echelon's membership test.
     """
 
-    __slots__ = ("p", "q", "_key")
+    __slots__ = ("p", "q", "_ech", "_key")
 
     def __init__(self, p: ProjPoint, q: ProjPoint):
         if p.n != q.n:
@@ -556,6 +555,7 @@ class ProjLine:
             raise ExactAlgError("spanning points are proportional")
         self.p = p
         self.q = q
+        self._ech = ech
         self._key = ech.key()
 
     @property
@@ -569,10 +569,7 @@ class ProjLine:
         return hash(self._key)
 
     def contains(self, pt: ProjPoint) -> bool:
-        """Whether pt reduces to zero against the key rows; each row's pivot
-        is its first nonzero column."""
-        pivots = [next(j for j, c in enumerate(row) if c) for row in self._key]
-        return not any(_reduce(self._key, pivots, pt.coords))
+        return self._ech.contains(pt.coords)
 
     def parameter_points(self, count: int) -> list[tuple[int, ...]]:
         """count distinct points: p, p+q, p+2q, ..., and q last.
@@ -706,8 +703,9 @@ class _IntEchelon:
     unique, so the rows are a canonical key of the span whatever order the
     vectors came in, and a single forward pass decides membership of a new
     vector; one of another length raises. It names spans and tests
-    membership, and certifies no rank: `ProjLine`, `VanishingSpace.contains`,
-    the `gems` keys and `rref_int`'s pencil keys.
+    membership, and certifies no rank: `ProjLine` (its key and `contains`),
+    `VanishingSpace.contains`, the plane censuses and keys of `gems` and
+    `rref_int`'s pencil keys.
     """
 
     def __init__(self, vecs: Iterable[Sequence[int]] = ()) -> None:

@@ -105,8 +105,8 @@ def _mat_mul(a: lines27.IntMatrix, b: lines27.IntMatrix) -> lines27.IntMatrix:
 
 
 def _pullback(f: MPoly, mat: lines27.IntMatrix) -> MPoly:
-    images = [lines27.apply_to_form(MPoly.var(i, 6), mat) for i in range(6)]
-    return f.subs(images)
+    """f with each x_i replaced by the linear form of row i of mat."""
+    return f.subs([MPoly.linear(row) for row in mat])
 
 
 def _require_form(form: MPoly, degree: int) -> None:
@@ -1113,11 +1113,10 @@ def _eval_batch_mod(polys: Sequence[MPoly], points: np.ndarray, p: int) -> np.nd
     batch takes one product with the cleared coefficient rows mod p
     (`_residue_products`).
     """
-    nvars = polys[0].nvars
-    keys = sorted({k for poly in polys for k in poly.terms})
-    cleared = _clear_row([poly.terms.get(k, 0) for poly in polys for k in keys], p)
-    coeffs = np.array(cleared, dtype=object).reshape(len(polys), len(keys))
-    exps = [tuple(k.to_bytes(nvars + 1, "big")[1:]) for k in keys]
+    terms = [dict(poly.iter_terms()) for poly in polys]
+    exps = sorted(set().union(*terms))
+    cleared = _clear_row([t.get(e, 0) for t in terms for e in exps], p)
+    coeffs = np.array(cleared, dtype=object).reshape(len(polys), len(exps))
     out = np.empty((len(points), len(polys)), dtype=np.int64)
     for i in range(0, len(points), _BATCH):
         out[i:i + _BATCH] = _residue_products(_evaluated(exps, points[i:i + _BATCH], p),

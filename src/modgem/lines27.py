@@ -17,7 +17,6 @@ elements are never listed.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -26,7 +25,6 @@ from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 import numpy as np
 
 from .exactalg import (
-    EXP_BITS,
     SHADOW_PRIMES,
     ExactAlgError,
     MPoly,
@@ -34,8 +32,7 @@ from .exactalg import (
     ProjPoint,
     _clear_row,
     _int_matmul,
-    _packed_monomials,
-    _scalar,
+    _linear_products,
     checked_rank,
     elementary_symmetric,
     rank_mod,
@@ -521,11 +518,6 @@ def reflection_matrix(root: str) -> IntMatrix:
     return tuple(tuple(v // norm for v in row) for row in scaled)
 
 
-def apply_to_form(f: MPoly, mat: IntMatrix) -> MPoly:
-    """Pullback of a linear form along the matrix (form of the composite map)."""
-    return MPoly.linear(_mat_vec_row([_scalar(c) for c in f.linear_coeffs()], mat))
-
-
 @lru_cache(maxsize=1)
 def _weight_rows() -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], int]]:
     """The integral forms 6·w as rows in label order, and each row's index."""
@@ -806,13 +798,8 @@ def _a2a2_products() -> list[MPoly]:
     A linear form vanishes on a line exactly when it vanishes at both
     spanning points, so one product of the 36 root forms, cleared to
     integers (which scales each product only), against the 240 spanning
-    points finds the six of every line. The 120 coefficient rows, on the
-    monomials of degree t, are then multiplied by one linear form at a
-    time: x^e x_i has the packed key of x^e plus that of x_i, so each
-    variable maps the degree-t monomials to distinct ones of degree t + 1.
-    No coefficient of a product of forms w exceeds the product of their
-    sums |w_i|, which must stay below 2^63 (else ExactAlgError), so every
-    row is exact in int64.
+    points finds the six of every line. The 120 products are then taken in
+    int64 by `_linear_products`, which raises past its bound.
     """
     forms = np.array([_clear_row(f.linear_coeffs())
                       for f in coordinate_tables().root_forms.values()], dtype=np.int64)
@@ -821,19 +808,7 @@ def _a2a2_products() -> list[MPoly]:
     zero = (_int_matmul(spans, forms) == 0).reshape(len(lines), 2, len(forms)).all(axis=1)
     if (zero.sum(axis=1) != 6).any():
         raise ExactAlgError("each of the 120 lines lies on exactly 6 hyperplanes")
-    factors = forms[np.nonzero(zero)[1].reshape(len(lines), 6)]
-    if max(math.prod(row) for row in np.abs(factors).sum(axis=2).tolist()) >= 2 ** 63:
-        raise ExactAlgError("a product of six root forms leaves int64")
-    rows = np.ones((len(lines), 1), dtype=np.int64)
-    for t, factor in enumerate(factors.transpose(1, 0, 2)):
-        position = {k: j for j, k in enumerate(_packed_monomials(6, t + 1))}
-        grown = np.zeros((len(lines), len(position)), dtype=np.int64)
-        for i in range(6):
-            shift = (1 << (EXP_BITS * 6)) + (1 << (EXP_BITS * (5 - i)))
-            times_xi = [position[k + shift] for k in _packed_monomials(6, t)]
-            grown[:, times_xi] += rows * factor[:, i, None]
-        rows = grown
-    return [MPoly._from_packed(6, dict(zip(_packed_monomials(6, 6), row))) for row in rows.tolist()]
+    return _linear_products(forms[np.nonzero(zero)[1].reshape(len(lines), 6)])
 
 
 @lru_cache(maxsize=1)

@@ -156,3 +156,46 @@ def test_benchmark_layer_metrics_name_existing_code():
         if not found:
             missing.append(metric)
     assert missing == []
+
+
+# the packed-key layout of `MPoly`: its names, and the dict of packed keys
+PACKED_NAMES = {"EXP_BITS", "_packed_monomials", "_from_packed"}
+
+
+def test_only_exactalg_reads_packed_keys():
+    """Every other module reads a polynomial through exponent tuples
+    (`iter_terms`, `coefficient_vector`), so the key layout can change in
+    `exactalg` alone."""
+    readers = set()
+    for path in SRC:
+        if path.stem == "exactalg":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names = {node.id} & PACKED_NAMES
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr} & (PACKED_NAMES | {"terms"})
+            elif isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names} & PACKED_NAMES
+            else:
+                continue
+            readers |= {(path.stem, name) for name in names}
+    assert sorted(readers) == []
+
+
+def test_every_module_level_import_is_used():
+    """A module-level import of the package is read somewhere in its module
+    (the `__future__` switch aside)."""
+    unused = []
+    for path in SRC:
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name.partition(".")[0], node.lineno)
+                                for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update((a.asname or a.name, node.lineno) for a in node.names)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}.{name}" for name in imported if name not in read]
+    assert sorted(unused) == []

@@ -222,11 +222,40 @@ def _segre_chart_fault(monkeypatch):
     monkeypatch.setattr(gems, "segre_chart", lambda: real() + MPoly.var(0, 5) ** 3)
 
 
+def _nieto_chart_fault(monkeypatch):
+    # x0^5 added to the Nieto quintic's chart
+    real = gems.nieto_chart
+    monkeypatch.setattr(gems, "nieto_chart", lambda: real() + MPoly.var(0, 5) ** 5)
+
+
+def _quintic_coefficient_fault(monkeypatch):
+    # x0 x1 x2 x3 x4 added: its coefficient -648 becomes -647; `nodalcy`
+    # imports the builder by value, so it is patched there too
+    real = gems.invariant_quintic_form
+    term = MPoly(6, {(1, 1, 1, 1, 1, 0): 1})
+    for module in (gems, nodalcy):
+        monkeypatch.setattr(module, "invariant_quintic_form", lambda: real() + term)
+
+
+def _generator_matrix_fault(monkeypatch):
+    # entry [0][0] of the first generator matrix goes up by one; the
+    # generators' permutations are left as they are
+    real = lines27.weyl_generators
+
+    def changed():
+        names, mats, perms = real()
+        first = ((mats[0][0][0] + 1, *mats[0][0][1:]), *mats[0][1:])
+        return names, (first, *mats[1:]), perms
+    monkeypatch.setattr(lines27, "weyl_generators", changed)
+
+
 # fault -> (the patch that applies it, the suites that read the faulted input,
 # the cached builders that keep results derived from it, the checks of those
 # suites that must then read "fail"). `macdonald_membership` is the one
-# cached builder downstream of `special_loci`, and none is downstream of
-# `segre_chart`.
+# cached builder downstream of `special_loci`. None is downstream of
+# `segre_chart`, `nieto_chart` or `invariant_quintic_form` (`nodalcy._partials`
+# is keyed by the form), and the cached readers of `weyl_generators`
+# (`enneahedra`, `weyl_group`) read only its unchanged permutations.
 INPUT_FAULTS = {
     "root-point-moved": (_special_loci_fault(_moved_root_point),
                          ("lines27", "quintic", "nodal"), (lines27.macdonald_membership,),
@@ -237,6 +266,14 @@ INPUT_FAULTS = {
     "segre-chart-coefficient": (_segre_chart_fault, ("segre", "nieto", "duality"), (),
                                 {"segre/model", "segre/parametrization", "segre/sections",
                                  "nieto/hessian", "duality/pipeline"}),
+    "nieto-chart-term": (_nieto_chart_fault, ("nieto", "quintic"), (),
+                         {"nieto/model", "nieto/hessian", "quintic/subspaces"}),
+    "quintic-coefficient": (_quintic_coefficient_fault, ("quintic", "nodal"), (),
+                            {"quintic/invariance", "quintic/singular-locus",
+                             "quintic/subspaces", "quintic/rationalization",
+                             "quintic/triple-cone", "nodal/generic", "nodal/tangent"}),
+    "generator-matrix-entry": (_generator_matrix_fault, ("lines27", "quintic"), (),
+                               {"quintic/invariance"}),
 }
 
 

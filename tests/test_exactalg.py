@@ -455,6 +455,21 @@ def test_restrict_to_line_sees_all_roots():
     assert any(c != 0 for c in g.restrict_to_line([1, 0, 0], [0, 1, 0]))
 
 
+def test_restrict_to_line_checks_its_points_and_its_form():
+    # points of any length but nvars raise, longer ones too, for the zero
+    # form as well
+    f = MPoly.linear([1, 2])
+    for p, q in [([1, 0, 5], [0, 1, 7]), ([1], [0])]:
+        for form in (f, MPoly.zero(2)):
+            with pytest.raises(ExactAlgError, match="basis vectors must match nvars"):
+                form.restrict_to_line(p, q)
+    assert f.restrict_to_line([1, 0], [0, 1]) == [1, 2]
+    assert MPoly.zero(2).restrict_to_line([1, 0], [0, 1]) == [0]
+    x, y = _vars(2)
+    with pytest.raises(ExactAlgError, match="needs a homogeneous polynomial"):
+        (x ** 2 + y).restrict_to_line([1, 0], [0, 1])
+
+
 # -- projective points and lines -----------------------------------------------
 
 def test_point_canonicalization():

@@ -212,8 +212,7 @@ def test_reflection_involution_and_invariance():
         )
         assert all(square[i][j] == (16 if i == j else 0)
                    for i in range(6) for j in range(6))
-        images = [L.apply_to_form(MPoly.var(i, 6), mat) for i in range(6)]
-        pulled = t.killing.subs(images)
+        pulled = t.killing.subs([MPoly.linear(row) for row in mat])
         assert pulled == t.killing * 16
 
 
@@ -241,7 +240,7 @@ def root_action_from_matrix(mat: L.IntMatrix, scale: int) -> dict[str, tuple[str
     tables = L.coordinate_tables()
     out = {}
     for name, f in tables.root_forms.items():
-        img = L.apply_to_form(f, mat)
+        img = f.subs([MPoly.linear(row) for row in mat])
         for name2, g in tables.root_forms.items():
             c = proportional(img, g)
             if c is not None:
