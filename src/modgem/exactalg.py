@@ -113,6 +113,23 @@ def _packed_monomials(nvars: int, degree: int) -> tuple[int, ...]:
     return tuple(_pack(exp, nvars) for exp in monomials(nvars, degree))
 
 
+def _level_step(polys: np.ndarray, keys: list[int], factors: np.ndarray,
+                factor_keys: list[int]) -> tuple[np.ndarray, list[int]]:
+    """Column j of `polys` times column j of `factors`, for every j: one
+    polynomial per column, one row per packed key (`keys`, `factor_keys`).
+    The outer product of the columns is grouped by key sums, the pairs with
+    a nonzero product through one dict, and each group added up by one
+    `np.add.reduceat`. Returns the product columns and their keys."""
+    width = len(factor_keys)
+    prods = (polys[:, None, :] * factors[None, :, :]).reshape(-1, polys.shape[1])
+    groups: dict[int, list[int]] = {}
+    for j in prods.any(1).nonzero()[0].tolist():
+        groups.setdefault(keys[j // width] + factor_keys[j % width], []).append(j)
+    starts = list(itertools.accumulate(map(len, groups.values()), initial=0))[:-1]
+    order = list(itertools.chain.from_iterable(groups.values()))
+    return np.add.reduceat(prods.take(order, axis=0), starts, axis=0), list(groups)
+
+
 class MPoly:
     """Sparse multivariate polynomial over Q with integer-first coefficients.
 
@@ -298,36 +315,73 @@ class MPoly:
     def subs(self, images: Sequence["MPoly"]) -> "MPoly":
         """Replace variable i by images[i]; a ring homomorphism.
 
-        Each monomial's product of image powers is formed first and its
-        coefficient multiplied in last, straight into one accumulator.
+        One plan per call, on arrays: each needed monomial is its parent (one
+        power less of its first variable) times that variable, the images of
+        the needed monomials of degree t are the columns of one array on the
+        target keys, made from degree t - 1 by `_level_step`, and each term
+        is multiplied into its parent's column. A term with sum e_i *
+        deg(images[i]) >= 2^EXP_BITS raises; a zero image has degree 0, and
+        the terms through it are dropped. Image i is cleared by its
+        denominator lcm den_i, each term scaled by 1 / prod(den_i^e_i), over
+        one denominator divided out at the end. The arrays are int64 while
+        max_i |images[i]|^max(d, 1) * |self| < 2^62 (|g| the sum of the
+        cleared |coefficients|, d the top degree kept), else Python ints.
         """
         if len(images) != self.nvars:
             raise ExactAlgError("substitution needs one image per variable")
         target = images[0].nvars if images else self.nvars
-        for im in images:
-            if im.nvars != target:
-                raise ExactAlgError("substitution images live in different rings")
-        pow_cache: dict[tuple[int, int], MPoly] = {}
+        if any(im.nvars != target for im in images):
+            raise ExactAlgError("substitution images live in different rings")
+        n, shift = self.nvars, EXP_BITS * self.nvars
+        degs = [im.degree() or 0 for im in images]
+        if max(degs, default=0) * (self.degree() or 0) >= _EXP_LIMIT and any(
+                sum(e * g for e, g in zip(k.to_bytes(n + 1, "big")[1:], degs)) >= _EXP_LIMIT
+                for k in self.terms):
+            raise ExactAlgError(f"substitution degree reaches the limit {_EXP_LIMIT}")
+        zero = sum((_EXP_LIMIT - 1) << (EXP_BITS * (n - 1 - i))
+                   for i, im in enumerate(images) if not im.terms)
+        coeffs = {k: c for k, c in self.terms.items() if not k & zero}
+        d = max(coeffs, default=0) >> shift
+        # the plan: (parent, variable) of each needed monomial, by degree
+        levels: list[dict[int, tuple[int, int]]] = [{} for _ in range(d + 1)]
+        for k in coeffs:
+            while k and k not in (level := levels[k >> shift]):
+                b = ((k & ((1 << shift) - 1)).bit_length() - 1) // EXP_BITS
+                parent = k - (1 << shift) - (1 << (EXP_BITS * b))
+                level[k], k = (parent, n - 1 - b), parent
+        dens = [math.lcm(*(c.denominator for c in im.terms.values())) for im in images]
+        cleared = [{k: c.numerator * (den // c.denominator) for k, c in im.terms.items()}
+                   for im, den in zip(images, dens)]
+        den = 1
+        if max(dens, default=1) > 1 or Fraction in map(type, coeffs.values()):
+            scaled = {k: (c.numerator, c.denominator * math.prod(
+                map(pow, dens, k.to_bytes(n + 1, "big")[1:]))) for k, c in coeffs.items()}
+            den = math.lcm(*(q for _, q in scaled.values()))
+            coeffs = {k: p * (den // q) for k, (p, q) in scaled.items()}
+        top = max((sum(map(abs, im.values())) for im in cleared), default=0)
+        dtype = np.int64 if top ** max(d, 1) * sum(map(abs, coeffs.values())) < 2 ** 62 else object
+        variables = list(dict.fromkeys(k for im in cleared for k in im))
+        factors = np.array([[im.get(k, 0) for im in cleared] for k in variables],
+                           dtype=dtype).reshape(len(variables), n)
 
-        def power(i: int, k: int) -> MPoly:
-            if k == 1:
-                return images[i]
-            key = (i, k)
-            if key not in pow_cache:
-                pow_cache[key] = power(i, k - 1) * images[i]
-            return pow_cache[key]
-
-        acc: dict[int, Scalar] = {}
-        for exp, c in self.iter_terms():
-            piece: MPoly | None = None
-            for i, e in enumerate(exp):
-                if e:
-                    piece = power(i, e) if piece is None else piece * power(i, e)
-            if piece is None:
-                acc[0] = acc.get(0, 0) + c
-                continue
-            for k2, c2 in piece.terms.items():
-                acc[k2] = acc.get(k2, 0) + c * c2
+        polys, keys, position = np.ones((1, 1), dtype=dtype), [0], {0: 0}
+        acc: dict[int, Scalar] = {0: coeffs[0]} if 0 in coeffs else {}
+        for t, level in enumerate(levels[1:], 1):  # polys holds degree t - 1
+            here = [(*level[k], coeffs[k]) for k in level if k in coeffs]
+            if here:
+                parents, i, c = zip(*here)
+                weights = np.zeros((len(position), n), dtype=dtype)
+                weights[[position[p] for p in parents], i] = c
+                for s, line in zip(keys, (polys @ (weights @ factors.T)).tolist()):
+                    for u, v in zip(variables, line):
+                        acc[s + u] = acc.get(s + u, 0) + v
+            if t < d:
+                parents, i = zip(*level.values())
+                polys, keys = _level_step(polys.take([position[p] for p in parents], axis=1),
+                                          keys, factors.take(i, axis=1), variables)
+                position = {k: j for j, k in enumerate(level)}
+        if den != 1:
+            acc = {k: Fraction(v, den) for k, v in acc.items()}
         return MPoly._from_packed(target, acc)
 
     def restrict(self, basis: Sequence[Sequence[Scalar]]) -> "MPoly":
@@ -429,28 +483,17 @@ def power_sum(k: int, items: Sequence[MPoly]) -> MPoly:
 
 def _linear_products(factors: np.ndarray) -> list[MPoly]:
     """The product of each row's linear forms, for an int64 array of m rows
-    of k forms in n variables, shape (m, k, n).
-
-    The m coefficient rows, on the monomials of degree t, are multiplied by
-    one form at a time: x^e x_i has the packed key of x^e plus that of x_i,
-    so each variable maps the degree-t monomials to distinct ones of degree
-    t + 1. No coefficient of a product of forms w exceeds the product of
-    their sums |w_i|, which must stay below 2^63 (else ExactAlgError), so
-    every row is exact in int64.
-    """
+    of k forms in n variables, shape (m, k, n), by k `_level_step`s. Every
+    coefficient of a product of forms w is at most the product of their
+    sums |w_i|, which must stay below 2^63 (else ExactAlgError)."""
     m, k, n = factors.shape
     if max(math.prod(row) for row in np.abs(factors).sum(axis=2).tolist()) >= 2 ** 63:
         raise ExactAlgError(f"a product of {k} linear forms leaves int64")
-    rows = np.ones((m, 1), dtype=np.int64)
-    for t, factor in enumerate(factors.transpose(1, 0, 2)):
-        position = {key: j for j, key in enumerate(_packed_monomials(n, t + 1))}
-        grown = np.zeros((m, len(position)), dtype=np.int64)
-        for i in range(n):
-            shift = (1 << (EXP_BITS * n)) + (1 << (EXP_BITS * (n - 1 - i)))
-            times_xi = [position[key + shift] for key in _packed_monomials(n, t)]
-            grown[:, times_xi] += rows * factor[:, i, None]
-        rows = grown
-    return [MPoly._from_packed(n, dict(zip(_packed_monomials(n, k), row))) for row in rows.tolist()]
+    polys, keys = np.ones((1, m), dtype=np.int64), [0]
+    for factor in factors.transpose(1, 2, 0):
+        polys, keys = _level_step(polys, keys, factor, list(_packed_monomials(n, 1)))
+    return [MPoly._from_packed(n, {key: c for key, c in zip(keys, column) if c})
+            for column in polys.T.tolist()]
 
 
 def proportional(p: MPoly, q: MPoly) -> Optional[Fraction]:

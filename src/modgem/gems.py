@@ -40,6 +40,7 @@ from .exactalg import (
     _draw,
     _draws_below,
     _evaluated,
+    _int_matmul,
     _residue_products,
     _sample,
     _task_rng,
@@ -882,8 +883,14 @@ def linear_subspaces_i5() -> SubspaceReport:
     if simplex_scalar is None:
         raise ExactAlgError("wall restriction must be the coordinate simplex quintic")
 
+    # a weight form vanishes on a P3 when it does at the P3's four basis vectors
+    vanishes = _int_matmul([v for basis in p3_bases.values() for v in basis],
+                           [_clear_row(tables.weight_forms[lab].linear_coeffs())
+                            for lab in lines27.LINE_LABELS]) == 0
+    contains = vanishes.reshape(len(p3_bases), 4, -1).all(axis=1)
+
     scalars: dict[str, Fraction] = {}
-    for lab in lines27.LINE_LABELS:
+    for j, lab in enumerate(lines27.LINE_LABELS):
         w = tables.weight_forms[lab]
         section = kernel_int([w.linear_coeffs()])
         if len(section) != 5:
@@ -905,10 +912,8 @@ def linear_subspaces_i5() -> SubspaceReport:
             raise ExactAlgError(f"section at {lab} does not split into five P3's")
         scalars[lab] = scalar
 
-        # geometric containment: exactly the five owner P3's sit inside the section
-        inside = [name for name, basis in p3_bases.items()
-                  if all(w.eval(v) == 0 for v in basis)]
-        if sorted(inside) != sorted(owners):
+        # exactly the five owner P3's sit inside the section
+        if {name for name, z in zip(p3_bases, contains[:, j]) if z} != set(owners):
             raise ExactAlgError(f"P3's inside section {lab} disagree with the owners")
 
     g = double_six_quotient()

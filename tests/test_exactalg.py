@@ -334,8 +334,9 @@ def test_packed_restrict_to_line_matches_the_tuple_reference(n, d, data):
     lambda: MPoly(2, {(LIMIT // 2, LIMIT // 2): 1}),
     lambda: MPoly(1, {(LIMIT - 2,): 1}) * MPoly(1, {(2,): 1}),
     lambda: MPoly.var(0, 3) ** LIMIT,
+    lambda: MPoly(1, {(2,): 1}).subs([MPoly(1, {(LIMIT // 2,): 1})]),
 ], ids=["negative", "negative-from-terms", "exponent-at-limit", "degree-at-limit",
-        "product-at-limit", "power-at-limit"])
+        "product-at-limit", "power-at-limit", "subs-at-limit"])
 def test_exponents_outside_the_packed_fields_raise(make):
     with pytest.raises(ExactAlgError):
         make()
@@ -347,6 +348,66 @@ def test_degree_one_below_the_limit_is_kept():
     assert p.degree() == LIMIT - 1 and p.is_homogeneous()
     assert dict(p.iter_terms()) == {(LIMIT - 2, 1): 1}
     assert dict(p.diff(0).iter_terms()) == {(LIMIT - 3, 1): LIMIT - 2}
+    # x^2 -> y^127 gives y^254; a zero image counts degree 0
+    y127 = MPoly(1, {(LIMIT // 2 - 1,): 1})
+    assert MPoly(1, {(2,): 1}).subs([y127]) == MPoly(1, {(LIMIT - 2,): 1})
+    assert MPoly(2, {(1, LIMIT - 2): 1}).subs([y127, MPoly.zero(1)]).is_zero()
+
+
+# a form and images whose bound max_i |images[i]|^4 * |f| (sums of absolute
+# values) is 2 (2k)^4: below 2^62 up to k = 19483, at or past it from 19484
+SUBS_BOUND_K = 19483
+
+
+@pytest.mark.parametrize("k", [SUBS_BOUND_K, SUBS_BOUND_K + 1])
+def test_subs_rows_leave_int64_exactly_at_the_bound(monkeypatch, k):
+    assert 2 * (2 * SUBS_BOUND_K) ** 4 < 2 ** 62 <= 2 * (2 * SUBS_BOUND_K + 2) ** 4
+    dtypes = []
+    step = exactalg._level_step
+
+    def spy(polys, *args):
+        dtypes.append(polys.dtype)
+        return step(polys, *args)
+
+    monkeypatch.setattr(exactalg, "_level_step", spy)
+    a = {(4, 0): 1, (3, 1): -1}
+    images = [{(1, 0): k, (0, 1): k}, {(1, 0): k, (0, 1): -k}]
+    packed = MPoly(2, a).subs([MPoly(2, im) for im in images])
+    assert dict(packed.iter_terms()) == ref_subs(a, images, 2)
+    assert set(dtypes) == {np.dtype(np.int64) if k == SUBS_BOUND_K else np.dtype(object)}
+
+
+@pytest.mark.parametrize("scale", [1, 2 ** 70], ids=["int64", "past-int64"])
+def test_subs_with_fraction_and_zero_images_matches_the_tuple_reference(scale):
+    # images over different denominators (lcm 6 and 20), one of mixed
+    # degree, and a zero image; the form is not homogeneous
+    a = {(3, 0, 1): Fraction(2, 7), (1, 1, 1): -5, (0, 2, 0): Fraction(3, 4),
+         (2, 0, 0): Fraction(scale, 11), (0, 0, 0): 9}
+    images = [{(1, 0): Fraction(1, 3), (0, 1): Fraction(-5, 2)},
+              {},
+              {(2, 0): Fraction(7, 10), (0, 0): Fraction(1, 4), (1, 1): 3}]
+    packed = MPoly(3, a).subs([MPoly(2, im) for im in images])
+    assert dict(packed.iter_terms()) == ref_subs(a, images, 2)
+    assert_no_float(packed)
+
+
+def test_substitution_multiplies_no_polynomials(monkeypatch):
+    x, y, z = _vars(3)
+    f = x ** 3 - 2 * x * y * z + Fraction(1, 3) * z ** 2 * y
+    images = [y + z, x * Fraction(2, 5), MPoly.zero(3)]
+    basis, p, q = [[1, 0, 2], [0, 3, 1]], [1, -1, 2], [0, 4, Fraction(1, 2)]
+    want = [f.subs(images), f.restrict(basis), f.restrict_to_line(p, q)]
+    calls = []
+    mul = MPoly.__mul__
+
+    def spy(self, other):
+        calls.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(MPoly, "__mul__", spy)
+    monkeypatch.setattr(MPoly, "__rmul__", spy)
+    assert [f.subs(images), f.restrict(basis), f.restrict_to_line(p, q)] == want
+    assert calls == []
 
 
 # -- degree and term order -----------------------------------------------------
