@@ -145,22 +145,23 @@ class MPoly:
     when integral, otherwise a Fraction.
 
     Immutable by convention: operations return new instances and never touch
-    `terms` of an existing one. The zero polynomial has degree() None, a
-    sentinel rather than a number, so nothing downstream can do arithmetic
-    with it by accident.
+    `terms` of an existing one, so `_eval_table`, built on the first `eval`,
+    is never rebuilt. The zero polynomial has degree() None, a sentinel
+    rather than a number, so nothing downstream can do arithmetic with it by
+    accident.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "_eval_table")
 
     def __init__(self, nvars: int, terms: dict[tuple[int, ...], Scalar] | None = None):
-        self.nvars = nvars
+        self.nvars, self._eval_table = nvars, None
         self.terms = _normal_terms({_pack(e, nvars): c for e, c in (terms or {}).items()})
 
     @classmethod
     def _from_packed(cls, nvars: int, terms: dict[int, Scalar]) -> "MPoly":
         """Build from packed keys, which are trusted and not checked again."""
         poly = cls.__new__(cls)
-        poly.nvars, poly.terms = nvars, _normal_terms(terms)
+        poly.nvars, poly.terms, poly._eval_table = nvars, _normal_terms(terms), None
         return poly
 
     # -- constructors ------------------------------------------------------
@@ -407,24 +408,27 @@ class MPoly:
 
     def eval(self, values: Sequence[Scalar]) -> Scalar:
         """Value at a point: an int when the point and the coefficients are
-        integral, otherwise an int or a Fraction. Fraction coefficients go
-        over one denominator first, so the terms add as integers."""
-        n, terms, den = self.nvars, self.terms, 1
-        if len(values) != n:
+        integral, otherwise an int or a Fraction. The first call builds
+        `_eval_table`: the coefficients over one common denominator, so the
+        terms add as integers, each with its key decoded once into its
+        nonzero (variable, exponent) pairs. Powers are taken as needed."""
+        if len(values) != self.nvars:
             raise ExactAlgError("value count mismatch")
-        if Fraction in map(type, terms.values()):
-            den = math.lcm(*(c.denominator for c in terms.values()))
-            terms = {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
+        if self._eval_table is None:
+            den = math.lcm(*(c.denominator for c in self.terms.values()))
+            self._eval_table = den, [
+                (c.numerator * (den // c.denominator),
+                 tuple((i, e) for i, e in enumerate(k.to_bytes(self.nvars + 1, "big")[1:]) if e))
+                for k, c in self.terms.items()]
+        den, table = self._eval_table
         pows: list[list[Scalar]] = [[1, v] for v in values]
-        low = (1 << (EXP_BITS * n)) - 1
         total: Scalar = 0
-        for k, c in terms.items():
-            for i, e in enumerate((k & low).to_bytes(n, "big")):
-                if e:
-                    row = pows[i]
-                    while len(row) <= e:
-                        row.append(row[-1] * row[1])
-                    c *= row[e]
+        for c, factors in table:
+            for i, e in factors:
+                row = pows[i]
+                while len(row) <= e:
+                    row.append(row[-1] * row[1])
+                c *= row[e]
             total += c
         return total if den == 1 else Fraction(total, den)
 
@@ -745,10 +749,10 @@ class _IntEchelon:
     pivot, and zero at one another's pivots. That form of a row space is
     unique, so the rows are a canonical key of the span whatever order the
     vectors came in, and a single forward pass decides membership of a new
-    vector; one of another length raises. It names spans and tests
-    membership, and certifies no rank: `ProjLine` (its key and `contains`),
-    `VanishingSpace.contains`, the plane censuses and keys of `gems` and
-    `rref_int`'s pencil keys.
+    vector; one of another length raises. It names spans, tests membership
+    and solves for chart coordinates, and certifies no rank: `ProjLine` (its
+    key and `contains`), `VanishingSpace.contains`, the plane censuses and
+    keys of `gems`, `rref_int`'s pencil keys and `_chart_coordinates`.
     """
 
     def __init__(self, vecs: Iterable[Sequence[int]] = ()) -> None:
@@ -933,19 +937,24 @@ def _reconstructed_basis(residues: np.ndarray, pivots: list[int], n: int,
 
 def _chart_coordinates(basis: Sequence[Sequence[int]],
                        points: Sequence[ProjPoint]) -> list[ProjPoint]:
-    """For each point, the point u with sum(u_j * basis[j]) proportional to
-    it. The kernel of [basis^T | -p_1 ... -p_N] has exactly N vectors, the
-    one of p_l nonzero at its own point column and zero at the others,
-    exactly when the basis is independent and spans every point; the one of
-    p_l is then (u_l, c e_l). Anything else raises ExactAlgError."""
-    k = len(basis)
-    bordered = [[b[i] for b in basis] + [-pt.coords[i] for pt in points]
-                for i in range(len(basis[0]))]
-    kernel = kernel_int(bordered)
-    if len(kernel) != len(points) or any(
-            bool(c) != (j == l) for l, vec in enumerate(kernel) for j, c in enumerate(vec[k:])):
-        raise ExactAlgError(f"a point is not in the span of {k} independent vectors")
-    return [ProjPoint(vec[:k]) for vec in kernel]
+    """For each point x, the point u with sum(u_j * basis[j]) proportional to
+    it. The `_IntEchelon` of the rows [basis[j] | e_j] has rows [E_i | T_i]
+    with E_i = T_i B. The basis is independent exactly when every E_i has its
+    pivot p_i in the first n columns; x in its span is then sum_i x[p_i] /
+    E_i[p_i] E_i, so with L the lcm of the E_i[p_i], u = sum_i x[p_i] (L /
+    E_i[p_i]) T_i: one `_int_matmul` for every point, and one more checks
+    u B = L x. A dependent basis or a point off the span raises ExactAlgError."""
+    k, n = len(basis), len(basis[0])
+    ech = _IntEchelon([*b, *(int(i == j) for i in range(k))] for j, b in enumerate(basis))
+    if ech.pivots[-1] < n:
+        lcm = math.lcm(*(row[p] for row, p in zip(ech.rows, ech.pivots)))
+        scaled = [[lcm // row[p] * t for t in row[n:]] for row, p in zip(ech.rows, ech.pivots)]
+        us = _int_matmul([[pt.coords[p] for p in ech.pivots] for pt in points],
+                         list(zip(*scaled)))
+        if _int_matmul(us, list(zip(*basis))).tolist() == [[lcm * c for c in pt.coords]
+                                                            for pt in points]:
+            return [ProjPoint(u) for u in us.tolist()]
+    raise ExactAlgError(f"a point is not in the span of {k} independent vectors")
 
 
 #: columns per panel of `_echelon_mod`. A multiplier limb is at most

@@ -248,7 +248,8 @@ def _chart_dimension(f: MPoly, grads, gens, nodes, tangent: bool
                      ) -> tuple[int, VanishingSpace, MPoly, list[MPoly] | None]:
     """Through-nodes dimension and space, restricted f and, if tangent, its
     Jacobian quintics in the chart of gens; the nodes' chart coordinates
-    come from one kernel, the tangency point last (see `section_nodes`)."""
+    come from one echelon of gens, the tangency point last (see
+    `section_nodes`)."""
     q = f.restrict(gens)
     chart_nodes = _chart_coordinates(gens, nodes)
     restricted = [g.restrict(gens) for g in grads]

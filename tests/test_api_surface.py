@@ -158,14 +158,16 @@ def test_benchmark_layer_metrics_name_existing_code():
     assert missing == []
 
 
-# the packed-key layout of `MPoly`: its names, and the dict of packed keys
+# the packed-key layout of `MPoly`: its names, the dict of packed keys, and
+# the slot that holds them decoded for `eval`
 PACKED_NAMES = {"EXP_BITS", "_packed_monomials", "_from_packed"}
+PACKED_ATTRS = PACKED_NAMES | {"terms", "_eval_table"}
 
 
 def test_only_exactalg_reads_packed_keys():
     """Every other module reads a polynomial through exponent tuples
     (`iter_terms`, `coefficient_vector`), so the key layout can change in
-    `exactalg` alone."""
+    `exactalg` alone; none names `eval`'s table, not even as a string."""
     readers = set()
     for path in SRC:
         if path.stem == "exactalg":
@@ -174,7 +176,9 @@ def test_only_exactalg_reads_packed_keys():
             if isinstance(node, ast.Name):
                 names = {node.id} & PACKED_NAMES
             elif isinstance(node, ast.Attribute):
-                names = {node.attr} & (PACKED_NAMES | {"terms"})
+                names = {node.attr} & PACKED_ATTRS
+            elif isinstance(node, ast.Constant):
+                names = {node.value} & {"_eval_table"}
             elif isinstance(node, ast.ImportFrom):
                 names = {alias.name for alias in node.names} & PACKED_NAMES
             else:

@@ -249,6 +249,16 @@ def _generator_matrix_fault(monkeypatch):
     monkeypatch.setattr(lines27, "weyl_generators", changed)
 
 
+def _dependent_chart_fault(monkeypatch):
+    # the chart's last generator replaced by its first: a dependent basis
+    real = nodalcy._chart_generators
+
+    def repeated(h):
+        gens = real(h)
+        return gens[:4] + gens[:1]
+    monkeypatch.setattr(nodalcy, "_chart_generators", repeated)
+
+
 # fault -> (the patch that applies it, the suites that read the faulted input,
 # the cached builders that keep results derived from it, the checks of those
 # suites that must then read "fail"). `macdonald_membership` is the one
@@ -274,7 +284,12 @@ INPUT_FAULTS = {
                              "quintic/triple-cone", "nodal/generic", "nodal/tangent"}),
     "generator-matrix-entry": (_generator_matrix_fault, ("lines27", "quintic"), (),
                                {"quintic/invariance"}),
+    "dependent-chart-basis": (_dependent_chart_fault, ("nodal",), (),
+                              {"nodal/generic", "nodal/tangent"}),
 }
+
+# fault -> the error that each of its failing checks reports
+FAULT_ERRORS = {"dependent-chart-basis": "not in the span"}
 
 
 @pytest.mark.parametrize("fault", list(INPUT_FAULTS))
@@ -292,6 +307,9 @@ def test_an_input_fault_fails_exactly_its_checks(fault, monkeypatch):
         for cache in caches:
             cache.cache_clear()
     assert {c.check for c in certs if c.status == "fail"} == failing
+    if fault in FAULT_ERRORS:
+        assert all(c.computed.startswith("error: ") and FAULT_ERRORS[fault] in c.computed
+                   for c in certs if c.status == "fail")
 
 
 def test_json_report_byte_identity(tmp_path):

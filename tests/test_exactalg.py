@@ -302,6 +302,50 @@ def test_packed_ring_operations_match_the_tuple_reference(n, d, data):
     assert (p * q).degree() == max((sum(e) for e in ref_mul(a, b)), default=None)
 
 
+int_or_mixed = st.sampled_from([coeffs, mixed_coeffs])
+
+
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=6),
+       int_or_mixed, int_or_mixed, st.data())
+@settings(max_examples=80, deadline=None)
+def test_eval_table_is_built_once_and_matches_the_tuple_reference(n, d, cs, xs, data):
+    # integer or mixed coefficients, integer or mixed points; a degree-0 or
+    # termless draw is a constant or the zero form
+    a = {e: data.draw(cs) for e in data.draw(tuple_terms(n, d, max_terms=4))}
+    b = data.draw(tuple_terms(n, d))
+    p, q = MPoly(n, a), MPoly(n, b)
+    assert p._eval_table is None
+    points = data.draw(st.lists(st.lists(xs, min_size=n, max_size=n), min_size=2, max_size=3))
+    value = p.eval(points[0])
+    table = p._eval_table
+    assert table is not None
+    assert value == ref_eval(a, points[0])
+    if all(type(v) is int for v in [*a.values(), *points[0]]):
+        assert type(value) is int
+    for point in points[1:]:
+        assert p.eval(point) == ref_eval(a, point)
+        assert p._eval_table is table
+    # a derived form builds its own table on its own first eval
+    x = points[0]
+    shift = [MPoly.var(i, n) + MPoly.constant(n, i) for i in range(n)]
+    for derived, expected in ((p * 2, 2 * value), (p + q, value + ref_eval(b, x)),
+                              (p.subs(shift), ref_eval(a, [v + i for i, v in enumerate(x)]))):
+        assert derived._eval_table is None
+        assert derived.eval(x) == expected
+        assert derived._eval_table is not None
+    with pytest.raises(ExactAlgError, match="value count mismatch"):
+        p.eval(points[0] + [1])
+    assert p._eval_table is table
+
+
+def test_eval_table_of_the_zero_and_a_constant_form():
+    zero, half = MPoly.zero(3), MPoly.constant(3, Fraction(1, 2))
+    assert zero.eval([1, 2, 3]) == 0 and type(zero.eval([1, 2, 3])) is int
+    assert half.eval([Fraction(1, 3), 2, 3]) == Fraction(1, 2)
+    with pytest.raises(ExactAlgError, match="value count mismatch"):
+        zero.eval([1, 2])
+
+
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6),
        near_limit, st.data())
 @settings(max_examples=40, deadline=None)
@@ -710,6 +754,18 @@ def test_chart_coordinates_recover_the_chart_point(rows, us, data):
     charts = _chart_coordinates(basis, points)
     assert charts == [ProjPoint(u) for u in us]
     assert charts == [_chart_coordinates(basis, [pt])[0] for pt in points]
+    assert _chart_coordinates(basis, []) == []
+    # the size of the tangent nodes' charts: basis vectors scaled by nearly
+    # coprime s_j near 2^40 and points from u near 2^40, so each chart point
+    # (u_j / s_j) and with it the check product u B = L x leave int64
+    scales = [2 ** 40 + 2 * j + 1 for j in range(5)]
+    far = [[s * v for v in b] for s, b in zip(scales, basis)]
+    big = data.draw(st.lists(st.lists(st.integers(min_value=2 ** 40 - 2 ** 10, max_value=2 ** 40),
+                                      min_size=5, max_size=5), min_size=1, max_size=3))
+    expected = [ProjPoint([Fraction(x, s) for x, s in zip(u, scales)]) for u in big]
+    assert min(max(map(abs, pt.coords)) for pt in expected) >= 2 ** 63
+    assert _chart_coordinates(far, [ProjPoint([sum(g * x for g, x in zip(row, u)) for row in rows])
+                                    for u in big]) == expected
     # the normal of the span is orthogonal to it, and nonzero, so not in it
     (normal,) = kernel_int(basis)
     off = data.draw(st.integers(min_value=0, max_value=len(points)))
@@ -720,8 +776,18 @@ def test_chart_coordinates_recover_the_chart_point(rows, us, data):
     dependent = list(basis)
     dependent[i] = data.draw(st.sampled_from(
         [basis[j], [a + b for a, b in zip(basis[i - 1], basis[j])]]))
+    for pts in (points, []):
+        with pytest.raises(ExactAlgError, match="not in the span"):
+            _chart_coordinates(dependent, pts)
+
+
+def test_chart_coordinates_take_no_kernel(monkeypatch):
+    monkeypatch.setattr(exactalg, "kernel_int", mock.Mock(side_effect=AssertionError))
+    basis = [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]]
+    assert _chart_coordinates(basis, [ProjPoint([1, 2, 3, 6]), ProjPoint([0, 0, 2, 2])]) == [
+        ProjPoint([1, 2, 3]), ProjPoint([0, 0, 1])]
     with pytest.raises(ExactAlgError, match="not in the span"):
-        _chart_coordinates(dependent, points)
+        _chart_coordinates(basis, [ProjPoint([1, 0, 0, 0])])
 
 
 @given(st.lists(st.lists(coeffs, min_size=4, max_size=4), min_size=2, max_size=6))
