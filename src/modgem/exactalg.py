@@ -1146,9 +1146,8 @@ def _evaluated(exps: Sequence[Sequence[int]], coords: np.ndarray | Sequence[Sequ
                p: int = 0) -> np.ndarray:
     """The monomials x^e, one column per exponent row e of `exps`, at the
     coordinate rows: the one evaluator, of `vanishing_space`'s rows and of
-    `gems._eval_batch_mod`. Each column is gathered from per-row power
-    tables, and no exact entry exceeds max|coord|^d, d the top degree of
-    `exps`.
+    `_values_at`. Each column is gathered from per-row power tables, and no
+    exact entry exceeds max|coord|^d, d the top degree of `exps`.
 
     Without p the rows are exact: int64 when that bound is below 2^62, Python
     ints (dtype object) otherwise. With a prime p they are int64 residues in
@@ -1176,6 +1175,34 @@ def _evaluated(exps: Sequence[Sequence[int]], coords: np.ndarray | Sequence[Sequ
     if p and exact:
         out %= p
     return out
+
+
+#: points per `_evaluated` call of `_values_at`
+_BATCH = 2048
+
+
+def _values_at(polys: Sequence[MPoly], points: np.ndarray | Sequence[Sequence[int]],
+               p: int = 0) -> np.ndarray:
+    """The forms at integer points: one row per point, one column per form.
+
+    All coefficients of the call are cleared by one common denominator L
+    (`_clear_row`, which raises when a prime p divides it), so each entry is
+    L times a value: exact without p (int64, or Python ints past int64, as
+    `_int_matmul` gives them), an int64 residue in [0, p) with p. One scale
+    for the whole call keeps a projective image projective and a zero zero.
+    The union of the forms' monomials is evaluated by `_evaluated`, `_BATCH`
+    points at a time, and each batch takes one product with the cleared
+    coefficient rows (`_int_matmul`, or `_residue_products` mod p).
+    """
+    terms = [dict(poly.iter_terms()) for poly in polys]
+    exps = sorted(set().union(*terms))
+    cleared = _clear_row([t.get(e, 0) for t in terms for e in exps], p)
+    coeffs = np.array(cleared, dtype=object).reshape(len(polys), len(exps))
+    out = [np.zeros((0, len(polys)), dtype=np.int64)]
+    for i in range(0, len(points), _BATCH):
+        rows = _evaluated(exps, points[i:i + _BATCH], p)
+        out.append(_residue_products(rows, coeffs, p) if p else _int_matmul(rows, coeffs))
+    return np.concatenate(out)
 
 
 def _member_residues(exps: Sequence[Sequence[int]], coords: Sequence[Sequence[int]],

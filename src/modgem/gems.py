@@ -39,11 +39,10 @@ from .exactalg import (
     _clear_row,
     _draw,
     _draws_below,
-    _evaluated,
     _int_matmul,
-    _residue_products,
     _sample,
     _task_rng,
+    _values_at,
     det_poly,
     elementary_symmetric,
     hessian_det,
@@ -101,8 +100,8 @@ def _flat_chart_basis(zeros: Sequence[int]) -> list[tuple[int, ...]]:
 
 
 def _mat_mul(a: lines27.IntMatrix, b: lines27.IntMatrix) -> lines27.IntMatrix:
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+    """a b, exactly, with Python-int entries."""
+    return tuple(map(tuple, _int_matmul(a, list(zip(*b))).tolist()))
 
 
 def _pullback(f: MPoly, mat: lines27.IntMatrix) -> MPoly:
@@ -215,10 +214,9 @@ def _plane_bases() -> tuple[tuple[tuple[int, ...], ...], ...]:
             raise ExactAlgError("matching planes must lie inside {sum = 0}")
         if not cubes.restrict(basis).is_zero():
             raise ExactAlgError(f"plane {matching} does not lie on the cubic")
-        on_plane = [p for p in _nodes_p5()
-                    if all(sum(r * c for r, c in zip(row, p.coords)) == 0 for row in rows)]
-        if len(on_plane) != 4:
-            raise ExactAlgError(f"plane {matching} holds {len(on_plane)} nodes, wanted 4")
+        on_plane = int((_int_matmul([p.coords for p in _nodes_p5()], rows) == 0).all(axis=1).sum())
+        if on_plane != 4:
+            raise ExactAlgError(f"plane {matching} holds {on_plane} nodes, wanted 4")
         bases.append(tuple(tuple(v) for v in basis))
     return tuple(bases)
 
@@ -449,8 +447,8 @@ def build_nieto() -> NietoModel:
         raise ExactAlgError("expected 20 distinct singular lines")
 
     nodes = _chart_nodes()
-    for node in nodes:
-        if any(g.eval(node.coords) for g in grads):
+    for node, vals in zip(nodes, _values_at(grads, [node.coords for node in nodes])):
+        if vals.any():
             raise ExactAlgError(f"node {node} is not singular on the quintic")
 
     cross = []
@@ -554,13 +552,10 @@ def hessian_equals_nieto() -> HessianReport:
     scalar = proportional(H, N)
     if scalar is None or H != 6 ** 5 * oracle:
         raise ExactAlgError("Hessian of the cubic is not proportional to the quintic")
-    sing = 0
-    hgrads = H.partials()
-    for node in _chart_nodes():
-        if any(g.eval(node.coords) for g in hgrads):
-            raise ExactAlgError("Hessian quintic must be singular at every node")
-        sing += 1
-    return HessianReport(scalar, True, sing)
+    nodes = _chart_nodes()
+    if _values_at(H.partials(), [node.coords for node in nodes]).any():
+        raise ExactAlgError("Hessian quintic must be singular at every node")
+    return HessianReport(scalar, True, len(nodes))
 
 
 # -- the invariant quintic ---------------------------------------------------------------
@@ -713,18 +708,22 @@ def i5_singular_locus(seed: int = 0, offline_samples: int = 50) -> SingularLocus
     second = {(i, j): grads[i].diff(j) for i in range(6) for j in range(i, 6)}
     third = {(i, j, k): p.diff(k)
              for (i, j), p in second.items() for k in range(j, 6)}
+    keys = sorted(third)
+    # per point: f and its gradient, the second partials, the third partials
+    vals = _values_at([f, *grads, *second.values(), *(third[key] for key in keys)],
+                      [pt.coords for pt in loci.root_points.values()])
+    cuts = [1 + len(grads), 1 + len(grads) + len(second)]
     witness: dict[str, tuple[int, int, int]] = {}
-    for name, pt in loci.root_points.items():
-        if f.eval(pt.coords) or any(g.eval(pt.coords) for g in grads):
+    for name, row in zip(loci.root_points, vals):
+        low, seconds, thirds = np.split(row, cuts)
+        if low.any():
             raise ExactAlgError(f"point {name} must kill the quintic and its gradient")
-        if any(p.eval(pt.coords) for p in second.values()):
+        if seconds.any():
             raise ExactAlgError(f"point {name} must kill all second partials")
-        for key in sorted(third):
-            if third[key].eval(pt.coords):
-                witness[name] = key
-                break
-        else:
+        nonzero = np.flatnonzero(thirds)
+        if not len(nonzero):
             raise ExactAlgError(f"point {name} has multiplicity above 3")
+        witness[name] = keys[nonzero[0]]
 
     per_point = [sum(1 for on in loci.points120 if name in on) for name in loci.root_points]
     per_line = [len(on) for on in loci.points120]
@@ -1102,33 +1101,6 @@ class RationalizationReport:
     roundtrip_psi_phi: int
 
 
-#: points per `_evaluated` call of `_eval_batch_mod`
-_BATCH = 2048
-
-
-def _eval_batch_mod(polys: Sequence[MPoly], points: np.ndarray, p: int) -> np.ndarray:
-    """The polynomials at many points mod p: one row of int64 residues per
-    point (a row of `points`), one column per polynomial.
-
-    All coefficients of the call are cleared by one common denominator lcm
-    (`_clear_row`, which raises when p divides it). Every output is then
-    scaled by the same unit mod p, so a projective image stays projective
-    and a zero stays zero. The union of the polynomials' monomials is
-    evaluated mod p by `_evaluated`, `_BATCH` points at a time, and each
-    batch takes one product with the cleared coefficient rows mod p
-    (`_residue_products`).
-    """
-    terms = [dict(poly.iter_terms()) for poly in polys]
-    exps = sorted(set().union(*terms))
-    cleared = _clear_row([t.get(e, 0) for t in terms for e in exps], p)
-    coeffs = np.array(cleared, dtype=object).reshape(len(polys), len(exps))
-    out = np.empty((len(points), len(polys)), dtype=np.int64)
-    for i in range(0, len(points), _BATCH):
-        out[i:i + _BATCH] = _residue_products(_evaluated(exps, points[i:i + _BATCH], p),
-                                              coeffs, p)
-    return out
-
-
 def rationalize_i5(seed: int = 0, exact_samples: int = 50,
                    modular_samples: int = 10000,
                    roundtrip_samples: int = 25) -> RationalizationReport:
@@ -1176,7 +1148,7 @@ def rationalize_i5(seed: int = 0, exact_samples: int = 50,
     for p in SHADOW_PRIMES:
         # the draws fill one coordinate of every point, then the next
         pts = _draws_below(rng, p, 5 * modular_samples).reshape(5, modular_samples).T
-        if _eval_batch_mod([f], _eval_batch_mod(maps.psi, pts, p), p).any():
+        if _values_at([f], _values_at(maps.psi, pts, p), p).any():
             raise ExactAlgError(f"octic image misses the quintic mod {p}")
         modular[p] = modular_samples
         # composite degree 5 * 8 = 40; independent uniform points multiply the bound
@@ -1362,11 +1334,10 @@ def auxiliary_sections() -> SectionsReport:
     if len(section) != 4:
         raise ExactAlgError("Cayley section must be a P3")
     cayley = cubes.restrict(section)
-    cgrads = cayley.partials()
     nodes = [node for node in _nodes_p5() if node.coords[0] == node.coords[1]]
-    for pt in _chart_coordinates(section, nodes):
-        if any(g.eval(pt.coords) for g in cgrads):
-            raise ExactAlgError("node must be singular on the Cayley section")
+    chart = _chart_coordinates(section, nodes)
+    if _values_at(cayley.partials(), [pt.coords for pt in chart]).any():
+        raise ExactAlgError("node must be singular on the Cayley section")
     if len(nodes) != 4:
         raise ExactAlgError(f"Cayley section holds {len(nodes)} nodes, wanted 4")
 

@@ -492,10 +492,6 @@ IntMatrix = tuple[tuple[int, ...], ...]
 WEYL_SCALE = 4
 
 
-def _mat_vec_row(row: Sequence[int], mat: IntMatrix) -> tuple[int, ...]:
-    return tuple(sum(row[p] * mat[p][q] for p in range(6)) for q in range(6))
-
-
 def reflection_matrix(root: str) -> IntMatrix:
     """4·M in int, M the 6x6 matrix of the reflection fixing the root's hyperplane.
 
@@ -531,15 +527,14 @@ def perm27_from_matrix(mat: IntMatrix, scale: int) -> bytes:
     """Permutation of the 27 labels induced on the weight forms by mat / scale.
 
     mat is an integer matrix, scale times a rational one (WEYL_SCALE**L for
-    a word of L generators). Each integral form 6·w is mapped through mat;
-    every image coefficient must be exactly divisible by scale, and the
-    quotient must be one of the 27 forms 6·w, so the scalar is exactly +1.
-    A failure raises ExactAlgError.
+    a word of L generators). The integral forms 6·w, as rows, are mapped
+    through mat by one `_int_matmul`; every image coefficient must be
+    exactly divisible by scale, and the quotient must be one of the 27 forms
+    6·w, so the scalar is exactly +1. A failure raises ExactAlgError.
     """
     rows, index = _weight_rows()
     images = []
-    for row, lab in zip(rows, LINE_LABELS):
-        img = _mat_vec_row(row, mat)
+    for img, lab in zip(_int_matmul(rows, list(zip(*mat))).tolist(), LINE_LABELS):
         if any(v % scale for v in img):
             raise ExactAlgError(f"image of weight form {lab} is not divisible by {scale}")
         k = index.get(tuple(v // scale for v in img))

@@ -35,6 +35,7 @@ from .exactalg import (
     _draw,
     _sample,
     _task_rng,
+    _values_at,
     checked_rank,
     kernel_int,
     monomials,
@@ -80,12 +81,14 @@ class SectionSpec:
 
 def _hyperplane_clear(h: MPoly) -> tuple[bool, str]:
     loci = lines27.special_loci()
-    for name, pt in loci.root_points.items():
-        if h.eval(pt.coords) == 0:
+    # h at the 36 root points, then at the two spanning points of each line
+    vals = _values_at([h], [pt.coords for pt in loci.root_points.values()]
+                      + [pt.coords for line in loci.lines120 for pt in (line.p, line.q)])[:, 0]
+    for name, v in zip(loci.root_points, vals):
+        if v == 0:
             return False, f"hyperplane passes through the triple point {name}"
-    for line in loci.lines120:
-        if h.eval(line.p.coords) == 0 and h.eval(line.q.coords) == 0:
-            return False, "hyperplane contains one of the 120 singular lines"
+    if (vals[len(loci.root_points):].reshape(-1, 2) == 0).all(axis=1).any():
+        return False, "hyperplane contains one of the 120 singular lines"
     return True, ""
 
 
@@ -159,17 +162,16 @@ def section_nodes(spec: SectionSpec) -> tuple[ProjPoint, ...]:
         raise ExactAlgError(why)
 
     h = spec.hyperplane
-    loci = lines27.special_loci()
-    nodes = []
-    for line in loci.lines120:
-        a, b = h.eval(line.p.coords), h.eval(line.q.coords)
-        nodes.append(ProjPoint([a * qc - b * pc
-                                for pc, qc in zip(line.p.coords, line.q.coords)]))
+    lines = lines27.special_loci().lines120
+    # h at the two ends of each line, both scaled by h's denominator lcm
+    ends = _values_at([h], [pt.coords for line in lines for pt in (line.p, line.q)])
+    nodes = [ProjPoint([a * qc - b * pc for pc, qc in zip(line.p.coords, line.q.coords)])
+             for line, (a, b) in zip(lines, ends.reshape(-1, 2).tolist())]
 
     f = invariant_quintic_form()
     grads = _partials(f)
-    for node in nodes:
-        if any(g.eval(node.coords) for g in grads):
+    for node, vals in zip(nodes, _values_at(grads, [node.coords for node in nodes])):
+        if vals.any():
             raise ExactAlgError(f"{node} is not a singular point of the section")
     if spec.kind == "tangent":
         pt = spec.tangency
@@ -180,7 +182,7 @@ def section_nodes(spec: SectionSpec) -> tuple[ProjPoint, ...]:
             raise ExactAlgError("hyperplane must be tangent at the tangency point")
         nodes.append(pt)
 
-    if any(h.eval(node.coords) for node in nodes):
+    if _values_at([h], [node.coords for node in nodes]).any():
         raise ExactAlgError("a node does not lie on the hyperplane")
     if len(set(nodes)) != len(nodes):
         raise ExactAlgError("coincident nodes, hyperplane is too special")

@@ -187,6 +187,27 @@ def test_only_exactalg_reads_packed_keys():
     assert sorted(readers) == []
 
 
+
+# the array kernels behind `exactalg`'s evaluator and its products mod p
+ARRAY_KERNELS = {"_evaluated", "_residue_products", "_limb_product", "_level_step"}
+
+
+def test_only_exactalg_names_its_array_kernels():
+    """Other modules evaluate forms at point sets through `_values_at`, so
+    the power tables and the limb products stay private to `exactalg`."""
+    names = set()
+    for path in SRC:
+        if path.stem == "exactalg":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            found = ({node.id} if isinstance(node, ast.Name)
+                     else {node.attr} if isinstance(node, ast.Attribute)
+                     else {a.name for a in node.names} if isinstance(node, ast.ImportFrom)
+                     else set())
+            names |= {(path.stem, name) for name in found & ARRAY_KERNELS}
+    assert sorted(names) == []
+
+
 def test_every_module_level_import_is_used():
     """A module-level import of the package is read somewhere in its module
     (the `__future__` switch aside)."""

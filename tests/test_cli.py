@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from modgem import cli, gems, lines27, nodalcy, rootarr
+from modgem import cli, gems, lines27, nodalcy, rootarr, theta
 from modgem.exactalg import DRAWS_PER_RESULT, MPoly, ProjPoint
 
 import flat_records
@@ -259,13 +259,61 @@ def _dependent_chart_fault(monkeypatch):
     monkeypatch.setattr(nodalcy, "_chart_generators", repeated)
 
 
+def _root_vector_fault(monkeypatch):
+    # the last entry of each system's first root form goes up by two, which
+    # is a root form of none of the five systems
+    real = rootarr.roots
+
+    def moved(rsid):
+        first, *rest = real(rsid)
+        return [(*first[:-1], first[-1] + 2), *rest]
+    monkeypatch.setattr(rootarr, "roots", moved)
+
+
+def _meets_pair_fault(monkeypatch):
+    # the skew lines a1 and a2 made to meet
+    real = lines27.meets
+    monkeypatch.setattr(lines27, "meets",
+                        lambda l1, l2: real(l1, l2) != ({l1, l2} == {"a1", "a2"}))
+
+
+def _tritangent_fault(monkeypatch):
+    # the tritangent (12) = {a1, b2, c12} given c13 in place of c12
+    real = lines27.tritangents
+    monkeypatch.setattr(lines27, "tritangents",
+                        lambda: {**real(), "(12)": frozenset({"a1", "b2", "c13"})})
+
+
+def _root_form_fault(monkeypatch):
+    # 2 x2 added to the root form h24 = x3 - x1
+    real = lines27.coordinate_tables
+
+    def changed():
+        tables = real()
+        forms = {**tables.root_forms, "h24": tables.root_forms["h24"] + MPoly.var(1, 6) * 2}
+        return dataclasses.replace(tables, root_forms=forms)
+    monkeypatch.setattr(lines27, "coordinate_tables", changed)
+
+
+def _theta_characteristic_fault(monkeypatch):
+    # the fourth characteristic of the quartic coordinates, (0001), read as (0010)
+    chars = list(theta._Y_CHARS)
+    chars[3] = theta.ThetaChar((0, 0, 1, 0))
+    monkeypatch.setattr(theta, "_Y_CHARS", tuple(chars))
+
+
 # fault -> (the patch that applies it, the suites that read the faulted input,
 # the cached builders that keep results derived from it, the checks of those
 # suites that must then read "fail"). `macdonald_membership` is the one
 # cached builder downstream of `special_loci`. None is downstream of
 # `segre_chart`, `nieto_chart` or `invariant_quintic_form` (`nodalcy._partials`
 # is keyed by the form), and the cached readers of `weyl_generators`
-# (`enneahedra`, `weyl_group`) read only its unchanged permutations.
+# (`enneahedra`, `weyl_group`) read only its unchanged permutations. The
+# cached builders downstream of `meets` and `tritangents` run through
+# `enumerate_structures` into `special_loci`; of the root forms, only
+# `special_loci` reads one that the fault changes while the quintic suite runs.
+_STRUCTURES = (lines27.enumerate_structures, lines27.enneahedra, lines27.special_loci,
+               lines27.macdonald_membership)
 INPUT_FAULTS = {
     "root-point-moved": (_special_loci_fault(_moved_root_point),
                          ("lines27", "quintic", "nodal"), (lines27.macdonald_membership,),
@@ -286,10 +334,37 @@ INPUT_FAULTS = {
                                {"quintic/invariance"}),
     "dependent-chart-basis": (_dependent_chart_fault, ("nodal",), (),
                               {"nodal/generic", "nodal/tangent"}),
+    "root-vector-moved": (_root_vector_fault, ("arrangements",), (rootarr.cached_incidence,),
+                          {f"arrangements/census-{family.lower()}{rank}"
+                           for family, rank in cli.ARRANGEMENT_CENSUS}),
+    "meets-pair-flipped": (_meets_pair_fault, ("lines27",),
+                           (lines27.meets_matrix, lines27.double_sixes, lines27.sixes,
+                            lines27.weyl_generators, lines27.weyl_group, *_STRUCTURES),
+                           {"lines27/structures", "lines27/enneahedra", "lines27/weyl-order",
+                            "lines27/ideal-dimensions"}),
+    "tritangent-replaced": (_tritangent_fault, ("lines27",),
+                            (lines27.incidence_complex_ranks, *_STRUCTURES),
+                            {"lines27/structures", "lines27/enneahedra",
+                             "lines27/incidence-ranks", "lines27/ideal-dimensions"}),
+    "root-form-changed": (_root_form_fault, ("quintic",), (lines27.special_loci,),
+                          {"quintic/restrictions", "quintic/singular-locus",
+                           "quintic/triple-cone"}),
+    "theta-characteristic": (_theta_characteristic_fault, ("theta",), (),
+                             {"theta/identities"}),
 }
 
-# fault -> the error that each of its failing checks reports
-FAULT_ERRORS = {"dependent-chart-basis": "not in the span"}
+# fault -> {check: the error that the check reports}; each names the first
+# failing point in the order the check visits them
+_NOT_SINGULAR = "is not a singular point of the section"
+FAULT_ERRORS = {
+    "dependent-chart-basis": {"nodal/generic": "not in the span",
+                              "nodal/tangent": "not in the span"},
+    "root-point-moved": {
+        "quintic/singular-locus": "point h must kill the quintic and its gradient"},
+    "quintic-coefficient": {
+        "quintic/singular-locus": "point h must kill the quintic and its gradient",
+        "nodal/generic": _NOT_SINGULAR, "nodal/tangent": _NOT_SINGULAR},
+}
 
 
 @pytest.mark.parametrize("fault", list(INPUT_FAULTS))
@@ -307,9 +382,14 @@ def test_an_input_fault_fails_exactly_its_checks(fault, monkeypatch):
         for cache in caches:
             cache.cache_clear()
     assert {c.check for c in certs if c.status == "fail"} == failing
-    if fault in FAULT_ERRORS:
-        assert all(c.computed.startswith("error: ") and FAULT_ERRORS[fault] in c.computed
-                   for c in certs if c.status == "fail")
+    computed = {c.check: c.computed for c in certs}
+    for check, message in FAULT_ERRORS.get(fault, {}).items():
+        assert computed[check].startswith("error: ") and message in computed[check]
+
+
+def test_every_computed_check_has_an_input_fault():
+    computed = {c.name for c in cli.CHECKS if c.compute is not None}
+    assert set().union(*(row[3] for row in INPUT_FAULTS.values())) == computed
 
 
 def test_json_report_byte_identity(tmp_path):

@@ -46,6 +46,7 @@ from modgem.exactalg import (
     _rational,
     _sample,
     _task_rng,
+    _values_at,
 )
 
 
@@ -1786,6 +1787,68 @@ def test_evaluated_switches_to_python_ints_past_int64(top, dtype):
     assert mat.tolist() == [[math.prod(c ** e for c, e in zip(row, exp))
                              for exp in monomials(3, 2)] for row in coords]
 
+
+
+@st.composite
+def rational_polys(draw, nvars=3):
+    """A few polynomials with Fraction coefficients of small denominators."""
+    terms = st.dictionaries(
+        st.tuples(*[st.integers(min_value=0, max_value=4)] * nvars),
+        st.builds(Fraction, st.integers(min_value=-9, max_value=9),
+                  st.integers(min_value=1, max_value=9)), min_size=1, max_size=6)
+    return [MPoly(nvars, t) for t in draw(st.lists(terms, min_size=1, max_size=3))]
+
+
+def _lcm(polys):
+    return math.lcm(*(Fraction(c).denominator for poly in polys for _, c in poly.iter_terms()))
+
+
+@given(rational_polys(), st.sampled_from([3, 7, *SHADOW_PRIMES]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_batch_evaluation_is_the_cleared_value_mod_p(polys, p, data):
+    # every value scaled by the lcm of the call's denominators; batches of
+    # two points, so that a call spans several
+    assume(any(not poly.is_zero() for poly in polys))
+    points = data.draw(st.lists(st.lists(st.integers(min_value=0, max_value=p - 1),
+                                         min_size=3, max_size=3), min_size=1, max_size=7))
+    lcm = _lcm(polys)
+    with mock.patch.object(exactalg, "_BATCH", 2):
+        if lcm % p == 0:
+            with pytest.raises(ExactAlgError, match="not invertible"):
+                _values_at(polys, np.array(points, dtype=np.int64), p)
+            return
+        got = _values_at(polys, np.array(points, dtype=np.int64), p)
+    assert got.dtype == np.int64
+    assert got.tolist() == [[int(lcm * poly.eval(pt)) % p for poly in polys] for pt in points]
+
+
+@given(st.one_of(rational_polys(), st.lists(polys(), min_size=1, max_size=3)),
+       st.sampled_from([9, 2 ** 15, 2 ** 40]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_exact_evaluation_is_the_cleared_value(polys, top, data):
+    # without p: lcm * value exactly, as Python ints, for Fraction and
+    # integer forms (lcm 1); monomials of degree up to 12 at coordinates up
+    # to 2^15 or 2^40 leave int64, and batches of two points span the call
+    assume(any(not poly.is_zero() for poly in polys))
+    ints = st.one_of(st.sampled_from([top, -top]), st.integers(min_value=-top, max_value=top))
+    points = data.draw(st.lists(st.lists(ints, min_size=3, max_size=3), min_size=1, max_size=7))
+    lcm = _lcm(polys)
+    with mock.patch.object(exactalg, "_BATCH", 2):
+        got = _values_at(polys, points)
+    assert all(type(v) is int for row in got.tolist() for v in row)
+    assert got.tolist() == [[lcm * poly.eval(pt) for poly in polys] for pt in points]
+
+
+def test_exact_evaluation_switches_to_python_ints_past_int64():
+    x = _vars(3)
+    f = x[0] ** 3 * Fraction(1, 2) + x[1] * x[2] * 3
+    pts = [[2 ** 40, 1, 2], [3, -(2 ** 41), 2 ** 40], [0, 0, 1]]
+    got = _values_at([f, x[2]], pts)
+    assert got.dtype == object
+    assert got.tolist() == [[2 * f.eval(pt), 2 * pt[2]] for pt in pts]
+    small = _values_at([f, x[2]], [[1, 2, 3]])
+    assert small.dtype == np.int64 and small.tolist() == [[37, 6]]
+    assert _values_at([f], []).shape == (0, 1)
 
 def test_int_products_on_each_dtype_match_python_sums():
     rows = [[2 ** 31 - 1, -(2 ** 31 - 1), 3], [5, 0, -7]]

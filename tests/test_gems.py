@@ -2,19 +2,15 @@
 
 import dataclasses
 import itertools
-import math
 from fractions import Fraction
-from unittest import mock
 
-import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modgem import gems
 from modgem import lines27
 from modgem.exactalg import (
-    SHADOW_PRIMES,
     ExactAlgError,
     MPoly,
     ProjPoint,
@@ -309,35 +305,6 @@ def test_octic_image_satisfies_the_quintic(y):
     vals = [o.eval(y) for o in gems.psi_octics()]
     if any(vals):
         assert gems.invariant_quintic_form().eval(vals) == 0
-
-
-@st.composite
-def rational_polys(draw, nvars=3):
-    """A few polynomials with Fraction coefficients of small denominators."""
-    terms = st.dictionaries(
-        st.tuples(*[st.integers(min_value=0, max_value=4)] * nvars),
-        st.builds(Fraction, st.integers(min_value=-9, max_value=9),
-                  st.integers(min_value=1, max_value=9)), min_size=1, max_size=6)
-    return [MPoly(nvars, t) for t in draw(st.lists(terms, min_size=1, max_size=3))]
-
-
-@given(rational_polys(), st.sampled_from([3, 7, *SHADOW_PRIMES]), st.data())
-@settings(max_examples=60, deadline=None)
-def test_batch_evaluation_is_the_cleared_value_mod_p(polys, p, data):
-    # every value scaled by the lcm of the call's denominators; batches of
-    # two points, so that a call spans several
-    assume(any(not poly.is_zero() for poly in polys))
-    points = data.draw(st.lists(st.lists(st.integers(min_value=0, max_value=p - 1),
-                                         min_size=3, max_size=3), min_size=1, max_size=7))
-    lcm = math.lcm(*(c.denominator for poly in polys for c in map(Fraction, poly.terms.values())))
-    with mock.patch.object(gems, "_BATCH", 2):
-        if lcm % p == 0:
-            with pytest.raises(ExactAlgError, match="not invertible"):
-                gems._eval_batch_mod(polys, np.array(points, dtype=np.int64), p)
-            return
-        got = gems._eval_batch_mod(polys, np.array(points, dtype=np.int64), p)
-    assert got.dtype == np.int64
-    assert got.tolist() == [[int(lcm * poly.eval(pt)) % p for poly in polys] for pt in points]
 
 
 def test_rationalization_report():
