@@ -877,14 +877,22 @@ def kernel_int(rows: Sequence[Sequence[Scalar]]) -> list[tuple[int, ...]]:
     cleared = _cleared_rows(rows)
     if not cleared:
         return []
-    n = len(cleared[0])
-    mat = np.array(cleared, dtype=object).reshape(len(cleared), n)
-    hadamard = math.prod(math.isqrt(sum(v * v for v in row)) + 1 for row in cleared)
+    mat = np.array(cleared, dtype=object)
+    return _kernel(mat, *_echelon_mod(mat, SHADOW_PRIMES[0])[1:])
+
+
+def _kernel(mat: np.ndarray, pivots: list[int], block: np.ndarray) -> list[tuple[int, ...]]:
+    """`kernel_int` of the integer array `mat`, whose first prime p0 reads the
+    given pivots and block of an `_echelon_mod` mod p0 of rows with mat's row
+    space mod p0, on which alone the kernel mod p0 depends."""
+    n = mat.shape[1]
+    hadamard = math.prod(math.isqrt(sum(v * v for v in row)) + 1 for row in mat.tolist())
     primes = _kernel_primes()
     best, residues, modulus, discarded = None, None, 1, 1
     while modulus <= 2 * hadamard ** 2 and discarded <= hadamard:
         p = next(primes)
-        _, pivots, block = _echelon_mod(mat, p)
+        if p != SHADOW_PRIMES[0]:
+            _, pivots, block = _echelon_mod(mat, p)
         key = (-len(pivots), pivots)
         if best is not None and key > best:
             discarded *= p
@@ -905,7 +913,7 @@ def _kernel_mod(block: np.ndarray, pivots: list[int], n: int, p: int) -> np.ndar
     """The kernel mod p of an `_echelon_mod` block, back-substituted: one
     vector per free column, 1 there and 0 at the other free columns, given
     by its entries at the pivot columns (one row per free column)."""
-    a = block.copy()
+    a = block.reshape(len(pivots), n).copy()  # no pivots: (0, n), not (0, 0)
     for i, c in reversed(list(enumerate(pivots))):
         a[:i, c:] = (a[:i, c:] - a[:i, c, None] * a[i, c:]) % p
     free = sorted(set(range(n)) - set(pivots))
@@ -1131,15 +1139,15 @@ class VanishingSpace:
     modular_ranks: dict[int, int]
 
     def contains(self, form: MPoly) -> bool:
-        """Whether form is in the span of the basis: one reduction of its
-        cleared coefficient vector against the echelon of the basis. A form
-        in other variables raises; one with a term of another degree is not."""
+        """Whether form is in the span of the basis: its row of one
+        `_member_array` with the basis, reduced against the echelon of theirs. A
+        form in other variables raises; one with a term of another degree is not."""
         if form.nvars != self.nvars:
             raise ExactAlgError(f"form in {form.nvars} variables, space in {self.nvars}")
         if not form.is_homogeneous() or form.degree() not in (None, self.degree):
             return False
-        echelon = _IntEchelon(_clear_row(b.coefficient_vector(self.degree)) for b in self.basis)
-        return echelon.contains(_clear_row(form.coefficient_vector(self.degree)))
+        *basis, vec = _member_array([*self.basis, form], self.nvars, self.degree).tolist()
+        return _IntEchelon(basis).contains(vec)
 
 
 def _evaluated(exps: Sequence[Sequence[int]], coords: np.ndarray | Sequence[Sequence[int]],
@@ -1222,11 +1230,21 @@ def _member_residues(exps: Sequence[Sequence[int]], coords: Sequence[Sequence[in
     return first
 
 
-def _member_array(cleared: Sequence[Sequence[int]]) -> np.ndarray:
-    """The members' cleared coefficient rows as one array for every member
-    check: int64 where every entry fits, Python ints otherwise."""
-    top = max((abs(v) for row in cleared for v in row), default=0)
-    return np.array(cleared, dtype=np.int64 if top < 2 ** 63 else object)
+def _member_array(polys: Sequence[MPoly], nvars: int, degree: int) -> np.ndarray:
+    """`_clear_row(poly.coefficient_vector(degree))` of each form in nvars variables as the
+    rows of one array (int64 where every entry fits, else Python ints) for member checks and
+    span tests, from each form's own terms of that degree: one lcm, terms placed by key."""
+    index = {k: i for i, k in enumerate(_packed_monomials(nvars, degree))}
+    at, vals = [], []
+    for r, poly in enumerate(polys):
+        terms = [(r * len(index) + index[k], c) for k, c in poly.terms.items() if k in index]
+        lcm = math.lcm(*(c.denominator for _, c in terms))
+        at += [i for i, _ in terms]
+        vals += [c.numerator * (lcm // c.denominator) for _, c in terms]
+    top = max(map(abs, vals), default=0)
+    out = np.zeros(len(polys) * len(index), dtype=np.int64 if top < 2 ** 63 else object)
+    out[at] = vals
+    return out.reshape(len(polys), len(index))
 
 
 def _checked_pivots(exps: Sequence[Sequence[int]], blocks: Sequence[Sequence[tuple[int, ...]]],
@@ -1273,16 +1291,17 @@ def vanishing_space(degree: int, nvars: int,
     builds exact rows, for the pivot rows that the first prime p0 keeps.
 
     The members are the supplied candidates, thinned to the pivot rows of
-    their cleared coefficients mod p0, so independent mod p0 and over Q.
-    Without candidates they are found first: p0 eliminates the residues of
-    every row in one call, and the members are the `kernel_int` of the
-    exact rows of its pivot rows, independent over Q. Each member is checked
-    against every row on residues (`_member_residues`): a residual row @
-    coeff is an integer of absolute value at most B = max|coord|^d
-    max|coeff| n, and it is zero mod primes whose product exceeds B, so by
-    the Chinese remainder theorem it is zero. A candidate that fails raises
-    ExactAlgError; a kernel member that fails means p0 dropped the rank, and
-    raises ShadowMismatch.
+    their cleared coefficients (`_member_array`) mod p0, so independent mod
+    p0 and over Q. Without candidates they are found first: p0 eliminates
+    the residues of every row in one `_echelon_mod` call, and the members
+    are the `_kernel` of the exact rows of its pivot rows, independent over
+    Q, whose first prime takes that call's pivots and block: they span the
+    same rows mod p0. Each member is checked against every row on residues
+    (`_member_residues`): a residual row @ coeff is an integer of absolute
+    value at most B = max|coord|^d max|coeff| n, and it is zero mod primes
+    whose product exceeds B, so by the Chinese remainder theorem it is zero.
+    A candidate that fails raises ExactAlgError; a kernel member that fails
+    means p0 dropped the rank, and raises ShadowMismatch.
 
     With k exact independent members and n monomials, k <= dim and
     rank_p <= rank_Q <= n - k at every prime p, and a subset of the rows of
@@ -1311,22 +1330,22 @@ def vanishing_space(degree: int, nvars: int,
     if candidates is None:
         method = "kernel"
         residues = _evaluated(exps, rows, first)
-        kept = [rows[i] for i in _pivot_rows(residues, first)]
-        # without pivot rows every form vanishes; a zero row keeps the width
-        vecs = kernel_int(_evaluated(exps, kept).tolist() or [[0] * len(mono)])
+        order, pivots, block = _echelon_mod(residues, first)
+        kept = [rows[i] for i in order]
+        vecs = _kernel(_evaluated(exps, kept), pivots, block)
+        chosen = [MPoly._from_packed(nvars, dict(zip(mono, vec))) for vec in vecs]
         try:
-            _member_residues(exps, rows, _member_array(vecs), residues)
+            _member_residues(exps, rows, _member_array(chosen, nvars, degree), residues)
         except ExactAlgError:
             raise ShadowMismatch(f"rank mod {first} is below the rank over Q") from None
-        del residues
-        chosen = [MPoly._from_packed(nvars, dict(zip(mono, vec))) for vec in vecs]
+        del residues, block
     else:
         method = "candidates"
         if any(c.nvars != nvars or c.degree() != degree or not c.is_homogeneous()
                for c in candidates):
             raise ExactAlgError("candidate of wrong degree or ring")
         # the thinning takes the residues mod p0 of the member checks' array
-        coeffs = _member_array([_clear_row(c.coefficient_vector(degree)) for c in candidates])
+        coeffs = _member_array(candidates, nvars, degree)
         thinned = _pivot_rows((coeffs % first).astype(np.int64), first)
         chosen = [candidates[i] for i in sorted(thinned)]
         kept = _checked_pivots(exps, blocks, coeffs, len(mono) - len(chosen))

@@ -359,11 +359,18 @@ class EnneahedraReport:
 
 def _tritangent_permutation(perm: bytes) -> dict[str, str]:
     """The permutation of the 45 tritangents, by name, that a permutation of
-    the 27 lines induces; an image that is no tritangent raises KeyError."""
+    the 27 lines induces; an image that is no tritangent raises, its labels
+    sorted, so the message reads the same in every process."""
     tri = tritangents()
     by_lines = {v: k for k, v in tri.items()}
-    return {name: by_lines[frozenset(LINE_LABELS[perm[LINE_INDEX[l]]] for l in lines)]
-            for name, lines in tri.items()}
+    table = {}
+    for name, lines in tri.items():
+        image = frozenset(LINE_LABELS[perm[LINE_INDEX[l]]] for l in lines)
+        if image not in by_lines:
+            raise ExactAlgError(f"the Weyl generators must permute the tritangents, but "
+                                f"{name} goes to {', '.join(sorted(image))}, no tritangent")
+        table[name] = by_lines[image]
+    return table
 
 
 @lru_cache(maxsize=1)

@@ -8,7 +8,6 @@ an exact set computation (`incidence`).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -151,8 +150,10 @@ def incidence(arr: Arrangement) -> IncidenceTable:
     it. Per exact product of the forms F with `_BLOCK` flats, the zero rows
     of each V = F K^T must be exactly L's mask. L ∩ H_i lies on H_j iff V[j]
     is a multiple of V[i], so the block's (flat, primitive sign-fixed
-    nonzero row) pairs, grouped through one dict, are the children: L's
-    mask OR the group's bits, by flat and then by the group's least form i.
+    nonzero row) pairs, grouped by one stable `np.lexsort` of int64 keys
+    (a row past int64 as its entries' signs and 62-bit limbs), are the
+    children: L's mask OR the group's bits, merged by one
+    `np.bitwise_or.reduceat`, by flat and then by the group's least form i.
     One `_cut` per level cuts each new child's basis out of K by V[i].
     """
     forms = np.array(arr.forms, dtype=object).reshape(-1, arr.ambient + 1)
@@ -174,12 +175,17 @@ def incidence(arr: Arrangement) -> IncidenceTable:
             w = vals[form, flat]
             lead = w[np.arange(len(w)), (w != 0).argmax(axis=1)]
             prim = w // (np.gcd.reduce(w, axis=1) * np.where(lead < 0, -1, 1))[:, None]
-            keys = zip(flat.tolist(), *prim.T.tolist())
-            # a group is named by its first pair
-            ids = np.fromiter(map({}.setdefault, keys, itertools.count()), np.intp, len(w))
-            first = np.flatnonzero(ids == np.arange(len(w)))
-            child = own[flat[first]]
-            np.bitwise_or.at(child, np.searchsorted(first, ids), bits[form])
+            if prim.dtype == object:  # past int64: each entry's sign and 62-bit limbs
+                mag = np.abs(prim)
+                shifts = range(0, max(1, int(mag.max(initial=0)).bit_length()), 62)
+                prim = np.hstack([prim < 0, *((mag >> k) & (2 ** 62 - 1) for k in shifts)])
+            # a stable sort puts each group's first pair where its key changes
+            keys = np.vstack([flat, prim.T.astype(np.int64)])
+            order = np.lexsort(keys)
+            starts = np.flatnonzero(np.diff(keys[:, order], axis=1, prepend=-1).any(axis=0))
+            groups = np.argsort(order[starts])  # in the order of their first pairs
+            first = order[starts[groups]]
+            child = own[flat[first]] | np.bitwise_or.reduceat(bits[form[order]], starts)[groups]
             picks = [p for p, m in zip(first.tolist(), child.tolist())
                      if m not in nxt and nxt.setdefault(m, True)]  # first pair of a new mask
             parents.append(s + flat[picks])

@@ -364,6 +364,9 @@ FAULT_ERRORS = {
     "quintic-coefficient": {
         "quintic/singular-locus": "point h must kill the quintic and its gradient",
         "nodal/generic": _NOT_SINGULAR, "nodal/tangent": _NOT_SINGULAR},
+    "tritangent-replaced": {
+        "lines27/enneahedra": "the Weyl generators must permute the tritangents, but "
+                              "(12) goes to a2, b1, c23, no tritangent"},
 }
 
 
@@ -385,6 +388,25 @@ def test_an_input_fault_fails_exactly_its_checks(fault, monkeypatch):
     computed = {c.check: c.computed for c in certs}
     for check, message in FAULT_ERRORS.get(fault, {}).items():
         assert computed[check].startswith("error: ") and message in computed[check]
+
+
+def test_a_faulted_report_reads_the_same_under_two_hash_seeds():
+    # the tritangent-replaced row in two processes whose frozensets iterate
+    # in different orders: the failing certificates must not differ
+    script = ("import json, pytest, test_cli\n"
+              "from modgem import cli\n"
+              "patch, suites, _, _ = test_cli.INPUT_FAULTS['tritangent-replaced']\n"
+              "patch(pytest.MonkeyPatch())\n"
+              "certs = [c for s in suites for c in cli.run_suite(s, cli.SuiteConfig())]\n"
+              "print(json.dumps([c.as_dict() for c in certs if c.status == 'fail']))\n")
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    outs = [subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           check=True, env={**os.environ, "PYTHONPATH": path,
+                                            "PYTHONHASHSEED": seed}).stdout
+            for seed in ("0", "1")]
+    assert outs[0] == outs[1]
+    assert {c["check"] for c in json.loads(outs[0])} == INPUT_FAULTS["tritangent-replaced"][3]
 
 
 def test_every_computed_check_has_an_input_fault():

@@ -40,6 +40,7 @@ from modgem.exactalg import (
     _int_matmul,
     _is_prime,
     _kernel_primes,
+    _member_array,
     _pivot_rows,
     _primes_past,
     _residue_products,
@@ -185,6 +186,26 @@ def test_mixed_coefficients_keep_the_ring_exact(p, q, r, c, x, y, u, v):
         assert_line_restriction(top, x, y)
         assert_line_restriction(top, u, v)
         assert_line_restriction(top, x, v)
+
+
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=3),
+       st.data())
+@settings(max_examples=80, deadline=None)
+def test_member_array_holds_the_cleared_coefficient_vectors(nvars, degree, data):
+    # Fraction coefficients, integers past int64, terms of other degrees
+    # (which the row leaves out), and no forms at all: nvars is the call's;
+    # int64 exactly when every entry fits
+    exps = st.lists(st.integers(min_value=0, max_value=degree + 1), min_size=nvars,
+                    max_size=nvars).map(tuple)
+    values = st.one_of(mixed_coeffs, st.integers(min_value=-2 ** 90, max_value=2 ** 90),
+                       st.fractions(max_denominator=2 ** 70))
+    forms = data.draw(st.lists(st.dictionaries(exps, values, max_size=8).map(
+        lambda terms: MPoly(nvars, terms)), max_size=4))
+    got = _member_array(forms, nvars, degree)
+    rows = [_clear_row(f.coefficient_vector(degree)) for f in forms]
+    assert got.tolist() == rows
+    top = max((abs(v) for row in rows for v in row), default=0)
+    assert got.dtype == (np.int64 if top < 2 ** 63 else object)
 
 
 @pytest.mark.parametrize("make", [
@@ -1356,6 +1377,9 @@ def test_vanishing_space_without_constraints_is_every_form():
     for vs in (vanishing_space(2, 3), vanishing_space(2, 3, candidates=conics)):
         assert vs.dim == 6
         assert vs.modular_ranks == {p: 0 for p in SHADOW_PRIMES}
+    # without pivot rows the kernel route's basis is every monomial
+    assert [b.coefficient_vector(2) for b in vanishing_space(2, 3).basis] == [
+        [int(i == j) for j in range(6)] for i in range(6)]
 
 
 def test_later_prime_falls_back_to_the_whole_matrix():
@@ -1635,8 +1659,9 @@ def test_repeated_rows_are_evaluated_once_and_match_the_whole_matrix_reference()
     # x3 * q: n - k = 20 - 10 = 10; the four line blocks' 10 rows leave out
     # x0 x1 (x0 - x1), the three lines, so rank 9, and the one new point
     # brings the rank to 10. Without candidates the first prime evaluates
-    # and eliminates the 8 and 11 distinct rows in one call, and the only
-    # exact rows are those of its pivot rows.
+    # and eliminates the 8 and 11 distinct rows in one `_echelon_mod` call,
+    # which `kernel_int`'s first prime reuses, and the only exact rows are
+    # those of its pivot rows.
     x = _vars(4)
     shared = ProjPoint([0, 0, 1, 0])
     lines = [ProjLine(ProjPoint(p), shared) for p in ([1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0])]
@@ -1662,7 +1687,7 @@ def test_repeated_rows_are_evaluated_once_and_match_the_whole_matrix_reference()
                   for vec in kernel_int(mat.tolist())]
         want = _whole_matrix_reference(degree, 4, pts, lines, cands or kernel)
         with mock.patch.object(exactalg, "_evaluated", spy), \
-                mock.patch.object(exactalg, "_pivot_rows", wraps=exactalg._pivot_rows) as piv:
+                mock.patch.object(exactalg, "_echelon_mod", wraps=exactalg._echelon_mod) as piv:
             got = vanishing_space(degree, 4, points=pts, lines=lines, candidates=cands)
         assert want is not None
         assert (got.dim, got.modular_ranks, list(got.basis)) == want
@@ -1680,6 +1705,46 @@ def test_repeated_rows_are_evaluated_once_and_match_the_whole_matrix_reference()
             assert [len(r) for (r, p), _ in piv.call_args_list if p == p0] == steps
         else:
             assert _first_prime_steps(piv, cands) == steps
+
+
+@pytest.mark.parametrize("degree, points, lines", [
+    (2, [[1, 0, 0, 0], [1, 2, 3, 0], [1, 2, 3, 0]],
+     [([1, 0, 0, 0], [0, 0, 1, 0]), ([0, 1, 0, 0], [0, 0, 1, 0])]),
+    # exact rows past int64: the kernel checks its basis against an object array
+    (2, [[2 ** 40, 1, 0, 3], [1, -2 ** 40, 5, 0], [7, 1, 2 ** 40, 1]],
+     [([1, 1, 0, 0], [0, 2, 1, 1])]),
+    (3, [[1, 2, 3, 4], [4, 3, 2, 1]], [([1, 0, 0, 0], [0, 1, 0, 0]), ([0, 0, 1, 0], [0, 0, 0, 1]),
+                                     ([1, 1, 1, 1], [1, -1, 2, 0])]),
+], ids=["plane", "past-int64", "cubics"])
+def test_kernel_route_eliminates_once_mod_the_first_prime(degree, points, lines):
+    # the route's one elimination mod p0 also serves as `kernel_int`'s first
+    # prime, and the basis is the `kernel_int` of the exact pivot rows alone
+    p0 = SHADOW_PRIMES[0]
+    exact, real = [], exactalg._evaluated
+
+    def spy(exps, coords, p=0):
+        rows = real(exps, coords, p)
+        if not p:
+            exact.append(rows)
+        return rows
+
+    pts = [ProjPoint(c) for c in points]
+    lns = [ProjLine(ProjPoint(a), ProjPoint(b)) for a, b in lines]
+    with mock.patch.object(exactalg, "_evaluated", spy), \
+            mock.patch.object(exactalg, "_echelon_mod", wraps=exactalg._echelon_mod) as em:
+        vs = vanishing_space(degree, 4, points=pts, lines=lns)
+    assert [p for (_, p), _ in em.call_args_list].count(p0) == 1
+    (rows,) = exact
+    assert len(rows) == vs.modular_ranks[p0]
+    assert ([tuple(b.coefficient_vector(degree)) for b in vs.basis]
+            == kernel_int(rows.tolist()) != [])
+
+
+def test_no_candidates_are_a_space_of_dimension_zero():
+    # nvars comes from the call, not from a first candidate
+    pts = [ProjPoint([1, 0]), ProjPoint([0, 1])]
+    vs = vanishing_space(1, 2, points=pts, candidates=[])
+    assert (vs.dim, vs.basis, vs.method) == (0, (), "candidates")
 
 
 def test_a_residual_that_only_the_last_prime_sees_raises(monkeypatch):
