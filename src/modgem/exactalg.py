@@ -113,21 +113,26 @@ def _packed_monomials(nvars: int, degree: int) -> tuple[int, ...]:
     return tuple(_pack(exp, nvars) for exp in monomials(nvars, degree))
 
 
+def _grouped(rows: np.ndarray, key: Callable[[int], int]) -> tuple[np.ndarray, list[int]]:
+    """The nonzero rows grouped by key(row index) through one dict, each
+    group added up by one `np.add.reduceat`: the sums and their keys."""
+    groups: dict[int, list[int]] = {}
+    for j in rows.any(1).nonzero()[0].tolist():
+        groups.setdefault(key(j), []).append(j)
+    starts = list(itertools.accumulate(map(len, groups.values()), initial=0))[:-1]
+    order = list(itertools.chain.from_iterable(groups.values()))
+    return np.add.reduceat(rows.take(order, axis=0), starts, axis=0), list(groups)
+
+
 def _level_step(polys: np.ndarray, keys: list[int], factors: np.ndarray,
                 factor_keys: list[int]) -> tuple[np.ndarray, list[int]]:
     """Column j of `polys` times column j of `factors`, for every j: one
     polynomial per column, one row per packed key (`keys`, `factor_keys`).
-    The outer product of the columns is grouped by key sums, the pairs with
-    a nonzero product through one dict, and each group added up by one
-    `np.add.reduceat`. Returns the product columns and their keys."""
+    The outer product of the columns is `_grouped` by key sums. Returns the
+    product columns and their keys."""
     width = len(factor_keys)
     prods = (polys[:, None, :] * factors[None, :, :]).reshape(-1, polys.shape[1])
-    groups: dict[int, list[int]] = {}
-    for j in prods.any(1).nonzero()[0].tolist():
-        groups.setdefault(keys[j // width] + factor_keys[j % width], []).append(j)
-    starts = list(itertools.accumulate(map(len, groups.values()), initial=0))[:-1]
-    order = list(itertools.chain.from_iterable(groups.values()))
-    return np.add.reduceat(prods.take(order, axis=0), starts, axis=0), list(groups)
+    return _grouped(prods, lambda j: keys[j // width] + factor_keys[j % width])
 
 
 class MPoly:
@@ -314,89 +319,21 @@ class MPoly:
         return [self.diff(i) for i in range(self.nvars)]
 
     def subs(self, images: Sequence["MPoly"]) -> "MPoly":
-        """Replace variable i by images[i]; a ring homomorphism.
-
-        One plan per call, on arrays: each needed monomial is its parent (one
-        power less of its first variable) times that variable, the images of
-        the needed monomials of degree t are the columns of one array on the
-        target keys, made from degree t - 1 by `_level_step`, and each term
-        is multiplied into its parent's column. A term with sum e_i *
-        deg(images[i]) >= 2^EXP_BITS raises; a zero image has degree 0, and
-        the terms through it are dropped. Image i is cleared by its
-        denominator lcm den_i, each term scaled by 1 / prod(den_i^e_i), over
-        one denominator divided out at the end. The arrays are int64 while
-        max_i |images[i]|^max(d, 1) * |self| < 2^62 (|g| the sum of the
-        cleared |coefficients|, d the top degree kept), else Python ints.
-        """
-        if len(images) != self.nvars:
-            raise ExactAlgError("substitution needs one image per variable")
-        target = images[0].nvars if images else self.nvars
-        if any(im.nvars != target for im in images):
-            raise ExactAlgError("substitution images live in different rings")
-        n, shift = self.nvars, EXP_BITS * self.nvars
-        degs = [im.degree() or 0 for im in images]
-        if max(degs, default=0) * (self.degree() or 0) >= _EXP_LIMIT and any(
-                sum(e * g for e, g in zip(k.to_bytes(n + 1, "big")[1:], degs)) >= _EXP_LIMIT
-                for k in self.terms):
-            raise ExactAlgError(f"substitution degree reaches the limit {_EXP_LIMIT}")
-        zero = sum((_EXP_LIMIT - 1) << (EXP_BITS * (n - 1 - i))
-                   for i, im in enumerate(images) if not im.terms)
-        coeffs = {k: c for k, c in self.terms.items() if not k & zero}
-        d = max(coeffs, default=0) >> shift
-        # the plan: (parent, variable) of each needed monomial, by degree
-        levels: list[dict[int, tuple[int, int]]] = [{} for _ in range(d + 1)]
-        for k in coeffs:
-            while k and k not in (level := levels[k >> shift]):
-                b = ((k & ((1 << shift) - 1)).bit_length() - 1) // EXP_BITS
-                parent = k - (1 << shift) - (1 << (EXP_BITS * b))
-                level[k], k = (parent, n - 1 - b), parent
-        dens = [math.lcm(*(c.denominator for c in im.terms.values())) for im in images]
-        cleared = [{k: c.numerator * (den // c.denominator) for k, c in im.terms.items()}
-                   for im, den in zip(images, dens)]
-        den = 1
-        if max(dens, default=1) > 1 or Fraction in map(type, coeffs.values()):
-            scaled = {k: (c.numerator, c.denominator * math.prod(
-                map(pow, dens, k.to_bytes(n + 1, "big")[1:]))) for k, c in coeffs.items()}
-            den = math.lcm(*(q for _, q in scaled.values()))
-            coeffs = {k: p * (den // q) for k, (p, q) in scaled.items()}
-        top = max((sum(map(abs, im.values())) for im in cleared), default=0)
-        dtype = np.int64 if top ** max(d, 1) * sum(map(abs, coeffs.values())) < 2 ** 62 else object
-        variables = list(dict.fromkeys(k for im in cleared for k in im))
-        factors = np.array([[im.get(k, 0) for im in cleared] for k in variables],
-                           dtype=dtype).reshape(len(variables), n)
-
-        polys, keys, position = np.ones((1, 1), dtype=dtype), [0], {0: 0}
-        acc: dict[int, Scalar] = {0: coeffs[0]} if 0 in coeffs else {}
-        for t, level in enumerate(levels[1:], 1):  # polys holds degree t - 1
-            here = [(*level[k], coeffs[k]) for k in level if k in coeffs]
-            if here:
-                parents, i, c = zip(*here)
-                weights = np.zeros((len(position), n), dtype=dtype)
-                weights[[position[p] for p in parents], i] = c
-                for s, line in zip(keys, (polys @ (weights @ factors.T)).tolist()):
-                    for u, v in zip(variables, line):
-                        acc[s + u] = acc.get(s + u, 0) + v
-            if t < d:
-                parents, i = zip(*level.values())
-                polys, keys = _level_step(polys.take([position[p] for p in parents], axis=1),
-                                          keys, factors.take(i, axis=1), variables)
-                position = {k: j for j, k in enumerate(level)}
-        if den != 1:
-            acc = {k: Fraction(v, den) for k, v in acc.items()}
-        return MPoly._from_packed(target, acc)
+        """Replace variable i by images[i]; a ring homomorphism: `substitute`
+        with this one form and this one substitution."""
+        return substitute([self], [images])[0][0]
 
     def restrict(self, basis: Sequence[Sequence[Scalar]]) -> "MPoly":
         """Restrict to the span of `basis`: substitute x = sum(u_j * basis[j]).
 
-        Returns a polynomial in len(basis) fresh variables u_j.
+        Returns a polynomial in len(basis) fresh variables u_j: `restrictions`
+        with this one form and this one basis.
         """
-        if any(len(b) != self.nvars for b in basis):
-            raise ExactAlgError("basis vectors must match nvars")
-        return self.subs([MPoly.linear([b[i] for b in basis]) for i in range(self.nvars)])
+        return restrictions([self], [basis])[0][0]
 
     def restrict_to_line(self, p: Sequence[Scalar], q: Sequence[Scalar]) -> list[Scalar]:
         """Coefficients of the binary form self(s*p + t*q), ordered s^d .. t^d:
-        `restrict` to the span of p and q, read on `monomials(2, d)`.
+        `restrictions` of this form to the basis [p, q], read on `monomials(2, d)`.
 
         Only defined for homogeneous polynomials; the zero form gives [0].
         """
@@ -460,6 +397,144 @@ class MPoly:
 
     def __repr__(self):
         return f"MPoly({self.to_str()})"
+
+
+def substitute(forms: Sequence[MPoly],
+               substitutions: Sequence[Sequence[MPoly]]) -> list[list[MPoly]]:
+    """out[a][b] = forms[a] with x_i replaced by substitutions[b][i], by `_expanded`.
+    A term with sum e_i * deg(image i) >= 2^EXP_BITS raises; a zero image has degree 0."""
+    if not forms or not substitutions:
+        return [[] for _ in forms]
+    n, r = forms[0].nvars, len(substitutions)
+    if any(len(images) != n for images in substitutions):
+        raise ExactAlgError("substitution needs one image per variable")
+    target = substitutions[0][0].nvars if n else n
+    if any(im.nvars != target for images in substitutions for im in images):
+        raise ExactAlgError("substitution images live in different rings")
+    degs = [[im.degree() or 0 for im in images] for images in substitutions]
+    if max((g for gs in degs for g in gs), default=0) * max(
+            f.degree() or 0 for f in forms) >= _EXP_LIMIT and any(
+            sum(e * g for e, g in zip(k.to_bytes(n + 1, "big")[1:], gs)) >= _EXP_LIMIT
+            for gs in degs for f in forms for k in f.terms):
+        raise ExactAlgError(f"substitution degree reaches the limit {_EXP_LIMIT}")
+    dens = [math.lcm(*(c.denominator for im in images for c in im.terms.values()))
+            for images in substitutions]
+    variables: dict[int, int] = {}  # target key -> its row of the factors
+    at, cleared = [], []
+    for b, (images, den) in enumerate(zip(substitutions, dens)):
+        for i, im in enumerate(images):
+            at += [(variables.setdefault(k, len(variables)) * n + i) * r + b for k in im.terms]
+            cleared += [c.numerator * (den // c.denominator) for c in im.terms.values()]
+    factors = np.zeros(len(variables) * n * r, dtype=object)
+    factors[at] = cleared
+    return _expanded(forms, target, list(variables), factors.reshape(len(variables), n, r),
+                     dens)
+
+
+def restrictions(forms: Sequence[MPoly],
+                 bases: Sequence[Sequence[Sequence[Scalar]]]) -> list[list[MPoly]]:
+    """out[a][b] = forms[a] on the span of bases[b], all of one length k: x =
+    sum(u_j * bases[b][j]) in fresh u_j, by `_expanded` of the cleared vectors."""
+    if not forms or not bases:
+        return [[] for _ in forms]
+    n, k, r = forms[0].nvars, len(bases[0]), len(bases)
+    if any(len(v) != n for basis in bases for v in basis):
+        raise ExactAlgError("basis vectors must match nvars")
+    if any(len(basis) != k for basis in bases):
+        raise ExactAlgError("bases of different lengths")
+    rows = [[_scalar(v) for vec in basis for v in vec] for basis in bases]
+    dens = [math.lcm(*(v.denominator for v in row)) for row in rows]
+    factors = np.array([[v.numerator * (den // v.denominator) for v in row]
+                        for row, den in zip(rows, dens)], dtype=object)
+    # the key of u_j, of k variables, is 1 << EXP_BITS*k | 1 << EXP_BITS*(k-1-j)
+    return _expanded(forms, k, [1 << EXP_BITS * k | 1 << EXP_BITS * (k - 1 - j) for j in range(k)],
+                     factors.reshape(r, k, n).transpose(1, 2, 0), dens)
+
+
+def _expanded(forms: Sequence[MPoly], target: int, variables: list[int],
+              factors: np.ndarray, dens: list[int]) -> list[list[MPoly]]:
+    """The one expansion route: out[a][b] = forms[a] with x_i replaced by
+    sum_u factors[u, i, b] u / dens[b], u over the target keys `variables`
+    (factors: integers, dtype object, shape (len(variables), n, r)).
+
+    One plan for the batch: each monomial is its parent (one power less of
+    its first variable) times that variable. Column j*r + b of the degree-t
+    array is the j-th degree-t parent under substitution b, made from degree
+    t - 1 by one `_level_step`. The degree-t terms weight the variables'
+    images at their parents (one product) and meet the parents' columns (one
+    product, batched over b); one `_grouped` adds the pieces of all degrees
+    up by key. Terms through a variable with no nonzero image are dropped.
+    A degree-t term of form a is scaled by dens[b]^(d - t), over L_a
+    dens[b]^d, L_a the lcm of a's denominators.
+    The arrays are int64 while A^max(d, 1) * F < 2^62, else Python ints: A
+    is the largest sum of an image's cleared |coefficients| and F of a
+    form's, each times max(dens)^(d - t), both at least 1, d the top degree.
+    """
+    n, m, r = forms[0].nvars, len(forms), len(dens)
+    if any(f.nvars != n for f in forms):
+        raise ExactAlgError("forms in different rings")
+    shift, width, big = EXP_BITS * n, len(variables), max(dens)
+    zero = sum((_EXP_LIMIT - 1) << (EXP_BITS * (n - 1 - i))
+               for i, used in enumerate((factors != 0).any(axis=(0, 2))) if not used)
+    kept = [{k: c for k, c in f.terms.items() if not k & zero} for f in forms]
+    d = max((k for terms in kept for k in terms), default=0) >> shift
+    # the plan: (parent, variable) of each needed monomial, by degree
+    levels: list[dict[int, tuple[int, int]]] = [{} for _ in range(d + 1)]
+    for k in dict.fromkeys(k for terms in kept for k in terms):
+        while k and k not in (level := levels[k >> shift]):
+            v = ((k & ((1 << shift) - 1)).bit_length() - 1) // EXP_BITS
+            parent = k - (1 << shift) - (1 << (EXP_BITS * v))
+            level[k], k = (parent, n - 1 - v), parent
+    by_level: list[list[tuple[int, int, int]]] = [[] for _ in range(d + 1)]  # (form, key, c)
+    form_dens, size = [], 0
+    for a, terms in enumerate(kept):
+        form_dens.append(math.lcm(*(c.denominator for c in terms.values())))
+        cs = [c.numerator * (form_dens[a] // c.denominator) for c in terms.values()]
+        for k, c in zip(terms, cs):
+            by_level[k >> shift].append((a, k, c))
+        size = max(size, sum(abs(c) * big ** (d - (k >> shift)) for k, c in zip(terms, cs)))
+    top = int(np.abs(factors).sum(axis=0).max(initial=0))
+    dtype = np.int64 if max(top, 1) ** max(d, 1) * max(size, 1) < 2 ** 62 else object
+    factors = factors.astype(dtype)
+    images_of = factors.transpose(1, 0, 2).reshape(n, width * r)  # image i, column u*r + b
+    factors = factors.reshape(width, n * r)  # column i * r + b: image i under b
+
+    def spread(idx):  # column j * r + b of each index j, for every substitution b
+        return (np.array(idx)[:, None] * r + np.arange(r)).ravel()
+    consts = {a: c for a, _, c in by_level[0]}
+    pieces = [np.array([[consts.get(a, 0) * den ** d for a in range(m) for den in dens]],
+                       dtype=dtype)]
+    pair_keys, polys, keys, position = [0], np.ones((1, r), dtype=dtype), [0], {0: 0}
+    for t, level in enumerate(levels[1:], 1):  # polys holds the degree t - 1 parents
+        if by_level[t]:
+            a, ks, c = zip(*by_level[t])
+            active = list(dict.fromkeys(a))  # the forms with terms of degree t
+            row = {x: j for j, x in enumerate(active)}
+            weights = np.zeros((len(active), len(position), n), dtype=dtype)
+            weights[[row[x] for x in a], [position[level[k][0]] for k in ks],
+                    [level[k][1] for k in ks]] = c
+            # (form, parent, target key, substitution)
+            weighted = (weights.reshape(-1, n) @ images_of).reshape(
+                len(active), len(position), width, r)
+            if big > 1:
+                weighted *= np.array([den ** (d - t) for den in dens], dtype=dtype)
+            prod = (polys.reshape(len(keys), len(position), r).transpose(2, 0, 1)
+                    @ weighted.transpose(3, 1, 0, 2).reshape(r, len(position), len(active) * width))
+            block = prod.reshape(r, len(keys), len(active), width).transpose(1, 3, 2, 0)
+            pieces.append(np.zeros((len(keys) * width, m * r), dtype=dtype))
+            pieces[-1][:, spread(active)] = block.reshape(len(keys) * width, len(active) * r)
+            pair_keys += [s + u for s in keys for u in variables]
+        if t < d:
+            step = list(dict.fromkeys(p for p, _ in levels[t + 1].values()))
+            parents, i = zip(*(level[k] for k in step))
+            polys, keys = _level_step(polys.take(spread([position[p] for p in parents]), axis=1),
+                                      keys, factors.take(spread(i), axis=1), variables)
+            position = {k: j for j, k in enumerate(step)}
+    sums, keys = _grouped(np.concatenate(pieces), pair_keys.__getitem__)
+    columns = iter(sums.T.tolist())
+    return [[MPoly._from_packed(target, {k: v if den == 1 else Fraction(v, den)
+                                         for k, v in zip(keys, next(columns)) if v})
+             for den in (form_den * den ** d for den in dens)] for form_den in form_dens]
 
 
 # -- symmetric functions and determinants -------------------------------------

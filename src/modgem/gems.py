@@ -49,6 +49,8 @@ from .exactalg import (
     kernel_int,
     power_sum,
     proportional,
+    restrictions,
+    substitute,
     vanishing_space,
 )
 from . import lines27
@@ -56,10 +58,6 @@ from .rootarr import RootSystemId, roots
 
 
 # -- plumbing ----------------------------------------------------------------------------
-
-
-def _unit_form(positions: Sequence[int], nvars: int = 6) -> MPoly:
-    return MPoly.linear([1 if k in positions else 0 for k in range(nvars)])
 
 
 def _product(forms: Sequence[MPoly]) -> MPoly:
@@ -104,9 +102,10 @@ def _mat_mul(a: lines27.IntMatrix, b: lines27.IntMatrix) -> lines27.IntMatrix:
     return tuple(map(tuple, _int_matmul(a, list(zip(*b))).tolist()))
 
 
-def _pullback(f: MPoly, mat: lines27.IntMatrix) -> MPoly:
-    """f with each x_i replaced by the linear form of row i of mat."""
-    return f.subs([MPoly.linear(row) for row in mat])
+def _pullback(f: MPoly, mats: Sequence[lines27.IntMatrix]) -> list[MPoly]:
+    """For each mat, f with each x_i replaced by the linear form of row i of
+    mat: f on the span of the columns of mat."""
+    return restrictions([f], [list(zip(*mat)) for mat in mats])[0]
 
 
 def _require_form(form: MPoly, degree: int) -> None:
@@ -203,21 +202,21 @@ def _matching_rows(matching) -> list[list[int]]:
 @lru_cache(maxsize=1)
 def _plane_bases() -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Integer bases of the 15 matching planes, each on the cubic with 4 nodes."""
-    cubes = _six_cubes()
     bases = []
     for matching in _matchings():
-        rows = _matching_rows(matching)
-        basis = kernel_int(rows)
+        basis = kernel_int(_matching_rows(matching))
         if len(basis) != 3:
             raise ExactAlgError("a matching plane must be 3-dimensional")
         if any(sum(v) != 0 for v in basis):
             raise ExactAlgError("matching planes must lie inside {sum = 0}")
-        if not cubes.restrict(basis).is_zero():
+        bases.append(tuple(tuple(v) for v in basis))
+    for matching, cut in zip(_matchings(), restrictions([_six_cubes()], bases)[0]):
+        if not cut.is_zero():
             raise ExactAlgError(f"plane {matching} does not lie on the cubic")
-        on_plane = int((_int_matmul([p.coords for p in _nodes_p5()], rows) == 0).all(axis=1).sum())
+        on_plane = int((_int_matmul([p.coords for p in _nodes_p5()], _matching_rows(matching))
+                        == 0).all(axis=1).sum())
         if on_plane != 4:
             raise ExactAlgError(f"plane {matching} holds {on_plane} nodes, wanted 4")
-        bases.append(tuple(tuple(v) for v in basis))
     return tuple(bases)
 
 
@@ -250,8 +249,10 @@ def build_segre(seed: int = 0, offnode_samples: int = 20) -> SegreModel:
     # a pair hyperplane cuts the cubic in the three planes of the matchings
     # through that pair
     scalars: dict[tuple[int, int], Fraction] = {}
-    for pair, (section, planes_form) in _pair_sections().items():
-        scalar = proportional(cubes.restrict(section), planes_form)
+    sections = _pair_sections()
+    cuts = restrictions([cubes], [section for section, _ in sections.values()])[0]
+    for (pair, (_, planes_form)), cut in zip(sections.items(), cuts):
+        scalar = proportional(cut, planes_form)
         if scalar is None:
             raise ExactAlgError(f"section at {pair} does not split into 3 planes")
         scalars[pair] = scalar
@@ -287,18 +288,22 @@ def _pair_sections() -> dict[tuple[int, int], tuple[list[tuple[int, ...]], MPoly
     On the section the two leftover pair forms of a matching agree up to
     sign, so one linear form cuts each plane.
     """
+    pairs = list(itertools.combinations(range(6), 2))
+    sections = [kernel_int(_matching_rows([pair]) + [[1] * 6]) for pair in pairs]
+    if any(len(section) != 4 for section in sections):
+        raise ExactAlgError("pair hyperplane section must be a P3")
+    # the pair forms on every section: cut[pair][b] on the b-th section
+    cut = dict(zip(pairs, restrictions([MPoly.linear(row) for row in _matching_rows(pairs)],
+                                       sections)))
     out = {}
-    for pair in itertools.combinations(range(6), 2):
-        section = kernel_int(_matching_rows([pair]) + [[1] * 6])
-        if len(section) != 4:
-            raise ExactAlgError("pair hyperplane section must be a P3")
+    for b, (pair, section) in enumerate(zip(pairs, sections)):
         factors = []
         for matching in _matchings():
             if pair not in matching:
                 continue
             others = [p for p in matching if p != pair]
-            f1 = _unit_form(others[0]).restrict(section)
-            if not (f1 + _unit_form(others[1]).restrict(section)).is_zero():
+            f1 = cut[others[0]][b]
+            if not (f1 + cut[others[1]][b]).is_zero():
                 raise ExactAlgError("leftover pair forms must be opposite on the section")
             factors.append(f1)
         if len(factors) != 3:
@@ -465,10 +470,16 @@ def build_nieto() -> NietoModel:
         raise ExactAlgError("difference-point incidences must be 4 per point, 3 per line")
 
     # the matching planes of the cubic, in the chart: drop the last coordinate
+    matching_bases = [[v[:5] for v in plane] for plane in _plane_bases()]
+    pairs = list(itertools.combinations(range(6), 2))
+    coordinate_bases = [_flat_chart_basis(pair) for pair in pairs]
+    for pair, basis in zip(pairs, coordinate_bases):
+        if len(basis) != 3:
+            raise ExactAlgError(f"coordinate plane {pair} must lie on the quintic")
+    on_planes = restrictions([N], matching_bases + coordinate_bases)[0]
     matching_planes = []
-    for matching, plane in zip(_matchings(), _plane_bases()):
-        basis = [v[:5] for v in plane]
-        if not N.restrict(basis).is_zero():
+    for matching, basis, cut in zip(_matchings(), matching_bases, on_planes):
+        if not cut.is_zero():
             raise ExactAlgError(f"matching plane {matching} must lie on the quintic")
         ech = _IntEchelon(basis)
         n_nodes = sum(1 for p in nodes if ech.contains(p.coords))
@@ -479,9 +490,8 @@ def build_nieto() -> NietoModel:
 
     coordinate_planes = []
     in_plane = []  # per coordinate plane, whether it holds each singular line
-    for i, j in itertools.combinations(range(6), 2):
-        basis = _flat_chart_basis((i, j))
-        if len(basis) != 3 or not N.restrict(basis).is_zero():
+    for (i, j), basis, cut in zip(pairs, coordinate_bases, on_planes[len(matching_bases):]):
+        if not cut.is_zero():
             raise ExactAlgError(f"coordinate plane {(i, j)} must lie on the quintic")
         ech = _IntEchelon(basis)
         n_nodes = sum(1 for p in nodes if ech.contains(p.coords))
@@ -502,18 +512,23 @@ def build_nieto() -> NietoModel:
         if count != 3:
             raise ExactAlgError(f"line {lab} lies in {count} coordinate planes, wanted 3")
 
+    # e5 on the 15 pair sections, then on the 6 coordinate sections
+    sections = _pair_sections()
+    coordinate_sections = [kernel_int([[1 if k == i else 0 for k in range(6)], [1] * 6])
+                           for i in range(6)]
+    cuts = restrictions([e5], [section for section, _ in sections.values()]
+                        + coordinate_sections)[0]
     residuals: dict[tuple[int, int], MPoly] = {}
-    for pair, (section, planes_form) in _pair_sections().items():
-        quad = _exact_div(e5.restrict(section), planes_form)
+    for (pair, (_, planes_form)), cut in zip(sections.items(), cuts):
+        quad = _exact_div(cut, planes_form)
         if quad.degree() != 2:
             raise ExactAlgError("pair section must leave a quadric after the three planes")
         residuals[pair] = quad
 
+    # x_j restricted to a section is the linear form of the section's column j
     coord_scalars: dict[int, Fraction] = {}
-    for i in range(6):
-        section = kernel_int([[1 if k == i else 0 for k in range(6)], [1] * 6])
-        cut = e5.restrict(section)
-        prod = _product([MPoly.var(j, 6).restrict(section) for j in range(6) if j != i])
+    for i, (section, cut) in enumerate(zip(coordinate_sections, cuts[len(sections):])):
+        prod = _product([MPoly.linear([v[j] for v in section]) for j in range(6) if j != i])
         scalar = proportional(cut, prod)
         if scalar is None:
             raise ExactAlgError(f"coordinate section {i} must split into five planes")
@@ -655,8 +670,8 @@ def build_invariant_quintic(seed: int = 0, words: int = 100) -> InvariantQuintic
     # a generator is stored as 4M, and f is a quintic: f(4Mx) = 4^5 f(Mx)
     names, mats, perms = lines27.weyl_generators()
     fixed = f * lines27.WEYL_SCALE ** 5
-    for name, mat in zip(names, mats):
-        if _pullback(f, mat) != fixed:
+    for name, pulled in zip(names, _pullback(f, mats)):
+        if pulled != fixed:
             raise ExactAlgError(f"generator {name} does not fix the quintic")
     # the sum of w^5 over the 27 weight forms is i5_scalar * f, i5_scalar != 0,
     # so a word matrix that permutes the weight forms at scalar +1 fixes f;
@@ -782,18 +797,11 @@ def triple_point_cone(label: str) -> TripleCone:
         raise ExactAlgError("dual pairing must not vanish at its own point")
     axis = next(i for i, c in enumerate(p.coords) if c)
 
-    slot = {}
-    for i in range(6):
-        if i != axis:
-            slot[i] = len(slot)
+    # x = t*p + u, u on the coordinates other than the axis: the quintic on
+    # the span of their unit vectors and p, t the last variable
     t = MPoly.var(5, 6)
-    images = []
-    for i in range(6):
-        img = t * p.coords[i]
-        if i != axis:
-            img = img + MPoly.var(slot[i], 6)
-        images.append(img)
-    expanded = invariant_quintic_form().subs(images)
+    expanded = invariant_quintic_form().restrict(
+        [[int(k == i) for k in range(6)] for i in range(6) if i != axis] + [p.coords])
 
     buckets: dict[int, list] = {j: [] for j in range(6)}
     for exp, c in expanded.iter_terms():
@@ -863,24 +871,20 @@ def linear_subspaces_i5() -> SubspaceReport:
         basis = kernel_int([g.linear_coeffs() for g in forms])
         if len(basis) != 4:
             raise ExactAlgError(f"tritangent {name} must cut a P3")
-        if not f.restrict(basis).is_zero():
-            raise ExactAlgError(f"quintic does not vanish on the P3 of {name}")
         p3_bases[name] = basis
+    # the quintic on each P3, then on the P3 {x1 = x6 = 0} of the wall
+    wall_basis = [[0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0],
+                  [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0]]
+    *on_p3s, on_wall = restrictions([f], [*p3_bases.values(), wall_basis])[0]
+    for name, cut in zip(p3_bases, on_p3s):
+        if not cut.is_zero():
+            raise ExactAlgError(f"quintic does not vanish on the P3 of {name}")
     keys = {_IntEchelon(basis).key() for basis in p3_bases.values()}
     if len(p3_bases) != 45 or len(keys) != 45:
         raise ExactAlgError("expected 45 distinct tritangent P3's")
 
-    # explicit wall checks: the P3 {x1 = x6 = 0} and the simplex quintic
-    wall_basis = [[0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0],
-                  [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0]]
-    if not f.restrict(wall_basis).is_zero():
+    if not on_wall.is_zero():
         raise ExactAlgError("quintic must vanish on {x1 = x6 = 0}")
-    simplex_basis = [[1 if j == i else 0 for j in range(6)] for i in range(5)]
-    simplex = f.restrict(simplex_basis)
-    mono = _product([MPoly.var(i, 5) for i in range(5)])
-    simplex_scalar = proportional(simplex, mono)
-    if simplex_scalar is None:
-        raise ExactAlgError("wall restriction must be the coordinate simplex quintic")
 
     # a weight form vanishes on a P3 when it does at the P3's four basis vectors
     vanishes = _int_matmul([v for basis in p3_bases.values() for v in basis],
@@ -888,28 +892,36 @@ def linear_subspaces_i5() -> SubspaceReport:
                             for lab in lines27.LINE_LABELS]) == 0
     contains = vanishes.reshape(len(p3_bases), 4, -1).all(axis=1)
 
+    sections = [kernel_int([tables.weight_forms[lab].linear_coeffs()])
+                for lab in lines27.LINE_LABELS]
+    if any(len(section) != 5 for section in sections):
+        raise ExactAlgError("weight hyperplane must be a P4")
+    # the quintic on each weight section and on the wall {x6 = 0}, there the
+    # coordinate simplex quintic; every integral weight form 6w on every
+    # section, on[label][j] on the j-th, so a product of five scales by 6^5
+    simplex_basis = [[1 if j == i else 0 for j in range(6)] for i in range(5)]
+    *cuts, simplex = restrictions([f], sections + [simplex_basis])[0]
+    simplex_scalar = proportional(simplex, _product([MPoly.var(i, 5) for i in range(5)]))
+    if simplex_scalar is None:
+        raise ExactAlgError("wall restriction must be the coordinate simplex quintic")
+    on = dict(zip(lines27.LINE_LABELS, restrictions(
+        [tables.weight_forms[lab] * 6 for lab in lines27.LINE_LABELS], sections)))
     scalars: dict[str, Fraction] = {}
-    for j, lab in enumerate(lines27.LINE_LABELS):
-        w = tables.weight_forms[lab]
-        section = kernel_int([w.linear_coeffs()])
-        if len(section) != 5:
-            raise ExactAlgError("weight hyperplane must be a P4")
-        cut = f.restrict(section)
+    for j, (lab, cut) in enumerate(zip(lines27.LINE_LABELS, cuts)):
         owners = [name for name, labels in tri.items() if lab in labels]
         if len(owners) != 5:
             raise ExactAlgError("each label lies in exactly five tritangents")
         factors = []
         for name in owners:
             others = sorted(tri[name] - {lab})
-            g1 = tables.weight_forms[others[0]].restrict(section)
-            g2 = tables.weight_forms[others[1]].restrict(section)
+            g1, g2 = on[others[0]][j], on[others[1]][j]
             if not (g1 + g2).is_zero():
                 raise ExactAlgError("co-tritangent forms must be opposite on the section")
             factors.append(g1)
         scalar = proportional(cut, _product(factors))
         if scalar is None:
             raise ExactAlgError(f"section at {lab} does not split into five P3's")
-        scalars[lab] = scalar
+        scalars[lab] = scalar * 6 ** 5
 
         # exactly the five owner P3's sit inside the section
         if {name for name, z in zip(p3_bases, contains[:, j]) if z} != set(owners):
@@ -1118,16 +1130,14 @@ def rationalize_i5(seed: int = 0, exact_samples: int = 50,
     tables = lines27.coordinate_tables()
     tri = lines27.tritangents()
 
-    base_names = []
-    for lf, mf, ln, mn in zip(maps.l_forms, maps.m_forms, maps.l_names, maps.m_names):
-        basis = kernel_int([lf.linear_coeffs(), mf.linear_coeffs()])
-        if len(basis) != 4:
-            raise ExactAlgError("a base locus component must be a P3")
-        for quartic in maps.phi:
-            if not quartic.restrict(basis).is_zero():
-                raise ExactAlgError("every projection quartic must vanish on the base P3s")
-        owner = next(name for name, labels in tri.items() if {ln, mn} <= labels)
-        base_names.append(owner)
+    bases = [kernel_int([lf.linear_coeffs(), mf.linear_coeffs()])
+             for lf, mf in zip(maps.l_forms, maps.m_forms)]
+    if any(len(basis) != 4 for basis in bases):
+        raise ExactAlgError("a base locus component must be a P3")
+    if any(not cut.is_zero() for cuts in restrictions(maps.phi, bases) for cut in cuts):
+        raise ExactAlgError("every projection quartic must vanish on the base P3s")
+    base_names = [next(name for name, labels in tri.items() if {ln, mn} <= labels)
+                  for ln, mn in zip(maps.l_names, maps.m_names)]
     if len(set(base_names)) != 4:
         raise ExactAlgError("the four base P3's must be distinct tritangents")
 
@@ -1323,9 +1333,7 @@ def auxiliary_sections() -> SectionsReport:
     basis = kernel_int([[1] * 5])
     if len(basis) != 4:
         raise ExactAlgError("diagonal section must be a P3")
-    ys = [MPoly.from_terms(4, ((tuple(1 if t == k else 0 for t in range(4)), b[i])
-                               for k, b in enumerate(basis) if b[i]))
-          for i in range(5)]
+    ys = [MPoly.linear([b[i] for b in basis]) for i in range(5)]
     if not elementary_symmetric(1, ys).is_zero() or F.restrict(basis) != power_sum(3, ys):
         raise ExactAlgError("diagonal section must be the five-cube equation")
 
@@ -1343,10 +1351,10 @@ def auxiliary_sections() -> SectionsReport:
 
     x6 = [MPoly.var(i, 6) for i in range(6)]
     squares = [v * v for v in x6]
-    lin = elementary_symmetric(1, x6)
-    if lin.subs(squares) != power_sum(2, x6):
+    (lin,), (e5,) = substitute([elementary_symmetric(1, x6), _e5_six()], [squares])
+    if lin != power_sum(2, x6):
         raise ExactAlgError("squared linear equation must be the sum of squares")
-    if _e5_six().subs(squares) != elementary_symmetric(5, squares):
+    if e5 != elementary_symmetric(5, squares):
         raise ExactAlgError("squared quintic equation must be the symmetric function "
                             "of the squares")
 

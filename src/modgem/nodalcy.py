@@ -25,6 +25,8 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .exactalg import (
     SHADOW_PRIMES,
     ExactAlgError,
@@ -41,6 +43,7 @@ from .exactalg import (
     monomials,
     proportional,
     rank_mod,
+    restrictions,
     vanishing_space,
 )
 from . import lines27
@@ -79,17 +82,30 @@ class SectionSpec:
             raise ExactAlgError("tangency point is required exactly for tangent kind")
 
 
-def _hyperplane_clear(h: MPoly) -> tuple[bool, str]:
+@lru_cache(maxsize=1)
+def _section_points() -> np.ndarray:
+    """The 36 root points, then the two spanning points of each of the 120 lines."""
     loci = lines27.special_loci()
-    # h at the 36 root points, then at the two spanning points of each line
-    vals = _values_at([h], [pt.coords for pt in loci.root_points.values()]
-                      + [pt.coords for line in loci.lines120 for pt in (line.p, line.q)])[:, 0]
+    return np.array([pt.coords for pt in loci.root_points.values()]
+                    + [pt.coords for line in loci.lines120 for pt in (line.p, line.q)])
+
+
+def _hyperplane_check(h: MPoly) -> tuple[str, np.ndarray]:
+    """Why the hyperplane h is refused, "" if it is not, and h at the
+    `_section_points`, all scaled by h's denominator lcm."""
+    loci = lines27.special_loci()
+    vals = _values_at([h], _section_points())[:, 0]
     for name, v in zip(loci.root_points, vals):
         if v == 0:
-            return False, f"hyperplane passes through the triple point {name}"
+            return f"hyperplane passes through the triple point {name}", vals
     if (vals[len(loci.root_points):].reshape(-1, 2) == 0).all(axis=1).any():
-        return False, "hyperplane contains one of the 120 singular lines"
-    return True, ""
+        return "hyperplane contains one of the 120 singular lines", vals
+    return "", vals
+
+
+def _hyperplane_clear(h: MPoly) -> tuple[bool, str]:
+    why = _hyperplane_check(h)[0]
+    return not why, why
 
 
 def generic_section(seed: int = 0) -> SectionSpec:
@@ -157,16 +173,16 @@ def section_nodes(spec: SectionSpec) -> tuple[ProjPoint, ...]:
     vanishes there by Euler's formula. A hyperplane through a triple point
     or containing a singular line is refused.
     """
-    ok, why = _hyperplane_clear(spec.hyperplane)
-    if not ok:
+    why, vals = _hyperplane_check(spec.hyperplane)
+    if why:
         raise ExactAlgError(why)
 
     h = spec.hyperplane
-    lines = lines27.special_loci().lines120
+    loci = lines27.special_loci()
     # h at the two ends of each line, both scaled by h's denominator lcm
-    ends = _values_at([h], [pt.coords for line in lines for pt in (line.p, line.q)])
+    ends = vals[len(loci.root_points):].reshape(-1, 2).tolist()
     nodes = [ProjPoint([a * qc - b * pc for pc, qc in zip(line.p.coords, line.q.coords)])
-             for line, (a, b) in zip(lines, ends.reshape(-1, 2).tolist())]
+             for line, (a, b) in zip(loci.lines120, ends)]
 
     f = invariant_quintic_form()
     grads = _partials(f)
@@ -252,9 +268,8 @@ def _chart_dimension(f: MPoly, grads, gens, nodes, tangent: bool
     Jacobian quintics in the chart of gens; the nodes' chart coordinates
     come from one echelon of gens, the tangency point last (see
     `section_nodes`)."""
-    q = f.restrict(gens)
+    q, *restricted = [cut for (cut,) in restrictions([f, *grads], [gens])]
     chart_nodes = _chart_coordinates(gens, nodes)
-    restricted = [g.restrict(gens) for g in grads]
     jacobian = _times_coordinates(q.partials()) if tangent else None
     cands = _quintic_candidates(jacobian, restricted, chart_nodes[-1] if tangent else None)
     space = vanishing_space(5, 5, points=chart_nodes, candidates=cands)

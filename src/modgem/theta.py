@@ -23,6 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -105,7 +106,7 @@ class SiegelPoint:
     def from_entries(cls, t00: complex, t01: complex, t11: complex) -> "SiegelPoint":
         return cls(((complex(t00), complex(t01)), (complex(t01), complex(t11))))
 
-    @property
+    @cached_property
     def imag_min_eig(self) -> float:
         m = np.array(self.tau).imag
         return float(np.linalg.eigvalsh(m)[0])
@@ -124,6 +125,7 @@ class ThetaValue:
     tail_bound: float
 
 
+@lru_cache(maxsize=32)
 def _tail_bound(radius: int, lam: float) -> float:
     # shells of sup-norm k hold 8k lattice points; the shifted vector n + m'
     # has sup norm at least k - 1/2, so |term| <= exp(-pi*lam*(k-1/2)^2)
@@ -164,8 +166,10 @@ def theta_const(char: ThetaChar, point: SiegelPoint, radius: int | None = None) 
 
 
 def theta_constants(point: SiegelPoint) -> dict[ThetaChar, complex]:
-    """The sixteen constants at tau, one lattice sum each, keyed by characteristic."""
-    return {c: theta_const(c, point).value for c in ALL_CHARS}
+    """The sixteen constants at tau, one lattice sum each at the radius
+    picked once for the point, keyed by characteristic."""
+    radius = _pick_radius(point.imag_min_eig)
+    return {c: theta_const(c, point, radius).value for c in ALL_CHARS}
 
 
 # -- identity verification -------------------------------------------------------------

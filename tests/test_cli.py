@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from modgem import cli, gems, lines27, nodalcy, rootarr, theta
+from modgem import cli, exactalg, gems, lines27, nodalcy, rootarr, theta
 from modgem.exactalg import DRAWS_PER_RESULT, MPoly, ProjPoint
 
 import flat_records
@@ -140,6 +140,28 @@ def test_e6_census_builds_no_flat(monkeypatch):
     assert not hasattr(rootarr, "Flat")
     flats = flat_records.table_flats(rootarr.cached_incidence("E", 6))
     assert len(flats) == len(made) == 4596
+
+
+def test_run_all_expands_no_linear_form_alone(tmp_path, monkeypatch):
+    # every restriction and substitution goes through `exactalg._expanded`;
+    # a linear form is expanded in a batch, never alone under one map
+    calls = []
+    real = exactalg._expanded
+
+    def spy(forms, target, variables, factors, dens):
+        calls.append(([f.degree() for f in forms], len(dens)))
+        return real(forms, target, variables, factors, dens)
+
+    monkeypatch.setattr(exactalg, "_expanded", spy)
+    gems._pair_sections.cache_clear()
+    try:
+        assert cli.main(["run", "all", "--seed", "42", "--json", str(tmp_path / "r.json")]) == 0
+    finally:
+        gems._pair_sections.cache_clear()
+    assert [c for c in calls if c == ([1], 1)] == []
+    # the 27 weight forms on the 27 weight sections, the 15 pair forms on
+    # the 15 pair sections
+    assert ([1] * 27, 27) in calls and ([1] * 15, 15) in calls
 
 
 def test_table_shows_computed_value(monkeypatch):
@@ -295,6 +317,20 @@ def _root_form_fault(monkeypatch):
     monkeypatch.setattr(lines27, "coordinate_tables", changed)
 
 
+def _pair_partition_fault(monkeypatch):
+    # the first pair partition {12, 34, 56} read as {12, 34, 35}, by
+    # `incidence_complex_ranks` alone: `tritangents` and `gems._matchings`
+    # read the partitions too, and see them unchanged
+    real = lines27.pair_partitions
+
+    def changed():
+        parts = real()
+        if sys._getframe(1).f_code.co_name == "incidence_complex_ranks":
+            parts[0] = ((1, 2), (3, 4), (3, 5))
+        return parts
+    monkeypatch.setattr(lines27, "pair_partitions", changed)
+
+
 def _theta_characteristic_fault(monkeypatch):
     # the fourth characteristic of the quartic coordinates, (0001), read as (0010)
     chars = list(theta._Y_CHARS)
@@ -304,8 +340,10 @@ def _theta_characteristic_fault(monkeypatch):
 
 # fault -> (the patch that applies it, the suites that read the faulted input,
 # the cached builders that keep results derived from it, the checks of those
-# suites that must then read "fail"). `macdonald_membership` is the one
-# cached builder downstream of `special_loci`. None is downstream of
+# suites that must then read "fail"). `macdonald_membership` and
+# `nodalcy._section_points` are the cached builders downstream of
+# `special_loci`; the latter holds the root points and the 120 lines'
+# spanning points for the nodal hyperplane draws. None is downstream of
 # `segre_chart`, `nieto_chart` or `invariant_quintic_form` (`nodalcy._partials`
 # is keyed by the form), and the cached readers of `weyl_generators`
 # (`enneahedra`, `weyl_group`) read only its unchanged permutations. The
@@ -316,7 +354,8 @@ _STRUCTURES = (lines27.enumerate_structures, lines27.enneahedra, lines27.special
                lines27.macdonald_membership)
 INPUT_FAULTS = {
     "root-point-moved": (_special_loci_fault(_moved_root_point),
-                         ("lines27", "quintic", "nodal"), (lines27.macdonald_membership,),
+                         ("lines27", "quintic", "nodal"),
+                         (lines27.macdonald_membership, nodalcy._section_points),
                          {"lines27/ideal-dimensions", "quintic/singular-locus"}),
     "line45-replaced": (_special_loci_fault(_replaced_line45),
                         ("lines27",), (lines27.macdonald_membership,),
@@ -349,6 +388,8 @@ INPUT_FAULTS = {
     "root-form-changed": (_root_form_fault, ("quintic",), (lines27.special_loci,),
                           {"quintic/restrictions", "quintic/singular-locus",
                            "quintic/triple-cone"}),
+    "pair-partition-changed": (_pair_partition_fault, ("lines27",),
+                               (lines27.incidence_complex_ranks,), {"lines27/incidence-ranks"}),
     "theta-characteristic": (_theta_characteristic_fault, ("theta",), (),
                              {"theta/identities"}),
 }
@@ -370,6 +411,14 @@ FAULT_ERRORS = {
 }
 
 
+# fault -> {check: (field, entry, the value it reads)}: the check fails on a
+# computed value, not on an error
+FAULT_VALUES = {
+    "pair-partition-changed": {
+        "lines27/incidence-ranks": ("segre_hyperplane_plane", "rank", 11)},
+}
+
+
 @pytest.mark.parametrize("fault", list(INPUT_FAULTS))
 def test_an_input_fault_fails_exactly_its_checks(fault, monkeypatch):
     # the caches are cleared before the fault, so that it is seen, and after
@@ -388,6 +437,8 @@ def test_an_input_fault_fails_exactly_its_checks(fault, monkeypatch):
     computed = {c.check: c.computed for c in certs}
     for check, message in FAULT_ERRORS.get(fault, {}).items():
         assert computed[check].startswith("error: ") and message in computed[check]
+    for check, (field, entry, value) in FAULT_VALUES.get(fault, {}).items():
+        assert json.loads(computed[check])[field][entry] == value
 
 
 def test_a_faulted_report_reads_the_same_under_two_hash_seeds():

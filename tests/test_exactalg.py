@@ -29,7 +29,9 @@ from modgem.exactalg import (
     power_sum,
     proportional,
     rank_mod,
+    restrictions,
     rref_int,
+    substitute,
     vanishing_space,
     _canonical_int_vector,
     _chart_coordinates,
@@ -440,7 +442,17 @@ def test_subs_rows_leave_int64_exactly_at_the_bound(monkeypatch, k):
     images = [{(1, 0): k, (0, 1): k}, {(1, 0): k, (0, 1): -k}]
     packed = MPoly(2, a).subs([MPoly(2, im) for im in images])
     assert dict(packed.iter_terms()) == ref_subs(a, images, 2)
-    assert set(dtypes) == {np.dtype(np.int64) if k == SUBS_BOUND_K else np.dtype(object)}
+    tier = {np.dtype(np.int64) if k == SUBS_BOUND_K else np.dtype(object)}
+    assert set(dtypes) == tier
+    # the bound is taken over the whole batch: a substitution past it sends
+    # a small one beside it to Python ints too
+    dtypes.clear()
+    small = [{(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): -1}]
+    batch = substitute([MPoly(2, a)], [[MPoly(2, im) for im in small],
+                                       [MPoly(2, im) for im in images]])[0]
+    assert [dict(p.iter_terms()) for p in batch] == [ref_subs(a, small, 2),
+                                                     ref_subs(a, images, 2)]
+    assert set(dtypes) == tier
 
 
 @pytest.mark.parametrize("scale", [1, 2 ** 70], ids=["int64", "past-int64"])
@@ -457,12 +469,53 @@ def test_subs_with_fraction_and_zero_images_matches_the_tuple_reference(scale):
     assert_no_float(packed)
 
 
+wide_coeffs = st.one_of(mixed_coeffs, st.integers(min_value=-2 ** 70, max_value=2 ** 70))
+
+
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_batch_is_each_form_under_each_substitution(n, m, data):
+    # forms of degree 0-3 with int, Fraction and past-int64 coefficients,
+    # always with a zero and a degree-1 form among them, under images of
+    # degree 0-2, the first substitution with a zero image
+    def terms(nvars, degree):
+        return {e: data.draw(wide_coeffs) for e in data.draw(tuple_terms(nvars, degree))}
+    forms = [terms(n, d) for d in data.draw(st.lists(st.integers(0, 3), max_size=3))]
+    forms += [{}, terms(n, 1)]
+    subs = [[terms(m, data.draw(st.integers(0, 2))) for _ in range(n)]
+            for _ in range(data.draw(st.integers(1, 3)))]
+    subs[0][0] = {}
+    polys_, images = [MPoly(n, a) for a in forms], [[MPoly(m, im) for im in ims] for ims in subs]
+    out = substitute(polys_, images)
+    assert [len(row) for row in out] == [len(subs)] * len(forms)
+    for a, f, row in zip(forms, polys_, out):
+        for ims, im_polys, got in zip(subs, images, row):
+            assert got == f.subs(im_polys)
+            assert dict(got.iter_terms()) == ref_subs(_nonzero(a), [_nonzero(im) for im in ims], m)
+    assert substitute(polys_, []) == [[] for _ in forms] and substitute([], images) == []
+    # the same forms restricted to bases of m vectors: x = sum(u_j * basis[j])
+    bases = [[[data.draw(wide_coeffs) for _ in range(n)] for _ in range(m)]
+             for _ in range(data.draw(st.integers(1, 3)))]
+    bases[0][0] = [0] * n
+    for f, row in zip(polys_, restrictions(polys_, bases)):
+        assert row == [f.subs([MPoly.linear([v[i] for v in basis]) for i in range(n)])
+                       for basis in bases]
+    assert restrictions(polys_, []) == [[] for _ in forms] and restrictions([], bases) == []
+
+
 def test_substitution_multiplies_no_polynomials(monkeypatch):
     x, y, z = _vars(3)
     f = x ** 3 - 2 * x * y * z + Fraction(1, 3) * z ** 2 * y
     images = [y + z, x * Fraction(2, 5), MPoly.zero(3)]
     basis, p, q = [[1, 0, 2], [0, 3, 1]], [1, -1, 2], [0, 4, Fraction(1, 2)]
-    want = [f.subs(images), f.restrict(basis), f.restrict_to_line(p, q)]
+    # and in a batch: two forms, one of them linear and not homogeneous
+    g = MPoly.linear([Fraction(2, 3), 0, -1]) + MPoly.constant(3, 5)
+    images2, basis2 = [z, x + y, x * x], [[2, 1, 0], [0, 0, Fraction(1, 7)]]
+    batched = lambda: [substitute([f, g], [images, images2]),
+                       restrictions([f, g], [basis, basis2])]
+    want = [f.subs(images), f.restrict(basis), f.restrict_to_line(p, q), batched()]
+    assert want[3] == [[[h.subs(ims) for ims in (images, images2)] for h in (f, g)],
+                       [[h.restrict(b) for b in (basis, basis2)] for h in (f, g)]]
     calls = []
     mul = MPoly.__mul__
 
@@ -472,7 +525,7 @@ def test_substitution_multiplies_no_polynomials(monkeypatch):
 
     monkeypatch.setattr(MPoly, "__mul__", spy)
     monkeypatch.setattr(MPoly, "__rmul__", spy)
-    assert [f.subs(images), f.restrict(basis), f.restrict_to_line(p, q)] == want
+    assert [f.subs(images), f.restrict(basis), f.restrict_to_line(p, q), batched()] == want
     assert calls == []
 
 

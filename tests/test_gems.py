@@ -214,7 +214,7 @@ def test_random_words_fix_the_quintic(word):
         mat = gems._mat_mul(mat, mats[k])
     # the product of len(word) matrices stored as 4M, pulling back a quintic
     f = gems.invariant_quintic_form()
-    assert gems._pullback(f, mat) == f * lines27.WEYL_SCALE ** (5 * len(word))
+    assert gems._pullback(f, [mat]) == [f * lines27.WEYL_SCALE ** (5 * len(word))]
 
 
 # -- singular locus of the quintic -------------------------------------------------

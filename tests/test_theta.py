@@ -251,9 +251,12 @@ def test_report_sums_each_constant_once_per_point(monkeypatch):
 
 
 def test_constant_table_matches_the_lattice_sums():
-    table = theta_constants(DIAG_II)
-    assert set(table) == set(ALL_CHARS)
-    assert all(table[c] == theta_const(c, DIAG_II).value for c in ALL_CHARS)
+    # the table picks the radius once per point; each constant is the one
+    # `theta_const` gives alone, bit for bit
+    for point in [DIAG_II] + _sampled(20, task="table-points"):
+        table = theta_constants(point)
+        assert set(table) == set(ALL_CHARS)
+        assert all(table[c] == theta_const(c, point).value for c in ALL_CHARS)
 
 
 def test_report_needs_enough_samples():
