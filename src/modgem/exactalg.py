@@ -560,21 +560,6 @@ def power_sum(k: int, items: Sequence[MPoly]) -> MPoly:
     return acc
 
 
-def _linear_products(factors: np.ndarray) -> list[MPoly]:
-    """The product of each row's linear forms, for an int64 array of m rows
-    of k forms in n variables, shape (m, k, n), by k `_level_step`s. Every
-    coefficient of a product of forms w is at most the product of their
-    sums |w_i|, which must stay below 2^63 (else ExactAlgError)."""
-    m, k, n = factors.shape
-    if max(math.prod(row) for row in np.abs(factors).sum(axis=2).tolist()) >= 2 ** 63:
-        raise ExactAlgError(f"a product of {k} linear forms leaves int64")
-    polys, keys = np.ones((1, m), dtype=np.int64), [0]
-    for factor in factors.transpose(1, 2, 0):
-        polys, keys = _level_step(polys, keys, factor, list(_packed_monomials(n, 1)))
-    return [MPoly._from_packed(n, {key: c for key, c in zip(keys, column) if c})
-            for column in polys.T.tolist()]
-
-
 def proportional(p: MPoly, q: MPoly) -> Optional[Fraction]:
     """The scalar c with p = c*q, if one exists; Fraction(1) for (0,0)."""
     if p.is_zero() and q.is_zero():
@@ -801,6 +786,19 @@ def _int_matmul(rows: np.ndarray | Sequence[Sequence[int]],
     return a.astype(object) @ b
 
 
+def _incidence(vectors: np.ndarray | Sequence[Sequence[int]],
+               flats: Sequence[Sequence[Sequence[int]]]) -> np.ndarray:
+    """Bool (vector, flat): True where the vector pairs to zero with every
+    row of the flat, from one `_int_matmul` against all the flats' rows. A
+    flat given by the forms that cut it out holds the points it marks; one
+    given by a spanning set lies on the forms it marks. Each flat has a row."""
+    if not all(flats):
+        raise ExactAlgError("a flat needs at least one row")
+    zero = _int_matmul(vectors, [row for flat in flats for row in flat]) == 0
+    starts = np.cumsum([0, *map(len, flats)])[:-1]
+    return np.logical_and.reduceat(zero, starts, axis=1)
+
+
 def _reduce(rows: Sequence[Sequence[int]], pivots: Sequence[int],
             vec: Sequence[int]) -> list[int]:
     """vec reduced against echelon rows with the given pivot columns, by
@@ -826,8 +824,8 @@ class _IntEchelon:
     vectors came in, and a single forward pass decides membership of a new
     vector; one of another length raises. It names spans, tests membership
     and solves for chart coordinates, and certifies no rank: `ProjLine` (its
-    key and `contains`), `VanishingSpace.contains`, the plane censuses and
-    keys of `gems`, `rref_int`'s pencil keys and `_chart_coordinates`.
+    key and `contains`), `VanishingSpace.contains`, the tritangent P3 keys
+    of `gems`, `rref_int`'s pencil keys and `_chart_coordinates`.
     """
 
     def __init__(self, vecs: Iterable[Sequence[int]] = ()) -> None:

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .exactalg import (
     _clear_row,
     _draw,
     _draws_below,
+    _incidence,
     _int_matmul,
     _sample,
     _task_rng,
@@ -210,11 +211,12 @@ def _plane_bases() -> tuple[tuple[tuple[int, ...], ...], ...]:
         if any(sum(v) != 0 for v in basis):
             raise ExactAlgError("matching planes must lie inside {sum = 0}")
         bases.append(tuple(tuple(v) for v in basis))
-    for matching, cut in zip(_matchings(), restrictions([_six_cubes()], bases)[0]):
+    on_planes = _incidence([p.coords for p in _nodes_p5()],
+                           [_matching_rows(matching) for matching in _matchings()]).sum(axis=0)
+    for matching, cut, on_plane in zip(_matchings(), restrictions([_six_cubes()], bases)[0],
+                                       on_planes.tolist()):
         if not cut.is_zero():
             raise ExactAlgError(f"plane {matching} does not lie on the cubic")
-        on_plane = int((_int_matmul([p.coords for p in _nodes_p5()], _matching_rows(matching))
-                        == 0).all(axis=1).sum())
         if on_plane != 4:
             raise ExactAlgError(f"plane {matching} holds {on_plane} nodes, wanted 4")
     return tuple(bases)
@@ -292,24 +294,32 @@ def _pair_sections() -> dict[tuple[int, int], tuple[list[tuple[int, ...]], MPoly
     sections = [kernel_int(_matching_rows([pair]) + [[1] * 6]) for pair in pairs]
     if any(len(section) != 4 for section in sections):
         raise ExactAlgError("pair hyperplane section must be a P3")
-    # the pair forms on every section: cut[pair][b] on the b-th section
-    cut = dict(zip(pairs, restrictions([MPoly.linear(row) for row in _matching_rows(pairs)],
-                                       sections)))
-    out = {}
-    for b, (pair, section) in enumerate(zip(pairs, sections)):
-        factors = []
-        for matching in _matchings():
-            if pair not in matching:
-                continue
-            others = [p for p in matching if p != pair]
-            f1 = cut[others[0]][b]
-            if not (f1 + cut[others[1]][b]).is_zero():
-                raise ExactAlgError("leftover pair forms must be opposite on the section")
-            factors.append(f1)
-        if len(factors) != 3:
-            raise ExactAlgError("each pair lies in exactly 3 matchings")
-        out[pair] = (section, _product(factors))
-    return out
+    forms = dict(zip(pairs, map(MPoly.linear, _matching_rows(pairs))))
+    products = _split_sections(forms, _matchings(), sections)
+    if any(product.degree() != 3 for product in products):
+        raise ExactAlgError("each pair lies in exactly 3 matchings")
+    return dict(zip(pairs, zip(sections, products)))
+
+
+def _split_sections(forms: dict, triples: Sequence[Collection],
+                    sections: Sequence[Sequence[Sequence[int]]]) -> list[MPoly]:
+    """For each named linear form, with its section (a basis of the flat it
+    cuts), the product over the zero-sum triples of names through that name
+    of the first, in sorted order, of the other two forms restricted to its
+    section; those two must be opposite there. One `restrictions` call."""
+    cut = dict(zip(forms, restrictions(list(forms.values()), sections)))
+    products = []
+    for b, name in enumerate(forms):
+        product = MPoly.constant(len(sections[b]), 1)
+        for triple in triples:
+            if name in triple:
+                first, second = sorted(set(triple) - {name})
+                if not (cut[first][b] + cut[second][b]).is_zero():
+                    raise ExactAlgError(f"the forms of {sorted(triple)} other than {name} "
+                                        "must be opposite on its section")
+                product = product * cut[first][b]
+        products.append(product)
+    return products
 
 
 # -- parametrizing the cubic -------------------------------------------------------------
@@ -456,61 +466,44 @@ def build_nieto() -> NietoModel:
         if vals.any():
             raise ExactAlgError(f"node {node} is not singular on the quintic")
 
-    cross = []
-    for i, j in itertools.combinations(range(6), 2):
-        v = [0] * 6
-        v[i], v[j] = 1, -1
-        cross.append(ProjPoint(v[:5]))
+    pairs = list(itertools.combinations(range(6), 2))
+    cross = [ProjPoint([int(k == i) - int(k == j) for k in range(5)]) for i, j in pairs]
     if len(set(cross)) != 15:
         raise ExactAlgError("expected 15 distinct difference points")
-    on_line = [[line.contains(q) for q in cross] for line in lines]
-    per_line = [sum(row) for row in on_line]
-    per_point = [sum(col) for col in zip(*on_line)]
-    if set(per_point) != {4} or set(per_line) != {3}:
-        raise ExactAlgError("difference-point incidences must be 4 per point, 3 per line")
 
     # the matching planes of the cubic, in the chart: drop the last coordinate
     matching_bases = [[v[:5] for v in plane] for plane in _plane_bases()]
-    pairs = list(itertools.combinations(range(6), 2))
     coordinate_bases = [_flat_chart_basis(pair) for pair in pairs]
-    for pair, basis in zip(pairs, coordinate_bases):
-        if len(basis) != 3:
-            raise ExactAlgError(f"coordinate plane {pair} must lie on the quintic")
+    if any(len(basis) != 3 for basis in coordinate_bases):
+        raise ExactAlgError("coordinate pair flats must be planes")
     on_planes = restrictions([N], matching_bases + coordinate_bases)[0]
-    matching_planes = []
-    for matching, basis, cut in zip(_matchings(), matching_bases, on_planes):
+    for plane, cut in zip([*_matchings(), *pairs], on_planes):
         if not cut.is_zero():
-            raise ExactAlgError(f"matching plane {matching} must lie on the quintic")
-        ech = _IntEchelon(basis)
-        n_nodes = sum(1 for p in nodes if ech.contains(p.coords))
-        n_cross = sum(1 for q in cross if ech.contains(q.coords))
-        if (n_nodes, n_cross) != (4, 3):
-            raise ExactAlgError(f"matching plane {matching} meets ({n_nodes},{n_cross})")
-        matching_planes.append(tuple(tuple(v) for v in basis))
+            raise ExactAlgError(f"plane {plane} must lie on the quintic")
 
-    coordinate_planes = []
-    in_plane = []  # per coordinate plane, whether it holds each singular line
-    for (i, j), basis, cut in zip(pairs, coordinate_bases, on_planes[len(matching_bases):]):
-        if not cut.is_zero():
-            raise ExactAlgError(f"coordinate plane {(i, j)} must lie on the quintic")
-        ech = _IntEchelon(basis)
-        n_nodes = sum(1 for p in nodes if ech.contains(p.coords))
-        n_cross = sum(1 for q in cross if ech.contains(q.coords))
-        held = [ech.contains(line.p.coords) and ech.contains(line.q.coords)
-                for line in lines]
-        inside = [lab for lab, h in zip(labels, held) if h]
-        if n_nodes != 0 or n_cross != 6 or len(inside) != 4:
-            raise ExactAlgError(f"coordinate plane {(i, j)} census failed")
-        if any(not {i, j} <= set(lab) for lab in inside):
-            raise ExactAlgError("lines inside a coordinate plane must extend its pair")
-        coordinate_planes.append(tuple(tuple(v) for v in basis))
-        in_plane.append(held)
-
-    # every singular line lies in exactly three of the coordinate planes
-    for lab, column in zip(labels, zip(*in_plane)):
-        count = sum(column)
-        if count != 3:
-            raise ExactAlgError(f"line {lab} lies in {count} coordinate planes, wanted 3")
+    # incidences: the chart point y is (y, -sum y) in P^5, against the rows
+    # that cut out the 20 lines, the 15 matching and the 15 coordinate planes
+    unit = [[int(k == i) for k in range(6)] for i in range(6)]
+    ends = [pt for line in lines for pt in (line.p, line.q)]
+    on = _incidence([(*pt.coords, -sum(pt.coords)) for pt in (*nodes, *cross, *ends)],
+                    [[unit[k] for k in triple] for triple in labels]
+                    + [_matching_rows(matching) for matching in _matchings()]
+                    + [[unit[i], unit[j]] for i, j in pairs])
+    node_on, cross_on, end_on = np.split(on, [len(nodes), len(nodes) + len(cross)])
+    first = len(lines) + len(matching_bases)  # the first coordinate plane's column
+    # 4 lines through each difference point, 3 on each line and matching
+    # plane (whose 4 nodes `_plane_bases` certified), 6 and no node on each
+    # coordinate plane
+    if (set(cross_on[:, :len(lines)].sum(axis=1).tolist()) != {4}
+            or cross_on.sum(axis=0).tolist() != [3] * first + [6] * len(pairs)
+            or node_on[:, first:].any()):
+        raise ExactAlgError("the lines and planes must meet the nodes and difference points "
+                            "as stated")
+    # a line lies in a coordinate plane when both its ends do: in the 3
+    # planes of the pairs inside its triple, so 4 lines lie in each plane
+    if ((end_on[0::2] & end_on[1::2])[:, first:]
+            != [[set(pair) <= set(triple) for pair in pairs] for triple in labels]).any():
+        raise ExactAlgError("the coordinate planes must hold the lines of their pairs")
 
     # e5 on the 15 pair sections, then on the 6 coordinate sections
     sections = _pair_sections()
@@ -535,7 +528,8 @@ def build_nieto() -> NietoModel:
         coord_scalars[i] = scalar
 
     return NietoModel(tuple(lines), labels, nodes, tuple(cross),
-                      tuple(matching_planes), tuple(coordinate_planes),
+                      tuple(tuple(map(tuple, basis)) for basis in matching_bases),
+                      tuple(tuple(map(tuple, basis)) for basis in coordinate_bases),
                       residuals, coord_scalars)
 
 
@@ -709,8 +703,7 @@ def i5_singular_locus(seed: int = 0, offline_samples: int = 50) -> SingularLocus
 
     Certifies: at each of the 36 dual points the value and all first and
     second partials vanish while some third partial does not (multiplicity
-    exactly 3); the incidences are 10 lines through each point and 3 points
-    on each line; 40 of the lines lie in the wall {x6 = 0}; sampled points
+    exactly 3); 40 of the lines lie in the wall {x6 = 0}; sampled points
     of the quintic away from the lines are smooth; the quartics vanishing on
     all 120 lines are exactly the span of the six partials. That last
     certificate also proves the lines singular: `vanishing_space` takes the
@@ -740,10 +733,10 @@ def i5_singular_locus(seed: int = 0, offline_samples: int = 50) -> SingularLocus
             raise ExactAlgError(f"point {name} has multiplicity above 3")
         witness[name] = keys[nonzero[0]]
 
-    per_point = [sum(1 for on in loci.points120 if name in on) for name in loci.root_points]
-    per_line = [len(on) for on in loci.points120]
-    if set(per_point) != {10} or set(per_line) != {3}:
-        raise ExactAlgError("line-point incidences must be 10 and 3")
+    # `special_loci` raises unless each root point lies on 10 of the 120
+    # lines, and its line census puts 3 root points on each
+    per_point = sum(next(iter(loci.root_points)) in on for on in loci.points120)
+    per_line = len(loci.points120[0])
 
     wall = sum(1 for line in loci.lines120
                if line.p.coords[5] == 0 and line.q.coords[5] == 0)
@@ -754,16 +747,12 @@ def i5_singular_locus(seed: int = 0, offline_samples: int = 50) -> SingularLocus
     if quartics.dim != 6:
         raise ExactAlgError("quartics on the 120 lines must be the Jacobian span")
 
-    psi = psi_octics()
-
     def offline(rng) -> ProjPoint | None:
-        y = _draw(rng, 5)
-        vals = [o.eval(y) for o in psi]
-        if all(v == 0 for v in vals):
+        pt = _octic_point(_draw(rng, 5))
+        if pt is None:
             return None
-        if f.eval(vals):
+        if f.eval(pt.coords):
             raise ExactAlgError("octic image must land on the quintic")
-        pt = ProjPoint(vals)
         if any(line.contains(pt) for line in loci.lines120):
             return None
         if not any(g.eval(pt.coords) for g in grads):
@@ -773,7 +762,7 @@ def i5_singular_locus(seed: int = 0, offline_samples: int = 50) -> SingularLocus
     checked = len(_sample(_task_rng(seed, "quintic-offline"), offline_samples, offline))
 
     return SingularLocusReport(len(loci.lines120), len(loci.root_points), wall,
-                               per_point[0], per_line[0], witness, checked, quartics)
+                               per_point, per_line, witness, checked, quartics)
 
 
 def triple_point_cone(label: str) -> TripleCone:
@@ -887,44 +876,35 @@ def linear_subspaces_i5() -> SubspaceReport:
         raise ExactAlgError("quintic must vanish on {x1 = x6 = 0}")
 
     # a weight form vanishes on a P3 when it does at the P3's four basis vectors
-    vanishes = _int_matmul([v for basis in p3_bases.values() for v in basis],
-                           [_clear_row(tables.weight_forms[lab].linear_coeffs())
-                            for lab in lines27.LINE_LABELS]) == 0
-    contains = vanishes.reshape(len(p3_bases), 4, -1).all(axis=1)
+    contains = _incidence([_clear_row(tables.weight_forms[lab].linear_coeffs())
+                           for lab in lines27.LINE_LABELS], list(p3_bases.values()))
 
     sections = [kernel_int([tables.weight_forms[lab].linear_coeffs()])
                 for lab in lines27.LINE_LABELS]
     if any(len(section) != 5 for section in sections):
         raise ExactAlgError("weight hyperplane must be a P4")
     # the quintic on each weight section and on the wall {x6 = 0}, there the
-    # coordinate simplex quintic; every integral weight form 6w on every
-    # section, on[label][j] on the j-th, so a product of five scales by 6^5
+    # coordinate simplex quintic; each section's split is a product of five
+    # integral weight forms 6w, so it scales by 6^5
     simplex_basis = [[1 if j == i else 0 for j in range(6)] for i in range(5)]
     *cuts, simplex = restrictions([f], sections + [simplex_basis])[0]
     simplex_scalar = proportional(simplex, _product([MPoly.var(i, 5) for i in range(5)]))
     if simplex_scalar is None:
         raise ExactAlgError("wall restriction must be the coordinate simplex quintic")
-    on = dict(zip(lines27.LINE_LABELS, restrictions(
-        [tables.weight_forms[lab] * 6 for lab in lines27.LINE_LABELS], sections)))
+    splits = _split_sections({lab: tables.weight_forms[lab] * 6 for lab in lines27.LINE_LABELS},
+                             list(tri.values()), sections)
     scalars: dict[str, Fraction] = {}
-    for j, (lab, cut) in enumerate(zip(lines27.LINE_LABELS, cuts)):
-        owners = [name for name, labels in tri.items() if lab in labels]
+    for lab, cut, split, inside in zip(lines27.LINE_LABELS, cuts, splits, contains):
+        owners = {name for name, labels in tri.items() if lab in labels}
         if len(owners) != 5:
             raise ExactAlgError("each label lies in exactly five tritangents")
-        factors = []
-        for name in owners:
-            others = sorted(tri[name] - {lab})
-            g1, g2 = on[others[0]][j], on[others[1]][j]
-            if not (g1 + g2).is_zero():
-                raise ExactAlgError("co-tritangent forms must be opposite on the section")
-            factors.append(g1)
-        scalar = proportional(cut, _product(factors))
+        scalar = proportional(cut, split)
         if scalar is None:
             raise ExactAlgError(f"section at {lab} does not split into five P3's")
         scalars[lab] = scalar * 6 ** 5
 
         # exactly the five owner P3's sit inside the section
-        if {name for name, z in zip(p3_bases, contains[:, j]) if z} != set(owners):
+        if {name for name, z in zip(p3_bases, inside) if z} != owners:
             raise ExactAlgError(f"P3's inside section {lab} disagree with the owners")
 
     g = double_six_quotient()
@@ -1103,6 +1083,12 @@ def psi_octics() -> tuple[MPoly, ...]:
     return (x1, x2, x3, x4, x5, x6)
 
 
+def _octic_point(y: Sequence[int]) -> ProjPoint | None:
+    """psi(y) as a point of P^5, None where all six octics vanish."""
+    vals = [o.eval(y) for o in psi_octics()]
+    return ProjPoint(vals) if any(vals) else None
+
+
 @dataclass(frozen=True)
 class RationalizationReport:
     base_p3_names: tuple[str, ...]
@@ -1143,10 +1129,10 @@ def rationalize_i5(seed: int = 0, exact_samples: int = 50,
 
     def on_quintic(rng) -> tuple[int, ...] | None:
         y = _draw(rng, 5)
-        vals = [o.eval(y) for o in maps.psi]
-        if all(v == 0 for v in vals):
+        pt = _octic_point(y)
+        if pt is None:
             return None
-        if f.eval(vals):
+        if f.eval(pt.coords):
             raise ExactAlgError(f"octic image of {y} misses the quintic")
         return y
 
@@ -1166,10 +1152,10 @@ def rationalize_i5(seed: int = 0, exact_samples: int = 50,
 
     def phi_psi(rng) -> tuple[int, ...] | None:
         y = _draw(rng, 5)
-        x_vals = [o.eval(y) for o in maps.psi]
-        if all(v == 0 for v in x_vals):
+        x = _octic_point(y)
+        if x is None:
             return None
-        back = [q.eval(x_vals) for q in maps.phi]
+        back = [q.eval(x.coords) for q in maps.phi]
         if not any(back):
             return None
         if ProjPoint(back) != ProjPoint(y):
@@ -1178,18 +1164,18 @@ def rationalize_i5(seed: int = 0, exact_samples: int = 50,
 
     def psi_phi(rng) -> tuple[int, ...] | None:
         y = _draw(rng, 5)
-        x_vals = [o.eval(y) for o in maps.psi]
-        if all(v == 0 for v in x_vals):
+        x = _octic_point(y)
+        if x is None:
             return None
-        u = [q.eval(x_vals) for q in maps.phi]
+        u = [q.eval(x.coords) for q in maps.phi]
         if not any(u):
             return None
         # psi is homogeneous of degree 8: at u's primitive integer point,
         # c u, it takes the value c^8 psi(u), the same projective point
-        w = [o.eval(ProjPoint(u).coords) for o in maps.psi]
-        if not any(w):
+        w = _octic_point(ProjPoint(u).coords)
+        if w is None:
             return None
-        if ProjPoint(w) != ProjPoint(x_vals):
+        if w != x:
             raise ExactAlgError("octics of the projection must reproduce the point")
         return y
 

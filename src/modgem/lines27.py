@@ -31,11 +31,12 @@ from .exactalg import (
     ProjLine,
     ProjPoint,
     _clear_row,
+    _incidence,
     _int_matmul,
-    _linear_products,
     checked_rank,
     elementary_symmetric,
     rank_mod,
+    restrictions,
     rref_int,
     vanishing_space,
 )
@@ -798,19 +799,19 @@ def _a2a2_products() -> list[MPoly]:
     """For each of the 120 lines: product of the six root forms vanishing on it.
 
     A linear form vanishes on a line exactly when it vanishes at both
-    spanning points, so one product of the 36 root forms, cleared to
-    integers (which scales each product only), against the 240 spanning
-    points finds the six of every line. The 120 products are then taken in
-    int64 by `_linear_products`, which raises past its bound.
+    spanning points, so one `_incidence` of the 36 root forms, cleared to
+    integers (which scales each product only), against the 120 lines finds
+    the six of every line. The product of a line's forms w_0..w_5 is the
+    monomial x0⋯x5 with x_i = w_i, so one `restrictions` call takes all 120.
     """
-    forms = np.array([_clear_row(f.linear_coeffs())
-                      for f in coordinate_tables().root_forms.values()], dtype=np.int64)
+    forms = [_clear_row(f.linear_coeffs()) for f in coordinate_tables().root_forms.values()]
     lines = special_loci().lines120
-    spans = [pt.coords for line in lines for pt in (line.p, line.q)]
-    zero = (_int_matmul(spans, forms) == 0).reshape(len(lines), 2, len(forms)).all(axis=1)
-    if (zero.sum(axis=1) != 6).any():
+    on = _incidence(forms, [[line.p.coords, line.q.coords] for line in lines]).T
+    if (on.sum(axis=1) != 6).any():
         raise ExactAlgError("each of the 120 lines lies on exactly 6 hyperplanes")
-    return _linear_products(forms[np.nonzero(zero)[1].reshape(len(lines), 6)])
+    monomial = MPoly.from_terms(6, [((1,) * 6, 1)])
+    return restrictions([monomial], [list(zip(*(forms[i] for i in np.flatnonzero(row))))
+                                     for row in on])[0]
 
 
 @lru_cache(maxsize=1)

@@ -47,7 +47,7 @@ from .exactalg import (
     vanishing_space,
 )
 from . import lines27
-from .gems import invariant_quintic_form, psi_octics
+from .gems import _octic_point, invariant_quintic_form
 
 #: quintic monomials in the five internal coordinates of a hyperplane
 QUINTIC_MONOMIAL_COUNT = len(monomials(5, 5))
@@ -103,16 +103,11 @@ def _hyperplane_check(h: MPoly) -> tuple[str, np.ndarray]:
     return "", vals
 
 
-def _hyperplane_clear(h: MPoly) -> tuple[bool, str]:
-    why = _hyperplane_check(h)[0]
-    return not why, why
-
-
 def generic_section(seed: int = 0) -> SectionSpec:
     """Random small-integer hyperplane, redrawn (within the draw cap) until exactly valid."""
     def clear(rng) -> MPoly | None:
         h = MPoly.linear(_draw(rng, 6))
-        return h if _hyperplane_clear(h)[0] else None
+        return None if _hyperplane_check(h)[0] else h
 
     return SectionSpec(_sample(_task_rng(seed, "generic-hyperplane"), 1, clear)[0],
                        "generic")
@@ -127,19 +122,16 @@ def tangent_section(seed: int = 0) -> SectionSpec:
     predicates as a generic one.
     """
     grads = _partials(invariant_quintic_form())
-    octics = psi_octics()
 
     def tangent(rng) -> SectionSpec | None:
-        y = _draw(rng, 5)
-        vals = [o.eval(y) for o in octics]
-        if all(v == 0 for v in vals):
+        pt = _octic_point(_draw(rng, 5))
+        if pt is None:
             return None
-        pt = ProjPoint(vals)
         grad = [g.eval(pt.coords) for g in grads]
         if not any(grad):
             return None
         h = MPoly.linear(grad)
-        return SectionSpec(h, "tangent", pt) if _hyperplane_clear(h)[0] else None
+        return None if _hyperplane_check(h)[0] else SectionSpec(h, "tangent", pt)
 
     return _sample(_task_rng(seed, "tangent-hyperplane"), 1, tangent)[0]
 

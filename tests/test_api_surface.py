@@ -224,3 +224,21 @@ def test_every_module_level_import_is_used():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.stem}.{name}" for name in imported if name not in read]
     assert sorted(unused) == []
+
+
+def test_int_echelon_names_spans_outside_exactalg():
+    """Outside `exactalg` an `_IntEchelon` is built only for its span key,
+    `_IntEchelon(...).key()`: membership of points in flats goes through
+    `_incidence`, one product against the forms that cut the flats out."""
+    stray = []
+    for path in SRC:
+        if path.stem == "exactalg":
+            continue
+        tree = ast.parse(path.read_text())
+        keyed = {id(node.func.value.func) for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                 and node.func.attr == "key" and isinstance(node.func.value, ast.Call)}
+        stray += [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and node.id == "_IntEchelon"
+                  and id(node) not in keyed]
+    assert stray == []

@@ -153,15 +153,18 @@ def test_run_all_expands_no_linear_form_alone(tmp_path, monkeypatch):
         return real(forms, target, variables, factors, dens)
 
     monkeypatch.setattr(exactalg, "_expanded", spy)
-    gems._pair_sections.cache_clear()
+    cached = (gems._pair_sections, lines27.macdonald_membership)
+    for cache in cached:
+        cache.cache_clear()
     try:
         assert cli.main(["run", "all", "--seed", "42", "--json", str(tmp_path / "r.json")]) == 0
     finally:
-        gems._pair_sections.cache_clear()
+        for cache in cached:
+            cache.cache_clear()
     assert [c for c in calls if c == ([1], 1)] == []
     # the 27 weight forms on the 27 weight sections, the 15 pair forms on
-    # the 15 pair sections
-    assert ([1] * 27, 27) in calls and ([1] * 15, 15) in calls
+    # the 15 pair sections, and x0⋯x5 under the 120 lines' six root forms
+    assert ([1] * 27, 27) in calls and ([1] * 15, 15) in calls and ([6], 120) in calls
 
 
 def test_table_shows_computed_value(monkeypatch):
@@ -195,7 +198,7 @@ def test_degenerate_segre_draws_hit_the_cap(tmp_path, monkeypatch):
 
 
 def test_degenerate_hyperplane_draws_hit_the_cap(tmp_path, monkeypatch):
-    monkeypatch.setattr(nodalcy, "_hyperplane_clear", lambda h: (False, ""))
+    monkeypatch.setattr(nodalcy, "_hyperplane_check", lambda h: ("refused", None))
     certs = _run_report(tmp_path, "nodal")
     _cap_error(certs["nodal/generic"], 1)
     _cap_error(certs["nodal/tangent"], 1)
@@ -596,7 +599,7 @@ def test_nodalcy_report_subcommand(tmp_path, capsys):
 
 @pytest.mark.parametrize("kind", ["generic", "tangent"])
 def test_nodalcy_report_fails_cleanly_at_the_draw_cap(kind, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(nodalcy, "_hyperplane_clear", lambda h: (False, ""))
+    monkeypatch.setattr(nodalcy, "_hyperplane_check", lambda h: ("refused", None))
     path = tmp_path / "nodal.json"
     assert cli.main(["nodalcy", "report", "--kind", kind, "--json", str(path)]) == 1
     err = capsys.readouterr().err

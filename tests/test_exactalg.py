@@ -38,7 +38,9 @@ from modgem.exactalg import (
     _clear_row,
     _draw,
     _draws_below,
+    _IntEchelon,
     _evaluated,
+    _incidence,
     _int_matmul,
     _is_prime,
     _kernel_primes,
@@ -2027,6 +2029,29 @@ def test_an_entry_of_minus_2_63_reads_its_true_bound():
     assert got.tolist() == _python_products(rows, vecs)
     assert got[0, 0] == -27670116110564327421
     assert _int_matmul(vecs, np.array(rows)).tolist() == _python_products(vecs, rows)
+
+
+@given(st.integers(min_value=2, max_value=5), st.data())
+@settings(max_examples=60, deadline=None)
+def test_incidence_against_the_cutting_forms_is_echelon_membership(n, data):
+    # a vector lies in the span of a flat's basis exactly when it pairs to
+    # zero with every form of the basis's kernel, the forms that cut it out
+    vec = st.lists(st.integers(min_value=-2, max_value=2), min_size=n, max_size=n)
+    flats = data.draw(st.lists(st.lists(vec, min_size=1, max_size=n - 1),
+                               min_size=1, max_size=3))
+    vectors = data.draw(st.lists(vec, max_size=4))
+    for basis in flats:  # one vector inside each flat
+        weights = data.draw(st.lists(coeffs, min_size=len(basis), max_size=len(basis)))
+        vectors.append([sum(w * v[j] for w, v in zip(weights, basis)) for j in range(n)])
+    got = _incidence(vectors, [kernel_int(basis) for basis in flats])
+    assert got.dtype == bool
+    assert got.tolist() == [[_IntEchelon(basis).contains(v) for basis in flats]
+                            for v in vectors]
+
+
+def test_incidence_needs_a_row_per_flat():
+    with pytest.raises(ExactAlgError, match="at least one row"):
+        _incidence([[1, 0]], [[[0, 1]], []])
 
 
 def test_products_past_2_53_take_int64_and_stay_exact():

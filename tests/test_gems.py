@@ -15,6 +15,7 @@ from modgem.exactalg import (
     MPoly,
     ProjPoint,
     ShadowMismatch,
+    _IntEchelon,
     elementary_symmetric,
     power_sum,
     vanishing_space,
@@ -147,6 +148,29 @@ def test_nieto_census(nieto):
     assert len(nieto.matching_planes) == 15
     assert len(nieto.coordinate_planes) == 15
     assert nieto.line_labels == tuple(sorted(itertools.combinations(range(6), 3)))
+
+
+def test_nieto_row_incidences_are_echelon_membership(monkeypatch):
+    # build_nieto tests the chart points against the rows that cut out each
+    # flat in P^5; the oracle is membership in the span of the flat's chart
+    # basis: the 20 lines, then the 15 matching and 15 coordinate planes,
+    # against the 10 nodes, the 15 difference points and the 40 line ends
+    calls = []
+    real = gems._incidence
+
+    def spy(vectors, flats):
+        calls.append(real(vectors, flats))
+        return calls[-1]
+
+    monkeypatch.setattr(gems, "_incidence", spy)
+    model = gems.build_nieto()
+    (got,) = [c for c in calls if c.shape == (65, 50)]
+    flats = ([[line.p.coords, line.q.coords] for line in model.lines]
+             + list(model.matching_planes) + list(model.coordinate_planes))
+    points = [*model.nodes, *model.cross_points,
+              *(pt for line in model.lines for pt in (line.p, line.q))]
+    assert got.tolist() == [[_IntEchelon(basis).contains(pt.coords) for basis in flats]
+                            for pt in points]
 
 
 def test_nieto_coordinate_sections_split_into_five_planes(nieto):

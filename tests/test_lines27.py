@@ -736,8 +736,8 @@ def test_a2a2_products_are_the_products_of_the_forms_vanishing_on_each_line():
 def test_a2a2_products_check_the_int64_bound(monkeypatch, k):
     # a line's bound is the product of its six forms' sums |w_i|, at most
     # 5184 = 6^4 2^2; with every cleared root form scaled by k the largest
-    # is 5184 k^6, below 2^63 at k = 348, where the products are k^6 times
-    # the unscaled ones, and at or past it at k = 349
+    # is 5184 k^6, below 2^63 at k = 348 and at or past it at k = 349; on
+    # both sides the products are exact, k^6 times the unscaled ones
     assert max(math.prod(sum(map(abs, w)) for w in on) for on in _forms_on_lines()) == 5184
     assert 5184 * 348 ** 6 < 2 ** 63 <= 5184 * 349 ** 6
     tables = L.coordinate_tables()
@@ -746,11 +746,7 @@ def test_a2a2_products_check_the_int64_bound(monkeypatch, k):
               for n, f in tables.root_forms.items()}
     monkeypatch.setattr(L, "coordinate_tables",
                         lambda: dataclasses.replace(tables, root_forms=scaled))
-    if k == 348:
-        assert L._a2a2_products() == [p * k ** 6 for p in want]
-    else:
-        with pytest.raises(ExactAlgError, match="leaves int64"):
-            L._a2a2_products()
+    assert L._a2a2_products() == [p * k ** 6 for p in want]
 
 
 def test_sextic_system_is_evaluated_one_block_at_a_time(monkeypatch):
