@@ -11,4 +11,11 @@ Subpackages split along the objects they certify:
 - cli: certificate-producing command-line entry point
 """
 
+import os
+
+# One OpenBLAS thread unless the caller chose otherwise: `exactalg`'s float64
+# products are small, exact in any summation order, and slower threaded.
+# Set before any submodule imports NumPy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"

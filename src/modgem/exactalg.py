@@ -554,10 +554,10 @@ def elementary_symmetric(k: int, items: Sequence[MPoly]) -> MPoly:
 
 
 def power_sum(k: int, items: Sequence[MPoly]) -> MPoly:
-    acc = MPoly.zero(items[0].nvars)
-    for item in items:
-        acc = acc + item ** k
-    return acc
+    """sum of item^k: one `substitute` of y_0^k + ... + y_(n-1)^k, y_i -> items[i]."""
+    n = len(items)
+    form = MPoly.from_terms(n, [(tuple(k * (i == j) for j in range(n)), 1) for i in range(n)])
+    return substitute([form], [items])[0][0]
 
 
 def proportional(p: MPoly, q: MPoly) -> Optional[Fraction]:
@@ -787,14 +787,17 @@ def _int_matmul(rows: np.ndarray | Sequence[Sequence[int]],
 
 
 def _incidence(vectors: np.ndarray | Sequence[Sequence[int]],
-               flats: Sequence[Sequence[Sequence[int]]]) -> np.ndarray:
+               flats: np.ndarray | Sequence[Sequence[Sequence[int]]]) -> np.ndarray:
     """Bool (vector, flat): True where the vector pairs to zero with every
     row of the flat, from one `_int_matmul` against all the flats' rows. A
     flat given by the forms that cut it out holds the points it marks; one
-    given by a spanning set lies on the forms it marks. Each flat has a row."""
-    if not all(flats):
+    given by a spanning set lies on the forms it marks. Each flat has a row;
+    flats of one size may come as a 3-D integer array."""
+    if not all(map(len, flats)):
         raise ExactAlgError("a flat needs at least one row")
-    zero = _int_matmul(vectors, [row for flat in flats for row in flat]) == 0
+    rows = (flats.reshape(-1, flats.shape[-1]) if isinstance(flats, np.ndarray)
+            else [row for flat in flats for row in flat])
+    zero = _int_matmul(vectors, rows) == 0
     starts = np.cumsum([0, *map(len, flats)])[:-1]
     return np.logical_and.reduceat(zero, starts, axis=1)
 
@@ -1173,17 +1176,21 @@ def rank_mod(rows: np.ndarray | Sequence[Sequence[Scalar]], p: int) -> int:
 
 def checked_rank(rows: Sequence[Sequence[Scalar]]) -> int:
     """Exact rank r: with M the cleared rows, or their transpose when there
-    are fewer rows than columns (the smaller kernel), and n its width,
-    `kernel_int` returns n - r_p independent, exactly checked kernel vectors
-    of M, so r_Q <= r_p <= r_Q = n - len(kernel). Every shadow prime must
-    read r (else ShadowMismatch); rows of different lengths raise."""
+    are fewer rows than columns (the smaller kernel), and n its width, the
+    `_kernel` of one `_echelon_mod` of M mod p0 = SHADOW_PRIMES[0] gives
+    n - r_p0 independent, exactly checked kernel vectors of M (see
+    `kernel_int`), so r_Q <= r_p0 <= r_Q = n - len(kernel), and r_p0 is read
+    from that elimination's pivots. Every shadow prime must read r (else
+    ShadowMismatch); rows of different lengths raise."""
     cleared = _cleared_rows(rows)
     if not cleared:
         return 0
-    mat = cleared if len(cleared) >= len(cleared[0]) else [list(c) for c in zip(*cleared)]
-    r = len(mat[0]) - len(kernel_int(mat))
-    for p in SHADOW_PRIMES:
-        rp = rank_mod(rows, p)
+    mat = np.array(cleared if len(cleared) >= len(cleared[0]) else list(zip(*cleared)),
+                   dtype=object)
+    first, second = SHADOW_PRIMES
+    _, pivots, block = _echelon_mod(mat, first)
+    r = mat.shape[1] - len(_kernel(mat, pivots, block))
+    for p, rp in ((first, len(pivots)), (second, rank_mod(rows, second))):
         if rp != r:
             raise ShadowMismatch(f"rank {r} over Q but {rp} mod {p}")
     return r
@@ -1271,14 +1278,16 @@ def _values_at(polys: Sequence[MPoly], points: np.ndarray | Sequence[Sequence[in
     L times a value: exact without p (int64, or Python ints past int64, as
     `_int_matmul` gives them), an int64 residue in [0, p) with p. One scale
     for the whole call keeps a projective image projective and a zero zero.
-    The union of the forms' monomials is evaluated by `_evaluated`, `_BATCH`
-    points at a time, and each batch takes one product with the cleared
-    coefficient rows (`_int_matmul`, or `_residue_products` mod p).
+    The union of the forms' monomials, each packed key decoded once, is
+    evaluated by `_evaluated`, `_BATCH` points at a time, and each batch
+    takes one product with the cleared coefficient rows (`_int_matmul`, or
+    `_residue_products` mod p).
     """
-    terms = [dict(poly.iter_terms()) for poly in polys]
-    exps = sorted(set().union(*terms))
-    cleared = _clear_row([t.get(e, 0) for t in terms for e in exps], p)
-    coeffs = np.array(cleared, dtype=object).reshape(len(polys), len(exps))
+    terms = [poly.terms for poly in polys]
+    keys = sorted(set().union(*terms))
+    cleared = _clear_row([t.get(k, 0) for t in terms for k in keys], p)
+    coeffs = np.array(cleared, dtype=object).reshape(len(polys), len(keys))
+    exps = [tuple(k.to_bytes(polys[0].nvars + 1, "big")[1:]) for k in keys]
     out = [np.zeros((0, len(polys)), dtype=np.int64)]
     for i in range(0, len(points), _BATCH):
         rows = _evaluated(exps, points[i:i + _BATCH], p)
@@ -1453,21 +1462,28 @@ def _task_rng(seed: int, task: str) -> random.Random:
 
 
 def _sample(rng: random.Random, count: int,
-            trial: Callable[[random.Random], Optional[_T]]) -> list[_T]:
-    """The first `count` results of `trial(rng)` that are not None, in order.
+            draw: Callable[[random.Random, int], np.ndarray],
+            check: Callable[[np.ndarray], list[_T]]) -> list[_T]:
+    """The first `count` accepted results, in trial order, of trials drawn
+    and checked a round at a time: the one sampler.
 
-    A trial draws what it needs from rng and returns None to reject the
-    draw. After DRAWS_PER_RESULT * count trials the sampler gives up with
+    A round draws k candidates at once, `draw(rng, k)`, and `check` returns
+    the results of those it accepts, in order; a rule that depends on
+    earlier trials is applied while walking the round in order, and a
+    failing trial raises for the first one that fails. k is the number of
+    results still missing, so every trial of a round is one that a loop of
+    single trials would also run before it stops, and the results and the
+    draws from rng are that loop's. After DRAWS_PER_RESULT * count trials
+    (the last round is cut to that cap) the sampler gives up with
     ExactAlgError, so a degenerate stream fails the check instead of hanging.
     """
     cap = DRAWS_PER_RESULT * count
     out: list[_T] = []
-    for _ in range(cap):
-        if len(out) == count:
-            break
-        result = trial(rng)
-        if result is not None:
-            out.append(result)
+    trials = 0
+    while len(out) < count and trials < cap:
+        k = min(count - len(out), cap - trials)
+        out += check(draw(rng, k))
+        trials += k
     if len(out) < count:
         raise ExactAlgError(f"draw cap of {cap} trials reached with "
                             f"{len(out)} of {count} results accepted")
@@ -1493,9 +1509,12 @@ def _draws_below(rng: random.Random, n: int, count: int) -> np.ndarray:
     return np.concatenate(out)
 
 
-def _draw(rng: random.Random, n: int) -> tuple[int, ...]:
-    """Nonzero vector in [-9, 9]^n; small entries keep exact bit lengths down."""
-    def trial(rng: random.Random) -> tuple[int, ...] | None:
-        v = tuple(rng.randint(-9, 9) for _ in range(n))
-        return v if any(v) else None
-    return _sample(rng, 1, trial)[0]
+def _draws(rng: random.Random, n: int, count: int) -> np.ndarray:
+    """count nonzero vectors in [-9, 9]^n, the rows of an int64 array; small
+    entries keep exact bit lengths down. Each vector is n values of
+    `rng.randint(-9, 9)`, that is randrange(19) - 9 (`_draws_below`), and an
+    all-zero vector is drawn again, through `_sample` and its cap: the
+    vectors and the final state of count such draws made one at a time."""
+    rows = _sample(rng, count, lambda rng, k: (_draws_below(rng, 19, n * k) - 9).reshape(k, n),
+                   lambda rows: list(rows[rows.any(axis=1)]))
+    return np.array(rows, dtype=np.int64).reshape(count, n)

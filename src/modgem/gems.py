@@ -37,10 +37,10 @@ from .exactalg import (
     _IntEchelon,
     _chart_coordinates,
     _clear_row,
-    _draw,
+    _draws,
     _draws_below,
     _incidence,
-    _int_matmul,
+    _max_abs,
     _sample,
     _task_rng,
     _values_at,
@@ -98,9 +98,22 @@ def _flat_chart_basis(zeros: Sequence[int]) -> list[tuple[int, ...]]:
     return [v[:5] for v in kernel_int(full)]
 
 
-def _mat_mul(a: lines27.IntMatrix, b: lines27.IntMatrix) -> lines27.IntMatrix:
-    """a b, exactly, with Python-int entries."""
-    return tuple(map(tuple, _int_matmul(a, list(zip(*b))).tolist()))
+def _word_products(mats: Sequence[lines27.IntMatrix],
+                   words: Sequence[Sequence[int]]) -> np.ndarray:
+    """The product of each word's matrices, left to right, as one stack of
+    exact integer matrices: per letter position, one stacked product of
+    the words that are still that long. It is taken in int64 while
+    max|left| * max|right| * width < 2^62 bounds every entry and partial
+    sum (as in `_int_matmul`), else on Python ints."""
+    gens = np.array(mats, dtype=np.int64)
+    out = gens[[word[0] for word in words]]
+    for j in range(1, max(map(len, words), default=0)):
+        live = [i for i, word in enumerate(words) if len(word) > j]
+        right = gens[[words[i][j] for i in live]]
+        if _max_abs(out[live]) * _max_abs(right) * gens.shape[2] >= 2 ** 62:
+            out, right = out.astype(object), right.astype(object)
+        out[live] = out[live] @ right
+    return out
 
 
 def _pullback(f: MPoly, mats: Sequence[lines27.IntMatrix]) -> list[MPoly]:
@@ -265,19 +278,17 @@ def build_segre(seed: int = 0, offnode_samples: int = 20) -> SegreModel:
     if quadrics.dim != 5:
         raise ExactAlgError(f"node quadrics have dimension {quadrics.dim}, wanted 5")
 
-    node_set = set(nodes)
+    def offnode(zs: np.ndarray) -> list[ProjPoint]:
+        pts = _off_node_points(zs)
+        for pt, (value, *grad) in zip(pts, _values_at([F, *grads], [pt.coords for pt in pts])):
+            if value:
+                raise ExactAlgError("parametrized point must land on the cubic")
+            if not any(grad):
+                raise ExactAlgError(f"unexpected singular point {pt}")
+        return pts
 
-    def offnode(rng) -> ProjPoint | None:
-        pt = _beta_chart_point(_draw(rng, 4))
-        if pt is None or pt in node_set:
-            return None
-        if F.eval(pt.coords):
-            raise ExactAlgError("parametrized point must land on the cubic")
-        if not any(g.eval(pt.coords) for g in grads):
-            raise ExactAlgError(f"unexpected singular point {pt}")
-        return pt
-
-    _sample(_task_rng(seed, "segre-offnode"), offnode_samples, offnode)
+    _sample(_task_rng(seed, "segre-offnode"), offnode_samples,
+            lambda rng, k: _draws(rng, 4, k), offnode)
     return SegreModel(nodes, planes, scalars, quadrics)
 
 
@@ -348,11 +359,17 @@ def beta_components() -> tuple[MPoly, ...]:
     return tuple([p * half for p in pos] + [q * -half for q in neg])
 
 
-def _beta_chart_point(z: Sequence[int]) -> ProjPoint | None:
-    vals = [c.eval(z) for c in beta_components()]
-    if all(v == 0 for v in vals):
-        return None
-    return ProjPoint(vals[:5])
+def _beta_chart_points(zs: np.ndarray | Sequence[Sequence[int]]) -> list[ProjPoint | None]:
+    """The chart point of each parameter row z, the first five beta
+    components at z, or None where all six vanish (they sum to zero)."""
+    return [ProjPoint(vals[:5]) if any(vals) else None
+            for vals in _values_at(beta_components(), zs).tolist()]
+
+
+def _off_node_points(zs: np.ndarray) -> list[ProjPoint]:
+    """The chart points of the parameter rows that are defined and not nodes, in order."""
+    nodes = set(_chart_nodes())
+    return [pt for pt in _beta_chart_points(zs) if pt is not None and pt not in nodes]
 
 
 @dataclass(frozen=True)
@@ -384,20 +401,20 @@ def segre_param(seed: int = 0, samples: int = 10) -> ParamReport:
 
     F = segre_chart()
 
-    def on_cubic(rng) -> ProjPoint | None:
-        pt = _beta_chart_point(_draw(rng, 4))
-        if pt is not None and F.eval(pt.coords):
+    def on_cubic(zs: np.ndarray) -> list[ProjPoint]:
+        pts = [pt for pt in _beta_chart_points(zs) if pt is not None]
+        if _values_at([F], [pt.coords for pt in pts]).any():
             raise ExactAlgError("parametrized point off the cubic")
-        return pt
+        return pts
 
-    found = len(_sample(_task_rng(seed, "segre-param"), samples, on_cubic))
+    found = len(_sample(_task_rng(seed, "segre-param"), samples,
+                        lambda rng, k: _draws(rng, 4, k), on_cubic))
 
     # the parameter line z2 = z3 = 0 collapses to a single node
-    node_img = _beta_chart_point((1, 1, 0, 0))
+    node_img, probe = _beta_chart_points([(1, 1, 0, 0), (1, 2, 3, 5)])
     if node_img is None or node_img not in set(_chart_nodes()):
         raise ExactAlgError("degenerate parameter line must map to a node")
 
-    probe = _beta_chart_point((1, 2, 3, 5))
     if probe is None or F.eval(probe.coords):
         raise ExactAlgError("probe parameter point must land on the cubic")
     return ParamReport(found, node_img, probe)
@@ -671,13 +688,15 @@ def build_invariant_quintic(seed: int = 0, words: int = 100) -> InvariantQuintic
     # so a word matrix that permutes the weight forms at scalar +1 fixes f;
     # its permutation must also be the composite of the generators' ones
     rng = _task_rng(seed, "quintic-words")
-    for _ in range(words):
-        word = [rng.randrange(len(mats)) for _ in range(rng.randint(1, 10))]
-        mat, perm = mats[word[0]], perms[word[0]]
+    drawn = [[rng.randrange(len(mats)) for _ in range(rng.randint(1, 10))]
+             for _ in range(words)]
+    read = lines27.perm27_from_matrices(_word_products(mats, drawn),
+                                        [lines27.WEYL_SCALE ** len(word) for word in drawn])
+    for word, got in zip(drawn, read):
+        perm = perms[word[0]]
         for k in word[1:]:
-            mat = _mat_mul(mat, mats[k])
             perm = lines27.compose(perms[k], perm)
-        if lines27.perm27_from_matrix(mat, lines27.WEYL_SCALE ** len(word)) != perm:
+        if got != perm:
             raise ExactAlgError("a generator word does not act as its permutation")
 
     return InvariantQuintic(g_scalar, {2: i2_scalar, 5: i5_scalar}, len(mats), words)
@@ -747,19 +766,25 @@ def i5_singular_locus(seed: int = 0, offline_samples: int = 50) -> SingularLocus
     if quartics.dim != 6:
         raise ExactAlgError("quartics on the 120 lines must be the Jacobian span")
 
-    def offline(rng) -> ProjPoint | None:
-        pt = _octic_point(_draw(rng, 5))
-        if pt is None:
-            return None
-        if f.eval(pt.coords):
-            raise ExactAlgError("octic image must land on the quintic")
-        if any(line.contains(pt) for line in loci.lines120):
-            return None
-        if not any(g.eval(pt.coords) for g in grads):
-            raise ExactAlgError(f"unexpected singular point {pt} off the 120 lines")
-        return pt
+    cuts120 = _cutting_forms(loci.lines120)
 
-    checked = len(_sample(_task_rng(seed, "quintic-offline"), offline_samples, offline))
+    def offline(ys: np.ndarray) -> list[ProjPoint]:
+        pts = [pt for pt in _octic_points(ys) if pt is not None]
+        coords = [pt.coords for pt in pts]
+        out = []
+        for pt, on_line, (value, *grad) in zip(pts, _incidence(coords, cuts120).any(axis=1),
+                                              _values_at([f, *grads], coords)):
+            if value:
+                raise ExactAlgError("octic image must land on the quintic")
+            if on_line:
+                continue
+            if not any(grad):
+                raise ExactAlgError(f"unexpected singular point {pt} off the 120 lines")
+            out.append(pt)
+        return out
+
+    checked = len(_sample(_task_rng(seed, "quintic-offline"), offline_samples,
+                          lambda rng, k: _draws(rng, 5, k), offline))
 
     return SingularLocusReport(len(loci.lines120), len(loci.root_points), wall,
                                per_point, per_line, witness, checked, quartics)
@@ -1083,10 +1108,28 @@ def psi_octics() -> tuple[MPoly, ...]:
     return (x1, x2, x3, x4, x5, x6)
 
 
-def _octic_point(y: Sequence[int]) -> ProjPoint | None:
-    """psi(y) as a point of P^5, None where all six octics vanish."""
-    vals = [o.eval(y) for o in psi_octics()]
-    return ProjPoint(vals) if any(vals) else None
+def _octic_points(ys: np.ndarray | Sequence[Sequence[int]]) -> list[ProjPoint | None]:
+    """psi(y) of each row y as a point of P^5, None where all six octics vanish."""
+    return [ProjPoint(vals) if any(vals) else None
+            for vals in _values_at(psi_octics(), ys).tolist()]
+
+
+def _cutting_forms(lines: Sequence[ProjLine]) -> np.ndarray:
+    """For each line through p and q in P^(n-1), the linear forms x ^ p ^ q,
+    the 3x3 minors of the rows x, p, q on each triple i < j < k of columns,
+    x_i P_jk - x_j P_ik + x_k P_ij with P the Pluecker coordinates
+    P_ab = p_a q_b - p_b q_a: all of them vanish at x exactly when x is in
+    the span of p and q, so they cut the line out (`_incidence`)."""
+    ends = np.array([[line.p.coords, line.q.coords] for line in lines], dtype=np.int64)
+    p, q = ends[:, 0], ends[:, 1]
+    plucker = p[:, :, None] * q[:, None, :] - q[:, :, None] * p[:, None, :]
+    i, j, k = np.array(list(itertools.combinations(range(ends.shape[2]), 3))).T
+    t = np.arange(len(i))
+    forms = np.zeros((len(lines), len(t), ends.shape[2]), dtype=np.int64)
+    forms[:, t, i] = plucker[:, j, k]
+    forms[:, t, j] = -plucker[:, i, k]
+    forms[:, t, k] = plucker[:, i, j]
+    return forms
 
 
 @dataclass(frozen=True)
@@ -1127,17 +1170,18 @@ def rationalize_i5(seed: int = 0, exact_samples: int = 50,
     if len(set(base_names)) != 4:
         raise ExactAlgError("the four base P3's must be distinct tritangents")
 
-    def on_quintic(rng) -> tuple[int, ...] | None:
-        y = _draw(rng, 5)
-        pt = _octic_point(y)
-        if pt is None:
-            return None
-        if f.eval(pt.coords):
-            raise ExactAlgError(f"octic image of {y} misses the quintic")
-        return y
+    def draw(rng, k):
+        return _draws(rng, 5, k)
+
+    def on_quintic(ys: np.ndarray) -> list[tuple[int, ...]]:
+        kept = [(tuple(y), pt) for y, pt in zip(ys.tolist(), _octic_points(ys)) if pt is not None]
+        for (y, _), value in zip(kept, _values_at([f], [pt.coords for _, pt in kept])[:, 0]):
+            if value:
+                raise ExactAlgError(f"octic image of {y} misses the quintic")
+        return [y for y, _ in kept]
 
     rng = _task_rng(seed, "rationalize")
-    checked = len(_sample(rng, exact_samples, on_quintic))
+    checked = len(_sample(rng, exact_samples, draw, on_quintic))
 
     modular: dict[int, int] = {}
     bounds: dict[int, float] = {}
@@ -1150,37 +1194,31 @@ def rationalize_i5(seed: int = 0, exact_samples: int = 50,
         # composite degree 5 * 8 = 40; independent uniform points multiply the bound
         bounds[p] = modular_samples * (math.log10(40) - math.log10(p))
 
-    def phi_psi(rng) -> tuple[int, ...] | None:
-        y = _draw(rng, 5)
-        x = _octic_point(y)
-        if x is None:
-            return None
-        back = [q.eval(x.coords) for q in maps.phi]
-        if not any(back):
-            return None
-        if ProjPoint(back) != ProjPoint(y):
-            raise ExactAlgError("projection of the octic image must reproduce the point")
-        return y
+    def projected(ys: np.ndarray) -> list[tuple[tuple[int, ...], ProjPoint, ProjPoint]]:
+        """(y, psi(y), phi(psi(y))) of each row y where neither map vanishes;
+        phi's values share one scale (`_values_at`), so the last is projective."""
+        kept = [(tuple(y), x) for y, x in zip(ys.tolist(), _octic_points(ys)) if x is not None]
+        backs = _values_at(maps.phi, [x.coords for _, x in kept]).tolist()
+        return [(y, x, ProjPoint(back)) for (y, x), back in zip(kept, backs) if any(back)]
 
-    def psi_phi(rng) -> tuple[int, ...] | None:
-        y = _draw(rng, 5)
-        x = _octic_point(y)
-        if x is None:
-            return None
-        u = [q.eval(x.coords) for q in maps.phi]
-        if not any(u):
-            return None
+    def phi_psi(ys: np.ndarray) -> list[tuple[int, ...]]:
+        trips = projected(ys)
+        if any(back != ProjPoint(y) for y, _, back in trips):
+            raise ExactAlgError("projection of the octic image must reproduce the point")
+        return [y for y, _, _ in trips]
+
+    def psi_phi(ys: np.ndarray) -> list[tuple[int, ...]]:
+        trips = projected(ys)
         # psi is homogeneous of degree 8: at u's primitive integer point,
         # c u, it takes the value c^8 psi(u), the same projective point
-        w = _octic_point(ProjPoint(u).coords)
-        if w is None:
-            return None
-        if w != x:
+        ws = _octic_points([u.coords for _, _, u in trips])
+        kept = [(y, x, w) for (y, x, _), w in zip(trips, ws) if w is not None]
+        if any(w != x for _, x, w in kept):
             raise ExactAlgError("octics of the projection must reproduce the point")
-        return y
+        return [y for y, _, _ in kept]
 
-    phi_checked = len(_sample(rng, roundtrip_samples, phi_psi))
-    psi_checked = len(_sample(rng, roundtrip_samples, psi_phi))
+    phi_checked = len(_sample(rng, roundtrip_samples, draw, phi_psi))
+    psi_checked = len(_sample(rng, roundtrip_samples, draw, psi_phi))
 
     return RationalizationReport(tuple(base_names), checked, modular, bounds,
                                  phi_checked, psi_checked)
@@ -1204,11 +1242,10 @@ class DualityReport:
     biduality_checked: int
 
 
-def _gradient_image(grads: Sequence[MPoly], pt: ProjPoint) -> ProjPoint | None:
-    vals = [g.eval(pt.coords) for g in grads]
-    if not any(vals):
-        return None
-    return ProjPoint(vals)
+def _gradient_images(grads: Sequence[MPoly], pts: Sequence[ProjPoint]) -> list[ProjPoint | None]:
+    """The gradient image of each point, None where the gradient vanishes."""
+    return [ProjPoint(vals) if any(vals) else None
+            for vals in _values_at(grads, [pt.coords for pt in pts]).tolist()]
 
 
 def duality_pipeline(seed: int = 0, samples: int = 200,
@@ -1228,21 +1265,25 @@ def duality_pipeline(seed: int = 0, samples: int = 200,
     F = segre_chart()
     grads = F.partials()
     rng = _task_rng(seed, "duality")
-    node_set = set(_chart_nodes())
+
+    def chart_draw(rng, k):
+        return _draws(rng, 4, k)
+
+    def unseen(imgs: Sequence[ProjPoint | None], seen: set[ProjPoint]) -> list[ProjPoint]:
+        """The images that are not None and not seen before, in order; each joins `seen`."""
+        out = []
+        for img in imgs:
+            if img is not None and img not in seen:
+                seen.add(img)
+                out.append(img)
+        return out
 
     seen_images: set[ProjPoint] = set()
 
-    def new_image(rng) -> ProjPoint | None:
-        pt = _beta_chart_point(_draw(rng, 4))
-        if pt is None or pt in node_set:
-            return None
-        img = _gradient_image(grads, pt)
-        if img is None or img in seen_images:
-            return None
-        seen_images.add(img)
-        return img
+    def new_image(zs: np.ndarray) -> list[ProjPoint]:
+        return unseen(_gradient_images(grads, _off_node_points(zs)), seen_images)
 
-    fitted = vanishing_space(4, 5, points=_sample(rng, samples, new_image))
+    fitted = vanishing_space(4, 5, points=_sample(rng, samples, chart_draw, new_image))
     if fitted.dim != 1:
         raise ExactAlgError(f"fitted quartic space has dimension {fitted.dim}, wanted 1")
     quartic = fitted.basis[0]
@@ -1252,18 +1293,12 @@ def duality_pipeline(seed: int = 0, samples: int = 200,
     for basis in _plane_bases():
         seen: set[ProjPoint] = set()
 
-        def plane_image(rng) -> ProjPoint | None:
-            combo = _draw(rng, 3)
-            vec = [sum(c * b[i] for c, b in zip(combo, basis)) for i in range(6)]
-            if not any(vec[:5]):
-                return None
-            img = _gradient_image(grads, ProjPoint(vec[:5]))
-            if img is None or img in seen:
-                return None
-            seen.add(img)
-            return img
+        def plane_image(combos: np.ndarray) -> list[ProjPoint]:
+            vecs = (combos @ np.array(basis, dtype=np.int64))[:, :5].tolist()
+            pts = [ProjPoint(vec) for vec in vecs if any(vec)]
+            return unseen(_gradient_images(grads, pts), seen)
 
-        imgs = _sample(rng, 3, plane_image)
+        imgs = _sample(rng, 3, lambda rng, k: _draws(rng, 3, k), plane_image)
         line = ProjLine(imgs[0], imgs[1])
         if not line.contains(imgs[2]):
             raise ExactAlgError("plane images must be collinear and span a line")
@@ -1277,21 +1312,17 @@ def duality_pipeline(seed: int = 0, samples: int = 200,
     if cubics.dim != 5:
         raise ExactAlgError("cubics through the 15 lines must match the dual Jacobian")
 
-    def round_trip(rng) -> ProjPoint | None:
-        pt = _beta_chart_point(_draw(rng, 4))
-        if pt is None or pt in node_set:
-            return None
-        img = _gradient_image(grads, pt)
-        if img is None:
-            return None
-        back = [g.eval(img.coords) for g in dual_grads]
-        if not any(back):
-            return None
-        if ProjPoint(back) != pt:
+    def round_trip(zs: np.ndarray) -> list[ProjPoint]:
+        pts = _off_node_points(zs)
+        pairs = [(pt, img) for pt, img in zip(pts, _gradient_images(grads, pts))
+                 if img is not None]
+        backs = _gradient_images(dual_grads, [img for _, img in pairs])
+        kept = [(pt, back) for (pt, _), back in zip(pairs, backs) if back is not None]
+        if any(back != pt for pt, back in kept):
             raise ExactAlgError("gradient round trip must return the point")
-        return pt
+        return [pt for pt, _ in kept]
 
-    checked = len(_sample(rng, biduality_samples, round_trip))
+    checked = len(_sample(rng, biduality_samples, chart_draw, round_trip))
 
     return DualityReport(quartic, fitted.dim, image_lines, cubics, checked)
 

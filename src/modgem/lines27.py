@@ -523,35 +523,49 @@ def reflection_matrix(root: str) -> IntMatrix:
 
 
 @lru_cache(maxsize=1)
-def _weight_rows() -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], int]]:
-    """The integral forms 6·w as rows in label order, and each row's index."""
+def _weight_rows() -> np.ndarray:
+    """The integral forms 6·w as the rows of an int64 array, in label order."""
     tables = coordinate_tables()
-    rows = tuple(tuple(_clear_row((tables.weight_forms[lab] * 6).linear_coeffs()))
-                 for lab in LINE_LABELS)
-    return rows, {row: k for k, row in enumerate(rows)}
+    return np.array([_clear_row((tables.weight_forms[lab] * 6).linear_coeffs())
+                     for lab in LINE_LABELS], dtype=np.int64)
+
+
+def perm27_from_matrices(mats: np.ndarray | Sequence[IntMatrix],
+                         scales: Sequence[int]) -> list[bytes]:
+    """Permutation of the 27 labels induced on the weight forms by each
+    mat / scale, read for all the matrices in one pass.
+
+    Each mat is an integer matrix, scale times a rational one (WEYL_SCALE**L
+    for a word of L generators). The integral forms 6·w, as rows, are mapped
+    through every mat by one `_int_matmul`; every image coefficient must be
+    exactly divisible by its scale, and the quotient must be one of the 27
+    forms 6·w, so the scalar is exactly +1. A failure raises ExactAlgError
+    for the first matrix, and in it the first label, that fails.
+    """
+    rows = _weight_rows()
+    stack = mats if isinstance(mats, np.ndarray) else np.array(mats, dtype=object)
+    n = rows.shape[1]
+    images = _int_matmul(rows, stack.transpose(0, 2, 1).reshape(-1, n))
+    images = images.reshape(len(rows), len(stack), n).transpose(1, 0, 2)
+    scale = np.array(scales)[:, None, None]
+    divisible = (images % scale == 0).all(axis=2)
+    hit = ((images // scale)[:, :, None, :] == rows).all(axis=3)
+    perms = []
+    for w, (ok, at) in enumerate(zip(divisible & hit.any(axis=2), hit.argmax(axis=2).tolist())):
+        if not ok.all():
+            i = int(ok.argmin())
+            why = "not found at scalar +1" if divisible[w, i] else f"is not divisible by {scales[w]}"
+            raise ExactAlgError(f"image of weight form {LINE_LABELS[i]} {why}")
+        if len(set(at)) != 27:
+            raise ExactAlgError("matrix action is not a permutation of the weights")
+        perms.append(bytes(at))
+    return perms
 
 
 def perm27_from_matrix(mat: IntMatrix, scale: int) -> bytes:
-    """Permutation of the 27 labels induced on the weight forms by mat / scale.
-
-    mat is an integer matrix, scale times a rational one (WEYL_SCALE**L for
-    a word of L generators). The integral forms 6·w, as rows, are mapped
-    through mat by one `_int_matmul`; every image coefficient must be
-    exactly divisible by scale, and the quotient must be one of the 27 forms
-    6·w, so the scalar is exactly +1. A failure raises ExactAlgError.
-    """
-    rows, index = _weight_rows()
-    images = []
-    for img, lab in zip(_int_matmul(rows, list(zip(*mat))).tolist(), LINE_LABELS):
-        if any(v % scale for v in img):
-            raise ExactAlgError(f"image of weight form {lab} is not divisible by {scale}")
-        k = index.get(tuple(v // scale for v in img))
-        if k is None:
-            raise ExactAlgError(f"image of weight form {lab} not found at scalar +1")
-        images.append(k)
-    if len(set(images)) != 27:
-        raise ExactAlgError("matrix action is not a permutation of the weights")
-    return bytes(images)
+    """Permutation of the 27 labels induced on the weight forms by mat / scale:
+    `perm27_from_matrices` of the one matrix."""
+    return perm27_from_matrices([mat], [scale])[0]
 
 
 def check_meets_preserved(perm: bytes) -> bool:

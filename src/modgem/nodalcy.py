@@ -34,7 +34,8 @@ from .exactalg import (
     ProjPoint,
     VanishingSpace,
     _chart_coordinates,
-    _draw,
+    _draws,
+    _draws_below,
     _sample,
     _task_rng,
     _values_at,
@@ -47,7 +48,7 @@ from .exactalg import (
     vanishing_space,
 )
 from . import lines27
-from .gems import _octic_point, invariant_quintic_form
+from .gems import _octic_points, invariant_quintic_form
 
 #: quintic monomials in the five internal coordinates of a hyperplane
 QUINTIC_MONOMIAL_COUNT = len(monomials(5, 5))
@@ -105,12 +106,12 @@ def _hyperplane_check(h: MPoly) -> tuple[str, np.ndarray]:
 
 def generic_section(seed: int = 0) -> SectionSpec:
     """Random small-integer hyperplane, redrawn (within the draw cap) until exactly valid."""
-    def clear(rng) -> MPoly | None:
-        h = MPoly.linear(_draw(rng, 6))
-        return None if _hyperplane_check(h)[0] else h
+    def clear(rows: np.ndarray) -> list[MPoly]:
+        hs = [MPoly.linear(row) for row in rows.tolist()]
+        return [h for h in hs if not _hyperplane_check(h)[0]]
 
-    return SectionSpec(_sample(_task_rng(seed, "generic-hyperplane"), 1, clear)[0],
-                       "generic")
+    return SectionSpec(_sample(_task_rng(seed, "generic-hyperplane"), 1,
+                               lambda rng, k: _draws(rng, 6, k), clear)[0], "generic")
 
 
 def tangent_section(seed: int = 0) -> SectionSpec:
@@ -123,17 +124,15 @@ def tangent_section(seed: int = 0) -> SectionSpec:
     """
     grads = _partials(invariant_quintic_form())
 
-    def tangent(rng) -> SectionSpec | None:
-        pt = _octic_point(_draw(rng, 5))
-        if pt is None:
-            return None
-        grad = [g.eval(pt.coords) for g in grads]
-        if not any(grad):
-            return None
-        h = MPoly.linear(grad)
-        return None if _hyperplane_check(h)[0] else SectionSpec(h, "tangent", pt)
+    def tangent(ys: np.ndarray) -> list[SectionSpec]:
+        pts = [pt for pt in _octic_points(ys) if pt is not None]
+        # f is integral, so the gradients are not rescaled (`_values_at`)
+        specs = [SectionSpec(MPoly.linear(grad), "tangent", pt) for pt, grad
+                 in zip(pts, _values_at(grads, [pt.coords for pt in pts]).tolist()) if any(grad)]
+        return [spec for spec in specs if not _hyperplane_check(spec.hyperplane)[0]]
 
-    return _sample(_task_rng(seed, "tangent-hyperplane"), 1, tangent)[0]
+    return _sample(_task_rng(seed, "tangent-hyperplane"), 1,
+                   lambda rng, k: _draws(rng, 5, k), tangent)[0]
 
 
 # -- node extraction --------------------------------------------------------------------
@@ -228,10 +227,15 @@ class NodalSectionReport:
 
 
 def _mixing_matrix(rng: random.Random) -> list[list[int]]:
-    def invertible(rng) -> list[list[int]] | None:
-        mat = [[rng.randint(-3, 3) for _ in range(5)] for _ in range(5)]
-        return mat if rank_mod(mat, SHADOW_PRIMES[0]) == 5 else None
-    return _sample(rng, 1, invertible)[0]
+    """A 5x5 matrix of `rng.randint(-3, 3)` entries, row by row, invertible
+    mod p0 and so over Q, redrawn until it is."""
+    def draw(rng: random.Random, k: int) -> np.ndarray:
+        return (_draws_below(rng, 7, 25 * k) - 3).reshape(k, 5, 5)
+
+    def invertible(mats: np.ndarray) -> list[list[list[int]]]:
+        return [mat for mat in mats.tolist() if rank_mod(mat, SHADOW_PRIMES[0]) == 5]
+
+    return _sample(rng, 1, draw, invertible)[0]
 
 
 def _times_coordinates(forms) -> list[MPoly]:

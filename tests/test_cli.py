@@ -44,6 +44,19 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert "suite segre: 3 pass, 0 fail, 0 unverified" in done.stdout
 
 
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_import_sets_one_blas_thread_unless_the_caller_chose(preset):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    done = subprocess.run([sys.executable, "-c",
+                           "import os, modgem; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+                          env={**env, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == (preset or "1")
+
+
 def test_unknown_suite_raises():
     with pytest.raises(ValueError, match="unknown suite"):
         cli.run_suite("nosuch", cli.SuiteConfig())
@@ -190,7 +203,7 @@ def _cap_error(cert, count):
 
 
 def test_degenerate_segre_draws_hit_the_cap(tmp_path, monkeypatch):
-    monkeypatch.setattr(gems, "_beta_chart_point", lambda z: None)
+    monkeypatch.setattr(gems, "_beta_chart_points", lambda zs: [None] * len(zs))
     certs = _run_report(tmp_path, "segre")
     _cap_error(certs["segre/model"], 20)
     _cap_error(certs["segre/parametrization"], 20)
@@ -205,14 +218,15 @@ def test_degenerate_hyperplane_draws_hit_the_cap(tmp_path, monkeypatch):
 
 
 def test_wrong_word_product_fails_quintic_invariance(tmp_path, monkeypatch):
-    mat_mul = gems._mat_mul
+    word_products = gems._word_products
 
-    def off_by_one(a, b):
-        rows = [list(r) for r in mat_mul(a, b)]
-        rows[0][0] += 1
-        return tuple(map(tuple, rows))
+    def off_by_one(mats, words):
+        # every product of two or more generators is off by one in one entry
+        out = word_products(mats, words)
+        out[[i for i, word in enumerate(words) if len(word) > 1], 0, 0] += 1
+        return out
 
-    monkeypatch.setattr(gems, "_mat_mul", off_by_one)
+    monkeypatch.setattr(gems, "_word_products", off_by_one)
     path = tmp_path / "all.json"
     assert cli.main(["run", "all", "--json", str(path)]) == 1
     certs = json.loads(path.read_text())["certificates"]
@@ -220,6 +234,31 @@ def test_wrong_word_product_fails_quintic_invariance(tmp_path, monkeypatch):
     assert [c["check"] for c in failed] == ["quintic/invariance"]
     assert failed[0]["seed"] == cli._derived_seed(0, "quintic/invariance")
     assert failed[0]["computed"].startswith("error: ")
+
+
+#: the functions that evaluate a single, unsampled point with `MPoly.eval` in
+#: `run all`: the parametrization's probe, a triple point's own root form, a
+#: tangent section's tangency point and a restricted partial off it
+ONE_OFF_EVALS = {"segre_param", "triple_point_cone", "section_nodes", "_quintic_candidates"}
+
+
+def test_run_all_evaluates_no_sampled_point_alone(tmp_path, monkeypatch):
+    real, callers, in_sampler = MPoly.eval, set(), []
+
+    def spy(self, values):
+        frame, codes = sys._getframe(1), []
+        while frame is not None:
+            codes.append(frame.f_code)
+            frame = frame.f_back
+        # the innermost function that is not a comprehension
+        callers.add(next(c.co_name for c in codes if not c.co_name.startswith("<")))
+        in_sampler.append(exactalg._sample.__code__ in codes)
+        return real(self, values)
+
+    monkeypatch.setattr(MPoly, "eval", spy)
+    assert cli.main(["run", "all", "--seed", "42", "--json", str(tmp_path / "all.json")]) == 0
+    assert "section_nodes" in callers and callers <= ONE_OFF_EVALS
+    assert in_sampler and not any(in_sampler)
 
 
 def _moved_root_point(loci):

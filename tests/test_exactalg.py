@@ -36,7 +36,7 @@ from modgem.exactalg import (
     _canonical_int_vector,
     _chart_coordinates,
     _clear_row,
-    _draw,
+    _draws,
     _draws_below,
     _IntEchelon,
     _evaluated,
@@ -1075,13 +1075,13 @@ def test_checked_rank_matches_the_reference(rows):
 
 def test_checked_rank_takes_the_kernel_of_the_narrow_side(monkeypatch):
     shapes = []
-    real = exactalg.kernel_int
+    real = exactalg._kernel
 
-    def recorded(rows):
-        shapes.append((len(rows), len(rows[0])))
-        return real(rows)
+    def recorded(mat, pivots, block):
+        shapes.append(mat.shape)
+        return real(mat, pivots, block)
 
-    monkeypatch.setattr(exactalg, "kernel_int", recorded)
+    monkeypatch.setattr(exactalg, "_kernel", recorded)
     wide = [[1, 2, 3, 4, 5], [2, 4, 6, 8, 10]]
     assert checked_rank(wide) == 1
     assert checked_rank([list(col) for col in zip(*wide)]) == 1
@@ -2095,37 +2095,90 @@ def test_task_rngs_are_independent_and_reproducible():
 
 
 def _reference_loop(rng, count, trial):
+    """The sampler one trial at a time: `trial(rng)` until `count` results
+    are accepted, giving up after DRAWS_PER_RESULT * count trials."""
+    cap = DRAWS_PER_RESULT * count
     out = []
-    while len(out) < count:
+    for _ in range(cap):
+        if len(out) == count:
+            break
         result = trial(rng)
         if result is not None:
             out.append(result)
+    if len(out) < count:
+        raise ExactAlgError(f"draw cap of {cap} trials reached with "
+                            f"{len(out)} of {count} results accepted")
     return out
 
 
-@given(st.integers(min_value=0, max_value=2 ** 32), st.integers(min_value=0, max_value=12),
-       st.frozensets(st.integers(min_value=0, max_value=9), max_size=8))
-@settings(max_examples=60, deadline=None)
-def test_sample_matches_the_reference_loop(seed, count, rejected):
-    def trial(rng):
-        v = rng.randint(0, 9)
-        return None if v in rejected else (v, rng.random())
-
-    a, b = random.Random(seed), random.Random(seed)
-    assert _sample(a, count, trial) == _reference_loop(b, count, trial)
-    assert a.getstate() == b.getstate()
-
-
-@given(st.integers(min_value=0, max_value=2 ** 32), st.integers(min_value=1, max_value=8))
-@settings(max_examples=20, deadline=None)
-def test_draw_matches_the_reference_loop(seed, n):
-    def nonzero(rng):
+def _reference_draw(rng, n, zeros=None):
+    """One nonzero vector of n values randint(-9, 9), an all-zero one drawn
+    again; each redraw is counted in `zeros`."""
+    while True:
         v = tuple(rng.randint(-9, 9) for _ in range(n))
-        return v if any(v) else None
+        if any(v):
+            return v
+        if zeros is not None:
+            zeros.append(v)
+
+
+def _outcome(run):
+    try:
+        return run(), None
+    except ExactAlgError as exc:
+        return None, str(exc)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32), st.integers(min_value=0, max_value=12),
+       st.integers(min_value=1, max_value=4),
+       st.frozensets(st.integers(min_value=-9, max_value=9), max_size=12),
+       st.booleans(), st.none() | st.integers(min_value=-12, max_value=12))
+@settings(max_examples=80, deadline=None)
+def test_sample_matches_the_reference_loop(seed, count, n, rejected, distinct, fail):
+    """Rounds of bulk draws give the per-trial loop's results and final
+    state, with a rule on earlier trials (distinct first entries), the cap's
+    error, and a failing trial raising for the first in order that fails."""
+    def judge(seen):
+        def rule(v):
+            if sum(v) == fail:
+                raise ExactAlgError(f"trial {v} fails")
+            if v[0] in rejected or (distinct and v[0] in seen):
+                return None
+            seen.add(v[0])
+            return v
+        return rule
 
     a, b = random.Random(seed), random.Random(seed)
-    assert _draw(a, n) == _reference_loop(b, 1, nonzero)[0]
+    batched, single = judge(set()), judge(set())
+    got = _outcome(lambda: _sample(
+        a, count, lambda rng, k: _draws(rng, n, k),
+        lambda rows: [r for r in map(batched, map(tuple, rows.tolist())) if r is not None]))
+    want = _outcome(lambda: _reference_loop(b, count, lambda rng: single(_reference_draw(rng, n))))
+    assert got == want
+    if want[1] is None or want[1].startswith("draw cap"):
+        assert a.getstate() == b.getstate()
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32), st.integers(min_value=1, max_value=5),
+       st.integers(min_value=0, max_value=40))
+@settings(max_examples=40, deadline=None)
+def test_draws_match_repeated_single_draws(seed, n, count):
+    a, b = random.Random(seed), random.Random(seed)
+    got = _draws(a, n, count)
+    assert got.dtype == np.int64 and got.shape == (count, n)
+    assert got.tolist() == [list(_reference_draw(b, n)) for _ in range(count)]
     assert a.getstate() == b.getstate()
+
+
+def test_draws_redraw_zero_vectors_as_single_draws_do():
+    # at n = 1 one value in 19 is zero and is drawn again
+    zeros = []
+    for seed in range(20):
+        a, b = random.Random(seed), random.Random(seed)
+        assert _draws(a, 1, 30).ravel().tolist() == [
+            _reference_draw(b, 1, zeros)[0] for _ in range(30)]
+        assert a.getstate() == b.getstate()
+    assert zeros
 
 
 @pytest.mark.parametrize("n", [SHADOW_PRIMES[0], 2 ** 30 + 1, 1, 2 ** 32 - 1])
@@ -2148,12 +2201,12 @@ def test_draws_below_refuse_a_bound_past_one_word(n):
 
 @pytest.mark.parametrize("count", [1, 3])
 def test_sample_raises_at_the_cap(count):
-    calls = []
+    rounds = []
 
-    def never(rng):
-        calls.append(rng.random())
-        return None
+    def draw(rng, k):
+        rounds.append(k)
+        return np.array([rng.random() for _ in range(k)])
 
     with pytest.raises(ExactAlgError, match=f"draw cap of {DRAWS_PER_RESULT * count} "):
-        _sample(random.Random(0), count, never)
-    assert len(calls) == DRAWS_PER_RESULT * count
+        _sample(random.Random(0), count, draw, lambda xs: [])
+    assert rounds == [count] * DRAWS_PER_RESULT

@@ -16,6 +16,7 @@ from modgem.exactalg import (
     ProjPoint,
     ShadowMismatch,
     _IntEchelon,
+    _incidence,
     elementary_symmetric,
     power_sum,
     vanishing_space,
@@ -133,7 +134,7 @@ def test_param_identities_and_reference_images():
 @given(st.lists(small_ints, min_size=4, max_size=4))
 @settings(max_examples=60, deadline=None)
 def test_parametrization_lands_on_the_cubic(z):
-    pt = gems._beta_chart_point(z)
+    pt, = gems._beta_chart_points([z])
     if pt is not None:
         assert gems.segre_chart().eval(pt.coords) == 0
 
@@ -233,12 +234,53 @@ def test_symmetric_model_coefficients():
 @settings(max_examples=10, deadline=None)
 def test_random_words_fix_the_quintic(word):
     _, mats, _ = lines27.weyl_generators()
-    mat = mats[word[0]]
-    for k in word[1:]:
-        mat = gems._mat_mul(mat, mats[k])
+    mat = tuple(map(tuple, gems._word_products(mats, [word])[0].tolist()))
     # the product of len(word) matrices stored as 4M, pulling back a quintic
     f = gems.invariant_quintic_form()
     assert gems._pullback(f, [mat]) == [f * lines27.WEYL_SCALE ** (5 * len(word))]
+
+
+def _python_product(mats):
+    out = mats[0]
+    for m in mats[1:]:
+        out = [[sum(a * b for a, b in zip(row, col)) for col in zip(*m)] for row in out]
+    return [list(row) for row in out]
+
+
+words_of_generators = st.lists(st.lists(st.integers(min_value=0, max_value=5),
+                                        min_size=1, max_size=10), min_size=1, max_size=8)
+
+
+@given(words_of_generators)
+@settings(max_examples=30, deadline=None)
+def test_batched_word_reading_matches_each_word_alone(words):
+    _, mats, _ = lines27.weyl_generators()
+    products = gems._word_products(mats, words)
+    assert products.tolist() == [_python_product([mats[k] for k in word]) for word in words]
+    scales = [lines27.WEYL_SCALE ** len(word) for word in words]
+    assert lines27.perm27_from_matrices(products, scales) == [
+        lines27.perm27_from_matrix(tuple(map(tuple, mat)), scale)
+        for mat, scale in zip(products.tolist(), scales)]
+
+
+@given(words_of_generators)
+@settings(max_examples=10, deadline=None)
+def test_word_products_past_int64_are_exact(words):
+    # generators scaled by 2^40: a product of two already passes 2^62
+    _, mats, _ = lines27.weyl_generators()
+    big = [[[v << 40 for v in row] for row in mat] for mat in mats]
+    assert gems._word_products(big, words).tolist() == [
+        _python_product([big[k] for k in word]) for word in words]
+
+
+def test_cutting_forms_mark_the_points_of_each_line():
+    lines = lines27.special_loci().lines120
+    pts = [pt for line in lines[:10] for pt in (line.p, line.q)]
+    pts += [ProjPoint([a + 2 * b for a, b in zip(line.p.coords, line.q.coords)])
+            for line in lines[10:20]]
+    pts += [ProjPoint(v) for v in ([1, 2, 3, 4, 5, 6], [1, 0, 0, 0, 0, 0], [3, -1, 4, 1, -5, 9])]
+    got = _incidence([pt.coords for pt in pts], gems._cutting_forms(lines))
+    assert got.tolist() == [[line.contains(pt) for line in lines] for pt in pts]
 
 
 # -- singular locus of the quintic -------------------------------------------------

@@ -1,5 +1,7 @@
 """Nodal hyperplane sections: node extraction, defect, Hodge bookkeeping."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -261,3 +263,18 @@ def test_report_internal_consistency(generic, tangent):
         assert rep.euler == 2 * rep.h11 - 2 * rep.h21
         assert rep.defect == rep.quintic_dim - 126 + rep.node_count
         assert not hasattr(rep, "b1")
+
+
+def test_mixing_matrix_is_the_first_invertible_of_single_draws():
+    # 25 values randint(-3, 3) per matrix, drawn again until it has rank 5 mod p0
+    redrawn = 0
+    for seed in range(300):
+        a, b = random.Random(seed), random.Random(seed)
+        while True:
+            mat = [[b.randint(-3, 3) for _ in range(5)] for _ in range(5)]
+            if exactalg.rank_mod(mat, exactalg.SHADOW_PRIMES[0]) == 5:
+                break
+            redrawn += 1
+        assert nodalcy._mixing_matrix(a) == mat
+        assert a.getstate() == b.getstate()
+    assert redrawn
