@@ -150,23 +150,22 @@ class MPoly:
     when integral, otherwise a Fraction.
 
     Immutable by convention: operations return new instances and never touch
-    `terms` of an existing one, so `_eval_table`, built on the first `eval`,
-    is never rebuilt. The zero polynomial has degree() None, a sentinel
-    rather than a number, so nothing downstream can do arithmetic with it by
-    accident.
+    `terms` of an existing one. The zero polynomial has degree() None, a
+    sentinel rather than a number, so nothing downstream can do arithmetic
+    with it by accident.
     """
 
-    __slots__ = ("nvars", "terms", "_eval_table")
+    __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: dict[tuple[int, ...], Scalar] | None = None):
-        self.nvars, self._eval_table = nvars, None
+        self.nvars = nvars
         self.terms = _normal_terms({_pack(e, nvars): c for e, c in (terms or {}).items()})
 
     @classmethod
     def _from_packed(cls, nvars: int, terms: dict[int, Scalar]) -> "MPoly":
         """Build from packed keys, which are trusted and not checked again."""
         poly = cls.__new__(cls)
-        poly.nvars, poly.terms, poly._eval_table = nvars, _normal_terms(terms), None
+        poly.nvars, poly.terms = nvars, _normal_terms(terms)
         return poly
 
     # -- constructors ------------------------------------------------------
@@ -344,30 +343,12 @@ class MPoly:
         return [0] if d is None else binary.coefficient_vector(d)
 
     def eval(self, values: Sequence[Scalar]) -> Scalar:
-        """Value at a point: an int when the point and the coefficients are
-        integral, otherwise an int or a Fraction. The first call builds
-        `_eval_table`: the coefficients over one common denominator, so the
-        terms add as integers, each with its key decoded once into its
-        nonzero (variable, exponent) pairs. Powers are taken as needed."""
+        """Value at a point, in `_scalar` normal form (an int when integral,
+        otherwise a Fraction): the constant term of `subs` at the constant
+        images, in no variables."""
         if len(values) != self.nvars:
             raise ExactAlgError("value count mismatch")
-        if self._eval_table is None:
-            den = math.lcm(*(c.denominator for c in self.terms.values()))
-            self._eval_table = den, [
-                (c.numerator * (den // c.denominator),
-                 tuple((i, e) for i, e in enumerate(k.to_bytes(self.nvars + 1, "big")[1:]) if e))
-                for k, c in self.terms.items()]
-        den, table = self._eval_table
-        pows: list[list[Scalar]] = [[1, v] for v in values]
-        total: Scalar = 0
-        for c, factors in table:
-            for i, e in factors:
-                row = pows[i]
-                while len(row) <= e:
-                    row.append(row[-1] * row[1])
-                c *= row[e]
-            total += c
-        return total if den == 1 else Fraction(total, den)
+        return self.subs([MPoly.constant(0, v) for v in values]).terms.get(0, 0)
 
     # -- presentation --------------------------------------------------------
 
@@ -648,11 +629,10 @@ class ProjLine:
 
     `key` is the fully reduced integer echelon of the spanning points (see
     `_IntEchelon`): that form is unique, so the key (and with it equality
-    and hashing) is the same for any two spanning pairs of the same line,
-    and `contains` is the echelon's membership test.
+    and hashing) is the same for any two spanning pairs of the same line.
     """
 
-    __slots__ = ("p", "q", "_ech", "_key")
+    __slots__ = ("p", "q", "key")
 
     def __init__(self, p: ProjPoint, q: ProjPoint):
         if p.n != q.n:
@@ -660,23 +640,13 @@ class ProjLine:
         ech = _IntEchelon([p.coords])
         if not ech.add(q.coords):
             raise ExactAlgError("spanning points are proportional")
-        self.p = p
-        self.q = q
-        self._ech = ech
-        self._key = ech.key()
-
-    @property
-    def key(self) -> tuple[tuple[int, ...], ...]:
-        return self._key
+        self.p, self.q, self.key = p, q, ech.key()
 
     def __eq__(self, other):
-        return isinstance(other, ProjLine) and self._key == other._key
+        return isinstance(other, ProjLine) and self.key == other.key
 
     def __hash__(self):
-        return hash(self._key)
-
-    def contains(self, pt: ProjPoint) -> bool:
-        return self._ech.contains(pt.coords)
+        return hash(self.key)
 
     def parameter_points(self, count: int) -> list[tuple[int, ...]]:
         """count distinct points: p, p+q, p+2q, ..., and q last.
@@ -826,9 +796,9 @@ class _IntEchelon:
     unique, so the rows are a canonical key of the span whatever order the
     vectors came in, and a single forward pass decides membership of a new
     vector; one of another length raises. It names spans, tests membership
-    and solves for chart coordinates, and certifies no rank: `ProjLine` (its
-    key and `contains`), `VanishingSpace.contains`, the tritangent P3 keys
-    of `gems`, `rref_int`'s pencil keys and `_chart_coordinates`.
+    and solves for chart coordinates, and certifies no rank: `ProjLine`'s
+    key, `VanishingSpace.contains`, the tritangent P3 keys of `gems`,
+    `rref_int`'s pencil keys and `_chart_coordinates`.
     """
 
     def __init__(self, vecs: Iterable[Sequence[int]] = ()) -> None:
@@ -894,12 +864,19 @@ _PRIMES: list[int] = list(SHADOW_PRIMES)
 
 
 def _kernel_primes() -> Iterator[int]:
-    """SHADOW_PRIMES, then every prime below them, descending (< 2^31), read
-    from `_PRIMES`."""
+    """SHADOW_PRIMES, then every prime below them, descending (< 2^31) down to
+    2, read from `_PRIMES`. A caller that needs more raises `_primes_ran_out`."""
     for i in itertools.count():
         if i == len(_PRIMES):
-            _PRIMES.append(next(filter(_is_prime, range(_PRIMES[-1] - 1, 1, -1))))
+            below = next(filter(_is_prime, range(_PRIMES[-1] - 1, 1, -1)), None)
+            if below is None:
+                return
+            _PRIMES.append(below)
         yield _PRIMES[i]
+
+
+def _primes_ran_out(bound: int) -> ExactAlgError:
+    return ExactAlgError(f"the kernel primes ran out before their product passed {bound}")
 
 
 def _primes_past(bound: int) -> list[int]:
@@ -911,6 +888,7 @@ def _primes_past(bound: int) -> list[int]:
         primes.append(p)
         if math.prod(primes) > bound:
             return primes
+    raise _primes_ran_out(bound)
 
 
 def _rational(x: int, m: int) -> Optional[tuple[int, int]]:
@@ -966,7 +944,9 @@ def _kernel(mat: np.ndarray, pivots: list[int], block: np.ndarray) -> list[tuple
     primes = _kernel_primes()
     best, residues, modulus, discarded = None, None, 1, 1
     while modulus <= 2 * hadamard ** 2 and discarded <= hadamard:
-        p = next(primes)
+        p = next(primes, None)
+        if p is None:
+            raise _primes_ran_out(2 * hadamard ** 2)
         if p != SHADOW_PRIMES[0]:
             _, pivots, block = _echelon_mod(mat, p)
         key = (-len(pivots), pivots)
@@ -1285,6 +1265,8 @@ def _values_at(polys: Sequence[MPoly], points: np.ndarray | Sequence[Sequence[in
     """
     terms = [poly.terms for poly in polys]
     keys = sorted(set().union(*terms))
+    if not keys:  # every form is zero
+        return np.zeros((len(points), len(polys)), dtype=np.int64)
     cleared = _clear_row([t.get(k, 0) for t in terms for k in keys], p)
     coeffs = np.array(cleared, dtype=object).reshape(len(polys), len(keys))
     exps = [tuple(k.to_bytes(polys[0].nvars + 1, "big")[1:]) for k in keys]

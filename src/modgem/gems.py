@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -69,21 +70,30 @@ def _product(forms: Sequence[MPoly]) -> MPoly:
 
 
 def _exact_div(num: MPoly, den: MPoly) -> MPoly:
-    """Quotient num/den, defined only when den divides num exactly."""
+    """Quotient num/den, defined only when den divides num exactly, by one long
+    division that updates one remainder dict in place. Its keys are exponent
+    tuples led by their degree, so the largest key is the leading term in the
+    order of `MPoly.leading` (graded, then lex), and adding two keys multiplies."""
     if den.is_zero():
         raise ExactAlgError("division by the zero polynomial")
-    quo = MPoly.zero(num.nvars)
-    rem = num
-    d_exp, d_c = den.leading()
-    while not rem.is_zero():
-        r_exp, r_c = rem.leading()
-        step = tuple(a - b for a, b in zip(r_exp, d_exp))
-        if any(e < 0 for e in step):
+    rem = {(sum(e), *e): c for e, c in num.iter_terms()}
+    dens = {(sum(e), *e): c for e, c in den.iter_terms()}
+    (lead_exp, lead_c), quo = den.leading(), {}
+    lead = (sum(lead_exp), *lead_exp)
+    while rem:
+        top = max(rem)
+        step = tuple(map(operator.sub, top, lead))
+        if min(step) < 0:
             raise ExactAlgError("not an exact polynomial quotient")
-        t = MPoly.from_terms(num.nvars, [(step, Fraction(r_c) / d_c)])
-        quo = quo + t
-        rem = rem - t * den
-    return quo
+        c = Fraction(rem[top], lead_c)
+        c = quo[step[1:]] = c.numerator if c.denominator == 1 else c
+        for key, dc in dens.items():
+            key = tuple(map(operator.add, step, key))
+            if value := rem.get(key, 0) - c * dc:
+                rem[key] = value
+            else:
+                del rem[key]
+    return MPoly(num.nvars, quo)
 
 
 def _lift5to6(p: MPoly) -> MPoly:
@@ -415,7 +425,7 @@ def segre_param(seed: int = 0, samples: int = 10) -> ParamReport:
     if node_img is None or node_img not in set(_chart_nodes()):
         raise ExactAlgError("degenerate parameter line must map to a node")
 
-    if probe is None or F.eval(probe.coords):
+    if probe is None or _values_at([F], [probe.coords]).any():
         raise ExactAlgError("probe parameter point must land on the cubic")
     return ParamReport(found, node_img, probe)
 
@@ -465,16 +475,14 @@ def build_nieto() -> NietoModel:
     e5 = _e5_six()
 
     labels = tuple(sorted(itertools.combinations(range(6), 3)))
-    lines = []
-    for triple in labels:
-        basis = _flat_chart_basis(triple)
-        if len(basis) != 2:
-            raise ExactAlgError("coordinate-triple flats must be lines")
-        line = ProjLine(ProjPoint(basis[0]), ProjPoint(basis[1]))
-        for g in grads:
-            if any(g.restrict_to_line(line.p.coords, line.q.coords)):
-                raise ExactAlgError(f"gradient does not vanish along line {triple}")
-        lines.append(line)
+    line_bases = [_flat_chart_basis(triple) for triple in labels]
+    if any(len(basis) != 2 for basis in line_bases):
+        raise ExactAlgError("coordinate-triple flats must be lines")
+    lines = [ProjLine(ProjPoint(p), ProjPoint(q)) for p, q in line_bases]
+    on_lines = zip(*restrictions(grads, [[line.p.coords, line.q.coords] for line in lines]))
+    for triple, cuts in zip(labels, on_lines):
+        if not all(cut.is_zero() for cut in cuts):
+            raise ExactAlgError(f"gradient does not vanish along line {triple}")
     if len(set(lines)) != 20:
         raise ExactAlgError("expected 20 distinct singular lines")
 
@@ -1119,13 +1127,16 @@ def _cutting_forms(lines: Sequence[ProjLine]) -> np.ndarray:
     the 3x3 minors of the rows x, p, q on each triple i < j < k of columns,
     x_i P_jk - x_j P_ik + x_k P_ij with P the Pluecker coordinates
     P_ab = p_a q_b - p_b q_a: all of them vanish at x exactly when x is in
-    the span of p and q, so they cut the line out (`_incidence`)."""
-    ends = np.array([[line.p.coords, line.q.coords] for line in lines], dtype=np.int64)
+    the span of p and q, so they cut the line out (`_incidence`). They are
+    int64 while every coordinate is below 2^31, else Python ints."""
+    ends = np.array([[line.p.coords, line.q.coords] for line in lines], dtype=object)
+    if _max_abs(ends) < 2 ** 31:
+        ends = ends.astype(np.int64)
     p, q = ends[:, 0], ends[:, 1]
     plucker = p[:, :, None] * q[:, None, :] - q[:, :, None] * p[:, None, :]
     i, j, k = np.array(list(itertools.combinations(range(ends.shape[2]), 3))).T
     t = np.arange(len(i))
-    forms = np.zeros((len(lines), len(t), ends.shape[2]), dtype=np.int64)
+    forms = np.zeros((len(lines), len(t), ends.shape[2]), dtype=ends.dtype)
     forms[:, t, i] = plucker[:, j, k]
     forms[:, t, j] = -plucker[:, i, k]
     forms[:, t, k] = plucker[:, i, j]
@@ -1300,7 +1311,7 @@ def duality_pipeline(seed: int = 0, samples: int = 200,
 
         imgs = _sample(rng, 3, lambda rng, k: _draws(rng, 3, k), plane_image)
         line = ProjLine(imgs[0], imgs[1])
-        if not line.contains(imgs[2]):
+        if not _incidence([imgs[2].coords], _cutting_forms([line]))[0, 0]:
             raise ExactAlgError("plane images must be collinear and span a line")
         lines[line.key] = line
     if len(lines) != 15:

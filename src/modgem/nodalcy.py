@@ -182,8 +182,8 @@ def section_nodes(spec: SectionSpec) -> tuple[ProjPoint, ...]:
             raise ExactAlgError(f"{node} is not a singular point of the section")
     if spec.kind == "tangent":
         pt = spec.tangency
-        grad = [g.eval(pt.coords) for g in grads]
-        if f.eval(pt.coords) or not any(grad):
+        value, *grad = _values_at([f, *grads], [pt.coords])[0].tolist()
+        if value or not any(grad):
             raise ExactAlgError("tangency point must be a smooth point of the quintic")
         if proportional(MPoly.linear(grad), h) is None:
             raise ExactAlgError("hyperplane must be tangent at the tangency point")
@@ -250,7 +250,8 @@ def _quintic_candidates(jacobian: list[MPoly] | None, restricted_partials: list[
     if tangency_chart is None:
         return _times_coordinates(restricted_partials)
     cands = list(jacobian)
-    off = next((r for r in restricted_partials if r.eval(tangency_chart.coords)), None)
+    at = _values_at(restricted_partials, [tangency_chart.coords])[0]
+    off = next((r for r, v in zip(restricted_partials, at) if v), None)
     if off is None:
         raise ExactAlgError("tangency point annihilates every restricted partial")
     for form in kernel_int([list(tangency_chart.coords)]):

@@ -14,6 +14,8 @@ import pytest
 from modgem import cli, gems, lines27, nodalcy, rootarr, theta
 from modgem.exactalg import SHADOW_PRIMES, monomials
 
+from fraction_rank import on_line
+
 CENSUS = cli.ARRANGEMENT_CENSUS
 
 # sha256 of the canonical `run all` reports at seeds 42 and 0, the
@@ -105,9 +107,9 @@ def test_05_singular_loci(locus):
     assert len(locus.third_order_witness) == 36
     nieto = gems.build_nieto()
     assert (len(nieto.lines), len(nieto.nodes)) == (20, 10)
-    per_point = [sum(ln.contains(pt) for ln in nieto.lines)
+    per_point = [sum(on_line(ln, pt) for ln in nieto.lines)
                  for pt in nieto.cross_points]
-    per_line = [sum(ln.contains(pt) for pt in nieto.cross_points)
+    per_line = [sum(on_line(ln, pt) for pt in nieto.cross_points)
                 for ln in nieto.lines]
     assert set(per_point) == {4} and set(per_line) == {3}
     _line("singular loci", "quintic: 120 lines, 36 triple points, 10 per point, "

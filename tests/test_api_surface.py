@@ -22,9 +22,11 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "modgem").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 
-# names of the package that only tests read: none, since the oracles the
-# tests compare against live beside the tests that use them
-TEST_ONLY: set[str] = set()
+# names of the package that only tests read. The oracles the tests compare
+# against live beside the tests that use them; `MPoly.restrict_to_line` is
+# kept for the benchmark's layer trace alone, which names it in BENCHMARK.json
+# (`test_benchmark_layer_metrics_name_existing_code`)
+TEST_ONLY = {"restrict_to_line"}
 
 
 def _definitions():
@@ -158,16 +160,15 @@ def test_benchmark_layer_metrics_name_existing_code():
     assert missing == []
 
 
-# the packed-key layout of `MPoly`: its names, the dict of packed keys, and
-# the slot that holds them decoded for `eval`
+# the packed-key layout of `MPoly`: its names and the dict of packed keys
 PACKED_NAMES = {"EXP_BITS", "_packed_monomials", "_from_packed"}
-PACKED_ATTRS = PACKED_NAMES | {"terms", "_eval_table"}
+PACKED_ATTRS = PACKED_NAMES | {"terms"}
 
 
 def test_only_exactalg_reads_packed_keys():
     """Every other module reads a polynomial through exponent tuples
     (`iter_terms`, `coefficient_vector`), so the key layout can change in
-    `exactalg` alone; none names `eval`'s table, not even as a string."""
+    `exactalg` alone."""
     readers = set()
     for path in SRC:
         if path.stem == "exactalg":
@@ -177,8 +178,6 @@ def test_only_exactalg_reads_packed_keys():
                 names = {node.id} & PACKED_NAMES
             elif isinstance(node, ast.Attribute):
                 names = {node.attr} & PACKED_ATTRS
-            elif isinstance(node, ast.Constant):
-                names = {node.value} & {"_eval_table"}
             elif isinstance(node, ast.ImportFrom):
                 names = {alias.name for alias in node.names} & PACKED_NAMES
             else:

@@ -157,12 +157,14 @@ def test_e6_census_builds_no_flat(monkeypatch):
 
 def test_run_all_expands_no_linear_form_alone(tmp_path, monkeypatch):
     # every restriction and substitution goes through `exactalg._expanded`;
-    # a linear form is expanded in a batch, never alone under one map
+    # a linear form is expanded in a batch, never alone under one map. A value
+    # at a point (`MPoly.eval`: constant images, in no variables) is no map
     calls = []
     real = exactalg._expanded
 
     def spy(forms, target, variables, factors, dens):
-        calls.append(([f.degree() for f in forms], len(dens)))
+        if target:
+            calls.append(([f.degree() for f in forms], len(dens)))
         return real(forms, target, variables, factors, dens)
 
     monkeypatch.setattr(exactalg, "_expanded", spy)
@@ -237,9 +239,9 @@ def test_wrong_word_product_fails_quintic_invariance(tmp_path, monkeypatch):
 
 
 #: the functions that evaluate a single, unsampled point with `MPoly.eval` in
-#: `run all`: the parametrization's probe, a triple point's own root form, a
-#: tangent section's tangency point and a restricted partial off it
-ONE_OFF_EVALS = {"segre_param", "triple_point_cone", "section_nodes", "_quintic_candidates"}
+#: `run all`: a triple point's own root form, whose value is a divisor; every
+#: other point goes through `_values_at`
+ONE_OFF_EVALS = {"triple_point_cone"}
 
 
 def test_run_all_evaluates_no_sampled_point_alone(tmp_path, monkeypatch):
@@ -257,7 +259,7 @@ def test_run_all_evaluates_no_sampled_point_alone(tmp_path, monkeypatch):
 
     monkeypatch.setattr(MPoly, "eval", spy)
     assert cli.main(["run", "all", "--seed", "42", "--json", str(tmp_path / "all.json")]) == 0
-    assert "section_nodes" in callers and callers <= ONE_OFF_EVALS
+    assert callers == ONE_OFF_EVALS
     assert in_sampler and not any(in_sampler)
 
 
@@ -381,58 +383,43 @@ def _theta_characteristic_fault(monkeypatch):
 
 
 # fault -> (the patch that applies it, the suites that read the faulted input,
-# the cached builders that keep results derived from it, the checks of those
-# suites that must then read "fail"). `macdonald_membership` and
-# `nodalcy._section_points` are the cached builders downstream of
-# `special_loci`; the latter holds the root points and the 120 lines'
-# spanning points for the nodal hyperplane draws. None is downstream of
-# `segre_chart`, `nieto_chart` or `invariant_quintic_form` (`nodalcy._partials`
-# is keyed by the form), and the cached readers of `weyl_generators`
-# (`enneahedra`, `weyl_group`) read only its unchanged permutations. The
-# cached builders downstream of `meets` and `tritangents` run through
-# `enumerate_structures` into `special_loci`; of the root forms, only
-# `special_loci` reads one that the fault changes while the quintic suite runs.
-_STRUCTURES = (lines27.enumerate_structures, lines27.enneahedra, lines27.special_loci,
-               lines27.macdonald_membership)
+# the checks of those suites that must then read "fail"); every cached
+# builder is cleared around a row (`_clear_caches`)
 INPUT_FAULTS = {
     "root-point-moved": (_special_loci_fault(_moved_root_point),
                          ("lines27", "quintic", "nodal"),
-                         (lines27.macdonald_membership, nodalcy._section_points),
                          {"lines27/ideal-dimensions", "quintic/singular-locus"}),
     "line45-replaced": (_special_loci_fault(_replaced_line45),
-                        ("lines27",), (lines27.macdonald_membership,),
+                        ("lines27",),
                         {"lines27/ideal-dimensions"}),
-    "segre-chart-coefficient": (_segre_chart_fault, ("segre", "nieto", "duality"), (),
+    "segre-chart-coefficient": (_segre_chart_fault, ("segre", "nieto", "duality"),
                                 {"segre/model", "segre/parametrization", "segre/sections",
                                  "nieto/hessian", "duality/pipeline"}),
-    "nieto-chart-term": (_nieto_chart_fault, ("nieto", "quintic"), (),
+    "nieto-chart-term": (_nieto_chart_fault, ("nieto", "quintic"),
                          {"nieto/model", "nieto/hessian", "quintic/subspaces"}),
-    "quintic-coefficient": (_quintic_coefficient_fault, ("quintic", "nodal"), (),
+    "quintic-coefficient": (_quintic_coefficient_fault, ("quintic", "nodal"),
                             {"quintic/invariance", "quintic/singular-locus",
                              "quintic/subspaces", "quintic/rationalization",
                              "quintic/triple-cone", "nodal/generic", "nodal/tangent"}),
-    "generator-matrix-entry": (_generator_matrix_fault, ("lines27", "quintic"), (),
+    "generator-matrix-entry": (_generator_matrix_fault, ("lines27", "quintic"),
                                {"quintic/invariance"}),
-    "dependent-chart-basis": (_dependent_chart_fault, ("nodal",), (),
+    "dependent-chart-basis": (_dependent_chart_fault, ("nodal",),
                               {"nodal/generic", "nodal/tangent"}),
-    "root-vector-moved": (_root_vector_fault, ("arrangements",), (rootarr.cached_incidence,),
+    "root-vector-moved": (_root_vector_fault, ("arrangements",),
                           {f"arrangements/census-{family.lower()}{rank}"
                            for family, rank in cli.ARRANGEMENT_CENSUS}),
     "meets-pair-flipped": (_meets_pair_fault, ("lines27",),
-                           (lines27.meets_matrix, lines27.double_sixes, lines27.sixes,
-                            lines27.weyl_generators, lines27.weyl_group, *_STRUCTURES),
                            {"lines27/structures", "lines27/enneahedra", "lines27/weyl-order",
                             "lines27/ideal-dimensions"}),
     "tritangent-replaced": (_tritangent_fault, ("lines27",),
-                            (lines27.incidence_complex_ranks, *_STRUCTURES),
                             {"lines27/structures", "lines27/enneahedra",
                              "lines27/incidence-ranks", "lines27/ideal-dimensions"}),
-    "root-form-changed": (_root_form_fault, ("quintic",), (lines27.special_loci,),
+    "root-form-changed": (_root_form_fault, ("quintic",),
                           {"quintic/restrictions", "quintic/singular-locus",
                            "quintic/triple-cone"}),
     "pair-partition-changed": (_pair_partition_fault, ("lines27",),
-                               (lines27.incidence_complex_ranks,), {"lines27/incidence-ranks"}),
-    "theta-characteristic": (_theta_characteristic_fault, ("theta",), (),
+                               {"lines27/incidence-ranks"}),
+    "theta-characteristic": (_theta_characteristic_fault, ("theta",),
                              {"theta/identities"}),
 }
 
@@ -461,20 +448,27 @@ FAULT_VALUES = {
 }
 
 
+def _clear_caches():
+    """Clear every `lru_cache` builder of the imported `modgem` modules: before
+    a fault, so that it is seen, and after it, so that no later test reads a
+    result built from it."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("modgem."):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear") and obj.__module__ == name:
+                    obj.cache_clear()
+
+
 @pytest.mark.parametrize("fault", list(INPUT_FAULTS))
 def test_an_input_fault_fails_exactly_its_checks(fault, monkeypatch):
-    # the caches are cleared before the fault, so that it is seen, and after
-    # it, so that no later test reads a result built from it
-    patch, suites, caches, failing = INPUT_FAULTS[fault]
-    for cache in caches:
-        cache.cache_clear()
+    patch, suites, failing = INPUT_FAULTS[fault]
+    _clear_caches()
     patch(monkeypatch)
     try:
         certs = [c for suite in suites for c in cli.run_suite(suite, cli.SuiteConfig())]
     finally:
         monkeypatch.undo()
-        for cache in caches:
-            cache.cache_clear()
+        _clear_caches()
     assert {c.check for c in certs if c.status == "fail"} == failing
     computed = {c.check: c.computed for c in certs}
     for check, message in FAULT_ERRORS.get(fault, {}).items():
@@ -488,7 +482,7 @@ def test_a_faulted_report_reads_the_same_under_two_hash_seeds():
     # in different orders: the failing certificates must not differ
     script = ("import json, pytest, test_cli\n"
               "from modgem import cli\n"
-              "patch, suites, _, _ = test_cli.INPUT_FAULTS['tritangent-replaced']\n"
+              "patch, suites, _ = test_cli.INPUT_FAULTS['tritangent-replaced']\n"
               "patch(pytest.MonkeyPatch())\n"
               "certs = [c for s in suites for c in cli.run_suite(s, cli.SuiteConfig())]\n"
               "print(json.dumps([c.as_dict() for c in certs if c.status == 'fail']))\n")
@@ -499,12 +493,12 @@ def test_a_faulted_report_reads_the_same_under_two_hash_seeds():
                                             "PYTHONHASHSEED": seed}).stdout
             for seed in ("0", "1")]
     assert outs[0] == outs[1]
-    assert {c["check"] for c in json.loads(outs[0])} == INPUT_FAULTS["tritangent-replaced"][3]
+    assert {c["check"] for c in json.loads(outs[0])} == INPUT_FAULTS["tritangent-replaced"][2]
 
 
 def test_every_computed_check_has_an_input_fault():
     computed = {c.name for c in cli.CHECKS if c.compute is not None}
-    assert set().union(*(row[3] for row in INPUT_FAULTS.values())) == computed
+    assert set().union(*(row[2] for row in INPUT_FAULTS.values())) == computed
 
 
 def test_json_report_byte_identity(tmp_path):

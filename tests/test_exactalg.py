@@ -54,6 +54,8 @@ from modgem.exactalg import (
     _values_at,
 )
 
+from fraction_rank import on_line, reference_rank, reference_rref
+
 
 def _vars(n):
     return [MPoly.var(i, n) for i in range(n)]
@@ -183,7 +185,7 @@ def test_mixed_coefficients_keep_the_ring_exact(p, q, r, c, x, y, u, v):
         assert all(type(v) is int for v in _clear_row(row))
     for prime in SHADOW_PRIMES:
         assert type(rank_mod(rows, prime)) is int
-    for poly in (p, q, p * q, subs_prod):
+    for poly in (p, q, p * q, subs_prod, MPoly.constant(2, c), MPoly.zero(2)):
         for point in (x, u):
             assert poly.eval(point) == fraction_eval(poly, point)
         top = top_part(poly)
@@ -232,6 +234,10 @@ def test_integral_coefficients_are_stored_as_int():
     assert type(proportional(p * 3, p)) is Fraction
     q = MPoly(2, {(2, 0): 3, (1, 1): -1, (0, 2): Fraction(4, 2)})
     assert type(q.eval([2, -5])) is int
+    assert type(MPoly(1, {(1,): Fraction(1, 2)}).eval([Fraction(4)])) is int
+    zero, half = MPoly.zero(3), MPoly.constant(3, Fraction(1, 2))
+    assert zero.eval([1, 2, 3]) == 0 and type(zero.eval([1, 2, 3])) is int
+    assert half.eval([Fraction(1, 3), 2, 3]) == Fraction(1, 2)
     assert all(type(v) is int for v in q.restrict_to_line([1, 2], [-3, 1]))
 
 
@@ -312,9 +318,14 @@ near_limit = st.one_of(st.integers(min_value=0, max_value=LIMIT - 1),
                        st.integers(min_value=LIMIT - 4, max_value=LIMIT - 1))
 
 
-@given(st.integers(min_value=1, max_value=6), near_limit, st.data())
+int_or_mixed = st.sampled_from([coeffs, mixed_coeffs])
+
+
+@given(st.integers(min_value=1, max_value=6), near_limit, int_or_mixed, st.data())
 @settings(max_examples=60, deadline=None)
-def test_packed_ring_operations_match_the_tuple_reference(n, d, data):
+def test_packed_ring_operations_match_the_tuple_reference(n, d, xs, data):
+    # a termless or degree-0 draw is the zero or a constant form; the points
+    # are integer or mixed, and a value is in normal form, an int when integral
     a = data.draw(tuple_terms(n, d))
     b = data.draw(tuple_terms(n, LIMIT - 1 - d))
     p, q = MPoly(n, a), MPoly(n, b)
@@ -323,53 +334,13 @@ def test_packed_ring_operations_match_the_tuple_reference(n, d, data):
     assert dict((p * q).iter_terms()) == ref_mul(a, b)
     for i in range(n):
         assert dict(p.diff(i).iter_terms()) == ref_diff(a, i)
-    point = data.draw(st.lists(mixed_coeffs, min_size=n, max_size=n))
-    assert p.eval(point) == ref_eval(a, point)
+    point = data.draw(st.lists(xs, min_size=n, max_size=n))
+    value = p.eval(point)
+    assert value == ref_eval(a, point)
+    assert type(value) is int or value.denominator > 1
+    with pytest.raises(ExactAlgError, match="value count mismatch"):
+        p.eval(point + [1])
     assert (p * q).degree() == max((sum(e) for e in ref_mul(a, b)), default=None)
-
-
-int_or_mixed = st.sampled_from([coeffs, mixed_coeffs])
-
-
-@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=6),
-       int_or_mixed, int_or_mixed, st.data())
-@settings(max_examples=80, deadline=None)
-def test_eval_table_is_built_once_and_matches_the_tuple_reference(n, d, cs, xs, data):
-    # integer or mixed coefficients, integer or mixed points; a degree-0 or
-    # termless draw is a constant or the zero form
-    a = {e: data.draw(cs) for e in data.draw(tuple_terms(n, d, max_terms=4))}
-    b = data.draw(tuple_terms(n, d))
-    p, q = MPoly(n, a), MPoly(n, b)
-    assert p._eval_table is None
-    points = data.draw(st.lists(st.lists(xs, min_size=n, max_size=n), min_size=2, max_size=3))
-    value = p.eval(points[0])
-    table = p._eval_table
-    assert table is not None
-    assert value == ref_eval(a, points[0])
-    if all(type(v) is int for v in [*a.values(), *points[0]]):
-        assert type(value) is int
-    for point in points[1:]:
-        assert p.eval(point) == ref_eval(a, point)
-        assert p._eval_table is table
-    # a derived form builds its own table on its own first eval
-    x = points[0]
-    shift = [MPoly.var(i, n) + MPoly.constant(n, i) for i in range(n)]
-    for derived, expected in ((p * 2, 2 * value), (p + q, value + ref_eval(b, x)),
-                              (p.subs(shift), ref_eval(a, [v + i for i, v in enumerate(x)]))):
-        assert derived._eval_table is None
-        assert derived.eval(x) == expected
-        assert derived._eval_table is not None
-    with pytest.raises(ExactAlgError, match="value count mismatch"):
-        p.eval(points[0] + [1])
-    assert p._eval_table is table
-
-
-def test_eval_table_of_the_zero_and_a_constant_form():
-    zero, half = MPoly.zero(3), MPoly.constant(3, Fraction(1, 2))
-    assert zero.eval([1, 2, 3]) == 0 and type(zero.eval([1, 2, 3])) is int
-    assert half.eval([Fraction(1, 3), 2, 3]) == Fraction(1, 2)
-    with pytest.raises(ExactAlgError, match="value count mismatch"):
-        zero.eval([1, 2])
 
 
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6),
@@ -703,8 +674,9 @@ def test_line_key_independent_of_spanning_pair():
     c = ProjLine(ProjPoint([1, 0, 0, 0]), ProjPoint([0, 0, 1, 0]))
     assert a == b and hash(a) == hash(b)
     assert a != c
-    assert a.contains(ProjPoint([5, 7, 0, 0]))
-    assert not a.contains(ProjPoint([0, 0, 1, 0]))
+    # a point of the line spans it with either spanning point
+    assert a == ProjLine(ProjPoint([1, 0, 0, 0]), ProjPoint([5, 7, 0, 0]))
+    assert a != ProjLine(ProjPoint([1, 0, 0, 0]), ProjPoint([5, 7, 1, 0]))
 
 
 def test_degenerate_line_rejected():
@@ -713,11 +685,13 @@ def test_degenerate_line_rejected():
 
 
 def test_point_of_another_space_is_rejected():
-    # the reduction used to zip the point down to the line's length
-    line = ProjLine(ProjPoint([1, 0, 0]), ProjPoint([0, 1, 0]))
+    # the reduction used to zip the point down to the echelon's length
+    ech = _IntEchelon([[1, 0, 0], [0, 1, 0]])
     for coords in ([1, 1, 0, 5], [1, 1]):
         with pytest.raises(ExactAlgError, match="length"):
-            line.contains(ProjPoint(coords))
+            ech.contains(coords)
+    with pytest.raises(ExactAlgError, match="different spaces"):
+        ProjLine(ProjPoint([1, 0, 0]), ProjPoint([0, 1, 0, 0]))
 
 
 # -- integer linear algebra ------------------------------------------------------
@@ -725,39 +699,9 @@ def test_point_of_another_space_is_rejected():
 def test_rref_and_rank():
     ech, piv = rref_int([[2, 4, 6], [1, 2, 4]])
     assert piv == [0, 2]
-    assert _reference_rank([[1, 2], [2, 4], [3, 6]]) == 1
-    assert _reference_rank([[1, 0], [0, 1]]) == 2
-    assert _reference_rank([]) == 0
-
-
-def _reference_rref(rows):
-    """Gauss-Jordan over Fraction; each row then scaled to be primitive with a
-    positive leading entry (the leading entry is 1 before scaling)."""
-    m = [[Fraction(v) for v in row] for row in rows]
-    pivots = []
-    for c in range(len(m[0]) if m else 0):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        m[r] = [v / m[r][c] for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-    out = []
-    for row in m[:len(pivots)]:
-        den = math.lcm(*(v.denominator for v in row))
-        ints = [int(v * den) for v in row]
-        g = math.gcd(*ints)
-        out.append([v // g for v in ints])
-    return out, pivots
-
-
-def _reference_rank(rows):
-    return len(_reference_rref(rows)[0])
+    assert reference_rank([[1, 2], [2, 4], [3, 6]]) == 1
+    assert reference_rank([[1, 0], [0, 1]]) == 2
+    assert reference_rank([]) == 0
 
 
 @st.composite
@@ -784,7 +728,7 @@ def mixed_matrices(draw):
 @settings(max_examples=80, deadline=None)
 def test_rref_int_matches_fraction_gauss_jordan(rows):
     ech, piv = rref_int(rows)
-    assert (ech, piv) == _reference_rref(rows)
+    assert (ech, piv) == reference_rref(rows)
     assert rref_int(rows[::-1]) == (ech, piv)
     assert all(type(v) is int for row in ech for v in row)
 
@@ -796,18 +740,23 @@ tiny = st.integers(min_value=-2, max_value=2)
     lambda n: st.tuples(*(st.lists(tiny, min_size=n, max_size=n) for _ in range(3)))),
     st.booleans(), tiny, tiny)
 @settings(max_examples=80, deadline=None)
-def test_line_membership_matches_rank(vecs, on_line, a, b):
+def test_line_membership_matches_rank(vecs, combine, a, b):
     p, q, r = vecs
-    if on_line:
+    if combine:
         r = [a * x + b * y for x, y in zip(p, q)]
     if not any(p) or not any(q) or not any(r):
         return
-    if _reference_rank([p, q]) < 2:
+    if reference_rank([p, q]) < 2:
         with pytest.raises(ExactAlgError, match="proportional"):
             ProjLine(ProjPoint(p), ProjPoint(q))
         return
     line = ProjLine(ProjPoint(p), ProjPoint(q))
-    assert line.contains(ProjPoint(r)) == (_reference_rank([p, q, r]) == 2)
+    # r is on the line exactly when it spans the same line with a spanning
+    # point that it is not proportional to
+    other = q if reference_rank([p, r]) < 2 else p
+    on = reference_rank([p, q, r]) == 2
+    assert (ProjLine(ProjPoint(other), ProjPoint(r)) == line) == on
+    assert on_line(line, ProjPoint(r)) == on  # the other tests' line oracle
     assert line == ProjLine(ProjPoint(q), ProjPoint([x + y for x, y in zip(p, q)]))
 
 
@@ -825,7 +774,7 @@ def test_kernel_is_exactly_verified():
 @settings(max_examples=50, deadline=None)
 def test_chart_coordinates_recover_the_chart_point(rows, us, data):
     # rows is a 6x5 matrix G whose columns are the basis of the chart
-    assume(_reference_rank(rows) == 5 and all(any(u) for u in us))
+    assume(reference_rank(rows) == 5 and all(any(u) for u in us))
     basis = [list(col) for col in zip(*rows)]
     points = [ProjPoint([sum(g * x for g, x in zip(row, u)) for row in rows]) for u in us]
     charts = _chart_coordinates(basis, points)
@@ -870,7 +819,7 @@ def test_chart_coordinates_take_no_kernel(monkeypatch):
 @given(st.lists(st.lists(coeffs, min_size=4, max_size=4), min_size=2, max_size=6))
 @settings(max_examples=50, deadline=None)
 def test_modular_rank_agrees_with_exact(rows):
-    r = _reference_rank(rows)
+    r = reference_rank(rows)
     for p in SHADOW_PRIMES:
         assert rank_mod(rows, p) == r
 
@@ -900,14 +849,14 @@ def big_mixed_matrices(draw):
         d = draw(st.integers(min_value=1, max_value=999))
         out.append([int(v) if v.denominator == 1 else v
                     for v in (Fraction(a, d) for a in row)])
-    return out, _reference_rank(small)
+    return out, reference_rank(small)
 
 
 @given(big_mixed_matrices())
 @settings(max_examples=60, deadline=None)
 def test_modular_rank_on_big_and_mixed_entries(case):
     rows, rank = case
-    assert _reference_rank(rows) == rank
+    assert reference_rank(rows) == rank
     for p in SHADOW_PRIMES:
         assert rank_mod(rows, p) == rank
 
@@ -930,7 +879,7 @@ def sparse_matrices(draw):
 @given(sparse_matrices())
 @settings(max_examples=150, deadline=None)
 def test_rank_mod_on_sparse_matrices_with_swaps(rows):
-    r = _reference_rank(rows)
+    r = reference_rank(rows)
     for p in SHADOW_PRIMES:
         assert rank_mod(rows, p) == r
 
@@ -1070,7 +1019,7 @@ def wide_matrices(draw):
                  sparse_matrices(), wide_matrices()))
 @settings(max_examples=150, deadline=None)
 def test_checked_rank_matches_the_reference(rows):
-    assert checked_rank(rows) == _reference_rank(rows)
+    assert checked_rank(rows) == reference_rank(rows)
 
 
 def test_checked_rank_takes_the_kernel_of_the_narrow_side(monkeypatch):
@@ -1182,7 +1131,7 @@ def test_checked_rank_raises_on_forced_mismatch():
 
 def test_ranks_of_no_rows_are_zero():
     assert _pivot_rows([], SHADOW_PRIMES[0]) == []
-    assert rank_mod([], SHADOW_PRIMES[0]) == _reference_rank([]) == 0
+    assert rank_mod([], SHADOW_PRIMES[0]) == reference_rank([]) == 0
     assert checked_rank([]) == 0
 
 
@@ -1190,7 +1139,7 @@ def test_ranks_of_no_rows_are_zero():
 @settings(max_examples=50, deadline=None)
 def test_kernel_int_annihilates_and_has_full_size(rows):
     basis = kernel_int(rows)
-    r = _reference_rank(rows)
+    r = reference_rank(rows)
     assert len(basis) == 5 - r
     for p in SHADOW_PRIMES:
         assert rank_mod(rows, p) == r
@@ -1314,6 +1263,18 @@ def test_primes_past_is_the_shortest_run_whose_product_exceeds_the_bound():
         primes = _primes_past(bound)
         assert primes == list(itertools.islice(_kernel_primes(), len(primes)))
         assert math.prod(primes[:-1]) <= bound < math.prod(primes)
+
+
+def test_running_out_of_kernel_primes_names_the_bound(monkeypatch):
+    # from 13 and 11 the run goes down to 2, a product of 30030: too short
+    # for 10^30, and for the kernel of rows with entries near 10^20; the
+    # monkeypatch puts the module's own list back afterwards
+    monkeypatch.setattr(exactalg, "_PRIMES", [13, 11])
+    assert list(_kernel_primes()) == [13, 11, 7, 5, 3, 2]
+    with pytest.raises(ExactAlgError, match=f"product passed {10 ** 30}$"):
+        _primes_past(10 ** 30)
+    with pytest.raises(ExactAlgError, match="kernel primes ran out"):
+        kernel_int([[10 ** 20, 3, 7], [1, 10 ** 20 + 1, 5]])
 
 
 # -- vanishing spaces ------------------------------------------------------------
@@ -1507,7 +1468,7 @@ def test_candidate_route_on_random_spanning_sets_matches_kernel_route(case, data
     rows = [[sum(c * v[j] for c, v in zip(cs, vecs)) for j in range(n)]
             for cs in data.draw(st.lists(weights, min_size=len(vecs), max_size=len(vecs) + 3))]
     rows = [row for row in rows if any(row)]
-    assume(_reference_rank(rows) == len(vecs))
+    assume(reference_rank(rows) == len(vecs))
     if rows:
         index = st.integers(min_value=0, max_value=len(rows) - 1)
         extra = st.integers(min_value=0, max_value=2)
@@ -1604,7 +1565,7 @@ def plane_line_systems(draw, kind):
     """
     degree = draw(st.integers(min_value=1, max_value=3))
     plane = draw(st.lists(st.lists(coeffs, min_size=4, max_size=4), min_size=3, max_size=3))
-    assume(_reference_rank(plane) == 3)
+    assume(reference_rank(plane) == 3)
     vec = st.lists(coeffs, min_size=3, max_size=3)
 
     def in_plane(c):
@@ -1614,12 +1575,12 @@ def plane_line_systems(draw, kind):
     lines = []
     for _ in range(math.comb(degree + 2, 2) + draw(st.integers(min_value=0, max_value=2))):
         p, q = draw(vec), shared if kind == "late" else draw(vec)
-        assume(_reference_rank([p, q]) == 2)
+        assume(reference_rank([p, q]) == 2)
         lines.append(ProjLine(in_plane(p), in_plane(q)))
     points = [in_plane(c) for c in draw(st.lists(vec.filter(any), max_size=2))]
     if kind == "last":
         off = draw(st.lists(coeffs, min_size=4, max_size=4))
-        assume(_reference_rank(plane + [off]) == 4)
+        assume(reference_rank(plane + [off]) == 4)
         points.append(ProjPoint(off))
     return degree, points, lines
 
@@ -1948,8 +1909,8 @@ def test_batch_evaluation_is_the_cleared_value_mod_p(polys, p, data):
 def test_exact_evaluation_is_the_cleared_value(polys, top, data):
     # without p: lcm * value exactly, as Python ints, for Fraction and
     # integer forms (lcm 1); monomials of degree up to 12 at coordinates up
-    # to 2^15 or 2^40 leave int64, and batches of two points span the call
-    assume(any(not poly.is_zero() for poly in polys))
+    # to 2^15 or 2^40 leave int64, and batches of two points span the call;
+    # forms that are all zero are zero at every point
     ints = st.one_of(st.sampled_from([top, -top]), st.integers(min_value=-top, max_value=top))
     points = data.draw(st.lists(st.lists(ints, min_size=3, max_size=3), min_size=1, max_size=7))
     lcm = _lcm(polys)
@@ -1969,6 +1930,7 @@ def test_exact_evaluation_switches_to_python_ints_past_int64():
     small = _values_at([f, x[2]], [[1, 2, 3]])
     assert small.dtype == np.int64 and small.tolist() == [[37, 6]]
     assert _values_at([f], []).shape == (0, 1)
+    assert _values_at([MPoly.zero(3)] * 2, [[1, 2, 3]]).tolist() == [[0, 0]]
 
 def test_int_products_on_each_dtype_match_python_sums():
     rows = [[2 ** 31 - 1, -(2 ** 31 - 1), 3], [5, 0, -7]]

@@ -5,7 +5,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from modgem import gems
@@ -13,6 +13,7 @@ from modgem import lines27
 from modgem.exactalg import (
     ExactAlgError,
     MPoly,
+    ProjLine,
     ProjPoint,
     ShadowMismatch,
     _IntEchelon,
@@ -21,6 +22,8 @@ from modgem.exactalg import (
     power_sum,
     vanishing_space,
 )
+
+from fraction_rank import on_line, reference_rank
 
 
 @pytest.fixture(scope="module")
@@ -78,8 +81,30 @@ def test_exact_division_inverts_multiplication(a, b, c):
 def test_exact_division_rejects_non_multiples():
     x0 = MPoly.var(0, 2)
     x1 = MPoly.var(1, 2)
-    with pytest.raises(ExactAlgError):
+    with pytest.raises(ExactAlgError, match="not an exact polynomial quotient"):
         gems._exact_div(x0 * x0 + x1 * x1, x0)
+    with pytest.raises(ExactAlgError, match="division by the zero polynomial"):
+        gems._exact_div(x0, MPoly.zero(2))
+
+
+# forms in 3 variables, not homogeneous, with int and Fraction coefficients
+mixed_polys = st.dictionaries(
+    st.tuples(*[st.integers(min_value=0, max_value=3)] * 3),
+    st.one_of(small_ints, st.fractions(min_value=-6, max_value=6, max_denominator=5)),
+    max_size=5).map(lambda terms: MPoly(3, terms))
+
+
+@given(mixed_polys, mixed_polys, small_ints)
+@settings(max_examples=60, deadline=None)
+def test_exact_division_is_the_quotient_of_a_product(q, den, c):
+    # a nonzero constant added to a multiple of a nonconstant form leaves a
+    # remainder, so that sum has no exact quotient
+    assume(not den.is_zero())
+    num = q * den
+    assert gems._exact_div(num, den) * den == num
+    if den.degree() and c:
+        with pytest.raises(ExactAlgError, match="not an exact polynomial quotient"):
+            gems._exact_div(num + MPoly.constant(3, c), den)
 
 
 # -- Segre cubic ---------------------------------------------------------------
@@ -280,7 +305,25 @@ def test_cutting_forms_mark_the_points_of_each_line():
             for line in lines[10:20]]
     pts += [ProjPoint(v) for v in ([1, 2, 3, 4, 5, 6], [1, 0, 0, 0, 0, 0], [3, -1, 4, 1, -5, 9])]
     got = _incidence([pt.coords for pt in pts], gems._cutting_forms(lines))
-    assert got.tolist() == [[line.contains(pt) for line in lines] for pt in pts]
+    assert got.tolist() == [[on_line(line, pt) for line in lines] for pt in pts]
+
+
+big_coords = st.integers(min_value=-2 ** 40, max_value=2 ** 40)
+
+
+@given(st.lists(st.lists(big_coords, min_size=4, max_size=4), min_size=3, max_size=3),
+       st.integers(min_value=-3, max_value=3), st.integers(min_value=1, max_value=3))
+@settings(max_examples=60, deadline=None)
+def test_cutting_forms_of_lines_past_int64_products(vecs, a, b):
+    # coordinates past 2^31, whose Pluecker products leave int64, are cut out
+    # in Python integers: a combination of the ends is on the line, and a
+    # random point is on it exactly when the three have rank 2
+    p, q, r = vecs
+    assume(reference_rank([p, q]) == 2 and any(r))
+    line = ProjLine(ProjPoint(p), ProjPoint(q))
+    pts = [ProjPoint([a * x + b * y for x, y in zip(p, q)]), ProjPoint(r)]
+    got = _incidence([pt.coords for pt in pts], gems._cutting_forms([line]))
+    assert got[:, 0].tolist() == [True, on_line(line, pts[1])]
 
 
 # -- singular locus of the quintic -------------------------------------------------

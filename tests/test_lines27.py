@@ -30,6 +30,7 @@ from modgem.exactalg import (
 from modgem.rootarr import IncidenceTable, cached_incidence
 
 from flat_records import Flat, table_flats
+from fraction_rank import on_line
 
 
 # -- meets relation ------------------------------------------------------------
@@ -471,7 +472,7 @@ def _root_forms(triple):
 
 def _pair_scan_lines():
     """Reference: the 120, 45 and 216 lines by a scan of point pairs, each new
-    line kept when `ProjLine.contains` finds 3 root points on it (root pairs),
+    line kept when `on_line` finds 3 root points on it (root pairs),
     or 3 weight points, or 2 weight points and 1 root point (weight pairs)."""
     loci = L.special_loci()
     roots, weights = loci.root_points, loci.weight_points
@@ -479,15 +480,15 @@ def _pair_scan_lines():
     for n1, n2 in itertools.combinations(sorted(roots), 2):
         line = ProjLine(roots[n1], roots[n2])
         if line.key not in lines120:
-            on = frozenset(n for n, p in roots.items() if line.contains(p))
+            on = frozenset(n for n, p in roots.items() if on_line(line, p))
             if len(on) == 3:
                 lines120[line.key] = (line, on)
     for n1, n2 in itertools.combinations(sorted(weights), 2):
         line = ProjLine(weights[n1], weights[n2])
         if line.key in lines45 or line.key in lines216:
             continue
-        profile = (sum(map(line.contains, weights.values())),
-                   sum(map(line.contains, roots.values())))
+        profile = (sum(on_line(line, p) for p in weights.values()),
+                   sum(on_line(line, p) for p in roots.values()))
         {(3, 0): lines45, (2, 1): lines216}[profile][line.key] = line
     return lines120.values(), lines45.values(), lines216.values()
 
@@ -642,7 +643,7 @@ def test_points120_are_the_root_points_on_each_line():
     loci = L.special_loci()
     assert len(loci.points120) == 120
     for line, on in zip(loci.lines120, loci.points120):
-        assert on == {n for n, p in loci.root_points.items() if line.contains(p)}
+        assert on == {n for n, p in loci.root_points.items() if on_line(line, p)}
         assert len(on) == 3
 
 
@@ -652,20 +653,20 @@ def test_collinear_a2_example():
     h12, h23, h13 = (loci.root_points[n] for n in ("h12", "h23", "h13"))
     assert checked_rank([list(h12.coords), list(h23.coords), list(h13.coords)]) == 2
     line = ProjLine(h12, h23)
-    assert line.contains(h13)
+    assert on_line(line, h13)
 
 
 def test_line_through_two_weight_points_hits_a_root_point():
     loci = L.special_loci()
     line = ProjLine(loci.weight_points["a1"], loci.weight_points["a2"])
-    assert line.contains(loci.root_points["h12"])
+    assert on_line(line, loci.root_points["h12"])
     assert any(line.key == l.key for l in loci.lines216)
 
 
 def test_line_of_a_tritangent_triple():
     loci = L.special_loci()
     line = ProjLine(loci.weight_points["a1"], loci.weight_points["b2"])
-    assert line.contains(loci.weight_points["c12"])
+    assert on_line(line, loci.weight_points["c12"])
     assert any(line.key == l.key for l in loci.lines45)
 
 
