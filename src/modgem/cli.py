@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable
 
-from . import gems, lines27, nodalcy, rootarr, theta
-from .exactalg import SHADOW_PRIMES, ExactAlgError, _seed_digest
+from . import exactalg, gems, lines27, nodalcy, rootarr, theta
+from .exactalg import ExactAlgError, _seed_digest
 
 SCHEMA_VERSION = 1
 
@@ -33,8 +33,8 @@ class SuiteConfig:
 
     seed drives all sampling through per-check derived seeds; samples scales
     the sampling checks up from their contractual minimums; tol is the
-    numeric tolerance for the theta residuals. The echo also lists
-    SHADOW_PRIMES, the fixed primes behind every modular cross-check.
+    numeric tolerance for the theta residuals. The echo also lists the primes
+    behind every modular cross-check, read from `exactalg.SHADOW_PRIMES`.
     """
 
     seed: int = 0
@@ -43,7 +43,7 @@ class SuiteConfig:
 
     def as_dict(self) -> dict:
         return {"seed": self.seed, "samples": self.samples, "tol": self.tol,
-                "primes": list(SHADOW_PRIMES)}
+                "primes": list(exactalg.SHADOW_PRIMES)}
 
 
 @dataclass(frozen=True)
@@ -109,8 +109,7 @@ class Check:
                 computed = f"error: {exc}"
             status = "pass" if computed == expected else "fail"
         digest = hashlib.sha256(json.dumps(
-            {"check": self.name, "seed": seed, "samples": cfg.samples,
-             "tol": cfg.tol, "primes": list(SHADOW_PRIMES)},
+            {**cfg.as_dict(), "check": self.name, "seed": seed},
             sort_keys=True).encode()).hexdigest()[:16]
         return VerificationCertificate(self.name, self.claim, status, expected,
                                        computed, digest, seed)
@@ -314,7 +313,7 @@ def _(cfg, seed):
 @_entry("quintic/rationalization",
         "the degree-8 inverse lands on the quintic and inverts the quartic map",
         lambda cfg: {"exact": max(50, cfg.samples),
-                     "modular": {str(p): 10 ** 4 for p in SHADOW_PRIMES},
+                     "modular": {str(p): 10 ** 4 for p in exactalg.SHADOW_PRIMES},
                      "bounds_tiny": True, "roundtrips": [25, 25]})
 def _(cfg, seed):
     rep = gems.rationalize_i5(seed=seed, exact_samples=max(50, cfg.samples),

@@ -32,7 +32,8 @@ import numpy as np
 Scalar = Union[int, Fraction]
 
 # Fixed word-size primes (both just below 2^31, so products of two reduced
-# entries stay inside int64 during vectorized elimination).
+# entries stay inside int64 during vectorized elimination); their one binding,
+# which every module reads as `exactalg.SHADOW_PRIMES` at call time.
 SHADOW_PRIMES = (2147483629, 2147483587)
 
 
@@ -797,8 +798,8 @@ class _IntEchelon:
     vectors came in, and a single forward pass decides membership of a new
     vector; one of another length raises. It names spans, tests membership
     and solves for chart coordinates, and certifies no rank: `ProjLine`'s
-    key, `VanishingSpace.contains`, the tritangent P3 keys of `gems`,
-    `rref_int`'s pencil keys and `_chart_coordinates`.
+    key, `VanishingSpace.contains`, the span keys of `gems`' tritangent P3s
+    and `lines27`'s pencils, and `_chart_coordinates`.
     """
 
     def __init__(self, vecs: Iterable[Sequence[int]] = ()) -> None:
@@ -840,6 +841,7 @@ def rref_int(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], list[in
     Rows may contain Fractions; they are cleared to integers by
     `_cleared_rows` (ragged rows raise) and added in order. The form is
     unique (see `_IntEchelon`), so it does not depend on the order of the rows.
+    Only the tests call it; the benchmark's layer trace names it.
     """
     ech = _IntEchelon(_cleared_rows(rows))
     return ech.rows, ech.pivots
@@ -858,21 +860,22 @@ def _is_prime(n: int) -> bool:
                for a in (2, 3, 5, 7))
 
 
-#: the primes `_kernel_primes` has found, in its order: each number below
-#: them is tested once per process, where `_is_prime`'s cache would evict
-_PRIMES: list[int] = list(SHADOW_PRIMES)
+#: each pair of shadow primes -> its `_kernel_primes` run so far, so that each
+#: number below it is tested once per process (`_is_prime`'s cache evicts)
+_RUNS: dict[tuple[int, ...], list[int]] = {}
 
 
 def _kernel_primes() -> Iterator[int]:
-    """SHADOW_PRIMES, then every prime below them, descending (< 2^31) down to
-    2, read from `_PRIMES`. A caller that needs more raises `_primes_ran_out`."""
+    """SHADOW_PRIMES as they stand at the run's start, then each prime below
+    both, descending to 2 (`_RUNS`). A caller that needs more raises `_primes_ran_out`."""
+    run = _RUNS.setdefault(tuple(SHADOW_PRIMES), list(SHADOW_PRIMES))
     for i in itertools.count():
-        if i == len(_PRIMES):
-            below = next(filter(_is_prime, range(_PRIMES[-1] - 1, 1, -1)), None)
+        if i == len(run):
+            below = next(filter(_is_prime, range(min(run[-2:]) - 1, 1, -1)), None)
             if below is None:
                 return
-            _PRIMES.append(below)
-        yield _PRIMES[i]
+            run.append(below)
+        yield run[i]
 
 
 def _primes_ran_out(bound: int) -> ExactAlgError:
@@ -922,9 +925,9 @@ def kernel_int(rows: Sequence[Sequence[Scalar]]) -> list[tuple[int, ...]]:
     the pivots agree. So for each free column fc the vector is unique: the
     `_canonical_int_vector` of the kernel vector that is 1 at fc and 0 at
     the other free columns, whose entry at each pivot column pc is
-    -row[fc] / row[pc] in the `rref_int` echelon. With H the Hadamard bound
-    of the cleared rows, entries are ratios of minors of size at most H and
-    each unlucky prime divides one nonzero minor, so discarded primes
+    -row[fc] / row[pc] in the `_IntEchelon` of the rows. With H the Hadamard
+    bound of the cleared rows, entries are ratios of minors of size at most
+    H and each unlucky prime divides one nonzero minor, so discarded primes
     multiply to at most H and a run past 2*H^2 is all lucky and
     reconstructs; passing either bound raises.
     """
@@ -1152,6 +1155,12 @@ def rank_mod(rows: np.ndarray | Sequence[Sequence[Scalar]], p: int) -> int:
     full rank mod p is full rank over Q.
     """
     return len(_pivot_rows(rows, p))
+
+
+def _independent(rows: Sequence[Sequence[Scalar]]) -> bool:
+    """Rows independent mod p0 = SHADOW_PRIMES[0], and so over Q (`rank_mod`):
+    one elimination; a dependence that p0 alone creates reads False."""
+    return rank_mod(rows, SHADOW_PRIMES[0]) == len(rows)
 
 
 def checked_rank(rows: Sequence[Sequence[Scalar]]) -> int:

@@ -33,7 +33,6 @@ from .exactalg import (
     MPoly,
     ProjLine,
     ProjPoint,
-    SHADOW_PRIMES,
     VanishingSpace,
     _IntEchelon,
     _chart_coordinates,
@@ -55,7 +54,7 @@ from .exactalg import (
     substitute,
     vanishing_space,
 )
-from . import lines27
+from . import exactalg, lines27
 from .rootarr import RootSystemId, roots
 
 
@@ -369,11 +368,19 @@ def beta_components() -> tuple[MPoly, ...]:
     return tuple([p * half for p in pos] + [q * -half for q in neg])
 
 
+def _image_points(forms: Sequence[MPoly],
+                  rows: np.ndarray | Sequence[Sequence[int]]) -> list[ProjPoint | None]:
+    """The point the forms take at each integer row, None where all of them
+    vanish: one `_values_at` call, whose one scale keeps each image projective."""
+    return [ProjPoint(vals) if any(vals) else None
+            for vals in _values_at(forms, rows).tolist()]
+
+
 def _beta_chart_points(zs: np.ndarray | Sequence[Sequence[int]]) -> list[ProjPoint | None]:
     """The chart point of each parameter row z, the first five beta
-    components at z, or None where all six vanish (they sum to zero)."""
-    return [ProjPoint(vals[:5]) if any(vals) else None
-            for vals in _values_at(beta_components(), zs).tolist()]
+    components at z, or None where they vanish: the six sum to zero, so the
+    first five vanish exactly when all six do."""
+    return _image_points(beta_components()[:5], zs)
 
 
 def _off_node_points(zs: np.ndarray) -> list[ProjPoint]:
@@ -646,13 +653,13 @@ def build_invariant_quintic(seed: int = 0, words: int = 100) -> InvariantQuintic
     scalar one, by all six reflection generators, pulled back by
     substitution. Each of `words` random words in the generators is checked
     through the weight forms: its matrix product permutes the 27 forms at
-    scalar +1 (`lines27.perm27_from_matrix`), which fixes the power sum and
+    scalar +1 (`lines27.perm27_from_matrices`), which fixes the power sum and
     hence the quintic, and that permutation is the composite of the
     generators' permutations in the word's order.
 
     All of it runs in int, on the forms 6·w and 6h and on the generators
     stored as 4·M: a generator's pullback must give 4^5·f, and a word of
-    length L is 4^L times its product, which `perm27_from_matrix` divides
+    length L is 4^L times its product, which `perm27_from_matrices` divides
     exactly before it reads the permutation.
     """
     f = invariant_quintic_form()
@@ -777,7 +784,7 @@ def i5_singular_locus(seed: int = 0, offline_samples: int = 50) -> SingularLocus
     cuts120 = _cutting_forms(loci.lines120)
 
     def offline(ys: np.ndarray) -> list[ProjPoint]:
-        pts = [pt for pt in _octic_points(ys) if pt is not None]
+        pts = [pt for pt in _image_points(psi_octics(), ys) if pt is not None]
         coords = [pt.coords for pt in pts]
         out = []
         for pt, on_line, (value, *grad) in zip(pts, _incidence(coords, cuts120).any(axis=1),
@@ -1116,12 +1123,6 @@ def psi_octics() -> tuple[MPoly, ...]:
     return (x1, x2, x3, x4, x5, x6)
 
 
-def _octic_points(ys: np.ndarray | Sequence[Sequence[int]]) -> list[ProjPoint | None]:
-    """psi(y) of each row y as a point of P^5, None where all six octics vanish."""
-    return [ProjPoint(vals) if any(vals) else None
-            for vals in _values_at(psi_octics(), ys).tolist()]
-
-
 def _cutting_forms(lines: Sequence[ProjLine]) -> np.ndarray:
     """For each line through p and q in P^(n-1), the linear forms x ^ p ^ q,
     the 3x3 minors of the rows x, p, q on each triple i < j < k of columns,
@@ -1185,7 +1186,8 @@ def rationalize_i5(seed: int = 0, exact_samples: int = 50,
         return _draws(rng, 5, k)
 
     def on_quintic(ys: np.ndarray) -> list[tuple[int, ...]]:
-        kept = [(tuple(y), pt) for y, pt in zip(ys.tolist(), _octic_points(ys)) if pt is not None]
+        kept = [(tuple(y), pt) for y, pt in zip(ys.tolist(), _image_points(maps.psi, ys))
+                if pt is not None]
         for (y, _), value in zip(kept, _values_at([f], [pt.coords for _, pt in kept])[:, 0]):
             if value:
                 raise ExactAlgError(f"octic image of {y} misses the quintic")
@@ -1196,7 +1198,7 @@ def rationalize_i5(seed: int = 0, exact_samples: int = 50,
 
     modular: dict[int, int] = {}
     bounds: dict[int, float] = {}
-    for p in SHADOW_PRIMES:
+    for p in exactalg.SHADOW_PRIMES:
         # the draws fill one coordinate of every point, then the next
         pts = _draws_below(rng, p, 5 * modular_samples).reshape(5, modular_samples).T
         if _values_at([f], _values_at(maps.psi, pts, p), p).any():
@@ -1208,7 +1210,8 @@ def rationalize_i5(seed: int = 0, exact_samples: int = 50,
     def projected(ys: np.ndarray) -> list[tuple[tuple[int, ...], ProjPoint, ProjPoint]]:
         """(y, psi(y), phi(psi(y))) of each row y where neither map vanishes;
         phi's values share one scale (`_values_at`), so the last is projective."""
-        kept = [(tuple(y), x) for y, x in zip(ys.tolist(), _octic_points(ys)) if x is not None]
+        kept = [(tuple(y), x) for y, x in zip(ys.tolist(), _image_points(maps.psi, ys))
+                if x is not None]
         backs = _values_at(maps.phi, [x.coords for _, x in kept]).tolist()
         return [(y, x, ProjPoint(back)) for (y, x), back in zip(kept, backs) if any(back)]
 
@@ -1222,7 +1225,7 @@ def rationalize_i5(seed: int = 0, exact_samples: int = 50,
         trips = projected(ys)
         # psi is homogeneous of degree 8: at u's primitive integer point,
         # c u, it takes the value c^8 psi(u), the same projective point
-        ws = _octic_points([u.coords for _, _, u in trips])
+        ws = _image_points(maps.psi, [u.coords for _, _, u in trips])
         kept = [(y, x, w) for (y, x, _), w in zip(trips, ws) if w is not None]
         if any(w != x for _, x, w in kept):
             raise ExactAlgError("octics of the projection must reproduce the point")
@@ -1251,12 +1254,6 @@ class DualityReport:
     image_lines: tuple[ProjLine, ...]
     line_cubics: VanishingSpace
     biduality_checked: int
-
-
-def _gradient_images(grads: Sequence[MPoly], pts: Sequence[ProjPoint]) -> list[ProjPoint | None]:
-    """The gradient image of each point, None where the gradient vanishes."""
-    return [ProjPoint(vals) if any(vals) else None
-            for vals in _values_at(grads, [pt.coords for pt in pts]).tolist()]
 
 
 def duality_pipeline(seed: int = 0, samples: int = 200,
@@ -1292,7 +1289,8 @@ def duality_pipeline(seed: int = 0, samples: int = 200,
     seen_images: set[ProjPoint] = set()
 
     def new_image(zs: np.ndarray) -> list[ProjPoint]:
-        return unseen(_gradient_images(grads, _off_node_points(zs)), seen_images)
+        pts = _off_node_points(zs)
+        return unseen(_image_points(grads, [pt.coords for pt in pts]), seen_images)
 
     fitted = vanishing_space(4, 5, points=_sample(rng, samples, chart_draw, new_image))
     if fitted.dim != 1:
@@ -1306,8 +1304,7 @@ def duality_pipeline(seed: int = 0, samples: int = 200,
 
         def plane_image(combos: np.ndarray) -> list[ProjPoint]:
             vecs = (combos @ np.array(basis, dtype=np.int64))[:, :5].tolist()
-            pts = [ProjPoint(vec) for vec in vecs if any(vec)]
-            return unseen(_gradient_images(grads, pts), seen)
+            return unseen(_image_points(grads, [ProjPoint(v).coords for v in vecs if any(v)]), seen)
 
         imgs = _sample(rng, 3, lambda rng, k: _draws(rng, 3, k), plane_image)
         line = ProjLine(imgs[0], imgs[1])
@@ -1325,9 +1322,9 @@ def duality_pipeline(seed: int = 0, samples: int = 200,
 
     def round_trip(zs: np.ndarray) -> list[ProjPoint]:
         pts = _off_node_points(zs)
-        pairs = [(pt, img) for pt, img in zip(pts, _gradient_images(grads, pts))
-                 if img is not None]
-        backs = _gradient_images(dual_grads, [img for _, img in pairs])
+        imgs = _image_points(grads, [pt.coords for pt in pts])
+        pairs = [(pt, img) for pt, img in zip(pts, imgs) if img is not None]
+        backs = _image_points(dual_grads, [img.coords for _, img in pairs])
         kept = [(pt, back) for (pt, _), back in zip(pairs, backs) if back is not None]
         if any(back != pt for pt, back in kept):
             raise ExactAlgError("gradient round trip must return the point")

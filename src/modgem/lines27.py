@@ -25,19 +25,18 @@ from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 import numpy as np
 
 from .exactalg import (
-    SHADOW_PRIMES,
     ExactAlgError,
     MPoly,
     ProjLine,
     ProjPoint,
+    _IntEchelon,
     _clear_row,
     _incidence,
+    _independent,
     _int_matmul,
     checked_rank,
     elementary_symmetric,
-    rank_mod,
     restrictions,
-    rref_int,
     vanishing_space,
 )
 
@@ -562,12 +561,6 @@ def perm27_from_matrices(mats: np.ndarray | Sequence[IntMatrix],
     return perms
 
 
-def perm27_from_matrix(mat: IntMatrix, scale: int) -> bytes:
-    """Permutation of the 27 labels induced on the weight forms by mat / scale:
-    `perm27_from_matrices` of the one matrix."""
-    return perm27_from_matrices([mat], [scale])[0]
-
-
 def check_meets_preserved(perm: bytes) -> bool:
     mm = meets_matrix()
     for i in range(27):
@@ -584,13 +577,11 @@ def weyl_generators() -> tuple[tuple[str, ...], tuple[IntMatrix, ...], tuple[byt
     tables = coordinate_tables()
     names = tables.simple_roots
     mats = tuple(reflection_matrix(n) for n in names)
-    perms = []
-    for name, mat in zip(names, mats):
-        perm = perm27_from_matrix(mat, WEYL_SCALE)
+    perms = tuple(perm27_from_matrices(mats, [WEYL_SCALE] * len(mats)))
+    for name, perm in zip(names, perms):
         if not check_meets_preserved(perm):
             raise ExactAlgError(f"generator {name} does not preserve meets")
-        perms.append(perm)
-    return names, mats, tuple(perms)
+    return names, mats, perms
 
 
 IDENTITY27 = bytes(range(27))
@@ -758,10 +749,11 @@ def special_loci() -> SpecialLoci:
     pencil_keys = set()
     for triple in st.azygetic_triples:
         forms = frozenset("h" + n[2:] if n != "N" else "h" for n in triple)
-        ech, _ = rref_int([tables.root_forms[fname].linear_coeffs() for fname in forms])
-        if len(ech) != 2:
+        key = _IntEchelon(_clear_row(tables.root_forms[fname].linear_coeffs())
+                          for fname in forms).key()
+        if len(key) != 2:
             raise ExactAlgError("azygetic form triple must span a pencil")
-        pencil_keys.add(tuple(tuple(r) for r in ech))
+        pencil_keys.add(key)
         forms_of[triple] = forms
     if len(set(forms_of.values())) != 120 or len(pencil_keys) != 120:
         raise ExactAlgError("expected 120 distinct P^3s")
@@ -779,7 +771,7 @@ def special_loci() -> SpecialLoci:
         raise ExactAlgError("orthogonality partners must be mutually orthogonal")
     triangles = {frozenset((i, *pair)) for i, pair in enumerate(partners)}
     for tr in triangles:
-        if rank_mod([row for i in tr for row in lines120[i].key], SHADOW_PRIMES[0]) != 6:
+        if not _independent([row for i in tr for row in lines120[i].key]):
             raise ExactAlgError("an orthogonal A2 triple fails to span P^5")
 
     # the 40 triangles are the triads: one line per trihedral pair; the root

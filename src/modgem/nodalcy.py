@@ -28,7 +28,6 @@ from functools import lru_cache
 import numpy as np
 
 from .exactalg import (
-    SHADOW_PRIMES,
     ExactAlgError,
     MPoly,
     ProjPoint,
@@ -36,6 +35,7 @@ from .exactalg import (
     _chart_coordinates,
     _draws,
     _draws_below,
+    _independent,
     _sample,
     _task_rng,
     _values_at,
@@ -43,12 +43,11 @@ from .exactalg import (
     kernel_int,
     monomials,
     proportional,
-    rank_mod,
     restrictions,
     vanishing_space,
 )
 from . import lines27
-from .gems import _octic_points, invariant_quintic_form
+from .gems import _image_points, invariant_quintic_form, psi_octics
 
 #: quintic monomials in the five internal coordinates of a hyperplane
 QUINTIC_MONOMIAL_COUNT = len(monomials(5, 5))
@@ -125,7 +124,7 @@ def tangent_section(seed: int = 0) -> SectionSpec:
     grads = _partials(invariant_quintic_form())
 
     def tangent(ys: np.ndarray) -> list[SectionSpec]:
-        pts = [pt for pt in _octic_points(ys) if pt is not None]
+        pts = [pt for pt in _image_points(psi_octics(), ys) if pt is not None]
         # f is integral, so the gradients are not rescaled (`_values_at`)
         specs = [SectionSpec(MPoly.linear(grad), "tangent", pt) for pt, grad
                  in zip(pts, _values_at(grads, [pt.coords for pt in pts]).tolist()) if any(grad)]
@@ -228,12 +227,12 @@ class NodalSectionReport:
 
 def _mixing_matrix(rng: random.Random) -> list[list[int]]:
     """A 5x5 matrix of `rng.randint(-3, 3)` entries, row by row, invertible
-    mod p0 and so over Q, redrawn until it is."""
+    mod p0 and so over Q (`_independent`), redrawn until it is."""
     def draw(rng: random.Random, k: int) -> np.ndarray:
         return (_draws_below(rng, 7, 25 * k) - 3).reshape(k, 5, 5)
 
     def invertible(mats: np.ndarray) -> list[list[list[int]]]:
-        return [mat for mat in mats.tolist() if rank_mod(mat, SHADOW_PRIMES[0]) == 5]
+        return [mat for mat in mats.tolist() if _independent(mat)]
 
     return _sample(rng, 1, draw, invertible)[0]
 

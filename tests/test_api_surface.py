@@ -23,10 +23,10 @@ SRC = sorted((ROOT / "src" / "modgem").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 # names of the package that only tests read. The oracles the tests compare
-# against live beside the tests that use them; `MPoly.restrict_to_line` is
-# kept for the benchmark's layer trace alone, which names it in BENCHMARK.json
-# (`test_benchmark_layer_metrics_name_existing_code`)
-TEST_ONLY = {"restrict_to_line"}
+# against live beside the tests that use them; `MPoly.restrict_to_line` and
+# `exactalg.rref_int` are kept for the benchmark's layer trace alone, which
+# names them in BENCHMARK.json (`test_benchmark_layer_metrics_name_existing_code`)
+TEST_ONLY = {"restrict_to_line", "rref_int"}
 
 
 def _definitions():
@@ -165,26 +165,30 @@ PACKED_NAMES = {"EXP_BITS", "_packed_monomials", "_from_packed"}
 PACKED_ATTRS = PACKED_NAMES | {"terms"}
 
 
-def test_only_exactalg_reads_packed_keys():
-    """Every other module reads a polynomial through exponent tuples
-    (`iter_terms`, `coefficient_vector`), so the key layout can change in
-    `exactalg` alone."""
-    readers = set()
+def _named_outside_exactalg(names, attrs=None, imports=None):
+    """(module, name) for each use outside `exactalg` of one of `names` as a
+    name, of `attrs` (default `names`) as an attribute, or of `imports`
+    (default `names`) as an imported name."""
+    attrs = names if attrs is None else attrs
+    imports = names if imports is None else imports
+    found = set()
     for path in SRC:
         if path.stem == "exactalg":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                names = {node.id} & PACKED_NAMES
-            elif isinstance(node, ast.Attribute):
-                names = {node.attr} & PACKED_ATTRS
-            elif isinstance(node, ast.ImportFrom):
-                names = {alias.name for alias in node.names} & PACKED_NAMES
-            else:
-                continue
-            readers |= {(path.stem, name) for name in names}
-    assert sorted(readers) == []
+            used = ({node.id} & names if isinstance(node, ast.Name)
+                    else {node.attr} & attrs if isinstance(node, ast.Attribute)
+                    else {a.name for a in node.names} & imports
+                    if isinstance(node, ast.ImportFrom) else set())
+            found |= {(path.stem, name) for name in used}
+    return sorted(found)
 
+
+def test_only_exactalg_reads_packed_keys():
+    """Every other module reads a polynomial through exponent tuples
+    (`iter_terms`, `coefficient_vector`), so the key layout can change in
+    `exactalg` alone."""
+    assert _named_outside_exactalg(PACKED_NAMES, attrs=PACKED_ATTRS) == []
 
 
 # the array kernels behind `exactalg`'s evaluator and its products mod p
@@ -194,17 +198,19 @@ ARRAY_KERNELS = {"_evaluated", "_residue_products", "_limb_product", "_level_ste
 def test_only_exactalg_names_its_array_kernels():
     """Other modules evaluate forms at point sets through `_values_at`, so
     the power tables and the limb products stay private to `exactalg`."""
-    names = set()
-    for path in SRC:
-        if path.stem == "exactalg":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            found = ({node.id} if isinstance(node, ast.Name)
-                     else {node.attr} if isinstance(node, ast.Attribute)
-                     else {a.name for a in node.names} if isinstance(node, ast.ImportFrom)
-                     else set())
-            names |= {(path.stem, name) for name in found & ARRAY_KERNELS}
-    assert sorted(names) == []
+    assert _named_outside_exactalg(ARRAY_KERNELS) == []
+
+
+# the eliminations mod p and the prime lists behind them
+PRIME_NAMES = {"_PRIMES", "rank_mod", "rref_int", "_pivot_rows"}
+
+
+def test_only_exactalg_binds_the_shadow_primes():
+    """`exactalg.SHADOW_PRIMES` is the one binding of the primes: another
+    module reads it as that attribute at call time, never imports it by
+    name, and takes its yes/no rank facts from `exactalg._independent`, so
+    patching that one attribute moves every prime of every check."""
+    assert _named_outside_exactalg(PRIME_NAMES, imports=PRIME_NAMES | {"SHADOW_PRIMES"}) == []
 
 
 def test_every_module_level_import_is_used():

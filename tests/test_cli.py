@@ -89,7 +89,7 @@ def test_report_dict_shape(segre_certs):
     assert report["schema"] == cli.SCHEMA_VERSION
     assert report["suite"] == "segre"
     assert report["config"] == {"seed": 7, "samples": 20, "tol": 1e-9,
-                                "primes": list(cli.SHADOW_PRIMES)}
+                                "primes": list(exactalg.SHADOW_PRIMES)}
     assert report["summary"] == {"pass": 3, "fail": 0, "unverified": 0}
     assert [c["check"] for c in report["certificates"]] == [c.check for c in segre_certs]
 
@@ -494,6 +494,61 @@ def test_a_faulted_report_reads_the_same_under_two_hash_seeds():
             for seed in ("0", "1")]
     assert outs[0] == outs[1]
     assert {c["check"] for c in json.loads(outs[0])} == INPUT_FAULTS["tritangent-replaced"][2]
+
+
+# shadow-prime pair -> {check: its outcome at seed 42} for the certificates
+# that do not pass; picked from a sweep of prime pairs (CHANGES.md). A bad
+# pair may make a check raise (the type is pinned) or fail by its stated
+# bound, never compute another value: a passing certificate reads the
+# canonical value, with the pair's primes where the expected value names them
+PINNED_PAIRS = {
+    (65521, 65519): {},
+    (37, 31): {"duality/pipeline": "ShadowMismatch", "nodal/generic": "ExactAlgError",
+               "nodal/tangent": "ExactAlgError", "quintic/rationalization": "bound"},
+    (13, 11): {"duality/pipeline": "ExactAlgError", "lines27/ideal-dimensions": "ShadowMismatch",
+               "nodal/generic": "ExactAlgError", "nodal/tangent": "ExactAlgError",
+               "quintic/singular-locus": "ExactAlgError", "quintic/triple-cone": "ExactAlgError",
+               "quintic/rationalization": "bound"},
+}
+
+
+@pytest.mark.parametrize("pair", list(PINNED_PAIRS))
+def test_a_bad_prime_pair_raises_or_fails_by_its_bound(pair, monkeypatch):
+    raised = {}
+
+    def typed(check):
+        """The check, with what its computation raises recorded under its name."""
+        def compute(cfg, seed):
+            try:
+                return check.compute(cfg, seed)
+            except Exception as exc:
+                raised[check.name] = exc
+                raise
+        return dataclasses.replace(check, compute=compute) if check.compute else check
+
+    cfg = cli.SuiteConfig(seed=42)
+    _clear_caches()
+    monkeypatch.setattr(exactalg, "SHADOW_PRIMES", pair)
+    try:
+        certs = [typed(check)(cfg) for check in cli.CHECKS]
+        report = cli.report_dict("all", cfg, certs)
+    finally:
+        monkeypatch.undo()
+        _clear_caches()
+    assert report["config"]["primes"] == list(pair)
+    outcomes = {}
+    for cert in (c for c in certs if c.status == "fail"):
+        if cert.check in raised:
+            outcomes[cert.check] = type(raised[cert.check]).__name__
+        elif cert.check == "quintic/rationalization" and json.loads(cert.computed) == {
+                **json.loads(cert.expected), "bounds_tiny": False}:
+            outcomes[cert.check] = "bound"
+        else:
+            outcomes[cert.check] = cert.computed
+    assert outcomes == PINNED_PAIRS[pair]
+    modular = json.loads(next(c.computed for c in certs
+                              if c.check == "quintic/rationalization"))["modular"]
+    assert modular == {str(p): 10 ** 4 for p in pair}
 
 
 def test_every_computed_check_has_an_input_fault():

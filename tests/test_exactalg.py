@@ -1268,13 +1268,16 @@ def test_primes_past_is_the_shortest_run_whose_product_exceeds_the_bound():
 def test_running_out_of_kernel_primes_names_the_bound(monkeypatch):
     # from 13 and 11 the run goes down to 2, a product of 30030: too short
     # for 10^30, and for the kernel of rows with entries near 10^20; the
-    # monkeypatch puts the module's own list back afterwards
-    monkeypatch.setattr(exactalg, "_PRIMES", [13, 11])
+    # monkeypatch puts the module's own pair back afterwards
+    monkeypatch.setattr(exactalg, "SHADOW_PRIMES", (13, 11))
     assert list(_kernel_primes()) == [13, 11, 7, 5, 3, 2]
     with pytest.raises(ExactAlgError, match=f"product passed {10 ** 30}$"):
         _primes_past(10 ** 30)
     with pytest.raises(ExactAlgError, match="kernel primes ran out"):
         kernel_int([[10 ** 20, 3, 7], [1, 10 ** 20 + 1, 5]])
+    # the run goes on below both primes of the pair, in either order
+    monkeypatch.setattr(exactalg, "SHADOW_PRIMES", (11, 13))
+    assert list(_kernel_primes()) == [11, 13, 7, 5, 3, 2]
 
 
 # -- vanishing spaces ------------------------------------------------------------
@@ -1770,7 +1773,7 @@ def test_a_residual_that_only_the_last_prime_sees_raises(monkeypatch):
     # p0 and mod 13, and only 11 sees that it is not a member. A bound
     # without any one of its three factors stops below p0 13 11.
     p0 = SHADOW_PRIMES[0]
-    monkeypatch.setattr(exactalg, "_PRIMES", [p0, 13, 11, 7, 5, 3, 2])
+    monkeypatch.setattr(exactalg, "SHADOW_PRIMES", (p0, 13))
     x0, x1 = _vars(2)
     checked = []
     real = exactalg._residue_products

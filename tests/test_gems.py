@@ -284,7 +284,7 @@ def test_batched_word_reading_matches_each_word_alone(words):
     assert products.tolist() == [_python_product([mats[k] for k in word]) for word in words]
     scales = [lines27.WEYL_SCALE ** len(word) for word in words]
     assert lines27.perm27_from_matrices(products, scales) == [
-        lines27.perm27_from_matrix(tuple(map(tuple, mat)), scale)
+        lines27.perm27_from_matrices([mat], [scale])[0]
         for mat, scale in zip(products.tolist(), scales)]
 
 

@@ -431,7 +431,7 @@ def test_word_matrix_permutes_as_composed_generators(word):
     perm = perms[word[0]]
     for k in word[1:]:
         perm = L.compose(perms[k], perm)
-    assert L.perm27_from_matrix(_word_product(word), L.WEYL_SCALE ** len(word)) == perm
+    assert L.perm27_from_matrices([_word_product(word)], [L.WEYL_SCALE ** len(word)]) == [perm]
 
 
 @settings(max_examples=30, deadline=None)
@@ -443,7 +443,7 @@ def test_changed_word_entry_is_not_read_as_a_permutation(word, i, j, delta):
     rows = [list(r) for r in _word_product(word)]
     rows[i][j] += delta
     with pytest.raises(ExactAlgError):
-        L.perm27_from_matrix(tuple(map(tuple, rows)), L.WEYL_SCALE ** len(word))
+        L.perm27_from_matrices([rows], [L.WEYL_SCALE ** len(word)])
 
 
 # -- special loci -------------------------------------------------------------------
