@@ -490,19 +490,24 @@ def render_table(suite: str, certs: list[VerificationCertificate]) -> str:
 # -- entry points ----------------------------------------------------------------------------
 
 
+def _write(path: str, text: str) -> bool:
+    """Write text to the file at path; on an OSError say so and return False,
+    for the caller to exit with status 2."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"cannot write: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _cmd_run(args) -> int:
     cfg = SuiteConfig(seed=args.seed, samples=args.samples, tol=args.tol)
     certs = run_suite(args.suite, cfg)
     report = report_dict(args.suite, cfg, certs)
-    try:
-        if args.json:
-            with open(args.json, "w") as fh:
-                fh.write(render_json(report))
-        if args.table:
-            with open(args.table, "w") as fh:
-                fh.write(render_table(args.suite, certs))
-    except OSError as exc:
-        print(f"cannot write report: {exc}", file=sys.stderr)
+    if (args.json and not _write(args.json, render_json(report))
+            or args.table and not _write(args.table, render_table(args.suite, certs))):
         return 2
     for c in certs:
         print(f"[{c.status:>10}] {c.check}")
@@ -522,11 +527,7 @@ def _cmd_theta_verify(args) -> int:
         rows = ["sample,maschke,quartic,odd_max"]
         rows += [f"{i},{r.maschke!r},{r.quartic!r},{r.odd_max!r}"
                  for i, r in enumerate(rep.rows)]
-        try:
-            with open(args.csv, "w") as fh:
-                fh.write("\n".join(rows) + "\n")
-        except OSError as exc:
-            print(f"cannot write csv: {exc}", file=sys.stderr)
+        if not _write(args.csv, "\n".join(rows) + "\n"):
             return 2
     print(f"samples {rep.samples}  maschke_max {rep.maschke_max:.3e}  "
           f"quartic_max {rep.quartic_max:.3e}  odd_max {rep.odd_max:.3e}  "
@@ -544,13 +545,8 @@ def _cmd_nodalcy_report(args) -> int:
         return 1
     payload = {**_nodal_computed(rep), "kind": rep.kind, "b2": rep.b2, "b3": rep.b3,
                "seed": args.seed}
-    if args.json:
-        try:
-            with open(args.json, "w") as fh:
-                fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        except OSError as exc:
-            print(f"cannot write report: {exc}", file=sys.stderr)
-            return 2
+    if args.json and not _write(args.json, json.dumps(payload, indent=2, sort_keys=True) + "\n"):
+        return 2
     for key in ("kind", "nodes", "quintic_dim", "defect", "h11", "h21",
                 "b2", "b3", "euler"):
         print(f"{key} {payload[key]}")

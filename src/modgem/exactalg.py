@@ -323,23 +323,16 @@ class MPoly:
         with this one form and this one substitution."""
         return substitute([self], [images])[0][0]
 
-    def restrict(self, basis: Sequence[Sequence[Scalar]]) -> "MPoly":
-        """Restrict to the span of `basis`: substitute x = sum(u_j * basis[j]).
-
-        Returns a polynomial in len(basis) fresh variables u_j: `restrictions`
-        with this one form and this one basis.
-        """
-        return restrictions([self], [basis])[0][0]
-
     def restrict_to_line(self, p: Sequence[Scalar], q: Sequence[Scalar]) -> list[Scalar]:
         """Coefficients of the binary form self(s*p + t*q), ordered s^d .. t^d:
-        `restrictions` of this form to the basis [p, q], read on `monomials(2, d)`.
+        `restrictions` of this form to the basis [p, q], that is `substitute`
+        at the line's coordinate images, read on `monomials(2, d)`.
 
         Only defined for homogeneous polynomials; the zero form gives [0].
         """
         if not self.is_homogeneous():
             raise ExactAlgError("line restriction needs a homogeneous polynomial")
-        binary = self.restrict([p, q])
+        binary = restrictions([self], [[p, q]])[0][0]
         d = self.degree()
         return [0] if d is None else binary.coefficient_vector(d)
 
@@ -383,8 +376,10 @@ class MPoly:
 
 def substitute(forms: Sequence[MPoly],
                substitutions: Sequence[Sequence[MPoly]]) -> list[list[MPoly]]:
-    """out[a][b] = forms[a] with x_i replaced by substitutions[b][i], by `_expanded`.
-    A term with sum e_i * deg(image i) >= 2^EXP_BITS raises; a zero image has degree 0."""
+    """out[a][b] = forms[a] with x_i replaced by substitutions[b][i]: the one way
+    into `_expanded`, for `MPoly.subs`, `MPoly.eval` (constant images) and
+    `restrictions` (a span's coordinate images). A term with sum e_i *
+    deg(image i) >= 2^EXP_BITS raises; a zero image has degree 0."""
     if not forms or not substitutions:
         return [[] for _ in forms]
     n, r = forms[0].nvars, len(substitutions)
@@ -413,31 +408,34 @@ def substitute(forms: Sequence[MPoly],
                      dens)
 
 
+def _span_images(basis: Sequence[Sequence[Scalar]]) -> list[MPoly]:
+    """The coordinates x_i on the span of `basis`, x = sum(u_j * basis[j]): one
+    linear form per column, in len(basis) fresh variables u_0 .. u_(k-1)."""
+    k = len(basis)
+    return [MPoly._from_packed(k, dict(zip(_packed_monomials(k, 1), column)))
+            for column in zip(*basis)]
+
+
 def restrictions(forms: Sequence[MPoly],
                  bases: Sequence[Sequence[Sequence[Scalar]]]) -> list[list[MPoly]]:
-    """out[a][b] = forms[a] on the span of bases[b], all of one length k: x =
-    sum(u_j * bases[b][j]) in fresh u_j, by `_expanded` of the cleared vectors."""
+    """out[a][b] = forms[a] on the span of bases[b], all of one length k, in
+    fresh u_j: `substitute` at the span's coordinate images (`_span_images`)."""
     if not forms or not bases:
         return [[] for _ in forms]
-    n, k, r = forms[0].nvars, len(bases[0]), len(bases)
+    n, k = forms[0].nvars, len(bases[0])
     if any(len(v) != n for basis in bases for v in basis):
         raise ExactAlgError("basis vectors must match nvars")
     if any(len(basis) != k for basis in bases):
         raise ExactAlgError("bases of different lengths")
-    rows = [[_scalar(v) for vec in basis for v in vec] for basis in bases]
-    dens = [math.lcm(*(v.denominator for v in row)) for row in rows]
-    factors = np.array([[v.numerator * (den // v.denominator) for v in row]
-                        for row, den in zip(rows, dens)], dtype=object)
-    # the key of u_j, of k variables, is 1 << EXP_BITS*k | 1 << EXP_BITS*(k-1-j)
-    return _expanded(forms, k, [1 << EXP_BITS * k | 1 << EXP_BITS * (k - 1 - j) for j in range(k)],
-                     factors.reshape(r, k, n).transpose(1, 2, 0), dens)
+    return substitute(forms, [_span_images(basis) for basis in bases])
 
 
 def _expanded(forms: Sequence[MPoly], target: int, variables: list[int],
               factors: np.ndarray, dens: list[int]) -> list[list[MPoly]]:
-    """The one expansion route: out[a][b] = forms[a] with x_i replaced by
-    sum_u factors[u, i, b] u / dens[b], u over the target keys `variables`
-    (factors: integers, dtype object, shape (len(variables), n, r)).
+    """The one expansion route, called by `substitute` alone: out[a][b] =
+    forms[a] with x_i replaced by sum_u factors[u, i, b] u / dens[b], u over
+    the target keys `variables` (factors: integers, dtype object, shape
+    (len(variables), n, r)).
 
     One plan for the batch: each monomial is its parent (one power less of
     its first variable) times that variable. Column j*r + b of the degree-t

@@ -42,6 +42,7 @@ from .exactalg import (
     _incidence,
     _max_abs,
     _sample,
+    _span_images,
     _task_rng,
     _values_at,
     det_poly,
@@ -127,8 +128,8 @@ def _word_products(mats: Sequence[lines27.IntMatrix],
 
 def _pullback(f: MPoly, mats: Sequence[lines27.IntMatrix]) -> list[MPoly]:
     """For each mat, f with each x_i replaced by the linear form of row i of
-    mat: f on the span of the columns of mat."""
-    return restrictions([f], [list(zip(*mat)) for mat in mats])[0]
+    mat: one `substitute` of f at the rows' forms."""
+    return substitute([f], [[MPoly.linear(row) for row in mat] for mat in mats])[0]
 
 
 def _require_form(form: MPoly, degree: int) -> None:
@@ -550,10 +551,9 @@ def build_nieto() -> NietoModel:
             raise ExactAlgError("pair section must leave a quadric after the three planes")
         residuals[pair] = quad
 
-    # x_j restricted to a section is the linear form of the section's column j
     coord_scalars: dict[int, Fraction] = {}
     for i, (section, cut) in enumerate(zip(coordinate_sections, cuts[len(sections):])):
-        prod = _product([MPoly.linear([v[j] for v in section]) for j in range(6) if j != i])
+        prod = _product([x for j, x in enumerate(_span_images(section)) if j != i])
         scalar = proportional(cut, prod)
         if scalar is None:
             raise ExactAlgError(f"coordinate section {i} must split into five planes")
@@ -808,12 +808,13 @@ def i5_singular_locus(seed: int = 0, offline_samples: int = 50) -> SingularLocus
 def triple_point_cone(label: str) -> TripleCone:
     """Tangent-cone data of the invariant quintic at the named triple point.
 
-    Expands f(t*p + u) over a coordinate complement of p and certifies the
-    shape s5 + s3*(t*ell + t**2): the t^3..t^5 pieces vanish identically,
-    the t-linear piece is s3 times a fixed rescaling of the dual root form,
-    and the tangent cone cubic s3 is singular exactly at the directions of
-    the ten singular lines through p, with quadrics through those ten
-    directions matching the span of s3's partials.
+    Expands f(t*p + u) over a coordinate complement of p, one `restrictions`
+    call, and certifies the shape s5 + s3*(t*ell + t**2): the t^3..t^5 pieces
+    vanish identically, the t-linear piece is s3 times the dual root form
+    scaled by 2 over its pairing with p (a dot product of its coefficients
+    with p, in Fractions), and the tangent cone cubic s3 is singular exactly
+    at the directions of the ten singular lines through p, with quadrics
+    through those ten directions matching the span of s3's partials.
     """
     loci = lines27.special_loci()
     tables = lines27.coordinate_tables()
@@ -821,7 +822,7 @@ def triple_point_cone(label: str) -> TripleCone:
         raise ExactAlgError(f"unknown triple point {label}")
     p = loci.root_points[label]
     hf = tables.root_forms[label]
-    hval = hf.eval(p.coords)
+    hval = sum(c * x for c, x in zip(hf.linear_coeffs(), p.coords))
     if hval == 0:
         raise ExactAlgError("dual pairing must not vanish at its own point")
     axis = next(i for i, c in enumerate(p.coords) if c)
@@ -829,8 +830,8 @@ def triple_point_cone(label: str) -> TripleCone:
     # x = t*p + u, u on the coordinates other than the axis: the quintic on
     # the span of their unit vectors and p, t the last variable
     t = MPoly.var(5, 6)
-    expanded = invariant_quintic_form().restrict(
-        [[int(k == i) for k in range(6)] for i in range(6) if i != axis] + [p.coords])
+    expanded = restrictions([invariant_quintic_form()], [
+        [[int(k == i) for k in range(6)] for i in range(6) if i != axis] + [p.coords]])[0][0]
 
     buckets: dict[int, list] = {j: [] for j in range(6)}
     for exp, c in expanded.iter_terms():
@@ -1358,15 +1359,16 @@ def auxiliary_sections() -> SectionsReport:
     basis = kernel_int([[1] * 5])
     if len(basis) != 4:
         raise ExactAlgError("diagonal section must be a P3")
-    ys = [MPoly.linear([b[i] for b in basis]) for i in range(5)]
-    if not elementary_symmetric(1, ys).is_zero() or F.restrict(basis) != power_sum(3, ys):
+    ys = _span_images(basis)
+    on_diagonal = restrictions([F], [basis])[0][0]
+    if not elementary_symmetric(1, ys).is_zero() or on_diagonal != power_sum(3, ys):
         raise ExactAlgError("diagonal section must be the five-cube equation")
 
     cubes = _six_cubes()
     section = kernel_int([[1, -1, 0, 0, 0, 0], [1] * 6])
     if len(section) != 4:
         raise ExactAlgError("Cayley section must be a P3")
-    cayley = cubes.restrict(section)
+    cayley = restrictions([cubes], [section])[0][0]
     nodes = [node for node in _nodes_p5() if node.coords[0] == node.coords[1]]
     chart = _chart_coordinates(section, nodes)
     if _values_at(cayley.partials(), [pt.coords for pt in chart]).any():

@@ -36,7 +36,7 @@ from .exactalg import (
     _int_matmul,
     checked_rank,
     elementary_symmetric,
-    restrictions,
+    substitute,
     vanishing_space,
 )
 
@@ -808,7 +808,7 @@ def _a2a2_products() -> list[MPoly]:
     spanning points, so one `_incidence` of the 36 root forms, cleared to
     integers (which scales each product only), against the 120 lines finds
     the six of every line. The product of a line's forms w_0..w_5 is the
-    monomial x0⋯x5 with x_i = w_i, so one `restrictions` call takes all 120.
+    monomial x0⋯x5 with x_i = w_i, so one `substitute` takes all 120.
     """
     forms = [_clear_row(f.linear_coeffs()) for f in coordinate_tables().root_forms.values()]
     lines = special_loci().lines120
@@ -816,8 +816,8 @@ def _a2a2_products() -> list[MPoly]:
     if (on.sum(axis=1) != 6).any():
         raise ExactAlgError("each of the 120 lines lies on exactly 6 hyperplanes")
     monomial = MPoly.from_terms(6, [((1,) * 6, 1)])
-    return restrictions([monomial], [list(zip(*(forms[i] for i in np.flatnonzero(row))))
-                                     for row in on])[0]
+    linear = [MPoly.linear(form) for form in forms]
+    return substitute([monomial], [[linear[i] for i in np.flatnonzero(row)] for row in on])[0]
 
 
 @lru_cache(maxsize=1)

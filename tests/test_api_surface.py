@@ -23,10 +23,11 @@ SRC = sorted((ROOT / "src" / "modgem").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 # names of the package that only tests read. The oracles the tests compare
-# against live beside the tests that use them; `MPoly.restrict_to_line` and
-# `exactalg.rref_int` are kept for the benchmark's layer trace alone, which
-# names them in BENCHMARK.json (`test_benchmark_layer_metrics_name_existing_code`)
-TEST_ONLY = {"restrict_to_line", "rref_int"}
+# against live beside the tests that use them; `MPoly.eval`,
+# `MPoly.restrict_to_line` and `exactalg.rref_int` are kept for one reason
+# alone: the benchmark's layer trace names them in BENCHMARK.json
+# (`test_benchmark_layer_metrics_name_existing_code`)
+TEST_ONLY = {"eval", "restrict_to_line", "rref_int"}
 
 
 def _definitions():
@@ -211,6 +212,18 @@ def test_only_exactalg_binds_the_shadow_primes():
     name, and takes its yes/no rank facts from `exactalg._independent`, so
     patching that one attribute moves every prime of every check."""
     assert _named_outside_exactalg(PRIME_NAMES, imports=PRIME_NAMES | {"SHADOW_PRIMES"}) == []
+
+
+# the one-form routes into the expansion: a value at one point, a form on
+# one line, a form on one span
+ONE_FORM_ROUTES = {"eval", "restrict_to_line", "restrict"}
+
+
+def test_only_exactalg_names_the_one_form_routes():
+    """Outside `exactalg` forms are evaluated at point sets by `_values_at`
+    and carried to flats by `restrictions` or `substitute`, so every
+    substitution takes the one batched route."""
+    assert _named_outside_exactalg(ONE_FORM_ROUTES) == []
 
 
 def test_every_module_level_import_is_used():

@@ -238,29 +238,23 @@ def test_wrong_word_product_fails_quintic_invariance(tmp_path, monkeypatch):
     assert failed[0]["computed"].startswith("error: ")
 
 
-#: the functions that evaluate a single, unsampled point with `MPoly.eval` in
-#: `run all`: a triple point's own root form, whose value is a divisor; every
-#: other point goes through `_values_at`
-ONE_OFF_EVALS = {"triple_point_cone"}
-
-
 def test_run_all_evaluates_no_sampled_point_alone(tmp_path, monkeypatch):
-    real, callers, in_sampler = MPoly.eval, set(), []
+    # every point goes through `_values_at` and every pairing of a form with
+    # a point is read off its coefficients, so `MPoly.eval` is never called;
+    # the callers are recorded to name any that comes back
+    real, callers = MPoly.eval, set()
 
     def spy(self, values):
-        frame, codes = sys._getframe(1), []
-        while frame is not None:
-            codes.append(frame.f_code)
-            frame = frame.f_back
+        frame = sys._getframe(1)
         # the innermost function that is not a comprehension
-        callers.add(next(c.co_name for c in codes if not c.co_name.startswith("<")))
-        in_sampler.append(exactalg._sample.__code__ in codes)
+        while frame.f_code.co_name.startswith("<"):
+            frame = frame.f_back
+        callers.add(frame.f_code.co_name)
         return real(self, values)
 
     monkeypatch.setattr(MPoly, "eval", spy)
     assert cli.main(["run", "all", "--seed", "42", "--json", str(tmp_path / "all.json")]) == 0
-    assert callers == ONE_OFF_EVALS
-    assert in_sampler and not any(in_sampler)
+    assert callers == set()
 
 
 def _moved_root_point(loci):
@@ -661,6 +655,13 @@ def test_exit_two_on_theta_verify_samples_below_twelve(samples, capsys):
 
 def test_exit_two_on_unwritable_path(capsys):
     assert cli.main(["run", "theta", "--json", "/nonexistent/dir/x.json"]) == 2
+    assert "cannot write" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["theta", "verify", "--samples", "12", "--csv"],
+                                  ["nodalcy", "report", "--kind", "generic", "--json"]])
+def test_exit_two_on_unwritable_subcommand_path(argv, capsys):
+    assert cli.main([*argv, "/nonexistent/dir/x.out"]) == 2
     assert "cannot write" in capsys.readouterr().err
 
 

@@ -470,9 +470,11 @@ def test_a_batch_is_each_form_under_each_substitution(n, m, data):
     bases = [[[data.draw(wide_coeffs) for _ in range(n)] for _ in range(m)]
              for _ in range(data.draw(st.integers(1, 3)))]
     bases[0][0] = [0] * n
-    for f, row in zip(polys_, restrictions(polys_, bases)):
-        assert row == [f.subs([MPoly.linear([v[i] for v in basis]) for i in range(n)])
-                       for basis in bases]
+    units = [tuple(int(t == j) for t in range(m)) for j in range(m)]
+    for a, row in zip(forms, restrictions(polys_, bases)):
+        assert [dict(got.iter_terms()) for got in row] == [
+            ref_subs(_nonzero(a), [_nonzero({u: v[i] for u, v in zip(units, basis)})
+                                   for i in range(n)], m) for basis in bases]
     assert restrictions(polys_, []) == [[] for _ in forms] and restrictions([], bases) == []
 
 
@@ -486,9 +488,10 @@ def test_substitution_multiplies_no_polynomials(monkeypatch):
     images2, basis2 = [z, x + y, x * x], [[2, 1, 0], [0, 0, Fraction(1, 7)]]
     batched = lambda: [substitute([f, g], [images, images2]),
                        restrictions([f, g], [basis, basis2])]
-    want = [f.subs(images), f.restrict(basis), f.restrict_to_line(p, q), batched()]
+    on_span = lambda h, b: restrictions([h], [b])[0][0]
+    want = [f.subs(images), on_span(f, basis), f.restrict_to_line(p, q), batched()]
     assert want[3] == [[[h.subs(ims) for ims in (images, images2)] for h in (f, g)],
-                       [[h.restrict(b) for b in (basis, basis2)] for h in (f, g)]]
+                       [[on_span(h, b) for b in (basis, basis2)] for h in (f, g)]]
     calls = []
     mul = MPoly.__mul__
 
@@ -498,7 +501,7 @@ def test_substitution_multiplies_no_polynomials(monkeypatch):
 
     monkeypatch.setattr(MPoly, "__mul__", spy)
     monkeypatch.setattr(MPoly, "__rmul__", spy)
-    assert [f.subs(images), f.restrict(basis), f.restrict_to_line(p, q), batched()] == want
+    assert [f.subs(images), on_span(f, basis), f.restrict_to_line(p, q), batched()] == want
     assert calls == []
 
 
@@ -595,9 +598,20 @@ def test_restrict_to_subspace():
     x, y, z = _vars(3)
     f = x ** 2 + y ** 2 + z ** 2
     # span{(1,1,0),(0,0,1)}: u^2 coefficient doubles
-    g = f.restrict([[1, 1, 0], [0, 0, 1]])
+    g = restrictions([f], [[[1, 1, 0], [0, 0, 1]]])[0][0]
     u, v = _vars(2)
     assert g == 2 * u ** 2 + v ** 2
+
+
+def test_restrictions_check_the_shape_and_exactness_of_their_bases():
+    f = MPoly.linear([1, 2, 3])
+    for bases, match in [
+            ([[[1, 0, 0], [0, 1, 0]], [[1, 0, 0]]], "bases of different lengths"),
+            # one entry short: a bare zip would drop the third coordinate
+            ([[[1, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, 1]]], "basis vectors must match nvars"),
+            ([[[1, 0, 0], [0, 0.5, 0]]], "is not an exact rational")]:
+        with pytest.raises(ExactAlgError, match=match):
+            restrictions([f], bases)
 
 
 def test_restrict_to_line_sees_all_roots():
